@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .engine import (
     KIND_BROADCAST_CALL,
@@ -49,8 +50,8 @@ ALL_PROPERTIES = MBBC_PROPERTIES + (CONSISTENCY, TOTALITY)
 OBSERVABLE_KINDS = frozenset({KIND_P2P_SEND, KIND_P2P_DELIVER, KIND_BROADCAST_CALL, KIND_DELIVER_CALL})
 
 
-class MalformedTrace(Exception):
-    pass
+class MalformedTrace(ValueError):
+    """An event whose detail a checker cannot read; the CLI maps it to exit 2."""
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,59 @@ def extract_broadcasts(trace: Trace) -> list[BroadcastRecord]:
     return out
 
 
+class TraceIndex:
+    """What the checkers look up in one trace, gathered in one pass per part.
+
+    ``run_property_checks`` builds one index and hands it to every checker;
+    a checker called on its own builds its own. Each part is built on first
+    use, so a report that needs only some parts pays only for those.
+    """
+
+    def __init__(self, trace: Trace, schedule: FailureSchedule):
+        self.trace = trace
+        self.schedule = schedule
+        self._io_correct: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def correct_deliveries(self) -> list[DeliveryRecord]:
+        """Deliveries made while the delivering process was correct, in trace order."""
+        return [d for d in extract_deliveries(self.trace, self.schedule) if d.correct_at_delivery]
+
+    @cached_property
+    def broadcasts(self) -> list[BroadcastRecord]:
+        return extract_broadcasts(self.trace)
+
+    @cached_property
+    def by_instance(self) -> dict[tuple[int, bytes], list[DeliveryRecord]]:
+        """Correct-time deliveries per (source, payload), keyed in order of first delivery."""
+        out: dict[tuple[int, bytes], list[DeliveryRecord]] = {}
+        for d in self.correct_deliveries:
+            out.setdefault((d.source, d.payload), []).append(d)
+        return out
+
+    @cached_property
+    def by_process(self) -> dict[int, set[tuple[int, bytes]]]:
+        """The (source, payload) instances each process delivered while correct."""
+        out: dict[int, set[tuple[int, bytes]]] = {}
+        for d in self.correct_deliveries:
+            out.setdefault(d.process, set()).add((d.source, d.payload))
+        return out
+
+    @cached_property
+    def cured_rounds(self) -> dict[int, list[int]]:
+        """Rounds of the CURED events of each process, in trace order."""
+        out: dict[int, list[int]] = {}
+        for ev in self.trace.events:
+            if ev.kind == KIND_CURED:
+                out.setdefault(ev.subject, []).append(ev.round)
+        return out
+
+    def io_correct(self, delta_c: int) -> tuple[int, ...]:
+        if delta_c not in self._io_correct:
+            self._io_correct[delta_c] = io_correct_processes(self.schedule, delta_c)
+        return self._io_correct[delta_c]
+
+
 def due_round(schedule: FailureSchedule, p: int, anchor: int) -> int | None:
     """Earliest round at which p's obligation is enforceable: the anchor if p is
     correct then, else p's first correct round after it; None when past the horizon."""
@@ -125,7 +179,8 @@ def due_round(schedule: FailureSchedule, p: int, anchor: int) -> int | None:
     return None
 
 
-def check_validity(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_c: int) -> PropertyReport:
+def check_validity(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_c: int,
+                   *, index: TraceIndex | None = None) -> PropertyReport:
     """Broadcasts by a source correct for delta_b rounds must reach a delivery.
 
     Two readings are evaluated: the base one (at least one delta_c-i.o.-correct
@@ -133,23 +188,22 @@ def check_validity(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_
     such process delivers) when the scenario runs the full-oracle variant with
     n > 5f, where that stronger guarantee is promised.
     """
-    deliveries = extract_deliveries(trace, schedule)
-    io_set = set(io_correct_processes(schedule, delta_c))
+    index = index or TraceIndex(trace, schedule)
+    io_set = set(index.io_correct(delta_c))
     config = trace.scenario()
     strong = config.variant is VariantTag.FFA_FULL and config.n > 5 * config.f
 
     instances = []
     verdict = SATISFIED
     witness: list[int] = []
-    for b in extract_broadcasts(trace):
+    for b in index.broadcasts:
         if not schedule.correct_during(b.source, b.round, b.round + delta_b - 1):
             instances.append({"source": b.source, "round": b.round, "status": "vacuous",
                               "reason": "source not correct for delta_b rounds"})
             continue
         anchor = b.round + 3
         inst: dict = {"source": b.source, "round": b.round}
-        delivered_by = {d.process for d in deliveries
-                        if d.correct_at_delivery and d.source == b.source and d.payload == b.payload}
+        delivered_by = {d.process for d in index.by_instance.get((b.source, b.payload), ())}
         io_delivered = delivered_by & io_set
 
         if io_delivered:
@@ -196,12 +250,13 @@ def check_validity(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_
     return PropertyReport(VALIDITY, verdict, sorted(set(witness)), details)
 
 
-def check_no_duplication(trace: Trace, schedule: FailureSchedule) -> PropertyReport:
+def check_no_duplication(trace: Trace, schedule: FailureSchedule,
+                         *, index: TraceIndex | None = None) -> PropertyReport:
     """No process delivers the same (source, payload) twice while correct."""
+    index = index or TraceIndex(trace, schedule)
     groups: dict[tuple[int, int, bytes], list[DeliveryRecord]] = {}
-    for d in extract_deliveries(trace, schedule):
-        if d.correct_at_delivery:
-            groups.setdefault((d.process, d.source, d.payload), []).append(d)
+    for d in index.correct_deliveries:
+        groups.setdefault((d.process, d.source, d.payload), []).append(d)
     duplicates = {key: recs for key, recs in groups.items() if len(recs) > 1}
     if duplicates:
         witness = sorted(rec.event_index for recs in duplicates.values() for rec in recs)
@@ -212,19 +267,30 @@ def check_no_duplication(trace: Trace, schedule: FailureSchedule) -> PropertyRep
     return PropertyReport(NO_DUPLICATION, SATISFIED, [], {"deliveries": len(groups)})
 
 
-def check_integrity(trace: Trace, schedule: FailureSchedule, delta_b: int) -> PropertyReport:
-    """Every correct-time delivery traces back to a correct broadcast or a faulty source."""
-    broadcasts = extract_broadcasts(trace)
+def check_integrity(trace: Trace, schedule: FailureSchedule, delta_b: int,
+                    *, index: TraceIndex | None = None) -> PropertyReport:
+    """Every correct-time delivery traces back to a correct broadcast or a faulty source.
+
+    A delivery in round r is explained by a broadcast when the earliest
+    qualifying broadcast of its (source, payload) came in round r or before,
+    and by a faulty source when the source's first faulty round is r or before.
+    """
+    index = index or TraceIndex(trace, schedule)
+    first_broadcast: dict[tuple[int, bytes], int] = {}
+    for b in index.broadcasts:
+        if schedule.correct_during(b.source, b.round, b.round + delta_b - 1):
+            key = (b.source, b.payload)
+            first_broadcast[key] = min(b.round, first_broadcast.get(key, b.round))
+    first_faulty: dict[int, int] = {}
+    for r in range(1, schedule.horizon + 1):
+        for p in schedule.faulty_set(r):
+            first_faulty.setdefault(p, r)
+    never = schedule.horizon + 1
     violations = []
     witness = []
-    for d in extract_deliveries(trace, schedule):
-        if not d.correct_at_delivery:
-            continue
-        by_broadcast = any(
-            b.source == d.source and b.payload == d.payload and b.round <= d.round
-            and schedule.correct_during(b.source, b.round, b.round + delta_b - 1)
-            for b in broadcasts)
-        was_faulty = any(schedule.is_faulty(d.source, r) for r in range(1, d.round + 1))
+    for d in index.correct_deliveries:
+        by_broadcast = first_broadcast.get((d.source, d.payload), never) <= d.round
+        was_faulty = first_faulty.get(d.source, never) <= d.round
         if not (by_broadcast or was_faulty):
             violations.append({"process": d.process, "round": d.round, "source": d.source})
             witness.append(d.event_index)
@@ -233,30 +299,26 @@ def check_integrity(trace: Trace, schedule: FailureSchedule, delta_b: int) -> Pr
     return PropertyReport(INTEGRITY, SATISFIED, [], {})
 
 
-def _obligation_check(prop: str, trace: Trace, schedule: FailureSchedule, delta_c: int,
+def _obligation_check(prop: str, index: TraceIndex, delta_c: int,
                       match_payload: bool) -> PropertyReport:
     """Shared core of Agreement (per message) and Totality (per source)."""
-    deliveries = extract_deliveries(trace, schedule)
-    io_set = io_correct_processes(schedule, delta_c)
+    schedule = index.schedule
+    io_set = index.io_correct(delta_c)
     instances: dict = {}
-    for d in deliveries:
-        if not d.correct_at_delivery:
-            continue
+    for d in index.correct_deliveries:
         key = (d.source, d.payload) if match_payload else d.source
         if key not in instances or d.round < instances[key].round:
             instances[key] = d
+    if match_payload:
+        delivered = index.by_process
+    else:
+        delivered = {p: {source for source, _payload in keys} for p, keys in index.by_process.items()}
     verdict = SATISFIED
     witness: list[int] = []
     details: list[dict] = []
     for key, first in sorted(instances.items(), key=lambda kv: kv[1].event_index):
         for p in io_set:
-            if match_payload:
-                done = any(d.process == p and d.correct_at_delivery
-                           and (d.source, d.payload) == key for d in deliveries)
-            else:
-                done = any(d.process == p and d.correct_at_delivery and d.source == key
-                           for d in deliveries)
-            if done:
+            if key in delivered.get(p, ()):
                 continue
             # "Eventually" grants at least one round past the first observed
             # delivery; an obligation whose first enforceable round falls past
@@ -276,22 +338,27 @@ def _obligation_check(prop: str, trace: Trace, schedule: FailureSchedule, delta_
     return PropertyReport(prop, verdict, sorted(set(witness)), {"obligations": details})
 
 
-def check_agreement(trace: Trace, schedule: FailureSchedule, delta_c: int) -> PropertyReport:
+def check_agreement(trace: Trace, schedule: FailureSchedule, delta_c: int,
+                    *, index: TraceIndex | None = None) -> PropertyReport:
     """A correct-time delivery of (s, m) obliges every i.o.-correct process to deliver (s, m)."""
-    return _obligation_check(AGREEMENT, trace, schedule, delta_c, match_payload=True)
+    return _obligation_check(AGREEMENT, index or TraceIndex(trace, schedule), delta_c,
+                             match_payload=True)
 
 
-def check_mbrb_totality(trace: Trace, schedule: FailureSchedule, delta_c: int) -> PropertyReport:
+def check_mbrb_totality(trace: Trace, schedule: FailureSchedule, delta_c: int,
+                        *, index: TraceIndex | None = None) -> PropertyReport:
     """One-shot reading: a delivery from s obliges every i.o.-correct process to deliver from s."""
-    return _obligation_check(TOTALITY, trace, schedule, delta_c, match_payload=False)
+    return _obligation_check(TOTALITY, index or TraceIndex(trace, schedule), delta_c,
+                             match_payload=False)
 
 
-def check_mbrb_consistency(trace: Trace, schedule: FailureSchedule) -> PropertyReport:
+def check_mbrb_consistency(trace: Trace, schedule: FailureSchedule,
+                           *, index: TraceIndex | None = None) -> PropertyReport:
     """One-shot reading: any two correct-time deliveries from one source carry equal payloads."""
+    index = index or TraceIndex(trace, schedule)
     by_source: dict[int, dict[bytes, DeliveryRecord]] = {}
-    for d in extract_deliveries(trace, schedule):
-        if d.correct_at_delivery:
-            by_source.setdefault(d.source, {}).setdefault(d.payload, d)
+    for d in index.correct_deliveries:
+        by_source.setdefault(d.source, {}).setdefault(d.payload, d)
     for source, payloads in sorted(by_source.items()):
         if len(payloads) > 1:
             recs = sorted(payloads.values(), key=lambda d: d.event_index)[:2]
@@ -300,7 +367,8 @@ def check_mbrb_consistency(trace: Trace, schedule: FailureSchedule) -> PropertyR
     return PropertyReport(CONSISTENCY, SATISFIED, [], {})
 
 
-def check_delivery_count_laws(trace: Trace, schedule: FailureSchedule, variant: VariantTag) -> PropertyReport:
+def check_delivery_count_laws(trace: Trace, schedule: FailureSchedule, variant: VariantTag,
+                              *, index: TraceIndex | None = None) -> PropertyReport:
     """Duplicate-delivery laws of the weak variants.
 
     BFA_WEAK: once an instance has been delivered somewhere, each process must
@@ -312,46 +380,42 @@ def check_delivery_count_laws(trace: Trace, schedule: FailureSchedule, variant: 
     if variant is VariantTag.FFA_FULL:
         return PropertyReport(DELIVERY_COUNT_LAW, SATISFIED, [],
                               {"note": "not applicable to the full no-duplication variant"})
-    deliveries = extract_deliveries(trace, schedule)
-    broadcasts = extract_broadcasts(trace)
-    cured_rounds: dict[int, list[int]] = {}
-    for ev in trace.events:
-        if ev.kind == KIND_CURED:
-            cured_rounds.setdefault(ev.subject, []).append(ev.round)
-
-    instances: dict[tuple[int, bytes], list[DeliveryRecord]] = {}
-    for d in deliveries:
-        if d.correct_at_delivery:
-            instances.setdefault((d.source, d.payload), []).append(d)
+    index = index or TraceIndex(trace, schedule)
+    birth_of: dict[tuple[int, bytes], int] = {}
+    for b in index.broadcasts:
+        key = (b.source, b.payload)
+        birth_of[key] = min(b.round, birth_of.get(key, b.round))
 
     verdict = SATISFIED
     witness: list[int] = []
     details: list[dict] = []
-    for (source, payload), recs in sorted(instances.items(), key=lambda kv: kv[1][0].event_index):
-        declared = [b.round for b in broadcasts if b.source == source and b.payload == payload]
-        birth = min(declared) if declared else min(r.round for r in recs) - 3
+    for key, recs in sorted(index.by_instance.items(), key=lambda kv: kv[1][0].event_index):
+        birth = birth_of.get(key, min(r.round for r in recs) - 3)
         due = birth + 3
-        inst: dict = {"source": source, "birth_round": birth}
+        inst: dict = {"source": key[0], "birth_round": birth}
+        per_process: dict[int, list[DeliveryRecord]] = {}
+        for d in recs:
+            per_process.setdefault(d.process, []).append(d)
         if variant is VariantTag.BFA_WEAK:
             for p in range(schedule.n):
-                cures = [r for r in cured_rounds.get(p, []) if r > due]
+                cures = [r for r in index.cured_rounds.get(p, []) if r > due]
                 baseline = 1 if due <= schedule.horizon and schedule.is_correct(p, due) else 0
                 required = baseline + len(cures)
-                actual = sum(1 for d in recs if d.process == p)
-                if actual < required:
+                mine = per_process.get(p, [])
+                if len(mine) < required:
                     verdict = VIOLATED
-                    witness.extend(d.event_index for d in recs if d.process == p)
+                    witness.extend(d.event_index for d in mine)
                     inst.setdefault("shortfalls", []).append(
-                        {"process": p, "required": required, "actual": actual, "cures": cures})
+                        {"process": p, "required": required, "actual": len(mine), "cures": cures})
         else:  # NFA_WEAK
             for p in range(schedule.n):
-                delivered_rounds = {d.round for d in recs if d.process == p}
+                delivered_rounds = {d.round for d in per_process.get(p, ())}
                 for r in range(due, schedule.horizon + 1):
                     if schedule.is_correct(p, r) and r not in delivered_rounds:
                         verdict = VIOLATED
                         inst.setdefault("missing", []).append({"process": p, "round": r})
         details.append(inst)
-    if not instances:
+    if not index.by_instance:
         details.append({"note": "no delivered instance; law vacuous"})
     return PropertyReport(DELIVERY_COUNT_LAW, verdict, sorted(set(witness)), {"instances": details})
 
@@ -359,22 +423,23 @@ def check_delivery_count_laws(trace: Trace, schedule: FailureSchedule, variant: 
 def run_property_checks(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_c: int,
                         variant: VariantTag, properties: tuple[str, ...] = MBBC_PROPERTIES,
                         ) -> list[PropertyReport]:
+    index = TraceIndex(trace, schedule)
     reports = []
     for prop in properties:
         if prop == VALIDITY:
-            reports.append(check_validity(trace, schedule, delta_b, delta_c))
+            reports.append(check_validity(trace, schedule, delta_b, delta_c, index=index))
         elif prop == NO_DUPLICATION:
-            reports.append(check_no_duplication(trace, schedule))
+            reports.append(check_no_duplication(trace, schedule, index=index))
         elif prop == INTEGRITY:
-            reports.append(check_integrity(trace, schedule, delta_b))
+            reports.append(check_integrity(trace, schedule, delta_b, index=index))
         elif prop == AGREEMENT:
-            reports.append(check_agreement(trace, schedule, delta_c))
+            reports.append(check_agreement(trace, schedule, delta_c, index=index))
         elif prop == DELIVERY_COUNT_LAW:
-            reports.append(check_delivery_count_laws(trace, schedule, variant))
+            reports.append(check_delivery_count_laws(trace, schedule, variant, index=index))
         elif prop == CONSISTENCY:
-            reports.append(check_mbrb_consistency(trace, schedule))
+            reports.append(check_mbrb_consistency(trace, schedule, index=index))
         elif prop == TOTALITY:
-            reports.append(check_mbrb_totality(trace, schedule, delta_c))
+            reports.append(check_mbrb_totality(trace, schedule, delta_c, index=index))
         else:
             raise ValueError(f"unknown property: {prop}")
     return reports
@@ -423,7 +488,7 @@ def replay_witness(report: PropertyReport, trace: Trace, schedule: FailureSchedu
 
     if report.property in (AGREEMENT, TOTALITY):
         fresh = (check_agreement if report.property == AGREEMENT else
-                 lambda t, s, d: check_mbrb_totality(t, s, d))(trace, schedule, delta_c)
+                 check_mbrb_totality)(trace, schedule, delta_c)
         return fresh.verdict == VIOLATED and set(report.witness) <= set(fresh.witness)
 
     if report.property == DELIVERY_COUNT_LAW:

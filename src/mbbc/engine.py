@@ -106,19 +106,51 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
+        """Parse a trace; a line that is not the JSON object it should be raises a
+        ValueError naming the line."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty trace file")
-        header = json.loads(lines[0])
-        events = [TraceEvent.from_dict(json.loads(ln)) for ln in lines[1:]]
-        return cls(fingerprint=header["fingerprint"], seed=header["seed"],
-                   config=header["config"], events=events, verdicts=header.get("verdicts"))
+        try:
+            header = json.loads(lines[0])
+            fingerprint, seed, config = _header_fields(header)
+            events = [TraceEvent.from_dict(json.loads(ln)) for ln in lines[1:]]
+        except (ValueError, TypeError, KeyError):
+            raise _malformed_line(text) from None
+        return cls(fingerprint=fingerprint, seed=seed, config=config, events=events,
+                   verdicts=header.get("verdicts"))
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
 
     def scenario(self) -> ScenarioConfig:
         return ScenarioConfig.from_dict(self.config)
+
+
+def _header_fields(header: dict) -> tuple[str, int, dict]:
+    return header["fingerprint"], header["seed"], header["config"]
+
+
+def _malformed_line(text: str) -> ValueError:
+    """The error for the first line of a malformed trace (1-based, blank lines counted)."""
+    numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    for position, (number, line) in enumerate(numbered):
+        what = "event" if position else "header"
+        try:
+            data = json.loads(line)
+            if position:
+                TraceEvent.from_dict(data)
+            else:
+                _header_fields(data)
+        except (ValueError, TypeError, KeyError) as exc:
+            if isinstance(exc, KeyError):
+                reason = f"missing key {exc}"
+            elif isinstance(exc, json.JSONDecodeError):
+                reason = f"not valid JSON ({exc})"
+            else:
+                reason = "not a JSON object"
+            return ValueError(f"trace line {number}: bad {what} line: {reason}")
+    return ValueError("malformed trace")
 
 
 def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind) -> list[OracleEvent]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 
 
 class Timing(Enum):
@@ -155,11 +155,26 @@ class FailureSchedule:
                 return seg.host
         return None
 
+    @cached_property
+    def _faulty_table(self) -> tuple[frozenset[int], ...]:
+        """B(r) at index r - 1 for every r in [1, horizon], built on first use.
+
+        A cached property lives in the instance ``__dict__``, not in a field,
+        so equality and hashing still see the five fields only.
+        """
+        sets: list[set[int]] = [set() for _ in range(self.horizon)]
+        for traj in self.trajectories:
+            for seg in traj.segments:
+                last = self.resolved_last(seg)
+                for r in range(max(1, seg.first_round), min(last, self.horizon) + 1):
+                    sets[r - 1].add(seg.host)
+        return tuple(frozenset(s) for s in sets)
+
     def faulty_set(self, r: int) -> frozenset[int]:
         """B(r): distinct hosts of all agents in round r (co-location collapses)."""
         if r < 1 or r > self.horizon:
             raise RoundOutOfHorizon(f"round {r} outside [1, {self.horizon}]")
-        return self._faulty_sets()[r - 1]
+        return self._faulty_table[r - 1]
 
     def correct_set(self, r: int) -> frozenset[int]:
         return frozenset(range(self.n)) - self.faulty_set(r)
@@ -174,7 +189,8 @@ class FailureSchedule:
         """Correct in every round of [first, last]; rounds beyond the horizon are unknowable."""
         if last > self.horizon or first < 1:
             return False
-        return all(self.is_correct(p, r) for r in range(first, last + 1))
+        table = self._faulty_table
+        return all(p not in table[r - 1] for r in range(first, last + 1))
 
     def cured_processes(self, r: int) -> frozenset[int]:
         """Processes freed at the r-1/r boundary: faulty in r-1, correct in r."""
@@ -186,27 +202,14 @@ class FailureSchedule:
         """First round of the maximal contiguous faulty span of p that covers round r."""
         if not self.is_faulty(p, r):
             raise ValueError(f"process {p} is not faulty in round {r}")
+        table = self._faulty_table
         start = r
-        while start > 1 and self.is_faulty(p, start - 1):
+        while start > 1 and p in table[start - 2]:
             start -= 1
         return start
 
     def correct_rounds(self, p: int) -> tuple[int, ...]:
-        return tuple(r for r in range(1, self.horizon + 1) if self.is_correct(p, r))
-
-    def _faulty_sets(self) -> tuple[frozenset[int], ...]:
-        return _faulty_sets_cached(self)
-
-
-@lru_cache(maxsize=256)
-def _faulty_sets_cached(schedule: FailureSchedule) -> tuple[frozenset[int], ...]:
-    sets: list[set[int]] = [set() for _ in range(schedule.horizon)]
-    for traj in schedule.trajectories:
-        for seg in traj.segments:
-            last = schedule.resolved_last(seg)
-            for r in range(max(1, seg.first_round), min(last, schedule.horizon) + 1):
-                sets[r - 1].add(seg.host)
-    return tuple(frozenset(s) for s in sets)
+        return tuple(r for r, faulty in enumerate(self._faulty_table, start=1) if p not in faulty)
 
 
 def validate_schedule(schedule: FailureSchedule) -> ValidationResult:
@@ -278,22 +281,18 @@ def is_io_correct(schedule: FailureSchedule, p: int, delta_c: int) -> IoVerdict:
     YES iff after every round there is still a full delta_c-long correct window
     for p before the horizon. Obligations of processes that fail this test are
     not enforceable within the trace, so checkers exclude them.
+
+    The window that must follow round horizon - delta_c can only be the last
+    delta_c rounds, and that window follows every earlier round too; so the
+    reading holds exactly when p is correct throughout the last delta_c rounds.
     """
     if delta_c < 1:
         raise ValueError("delta_c must be >= 1")
     if delta_c > schedule.horizon:
         return IoVerdict.NO_WITHIN_HORIZON
-    for r in range(0, schedule.horizon - delta_c + 1):
-        if not _has_correct_window_after(schedule, p, r, delta_c):
-            return IoVerdict.NO_WITHIN_HORIZON
-    return IoVerdict.YES
-
-
-def _has_correct_window_after(schedule: FailureSchedule, p: int, r: int, delta_c: int) -> bool:
-    for b in range(r + 1, schedule.horizon - delta_c + 2):
-        if all(schedule.is_correct(p, j) for j in range(b, b + delta_c)):
-            return True
-    return False
+    if schedule.correct_during(p, schedule.horizon - delta_c + 1, schedule.horizon):
+        return IoVerdict.YES
+    return IoVerdict.NO_WITHIN_HORIZON
 
 
 def io_correct_processes(schedule: FailureSchedule, delta_c: int) -> tuple[int, ...]:

@@ -12,7 +12,8 @@ The bundled attacks are the two adversary families the analysis says matter:
   outcome everywhere; explicit targets reproduce the all-deliver outcome.
 
 Rows come out as (n, f, strategy, property, verdict, witness_round), ordered
-deterministically regardless of execution order.
+deterministically regardless of execution order. A sweep skips the cells that
+have no attack to run: ``f >= n``, and ``n < 2f+1`` for ``alternating``.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ def run_sweep(variant: VariantTag, n_values: list[int], f_values: list[int], del
             if f >= n:
                 continue
             for strategy in strategies:
+                if strategy == "alternating" and n < 2 * f + 1:
+                    logger.info("skipping alternating cell n=%d f=%d: the attack needs n >= 2f+1",
+                                n, f)
+                    continue
                 cfg = attack_scenario(variant, n, f, delta_s, strategy,
                                       seed=seed, delta_b=delta_b, delta_c=delta_c)
                 trace = run(cfg)

@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import bfa_double_cure_scenario, golden_correct_source, split_send_scenario
+from mbbc import checker
 from mbbc.checker import (
+    ALL_PROPERTIES,
     MBBC_PROPERTIES,
     SATISFIED,
     UNRESOLVED,
@@ -117,6 +122,55 @@ class TestIntegrity:
         report = check_integrity(trace, cfg.resolved_schedule(), 2)
         assert report.verdict == VIOLATED
         assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
+
+
+    @pytest.mark.parametrize("round_, verdict", [(4, SATISFIED), (3, VIOLATED)])
+    def test_source_faulty_from_the_delivery_round_explains_it(self, round_, verdict):
+        cfg = ScenarioConfig.from_dict({
+            "n": 4, "f": 1, "delta_s": 1, "horizon": 8, "seed": 0,
+            "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
+            "variant": "FFA_FULL",
+            "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+                {"host": 0, "first_round": 4, "last_round": None}]}]},
+        })
+        trace = forged_trace(cfg, [deliver_event(2, round_, 0, "ghost")])
+        assert check_integrity(trace, cfg.resolved_schedule(), 2).verdict == verdict
+
+    @pytest.mark.parametrize("round_, verdict", [(3, SATISFIED), (2, VIOLATED)])
+    def test_broadcast_in_the_delivery_round_explains_it(self, round_, verdict):
+        cfg = fault_free_config(horizon=8)
+        trace = forged_trace(cfg, [broadcast_event(0, 3, "m"), broadcast_event(0, 5, "m"),
+                                   deliver_event(2, round_, 0, "m")])
+        assert check_integrity(trace, cfg.resolved_schedule(), 2).verdict == verdict
+
+
+class TestFaultyTimeDeliveries:
+    def test_ignored_by_every_checker(self):
+        # Process 1 is possessed throughout; what it "delivers" is adversary output.
+        cfg = ScenarioConfig.from_dict({
+            "n": 4, "f": 1, "delta_s": 1, "horizon": 8, "seed": 0,
+            "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "BFA"},
+            "variant": "BFA_WEAK",
+            "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+                {"host": 1, "first_round": 1, "last_round": None}]}]},
+        })
+        schedule = cfg.resolved_schedule()
+        forged = [deliver_event(1, 3, 0, "a"), deliver_event(1, 4, 0, "a"),
+                  deliver_event(1, 5, 0, "b")]
+        reports = run_property_checks(forged_trace(cfg, forged), schedule, 2, 1, cfg.variant,
+                                      ALL_PROPERTIES)
+        assert all(r.verdict == SATISFIED for r in reports), [r.to_dict() for r in reports]
+        # The same deliveries by a correct process violate most properties.
+        honest = [deliver_event(2, e.round, 0, e.detail["payload"]) for e in forged]
+        reports = run_property_checks(forged_trace(cfg, honest), schedule, 2, 1, cfg.variant,
+                                      ALL_PROPERTIES)
+        violated = [r for r in reports if r.verdict == VIOLATED]
+        assert {r.property for r in violated} == {
+            "NO_DUPLICATION", "INTEGRITY", "AGREEMENT", "CONSISTENCY", "TOTALITY",
+            "DELIVERY_COUNT_LAW"}
+        for report in violated:
+            assert replay_witness(report, forged_trace(cfg, honest), schedule, 2, 1,
+                                  cfg.variant), report.property
 
 
 class TestAgreement:
@@ -311,3 +365,86 @@ class TestProjection:
             assert '"subject": ' not in line  # compact separators
         events_subjects = {e.subject for e in trace.events} - keep
         assert events_subjects  # someone was excluded
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def nfa_weak_redelivery_config() -> ScenarioConfig:
+    """The NFA_WEAK shape the benchmark times: n=7, f=1, horizon 100, 30 broadcasts
+    in rounds 38, 40, ..., 96, re-delivered in every correct round."""
+    n, offset = 7, 3
+    rounds = [38 + 2 * i for i in range(30)]
+    return ScenarioConfig.from_dict({
+        "n": n, "f": 1, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": 100, "seed": 11,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "NFA"},
+        "variant": "NFA_WEAK",
+        "schedule": {"generator": "roundrobin", "params": {"offset": offset}},
+        "broadcasts": [{"source": (offset + b + 1 + (7 * i) % (n - 2)) % n, "round": b,
+                        "payload": f"m{i}"} for i, b in enumerate(rounds)],
+        "strategy": {"kind": "CRASH_SILENT"},
+    })
+
+
+def index_cases():
+    cases = [pytest.param(ScenarioConfig.from_json(path.read_text()), id=path.stem)
+             for path in sorted(CONFIG_DIR.glob("*.json"))]
+    cases.append(pytest.param(nfa_weak_redelivery_config(), id="nfa_weak_n7_h100"))
+    return cases
+
+
+def standalone(prop, trace, schedule, delta_b, delta_c, variant):
+    return {
+        "VALIDITY": lambda: check_validity(trace, schedule, delta_b, delta_c),
+        "NO_DUPLICATION": lambda: check_no_duplication(trace, schedule),
+        "INTEGRITY": lambda: check_integrity(trace, schedule, delta_b),
+        "AGREEMENT": lambda: check_agreement(trace, schedule, delta_c),
+        "DELIVERY_COUNT_LAW": lambda: check_delivery_count_laws(trace, schedule, variant),
+        "CONSISTENCY": lambda: check_mbrb_consistency(trace, schedule),
+        "TOTALITY": lambda: check_mbrb_totality(trace, schedule, delta_c),
+    }[prop]()
+
+
+class TestTraceIndex:
+    """run_property_checks shares one index; each checker alone gives the same report."""
+
+    @pytest.mark.parametrize("properties", [MBBC_PROPERTIES, ALL_PROPERTIES])
+    def test_deliveries_are_extracted_once_per_call(self, monkeypatch, properties):
+        calls = []
+        original = checker.extract_deliveries
+
+        def counting(trace, schedule):
+            calls.append(1)
+            return original(trace, schedule)
+
+        monkeypatch.setattr(checker, "extract_deliveries", counting)
+        cfg = bfa_double_cure_scenario()
+        trace = run(cfg)
+        run_property_checks(trace, cfg.resolved_schedule(), 2, 1, cfg.variant, properties)
+        assert len(calls) == 1
+        run_property_checks(trace, cfg.resolved_schedule(), 2, 1, cfg.variant, properties)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("cfg", index_cases())
+    def test_standalone_checkers_match_shared_index(self, cfg):
+        trace = run(cfg)
+        schedule = cfg.resolved_schedule()
+        shared = run_property_checks(trace, schedule, cfg.delta_b, cfg.delta_c, cfg.variant,
+                                     ALL_PROPERTIES)
+        assert [r.property for r in shared] == list(ALL_PROPERTIES)
+        for report in shared:
+            alone = standalone(report.property, trace, schedule, cfg.delta_b, cfg.delta_c,
+                               cfg.variant)
+            assert json.dumps(alone.to_dict(), sort_keys=True) == json.dumps(
+                report.to_dict(), sort_keys=True), report.property
+
+    @pytest.mark.parametrize("cfg", index_cases())
+    def test_replay_confirms_every_violation(self, cfg):
+        trace = run(cfg)
+        schedule = cfg.resolved_schedule()
+        reports = run_property_checks(trace, schedule, cfg.delta_b, cfg.delta_c, cfg.variant,
+                                      ALL_PROPERTIES)
+        violated = [r for r in reports if r.verdict == VIOLATED]
+        for report in violated:
+            assert replay_witness(report, trace, schedule, cfg.delta_b, cfg.delta_c,
+                                  cfg.variant), report.property

@@ -14,6 +14,18 @@ from mbbc.sweeps import attack_scenario
 from mbbc.protocol import VariantTag
 
 
+def child_env(**extra) -> dict:
+    """The caller's environment for a `python -m mbbc.cli` child, plus ``extra``.
+
+    The child must import the same mbbc as this suite, whether it is
+    installed, on PYTHONPATH, or on sys.path through pytest's `pythonpath`.
+    """
+    package_root = str(Path(mbbc.__file__).resolve().parents[1])
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture
 def golden_config_path(tmp_path):
     path = tmp_path / "golden.json"
@@ -118,6 +130,63 @@ def test_sweep_csv_frontier(tmp_path):
     assert violated_n == {4, 5}
 
 
+def test_sweep_skips_alternating_cells_below_2f_plus_1(tmp_path, caplog):
+    both, only_f1 = tmp_path / "both.csv", tmp_path / "f1.csv"
+    with caplog.at_level("INFO", logger="mbbc.sweeps"):
+        assert cli.main(["sweep", "--n-range", "4:8", "--f-range", "1:2", "--out", str(both)]) == 0
+    assert "skipping alternating cell n=4 f=2" in caplog.text
+    assert cli.main(["sweep", "--n-range", "4:8", "--f-range", "1:1", "--out", str(only_f1)]) == 0
+    rows = list(csv.DictReader(both.read_text().splitlines()))
+    f1_rows = list(csv.DictReader(only_f1.read_text().splitlines()))
+    assert [r for r in rows if r["f"] == "1"] == f1_rows
+    f2_cells = {(int(r["n"]), r["strategy"]) for r in rows if r["f"] == "2"}
+    assert f2_cells == {(n, "split") for n in range(4, 9)} | {(n, "alternating") for n in range(5, 9)}
+
+
+GOOD_HEADER = '{"config":{},"fingerprint":"x","seed":0}'
+GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
+
+
+@pytest.mark.parametrize("text, line", [
+    (GOOD_HEADER + "\n[1]\n", 2),
+    (GOOD_HEADER + "\n" + GOOD_EVENT + "\n\n7\n", 4),
+    (GOOD_HEADER + '\n{"phase":"ORACLE","subject":0,"detail":{}}\n', 2),
+    (GOOD_HEADER + '\n{"round":1,"phase":"ORACLE","subject":0,"detail":{}}\n', 2),
+    (GOOD_HEADER + "\n{not json\n", 2),
+    ('{"fingerprint":"x","seed":0}\n' + GOOD_EVENT + "\n", 1),
+    ('{"config":{},"fingerprint":"x"}\n', 1),
+    ("[1]\n", 1),
+])
+def test_check_malformed_trace_exits_2_naming_the_line(tmp_path, capsys, text, line):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text(text)
+    assert cli.main(["check", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert f"trace line {line}:" in err
+    assert "Traceback" not in err
+
+
+def test_check_unreadable_deliver_call_exits_2(tmp_path, golden_config_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    header = trace.read_text().splitlines()[0]
+    trace.write_text(header + '\n{"detail":{"payload":"x"},"kind":"DELIVER_CALL",'
+                     '"phase":"COMPUTE","round":2,"subject":1}\n')
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert "bad DELIVER_CALL detail at event 0" in err and "Traceback" not in err
+
+
+def test_check_malformed_trace_subprocess_has_no_traceback(tmp_path):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text(GOOD_HEADER + "\n[1]\n")
+    proc = subprocess.run([sys.executable, "-m", "mbbc.cli", "check", "--trace", str(trace)],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "trace line 2" in proc.stderr
+
+
 def test_demo_commands(tmp_path, capsys):
     report = tmp_path / "demo.json"
     assert cli.main(["demo", "--kind", "THEOREM_3", "--out", str(report),
@@ -143,17 +212,11 @@ def test_replay_roundtrip_and_divergence(tmp_path, golden_config_path, capsys):
 
 
 def test_module_entrypoint_smoke(tmp_path, golden_config_path):
-    # The child must import the same mbbc as this suite, whether it is
-    # installed, on PYTHONPATH, or on sys.path through pytest's `pythonpath`.
-    package_root = str(Path(mbbc.__file__).resolve().parents[1])
-    env = {**os.environ, "MBBC_LOG_LEVEL": "info"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
     out = tmp_path / "t.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "mbbc.cli", "run", "--config", str(golden_config_path),
          "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(MBBC_LOG_LEVEL="info"),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -186,3 +186,132 @@ def test_setting_triple_support():
     assert "asynchronous" in bad.unsupported_reason()
     amob = SettingTriple(Timing.SYNC, Mobility.A_MOB, OracleKind.FFA)
     assert "sub-round" in amob.unsupported_reason() or "round" in amob.unsupported_reason()
+
+
+@st.composite
+def valid_schedules(draw):
+    """Valid schedules with gaps, open last stays and co-located agents."""
+    n = draw(st.integers(2, 8))
+    f = draw(st.integers(0, 3))
+    horizon = draw(st.integers(1, 12))
+    trajectories = []
+    for agent in range(f):
+        segs = []
+        r = draw(st.integers(1, horizon))
+        host = None
+        while r <= horizon:
+            choices = [h for h in range(n) if h != host]
+            host = draw(st.sampled_from(choices))
+            if draw(st.integers(0, 3)) == 0:  # an open stay, to the horizon
+                segs.append(Segment(host=host, first_round=r, last_round=None))
+                break
+            last = min(r + draw(st.integers(0, 3)), horizon)
+            segs.append(Segment(host=host, first_round=r, last_round=last))
+            gap = draw(st.integers(0, 2))
+            if gap:
+                host = None  # after a gap the same host may be re-possessed
+            r = last + 1 + gap
+        trajectories.append(AgentTrajectory(agent_id=agent, segments=tuple(segs)))
+    sched = FailureSchedule(n=n, f=f, delta_s=1, horizon=horizon, trajectories=tuple(trajectories))
+    assert validate_schedule(sched).ok
+    return sched
+
+
+def rebuilt(sched):
+    """An equal schedule that shares no object with ``sched``."""
+    return FailureSchedule(
+        n=sched.n, f=sched.f, delta_s=sched.delta_s, horizon=sched.horizon,
+        trajectories=tuple(
+            AgentTrajectory(t.agent_id, tuple(Segment(s.host, s.first_round, s.last_round)
+                                              for s in t.segments))
+            for t in sched.trajectories))
+
+
+class TestScheduleTable:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_schedules())
+    def test_faulty_set_is_the_set_of_agent_hosts(self, sched):
+        for r in range(1, sched.horizon + 1):
+            hosts = {sched.host_of(a, r) for a in range(sched.f)} - {None}
+            assert sched.faulty_set(r) == hosts, r
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_schedules())
+    def test_derived_queries_agree_with_agent_hosts(self, sched):
+        def faulty(p, r):
+            return any(sched.host_of(a, r) == p for a in range(sched.f))
+
+        h = sched.horizon
+        for p in range(sched.n):
+            assert sched.correct_rounds(p) == tuple(r for r in range(1, h + 1) if not faulty(p, r))
+            for r in range(1, h + 1):
+                assert sched.is_faulty(p, r) is faulty(p, r)
+                assert sched.is_correct(p, r) is not faulty(p, r)
+                assert (p in sched.cured_processes(r)) is (r > 1 and faulty(p, r - 1)
+                                                           and not faulty(p, r))
+                if faulty(p, r):
+                    start = r
+                    while start > 1 and faulty(p, start - 1):
+                        start -= 1
+                    assert sched.faulty_span_start(p, r) == start
+                for last in range(r, h + 2):
+                    expected = last <= h and not any(faulty(p, j) for j in range(r, last + 1))
+                    assert sched.correct_during(p, r, last) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_schedules(), st.integers(1, 4))
+    def test_io_correct_matches_the_window_definition(self, sched, delta_c):
+        h = sched.horizon
+
+        def definition(p):
+            # After every round r there is a full delta_c-long correct window.
+            for r in range(0, h - delta_c + 1):
+                if not any(all(sched.is_correct(p, j) for j in range(b, b + delta_c))
+                           for b in range(r + 1, h - delta_c + 2)):
+                    return IoVerdict.NO_WITHIN_HORIZON
+            return IoVerdict.YES if delta_c <= h else IoVerdict.NO_WITHIN_HORIZON
+
+        for p in range(sched.n):
+            assert is_io_correct(sched, p, delta_c) is definition(p), p
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_schedules())
+    def test_equal_schedules_compare_and_hash_equal_built_or_not(self, sched):
+        other = rebuilt(sched)
+        assert sched == other and hash(sched) == hash(other)
+        sched.faulty_set(1)  # builds the table of one side only
+        assert sched == other and hash(sched) == hash(other)
+        assert other == sched and repr(other) == repr(sched)
+        other.faulty_set(sched.horizon)
+        assert sched == other and hash(sched) == hash(other)
+        assert len({sched, other}) == 1
+
+    def test_table_is_not_a_field(self):
+        from dataclasses import fields
+
+        sched = schedule_from([ROAMING_PATH], horizon=6)
+        sched.faulty_set(1)
+        assert [f.name for f in fields(sched)] == ["n", "f", "delta_s", "horizon", "trajectories"]
+        assert "_faulty_table" not in repr(sched)
+
+    def test_unequal_schedules_stay_unequal_after_building(self):
+        a = schedule_from([ROAMING_PATH], horizon=6)
+        b = schedule_from([ROAMING_PATH[:2]], horizon=6)
+        a.faulty_set(1), b.faulty_set(1)
+        assert a != b
+        assert a.faulty_set(3) == {0} and b.faulty_set(3) == frozenset()
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_round_out_of_horizon_still_raises(self, built):
+        sched = schedule_from([ROAMING_PATH], horizon=6)
+        if built:
+            sched.faulty_set(3)
+        for r in (-1, 0, 7, 100):
+            with pytest.raises(RoundOutOfHorizon):
+                sched.faulty_set(r)
+            with pytest.raises(RoundOutOfHorizon):
+                sched.is_correct(0, r)
+            with pytest.raises(RoundOutOfHorizon):
+                sched.is_faulty(0, r)
+        with pytest.raises(RoundOutOfHorizon):
+            sched.cured_processes(7)
