@@ -13,6 +13,7 @@ and say so where the change is recorded.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -84,6 +85,25 @@ REPORT_PINS = {
 }
 
 
+# config file or shape -> sha256 of its report with every witness index
+# replaced by the event it cites. Event indices shift when the trace layout
+# changes; the cited events and the verdicts must not.
+WITNESS_PINS = {
+    "alternating_below_bound_n5.json": "53c0d4e0a75644b2b9ccf7544adf78b85a4d54cf77dc510c5eac7d772d7c6a58",
+    "bfa_double_cure.json": "9ffec28f58cb14174b8ba913b18247e2858ee104f485bd25b63c2125510a6e5d",
+    "bfa_weak_roundrobin": "1565e77f0dd0f402dde974ec7695213e7cfa080bbe88022a977ed73cc1713cb0",
+    "bfa_weak_walk": "00d9bef35111d9479b493ef55d574d27918bd6c2c846098bd38e6fe1f4decd94",
+    "correct_source.json": "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d",
+    "faulty_source_all_deliver.json": "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b",
+    "faulty_source_none_deliver.json": "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a",
+    "ffa_full_walk": "7cf094838d5861363b32f0c41481482361d29031c4d0cfa0f1a7ffaf03deafc1",
+    "nfa_alternating_n7.json": "f94d5e04da6b62f45bd565a2f0b0428be0d1465fd15805e130d43dc8821c29e7",
+    "nfa_weak_alternating_f2": "af830b6e07055455092fe6ef34fc6f1cd8575ceae2b4305d4f052611d7763607",
+    "nfa_weak_roundrobin": "1d5856d0f29190f87111717cd67deec7e0a0f6859e9624f2771ca6673cae78df",
+    "nfa_weak_walk": "72d97e350dc9bc05788af564a639243b6b64a170d9b239f743c4f5484fa09a96",
+}
+
+
 def shape_config(name: str) -> ScenarioConfig:
     """Longer scenarios than the bundled configs: re-delivery in every round,
     repeated cures, random agent walks and an f=2 attack below the bound, so
@@ -122,7 +142,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def config_digests(name: str, tmp_path: Path) -> tuple[str, str]:
+def witness_digest(trace: Trace, reports) -> str:
+    docs = []
+    for report in reports:
+        doc = report.to_dict()
+        doc["witness"] = [trace.events[i].to_dict() for i in report.witness]
+        docs.append(doc)
+    return _sha256(json.dumps(docs, indent=2, sort_keys=True).encode("utf-8"))
+
+
+def config_evidence(name: str, tmp_path: Path):
+    """The bytes `mbbc run` writes for a bundled config, the parsed trace and its reports."""
     out = tmp_path / "trace.jsonl"
     assert cli.main(["run", "--config", str(CONFIG_DIR / name), "--out", str(out)]) == 0
     data = out.read_bytes()
@@ -130,6 +160,11 @@ def config_digests(name: str, tmp_path: Path) -> tuple[str, str]:
     config = trace.scenario()
     reports = run_property_checks(trace, config.resolved_schedule(), config.delta_b,
                                   config.delta_c, config.variant, MBBC_PROPERTIES)
+    return data, trace, reports
+
+
+def config_digests(name: str, tmp_path: Path) -> tuple[str, str]:
+    data, _trace, reports = config_evidence(name, tmp_path)
     return _sha256(data), _sha256(reports_to_json(reports).encode("utf-8"))
 
 
@@ -141,12 +176,25 @@ def demo_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
     return tuple(_sha256(Path(f"{prefix}-{side}.jsonl").read_bytes()) for side in ("a", "b"))
 
 
-def report_digest(name: str) -> str:
+def shape_evidence(name: str):
     config = shape_config(name)
     trace = run(config)
     reports = run_property_checks(trace, config.resolved_schedule(), config.delta_b,
                                   config.delta_c, config.variant, ALL_PROPERTIES)
+    return trace, reports
+
+
+def report_digest(name: str) -> str:
+    _trace, reports = shape_evidence(name)
     return _sha256(reports_to_json(reports).encode("utf-8"))
+
+
+def witness_pin(name: str, tmp_path: Path) -> str:
+    if name in TRACE_PINS:
+        _data, trace, reports = config_evidence(name, tmp_path)
+    else:
+        trace, reports = shape_evidence(name)
+    return witness_digest(trace, reports)
 
 
 def sweep_digest(variant: str, tmp_path: Path) -> str:
@@ -160,6 +208,7 @@ def test_pins_cover_every_config_demo_and_variant():
     assert set(DEMO_PINS) == {"THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"}
     assert set(SWEEP_PINS) == {"FFA_FULL", "BFA_WEAK", "NFA_WEAK"}
     assert len(REPORT_PINS) == 6
+    assert set(WITNESS_PINS) == set(TRACE_PINS) | set(REPORT_PINS)
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_PINS))
@@ -180,3 +229,8 @@ def test_sweep_csv_pinned(variant, tmp_path):
 @pytest.mark.parametrize("name", sorted(REPORT_PINS))
 def test_shape_report_pinned(name):
     assert report_digest(name) == REPORT_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_PINS))
+def test_witnessed_report_pinned(name, tmp_path):
+    assert witness_pin(name, tmp_path) == WITNESS_PINS[name]
