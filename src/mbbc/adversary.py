@@ -61,7 +61,8 @@ class Observation:
 
 
 class Strategy:
-    """Default behaviour: total silence, state untouched."""
+    """The BENIGN strategy, and the default the others override: total
+    silence, state untouched."""
 
     name = "BENIGN"
 
@@ -70,10 +71,6 @@ class Strategy:
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
         return obs.state_of(p)
-
-
-class Benign(Strategy):
-    name = "BENIGN"
 
 
 class CrashSilent(Strategy):
@@ -200,10 +197,7 @@ class EquivocateHistory(Strategy):
 
     name = "EQUIVOCATE_HISTORY"
 
-    def __init__(self, source: int, switch_round: int, config: ScenarioConfig,
-                 sim_cure: dict[int, tuple[int, int | None]]):
-        self.source = source
-        self.switch_round = switch_round
+    def __init__(self, config: ScenarioConfig, sim_cure: dict[int, tuple[int, int | None]]):
         self.config = config
         self.sim_cure = sim_cure
 
@@ -297,7 +291,7 @@ def build_strategy(config: ScenarioConfig) -> Strategy:
     spec = config.strategy
     kind = spec.get("kind", "BENIGN")
     if kind == "BENIGN":
-        return Benign()
+        return Strategy()
     if kind == "CRASH_SILENT":
         return CrashSilent()
     if kind == "ALTERNATING_SETS":
@@ -306,7 +300,7 @@ def build_strategy(config: ScenarioConfig) -> Strategy:
         return SplitSend(spec.get("targets", []), config.broadcasts, config.n)
     if kind == "EQUIVOCATE_HISTORY":
         sim_cure = {int(p): (rc[0], rc[1]) for p, rc in spec.get("sim_cure", {}).items()}
-        return EquivocateHistory(spec["source"], spec["switch_round"], config, sim_cure)
+        return EquivocateHistory(config, sim_cure)
     if kind == "WIPE_AND_RUN":
         return WipeAndRun(spec["target"], spec.get("sim_until", 0), spec["wipe_round"], config)
     if kind == "ARBITRARY":

@@ -25,8 +25,12 @@ from .engine import (
     KIND_DELIVER_CALL,
     KIND_P2P_DELIVER,
     KIND_P2P_SEND,
+    PHASE_RECEIVE,
+    PHASES,
     Trace,
     TraceEvent,
+    deliveries,
+    encode_line,
 )
 from .messages import decode_payload
 from .model import FailureSchedule, io_correct_processes
@@ -47,7 +51,8 @@ DELIVERY_COUNT_LAW = "DELIVERY_COUNT_LAW"
 MBBC_PROPERTIES = (VALIDITY, NO_DUPLICATION, INTEGRITY, AGREEMENT, DELIVERY_COUNT_LAW)
 ALL_PROPERTIES = MBBC_PROPERTIES + (CONSISTENCY, TOTALITY)
 
-OBSERVABLE_KINDS = frozenset({KIND_P2P_SEND, KIND_P2P_DELIVER, KIND_BROADCAST_CALL, KIND_DELIVER_CALL})
+OBSERVABLE_KINDS = frozenset({KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL})
+_PHASE_RANK = {phase: i for i, phase in enumerate(PHASES)}
 
 
 class MalformedTrace(ValueError):
@@ -94,6 +99,8 @@ def extract_deliveries(trace: Trace, schedule: FailureSchedule) -> list[Delivery
             source = ev.detail["source"]
         except (KeyError, ValueError) as exc:
             raise MalformedTrace(f"bad DELIVER_CALL detail at event {idx}: {exc}") from exc
+        if type(source) is not int:
+            raise MalformedTrace(f"bad DELIVER_CALL detail at event {idx}: source {source!r}")
         out.append(DeliveryRecord(
             process=ev.subject, round=ev.round, source=source, payload=payload,
             correct_at_delivery=schedule.is_correct(ev.subject, ev.round), event_index=idx))
@@ -518,15 +525,20 @@ def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:
 def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     """Events observable at processes that are correct throughout the run.
 
-    Two executions are indistinguishable to the permanently correct processes
-    exactly when their projections are identical; the impossibility demos
-    assert this byte-for-byte on the serialized form.
+    Those are their sends, broadcast and deliver calls, and their receipts,
+    derived from the sends as P2P_DELIVER events. Two executions are
+    indistinguishable to the permanently correct processes exactly when their
+    projections are identical; the impossibility demos assert this
+    byte-for-byte on the serialized form.
     """
     keep = permanently_correct(schedule)
-    return [ev for ev in trace.events if ev.kind in OBSERVABLE_KINDS and ev.subject in keep]
+    observed = [ev for ev in trace.events if ev.kind in OBSERVABLE_KINDS and ev.subject in keep]
+    observed.extend(
+        TraceEvent(d.round, PHASE_RECEIVE, KIND_P2P_DELIVER, d.receiver,
+                   {"sender": d.sender, "message": d.message})
+        for d in deliveries(trace) if d.receiver in keep)
+    return sorted(observed, key=lambda ev: (ev.round, _PHASE_RANK[ev.phase]))
 
 
 def projection_jsonl(trace: Trace, schedule: FailureSchedule) -> str:
-    return "\n".join(
-        json.dumps(ev.to_dict(), sort_keys=True, separators=(",", ":"))
-        for ev in projection(trace, schedule))
+    return "\n".join(encode_line(ev.to_dict()) for ev in projection(trace, schedule))

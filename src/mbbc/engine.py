@@ -6,20 +6,25 @@ Each round runs five sub-phases in a fixed order:
 2. ORACLE   — cure notifications go to processes that were just freed
    (none under the no-awareness oracle).
 3. SEND     — correct processes run the protocol send phase (which performs
-   the cure wipe); faulty processes emit exactly what the strategy dictates,
-   with the sender stamp forced (links are authenticated).
-4. RECEIVE  — every envelope sent in the round is delivered in the round:
+   the cure wipe) and send each message to every process; faulty processes
+   emit exactly what the strategy dictates, with the sender stamp forced
+   (links are authenticated).
+4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Correct receivers
-   ingest; messages reaching faulty processes are traced but have no
-   protocol effect (the omniscient adversary sees them anyway).
+   ingest; messages reaching faulty processes have no protocol effect (the
+   omniscient adversary sees them anyway).
 5. COMPUTE  — correct processes run the protocol compute phase (scheduled
    broadcast calls are injected here); each faulty process's state is
    replaced by whatever the strategy returns.
 
-Every externally visible action is appended to a totally ordered trace;
-within a phase, events are ordered lexicographically by (subject, counterpart,
-message bytes). Given a config (the seed is part of it), the trace is
-bit-reproducible.
+Every externally visible action is appended to a totally ordered trace.
+A send is one P2P_SEND event per (sender, message): ``"to": "ALL"`` for a
+correct fan-out, the sorted receivers (duplicates kept) for a dictated send.
+Receipts are not traced; links are synchronous and reliable, so
+``deliveries`` derives them from the SEND events, in the order the RECEIVE
+phase ingests them. SEND events are ordered by (sender, message), receipts by
+(receiver, sender, message). Given a config (the seed is part of it), the
+trace is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
-from .messages import Envelope, ProtocolMessage, encode_payload
+from .messages import ProtocolMessage, encode_payload
 from .model import FailureSchedule, OracleKind
 from .protocol import (
     ProtocolState,
@@ -52,14 +58,35 @@ PHASE_ORACLE = "ORACLE"
 PHASE_SEND = "SEND"
 PHASE_RECEIVE = "RECEIVE"
 PHASE_COMPUTE = "COMPUTE"
+PHASES = (PHASE_ADVERSARY, PHASE_ORACLE, PHASE_SEND, PHASE_RECEIVE, PHASE_COMPUTE)
 
 KIND_AGENT_MOVE = "AGENT_MOVE"
 KIND_CURED = "CURED"
 KIND_P2P_SEND = "P2P_SEND"
-KIND_P2P_DELIVER = "P2P_DELIVER"
 KIND_BROADCAST_CALL = "BROADCAST_CALL"
 KIND_DELIVER_CALL = "DELIVER_CALL"
 KIND_STATE_CORRUPTED = "STATE_CORRUPTED"
+# A receipt derived from a P2P_SEND (see ``deliveries``); no trace holds one.
+KIND_P2P_DELIVER = "P2P_DELIVER"
+
+# The phase each traced kind belongs to.
+KIND_PHASES = {
+    KIND_AGENT_MOVE: PHASE_ADVERSARY,
+    KIND_CURED: PHASE_ORACLE,
+    KIND_P2P_SEND: PHASE_SEND,
+    KIND_BROADCAST_CALL: PHASE_COMPUTE,
+    KIND_DELIVER_CALL: PHASE_COMPUTE,
+    KIND_STATE_CORRUPTED: PHASE_COMPUTE,
+}
+
+# The header's ``format``: one P2P_SEND per (sender, message), no receipts.
+TRACE_FORMAT = "mbbc-trace/2"
+# The ``to`` of a send that reaches every process.
+TO_ALL = "ALL"
+
+# One trace line: compact JSON with sorted keys. One encoder serves every
+# line; ``json.dumps`` would build a new one per call.
+encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -93,32 +120,41 @@ class Trace:
     seed: int
     config: dict
     events: list[TraceEvent] = field(default_factory=list)
-    verdicts: dict | None = None
 
     def to_jsonl(self) -> str:
-        header = {"fingerprint": self.fingerprint, "seed": self.seed, "config": self.config}
-        if self.verdicts is not None:
-            header["verdicts"] = self.verdicts
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines.extend(
-            json.dumps(ev.to_dict(), sort_keys=True, separators=(",", ":")) for ev in self.events)
+        header = {"fingerprint": self.fingerprint, "format": TRACE_FORMAT, "seed": self.seed,
+                  "config": self.config}
+        lines = [encode_line(header)]
+        lines.extend(encode_line(ev.to_dict()) for ev in self.events)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        """Parse a trace; a line that is not the JSON object it should be raises a
-        ValueError naming the line."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        """Parse and validate a trace; a bad line raises a ValueError naming it.
+
+        The header must carry this ``format`` and a config with int ``n`` and
+        ``horizon``. Each event needs a known kind in its phase, a round in
+        [1, horizon], a subject in [0, n) and a dict detail; a P2P_SEND's
+        ``to`` is "ALL" or a list of receivers in [0, n).
+        """
+        numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
+                    if ln.strip()]
+        if not numbered:
             raise ValueError("empty trace file")
+        number, line = numbered[0]
+        what = "header"
         try:
-            header = json.loads(lines[0])
-            fingerprint, seed, config = _header_fields(header)
-            events = [TraceEvent.from_dict(json.loads(ln)) for ln in lines[1:]]
-        except (ValueError, TypeError, KeyError):
-            raise _malformed_line(text) from None
-        return cls(fingerprint=fingerprint, seed=seed, config=config, events=events,
-                   verdicts=header.get("verdicts"))
+            fingerprint, seed, config = _header_fields(_json_object(line))
+            n, horizon = config["n"], config["horizon"]
+            what = "event"
+            events = []
+            for number, line in numbered[1:]:
+                events.append(_event(_json_object(line), n, horizon))
+        except KeyError as exc:
+            raise ValueError(f"trace line {number}: bad {what} line: missing key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"trace line {number}: bad {what} line: {exc}") from None
+        return cls(fingerprint=fingerprint, seed=seed, config=config, events=events)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
@@ -127,30 +163,111 @@ class Trace:
         return ScenarioConfig.from_dict(self.config)
 
 
+def _json_object(line: str) -> dict:
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    return data
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
 def _header_fields(header: dict) -> tuple[str, int, dict]:
-    return header["fingerprint"], header["seed"], header["config"]
+    fingerprint, seed, config = header["fingerprint"], header["seed"], header["config"]
+    if header["format"] != TRACE_FORMAT:
+        raise ValueError(f"format {header['format']!r} is not {TRACE_FORMAT!r}")
+    if not isinstance(config, dict):
+        raise ValueError("config is not a JSON object")
+    for key in ("n", "horizon"):
+        if not _is_int(config[key]) or config[key] < 1:
+            raise ValueError(f"config {key} is not a positive int")
+    return fingerprint, seed, config
 
 
-def _malformed_line(text: str) -> ValueError:
-    """The error for the first line of a malformed trace (1-based, blank lines counted)."""
-    numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    for position, (number, line) in enumerate(numbered):
-        what = "event" if position else "header"
-        try:
-            data = json.loads(line)
-            if position:
-                TraceEvent.from_dict(data)
-            else:
-                _header_fields(data)
-        except (ValueError, TypeError, KeyError) as exc:
-            if isinstance(exc, KeyError):
-                reason = f"missing key {exc}"
-            elif isinstance(exc, json.JSONDecodeError):
-                reason = f"not valid JSON ({exc})"
-            else:
-                reason = "not a JSON object"
-            return ValueError(f"trace line {number}: bad {what} line: {reason}")
-    return ValueError("malformed trace")
+def _event(data: dict, n: int, horizon: int) -> TraceEvent:
+    event = TraceEvent.from_dict(data)
+    phase = KIND_PHASES.get(event.kind) if isinstance(event.kind, str) else None
+    if phase is None:
+        raise ValueError(f"unknown kind {event.kind!r}")
+    if event.phase != phase:
+        raise ValueError(f"{event.kind} in phase {event.phase!r}, not {phase}")
+    if not _is_int(event.round) or not 1 <= event.round <= horizon:
+        raise ValueError(f"round {event.round!r} outside 1..{horizon}")
+    if not _is_int(event.subject) or not 0 <= event.subject < n:
+        raise ValueError(f"subject {event.subject!r} outside 0..{n - 1}")
+    if not isinstance(event.detail, dict):
+        raise ValueError("detail is not a JSON object")
+    if event.kind == KIND_P2P_SEND:
+        to = event.detail["to"]
+        if not isinstance(event.detail["message"], dict):
+            raise ValueError("message is not a JSON object")
+        if to != TO_ALL and not (isinstance(to, list)
+                                 and all(_is_int(q) and 0 <= q < n for q in to)):
+            raise ValueError(f"to {to!r} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
+    return event
+
+
+class Delivery(NamedTuple):
+    """One receipt implied by a P2P_SEND: ``receiver`` got ``message`` from ``sender``."""
+
+    round: int
+    receiver: int
+    sender: int
+    message: object
+
+
+def _inboxes(outbox: Sequence[tuple[int, object, object]], n: int
+             ) -> list[list[tuple[int, object]]]:
+    """Turn one round's (sender, message, to) sends into each process's
+    (sender, message) receipts, in outbox order. Read by receiver, this is
+    the RECEIVE order."""
+    inboxes: list[list[tuple[int, object]]] = [[] for _ in range(n)]
+    everyone = range(n)
+    for sender, message, to in outbox:
+        if to == TO_ALL:
+            receivers = everyone
+        else:
+            receivers = to
+            for q in to:
+                if not 0 <= q < n:
+                    raise ValueError(f"receiver {q} of a send by {sender} is outside 0..{n - 1}")
+        for q in receivers:
+            inboxes[q].append((sender, message))
+    return inboxes
+
+
+def deliveries(trace: Trace) -> list[Delivery]:
+    """Every receipt the trace's P2P_SEND events imply, by round, in RECEIVE order.
+
+    The engine's RECEIVE phase ingests exactly these, in this order, through
+    the same helper; the messages are the SEND events' message dicts.
+    """
+    outboxes: dict[int, list[tuple[int, object, object]]] = {}
+    for ev in trace.events:
+        if ev.kind == KIND_P2P_SEND:
+            outboxes.setdefault(ev.round, []).append(
+                (ev.subject, ev.detail["message"], ev.detail["to"]))
+    n = trace.config["n"]
+    return [Delivery(r, receiver, sender, message)
+            for r in sorted(outboxes)
+            for receiver, inbox in enumerate(_inboxes(outboxes[r], n))
+            for sender, message in inbox]
+
+
+def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]]
+              ) -> list[tuple[int, ProtocolMessage, list[int]]]:
+    """A faulty sender's dictated (receiver, message) pairs as outbox entries:
+    one per distinct message, in message order, receivers sorted with duplicates kept."""
+    receivers: dict[ProtocolMessage, list[int]] = {}
+    for receiver, msg in sends:
+        receivers.setdefault(msg, []).append(receiver)
+    return [(sender, msg, sorted(receivers[msg]))
+            for msg in sorted(receivers, key=ProtocolMessage.sort_key)]
 
 
 def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind) -> list[OracleEvent]:
@@ -214,36 +331,29 @@ class Simulation:
             self._emit(r, PHASE_ORACLE, KIND_CURED, ev.process, {"faulty_since": ev.faulty_since})
             on_cured(self.states[ev.process], ev.faulty_since)
 
-        # SEND.
+        # SEND: one outbox entry per (sender, message).
         obs = Observation(round=r, config=self.config, schedule=schedule,
                           states=self.states, events=self.trace.events, inbound={})
-        envelopes: list[Envelope] = []
+        outbox: list[tuple[int, ProtocolMessage, object]] = []
         for p in range(n):
             if p in faulty:
-                for receiver, msg in self.strategy.dictate_sends(p, r, obs):
-                    if not 0 <= receiver < n:
-                        raise ValueError(f"strategy dictated receiver {receiver} out of range")
-                    envelopes.append(Envelope(sender=p, receiver=receiver, message=msg, send_round=r))
+                outbox.extend(_dictated(p, self.strategy.dictate_sends(p, r, obs)))
             else:
-                for msg in send_phase(self.states[p]):
-                    for receiver in range(n):
-                        envelopes.append(Envelope(sender=p, receiver=receiver, message=msg, send_round=r))
-        envelopes.sort(key=lambda e: (e.sender, e.receiver, e.message.sort_key()))
-        for env in envelopes:
-            self._emit(r, PHASE_SEND, KIND_P2P_SEND, env.sender,
-                       {"receiver": env.receiver, "message": env.message.to_dict()})
+                outbox.extend((p, msg, TO_ALL) for msg in send_phase(self.states[p]))
+        for sender, msg, to in outbox:
+            self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, {"message": msg.to_dict(), "to": to})
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
         for p in range(n):
             if p not in faulty:
                 begin_receive(self.states[p])
-        inbound: dict[int, list[tuple[int, ProtocolMessage]]] = {}
-        for env in sorted(envelopes, key=lambda e: (e.receiver, e.sender, e.message.sort_key())):
-            self._emit(r, PHASE_RECEIVE, KIND_P2P_DELIVER, env.receiver,
-                       {"sender": env.sender, "message": env.message.to_dict()})
-            inbound.setdefault(env.receiver, []).append((env.sender, env.message))
-            if env.receiver not in faulty:
-                on_p2p_deliver(self.states[env.receiver], env.sender, env.message)
+        inboxes = _inboxes(outbox, n)
+        for p, inbox in enumerate(inboxes):
+            if p not in faulty:
+                state = self.states[p]
+                for sender, msg in inbox:
+                    on_p2p_deliver(state, sender, msg)
+        inbound = {p: inbox for p, inbox in enumerate(inboxes) if inbox}
 
         # COMPUTE.
         obs = Observation(round=r, config=self.config, schedule=schedule,
@@ -258,8 +368,8 @@ class Simulation:
                 payloads = self._broadcast_index.get((p, r), [])
                 for payload in payloads:
                     self._emit(r, PHASE_COMPUTE, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
-                deliveries = compute_phase(self.states[p], p, self.variant, n, broadcasts=payloads)
-                for source, payload in deliveries:
+                delivered = compute_phase(self.states[p], p, self.variant, n, broadcasts=payloads)
+                for source, payload in delivered:
                     detail = {"source": source}
                     detail.update(encode_payload(payload))
                     self._emit(r, PHASE_COMPUTE, KIND_DELIVER_CALL, p, detail)

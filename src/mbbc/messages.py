@@ -1,7 +1,7 @@
-"""Typed protocol messages and the envelopes that carry them.
+"""Typed protocol messages.
 
 Links are reliable and authenticated: the engine stamps the sender on every
-envelope, and delivered bytes equal sent bytes. Payloads are raw ``bytes``;
+send, and delivered bytes equal sent bytes. Payloads are raw ``bytes``;
 JSON encoding uses a plain string when the payload is printable UTF-8 and a
 hex escape otherwise.
 """
@@ -111,16 +111,6 @@ def abort_msg(source: int, birth_round: int, payload: bytes) -> ProtocolMessage:
 
 def round_msg(round_value: int) -> ProtocolMessage:
     return ProtocolMessage(MessageKind.ROUND, round_value=round_value)
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A message in flight; the sender field is stamped by the engine and cannot be forged."""
-
-    sender: int
-    receiver: int
-    message: ProtocolMessage
-    send_round: int
 
 
 def encode_payload(payload: bytes) -> dict:

@@ -195,19 +195,19 @@ def compute_phase(
     for payload in broadcasts:
         broadcast(state, self_id, payload)
 
-    for key in sorted(state.sends, key=_key_order):
+    for key in sorted(state.sends):
         source, birth, payload = key
         if state.rc == birth + 1:
             state.to_send.add(echo_msg(source, birth, payload))
 
-    for key in sorted(state.echos, key=_key_order):
+    for key in sorted(state.echos):
         votes = len(state.echos[key])
         if 2 * votes > n + F:
             state.to_send.add(ready_msg(*key))
         elif votes > F:
             state.to_send.add(abort_msg(*key))
 
-    for key in sorted(state.aborts, key=_key_order):
+    for key in sorted(state.aborts):
         if len(state.aborts[key]) > F:
             state.readys[key] = set()
 
@@ -219,7 +219,7 @@ def compute_phase(
         if prev is None or birth < prev:
             min_birth[(source, payload)] = birth
 
-    for key in sorted(quorum_keys, key=_key_order):
+    for key in sorted(quorum_keys):
         source, birth, payload = key
         if birth == min_birth[(source, payload)] and _delivery_gate(state, variant, birth):
             if variant.tag is VariantTag.FFA_FULL:
@@ -250,10 +250,6 @@ def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:
         return True
     # FFA_FULL: only the cure of a stay that had already begun by the due round.
     return state.cured_faulty_since is not None and state.cured_faulty_since <= due
-
-
-def _key_order(key: InstanceKey) -> tuple:
-    return key
 
 
 def state_fingerprint(state: ProtocolState) -> str:

@@ -17,11 +17,9 @@ from .messages import decode_payload, encode_payload
 from .model import (
     AgentTrajectory,
     FailureSchedule,
-    Mobility,
     OracleKind,
     Segment,
     SettingTriple,
-    Timing,
     validate_schedule,
 )
 from .protocol import Variant, VariantTag
@@ -276,7 +274,3 @@ def _roundrobin_trajectories(config: ScenarioConfig, params: dict) -> tuple[Agen
             step += 1
         out.append(AgentTrajectory(agent_id=i, segments=tuple(segments)))
     return tuple(out)
-
-
-def setting(timing: str = "SYNC", mobility: str = "S-MOB+", oracle: str = "FFA") -> SettingTriple:
-    return SettingTriple(Timing(timing), Mobility(mobility), OracleKind(oracle))

@@ -2,16 +2,16 @@ import pytest
 
 from mbbc.adversary import (
     AlternatingSets,
-    Benign,
     CrashSilent,
     Observation,
     SplitSend,
+    Strategy,
     StrategyMisconfigured,
     WipeAndRun,
     build_strategy,
     generate_paired_histories,
 )
-from mbbc.engine import Simulation, run
+from mbbc.engine import Simulation, deliveries, run
 from mbbc.messages import MessageKind
 from mbbc.protocol import init_state
 from mbbc.scenario import ScenarioConfig
@@ -111,7 +111,7 @@ class TestStateCorruption:
     def test_benign_is_identity(self):
         cfg = zero_agent_scenario()
         states = [init_state() for _ in range(cfg.n)]
-        assert Benign().corrupt_state(0, 1, obs_for(cfg, states=states)) is states[0]
+        assert Strategy().corrupt_state(0, 1, obs_for(cfg, states=states)) is states[0]
 
     def test_crash_silent_wipes_on_departure(self):
         cfg = golden_correct_source()
@@ -152,7 +152,9 @@ class TestStateCorruption:
         })
         trace = run(cfg)
         sent = [e for e in trace.events if e.kind == "P2P_SEND" and e.subject == 0 and e.round == 1]
-        assert len(sent) == 1 and sent[0].detail["receiver"] == 1
+        assert len(sent) == 1 and sent[0].detail["to"] == [1]
+        received = [d.receiver for d in deliveries(trace) if d.sender == 0 and d.round == 1]
+        assert received == [1]
 
 
 class TestPairedHistories:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,16 +21,21 @@ from mbbc.checker import (
     check_validity,
     extract_deliveries,
     permanently_correct,
+    projection,
     projection_jsonl,
     replay_witness,
     reports_to_json,
     run_property_checks,
 )
+from mbbc.demos import run_demo
 from mbbc.engine import (
     KIND_BROADCAST_CALL,
     KIND_DELIVER_CALL,
+    KIND_P2P_DELIVER,
+    KIND_P2P_SEND,
     Trace,
     TraceEvent,
+    deliveries,
     run,
 )
 from mbbc.protocol import VariantTag
@@ -362,9 +368,37 @@ class TestProjection:
         assert keep == {2, 3, 4}
         text = projection_jsonl(trace, sched)
         for line in text.splitlines():
-            assert '"subject": ' not in line  # compact separators
+            assert json.loads(line)["subject"] in keep
         events_subjects = {e.subject for e in trace.events} - keep
         assert events_subjects  # someone was excluded
+
+    def test_projection_holds_the_receipts_of_kept_processes(self):
+        cfg = split_send_scenario([1, 2, 3])
+        trace = run(cfg)
+        sched = cfg.resolved_schedule()
+        keep = permanently_correct(sched)
+        receipts = [(e.round, e.subject, e.detail["sender"], e.detail["message"])
+                    for e in projection(trace, sched) if e.kind == KIND_P2P_DELIVER]
+        assert receipts and receipts == [(d.round, d.receiver, d.sender, d.message)
+                                         for d in deliveries(trace) if d.receiver in keep]
+        assert {e.subject for e in projection(trace, sched)} <= keep
+
+    def test_changed_message_from_a_faulty_sender_shows_in_the_projection(self):
+        """Two histories differing only in one message a faulty sender sends to
+        a permanently correct process are told apart."""
+        result = run_demo("SOURCE_FLIP", {})
+        trace, config = result.trace_second, result.config_second
+        sched = config.resolved_schedule()
+        keep = permanently_correct(sched)
+        before = projection_jsonl(trace, sched)
+        assert before == projection_jsonl(result.trace_first, result.config_first.resolved_schedule())
+        index, event = next((i, e) for i, e in enumerate(trace.events)
+                            if e.kind == KIND_P2P_SEND and sched.is_faulty(e.subject, e.round)
+                            and "payload" in e.detail["message"] and keep & set(e.detail["to"]))
+        message = {**event.detail["message"], "payload": "forged"}
+        events = list(trace.events)
+        events[index] = replace(event, detail={**event.detail, "message": message})
+        assert projection_jsonl(replace(trace, events=events), sched) != before
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

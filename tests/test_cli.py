@@ -143,7 +143,7 @@ def test_sweep_skips_alternating_cells_below_2f_plus_1(tmp_path, caplog):
     assert f2_cells == {(n, "split") for n in range(4, 9)} | {(n, "alternating") for n in range(5, 9)}
 
 
-GOOD_HEADER = '{"config":{},"fingerprint":"x","seed":0}'
+GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/2","seed":0}'
 GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
 
 
@@ -156,6 +156,19 @@ GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0
     ('{"fingerprint":"x","seed":0}\n' + GOOD_EVENT + "\n", 1),
     ('{"config":{},"fingerprint":"x"}\n', 1),
     ("[1]\n", 1),
+    (GOOD_HEADER.replace(',"format":"mbbc-trace/2"', "") + "\n" + GOOD_EVENT + "\n", 1),
+    (GOOD_HEADER.replace("mbbc-trace/2", "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
+    (GOOD_HEADER.replace('"n":6', '"n":"6"') + "\n", 1),
+    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":99') + "\n", 2),
+    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":"1"') + "\n", 2),
+    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"subject":0', '"subject":6') + "\n", 2),
+    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"CURED"', '"P2P_DELIVER"') + "\n", 2),
+    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"ORACLE"', '"SEND"') + "\n", 2),
+    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('{}', '[]') + "\n", 2),
+    (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":[1,6]},'
+     '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
+    (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"SOME"},'
+     '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
 ])
 def test_check_malformed_trace_exits_2_naming_the_line(tmp_path, capsys, text, line):
     trace = tmp_path / "bad.jsonl"
@@ -176,6 +189,21 @@ def test_check_unreadable_deliver_call_exits_2(tmp_path, golden_config_path, cap
     assert cli.main(["check", "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
     assert "bad DELIVER_CALL detail at event 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ['"round":99', '"round":"3"'])
+def test_check_deliver_call_with_bad_round_exits_2(tmp_path, golden_config_path, capsys, field):
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    bad = next(i for i, line in enumerate(lines) if '"DELIVER_CALL"' in line)
+    lines[bad] = lines[bad].replace('"round":4', field, 1)
+    assert field in lines[bad]
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert f"trace line {bad + 1}: bad event line: round" in err and "Traceback" not in err
 
 
 def test_check_malformed_trace_subprocess_has_no_traceback(tmp_path):

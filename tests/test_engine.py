@@ -1,18 +1,24 @@
 import pytest
 
-from conftest import golden_correct_source, zero_agent_scenario
+from conftest import golden_correct_source, split_send_scenario, zero_agent_scenario
+from mbbc import engine
 from mbbc.engine import (
     KIND_AGENT_MOVE,
     KIND_BROADCAST_CALL,
     KIND_CURED,
     KIND_DELIVER_CALL,
-    KIND_P2P_DELIVER,
     KIND_P2P_SEND,
+    PHASE_SEND,
+    TO_ALL,
+    Delivery,
     Simulation,
     Trace,
+    TraceEvent,
     deliver_oracle_events,
+    deliveries,
     run,
 )
+from mbbc.messages import ProtocolMessage
 from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
 from mbbc.scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
 
@@ -53,7 +59,7 @@ class TestOracle:
 class TestRunBasics:
     def test_zero_agent_no_broadcast_only_round_traffic(self):
         trace = run(zero_agent_scenario())
-        p2p = [e for e in trace.events if e.kind in (KIND_P2P_SEND, KIND_P2P_DELIVER)]
+        p2p = [e for e in trace.events if e.kind == KIND_P2P_SEND]
         assert p2p, "round votes flow even without protocol activity"
         assert all(e.detail["message"]["kind"] == "ROUND" for e in p2p)
         assert not [e for e in trace.events
@@ -70,13 +76,14 @@ class TestRunBasics:
 
     def test_synchrony_send_deliver_bijection(self):
         trace = run(golden_correct_source())
+        received = deliveries(trace)
+        assert received
         for r in range(1, 9):
             sends = sorted(
-                (e.subject, e.detail["receiver"], str(e.detail["message"]))
-                for e in trace.events if e.round == r and e.kind == KIND_P2P_SEND)
-            delivers = sorted(
-                (e.detail["sender"], e.subject, str(e.detail["message"]))
-                for e in trace.events if e.round == r and e.kind == KIND_P2P_DELIVER)
+                (e.subject, q, str(e.detail["message"]))
+                for e in trace.events if e.round == r and e.kind == KIND_P2P_SEND
+                for q in (range(6) if e.detail["to"] == TO_ALL else e.detail["to"]))
+            delivers = sorted((d.sender, d.receiver, str(d.message)) for d in received if d.round == r)
             assert sends == delivers
 
     def test_cured_events_match_schedule(self):
@@ -101,11 +108,13 @@ class TestRunBasics:
 
     def test_send_fans_out_to_all_including_self(self):
         trace = run(golden_correct_source())
-        send_envelopes = [e for e in trace.events
-                          if e.kind == KIND_P2P_SEND and e.round == 2 and e.subject == 0
-                          and e.detail["message"]["kind"] == "SEND"]
-        assert len(send_envelopes) == 6
-        assert {e.detail["receiver"] for e in send_envelopes} == set(range(6))
+        sends = [e for e in trace.events
+                 if e.kind == KIND_P2P_SEND and e.round == 2 and e.subject == 0
+                 and e.detail["message"]["kind"] == "SEND"]
+        assert len(sends) == 1 and sends[0].detail["to"] == TO_ALL
+        receivers = [d.receiver for d in deliveries(trace)
+                     if d.round == 2 and d.sender == 0 and d.message["kind"] == "SEND"]
+        assert receivers == list(range(6))
 
     def test_agent_moves_recorded(self):
         trace = run(golden_correct_source())
@@ -129,18 +138,98 @@ class TestTraceOrdering:
         assert marks == sorted(marks)
 
     def test_within_phase_lexicographic(self):
-        from mbbc.messages import ProtocolMessage
-
         trace = run(golden_correct_source())
+        received = deliveries(trace)
         for r in range(1, 9):
-            sends = [(e.subject, e.detail["receiver"],
-                      ProtocolMessage.from_dict(e.detail["message"]).sort_key())
+            sends = [(e.subject, ProtocolMessage.from_dict(e.detail["message"]).sort_key())
                      for e in trace.events if e.round == r and e.kind == KIND_P2P_SEND]
             assert sends == sorted(sends)
-            delivers = [(e.subject, e.detail["sender"],
-                         ProtocolMessage.from_dict(e.detail["message"]).sort_key())
-                        for e in trace.events if e.round == r and e.kind == KIND_P2P_DELIVER]
+            delivers = [(d.receiver, d.sender, ProtocolMessage.from_dict(d.message).sort_key())
+                        for d in received if d.round == r]
             assert delivers == sorted(delivers)
+
+    def test_one_send_event_per_sender_and_message(self):
+        trace = run(split_send_scenario([1, 2, 3]))
+        keys = [(e.round, e.subject, str(e.detail["message"]))
+                for e in trace.events if e.kind == KIND_P2P_SEND]
+        assert len(keys) == len(set(keys))
+        assert not [e for e in trace.events if e.kind not in engine.KIND_PHASES]
+
+
+def send_event(round_, sender, message, to) -> TraceEvent:
+    return TraceEvent(round_, PHASE_SEND, KIND_P2P_SEND, sender,
+                      {"message": message.to_dict(), "to": to})
+
+
+def hand_trace(n, events) -> Trace:
+    return Trace(fingerprint="x", seed=0, config={"n": n, "horizon": 4}, events=events)
+
+
+class TestDeliveries:
+    def test_correct_fan_out_reaches_every_process_once(self):
+        msg = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 2})
+        trace = hand_trace(3, [send_event(2, 1, msg, TO_ALL)])
+        assert deliveries(trace) == [Delivery(2, q, 1, msg.to_dict()) for q in range(3)]
+
+    def test_dictated_duplicate_receiver_is_delivered_twice(self):
+        a = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 5})
+        b = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 7})
+        trace = hand_trace(5, [send_event(1, 0, a, [1, 1, 4]), send_event(1, 3, b, TO_ALL)])
+        assert [(d.receiver, d.sender, d.message["round_value"]) for d in deliveries(trace)] == [
+            (0, 3, 7), (1, 0, 5), (1, 0, 5), (1, 3, 7), (2, 3, 7), (3, 3, 7),
+            (4, 0, 5), (4, 3, 7)]
+
+    @pytest.mark.parametrize("receiver", [-1, 3])
+    def test_dictated_receiver_out_of_range_rejected(self, receiver):
+        msg = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 2})
+        with pytest.raises(ValueError, match="outside 0..2"):
+            deliveries(hand_trace(3, [send_event(1, 0, msg, [receiver])]))
+
+    def test_engine_ingests_exactly_the_derived_deliveries(self, monkeypatch):
+        """The RECEIVE phase feeds each correct receiver what ``deliveries``
+        derives from the trace, in the same order."""
+        cfg = split_send_scenario([1, 2, 3])
+        ingested = []
+        sim = Simulation(cfg)
+        original = engine.on_p2p_deliver
+
+        def recording(state, sender, msg):
+            p = next(q for q, s in enumerate(sim.states) if s is state)
+            ingested.append(Delivery(sim.round, p, sender, msg.to_dict()))
+            original(state, sender, msg)
+
+        monkeypatch.setattr(engine, "on_p2p_deliver", recording)
+        trace = sim.run()
+        sched = cfg.resolved_schedule()
+        derived = [d for d in deliveries(trace) if sched.is_correct(d.receiver, d.round)]
+        assert ingested and ingested == derived
+        assert any(e.detail["to"] != TO_ALL for e in trace.events if e.kind == KIND_P2P_SEND)
+
+    def test_sender_is_stamped_by_the_engine(self):
+        """A possessed process cannot send under another process's name."""
+        forged = {"kind": "SEND", "source": 2, "birth_round": 1, "payload": "x"}
+        received = [d for d in deliveries(run(scripted_sends([[1, forged]])))
+                    if d.message == forged]
+        assert [(d.receiver, d.sender) for d in received] == [(1, 0)]
+
+    def test_engine_keeps_a_dictated_duplicate(self):
+        vote = {"kind": "ROUND", "round_value": 7}
+        trace = run(scripted_sends([[2, vote], [1, vote], [2, vote]]))
+        sends = [e.detail for e in trace.events if e.kind == KIND_P2P_SEND and e.subject == 0]
+        assert sends == [{"message": vote, "to": [1, 2, 2]}]
+        assert [d.receiver for d in deliveries(trace) if d.sender == 0] == [1, 2, 2]
+
+
+def scripted_sends(sends: list) -> ScenarioConfig:
+    """n=3; process 0 is possessed throughout and sends ``sends`` in round 1."""
+    return ScenarioConfig.from_dict({
+        "n": 3, "f": 1, "delta_s": 1, "horizon": 2, "seed": 0,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
+        "variant": "FFA_FULL",
+        "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+            {"host": 0, "first_round": 1, "last_round": None}]}]},
+        "strategy": {"kind": "ARBITRARY", "script": {"1": {"0": {"sends": sends}}}},
+    })
 
 
 class TestTraceIO:

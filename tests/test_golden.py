@@ -6,6 +6,12 @@ both traces of every demo kind at its default parameters, and of the
 single byte of this evidence fails here, where comparing a run with itself
 (``test_criterion_10_determinism``) cannot notice.
 
+Two families of pins survive a change of trace layout: each trace rendered
+in the per-envelope layout (``per_envelope_jsonl``) still hashes to the
+digest the engine's bytes had when it wrote that layout, and each report with
+its witness indices replaced by the cited events (``WITNESS_PINS``) stays
+put while the indices move.
+
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
 """
@@ -22,7 +28,16 @@ import pytest
 from mbbc import cli
 from conftest import random_walk_schedule
 from mbbc.checker import ALL_PROPERTIES, MBBC_PROPERTIES, reports_to_json, run_property_checks
-from mbbc.engine import Trace, run
+from mbbc.engine import (
+    KIND_P2P_SEND,
+    PHASE_ADVERSARY,
+    PHASE_ORACLE,
+    TO_ALL,
+    Trace,
+    deliveries,
+    run,
+)
+from mbbc.messages import ProtocolMessage
 from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import attack_scenario
@@ -32,27 +47,54 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "5aab3f3704b55415e6cd3126cde12093c4a10e84d5503c581b7278959a93f968",
+        "f55137cb9988bfca881575aebca95de266ec0659965877ee21a23b35cb5ce10c",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "f2bc5990ce337a14bae647cdee3c54d3a51f595872b0e4c3b530107f0bf29e1d",
-        "3ced0737e474e2cc2ed9d126f7a5b4ac24fe9dac5bd878184bb1604a8b980c7c"),
+        "e1c080cb8f6b8b5a0004a9b718f632b9a8964706b643ca0fb0bee4bf237076be",
+        "11f826fa79275739ae3d2cff97d2168574590c064af9832d70d782d0353c1734"),
     "correct_source.json": (
-        "1a4712718cecab38af6c6d3b17af453b6b1285257e27b7717a191d3d63d67d93",
+        "a97e02ef943e37c4e7e4d7ab59a628dfc701442b7932c518ef19b5bc651893ea",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "7c954a09d839d04546b10ad95f5959d0148808d12cfb3030afd3bb6c57a798fa",
+        "c5eeed9c7a5f8bbf38aa31fccec939341da8daf0fd1eba1df4a6822b9d199696",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "44369a9b6918d2b2d9c7576a3544d2cb942b282afcfc088c6847637351d77d13",
+        "3e3770204ae596bd45f1bf21fee9f42c34c81744e400a509ccaad60779062d51",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "302587fea2bfd3900c064cbb9ada64401f76da81059681101af31560539db470",
-        "20a6f2a93a9c0d65fcb12efeee656ff702fe016982d47a567969ac7dc7f66c8f"),
+        "95fd6dcce2beaf5daec739947391c20b76ed5ee5e679a6ab43e890c21e37a989",
+        "ea82678ba6cdc9feab576cb9378cb87fbbb4e4545fe2be3e87c097ad6d6183bd"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
+    "SOURCE_FLIP": (
+        "6c92905b5b460cc276e11ee20a2cc40e7ef776e8245bdaae649a98e43a04d46e",
+        "cc89f70b12345bca955424ed265f291d20f57e8c5e7dc7c1131e235f64a52742"),
+    "THEOREM_3": (
+        "6c92905b5b460cc276e11ee20a2cc40e7ef776e8245bdaae649a98e43a04d46e",
+        "cc89f70b12345bca955424ed265f291d20f57e8c5e7dc7c1131e235f64a52742"),
+    "THEOREM_4": (
+        "322f574569fc7dc7b31716bdaf8481280ccdefa46b25d1151fcdbc4dc9fefd0f",
+        "5842110ae8ce765c62fb5c63af7ee019667e21201de4793b7b07cd597cd43e9e"),
+    "WIPE_FLIP": (
+        "322f574569fc7dc7b31716bdaf8481280ccdefa46b25d1151fcdbc4dc9fefd0f",
+        "5842110ae8ce765c62fb5c63af7ee019667e21201de4793b7b07cd597cd43e9e"),
+}
+
+# config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
+# the digests of the bytes the engine wrote in the per-envelope layout
+PER_ENVELOPE_TRACE_PINS = {
+    "alternating_below_bound_n5.json": "5aab3f3704b55415e6cd3126cde12093c4a10e84d5503c581b7278959a93f968",
+    "bfa_double_cure.json": "f2bc5990ce337a14bae647cdee3c54d3a51f595872b0e4c3b530107f0bf29e1d",
+    "correct_source.json": "1a4712718cecab38af6c6d3b17af453b6b1285257e27b7717a191d3d63d67d93",
+    "faulty_source_all_deliver.json": "7c954a09d839d04546b10ad95f5959d0148808d12cfb3030afd3bb6c57a798fa",
+    "faulty_source_none_deliver.json": "44369a9b6918d2b2d9c7576a3544d2cb942b282afcfc088c6847637351d77d13",
+    "nfa_alternating_n7.json": "302587fea2bfd3900c064cbb9ada64401f76da81059681101af31560539db470",
+}
+
+# demo kind -> sha256 of its two traces rendered by `per_envelope_jsonl`
+PER_ENVELOPE_DEMO_PINS = {
     "SOURCE_FLIP": (
         "36a191936432540aa6643cef3cb72a66f54ca83b631346c5c89622d760aada31",
         "2e3606d71d7c0aa57b38e64e0afdea54303ea235c372723a52c0fa709df27eae"),
@@ -76,12 +118,12 @@ SWEEP_PINS = {
 
 # shape -> sha256 of its ALL_PROPERTIES report; the shapes are built by `shape_config`
 REPORT_PINS = {
-    "bfa_weak_roundrobin": "3a0fd9fc45a312578ca45c436dba84e2411e4d416c87baef204e1f384752e2b5",
-    "bfa_weak_walk": "9cf76d4d5a529dc00fc3636ac8e1d4de68474a76ee38d67f23430267a0d4bcb6",
-    "ffa_full_walk": "65e4ebef130ac80e5937c222ac2b2f4a94d27676523340a3a21cf1fd3b41245a",
-    "nfa_weak_alternating_f2": "91fce9726eed7dddffbc66239dcedca05db64b5e0ddddc47aa82e28411d62612",
-    "nfa_weak_roundrobin": "c16a27463d816e87a0840e7a54d2a9dc5f03bb9092ec9fb6ceb0a656ba525982",
-    "nfa_weak_walk": "7505775449f5622a7c53bbfbaaca0b39dcfe637a76159e73987f270fa95ee26f",
+    "bfa_weak_roundrobin": "7b0967aa1827ad9c020993e602c3e374397cb0b27ceac5113b8e3b1e1e24a019",
+    "bfa_weak_walk": "b7da2ab4fde08873edcd55b756c493952e3e49f50e12a7da3744a64289e817cd",
+    "ffa_full_walk": "dd05de0657006a0d8b4ca5563629be1566cfa09d9b1d0ac998480539be98ce2b",
+    "nfa_weak_alternating_f2": "9e80202c3b0ed2b3d83f899550a2d4ce1870ad230e5d9c9067f0497b452c57b2",
+    "nfa_weak_roundrobin": "a740e62fce06a3d2eff0194bbd7a721aa530f0e4a61a2fda67206a6744a3e9b7",
+    "nfa_weak_walk": "7d421e2fa0185ecfe75072a7c9970a1385ccf7701ba126b21227d60364a45a00",
 }
 
 
@@ -142,6 +184,44 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def per_envelope_jsonl(trace: Trace) -> str:
+    """The trace in the per-envelope layout: a header without ``format``, and in
+    each round one P2P_SEND per (sender, receiver, message) ordered by
+    (sender, receiver, message), then one P2P_DELIVER per receipt in the
+    engine's RECEIVE order, between the ORACLE and the COMPUTE events."""
+    def line(round_, phase, kind, subject, detail) -> str:
+        return json.dumps({"round": round_, "phase": phase, "kind": kind, "subject": subject,
+                           "detail": detail}, sort_keys=True, separators=(",", ":"))
+
+    n = trace.config["n"]
+    rounds: dict[int, tuple[list, list, list]] = {}
+    for ev in trace.events:
+        before, sends, after = rounds.setdefault(ev.round, ([], [], []))
+        if ev.kind == KIND_P2P_SEND:
+            message = ev.detail["message"]
+            order = ProtocolMessage.from_dict(message).sort_key()
+            to = range(n) if ev.detail["to"] == TO_ALL else ev.detail["to"]
+            sends.extend(((ev.subject, q, order), line(ev.round, ev.phase, ev.kind, ev.subject,
+                                                       {"receiver": q, "message": message}))
+                         for q in to)
+        else:
+            (before if ev.phase in (PHASE_ADVERSARY, PHASE_ORACLE) else after).append(
+                line(ev.round, ev.phase, ev.kind, ev.subject, ev.detail))
+    receipts: dict[int, list[str]] = {}
+    for d in deliveries(trace):
+        receipts.setdefault(d.round, []).append(line(
+            d.round, "RECEIVE", "P2P_DELIVER", d.receiver, {"sender": d.sender, "message": d.message}))
+    header = {"fingerprint": trace.fingerprint, "seed": trace.seed, "config": trace.config}
+    out = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    for r in sorted(rounds):
+        before, sends, after = rounds[r]
+        out += before
+        out += [text for _key, text in sorted(sends, key=lambda entry: entry[0])]
+        out += receipts.get(r, [])
+        out += after
+    return "\n".join(out) + "\n"
+
+
 def witness_digest(trace: Trace, reports) -> str:
     docs = []
     for report in reports:
@@ -168,12 +248,21 @@ def config_digests(name: str, tmp_path: Path) -> tuple[str, str]:
     return _sha256(data), _sha256(reports_to_json(reports).encode("utf-8"))
 
 
-def demo_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
+def demo_traces(kind: str, tmp_path: Path) -> list[bytes]:
+    """The bytes of the two traces `mbbc demo --trace-out` writes."""
     prefix = tmp_path / kind.lower()
     code = cli.main(["demo", "--kind", kind, "--out", str(tmp_path / "report.json"),
                      "--trace-out", str(prefix)])
     assert code == 0
-    return tuple(_sha256(Path(f"{prefix}-{side}.jsonl").read_bytes()) for side in ("a", "b"))
+    return [Path(f"{prefix}-{side}.jsonl").read_bytes() for side in ("a", "b")]
+
+
+def demo_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
+    return tuple(_sha256(data) for data in demo_traces(kind, tmp_path))
+
+
+def per_envelope_digest(data: bytes) -> str:
+    return _sha256(per_envelope_jsonl(Trace.from_jsonl(data.decode("utf-8"))).encode("utf-8"))
 
 
 def shape_evidence(name: str):
@@ -209,6 +298,8 @@ def test_pins_cover_every_config_demo_and_variant():
     assert set(SWEEP_PINS) == {"FFA_FULL", "BFA_WEAK", "NFA_WEAK"}
     assert len(REPORT_PINS) == 6
     assert set(WITNESS_PINS) == set(TRACE_PINS) | set(REPORT_PINS)
+    assert set(PER_ENVELOPE_TRACE_PINS) == set(TRACE_PINS)
+    assert set(PER_ENVELOPE_DEMO_PINS) == set(DEMO_PINS)
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_PINS))
@@ -216,9 +307,21 @@ def test_bundled_config_trace_and_report_pinned(name, tmp_path):
     assert config_digests(name, tmp_path) == TRACE_PINS[name]
 
 
+@pytest.mark.parametrize("name", sorted(PER_ENVELOPE_TRACE_PINS))
+def test_bundled_config_trace_expands_to_its_per_envelope_pin(name, tmp_path):
+    data, _trace, _reports = config_evidence(name, tmp_path)
+    assert per_envelope_digest(data) == PER_ENVELOPE_TRACE_PINS[name]
+
+
 @pytest.mark.parametrize("kind", sorted(DEMO_PINS))
 def test_demo_traces_pinned(kind, tmp_path):
     assert demo_digests(kind, tmp_path) == DEMO_PINS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PER_ENVELOPE_DEMO_PINS))
+def test_demo_traces_expand_to_their_per_envelope_pins(kind, tmp_path):
+    digests = tuple(per_envelope_digest(data) for data in demo_traces(kind, tmp_path))
+    assert digests == PER_ENVELOPE_DEMO_PINS[kind]
 
 
 @pytest.mark.parametrize("variant", sorted(SWEEP_PINS))

@@ -1,7 +1,6 @@
 import pytest
 
 from mbbc.messages import (
-    Envelope,
     MessageKind,
     ProtocolMessage,
     decode_payload,
@@ -52,8 +51,3 @@ def test_sort_key_total_order():
     ordered = sorted(msgs, key=ProtocolMessage.sort_key)
     assert ordered[0].kind is MessageKind.SEND
     assert ordered[-1].kind is MessageKind.ROUND
-
-
-def test_envelope_carries_stamped_sender():
-    env = Envelope(sender=1, receiver=2, message=round_msg(1), send_round=1)
-    assert (env.sender, env.receiver) == (1, 2)
