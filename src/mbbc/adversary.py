@@ -248,30 +248,31 @@ class Arbitrary(Strategy):
     """Explicit per-round script, for golden tests and hand-built attacks.
 
     Script shape: ``{round: {process: {"sends": [[receiver, message], ...],
-    "state": null | "init" | {"rc": int, "to_send": [message, ...]}}}}`` with
-    rounds and process ids as strings (JSON object keys) or ints.
+    "state": null | "init" | {"rc": int, "to_send": [message, ...],
+    "cured": bool}}}}`` with rounds and process ids as strings (JSON object
+    keys) or ints, and messages in their JSON form. The whole script is
+    checked when the strategy is built.
     """
 
     name = "ARBITRARY"
 
     def __init__(self, script: dict, n: int):
-        self.n = n
-        self.script: dict[tuple[int, int], dict] = {}
-        for rnd, per_proc in script.items():
-            for p, actions in per_proc.items():
-                self.script[(int(rnd), int(p))] = actions
+        self.sends: dict[tuple[int, int], list[tuple[int, ProtocolMessage]]] = {}
+        self.states: dict[tuple[int, int], object] = {}
+        for rnd, per_proc in _object(script, "ARBITRARY script").items():
+            for p, actions in _object(per_proc, f"ARBITRARY round {rnd}").items():
+                where = f"ARBITRARY round {rnd} process {p}"
+                key = (_key_int(rnd, where), _key_int(p, where))
+                actions = _object(actions, where)
+                self.sends[key] = [_scripted_send(send, n, where)
+                                   for send in _list(actions.get("sends", []), f"{where} sends")]
+                self.states[key] = _scripted_state(actions.get("state"), where)
 
     def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
-        actions = self.script.get((r, p), {})
-        out = []
-        for receiver, msg in actions.get("sends", []):
-            if not 0 <= receiver < self.n:
-                raise StrategyMisconfigured(f"scripted receiver {receiver} out of range")
-            out.append((receiver, ProtocolMessage.from_dict(msg) if isinstance(msg, dict) else msg))
-        return out
+        return self.sends.get((r, p), [])
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
-        spec = self.script.get((r, p), {}).get("state")
+        spec = self.states.get((r, p))
         if spec is None:
             return obs.state_of(p)
         if spec == "init":
@@ -280,29 +281,114 @@ class Arbitrary(Strategy):
         if "rc" in spec:
             state.rc = spec["rc"]
         if "to_send" in spec:
-            state.to_send = {
-                ProtocolMessage.from_dict(m) if isinstance(m, dict) else m for m in spec["to_send"]}
+            state.to_send = set(spec["to_send"])
         if "cured" in spec:
             state.cured = spec["cured"]
         return state
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise StrategyMisconfigured(f"{what} is {value!r}, not an object")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise StrategyMisconfigured(f"{what} is {value!r}, not a list")
+    return value
+
+
+def _key_int(key, what: str) -> int:
+    """A process or round given as an int or as the string of one (a JSON object key)."""
+    if type(key) is int:
+        return key
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    raise StrategyMisconfigured(f"{what}: key {key!r} is not an int")
+
+
+def _message(data, what: str) -> ProtocolMessage:
+    try:
+        return ProtocolMessage.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StrategyMisconfigured(f"{what}: bad message {data!r}: {exc!r}") from None
+
+
+def _scripted_send(send, n: int, what: str) -> tuple[int, ProtocolMessage]:
+    if not isinstance(send, (list, tuple)) or len(send) != 2:
+        raise StrategyMisconfigured(f"{what}: send {send!r} is not a [receiver, message] pair")
+    receiver, msg = send
+    if type(receiver) is not int or not 0 <= receiver < n:
+        raise StrategyMisconfigured(f"{what}: scripted receiver {receiver!r} is not an int in 0..{n - 1}")
+    return receiver, _message(msg, what)
+
+
+def _scripted_state(spec, what: str):
+    """None, "init", or a dict of state overrides with its messages parsed."""
+    if spec is None or spec == "init":
+        return spec
+    spec = dict(_object(spec, f"{what} state"))
+    if "rc" in spec and type(spec["rc"]) is not int:
+        raise StrategyMisconfigured(f"{what}: state rc is {spec['rc']!r}, not an int")
+    if "cured" in spec and type(spec["cured"]) is not bool:
+        raise StrategyMisconfigured(f"{what}: state cured is {spec['cured']!r}, not a bool")
+    if "to_send" in spec:
+        spec["to_send"] = [_message(m, what) for m in _list(spec["to_send"], f"{what} to_send")]
+    return spec
+
+
+def _int_param(spec: dict, key: str, default: int | None = None) -> int:
+    """A process-index or round parameter of a strategy spec; required without a default."""
+    if key not in spec:
+        if default is None:
+            raise StrategyMisconfigured(f"{spec['kind']} needs {key!r}")
+        return default
+    if type(spec[key]) is not int:
+        raise StrategyMisconfigured(f"{spec['kind']} {key} is {spec[key]!r}, not an int")
+    return spec[key]
+
+
+def _ints_param(spec: dict, key: str) -> list[int]:
+    """A list of process indices in a strategy spec; absent means empty."""
+    values = _list(spec.get(key, []), f"{spec['kind']} {key}")
+    if any(type(v) is not int for v in values):
+        raise StrategyMisconfigured(f"{spec['kind']} {key} is {values!r}, not a list of ints")
+    return list(values)
+
+
+def _sim_cure(spec: dict) -> dict[int, tuple[int, int | None]]:
+    """EQUIVOCATE_HISTORY's ``{process: [cure round, faulty_since or null]}``."""
+    out = {}
+    for p, cure in _object(spec.get("sim_cure", {}), "EQUIVOCATE_HISTORY sim_cure").items():
+        what = f"EQUIVOCATE_HISTORY sim_cure {p!r}"
+        if (not isinstance(cure, (list, tuple)) or len(cure) != 2 or type(cure[0]) is not int
+                or not (cure[1] is None or type(cure[1]) is int)):
+            raise StrategyMisconfigured(f"{what} is {cure!r}, not [round, faulty_since or null]")
+        out[_key_int(p, what)] = (cure[0], cure[1])
+    return out
+
+
 def build_strategy(config: ScenarioConfig) -> Strategy:
-    spec = config.strategy
+    """The strategy a config names; a spec that cannot be run raises StrategyMisconfigured."""
+    spec = _object(config.strategy, "strategy")
     kind = spec.get("kind", "BENIGN")
     if kind == "BENIGN":
         return Strategy()
     if kind == "CRASH_SILENT":
         return CrashSilent()
     if kind == "ALTERNATING_SETS":
-        return AlternatingSets(spec.get("p1", []), spec.get("p2", []), config.n, config.f)
+        return AlternatingSets(_ints_param(spec, "p1"), _ints_param(spec, "p2"), config.n, config.f)
     if kind == "SPLIT_SEND":
-        return SplitSend(spec.get("targets", []), config.broadcasts, config.n)
+        return SplitSend(_ints_param(spec, "targets"), config.broadcasts, config.n)
     if kind == "EQUIVOCATE_HISTORY":
-        sim_cure = {int(p): (rc[0], rc[1]) for p, rc in spec.get("sim_cure", {}).items()}
-        return EquivocateHistory(config, sim_cure)
+        return EquivocateHistory(config, _sim_cure(spec))
     if kind == "WIPE_AND_RUN":
-        return WipeAndRun(spec["target"], spec.get("sim_until", 0), spec["wipe_round"], config)
+        return WipeAndRun(_int_param(spec, "target"), _int_param(spec, "sim_until", 0),
+                          _int_param(spec, "wipe_round"), config)
     if kind == "ARBITRARY":
         return Arbitrary(spec.get("script", {}), config.n)
     raise StrategyMisconfigured(f"unknown strategy kind: {kind!r}")

@@ -23,13 +23,10 @@ from .engine import (
     KIND_BROADCAST_CALL,
     KIND_CURED,
     KIND_DELIVER_CALL,
-    KIND_P2P_DELIVER,
     KIND_P2P_SEND,
-    PHASE_RECEIVE,
-    PHASES,
+    TO_ALL,
     Trace,
     TraceEvent,
-    deliveries,
     encode_line,
 )
 from .messages import decode_payload
@@ -50,9 +47,6 @@ DELIVERY_COUNT_LAW = "DELIVERY_COUNT_LAW"
 
 MBBC_PROPERTIES = (VALIDITY, NO_DUPLICATION, INTEGRITY, AGREEMENT, DELIVERY_COUNT_LAW)
 ALL_PROPERTIES = MBBC_PROPERTIES + (CONSISTENCY, TOTALITY)
-
-OBSERVABLE_KINDS = frozenset({KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL})
-_PHASE_RANK = {phase: i for i, phase in enumerate(PHASES)}
 
 
 class MalformedTrace(ValueError):
@@ -469,50 +463,21 @@ def replay_witness(report: PropertyReport, trace: Trace, schedule: FailureSchedu
     if any(not 0 <= i < len(events) for i in report.witness):
         return False
 
-    if report.property == NO_DUPLICATION:
-        recs = [_delivery_at(trace, schedule, i) for i in report.witness]
+    if report.property in (NO_DUPLICATION, CONSISTENCY):
+        at = {d.event_index: d for d in extract_deliveries(trace, schedule)}
+        recs = [at.get(i) for i in report.witness]
         if any(r is None or not r.correct_at_delivery for r in recs):
             return False
-        seen: dict[tuple[int, int, bytes], int] = {}
-        for r in recs:
-            key = (r.process, r.source, r.payload)
-            seen[key] = seen.get(key, 0) + 1
-        return any(c > 1 for c in seen.values())
+        if report.property == NO_DUPLICATION:
+            keys = [(r.process, r.source, r.payload) for r in recs]
+            return len(set(keys)) < len(keys)
+        return len(recs) >= 2 and recs[0].source == recs[1].source and recs[0].payload != recs[1].payload
 
-    if report.property == CONSISTENCY:
-        recs = [_delivery_at(trace, schedule, i) for i in report.witness]
-        if len(recs) < 2 or any(r is None or not r.correct_at_delivery for r in recs):
-            return False
-        return recs[0].source == recs[1].source and recs[0].payload != recs[1].payload
-
-    if report.property == INTEGRITY:
-        fresh = check_integrity(trace, schedule, delta_b)
+    if report.property in (INTEGRITY, VALIDITY, AGREEMENT, TOTALITY, DELIVERY_COUNT_LAW):
+        fresh, = run_property_checks(trace, schedule, delta_b, delta_c, variant, (report.property,))
         return fresh.verdict == VIOLATED and set(report.witness) <= set(fresh.witness)
-
-    if report.property == VALIDITY:
-        fresh = check_validity(trace, schedule, delta_b, delta_c)
-        return fresh.verdict == VIOLATED and set(report.witness) <= set(fresh.witness)
-
-    if report.property in (AGREEMENT, TOTALITY):
-        fresh = (check_agreement if report.property == AGREEMENT else
-                 check_mbrb_totality)(trace, schedule, delta_c)
-        return fresh.verdict == VIOLATED and set(report.witness) <= set(fresh.witness)
-
-    if report.property == DELIVERY_COUNT_LAW:
-        fresh = check_delivery_count_laws(trace, schedule, variant)
-        return fresh.verdict == VIOLATED
 
     return False
-
-
-def _delivery_at(trace: Trace, schedule: FailureSchedule, index: int) -> DeliveryRecord | None:
-    ev = trace.events[index]
-    if ev.kind != KIND_DELIVER_CALL:
-        return None
-    return DeliveryRecord(
-        process=ev.subject, round=ev.round, source=ev.detail["source"],
-        payload=decode_payload(ev.detail),
-        correct_at_delivery=schedule.is_correct(ev.subject, ev.round), event_index=index)
 
 
 def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:
@@ -525,19 +490,26 @@ def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:
 def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     """Events observable at processes that are correct throughout the run.
 
-    Those are their sends, broadcast and deliver calls, and their receipts,
-    derived from the sends as P2P_DELIVER events. Two executions are
-    indistinguishable to the permanently correct processes exactly when their
-    projections are identical; the impossibility demos assert this
-    byte-for-byte on the serialized form.
+    Those are every send that reaches one of them, its ``to`` narrowed to
+    them (``"ALL"`` becomes their sorted list, a list keeps its kept members,
+    duplicates included), and their own broadcast and deliver calls, in
+    trace order. Two executions are indistinguishable to the permanently
+    correct processes exactly when their projections are identical; the
+    impossibility demos assert this byte-for-byte on the serialized form.
     """
     keep = permanently_correct(schedule)
-    observed = [ev for ev in trace.events if ev.kind in OBSERVABLE_KINDS and ev.subject in keep]
-    observed.extend(
-        TraceEvent(d.round, PHASE_RECEIVE, KIND_P2P_DELIVER, d.receiver,
-                   {"sender": d.sender, "message": d.message})
-        for d in deliveries(trace) if d.receiver in keep)
-    return sorted(observed, key=lambda ev: (ev.round, _PHASE_RANK[ev.phase]))
+    everyone = sorted(keep)
+    observed = []
+    for ev in trace.events:
+        if ev.kind == KIND_P2P_SEND:
+            to = ev.detail["to"]
+            kept = everyone if to == TO_ALL else [q for q in to if q in keep]
+            if kept:
+                observed.append(TraceEvent(ev.round, ev.phase, ev.kind, ev.subject,
+                                           {**ev.detail, "to": kept}))
+        elif ev.kind in (KIND_BROADCAST_CALL, KIND_DELIVER_CALL) and ev.subject in keep:
+            observed.append(ev)
+    return observed
 
 
 def projection_jsonl(trace: Trace, schedule: FailureSchedule) -> str:

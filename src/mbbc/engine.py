@@ -58,7 +58,6 @@ PHASE_ORACLE = "ORACLE"
 PHASE_SEND = "SEND"
 PHASE_RECEIVE = "RECEIVE"
 PHASE_COMPUTE = "COMPUTE"
-PHASES = (PHASE_ADVERSARY, PHASE_ORACLE, PHASE_SEND, PHASE_RECEIVE, PHASE_COMPUTE)
 
 KIND_AGENT_MOVE = "AGENT_MOVE"
 KIND_CURED = "CURED"
@@ -66,8 +65,6 @@ KIND_P2P_SEND = "P2P_SEND"
 KIND_BROADCAST_CALL = "BROADCAST_CALL"
 KIND_DELIVER_CALL = "DELIVER_CALL"
 KIND_STATE_CORRUPTED = "STATE_CORRUPTED"
-# A receipt derived from a P2P_SEND (see ``deliveries``); no trace holds one.
-KIND_P2P_DELIVER = "P2P_DELIVER"
 
 # The phase each traced kind belongs to.
 KIND_PHASES = {

@@ -125,6 +125,9 @@ def encode_payload(payload: bytes) -> dict:
 
 
 def decode_payload(data: dict) -> bytes:
-    if "payload_hex" in data:
-        return bytes.fromhex(data["payload_hex"])
-    return data["payload"].encode("utf-8")
+    """Inverse of ``encode_payload``; a value that is not a string is a ValueError."""
+    key = "payload_hex" if "payload_hex" in data else "payload"
+    text = data[key]
+    if not isinstance(text, str):
+        raise ValueError(f"{key} {text!r} is not a string")
+    return bytes.fromhex(text) if key == "payload_hex" else text.encode("utf-8")

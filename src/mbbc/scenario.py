@@ -41,11 +41,17 @@ class UnsupportedSetting(Exception):
         self.reason = reason
 
 
-_VARIANT_ORACLE = {
+VARIANT_ORACLE = {
     VariantTag.FFA_FULL: OracleKind.FFA,
     VariantTag.BFA_WEAK: OracleKind.BFA,
     VariantTag.NFA_WEAK: OracleKind.NFA,
 }
+
+
+# The int fields of a config with the default of each optional one (None:
+# required). A bool, a float or a numeric string is not an int here.
+_SCALAR_DEFAULTS = {"n": None, "f": None, "delta_s": 1, "delta_b": 2, "delta_c": 1,
+                    "horizon": None, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,9 @@ class Broadcast:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Broadcast":
+        for key in ("source", "round"):
+            if type(data[key]) is not int:
+                raise ValueError(f"field {key} is {data[key]!r}, not an int")
         return cls(data["source"], data["round"], decode_payload(data))
 
 
@@ -114,18 +123,17 @@ class ScenarioConfig:
             variant = VariantTag(data.get("variant", "FFA_FULL"))
         except ValueError as exc:
             raise InvalidScenario([f"unknown variant: {data.get('variant')}"]) from exc
+        scalars = {key: data.get(key, default) for key, default in _SCALAR_DEFAULTS.items()}
+        problems = [f"config field {key} is {value!r}, not an int"
+                    for key, value in scalars.items() if type(value) is not int]
+        if problems:
+            raise InvalidScenario(problems)
         try:
             broadcasts = tuple(Broadcast.from_dict(b) for b in data.get("broadcasts", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidScenario([f"bad broadcast entry: {exc}"]) from exc
         return cls(
-            n=data["n"],
-            f=data["f"],
-            delta_s=data.get("delta_s", 1),
-            delta_b=data.get("delta_b", 2),
-            delta_c=data.get("delta_c", 1),
-            horizon=data["horizon"],
-            seed=data.get("seed", 0),
+            **scalars,
             setting=setting,
             variant=variant,
             schedule=data["schedule"],
@@ -171,7 +179,7 @@ class ScenarioConfig:
             problems.append("delta_b and delta_c must be >= 1")
         if self.horizon < 1:
             problems.append("horizon must be >= 1")
-        expected_oracle = _VARIANT_ORACLE[self.variant]
+        expected_oracle = VARIANT_ORACLE[self.variant]
         if self.setting.oracle is not expected_oracle:
             problems.append(
                 f"variant {self.variant.value} requires oracle {expected_oracle.value}, "

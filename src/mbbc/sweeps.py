@@ -24,19 +24,12 @@ import logging
 
 from .checker import MBBC_PROPERTIES, run_property_checks
 from .engine import run
-from .messages import encode_payload
 from .protocol import VariantTag
-from .scenario import InvalidScenario, ScenarioConfig
+from .scenario import VARIANT_ORACLE, Broadcast, InvalidScenario, ScenarioConfig
 
 logger = logging.getLogger("mbbc.sweeps")
 
 BUNDLED_STRATEGIES = ("alternating", "split")
-
-_ORACLE_FOR_VARIANT = {
-    VariantTag.FFA_FULL: "FFA",
-    VariantTag.BFA_WEAK: "BFA",
-    VariantTag.NFA_WEAK: "NFA",
-}
 
 
 def split_target_count(n: int, f: int) -> int:
@@ -45,14 +38,13 @@ def split_target_count(n: int, f: int) -> int:
 
 
 def attack_scenario(variant: VariantTag, n: int, f: int, delta_s: int, strategy: str,
-                    seed: int = 0, delta_b: int = 2, delta_c: int = 1) -> ScenarioConfig:
+                    seed: int = 0) -> ScenarioConfig:
     """One sweep cell: a full scenario for the given attack at the given sizes."""
     payload = b"sweep-payload"
-    oracle = _ORACLE_FOR_VARIANT[variant]
     base = {
-        "n": n, "f": f, "delta_s": delta_s, "delta_b": delta_b, "delta_c": delta_c,
+        "n": n, "f": f, "delta_s": delta_s, "delta_b": 2, "delta_c": 1,
         "seed": seed,
-        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": oracle},
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": VARIANT_ORACLE[variant].value},
         "variant": variant.value,
     }
     if strategy == "alternating":
@@ -64,7 +56,7 @@ def attack_scenario(variant: VariantTag, n: int, f: int, delta_s: int, strategy:
         base.update({
             "horizon": birth + 4 + 2 * delta_s,
             "schedule": {"generator": "alternating", "params": {"p1": p1, "p2": p2, "start": 2}},
-            "broadcasts": [_broadcast_dict(0, birth, payload)],
+            "broadcasts": [Broadcast(0, birth, payload).to_dict()],
             "strategy": {"kind": "ALTERNATING_SETS", "p1": p1, "p2": p2},
         })
     elif strategy == "split":
@@ -86,7 +78,7 @@ def attack_scenario(variant: VariantTag, n: int, f: int, delta_s: int, strategy:
         base.update({
             "horizon": 8 + 2 * delta_s,
             "schedule": {"trajectories": trajectories},
-            "broadcasts": [_broadcast_dict(0, 1, payload)],
+            "broadcasts": [Broadcast(0, 1, payload).to_dict()],
             "strategy": {"kind": "SPLIT_SEND", "targets": targets},
         })
     else:
@@ -95,8 +87,7 @@ def attack_scenario(variant: VariantTag, n: int, f: int, delta_s: int, strategy:
 
 
 def run_sweep(variant: VariantTag, n_values: list[int], f_values: list[int], delta_s: int = 1,
-              strategies: tuple[str, ...] = BUNDLED_STRATEGIES, seed: int = 0,
-              delta_b: int = 2, delta_c: int = 1) -> list[dict]:
+              strategies: tuple[str, ...] = BUNDLED_STRATEGIES, seed: int = 0) -> list[dict]:
     rows = []
     for n in sorted(n_values):
         for f in sorted(f_values):
@@ -107,11 +98,10 @@ def run_sweep(variant: VariantTag, n_values: list[int], f_values: list[int], del
                     logger.info("skipping alternating cell n=%d f=%d: the attack needs n >= 2f+1",
                                 n, f)
                     continue
-                cfg = attack_scenario(variant, n, f, delta_s, strategy,
-                                      seed=seed, delta_b=delta_b, delta_c=delta_c)
+                cfg = attack_scenario(variant, n, f, delta_s, strategy, seed=seed)
                 trace = run(cfg)
                 reports = run_property_checks(
-                    trace, cfg.resolved_schedule(), delta_b, delta_c, variant, MBBC_PROPERTIES)
+                    trace, cfg.resolved_schedule(), cfg.delta_b, cfg.delta_c, variant, MBBC_PROPERTIES)
                 for report in reports:
                     witness_round = ""
                     if report.witness:
@@ -133,8 +123,3 @@ def rows_to_csv(rows: list[dict]) -> str:
     writer.writerows(rows)
     return buf.getvalue()
 
-
-def _broadcast_dict(source: int, round_: int, payload: bytes) -> dict:
-    out = {"source": source, "round": round_}
-    out.update(encode_payload(payload))
-    return out

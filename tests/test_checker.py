@@ -12,6 +12,7 @@ from mbbc.checker import (
     SATISFIED,
     UNRESOLVED,
     VIOLATED,
+    PropertyReport,
     check_agreement,
     check_delivery_count_laws,
     check_integrity,
@@ -31,8 +32,8 @@ from mbbc.demos import run_demo
 from mbbc.engine import (
     KIND_BROADCAST_CALL,
     KIND_DELIVER_CALL,
-    KIND_P2P_DELIVER,
     KIND_P2P_SEND,
+    KIND_STATE_CORRUPTED,
     Trace,
     TraceEvent,
     deliveries,
@@ -291,6 +292,42 @@ class TestReportPlumbing:
         assert report.verdict == SATISFIED
         assert not replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
+    def test_replay_rejects_an_unknown_property(self):
+        cfg = golden_correct_source()
+        report = PropertyReport("NOT_A_PROPERTY", VIOLATED, [0], {})
+        assert not replay_witness(report, run(cfg), cfg.resolved_schedule(), 2, 1, cfg.variant)
+
+    def test_replay_reads_the_deliveries_once_per_call(self, monkeypatch):
+        cfg = bfa_double_cure_scenario()
+        trace = run(cfg)
+        report = check_no_duplication(trace, cfg.resolved_schedule())
+        assert len(report.witness) > 1
+        calls = []
+        original = checker.extract_deliveries
+
+        def counting(trace, schedule):
+            calls.append(1)
+            return original(trace, schedule)
+
+        monkeypatch.setattr(checker, "extract_deliveries", counting)
+        assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
+        assert len(calls) == 1
+
+    def test_replay_of_a_count_law_needs_every_cited_event(self):
+        """The re-run must cite each witness index; one it does not cite fails the replay."""
+        cfg = bfa_double_cure_scenario()
+        trace = run(cfg)
+        drop = next(i for i, e in enumerate(trace.events)
+                    if e.kind == KIND_DELIVER_CALL and e.subject == 5 and e.round == 6)
+        trace.events.pop(drop)
+        sched = cfg.resolved_schedule()
+        report = check_delivery_count_laws(trace, sched, VariantTag.BFA_WEAK)
+        assert report.verdict == VIOLATED and report.witness
+        assert replay_witness(report, trace, sched, 2, 1, cfg.variant)
+        stray = next(i for i, e in enumerate(trace.events) if e.kind == KIND_BROADCAST_CALL)
+        padded = replace(report, witness=sorted(report.witness + [stray]))
+        assert not replay_witness(padded, trace, sched, 2, 1, cfg.variant)
+
 
 class TestFullVariantNeverViolated:
     """Engine-produced full-oracle traces above the bound never violate anything."""
@@ -359,6 +396,20 @@ class TestFullVariantNeverViolated:
             assert report.verdict in (SATISFIED, UNRESOLVED), report.property
 
 
+def duplicate_receiver_scenario() -> ScenarioConfig:
+    """n=4; process 0 is possessed throughout and sends one round vote to 2, 1, 2 and 0."""
+    vote = {"kind": "ROUND", "round_value": 7}
+    return ScenarioConfig.from_dict({
+        "n": 4, "f": 1, "delta_s": 1, "horizon": 2, "seed": 0,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
+        "variant": "FFA_FULL",
+        "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+            {"host": 0, "first_round": 1, "last_round": None}]}]},
+        "strategy": {"kind": "ARBITRARY", "script": {
+            "1": {"0": {"sends": [[2, vote], [1, vote], [2, vote], [0, vote]]}}}},
+    })
+
+
 class TestProjection:
     def test_projection_excludes_ever_faulty_subjects(self):
         cfg = golden_correct_source()
@@ -368,7 +419,13 @@ class TestProjection:
         assert keep == {2, 3, 4}
         text = projection_jsonl(trace, sched)
         for line in text.splitlines():
-            assert json.loads(line)["subject"] in keep
+            event = json.loads(line)
+            if event["kind"] == KIND_P2P_SEND:
+                to = event["detail"]["to"]
+                assert isinstance(to, list) and to and set(to) <= keep
+            else:
+                assert event["kind"] in (KIND_BROADCAST_CALL, KIND_DELIVER_CALL)
+                assert event["subject"] in keep
         events_subjects = {e.subject for e in trace.events} - keep
         assert events_subjects  # someone was excluded
 
@@ -377,11 +434,18 @@ class TestProjection:
         trace = run(cfg)
         sched = cfg.resolved_schedule()
         keep = permanently_correct(sched)
-        receipts = [(e.round, e.subject, e.detail["sender"], e.detail["message"])
-                    for e in projection(trace, sched) if e.kind == KIND_P2P_DELIVER]
-        assert receipts and receipts == [(d.round, d.receiver, d.sender, d.message)
-                                         for d in deliveries(trace) if d.receiver in keep]
-        assert {e.subject for e in projection(trace, sched)} <= keep
+        kept_receipts = [d for d in deliveries(trace) if d.receiver in keep]
+        assert kept_receipts
+        assert deliveries(replace(trace, events=projection(trace, sched))) == kept_receipts
+
+    def test_projection_keeps_a_duplicate_kept_receiver(self):
+        cfg = duplicate_receiver_scenario()
+        trace = run(cfg)
+        sched = cfg.resolved_schedule()
+        assert permanently_correct(sched) == {1, 2, 3}
+        sends = [e.detail["to"] for e in projection(trace, sched)
+                 if e.kind == KIND_P2P_SEND and e.subject == 0]
+        assert sends == [[1, 2, 2]]
 
     def test_changed_message_from_a_faulty_sender_shows_in_the_projection(self):
         """Two histories differing only in one message a faulty sender sends to
@@ -399,6 +463,37 @@ class TestProjection:
         events = list(trace.events)
         events[index] = replace(event, detail={**event.detail, "message": message})
         assert projection_jsonl(replace(trace, events=events), sched) != before
+
+    @pytest.mark.parametrize("edit", ["state_digest", "non_kept_receiver", "send_to_itself"])
+    def test_what_no_kept_process_observes_leaves_the_projection_alone(self, edit):
+        """Editing the possessed source's corrupted state, dropping a receiver
+        that is not permanently correct from one of its sends, or adding a send
+        that reaches only the source itself, is invisible."""
+        result = run_demo("SOURCE_FLIP", {})
+        trace, config = result.trace_second, result.config_second
+        sched = config.resolved_schedule()
+        keep = permanently_correct(sched)
+        source = config.broadcasts[0].source
+        assert source not in keep
+        events = list(trace.events)
+        if edit == "state_digest":
+            i = next(i for i, e in enumerate(events)
+                     if e.kind == KIND_STATE_CORRUPTED and e.subject == source)
+            digest = events[i].detail["state_digest"]
+            events[i] = replace(events[i], detail={"state_digest": "0" * len(digest)})
+        else:
+            i = next(i for i, e in enumerate(events) if e.kind == KIND_P2P_SEND
+                     and e.subject == source and isinstance(e.detail["to"], list))
+            send = events[i]
+            assert source in send.detail["to"]
+            if edit == "non_kept_receiver":
+                to = [q for q in send.detail["to"] if q != source]
+                events[i] = replace(send, detail={**send.detail, "to": to})
+            else:
+                message = {"kind": "ROUND", "round_value": 99}
+                events.insert(i, replace(send, detail={"message": message, "to": [source]}))
+        assert events != trace.events
+        assert projection_jsonl(replace(trace, events=events), sched) == projection_jsonl(trace, sched)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

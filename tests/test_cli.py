@@ -143,6 +143,79 @@ def test_sweep_skips_alternating_cells_below_2f_plus_1(tmp_path, caplog):
     assert f2_cells == {(n, "split") for n in range(4, 9)} | {(n, "alternating") for n in range(5, 9)}
 
 
+def scalar(key, value):
+    return lambda cfg: cfg.update({key: value})
+
+
+def broadcast_field(key, value):
+    return lambda cfg: cfg["broadcasts"][0].update({key: value})
+
+
+def strategy(spec):
+    return lambda cfg: cfg.update({"strategy": spec})
+
+
+def arbitrary(actions):
+    return strategy({"kind": "ARBITRARY", "script": {"1": {"1": actions}}})
+
+
+ROUND_VOTE = {"kind": "ROUND", "round_value": 7}
+WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(scalar("n", "6"), "field n", id="n-string"),
+    pytest.param(scalar("f", True), "field f", id="f-bool"),
+    pytest.param(scalar("delta_s", 1.0), "field delta_s", id="delta_s-float"),
+    pytest.param(scalar("delta_b", None), "field delta_b", id="delta_b-null"),
+    pytest.param(scalar("delta_c", "1"), "field delta_c", id="delta_c-string"),
+    pytest.param(scalar("horizon", 8.5), "field horizon", id="horizon-float"),
+    pytest.param(scalar("seed", "7"), "field seed", id="seed-string"),
+    pytest.param(broadcast_field("source", "0"), "field source", id="broadcast-source-string"),
+    pytest.param(broadcast_field("round", 1.0), "field round", id="broadcast-round-float"),
+    pytest.param(broadcast_field("payload", 5), "payload 5", id="broadcast-payload-int"),
+    pytest.param(strategy({k: v for k, v in WIPE.items() if k != "target"}), "'target'",
+                 id="wipe-without-target"),
+    pytest.param(strategy({k: v for k, v in WIPE.items() if k != "wipe_round"}), "'wipe_round'",
+                 id="wipe-without-wipe_round"),
+    pytest.param(strategy({**WIPE, "target": "1"}), "target", id="wipe-target-string"),
+    pytest.param(strategy({**WIPE, "sim_until": None}), "sim_until", id="wipe-sim_until-null"),
+    pytest.param(strategy({"kind": "ALTERNATING_SETS", "p1": ["5"], "p2": [4]}), "p1",
+                 id="alternating-member-string"),
+    pytest.param(strategy({"kind": "SPLIT_SEND", "targets": 2}), "targets", id="split-targets-int"),
+    pytest.param(strategy({"kind": "EQUIVOCATE_HISTORY", "sim_cure": {"0": ["4", 1]}}), "sim_cure",
+                 id="equivocate-cure-round-string"),
+    pytest.param(strategy({"kind": "EQUIVOCATE_HISTORY", "sim_cure": {"zero": [4, 1]}}), "'zero'",
+                 id="equivocate-cure-process-key"),
+    pytest.param(strategy("BENIGN"), "strategy", id="strategy-string"),
+    pytest.param(arbitrary({"sends": [["1", ROUND_VOTE]]}), "receiver '1'", id="arbitrary-receiver-string"),
+    pytest.param(arbitrary({"sends": [[6, ROUND_VOTE]]}), "receiver 6", id="arbitrary-receiver-range"),
+    pytest.param(arbitrary({"sends": [[1, {"kind": "ROUND", "round_value": "7"}]]}), "round_value",
+                 id="arbitrary-round_value-string"),
+    pytest.param(arbitrary({"sends": [[1, {"round_value": 7}]]}), "kind", id="arbitrary-message-no-kind"),
+    pytest.param(arbitrary({"sends": [[1, {"kind": "SEND", "source": 0, "birth_round": 1,
+                                            "payload": 5}]]}), "payload", id="arbitrary-payload-int"),
+    pytest.param(arbitrary({"sends": [1]}), "pair", id="arbitrary-send-not-a-pair"),
+    pytest.param(arbitrary({"state": {"rc": "3"}}), "rc", id="arbitrary-rc-string"),
+    pytest.param(arbitrary({"state": {"cured": 1}}), "cured", id="arbitrary-cured-int"),
+    pytest.param(arbitrary({"state": {"to_send": [{"kind": "ECHO"}]}}), "ECHO",
+                 id="arbitrary-to_send-message"),
+    pytest.param(strategy({"kind": "ARBITRARY", "script": {"one": {"1": {}}}}), "'one'",
+                 id="arbitrary-round-key"),
+])
+def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
+    """A malformed scalar, broadcast or strategy spec is an invalid scenario:
+    exit 2 with a message naming what is wrong, never a traceback."""
+    cfg = golden_correct_source().to_dict()
+    edit(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "t.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and named in err, err
+    assert "Traceback" not in err
+
+
 GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/2","seed":0}'
 GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
 

@@ -46,6 +46,12 @@ def test_binary_payload_hex_escaped():
     assert encode_payload(b"text") == {"payload": "text"}
 
 
+@pytest.mark.parametrize("data", [{"payload": 5}, {"payload": None}, {"payload_hex": 255}])
+def test_payload_that_is_not_a_string_is_a_value_error(data):
+    with pytest.raises(ValueError, match="not a string"):
+        decode_payload(data)
+
+
 def test_sort_key_total_order():
     msgs = [round_msg(2), send_msg(1, 1, b"b"), send_msg(0, 1, b"a"), ready_msg(0, 1, b"a")]
     ordered = sorted(msgs, key=ProtocolMessage.sort_key)
