@@ -25,11 +25,10 @@ from .model import FailureSchedule
 from .protocol import (
     ProtocolState,
     Variant,
-    begin_receive,
     compute_phase,
     init_state,
     on_cured,
-    on_p2p_deliver,
+    receive,
 )
 from .scenario import Broadcast, ScenarioConfig
 
@@ -40,47 +39,37 @@ class StrategyMisconfigured(Exception):
 
 @dataclass
 class Observation:
-    """Read-only omniscient snapshot handed to strategies.
+    """Read-only omniscient snapshot handed to strategies, one per round.
 
-    ``inbound`` maps a process to this round's deliveries (populated during
-    the compute phase; empty during the send phase).
+    ``common`` is the round's fold of the traffic every process received and
+    ``dictated[p]`` the (sender, message) receipts process p alone received;
+    the engine sets both after the receive phase, so the send phase sees
+    neither.
     """
 
-    round: int
-    config: ScenarioConfig
     schedule: FailureSchedule
     states: Sequence[ProtocolState]
-    events: Sequence
-    inbound: dict[int, list[tuple[int, ProtocolMessage]]]
-
-    def state_of(self, p: int) -> ProtocolState:
-        return self.states[p]
-
-    def inbound_of(self, p: int) -> list[tuple[int, ProtocolMessage]]:
-        return self.inbound.get(p, [])
+    common: ProtocolState | None = None
+    dictated: Sequence[list[tuple[int, ProtocolMessage]]] = ()
 
 
 class Strategy:
     """The BENIGN strategy, and the default the others override: total
     silence, state untouched."""
 
-    name = "BENIGN"
-
     def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
-        return obs.state_of(p)
+        return obs.states[p]
 
 
 class CrashSilent(Strategy):
     """Silent while possessed; the state is wiped to init when the agent departs."""
 
-    name = "CRASH_SILENT"
-
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
         departing = r >= obs.schedule.horizon or not obs.schedule.is_faulty(p, r + 1)
-        return init_state() if departing else obs.state_of(p)
+        return init_state() if departing else obs.states[p]
 
 
 class AlternatingSets(Strategy):
@@ -92,8 +81,6 @@ class AlternatingSets(Strategy):
     with no oracle the freed process flushes it, which is exactly the leak that
     forces the doubled fault bound of the no-oracle variant.
     """
-
-    name = "ALTERNATING_SETS"
 
     def __init__(self, p1: Sequence[int], p2: Sequence[int], n: int, f: int):
         if set(p1) & set(p2):
@@ -118,7 +105,7 @@ class AlternatingSets(Strategy):
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
-        state = obs.state_of(p).clone()
+        state = obs.states[p].clone()
         if p in self.p1:
             state.to_send = set(self._spurious(p, r + 1))
             state.rc = 9999
@@ -136,8 +123,6 @@ class SplitSend(Strategy):
     suppressed (that silence is what swallows one ABORT when the agent hops
     onto an abort-generator for round r_b+3).
     """
-
-    name = "SPLIT_SEND"
 
     def __init__(self, targets: Sequence[int], broadcasts: Sequence[Broadcast], n: int):
         if any(not 0 <= t < n for t in targets):
@@ -178,9 +163,7 @@ def _faithful_compute(
     state = state.clone()
     if sim_cure is not None and sim_cure[0] == r:
         on_cured(state, sim_cure[1])
-    begin_receive(state)
-    for sender, msg in obs.inbound_of(p):
-        on_p2p_deliver(state, sender, msg)
+    receive(state, obs.common, obs.dictated[p])
     compute_phase(state, p, variant, n, broadcasts=broadcasts)
     return state
 
@@ -195,8 +178,6 @@ class EquivocateHistory(Strategy):
     broadcast scheduled while faulty.
     """
 
-    name = "EQUIVOCATE_HISTORY"
-
     def __init__(self, config: ScenarioConfig, sim_cure: dict[int, tuple[int, int | None]]):
         self.config = config
         self.sim_cure = sim_cure
@@ -205,20 +186,18 @@ class EquivocateHistory(Strategy):
         cure = self.sim_cure.get(p)
         if cure is not None and cure[0] == r:
             return []  # mirrors the cure wipe of the twin execution
-        return _faithful_sends(obs.state_of(p), self.config.n)
+        return _faithful_sends(obs.states[p], self.config.n)
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
         payloads = [b.payload for b in self.config.broadcasts if b.source == p and b.round == r]
         return _faithful_compute(
-            obs.state_of(p), p, obs, self.config.variant_spec(), self.config.n,
+            obs.states[p], p, obs, self.config.variant_spec(), self.config.n,
             payloads, self.sim_cure.get(p), r)
 
 
 class WipeAndRun(Strategy):
     """Possession that optionally mimics correct behaviour, then goes dark and
     wipes the state to init at ``wipe_round`` (the last faulty round)."""
-
-    name = "WIPE_AND_RUN"
 
     def __init__(self, target: int, sim_until: int, wipe_round: int, config: ScenarioConfig):
         self.target = target
@@ -228,20 +207,20 @@ class WipeAndRun(Strategy):
 
     def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
         if p == self.target and r <= self.sim_until:
-            return _faithful_sends(obs.state_of(p), self.config.n)
+            return _faithful_sends(obs.states[p], self.config.n)
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
         if p != self.target:
-            return obs.state_of(p)
+            return obs.states[p]
         if r <= self.sim_until:
             payloads = [b.payload for b in self.config.broadcasts if b.source == p and b.round == r]
             return _faithful_compute(
-                obs.state_of(p), p, obs, self.config.variant_spec(), self.config.n,
+                obs.states[p], p, obs, self.config.variant_spec(), self.config.n,
                 payloads, None, r)
         if r == self.wipe_round:
             return init_state()
-        return obs.state_of(p)
+        return obs.states[p]
 
 
 class Arbitrary(Strategy):
@@ -253,8 +232,6 @@ class Arbitrary(Strategy):
     keys) or ints, and messages in their JSON form. The whole script is
     checked when the strategy is built.
     """
-
-    name = "ARBITRARY"
 
     def __init__(self, script: dict, n: int):
         self.sends: dict[tuple[int, int], list[tuple[int, ProtocolMessage]]] = {}
@@ -274,10 +251,10 @@ class Arbitrary(Strategy):
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
         spec = self.states.get((r, p))
         if spec is None:
-            return obs.state_of(p)
+            return obs.states[p]
         if spec == "init":
             return init_state()
-        state = obs.state_of(p).clone()
+        state = obs.states[p].clone()
         if "rc" in spec:
             state.rc = spec["rc"]
         if "to_send" in spec:

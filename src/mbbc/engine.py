@@ -10,9 +10,11 @@ Each round runs five sub-phases in a fixed order:
    emit exactly what the strategy dictates, with the sender stamp forced
    (links are authenticated).
 4. RECEIVE  — every message sent in the round is delivered in the round:
-   no loss, duplication or reordering across rounds. Correct receivers
-   ingest; messages reaching faulty processes have no protocol effect (the
-   omniscient adversary sees them anyway).
+   no loss, duplication or reordering across rounds. The ``"ALL"`` sends
+   are folded once into the round's common tallies; each correct receiver
+   starts from a copy of them and folds its own dictated receipts. Messages
+   reaching faulty processes have no protocol effect (the omniscient
+   adversary sees them anyway).
 5. COMPUTE  — correct processes run the protocol compute phase (scheduled
    broadcast calls are injected here); each faulty process's state is
    replaced by whatever the strategy returns.
@@ -21,10 +23,10 @@ Every externally visible action is appended to a totally ordered trace.
 A send is one P2P_SEND event per (sender, message): ``"to": "ALL"`` for a
 correct fan-out, the sorted receivers (duplicates kept) for a dictated send.
 Receipts are not traced; links are synchronous and reliable, so
-``deliveries`` derives them from the SEND events, in the order the RECEIVE
-phase ingests them. SEND events are ordered by (sender, message), receipts by
-(receiver, sender, message). Given a config (the seed is part of it), the
-trace is bit-reproducible.
+``deliveries`` derives them from the SEND events; a correct receiver's
+tallies after RECEIVE are a fold of its receipts in that order. SEND events
+are ordered by (sender, message), receipts by (receiver, sender, message).
+Given a config (the seed is part of it), the trace is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from .messages import ProtocolMessage, encode_payload
 from .model import FailureSchedule, OracleKind
 from .protocol import (
     ProtocolState,
-    begin_receive,
     compute_phase,
     init_state,
     on_cured,
     on_p2p_deliver,
+    receive,
     send_phase,
     state_fingerprint,
 )
@@ -221,8 +223,7 @@ class Delivery(NamedTuple):
 def _inboxes(outbox: Sequence[tuple[int, object, object]], n: int
              ) -> list[list[tuple[int, object]]]:
     """Turn one round's (sender, message, to) sends into each process's
-    (sender, message) receipts, in outbox order. Read by receiver, this is
-    the RECEIVE order."""
+    (sender, message) receipts, in outbox order."""
     inboxes: list[list[tuple[int, object]]] = [[] for _ in range(n)]
     everyone = range(n)
     for sender, message, to in outbox:
@@ -239,10 +240,11 @@ def _inboxes(outbox: Sequence[tuple[int, object, object]], n: int
 
 
 def deliveries(trace: Trace) -> list[Delivery]:
-    """Every receipt the trace's P2P_SEND events imply, by round, in RECEIVE order.
+    """Every receipt the trace's P2P_SEND events imply, by round, then receiver.
 
-    The engine's RECEIVE phase ingests exactly these, in this order, through
-    the same helper; the messages are the SEND events' message dicts.
+    Folding a correct receiver's receipts of a round, in this order, gives
+    the tallies the engine's RECEIVE phase leaves it with; the messages are
+    the SEND events' message dicts.
     """
     outboxes: dict[int, list[tuple[int, object, object]]] = {}
     for ev in trace.events:
@@ -329,8 +331,7 @@ class Simulation:
             on_cured(self.states[ev.process], ev.faulty_since)
 
         # SEND: one outbox entry per (sender, message).
-        obs = Observation(round=r, config=self.config, schedule=schedule,
-                          states=self.states, events=self.trace.events, inbound={})
+        obs = Observation(schedule=schedule, states=self.states)
         outbox: list[tuple[int, ProtocolMessage, object]] = []
         for p in range(n):
             if p in faulty:
@@ -341,20 +342,22 @@ class Simulation:
             self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, {"message": msg.to_dict(), "to": to})
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
+        # "ALL" sends come from correct senders and dictated ones from faulty
+        # senders, so the two never share a sender: the common fold plus a
+        # receiver's dictated receipts is its whole inbox.
+        common = init_state()
+        dictated_sends = []
+        for sender, msg, to in outbox:
+            if to == TO_ALL:
+                on_p2p_deliver(common, sender, msg)
+            else:
+                dictated_sends.append((sender, msg, to))
+        obs.common, obs.dictated = common, _inboxes(dictated_sends, n)
         for p in range(n):
             if p not in faulty:
-                begin_receive(self.states[p])
-        inboxes = _inboxes(outbox, n)
-        for p, inbox in enumerate(inboxes):
-            if p not in faulty:
-                state = self.states[p]
-                for sender, msg in inbox:
-                    on_p2p_deliver(state, sender, msg)
-        inbound = {p: inbox for p, inbox in enumerate(inboxes) if inbox}
+                receive(self.states[p], common, obs.dictated[p])
 
         # COMPUTE.
-        obs = Observation(round=r, config=self.config, schedule=schedule,
-                          states=self.states, events=self.trace.events, inbound=inbound)
         for p in range(n):
             if p in faulty:
                 new_state = self.strategy.corrupt_state(p, r, obs)

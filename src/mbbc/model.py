@@ -81,6 +81,41 @@ class RoundOutOfHorizon(Exception):
     """Raised when a round index outside [1, horizon] is queried."""
 
 
+class InvalidScenario(Exception):
+    """Configuration is structurally broken or violates a schedule invariant."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
+def spec_object(value, what: str) -> dict:
+    """A JSON object of a schedule spec."""
+    if not isinstance(value, dict):
+        raise InvalidScenario([f"{what} is {value!r}, not an object"])
+    return value
+
+
+def spec_int(data: dict, key: str, what: str, default: int | None = None) -> int:
+    """An int field of a schedule spec; required without a default. A bool, a
+    float or a numeric string is not an int here."""
+    if key not in data:
+        if default is None:
+            raise InvalidScenario([f"{what} needs {key!r}"])
+        return default
+    if type(data[key]) is not int:
+        raise InvalidScenario([f"{what} {key} is {data[key]!r}, not an int"])
+    return data[key]
+
+
+def spec_ints(data: dict, key: str, what: str) -> list[int]:
+    """A list-of-ints field of a schedule spec; absent means empty."""
+    values = data.get(key, [])
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise InvalidScenario([f"{what} {key} is {values!r}, not a list of ints"])
+    return values
+
+
 @dataclass(frozen=True)
 class Segment:
     """One contiguous stay of an agent on a host; ``last_round=None`` means open (to horizon)."""
@@ -94,7 +129,11 @@ class Segment:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Segment":
-        return cls(data["host"], data["first_round"], data.get("last_round"))
+        data = spec_object(data, "segment")
+        last = data.get("last_round")
+        if last is not None and type(last) is not int:
+            raise InvalidScenario([f"segment last_round is {last!r}, neither an int nor null"])
+        return cls(spec_int(data, "host", "segment"), spec_int(data, "first_round", "segment"), last)
 
 
 @dataclass(frozen=True)
@@ -115,7 +154,12 @@ class AgentTrajectory:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AgentTrajectory":
-        return cls(data["agent_id"], tuple(Segment.from_dict(s) for s in data["segments"]))
+        data = spec_object(data, "trajectory")
+        segments = data.get("segments")
+        if not isinstance(segments, list):
+            raise InvalidScenario([f"trajectory segments is {segments!r}, not a list"])
+        return cls(spec_int(data, "agent_id", "trajectory"),
+                   tuple(Segment.from_dict(s) for s in segments))
 
 
 @dataclass(frozen=True)
@@ -229,11 +273,11 @@ def validate_schedule(schedule: FailureSchedule) -> ValidationResult:
             None, None, "trajectory-count",
             f"{len(schedule.trajectories)} trajectories for f={schedule.f} agents"))
 
-    seen_ids = set()
-    for traj in schedule.trajectories:
-        if traj.agent_id in seen_ids:
-            out.append(ScheduleViolation(traj.agent_id, None, "agent-id", "duplicate agent id"))
-        seen_ids.add(traj.agent_id)
+    for index, traj in enumerate(schedule.trajectories):
+        # ``host_of`` finds an agent's trajectory by its id.
+        if traj.agent_id != index:
+            out.append(ScheduleViolation(traj.agent_id, None, "agent-id",
+                                         f"trajectory {index} has agent id {traj.agent_id}, not {index}"))
         prev: Segment | None = None
         for seg in traj.segments:
             last = schedule.resolved_last(seg)

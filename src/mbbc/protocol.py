@@ -11,9 +11,9 @@ that temporarily faulty processes can still catch the quorum later.
 
 All quorum comparisons are exact integer arithmetic (2*count > n+F); there is
 no floating point anywhere. Votes are per-sender sets, so repeated messages
-from one sender never inflate a tally, and all tallies are rebuilt from
-scratch each round (the receive phase starts by wiping them), which caps the
-influence of any single faulty round.
+from one sender never inflate a tally, and all tallies are rebuilt each round
+(the receive phase starts them from copies of the round's common traffic, not
+from the last round's), which caps the influence of any single faulty round.
 
 Three variants share the machine and differ only in the delivery gate and the
 effective fault bound F:
@@ -122,13 +122,27 @@ def send_phase(state: ProtocolState) -> list[ProtocolMessage]:
     return sorted(state.to_send, key=ProtocolMessage.sort_key)
 
 
-def begin_receive(state: ProtocolState) -> None:
-    """Wipe all per-round tallies; a round's votes never leak into the next."""
-    state.sends.clear()
-    state.echos.clear()
-    state.readys.clear()
-    state.aborts.clear()
-    state.rc_votes.clear()
+def receive(state: ProtocolState, common: ProtocolState,
+            receipts: Iterable[tuple[int, ProtocolMessage]]) -> None:
+    """Run one receive phase: the round's tallies become copies of ``common``'s,
+    then ``receipts``, (sender, message) pairs, are folded in order.
+
+    ``common`` holds the traffic every process received this round, folded
+    once; ``receipts`` are what this process alone received. Every vote set is
+    copied, so no tally is shared with ``common`` or another receiver, and a
+    round's votes never leak into the next.
+    """
+    state.sends = set(common.sends)
+    state.echos = _copy_votes(common.echos)
+    state.readys = _copy_votes(common.readys)
+    state.aborts = _copy_votes(common.aborts)
+    state.rc_votes = dict(common.rc_votes)
+    for sender, msg in receipts:
+        on_p2p_deliver(state, sender, msg)
+
+
+def _copy_votes(votes: dict[InstanceKey, set[int]]) -> dict[InstanceKey, set[int]]:
+    return {key: set(voters) for key, voters in votes.items()}
 
 
 def on_p2p_deliver(state: ProtocolState, sender: int, msg: ProtocolMessage) -> None:

@@ -17,20 +17,16 @@ from .messages import decode_payload, encode_payload
 from .model import (
     AgentTrajectory,
     FailureSchedule,
+    InvalidScenario,
     OracleKind,
     Segment,
     SettingTriple,
+    spec_int,
+    spec_ints,
+    spec_object,
     validate_schedule,
 )
 from .protocol import Variant, VariantTag
-
-
-class InvalidScenario(Exception):
-    """Configuration is structurally broken or violates a schedule invariant."""
-
-    def __init__(self, problems: list[str]):
-        super().__init__("; ".join(problems))
-        self.problems = problems
 
 
 class UnsupportedSetting(Exception):
@@ -200,12 +196,14 @@ class ScenarioConfig:
 
 def build_schedule(config: ScenarioConfig) -> FailureSchedule:
     """Resolve the schedule spec (explicit trajectories or a named generator)."""
-    spec = config.schedule
+    spec = spec_object(config.schedule, "schedule")
     if "trajectories" in spec:
+        if not isinstance(spec["trajectories"], list):
+            raise InvalidScenario([f"schedule trajectories is {spec['trajectories']!r}, not a list"])
         trajectories = tuple(AgentTrajectory.from_dict(t) for t in spec["trajectories"])
     else:
         generator = spec.get("generator")
-        params = spec.get("params", {})
+        params = spec_object(spec.get("params", {}), f"{generator} generator params")
         if generator == "static":
             trajectories = _static_trajectories(config, params)
         elif generator == "alternating":
@@ -220,7 +218,7 @@ def build_schedule(config: ScenarioConfig) -> FailureSchedule:
 
 
 def _static_trajectories(config: ScenarioConfig, params: dict) -> tuple[AgentTrajectory, ...]:
-    hosts = params.get("hosts", [])
+    hosts = spec_ints(params, "hosts", "static generator")
     if len(hosts) != config.f:
         raise InvalidScenario([f"static generator needs exactly f={config.f} hosts"])
     return tuple(
@@ -236,9 +234,9 @@ def _alternating_trajectories(config: ScenarioConfig, params: dict) -> tuple[Age
     and P2 on it for the ECHO and READY rounds — the f-spurious/f-silent
     double-hit works for every residency, not just delta_s = 1.
     """
-    p1 = list(params.get("p1", []))
-    p2 = list(params.get("p2", []))
-    start = params.get("start", 2)
+    p1 = spec_ints(params, "p1", "alternating generator")
+    p2 = spec_ints(params, "p2", "alternating generator")
+    start = spec_int(params, "start", "alternating generator", default=2)
     if len(p1) != config.f or len(p2) != config.f:
         raise InvalidScenario([f"alternating generator needs |p1| = |p2| = f = {config.f}"])
     if set(p1) & set(p2):
@@ -263,8 +261,8 @@ def _alternating_trajectories(config: ScenarioConfig, params: dict) -> tuple[Age
 
 def _roundrobin_trajectories(config: ScenarioConfig, params: dict) -> tuple[AgentTrajectory, ...]:
     """Agent i walks the ring of processes, one stay of delta_s per host."""
-    offset = params.get("offset", 0)
-    skip = set(params.get("skip", []))
+    offset = spec_int(params, "offset", "roundrobin generator", default=0)
+    skip = set(spec_ints(params, "skip", "roundrobin generator"))
     ring = [p for p in range(config.n) if p not in skip]
     if not ring:
         raise InvalidScenario(["roundrobin generator has no hosts left after skip"])

@@ -18,10 +18,9 @@ from mbbc.scenario import ScenarioConfig
 from conftest import golden_correct_source, zero_agent_scenario
 
 
-def obs_for(config: ScenarioConfig, round_: int = 1, states=None, inbound=None) -> Observation:
-    return Observation(round=round_, config=config, schedule=config.resolved_schedule(),
-                       states=states or [init_state() for _ in range(config.n)],
-                       events=[], inbound=inbound or {})
+def obs_for(config: ScenarioConfig, states=None) -> Observation:
+    return Observation(schedule=config.resolved_schedule(),
+                       states=states or [init_state() for _ in range(config.n)])
 
 
 def alternating_config(n=6):
@@ -39,12 +38,12 @@ class TestAlternatingSets:
     def test_p2_member_is_silent(self):
         cfg = alternating_config()
         strat = build_strategy(cfg)
-        assert strat.dictate_sends(5, 3, obs_for(cfg, 3)) == []
+        assert strat.dictate_sends(5, 3, obs_for(cfg)) == []
 
     def test_p1_member_sends_spurious_to_all_peers(self):
         cfg = alternating_config()
         strat = build_strategy(cfg)
-        sends = strat.dictate_sends(4, 2, obs_for(cfg, 2))
+        sends = strat.dictate_sends(4, 2, obs_for(cfg))
         receivers = {q for q, _ in sends}
         kinds = {m.kind for _, m in sends}
         assert receivers == set(range(6))
@@ -61,7 +60,7 @@ class TestAlternatingSets:
     def test_departing_p1_leaves_poisoned_queue(self):
         cfg = alternating_config()
         strat = build_strategy(cfg)
-        state = strat.corrupt_state(4, 2, obs_for(cfg, 2))
+        state = strat.corrupt_state(4, 2, obs_for(cfg))
         assert state.to_send and state.rc == 9999
 
     def test_spurious_votes_can_never_clear_a_quorum(self):
@@ -87,11 +86,11 @@ class TestSplitSend:
             "strategy": {"kind": "SPLIT_SEND", "targets": [1, 2, 3]},
         })
         strat = build_strategy(cfg)
-        sends_r2 = strat.dictate_sends(0, 2, obs_for(cfg, 2))
+        sends_r2 = strat.dictate_sends(0, 2, obs_for(cfg))
         assert {(q, m.kind) for q, m in sends_r2} == {(q, MessageKind.SEND) for q in (1, 2, 3)}
-        sends_r3 = strat.dictate_sends(0, 3, obs_for(cfg, 3))
+        sends_r3 = strat.dictate_sends(0, 3, obs_for(cfg))
         assert {(q, m.kind) for q, m in sends_r3} == {(q, MessageKind.ECHO) for q in (1, 2, 3)}
-        assert strat.dictate_sends(5, 4, obs_for(cfg, 4)) == []
+        assert strat.dictate_sends(5, 4, obs_for(cfg)) == []
 
     def test_target_out_of_range_rejected(self):
         with pytest.raises(StrategyMisconfigured):
@@ -104,7 +103,7 @@ class TestStateCorruption:
         strat = WipeAndRun(target=1, sim_until=0, wipe_round=6, config=cfg)
         states = [init_state() for _ in range(cfg.n)]
         states[1].rc = 42
-        obs = obs_for(cfg, 6, states=states)
+        obs = obs_for(cfg, states=states)
         assert strat.corrupt_state(1, 6, obs) == init_state()
         assert strat.corrupt_state(1, 5, obs).rc == 42  # untouched before the wipe round
 
@@ -118,7 +117,7 @@ class TestStateCorruption:
         strat = CrashSilent()
         states = [init_state() for _ in range(6)]
         states[1].rc = 9
-        obs = obs_for(cfg, 1, states=states)
+        obs = obs_for(cfg, states=states)
         # Agent leaves index 1 after round 1 in the golden schedule.
         assert strat.corrupt_state(1, 1, obs) == init_state()
 

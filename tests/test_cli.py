@@ -155,6 +155,18 @@ def strategy(spec):
     return lambda cfg: cfg.update({"strategy": spec})
 
 
+def schedule(spec):
+    return lambda cfg: cfg.update({"schedule": spec})
+
+
+def segment_field(key, value):
+    return lambda cfg: cfg["schedule"]["trajectories"][0]["segments"][0].update({key: value})
+
+
+def without_segment_field(key):
+    return lambda cfg: cfg["schedule"]["trajectories"][0]["segments"][0].pop(key)
+
+
 def arbitrary(actions):
     return strategy({"kind": "ARBITRARY", "script": {"1": {"1": actions}}})
 
@@ -202,10 +214,25 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
                  id="arbitrary-to_send-message"),
     pytest.param(strategy({"kind": "ARBITRARY", "script": {"one": {"1": {}}}}), "'one'",
                  id="arbitrary-round-key"),
+    pytest.param(schedule("x"), "schedule is 'x'", id="schedule-string"),
+    pytest.param(schedule({"generator": "roundrobin", "params": {"offset": "1"}}), "offset",
+                 id="roundrobin-offset-string"),
+    pytest.param(segment_field("host", "1"), "host", id="segment-host-string"),
+    pytest.param(segment_field("first_round", "1"), "first_round", id="segment-first_round-string"),
+    pytest.param(without_segment_field("host"), "'host'", id="segment-without-host"),
+    pytest.param(schedule({"trajectories": 5}), "trajectories", id="trajectories-int"),
+    pytest.param(schedule({"generator": "static", "params": {"hosts": ["3"]}}), "hosts",
+                 id="static-host-string"),
+    pytest.param(schedule({"generator": "alternating", "params": {"p1": [4], "p2": [5], "start": "2"}}),
+                 "start", id="alternating-start-string"),
+    pytest.param(segment_field("last_round", 1.0), "last_round", id="segment-last_round-float"),
+    pytest.param(segment_field("host", True), "host", id="segment-host-bool"),
+    pytest.param(lambda cfg: cfg["schedule"]["trajectories"][0].update({"agent_id": 3}), "agent id 3",
+                 id="trajectory-agent_id-range"),
 ])
 def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
-    """A malformed scalar, broadcast or strategy spec is an invalid scenario:
-    exit 2 with a message naming what is wrong, never a traceback."""
+    """A malformed scalar, broadcast, strategy or schedule spec is an invalid
+    scenario: exit 2 with a message naming what is wrong, never a traceback."""
     cfg = golden_correct_source().to_dict()
     edit(cfg)
     path = tmp_path / "bad.json"

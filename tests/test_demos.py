@@ -1,13 +1,16 @@
 import pytest
 
 from mbbc.checker import (
+    ALL_PROPERTIES,
     NO_DUPLICATION,
     SATISFIED,
     VIOLATED,
+    replay_witness,
     run_property_checks,
 )
 from mbbc.demos import run_demo
-from mbbc.engine import KIND_DELIVER_CALL
+from mbbc.engine import KIND_DELIVER_CALL, Trace
+from mbbc.messages import decode_payload
 
 
 class TestSourceFlipDemo:
@@ -112,6 +115,47 @@ class TestWipeFlipDemo:
                     if e.subject != target}
 
         assert deliveries(result.trace_first) == deliveries(result.trace_second)
+
+
+def keep_deliveries(trace: Trace, keep) -> Trace:
+    """A copy of ``trace`` without the DELIVER_CALLs ``keep`` rejects."""
+    return Trace(trace.fingerprint, trace.seed, trace.config,
+                 [e for e in trace.events if e.kind != KIND_DELIVER_CALL or keep(e)])
+
+
+def adapter_histories(kind: str) -> dict[str, list[tuple]]:
+    """Each adapter choice's output on both histories of a demo, as
+    (config, trace) pairs built from the channel traces."""
+    result = run_demo(kind, {})
+    cfg = result.config_first
+    pairs = ((result.config_first, result.trace_first), (result.config_second, result.trace_second))
+    if kind == "SOURCE_FLIP":
+        m1, m2 = (b.payload for b in cfg.broadcasts)
+        chosen = {"deliver_first_payload": {m1}, "deliver_second_payload": {m2},
+                  "deliver_neither": set(), "deliver_both": {m1, m2}}
+        keeps = {name: (lambda e, c=c: decode_payload(e.detail) in c) for name, c in chosen.items()}
+    else:
+        target, wipe_round = cfg.strategy["target"], cfg.strategy["wipe_round"]
+        keeps = {"deliver_on_cure": lambda e: True,
+                 "ignore_cure": lambda e: e.subject != target or e.round <= wipe_round}
+    return {name: [(c, keep_deliveries(t, keep)) for c, t in pairs] for name, keep in keeps.items()}
+
+
+@pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
+def test_checker_finds_a_replayable_violation_for_every_adapter_choice(kind):
+    """Scored by the checker, not by hand: each choice an adapter could make on
+    the shared observation violates some property on at least one history."""
+    for choice, histories in adapter_histories(kind).items():
+        violated = []
+        for cfg, trace in histories:
+            sched = cfg.resolved_schedule()
+            for report in run_property_checks(trace, sched, cfg.delta_b, cfg.delta_c,
+                                              cfg.variant, ALL_PROPERTIES):
+                if report.verdict == VIOLATED:
+                    assert replay_witness(report, trace, sched, cfg.delta_b, cfg.delta_c,
+                                          cfg.variant), (choice, report.property)
+                    violated.append(report.property)
+        assert violated, choice
 
 
 def test_unknown_demo_kind_raises():

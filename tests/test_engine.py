@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from conftest import golden_correct_source, split_send_scenario, zero_agent_scenario
@@ -20,6 +22,7 @@ from mbbc.engine import (
 )
 from mbbc.messages import ProtocolMessage
 from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
+from mbbc.protocol import ProtocolState, init_state, on_p2p_deliver
 from mbbc.scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
 
 
@@ -185,24 +188,29 @@ class TestDeliveries:
         with pytest.raises(ValueError, match="outside 0..2"):
             deliveries(hand_trace(3, [send_event(1, 0, msg, [receiver])]))
 
-    def test_engine_ingests_exactly_the_derived_deliveries(self, monkeypatch):
-        """The RECEIVE phase feeds each correct receiver what ``deliveries``
-        derives from the trace, in the same order."""
+    def test_engine_receive_equals_a_fold_of_the_derived_deliveries(self, monkeypatch):
+        """After RECEIVE, each correct receiver's tallies equal a fresh fold of
+        the receipts ``deliveries`` derives for it from the trace, in order."""
         cfg = split_send_scenario([1, 2, 3])
-        ingested = []
         sim = Simulation(cfg)
-        original = engine.on_p2p_deliver
+        received = {}
+        original = engine.compute_phase
 
-        def recording(state, sender, msg):
-            p = next(q for q, s in enumerate(sim.states) if s is state)
-            ingested.append(Delivery(sim.round, p, sender, msg.to_dict()))
-            original(state, sender, msg)
+        def snapshot(state, p, *args, **kwargs):
+            received[(sim.round, p)] = tallies(state)
+            return original(state, p, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "on_p2p_deliver", recording)
+        monkeypatch.setattr(engine, "compute_phase", snapshot)
         trace = sim.run()
         sched = cfg.resolved_schedule()
-        derived = [d for d in deliveries(trace) if sched.is_correct(d.receiver, d.round)]
-        assert ingested and ingested == derived
+        assert set(received) == {(r, p) for r in range(1, cfg.horizon + 1)
+                                 for p in range(cfg.n) if sched.is_correct(p, r)}
+        folded = {key: init_state() for key in received}
+        for d in deliveries(trace):
+            if (d.round, d.receiver) in folded:
+                on_p2p_deliver(folded[(d.round, d.receiver)], d.sender,
+                               ProtocolMessage.from_dict(d.message))
+        assert received == {key: tallies(state) for key, state in folded.items()}
         assert any(e.detail["to"] != TO_ALL for e in trace.events if e.kind == KIND_P2P_SEND)
 
     def test_sender_is_stamped_by_the_engine(self):
@@ -218,6 +226,11 @@ class TestDeliveries:
         sends = [e.detail for e in trace.events if e.kind == KIND_P2P_SEND and e.subject == 0]
         assert sends == [{"message": vote, "to": [1, 2, 2]}]
         assert [d.receiver for d in deliveries(trace) if d.sender == 0] == [1, 2, 2]
+
+
+def tallies(state: ProtocolState) -> tuple:
+    """A copy of the five per-round tallies of a state."""
+    return copy.deepcopy((state.sends, state.echos, state.readys, state.aborts, state.rc_votes))
 
 
 def scripted_sends(sends: list) -> ScenarioConfig:

@@ -1,0 +1,29 @@
+"""The benchmark's traced pass patches names of the package by string; a
+refactor that drops one fails here, not only under ``perfbench/tests``."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from conftest import golden_correct_source
+from mbbc import engine, protocol
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_pass_patches_every_hook_and_restores_it():
+    tracing = load_tracing()
+    with tracing.traced(tracing.Recorder()) as rec:
+        engine.run(golden_correct_source())
+    assert rec.calls["engine.step"] == golden_correct_source().horizon
+    assert rec.calls["protocol.on_p2p_deliver"] > 0
+    assert engine.on_p2p_deliver is protocol.on_p2p_deliver
+    assert engine.compute_phase is protocol.compute_phase

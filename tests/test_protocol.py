@@ -8,13 +8,13 @@ from mbbc.protocol import (
     ProtocolState,
     Variant,
     VariantTag,
-    begin_receive,
     broadcast,
     compute_phase,
     get_majority,
     init_state,
     on_cured,
     on_p2p_deliver,
+    receive,
     send_phase,
 )
 
@@ -136,13 +136,30 @@ class TestReceive:
         on_p2p_deliver(state, 2, round_msg(7))
         assert state.rc_votes == {2: 7}
 
-    def test_begin_receive_wipes_tallies(self):
+    def test_receive_from_empty_common_wipes_tallies(self):
         state = fresh()
         on_p2p_deliver(state, 0, send_msg(0, 1, b"a"))
         on_p2p_deliver(state, 1, echo_msg(0, 1, b"a"))
         on_p2p_deliver(state, 1, round_msg(2))
-        begin_receive(state)
+        receive(state, init_state(), [])
         assert not state.sends and not state.echos and not state.rc_votes
+
+    def test_receive_copies_common_without_aliasing(self):
+        common = init_state()
+        for sender in (1, 2):
+            on_p2p_deliver(common, sender, echo_msg(0, 1, b"a"))
+            on_p2p_deliver(common, sender, ready_msg(0, 1, b"a"))
+            on_p2p_deliver(common, sender, round_msg(3))
+        a, b = fresh(), fresh()
+        receive(a, common, [])
+        receive(b, common, [(4, echo_msg(0, 1, b"a"))])
+        a.echos[(0, 1, b"a")].add(9)
+        a.readys[(0, 1, b"a")].add(9)
+        a.rc_votes[9] = 7
+        assert common.echos == common.readys == {(0, 1, b"a"): {1, 2}}
+        assert common.rc_votes == {1: 3, 2: 3}
+        assert b.echos == {(0, 1, b"a"): {1, 2, 4}}
+        assert b.readys == {(0, 1, b"a"): {1, 2}} and b.rc_votes == {1: 3, 2: 3}
 
 
 class TestGetMajority:
