@@ -27,7 +27,7 @@ from .engine import (
     TO_ALL,
     Trace,
     TraceEvent,
-    encode_line,
+    event_lines,
 )
 from .messages import decode_payload
 from .model import FailureSchedule, io_correct_processes
@@ -513,4 +513,4 @@ def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
 
 
 def projection_jsonl(trace: Trace, schedule: FailureSchedule) -> str:
-    return "\n".join(encode_line(ev.to_dict()) for ev in projection(trace, schedule))
+    return "\n".join(event_lines(projection(trace, schedule)))

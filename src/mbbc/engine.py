@@ -34,8 +34,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
 from .messages import ProtocolMessage, encode_payload
@@ -96,8 +97,11 @@ class OracleEvent:
     faulty_since: int | None = None
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One traced action. Events are immutable (use ``_replace``), and a
+    detail is read-only: the events of a parsed trace share one dict per
+    distinct detail text."""
+
     round: int
     phase: str
     kind: str
@@ -113,6 +117,61 @@ class TraceEvent:
         return cls(data["round"], data["phase"], data["kind"], data["subject"], data["detail"])
 
 
+# An event line is ``encode_line(ev.to_dict())``: the keys sorted, so the
+# detail first, then kind, phase, round and subject. Each known (kind, phase)
+# maps to the text between the detail and the round's digits.
+_LINE_MIDDLES = {(kind, phase): f',"kind":"{kind}","phase":"{phase}","round":'
+                 for kind, phase in KIND_PHASES.items()}
+# The value types that JSON writes alike exactly when they are equal and of
+# one type. ``True == 1`` and ``0.0 == -0.0`` hash alike but are written
+# differently, so a memo key holds each value's type, and never a float.
+_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
+_ALL_TEXT = encode_line(TO_ALL)
+
+
+def event_lines(events: Iterable[TraceEvent]) -> list[str]:
+    """Each event's trace line, equal to ``encode_line(ev.to_dict())``.
+
+    The outer layout is written from a template, and a send's message or
+    any other flat detail of str keys and plain values is encoded once per
+    distinct value. An event whose kind, phase, round or subject the
+    template does not cover is encoded whole.
+    """
+    encoded: dict[tuple, str] = {}
+
+    def encode(value) -> str:
+        if type(value) is not dict:
+            return encode_line(value)
+        types = tuple(map(type, value.values()))
+        if not _PLAIN_TYPES.issuperset(types):
+            return encode_line(value)
+        key = (*value.items(), *types)
+        text = encoded.get(key)
+        if text is None:
+            text = encode_line(value)
+            if all(type(k) is str for k in value):
+                encoded[key] = text
+        return text
+
+    lines = []
+    for ev in events:
+        rnd, phase, kind, subject, detail = ev
+        middle = (_LINE_MIDDLES.get((kind, phase))
+                  if type(kind) is str and type(phase) is str else None)
+        if middle is None or type(rnd) is not int or type(subject) is not int:
+            lines.append(encode_line(ev.to_dict()))
+            continue
+        if (kind == KIND_P2P_SEND and type(detail) is dict and len(detail) == 2
+                and "message" in detail and "to" in detail):
+            to = detail["to"]
+            to = _ALL_TEXT if type(to) is str and to == TO_ALL else encode_line(to)
+            body = f'{{"message":{encode(detail["message"])},"to":{to}}}'
+        else:
+            body = encode(detail)
+        lines.append(f'{{"detail":{body}{middle}{rnd},"subject":{subject}}}')
+    return lines
+
+
 @dataclass
 class Trace:
     fingerprint: str
@@ -124,7 +183,7 @@ class Trace:
         header = {"fingerprint": self.fingerprint, "format": TRACE_FORMAT, "seed": self.seed,
                   "config": self.config}
         lines = [encode_line(header)]
-        lines.extend(encode_line(ev.to_dict()) for ev in self.events)
+        lines.extend(event_lines(self.events))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -134,7 +193,9 @@ class Trace:
         The header must carry this ``format`` and a config with int ``n`` and
         ``horizon``. Each event needs a known kind in its phase, a round in
         [1, horizon], a subject in [0, n) and a dict detail; a P2P_SEND's
-        ``to`` is "ALL" or a list of receivers in [0, n).
+        ``to`` is "ALL" or a list of receivers in [0, n). A line in the
+        writer's own layout has its detail parsed and checked once per
+        distinct text; any other line is parsed whole.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -146,9 +207,10 @@ class Trace:
             fingerprint, seed, config = _header_fields(_json_object(line))
             n, horizon = config["n"], config["horizon"]
             what = "event"
+            read = _layout_reader(n, horizon)
             events = []
             for number, line in numbered[1:]:
-                events.append(_event(_json_object(line), n, horizon))
+                events.append(read(line) or _event(_json_object(line), n, horizon))
         except KeyError as exc:
             raise ValueError(f"trace line {number}: bad {what} line: missing key {exc}") from None
         except ValueError as exc:
@@ -199,16 +261,89 @@ def _event(data: dict, n: int, horizon: int) -> TraceEvent:
         raise ValueError(f"round {event.round!r} outside 1..{horizon}")
     if not _is_int(event.subject) or not 0 <= event.subject < n:
         raise ValueError(f"subject {event.subject!r} outside 0..{n - 1}")
-    if not isinstance(event.detail, dict):
+    _check_detail(event.kind, event.detail, n)
+    return event
+
+
+def _check_detail(kind: str, detail, n: int) -> None:
+    if not isinstance(detail, dict):
         raise ValueError("detail is not a JSON object")
-    if event.kind == KIND_P2P_SEND:
-        to = event.detail["to"]
-        if not isinstance(event.detail["message"], dict):
+    if kind == KIND_P2P_SEND:
+        to = detail["to"]
+        if not isinstance(detail["message"], dict):
             raise ValueError("message is not a JSON object")
         if to != TO_ALL and not (isinstance(to, list)
                                  and all(_is_int(q) and 0 <= q < n for q in to)):
             raise ValueError(f"to {to!r} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
-    return event
+
+
+# An event line in the writer's layout is the detail's text between these
+# two keys, then a suffix of known labels and canonical non-negative ints,
+# short enough that ``int`` and ``json.loads`` read them alike.
+_DETAIL_KEY = '{"detail":'
+_KIND_KEY = ',"kind":"'
+_LAYOUT_SUFFIX = re.compile(r'([A-Z0-9_]+)","phase":"([A-Z]+)",'
+                            r'"round":(0|[1-9][0-9]{0,8}),"subject":(0|[1-9][0-9]{0,8})\}')
+# Each known (kind, phase) to its interned (phase, kind).
+_LAYOUT_KINDS = {(kind, phase): (phase, kind) for kind, phase in KIND_PHASES.items()}
+
+
+def _layout_reader(n: int, horizon: int) -> Callable[[str], TraceEvent | None]:
+    """A reader of event lines in the writer's layout, for one trace.
+
+    ``read(line)`` returns the line's event when the line is in the layout
+    and valid, and None for any line it cannot vouch for, which is left to
+    ``_event``. The suffix holds no ``,"kind":"`` of its own, so the last
+    one starts it. A detail text that ``json.loads`` reads is one JSON
+    value, which the suffix cannot extend, so the whole line would read as
+    the same event. Each distinct suffix is checked once, and each distinct
+    (detail text, kind) is parsed and checked once; equal texts share one
+    detail dict.
+    """
+    suffixes: dict[str, tuple | None] = {}
+    details: dict[tuple[str, str], dict | None] = {}
+
+    def read(line: str) -> TraceEvent | None:
+        head, _, suffix = line.rpartition(_KIND_KEY)
+        if not head.startswith(_DETAIL_KEY):
+            return None
+        try:
+            fields = suffixes[suffix]
+        except KeyError:
+            fields = suffixes[suffix] = _layout_suffix(suffix, n, horizon)
+        if fields is None:
+            return None
+        rnd, phase, kind, subject = fields
+        key = (head, kind)
+        try:
+            detail = details[key]
+        except KeyError:
+            detail = details[key] = _layout_detail(head[len(_DETAIL_KEY):], kind, n)
+        return None if detail is None else TraceEvent(rnd, phase, kind, subject, detail)
+
+    return read
+
+
+def _layout_suffix(suffix: str, n: int, horizon: int) -> tuple[int, str, str, int] | None:
+    match = _LAYOUT_SUFFIX.fullmatch(suffix)
+    if match is None:
+        return None
+    kind, phase, rnd, subject = match.groups()
+    labels = _LAYOUT_KINDS.get((kind, phase))
+    rnd, subject = int(rnd), int(subject)
+    if labels is None or not 1 <= rnd <= horizon or subject >= n:
+        return None
+    phase, kind = labels
+    return rnd, phase, kind, subject
+
+
+def _layout_detail(text: str, kind: str, n: int) -> dict | None:
+    try:
+        detail = json.loads(text)
+        _check_detail(kind, detail, n)
+    except (KeyError, ValueError):
+        return None
+    return detail
 
 
 class Delivery(NamedTuple):
@@ -375,7 +510,7 @@ class Simulation:
                     self._emit(r, PHASE_COMPUTE, KIND_DELIVER_CALL, p, detail)
 
     def _emit(self, r: int, phase: str, kind: str, subject: int, detail: dict) -> None:
-        self.trace.events.append(TraceEvent(round=r, phase=phase, kind=kind, subject=subject, detail=detail))
+        self.trace.events.append(TraceEvent(r, phase, kind, subject, detail))
 
 
 def run(config: ScenarioConfig) -> Trace:

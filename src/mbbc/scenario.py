@@ -112,7 +112,7 @@ class ScenarioConfig:
         if problems:
             raise InvalidScenario([f"missing config field: {k}" for k in problems])
         try:
-            setting = SettingTriple.from_dict(data["setting"])
+            setting = SettingTriple.from_dict(spec_object(data["setting"], "setting"))
         except (KeyError, ValueError) as exc:
             raise InvalidScenario([f"bad setting triple: {exc}"]) from exc
         try:
@@ -204,6 +204,9 @@ def build_schedule(config: ScenarioConfig) -> FailureSchedule:
     else:
         generator = spec.get("generator")
         params = spec_object(spec.get("params", {}), f"{generator} generator params")
+        if generator in ("alternating", "roundrobin") and config.delta_s < 1:
+            # Each generated stay lasts delta_s rounds; a shorter one never ends.
+            raise InvalidScenario([f"{generator} generator needs delta_s >= 1, got {config.delta_s}"])
         if generator == "static":
             trajectories = _static_trajectories(config, params)
         elif generator == "alternating":

@@ -461,7 +461,7 @@ class TestProjection:
                             and "payload" in e.detail["message"] and keep & set(e.detail["to"]))
         message = {**event.detail["message"], "payload": "forged"}
         events = list(trace.events)
-        events[index] = replace(event, detail={**event.detail, "message": message})
+        events[index] = event._replace(detail={**event.detail, "message": message})
         assert projection_jsonl(replace(trace, events=events), sched) != before
 
     @pytest.mark.parametrize("edit", ["state_digest", "non_kept_receiver", "send_to_itself"])
@@ -480,7 +480,7 @@ class TestProjection:
             i = next(i for i, e in enumerate(events)
                      if e.kind == KIND_STATE_CORRUPTED and e.subject == source)
             digest = events[i].detail["state_digest"]
-            events[i] = replace(events[i], detail={"state_digest": "0" * len(digest)})
+            events[i] = events[i]._replace(detail={"state_digest": "0" * len(digest)})
         else:
             i = next(i for i, e in enumerate(events) if e.kind == KIND_P2P_SEND
                      and e.subject == source and isinstance(e.detail["to"], list))
@@ -488,10 +488,10 @@ class TestProjection:
             assert source in send.detail["to"]
             if edit == "non_kept_receiver":
                 to = [q for q in send.detail["to"] if q != source]
-                events[i] = replace(send, detail={**send.detail, "to": to})
+                events[i] = send._replace(detail={**send.detail, "to": to})
             else:
                 message = {"kind": "ROUND", "round_value": 99}
-                events.insert(i, replace(send, detail={"message": message, "to": [source]}))
+                events.insert(i, send._replace(detail={"message": message, "to": [source]}))
         assert events != trace.events
         assert projection_jsonl(replace(trace, events=events), sched) == projection_jsonl(trace, sched)
 

@@ -229,6 +229,9 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
     pytest.param(segment_field("host", True), "host", id="segment-host-bool"),
     pytest.param(lambda cfg: cfg["schedule"]["trajectories"][0].update({"agent_id": 3}), "agent id 3",
                  id="trajectory-agent_id-range"),
+    pytest.param(scalar("setting", None), "setting is None", id="setting-null"),
+    pytest.param(scalar("setting", "SYNC"), "setting is 'SYNC'", id="setting-string"),
+    pytest.param(scalar("setting", []), "setting is []", id="setting-list"),
 ])
 def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
     """A malformed scalar, broadcast, strategy or schedule spec is an invalid
@@ -277,6 +280,42 @@ def test_check_malformed_trace_exits_2_naming_the_line(tmp_path, capsys, text, l
     err = capsys.readouterr().err
     assert f"trace line {line}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+def test_trace_header_setting_not_an_object_exits_2(tmp_path, golden_config_path, capsys, command):
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["setting"] = "SYNC"
+    trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert cli.main([command, "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and "setting is 'SYNC'" in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"generator": "roundrobin", "params": {"offset": 1}},
+    {"generator": "alternating", "params": {"p1": [4], "p2": [5]}},
+])
+@pytest.mark.parametrize("delta_s", [0, -1])
+def test_check_of_a_generated_schedule_without_stays_exits_2(tmp_path, capsys, spec, delta_s):
+    """``check`` resolves the header's schedule without ``validate``: a
+    generator stepping by delta_s < 1 must be rejected, not looped on."""
+    config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+    config.write_text(json.dumps({**golden_correct_source().to_dict(), "schedule": spec}))
+    assert cli.main(["run", "--config", str(config), "--out", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["delta_s"] = delta_s
+    trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and f"delta_s >= 1, got {delta_s}" in err, err
 
 
 def test_check_unreadable_deliver_call_exits_2(tmp_path, golden_config_path, capsys):
@@ -337,6 +376,19 @@ def test_replay_roundtrip_and_divergence(tmp_path, golden_config_path, capsys):
     lines[1] = lines[1].replace('"round":1', '"round":2', 1)
     trace.write_text("\n".join(lines) + "\n")
     assert cli.main(["replay", "--trace", str(trace)]) == 1
+
+
+def test_replay_of_a_float_round_value_diverges(tmp_path, golden_config_path, capsys):
+    """``2.0 == 2`` in Python, but the stored bytes differ from the fresh ones."""
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    text = trace.read_text()
+    assert text.count('"round_value":2}') > 1
+    trace.write_text(text.replace('"round_value":2}', '"round_value":2.0}', 1))
+    capsys.readouterr()
+    assert cli.main(["replay", "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert "replay diverged" in err and '"round_value":2.0}' in err
 
 
 def test_module_entrypoint_smoke(tmp_path, golden_config_path):

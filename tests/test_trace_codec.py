@@ -1,0 +1,197 @@
+"""The trace codec: the line writer writes exactly ``encode_line(ev.to_dict())``
+per event, and the reader's fast path for lines in the writer's layout
+accepts, rejects and names exactly what the per-line parser does."""
+
+from pathlib import Path
+
+import pytest
+
+from conftest import split_send_scenario
+from mbbc import engine
+from mbbc.checker import permanently_correct, projection, projection_jsonl
+from mbbc.demos import run_demo
+from mbbc.engine import KIND_P2P_SEND, Trace, TraceEvent, encode_line, event_lines, run
+from mbbc.scenario import ScenarioConfig
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
+
+HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/2","seed":0}'
+CURED = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
+
+
+def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0) -> str:
+    return (f'{{"detail":{{"message":{message},"to":{to}}},"kind":"P2P_SEND","phase":"SEND",'
+            f'"round":{round_},"subject":{subject}}}')
+
+
+def per_line_events(trace: Trace) -> list[str]:
+    return [encode_line(ev.to_dict()) for ev in trace.events]
+
+
+def bundled_traces() -> list[Trace]:
+    traces = [run(ScenarioConfig.from_json(path.read_text())) for path in CONFIGS]
+    for kind in DEMOS:
+        result = run_demo(kind, {})
+        traces += [result.trace_first, result.trace_second]
+    return traces
+
+
+def parse(text: str, monkeypatch, fast: bool):
+    """``Trace.from_jsonl(text)``'s events, or its ValueError text; with
+    ``fast`` off every line goes through the per-line parser."""
+    with monkeypatch.context() as patch:
+        if not fast:
+            patch.setattr(engine, "_layout_reader", lambda n, horizon: lambda line: None)
+        try:
+            return Trace.from_jsonl(text).events
+        except ValueError as exc:
+            return str(exc)
+
+
+class TestWriter:
+    def test_bundled_traces_write_as_per_event_lines(self):
+        for trace in bundled_traces():
+            assert trace.to_jsonl().splitlines()[1:] == per_line_events(trace)
+
+    @pytest.mark.parametrize("values", [("1", "true", "1.0", "1"), ("0.0", "-0.0", "0", "0.0")])
+    def test_equal_round_values_of_other_types_rewrite_byte_for_byte(self, values):
+        """``True == 1 == 1.0`` and ``0.0 == -0.0``, but JSON writes each
+        differently: a memo must not write one as another."""
+        lines = [send_line(f'{{"kind":"ROUND","round_value":{v}}}', subject=s)
+                 for s, v in enumerate(values)]
+        text = "\n".join([HEADER, *lines]) + "\n"
+        trace = Trace.from_jsonl(text)
+        assert trace.to_jsonl() == text
+        assert trace.to_jsonl().splitlines()[1:] == per_line_events(trace)
+
+    def test_memo_keeps_types_apart_on_built_events(self):
+        values = [1, True, 1.0, 0.0, -0.0, 0, False, None, "1"]
+        events = [TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
+                             {"message": {"kind": "ROUND", "round_value": v}, "to": "ALL"})
+                  for v in values]
+        events += [TraceEvent(1, "ORACLE", "CURED", 0, {"faulty_since": v}) for v in values]
+        assert event_lines(events) == [encode_line(ev.to_dict()) for ev in events]
+
+    @pytest.mark.parametrize("event", [
+        TraceEvent(1.0, "ORACLE", "CURED", 0, {}),
+        TraceEvent(True, "ORACLE", "CURED", 0, {}),
+        TraceEvent(1, "ORACLE", "CURED", False, {}),
+        TraceEvent(1, "SEND", "CURED", 0, {}),
+        TraceEvent(1, "ORACLE", "P2P_DELIVER", 0, {}),
+        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"message": {"round_value": [1]}, "to": [2, 1]}),
+        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "extra": 0}),
+        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": "m"}),
+        TraceEvent(1, "ORACLE", "CURED", 0, {"a": {"b": -0.0}, "c": [1.5]}),
+        TraceEvent(1, "ORACLE", "CURED", 0, [1, "x"]),
+        TraceEvent(-1, "ORACLE", "CURED", 7, {}),
+    ])
+    def test_event_outside_the_template_writes_as_before(self, event):
+        assert event_lines([event, event]) == [encode_line(event.to_dict())] * 2
+
+    def test_projection_with_dictated_sends_writes_as_per_event_lines(self):
+        pairs = [(split_send_scenario([1, 2, 2]), None)]
+        for kind in ("SOURCE_FLIP", "WIPE_FLIP"):
+            result = run_demo(kind, {})
+            pairs += [(result.config_first, result.trace_first),
+                      (result.config_second, result.trace_second)]
+        dictated = 0
+        for config, trace in pairs:
+            trace = trace or run(config)
+            schedule = config.resolved_schedule()
+            keep = permanently_correct(schedule)
+            dictated += sum(ev.kind == KIND_P2P_SEND and isinstance(ev.detail["to"], list)
+                            and bool(keep & set(ev.detail["to"])) for ev in trace.events)
+            assert projection_jsonl(trace, schedule) == "\n".join(
+                encode_line(ev.to_dict()) for ev in projection(trace, schedule))
+        assert dictated > 0
+
+
+PARSER_TABLE = [
+    CURED,
+    '{"detail": {}, "kind": "CURED", "phase": "ORACLE", "round": 1, "subject": 0}',
+    '{"detail": {"faulty_since" : null},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}',
+    CURED + "  ",
+    "  " + CURED,
+    '{"kind":"CURED","detail":{},"phase":"ORACLE","round":1,"subject":0}',
+    CURED.replace('"detail"', '"Detail"'),
+    CURED.replace('{"detail":', '["detail",'),
+    '{"detail":{},"kind":"CURED","phase":"ORACLE","subject":0,"round":1}',
+    CURED.replace('"round":1', '"round":01'),
+    CURED.replace('"round":1', '"round":1.0'),
+    CURED.replace('"round":1', '"round":true'),
+    CURED.replace('"round":1', '"round":1e0'),
+    CURED.replace('"round":1', '"round":-1'),
+    CURED.replace('"round":1', '"round":0'),
+    CURED.replace('"round":1', '"round":9'),
+    CURED.replace('"round":1', '"round":' + "1" * 30),
+    CURED.replace('"subject":0', '"subject":-0'),
+    CURED.replace('"subject":0', '"subject":6'),
+    CURED.replace('"subject":0', '"subject":5'),
+    CURED.replace('"CURED"', '"cured"'),
+    CURED.replace('"CURED"', '"P2P_DELIVER"'),
+    CURED.replace('"ORACLE"', '"SEND"'),
+    CURED.replace("{}", "[]"),
+    CURED.replace("{}", '"x"'),
+    CURED.replace("{}", ""),
+    CURED.replace("{}", "{},{}"),
+    CURED.replace("{}", '{"a":[{}'),
+    CURED.replace("{}", '{"x":NaN}'),
+    CURED.replace("{}", "\ufeff{}"),
+    '{"a":[{}',
+    "{}]}",
+    "{},{}",
+    '{"detail":{},"kind":"AGENT_MOVE","phase":"ADVERSARY","round":2,"subject":1,'
+    '"detail":{"faulty_since":null},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}',
+    send_line('{"kind":"SEND","source":0,"birth_round":1,'
+              '"payload":",\\"kind\\":\\"P2P_SEND\\",\\"phase\\":\\"SEND\\",\\"round\\":1,\\"subject\\":0}"}'),
+    send_line('{"kind":"SEND","source":0,"birth_round":1,"payload":"x"},"to":"ALL"}'
+              ',"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}'),
+    send_line('{"kind":"ROUND","round_value":2}'),
+    send_line('{"kind":"ROUND","round_value":2}', to="[5,0,5]", round_=8, subject=5),
+    send_line('{"kind":"ROUND","round_value":2}', to="[1,6]"),
+    send_line('{"kind":"ROUND","round_value":2}', to='"SOME"'),
+    send_line('{"kind":"ROUND","round_value":2}', to="[true]"),
+    send_line("[]"),
+    '{"detail":{"to":"ALL"},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
+    '{"detail":{"message":{}},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
+    '{"detail":{"to":[9]},"kind":"DELIVER_CALL","phase":"COMPUTE","round":1,"subject":0}',
+]
+
+
+class TestReader:
+    @pytest.mark.parametrize("line", PARSER_TABLE)
+    def test_line_reads_as_the_per_line_parser_reads_it(self, line, monkeypatch):
+        text = "\n".join([HEADER, CURED, line]) + "\n"
+        fast = parse(text, monkeypatch, fast=True)
+        assert fast == parse(text, monkeypatch, fast=False)
+        if isinstance(fast, str):
+            assert fast.startswith("trace line 3: "), fast
+
+    def test_table_reads_as_one_trace_as_the_per_line_parser_reads_it(self, monkeypatch):
+        """The memo of detail texts is keyed by kind: a detail valid for one
+        kind is still checked for the next."""
+        lines = [line for line in PARSER_TABLE
+                 if not isinstance(parse(f"{HEADER}\n{line}\n", monkeypatch, True), str)]
+        assert len(lines) > 10
+        text = "\n".join([HEADER, *lines, lines[-1].replace("DELIVER_CALL", "P2P_SEND").replace(
+            "COMPUTE", "SEND")]) + "\n"
+        assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
+        assert parse(text, monkeypatch, True) == f"trace line {len(lines) + 2}: bad event line: missing key 'message'"
+
+    def test_equal_detail_texts_share_one_read_only_dict(self):
+        text = "\n".join([HEADER, CURED, CURED.replace('"subject":0', '"subject":3')]) + "\n"
+        first, second = Trace.from_jsonl(text).events
+        assert first.detail is second.detail
+
+    def test_every_bundled_event_line_takes_the_fast_path(self):
+        """A layout pattern that misses a kind (``[A-Z_]+`` misses P2P_SEND)
+        would send its lines down the per-line parser unnoticed."""
+        kinds = set()
+        for trace in bundled_traces():
+            text = trace.to_jsonl()
+            read = engine._layout_reader(trace.config["n"], trace.config["horizon"])
+            assert [read(line) for line in text.splitlines()[1:]] == trace.events
+            assert Trace.from_jsonl(text) == trace
+            kinds |= {ev.kind for ev in trace.events}
+        assert kinds == set(engine.KIND_PHASES)
