@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .messages import ProtocolMessage, echo_msg, ready_msg, round_msg, send_msg
-from .model import FailureSchedule
+from .model import FailureSchedule, spec_int
 from .protocol import (
     ProtocolState,
     Variant,
@@ -385,21 +385,24 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
     history; in the other it was possessed from the start, mimicked correct
     behaviour, and is wiped at the same round. Its local state and cure event
     at the switch are identical in both.
+
+    The sizes, rounds, process indices and the seed in ``params`` must be
+    ints; anything else is an ``InvalidScenario`` naming the key.
     """
     if kind in ("THEOREM_3", "SOURCE_FLIP"):
-        n = params.get("n", 6)
-        delta_b = params.get("delta_b", 2)
-        delta_1 = params.get("delta_1", 1)
-        source = params.get("source", 0)
+        n = spec_int(params, "n", "params", 6)
+        delta_b = spec_int(params, "delta_b", "params", 2)
+        delta_1 = spec_int(params, "delta_1", "params", 1)
+        source = spec_int(params, "source", "params", 0)
         m1 = _payload(params.get("m1", "m-first"))
         m2 = _payload(params.get("m2", "m-second"))
         if m1 == m2:
             raise StrategyMisconfigured("paired histories need two distinct payloads")
         switch = delta_b + delta_1 + 1
-        horizon = params.get("horizon", switch + 6)
+        horizon = spec_int(params, "horizon", "params", switch + 6)
         base = {
             "n": n, "f": 1, "delta_s": 1, "delta_b": delta_b, "delta_c": 1,
-            "horizon": horizon, "seed": params.get("seed", 0),
+            "horizon": horizon, "seed": spec_int(params, "seed", "params", 0),
             "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
             "variant": "FFA_FULL",
             "broadcasts": [
@@ -426,20 +429,20 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
         return ScenarioConfig.from_dict(h_correct_first), ScenarioConfig.from_dict(h_faulty_first)
 
     if kind in ("THEOREM_4", "WIPE_FLIP"):
-        n = params.get("n", 6)
-        delta_1 = params.get("delta_1", 4)
-        delta_2 = params.get("delta_2", 2)
-        source = params.get("source", 0)
-        target = params.get("target", 1)
+        n = spec_int(params, "n", "params", 6)
+        delta_1 = spec_int(params, "delta_1", "params", 4)
+        delta_2 = spec_int(params, "delta_2", "params", 2)
+        source = spec_int(params, "source", "params", 0)
+        target = spec_int(params, "target", "params", 1)
         if source == target:
             raise StrategyMisconfigured("paired histories need distinct source and target")
         m = _payload(params.get("m", "m-wipe"))
         wipe_round = delta_1 + delta_2
         switch = wipe_round + 1
-        horizon = params.get("horizon", switch + 3)
+        horizon = spec_int(params, "horizon", "params", switch + 3)
         base = {
             "n": n, "f": 1, "delta_s": 1, "delta_b": 2, "delta_c": 1,
-            "horizon": horizon, "seed": params.get("seed", 0),
+            "horizon": horizon, "seed": spec_int(params, "seed", "params", 0),
             "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "BFA"},
             "variant": "BFA_WEAK",
             "broadcasts": [Broadcast(source, 1, m).to_dict()],

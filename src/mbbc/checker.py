@@ -47,6 +47,8 @@ DELIVERY_COUNT_LAW = "DELIVERY_COUNT_LAW"
 
 MBBC_PROPERTIES = (VALIDITY, NO_DUPLICATION, INTEGRITY, AGREEMENT, DELIVERY_COUNT_LAW)
 ALL_PROPERTIES = MBBC_PROPERTIES + (CONSISTENCY, TOTALITY)
+# The one-shot reliable-broadcast properties: what an adapter's output is scored on.
+ONE_SHOT_PROPERTIES = (VALIDITY, NO_DUPLICATION, INTEGRITY, CONSISTENCY, TOTALITY)
 
 
 class MalformedTrace(ValueError):

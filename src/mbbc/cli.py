@@ -29,6 +29,7 @@ from .checker import (
 )
 from .demos import run_demo
 from .engine import KIND_CURED, KIND_DELIVER_CALL, Trace, run
+from .model import spec_object
 from .protocol import VariantTag
 from .scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
 from .sweeps import BUNDLED_STRATEGIES, rows_to_csv, run_sweep
@@ -158,8 +159,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    params = json.loads(args.params) if args.params else {}
-    result = run_demo(args.kind, params)
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidScenario([f"params is not valid JSON: {exc}"]) from None
+    result = run_demo(args.kind, spec_object(params, "params"))
     text = result.to_json()
     if args.out is not None:
         args.out.write_text(text + "\n")

@@ -1,36 +1,39 @@
 """Impossibility demonstrations.
 
 Each demo builds a pair of scenarios whose executions are indistinguishable to
-every permanently correct process, runs both, verifies that the projections
-are byte-identical, and then enumerates every deterministic choice an
-(abstract, hypothetical) one-shot reliable-broadcast adapter could make on
-that shared observation — showing that each choice violates a property on at
-least one of the two histories. The simulator never "implements" the
-impossible primitive; it replays the witness executions and checks them.
+every permanently correct process, runs both, and verifies that the
+projections are byte-identical. Each deterministic choice an (abstract,
+hypothetical) one-shot reliable-broadcast adapter could make on that shared
+observation is a filter over the channel trace's DELIVER_CALL events; the
+checker scores the filtered copy of both traces, and the demonstration holds
+when every choice violates a one-shot property on at least one history.
 
 ``SOURCE_FLIP`` (aka THEOREM_3): the source broadcasts payload A at round 1
-and payload B at the switch round; in one history it is correct first and
-permanently faulty after the switch, in the other exactly mirrored. One-shot
-semantics allow a destination at most one delivery per source, so whichever
-message the adapter picks (or neither, or both) fails validity or
-no-duplication somewhere.
+and payload B at the switch round, correct first and permanently faulty after
+the switch in one history, the mirror in the other. Delivering one payload
+starves validity where the other was the correct broadcast, neither starves
+both, and both break one-shot consistency.
 
-``WIPE_FLIP`` (aka THEOREM_4): a destination either really delivered before
-being possessed and wiped, or was possessed and wiped from the start; with
-only a basic cure notification its local state at the cure is identical in
-both, so delivering on cure duplicates in one history and not delivering
-starves the other.
+``WIPE_FLIP`` (aka THEOREM_4): a destination either delivered before being
+possessed and wiped, or was possessed and wiped from the start; with only a
+basic cure notification its state at the cure is the same in both, so
+delivering on cure duplicates in one history and ignoring the cure breaks
+totality in the other.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .adversary import generate_paired_histories
-from .checker import projection_jsonl
-from .engine import Trace, run
+from .checker import ONE_SHOT_PROPERTIES, VIOLATED, projection_jsonl, run_property_checks
+from .engine import KIND_DELIVER_CALL, Trace, TraceEvent, run
+from .messages import decode_payload
 from .scenario import ScenarioConfig
+
+SOURCE_FLIP_KINDS = ("THEOREM_3", "SOURCE_FLIP")
 
 
 @dataclass
@@ -65,94 +68,46 @@ def run_demo(kind: str, params: dict | None = None) -> DemoResult:
     trace1, trace2 = run(cfg1), run(cfg2)
     sched1, sched2 = cfg1.resolved_schedule(), cfg2.resolved_schedule()
     identical = projection_jsonl(trace1, sched1) == projection_jsonl(trace2, sched2)
-
-    if kind in ("THEOREM_3", "SOURCE_FLIP"):
-        choices = _source_flip_choices(cfg1)
-    else:
-        choices = _wipe_flip_choices(cfg1)
-
+    names = (("correct_then_faulty", "faulty_then_correct") if kind in SOURCE_FLIP_KINDS
+             else ("deliver_then_wipe", "wipe_only"))
+    histories = list(zip(names, (cfg1, cfg2), (trace1, trace2), (sched1, sched2)))
+    choices = []
+    for choice, keep in adapter_choices(kind, cfg1).items():
+        verdicts, violations = {}, []
+        for name, cfg, trace, sched in histories:
+            reports = run_property_checks(adapter_output(trace, keep), sched, cfg.delta_b,
+                                          cfg.delta_c, cfg.variant, ONE_SHOT_PROPERTIES)
+            verdicts[name] = {r.property: r.verdict for r in reports}
+            violations += [{"history": name, "property": r.property, "witness": r.witness,
+                            "details": r.details} for r in reports if r.verdict == VIOLATED]
+        choices.append({"choice": choice, "verdicts": verdicts, "violations": violations})
     holds = identical and all(c["violations"] for c in choices)
     return DemoResult(kind=kind, params=params, config_first=cfg1, config_second=cfg2,
                       trace_first=trace1, trace_second=trace2,
                       projections_identical=identical, choices=choices, holds=holds)
 
 
-def _source_flip_choices(cfg1: ScenarioConfig) -> list[dict]:
-    """Adapter dichotomy for the source-flip pair, under one-shot semantics.
+def adapter_choices(kind: str, cfg: ScenarioConfig) -> dict[str, Callable[[TraceEvent], bool]]:
+    """Each choice a deterministic one-shot adapter can make on a pair's shared
+    observation, by name, as the DELIVER_CALLs of a channel trace it keeps.
 
-    The observation is common to both histories, so a deterministic adapter
-    delivers the same subset of {first payload, second payload} at every
-    permanently correct process in both. Per history, the message broadcast
-    while the source was correct is the valid one; delivering two messages
-    from one source breaks one-shot no-duplication outright.
+    On the source-flip pair the adapter delivers one subset of the two
+    payloads at every process in both histories. On the wipe-flip pair it
+    delivers again on the cure, as the channel does, or ignores the cure.
     """
-    source = cfg1.broadcasts[0].source
-    m1 = cfg1.broadcasts[0].payload
-    m2 = cfg1.broadcasts[1].payload
-    histories = [
-        ("correct_then_faulty", m1),
-        ("faulty_then_correct", m2),
-    ]
-    label = {m1: "first_payload", m2: "second_payload"}
-
-    out = []
-    for choice_name, chosen in [
-        ("deliver_first_payload", {m1}),
-        ("deliver_second_payload", {m2}),
-        ("deliver_neither", set()),
-        ("deliver_both", {m1, m2}),
-    ]:
-        violations = []
-        per_history = {}
-        for hist_name, valid_payload in histories:
-            verdicts = {}
-            if len(chosen) > 1:
-                # Two deliveries from the same source at one correct process.
-                verdicts["NO_DUPLICATION"] = "VIOLATED"
-                violations.append({"history": hist_name, "property": "NO_DUPLICATION",
-                                   "reason": "two messages delivered from one source (one-shot)"})
-            else:
-                verdicts["NO_DUPLICATION"] = "SATISFIED"
-            if valid_payload in chosen:
-                verdicts["VALIDITY"] = "SATISFIED"
-            else:
-                verdicts["VALIDITY"] = "VIOLATED"
-                violations.append({
-                    "history": hist_name, "property": "VALIDITY",
-                    "reason": f"the {label[valid_payload]} was broadcast while the source was "
-                              f"correct but no infinitely-often-correct process ever delivers it"})
-            per_history[hist_name] = verdicts
-        out.append({"choice": choice_name, "delivered": sorted(label[m] for m in chosen),
-                    "verdicts": per_history, "violations": violations,
-                    "source": source})
-    return out
+    if kind in SOURCE_FLIP_KINDS:
+        m1, m2 = (b.payload for b in cfg.broadcasts)
+        subsets = {"deliver_first_payload": {m1}, "deliver_second_payload": {m2},
+                   "deliver_neither": set(), "deliver_both": {m1, m2}}
+        return {name: lambda e, chosen=chosen: decode_payload(e.detail) in chosen
+                for name, chosen in subsets.items()}
+    target, wipe_round = cfg.strategy["target"], cfg.strategy["wipe_round"]
+    return {"deliver_on_cure": lambda e: True,
+            "ignore_cure": lambda e: e.subject != target or e.round <= wipe_round}
 
 
-def _wipe_flip_choices(cfg1: ScenarioConfig) -> list[dict]:
-    """Adapter dichotomy at the cure: deliver again or stay silent.
-
-    In the deliver-first history the target already delivered while correct,
-    so delivering on cure duplicates; in the faulty-first history the cure is
-    the target's only chance, so not delivering starves validity (in its
-    per-process reading) and agreement.
-    """
-    target = cfg1.strategy["target"]
-    out = []
-    for choice_name, deliver in [("deliver_on_cure", True), ("ignore_cure", False)]:
-        violations = []
-        per_history = {}
-        if deliver:
-            per_history["deliver_then_wipe"] = {"NO_DUPLICATION": "VIOLATED", "VALIDITY": "SATISFIED"}
-            per_history["wipe_only"] = {"NO_DUPLICATION": "SATISFIED", "VALIDITY": "SATISFIED"}
-            violations.append({"history": "deliver_then_wipe", "property": "NO_DUPLICATION",
-                               "reason": "target already delivered while correct before the wipe"})
-        else:
-            per_history["deliver_then_wipe"] = {"NO_DUPLICATION": "SATISFIED", "VALIDITY": "SATISFIED"}
-            per_history["wipe_only"] = {"NO_DUPLICATION": "SATISFIED", "VALIDITY": "VIOLATED",
-                                        "AGREEMENT": "VIOLATED"}
-            violations.append({"history": "wipe_only", "property": "VALIDITY",
-                               "reason": "the permanently-correct-after-cure target never delivers "
-                                         "the correctly broadcast message (per-process reading)"})
-        out.append({"choice": choice_name, "target": target,
-                    "verdicts": per_history, "violations": violations})
-    return out
+def adapter_output(trace: Trace, keep: Callable[[TraceEvent], bool]) -> Trace:
+    """An in-memory copy of a channel trace without the DELIVER_CALLs ``keep``
+    rejects: what the adapter delivers on that history."""
+    return replace(trace, events=[e for e in trace.events
+                                  if e.kind != KIND_DELIVER_CALL or keep(e)])

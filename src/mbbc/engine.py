@@ -227,7 +227,7 @@ class Trace:
 def _json_object(line: str) -> dict:
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
@@ -338,10 +338,13 @@ def _layout_suffix(suffix: str, n: int, horizon: int) -> tuple[int, str, str, in
 
 
 def _layout_detail(text: str, kind: str, n: int) -> dict | None:
+    # Read inside one more array, the detail nests as deep as its whole line:
+    # a detail too deep for the per-line parser is left to it, which rejects
+    # the line. ``[text]`` holds one value exactly when ``text`` is one value.
     try:
-        detail = json.loads(text)
+        [detail] = json.loads(f"[{text}]")
         _check_detail(kind, detail, n)
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, RecursionError):
         return None
     return detail
 

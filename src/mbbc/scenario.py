@@ -141,7 +141,7 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidScenario([f"config is not valid JSON: {exc}"]) from exc
         if not isinstance(data, dict):
             raise InvalidScenario(["config must be a JSON object"])

@@ -1,4 +1,4 @@
-"""Shared scenario builders for the test suite.
+"""Shared scenario builders and demo pins for the test suite.
 
 Process naming: a scenario description's p_k is index k-1 here.
 """
@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import random
 
+from mbbc.checker import VIOLATED, PropertyReport, replay_witness
+from mbbc.demos import DemoResult, adapter_choices, adapter_output
 from mbbc.scenario import ScenarioConfig
 
 
@@ -129,3 +131,44 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
         "broadcasts": broadcasts,
         "strategy": strategy,
     })
+
+
+# At the default parameters, the checker's (history, property) violations of
+# each adapter choice.
+CHOICE_PINS = {
+    "SOURCE_FLIP": {
+        "deliver_first_payload": [("faulty_then_correct", "VALIDITY")],
+        "deliver_second_payload": [("correct_then_faulty", "VALIDITY")],
+        "deliver_neither": [("correct_then_faulty", "VALIDITY"),
+                            ("faulty_then_correct", "VALIDITY")],
+        "deliver_both": [("correct_then_faulty", "CONSISTENCY"),
+                         ("faulty_then_correct", "CONSISTENCY")],
+    },
+    "WIPE_FLIP": {
+        "deliver_on_cure": [("deliver_then_wipe", "NO_DUPLICATION")],
+        "ignore_cure": [("wipe_only", "TOTALITY")],
+    },
+}
+
+
+def choice_violations(result: DemoResult) -> dict[str, list[tuple[str, str]]]:
+    """Each adapter choice of a demo to its (history, property) violations."""
+    return {c["choice"]: [(v["history"], v["property"]) for v in c["violations"]]
+            for c in result.choices}
+
+
+def assert_violations_replay(result: DemoResult) -> None:
+    """Every violation a demo reports is re-derived from its witness on the
+    choice's output for that history."""
+    pairs = {name: pair for names, pair in (
+        (("correct_then_faulty", "deliver_then_wipe"), (result.config_first, result.trace_first)),
+        (("faulty_then_correct", "wipe_only"), (result.config_second, result.trace_second)))
+        for name in names}
+    keeps = adapter_choices(result.kind, result.config_first)
+    for choice in result.choices:
+        for v in choice["violations"]:
+            cfg, trace = pairs[v["history"]]
+            report = PropertyReport(v["property"], VIOLATED, v["witness"], v["details"])
+            assert replay_witness(report, adapter_output(trace, keeps[choice["choice"]]),
+                                  cfg.resolved_schedule(), cfg.delta_b, cfg.delta_c,
+                                  cfg.variant), (choice["choice"], v)

@@ -9,7 +9,10 @@ from __future__ import annotations
 import random
 
 from conftest import (
+    CHOICE_PINS,
+    assert_violations_replay,
     bfa_double_cure_scenario,
+    choice_violations,
     golden_correct_source,
     random_scenario,
     random_walk_schedule,
@@ -170,15 +173,16 @@ def test_criterion_06_delivery_count_laws():
 
 
 def test_criterion_07_impossibility_demos():
-    for kind in ("THEOREM_3", "THEOREM_4"):
+    for kind, pins in (("THEOREM_3", CHOICE_PINS["SOURCE_FLIP"]),
+                       ("THEOREM_4", CHOICE_PINS["WIPE_FLIP"])):
         result = run_demo(kind, {})
         assert result.projections_identical, kind
         assert result.holds, kind
-        for choice in result.choices:
-            assert any(v["property"] in ("VALIDITY", "NO_DUPLICATION")
-                       for v in choice["violations"]), (kind, choice["choice"])
+        assert choice_violations(result) == pins, kind
+        assert_violations_replay(result)
     _report(7, "both paired constructions: byte-identical projections at permanently "
-               "correct processes; every adapter choice violates Validity or No-duplication")
+               "correct processes; the checker finds a replayable violation of every "
+               "adapter choice")
 
 
 def test_criterion_08_round_counter_robustness():

@@ -248,6 +248,8 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
 
 GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/2","seed":0}'
 GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
+# Nested past any recursion limit of the JSON parser.
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.mark.parametrize("text, line", [
@@ -272,6 +274,7 @@ GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0
      '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
     (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"SOME"},'
      '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
+    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace("{}", DEEP) + "\n", 2, id="deeply_nested"),
 ])
 def test_check_malformed_trace_exits_2_naming_the_line(tmp_path, capsys, text, line):
     trace = tmp_path / "bad.jsonl"
@@ -363,6 +366,44 @@ def test_demo_commands(tmp_path, capsys):
     assert data["demonstration_holds"] is True
     assert (tmp_path / "pair-a.jsonl").exists() and (tmp_path / "pair-b.jsonl").exists()
     assert cli.main(["demo", "--kind", "THEOREM_4"]) == 0
+
+
+@pytest.mark.parametrize("kind, params, named", [
+    ("SOURCE_FLIP", "[1]", "params is [1], not an object"),
+    ("SOURCE_FLIP", "7", "params is 7, not an object"),
+    ("SOURCE_FLIP", '"x"', "params is 'x', not an object"),
+    ("SOURCE_FLIP", "null", "params is None, not an object"),
+    ("SOURCE_FLIP", '{"delta_1": "1"}', "params delta_1 is '1', not an int"),
+    ("SOURCE_FLIP", '{"delta_b": true}', "params delta_b is True, not an int"),
+    ("SOURCE_FLIP", '{"horizon": 9.0}', "params horizon is 9.0, not an int"),
+    ("SOURCE_FLIP", '{"source": [0]}', "params source is [0], not an int"),
+    ("SOURCE_FLIP", '{"n": "6"}', "params n is '6', not an int"),
+    ("WIPE_FLIP", '{"delta_2": null}', "params delta_2 is None, not an int"),
+    ("WIPE_FLIP", '{"target": false}', "params target is False, not an int"),
+    ("WIPE_FLIP", '{"seed": "0"}', "params seed is '0', not an int"),
+    ("WIPE_FLIP", "{not json", "params is not valid JSON"),
+    pytest.param("WIPE_FLIP", DEEP, "params is not valid JSON", id="deeply_nested"),
+])
+def test_demo_bad_params_exit_2_naming_the_field(capsys, kind, params, named):
+    assert cli.main(["demo", "--kind", kind, "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and named in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    """JSON nested past the parser's recursion limit is invalid JSON, not a crash."""
+    path = tmp_path / "deep"
+    if command == "run":
+        path.write_text('{"n": ' + DEEP + "}")
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "t.jsonl")]
+    else:
+        path.write_text(GOOD_HEADER + "\n" + GOOD_EVENT.replace("{}", DEEP) + "\n")
+        argv = ["replay", "--trace", str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
 
 
 def test_replay_roundtrip_and_divergence(tmp_path, golden_config_path, capsys):

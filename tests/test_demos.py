@@ -1,16 +1,10 @@
 import pytest
 
-from mbbc.checker import (
-    ALL_PROPERTIES,
-    NO_DUPLICATION,
-    SATISFIED,
-    VIOLATED,
-    replay_witness,
-    run_property_checks,
-)
-from mbbc.demos import run_demo
-from mbbc.engine import KIND_DELIVER_CALL, Trace
-from mbbc.messages import decode_payload
+from conftest import CHOICE_PINS, assert_violations_replay, choice_violations
+from mbbc import cli
+from mbbc.checker import NO_DUPLICATION, SATISFIED, VIOLATED, run_property_checks
+from mbbc.demos import adapter_choices, adapter_output, run_demo
+from mbbc.engine import KIND_DELIVER_CALL
 
 
 class TestSourceFlipDemo:
@@ -33,7 +27,7 @@ class TestSourceFlipDemo:
         assert [(v["history"], v["property"]) for v in first] == [
             ("faulty_then_correct", "VALIDITY")]
         both = by_choice["deliver_both"]["violations"]
-        assert {v["property"] for v in both} == {"NO_DUPLICATION"}
+        assert {v["property"] for v in both} == {"CONSISTENCY"}
 
     def test_channel_protocol_itself_stays_clean_on_both_histories(self):
         # The multi-shot channel delivers both payloads exactly once each;
@@ -117,45 +111,50 @@ class TestWipeFlipDemo:
         assert deliveries(result.trace_first) == deliveries(result.trace_second)
 
 
-def keep_deliveries(trace: Trace, keep) -> Trace:
-    """A copy of ``trace`` without the DELIVER_CALLs ``keep`` rejects."""
-    return Trace(trace.fingerprint, trace.seed, trace.config,
-                 [e for e in trace.events if e.kind != KIND_DELIVER_CALL or keep(e)])
-
-
-def adapter_histories(kind: str) -> dict[str, list[tuple]]:
-    """Each adapter choice's output on both histories of a demo, as
-    (config, trace) pairs built from the channel traces."""
-    result = run_demo(kind, {})
-    cfg = result.config_first
-    pairs = ((result.config_first, result.trace_first), (result.config_second, result.trace_second))
-    if kind == "SOURCE_FLIP":
-        m1, m2 = (b.payload for b in cfg.broadcasts)
-        chosen = {"deliver_first_payload": {m1}, "deliver_second_payload": {m2},
-                  "deliver_neither": set(), "deliver_both": {m1, m2}}
-        keeps = {name: (lambda e, c=c: decode_payload(e.detail) in c) for name, c in chosen.items()}
-    else:
-        target, wipe_round = cfg.strategy["target"], cfg.strategy["wipe_round"]
-        keeps = {"deliver_on_cure": lambda e: True,
-                 "ignore_cure": lambda e: e.subject != target or e.round <= wipe_round}
-    return {name: [(c, keep_deliveries(t, keep)) for c, t in pairs] for name, keep in keeps.items()}
-
-
 @pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
 def test_checker_finds_a_replayable_violation_for_every_adapter_choice(kind):
     """Scored by the checker, not by hand: each choice an adapter could make on
     the shared observation violates some property on at least one history."""
-    for choice, histories in adapter_histories(kind).items():
-        violated = []
-        for cfg, trace in histories:
-            sched = cfg.resolved_schedule()
-            for report in run_property_checks(trace, sched, cfg.delta_b, cfg.delta_c,
-                                              cfg.variant, ALL_PROPERTIES):
-                if report.verdict == VIOLATED:
-                    assert replay_witness(report, trace, sched, cfg.delta_b, cfg.delta_c,
-                                          cfg.variant), (choice, report.property)
-                    violated.append(report.property)
-        assert violated, choice
+    result = run_demo(kind, {})
+    assert result.holds
+    assert choice_violations(result) == CHOICE_PINS[kind]
+    assert_violations_replay(result)
+
+
+def test_every_verdict_comes_from_the_checker():
+    result = run_demo("SOURCE_FLIP", {})
+    for choice in result.choices:
+        for history, verdicts in choice["verdicts"].items():
+            assert list(verdicts) == ["VALIDITY", "NO_DUPLICATION", "INTEGRITY", "CONSISTENCY",
+                                      "TOTALITY"]
+            violated = [p for p, verdict in verdicts.items() if verdict == VIOLATED]
+            assert violated == [v["property"] for v in choice["violations"]
+                                if v["history"] == history]
+
+
+def test_adapter_output_leaves_the_channel_trace_alone():
+    result = run_demo("WIPE_FLIP", {})
+    before = result.trace_first.to_jsonl()
+    keep = adapter_choices("WIPE_FLIP", result.config_first)["ignore_cure"]
+    output = adapter_output(result.trace_first, keep)
+    assert result.trace_first.to_jsonl() == before
+    target = result.config_first.strategy["target"]
+    dropped = [e for e in result.trace_first.events if e not in output.events]
+    assert dropped and all(e.kind == KIND_DELIVER_CALL and e.subject == target
+                           and e.round > result.config_first.strategy["wipe_round"]
+                           for e in dropped)
+
+
+def test_wipe_flip_without_a_correct_delivery_does_not_hold(capsys):
+    """With delta_1 = 3 the target is possessed before the round its delivery
+    falls due, so delivering on the cure duplicates nothing on either history."""
+    result = run_demo("WIPE_FLIP", {"delta_1": 3})
+    assert result.projections_identical and not result.holds
+    by_choice = {c["choice"]: c["violations"] for c in result.choices}
+    assert by_choice["deliver_on_cure"] == []
+    assert_violations_replay(result)
+    assert cli.main(["demo", "--kind", "WIPE_FLIP", "--params", '{"delta_1": 3}']) == 1
+    assert "demonstration FAILED" in capsys.readouterr().err
 
 
 def test_unknown_demo_kind_raises():

@@ -1,8 +1,9 @@
-"""Fuzz the CLI in-process with mutated bundled configs and traces.
+"""Fuzz the CLI in-process with mutated bundled configs, traces and demo params.
 
 Whatever the input, ``mbbc`` returns 0, 1, 2 or 3 and raises nothing, so no
-traceback is printed; 1 comes only with a VIOLATED report or a diverging
-replay. The examples are derandomized so that Tier-1 stays reproducible.
+traceback is printed; 1 comes only with a VIOLATED report, a diverging replay
+or a failed demonstration. The examples are derandomized so that Tier-1 stays
+reproducible.
 """
 
 import contextlib
@@ -25,6 +26,16 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.js
 # What a mutated value becomes: every JSON type. No int is large, so no
 # mutated horizon or n asks for a long run.
 REPLACEMENTS = [None, "x", "", [], [0], {}, True, 1.5, -1, 0]
+
+# Each demo kind's parameters, all given; a mutation drops or retypes one, or
+# sets an int one to a small value, so no mutation asks for a long run.
+DEMO_PARAMS = {
+    "SOURCE_FLIP": {"n": 6, "delta_b": 2, "delta_1": 1, "source": 0, "horizon": 10, "seed": 0,
+                    "m1": "m-first", "m2": "m-second"},
+    "WIPE_FLIP": {"n": 6, "delta_1": 4, "delta_2": 2, "source": 0, "target": 1, "horizon": 10,
+                  "seed": 0, "m": "m-wipe"},
+}
+DEMO_INTS = ("n", "horizon", "delta_b", "delta_1", "delta_2", "source", "target")
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -109,3 +120,17 @@ def test_mutated_trace_is_checked_replayed_or_rejected(workdir, data, index):
     code, _, err = main("replay", "--trace", str(trace))
     if code == 1:
         assert "replay diverged" in err, err
+
+
+@FUZZ
+@given(data=st.data(), kind=st.sampled_from(sorted(DEMO_PARAMS)))
+def test_mutated_demo_params_hold_fail_or_are_rejected(data, kind):
+    params = DEMO_PARAMS[kind]
+    for _ in range(data.draw(st.integers(1, 2))):
+        if data.draw(st.booleans()):
+            params = mutate(data, params)
+        else:
+            params = {**params, data.draw(st.sampled_from(DEMO_INTS)): data.draw(st.integers(-1, 40))}
+    code, _, err = main("demo", "--kind", kind, "--params", json.dumps(params))
+    if code == 1:
+        assert "demonstration FAILED" in err, err

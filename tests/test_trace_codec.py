@@ -2,6 +2,7 @@
 per event, and the reader's fast path for lines in the writer's layout
 accepts, rejects and names exactly what the per-line parser does."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,28 @@ class TestReader:
             "COMPUTE", "SEND")]) + "\n"
         assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
         assert parse(text, monkeypatch, True) == f"trace line {len(lines) + 2}: bad event line: missing key 'message'"
+
+    def test_deeply_nested_detail_reads_as_the_per_line_parser_reads_it(self, monkeypatch):
+        """A whole line nests one level deeper than its detail. At the first
+        depth where the per-line parser runs out of recursion, the detail
+        alone still parses, yet the fast path must reject the line too."""
+        def detail(depth: int) -> str:
+            return '{"x":' + "[" * depth + "]" * depth + "}"
+
+        def text(depth: int) -> str:
+            return f"{HEADER}\n{CURED.replace('{}', detail(depth))}\n"
+
+        lo, hi = 1, 100_000
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if isinstance(parse(text(mid), monkeypatch, fast=False), str):
+                hi = mid
+            else:
+                lo = mid + 1
+        assert "not valid JSON" in parse(text(lo), monkeypatch, fast=False)
+        assert json.loads(detail(lo))
+        for depth in (lo - 1, lo, lo + 1, 100_000):
+            assert parse(text(depth), monkeypatch, True) == parse(text(depth), monkeypatch, False)
 
     def test_equal_detail_texts_share_one_read_only_dict(self):
         text = "\n".join([HEADER, CURED, CURED.replace('"subject":0', '"subject":3')]) + "\n"
