@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .messages import ProtocolMessage, echo_msg, ready_msg, round_msg, send_msg
-from .model import FailureSchedule, spec_int
+from .model import FailureSchedule, InvalidScenario, shown, spec_int, spec_ints, spec_list, spec_object
 from .protocol import (
     ProtocolState,
     Variant,
@@ -31,10 +31,6 @@ from .protocol import (
     receive,
 )
 from .scenario import Broadcast, ScenarioConfig
-
-
-class StrategyMisconfigured(Exception):
-    pass
 
 
 @dataclass
@@ -84,11 +80,11 @@ class AlternatingSets(Strategy):
 
     def __init__(self, p1: Sequence[int], p2: Sequence[int], n: int, f: int):
         if set(p1) & set(p2):
-            raise StrategyMisconfigured("ALTERNATING_SETS requires disjoint sets")
+            raise InvalidScenario(["ALTERNATING_SETS requires disjoint sets"])
         if len(set(p1)) != f or len(set(p2)) != f:
-            raise StrategyMisconfigured(f"ALTERNATING_SETS requires two sets of exactly f={f} processes")
+            raise InvalidScenario([f"ALTERNATING_SETS requires two sets of exactly f={f} processes"])
         if any(not 0 <= p < n for p in [*p1, *p2]):
-            raise StrategyMisconfigured("ALTERNATING_SETS set member outside process range")
+            raise InvalidScenario(["ALTERNATING_SETS set member outside process range"])
         self.p1 = frozenset(p1)
         self.p2 = frozenset(p2)
         self.n = n
@@ -126,7 +122,7 @@ class SplitSend(Strategy):
 
     def __init__(self, targets: Sequence[int], broadcasts: Sequence[Broadcast], n: int):
         if any(not 0 <= t < n for t in targets):
-            raise StrategyMisconfigured("SPLIT_SEND target outside process range")
+            raise InvalidScenario(["SPLIT_SEND target outside process range"])
         self.targets = sorted(set(targets))
         self.broadcasts = tuple(broadcasts)
         self.n = n
@@ -236,13 +232,13 @@ class Arbitrary(Strategy):
     def __init__(self, script: dict, n: int):
         self.sends: dict[tuple[int, int], list[tuple[int, ProtocolMessage]]] = {}
         self.states: dict[tuple[int, int], object] = {}
-        for rnd, per_proc in _object(script, "ARBITRARY script").items():
-            for p, actions in _object(per_proc, f"ARBITRARY round {rnd}").items():
+        for rnd, per_proc in spec_object(script, "ARBITRARY script").items():
+            for p, actions in spec_object(per_proc, f"ARBITRARY round {rnd}").items():
                 where = f"ARBITRARY round {rnd} process {p}"
                 key = (_key_int(rnd, where), _key_int(p, where))
-                actions = _object(actions, where)
+                actions = spec_object(actions, where)
                 self.sends[key] = [_scripted_send(send, n, where)
-                                   for send in _list(actions.get("sends", []), f"{where} sends")]
+                                   for send in spec_list(actions.get("sends", []), f"{where} sends")]
                 self.states[key] = _scripted_state(actions.get("state"), where)
 
     def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
@@ -264,18 +260,6 @@ class Arbitrary(Strategy):
         return state
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise StrategyMisconfigured(f"{what} is {value!r}, not an object")
-    return value
-
-
-def _list(value, what: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise StrategyMisconfigured(f"{what} is {value!r}, not a list")
-    return value
-
-
 def _key_int(key, what: str) -> int:
     """A process or round given as an int or as the string of one (a JSON object key)."""
     if type(key) is int:
@@ -285,22 +269,22 @@ def _key_int(key, what: str) -> int:
             return int(key)
         except ValueError:
             pass
-    raise StrategyMisconfigured(f"{what}: key {key!r} is not an int")
+    raise InvalidScenario([f"{what}: key {shown(key)} is not an int"])
 
 
 def _message(data, what: str) -> ProtocolMessage:
     try:
         return ProtocolMessage.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise StrategyMisconfigured(f"{what}: bad message {data!r}: {exc!r}") from None
+        raise InvalidScenario([f"{what}: bad message {shown(data)}: {exc!r}"]) from None
 
 
 def _scripted_send(send, n: int, what: str) -> tuple[int, ProtocolMessage]:
     if not isinstance(send, (list, tuple)) or len(send) != 2:
-        raise StrategyMisconfigured(f"{what}: send {send!r} is not a [receiver, message] pair")
+        raise InvalidScenario([f"{what}: send {shown(send)} is not a [receiver, message] pair"])
     receiver, msg = send
     if type(receiver) is not int or not 0 <= receiver < n:
-        raise StrategyMisconfigured(f"{what}: scripted receiver {receiver!r} is not an int in 0..{n - 1}")
+        raise InvalidScenario([f"{what}: scripted receiver {shown(receiver)} is not an int in 0..{n - 1}"])
     return receiver, _message(msg, what)
 
 
@@ -308,67 +292,48 @@ def _scripted_state(spec, what: str):
     """None, "init", or a dict of state overrides with its messages parsed."""
     if spec is None or spec == "init":
         return spec
-    spec = dict(_object(spec, f"{what} state"))
+    spec = dict(spec_object(spec, f"{what} state"))
     if "rc" in spec and type(spec["rc"]) is not int:
-        raise StrategyMisconfigured(f"{what}: state rc is {spec['rc']!r}, not an int")
+        raise InvalidScenario([f"{what}: state rc is {shown(spec['rc'])}, not an int"])
     if "cured" in spec and type(spec["cured"]) is not bool:
-        raise StrategyMisconfigured(f"{what}: state cured is {spec['cured']!r}, not a bool")
+        raise InvalidScenario([f"{what}: state cured is {shown(spec['cured'])}, not a bool"])
     if "to_send" in spec:
-        spec["to_send"] = [_message(m, what) for m in _list(spec["to_send"], f"{what} to_send")]
+        spec["to_send"] = [_message(m, what) for m in spec_list(spec["to_send"], f"{what} to_send")]
     return spec
-
-
-def _int_param(spec: dict, key: str, default: int | None = None) -> int:
-    """A process-index or round parameter of a strategy spec; required without a default."""
-    if key not in spec:
-        if default is None:
-            raise StrategyMisconfigured(f"{spec['kind']} needs {key!r}")
-        return default
-    if type(spec[key]) is not int:
-        raise StrategyMisconfigured(f"{spec['kind']} {key} is {spec[key]!r}, not an int")
-    return spec[key]
-
-
-def _ints_param(spec: dict, key: str) -> list[int]:
-    """A list of process indices in a strategy spec; absent means empty."""
-    values = _list(spec.get(key, []), f"{spec['kind']} {key}")
-    if any(type(v) is not int for v in values):
-        raise StrategyMisconfigured(f"{spec['kind']} {key} is {values!r}, not a list of ints")
-    return list(values)
 
 
 def _sim_cure(spec: dict) -> dict[int, tuple[int, int | None]]:
     """EQUIVOCATE_HISTORY's ``{process: [cure round, faulty_since or null]}``."""
     out = {}
-    for p, cure in _object(spec.get("sim_cure", {}), "EQUIVOCATE_HISTORY sim_cure").items():
+    for p, cure in spec_object(spec.get("sim_cure", {}), "EQUIVOCATE_HISTORY sim_cure").items():
         what = f"EQUIVOCATE_HISTORY sim_cure {p!r}"
         if (not isinstance(cure, (list, tuple)) or len(cure) != 2 or type(cure[0]) is not int
                 or not (cure[1] is None or type(cure[1]) is int)):
-            raise StrategyMisconfigured(f"{what} is {cure!r}, not [round, faulty_since or null]")
+            raise InvalidScenario([f"{what} is {shown(cure)}, not [round, faulty_since or null]"])
         out[_key_int(p, what)] = (cure[0], cure[1])
     return out
 
 
 def build_strategy(config: ScenarioConfig) -> Strategy:
-    """The strategy a config names; a spec that cannot be run raises StrategyMisconfigured."""
-    spec = _object(config.strategy, "strategy")
+    """The strategy a config names; a spec that cannot be run raises InvalidScenario."""
+    spec = spec_object(config.strategy, "strategy")
     kind = spec.get("kind", "BENIGN")
     if kind == "BENIGN":
         return Strategy()
     if kind == "CRASH_SILENT":
         return CrashSilent()
     if kind == "ALTERNATING_SETS":
-        return AlternatingSets(_ints_param(spec, "p1"), _ints_param(spec, "p2"), config.n, config.f)
+        return AlternatingSets(spec_ints(spec, "p1", kind), spec_ints(spec, "p2", kind), config.n, config.f)
     if kind == "SPLIT_SEND":
-        return SplitSend(_ints_param(spec, "targets"), config.broadcasts, config.n)
+        return SplitSend(spec_ints(spec, "targets", kind), config.broadcasts, config.n)
     if kind == "EQUIVOCATE_HISTORY":
         return EquivocateHistory(config, _sim_cure(spec))
     if kind == "WIPE_AND_RUN":
-        return WipeAndRun(_int_param(spec, "target"), _int_param(spec, "sim_until", 0),
-                          _int_param(spec, "wipe_round"), config)
+        return WipeAndRun(spec_int(spec, "target", kind), spec_int(spec, "sim_until", kind, 0),
+                          spec_int(spec, "wipe_round", kind), config)
     if kind == "ARBITRARY":
         return Arbitrary(spec.get("script", {}), config.n)
-    raise StrategyMisconfigured(f"unknown strategy kind: {kind!r}")
+    raise InvalidScenario([f"unknown strategy kind: {shown(kind)}"])
 
 
 def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, ScenarioConfig]:
@@ -387,17 +352,19 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
     at the switch are identical in both.
 
     The sizes, rounds, process indices and the seed in ``params`` must be
-    ints; anything else is an ``InvalidScenario`` naming the key.
+    ints and the payloads strings; anything else, or a key the kind does not
+    take, is an ``InvalidScenario`` naming the key.
     """
     if kind in ("THEOREM_3", "SOURCE_FLIP"):
+        _known_params(params, kind, ("n", "delta_b", "delta_1", "source", "horizon", "seed", "m1", "m2"))
         n = spec_int(params, "n", "params", 6)
         delta_b = spec_int(params, "delta_b", "params", 2)
         delta_1 = spec_int(params, "delta_1", "params", 1)
         source = spec_int(params, "source", "params", 0)
-        m1 = _payload(params.get("m1", "m-first"))
-        m2 = _payload(params.get("m2", "m-second"))
+        m1 = _payload(params, "m1", "m-first")
+        m2 = _payload(params, "m2", "m-second")
         if m1 == m2:
-            raise StrategyMisconfigured("paired histories need two distinct payloads")
+            raise InvalidScenario(["paired histories need two distinct payloads"])
         switch = delta_b + delta_1 + 1
         horizon = spec_int(params, "horizon", "params", switch + 6)
         base = {
@@ -429,14 +396,15 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
         return ScenarioConfig.from_dict(h_correct_first), ScenarioConfig.from_dict(h_faulty_first)
 
     if kind in ("THEOREM_4", "WIPE_FLIP"):
+        _known_params(params, kind, ("n", "delta_1", "delta_2", "source", "target", "horizon", "seed", "m"))
         n = spec_int(params, "n", "params", 6)
         delta_1 = spec_int(params, "delta_1", "params", 4)
         delta_2 = spec_int(params, "delta_2", "params", 2)
         source = spec_int(params, "source", "params", 0)
         target = spec_int(params, "target", "params", 1)
         if source == target:
-            raise StrategyMisconfigured("paired histories need distinct source and target")
-        m = _payload(params.get("m", "m-wipe"))
+            raise InvalidScenario(["paired histories need distinct source and target"])
+        m = _payload(params, "m", "m-wipe")
         wipe_round = delta_1 + delta_2
         switch = wipe_round + 1
         horizon = spec_int(params, "horizon", "params", switch + 3)
@@ -461,10 +429,17 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
             "kind": "WIPE_AND_RUN", "target": target, "sim_until": delta_1, "wipe_round": wipe_round}
         return ScenarioConfig.from_dict(h_deliver_first), ScenarioConfig.from_dict(h_faulty_first)
 
-    raise StrategyMisconfigured(f"unknown paired-history kind: {kind!r}")
+    raise InvalidScenario([f"unknown paired-history kind: {shown(kind)}"])
 
 
-def _payload(value) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    return str(value).encode("utf-8")
+def _known_params(params: dict, kind: str, keys: tuple[str, ...]) -> None:
+    for key in params:
+        if key not in keys:
+            raise InvalidScenario([f"params key {shown(key)} is not one {kind} takes: {', '.join(keys)}"])
+
+
+def _payload(params: dict, key: str, default: str) -> bytes:
+    value = params.get(key, default)
+    if not isinstance(value, str):
+        raise InvalidScenario([f"params {key} is {shown(value)}, not a string"])
+    return value.encode("utf-8")

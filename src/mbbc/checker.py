@@ -51,10 +51,6 @@ ALL_PROPERTIES = MBBC_PROPERTIES + (CONSISTENCY, TOTALITY)
 ONE_SHOT_PROPERTIES = (VALIDITY, NO_DUPLICATION, INTEGRITY, CONSISTENCY, TOTALITY)
 
 
-class MalformedTrace(ValueError):
-    """An event whose detail a checker cannot read; the CLI maps it to exit 2."""
-
-
 @dataclass(frozen=True)
 class DeliveryRecord:
     process: int
@@ -86,34 +82,17 @@ class PropertyReport:
 
 
 def extract_deliveries(trace: Trace, schedule: FailureSchedule) -> list[DeliveryRecord]:
-    out = []
-    for idx, ev in enumerate(trace.events):
-        if ev.kind != KIND_DELIVER_CALL:
-            continue
-        try:
-            payload = decode_payload(ev.detail)
-            source = ev.detail["source"]
-        except (KeyError, ValueError) as exc:
-            raise MalformedTrace(f"bad DELIVER_CALL detail at event {idx}: {exc}") from exc
-        if type(source) is not int:
-            raise MalformedTrace(f"bad DELIVER_CALL detail at event {idx}: source {source!r}")
-        out.append(DeliveryRecord(
-            process=ev.subject, round=ev.round, source=source, payload=payload,
-            correct_at_delivery=schedule.is_correct(ev.subject, ev.round), event_index=idx))
-    return out
+    return [DeliveryRecord(process=ev.subject, round=ev.round, source=ev.detail["source"],
+                           payload=decode_payload(ev.detail),
+                           correct_at_delivery=schedule.is_correct(ev.subject, ev.round),
+                           event_index=idx)
+            for idx, ev in enumerate(trace.events) if ev.kind == KIND_DELIVER_CALL]
 
 
 def extract_broadcasts(trace: Trace) -> list[BroadcastRecord]:
-    out = []
-    for idx, ev in enumerate(trace.events):
-        if ev.kind != KIND_BROADCAST_CALL:
-            continue
-        try:
-            payload = decode_payload(ev.detail)
-        except (KeyError, ValueError) as exc:
-            raise MalformedTrace(f"bad BROADCAST_CALL detail at event {idx}: {exc}") from exc
-        out.append(BroadcastRecord(source=ev.subject, round=ev.round, payload=payload, event_index=idx))
-    return out
+    return [BroadcastRecord(source=ev.subject, round=ev.round, payload=decode_payload(ev.detail),
+                            event_index=idx)
+            for idx, ev in enumerate(trace.events) if ev.kind == KIND_BROADCAST_CALL]
 
 
 class TraceIndex:

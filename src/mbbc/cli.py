@@ -19,7 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-from .adversary import StrategyMisconfigured
 from .checker import (
     ALL_PROPERTIES,
     MBBC_PROPERTIES,
@@ -51,10 +50,10 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedSetting as exc:
         print(f"unsupported setting: {exc.reason}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (InvalidScenario, StrategyMisconfigured) as exc:
+    except InvalidScenario as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -124,10 +123,9 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     trace = Trace.from_jsonl(args.trace.read_text())
-    config = trace.scenario()
-    schedule = config.resolved_schedule()
-    delta_b = args.delta_b if args.delta_b is not None else config.delta_b
-    delta_c = args.delta_c if args.delta_c is not None else config.delta_c
+    overrides = {"delta_b": args.delta_b, "delta_c": args.delta_c}
+    config = trace.scenario().with_overrides(**{k: v for k, v in overrides.items() if v is not None})
+    config.validate()
     properties = MBBC_PROPERTIES
     if args.properties:
         wanted = [p.strip().upper() for p in args.properties.split(",") if p.strip()]
@@ -135,7 +133,8 @@ def cmd_check(args) -> int:
         if unknown:
             raise ValueError(f"unknown properties: {', '.join(unknown)}")
         properties = tuple(wanted)
-    reports = run_property_checks(trace, schedule, delta_b, delta_c, config.variant, properties)
+    reports = run_property_checks(trace, config.resolved_schedule(), config.delta_b, config.delta_c,
+                                  config.variant, properties)
     text = reports_to_json(reports)
     if args.out is not None:
         args.out.write_text(text + "\n")

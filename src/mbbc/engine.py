@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
-from .messages import ProtocolMessage, encode_payload
-from .model import FailureSchedule, OracleKind
+from .messages import ProtocolMessage, decode_payload, encode_payload
+from .model import FailureSchedule, OracleKind, shown
 from .protocol import (
     ProtocolState,
     compute_phase,
@@ -193,9 +193,11 @@ class Trace:
         The header must carry this ``format`` and a config with int ``n`` and
         ``horizon``. Each event needs a known kind in its phase, a round in
         [1, horizon], a subject in [0, n) and a dict detail; a P2P_SEND's
-        ``to`` is "ALL" or a list of receivers in [0, n). A line in the
-        writer's own layout has its detail parsed and checked once per
-        distinct text; any other line is parsed whole.
+        ``to`` is "ALL" or a list of receivers in [0, n), a DELIVER_CALL's
+        ``source`` is an int, and the payload of a DELIVER_CALL or a
+        BROADCAST_CALL decodes. A line in the writer's own layout has its
+        detail parsed and checked once per distinct text; any other line is
+        parsed whole.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -241,7 +243,7 @@ def _is_int(value) -> bool:
 def _header_fields(header: dict) -> tuple[str, int, dict]:
     fingerprint, seed, config = header["fingerprint"], header["seed"], header["config"]
     if header["format"] != TRACE_FORMAT:
-        raise ValueError(f"format {header['format']!r} is not {TRACE_FORMAT!r}")
+        raise ValueError(f"format {shown(header['format'])} is not {TRACE_FORMAT!r}")
     if not isinstance(config, dict):
         raise ValueError("config is not a JSON object")
     for key in ("n", "horizon"):
@@ -254,18 +256,19 @@ def _event(data: dict, n: int, horizon: int) -> TraceEvent:
     event = TraceEvent.from_dict(data)
     phase = KIND_PHASES.get(event.kind) if isinstance(event.kind, str) else None
     if phase is None:
-        raise ValueError(f"unknown kind {event.kind!r}")
+        raise ValueError(f"unknown kind {shown(event.kind)}")
     if event.phase != phase:
-        raise ValueError(f"{event.kind} in phase {event.phase!r}, not {phase}")
+        raise ValueError(f"{event.kind} in phase {shown(event.phase)}, not {phase}")
     if not _is_int(event.round) or not 1 <= event.round <= horizon:
-        raise ValueError(f"round {event.round!r} outside 1..{horizon}")
+        raise ValueError(f"round {shown(event.round)} outside 1..{horizon}")
     if not _is_int(event.subject) or not 0 <= event.subject < n:
-        raise ValueError(f"subject {event.subject!r} outside 0..{n - 1}")
+        raise ValueError(f"subject {shown(event.subject)} outside 0..{n - 1}")
     _check_detail(event.kind, event.detail, n)
     return event
 
 
 def _check_detail(kind: str, detail, n: int) -> None:
+    """The detail keys a reader of the trace relies on; a missing one is a KeyError."""
     if not isinstance(detail, dict):
         raise ValueError("detail is not a JSON object")
     if kind == KIND_P2P_SEND:
@@ -274,7 +277,13 @@ def _check_detail(kind: str, detail, n: int) -> None:
             raise ValueError("message is not a JSON object")
         if to != TO_ALL and not (isinstance(to, list)
                                  and all(_is_int(q) and 0 <= q < n for q in to)):
-            raise ValueError(f"to {to!r} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
+            raise ValueError(f"to {shown(to)} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
+    elif kind == KIND_DELIVER_CALL:
+        if not _is_int(detail["source"]):
+            raise ValueError(f"source {shown(detail['source'])} is not an int")
+        decode_payload(detail)
+    elif kind == KIND_BROADCAST_CALL:
+        decode_payload(detail)
 
 
 # An event line in the writer's layout is the detail's text between these

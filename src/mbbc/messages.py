@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .model import shown
+
 
 class MessageKind(Enum):
     SEND = "SEND"
@@ -129,5 +131,5 @@ def decode_payload(data: dict) -> bytes:
     key = "payload_hex" if "payload_hex" in data else "payload"
     text = data[key]
     if not isinstance(text, str):
-        raise ValueError(f"{key} {text!r} is not a string")
+        raise ValueError(f"{key} {shown(text)} is not a string")
     return bytes.fromhex(text) if key == "payload_hex" else text.encode("utf-8")

@@ -89,30 +89,51 @@ class InvalidScenario(Exception):
         self.problems = problems
 
 
+def shown(value, depth: int = 8) -> str:
+    """``repr(value)`` for a message that echoes an outside value, with
+    containers nested deeper than ``depth`` shown as ``[...]`` or ``{...}``:
+    a value the JSON parser accepted can be nested too deep for ``repr``."""
+    if isinstance(value, list) and value:
+        inner = ", ".join(shown(v, depth - 1) for v in value) if depth else "..."
+        return f"[{inner}]"
+    if isinstance(value, dict) and value:
+        inner = ", ".join(f"{shown(k, depth - 1)}: {shown(v, depth - 1)}"
+                          for k, v in value.items()) if depth else "..."
+        return f"{{{inner}}}"
+    return repr(value)
+
+
 def spec_object(value, what: str) -> dict:
-    """A JSON object of a schedule spec."""
+    """A JSON object of a spec."""
     if not isinstance(value, dict):
-        raise InvalidScenario([f"{what} is {value!r}, not an object"])
+        raise InvalidScenario([f"{what} is {shown(value)}, not an object"])
+    return value
+
+
+def spec_list(value, what: str) -> list:
+    """A JSON array of a spec."""
+    if not isinstance(value, list):
+        raise InvalidScenario([f"{what} is {shown(value)}, not a list"])
     return value
 
 
 def spec_int(data: dict, key: str, what: str, default: int | None = None) -> int:
-    """An int field of a schedule spec; required without a default. A bool, a
-    float or a numeric string is not an int here."""
+    """An int field of a spec; required without a default. A bool, a float
+    or a numeric string is not an int here."""
     if key not in data:
         if default is None:
             raise InvalidScenario([f"{what} needs {key!r}"])
         return default
     if type(data[key]) is not int:
-        raise InvalidScenario([f"{what} {key} is {data[key]!r}, not an int"])
+        raise InvalidScenario([f"{what} {key} is {shown(data[key])}, not an int"])
     return data[key]
 
 
 def spec_ints(data: dict, key: str, what: str) -> list[int]:
-    """A list-of-ints field of a schedule spec; absent means empty."""
+    """A list-of-ints field of a spec; absent means empty."""
     values = data.get(key, [])
     if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise InvalidScenario([f"{what} {key} is {values!r}, not a list of ints"])
+        raise InvalidScenario([f"{what} {key} is {shown(values)}, not a list of ints"])
     return values
 
 
@@ -132,7 +153,7 @@ class Segment:
         data = spec_object(data, "segment")
         last = data.get("last_round")
         if last is not None and type(last) is not int:
-            raise InvalidScenario([f"segment last_round is {last!r}, neither an int nor null"])
+            raise InvalidScenario([f"segment last_round is {shown(last)}, neither an int nor null"])
         return cls(spec_int(data, "host", "segment"), spec_int(data, "first_round", "segment"), last)
 
 
@@ -155,9 +176,7 @@ class AgentTrajectory:
     @classmethod
     def from_dict(cls, data: dict) -> "AgentTrajectory":
         data = spec_object(data, "trajectory")
-        segments = data.get("segments")
-        if not isinstance(segments, list):
-            raise InvalidScenario([f"trajectory segments is {segments!r}, not a list"])
+        segments = spec_list(data.get("segments"), "trajectory segments")
         return cls(spec_int(data, "agent_id", "trajectory"),
                    tuple(Segment.from_dict(s) for s in segments))
 
@@ -168,15 +187,6 @@ class ScheduleViolation:
     round: int | None
     rule: str
     detail: str
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[ScheduleViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -256,7 +266,7 @@ class FailureSchedule:
         return tuple(r for r, faulty in enumerate(self._faulty_table, start=1) if p not in faulty)
 
 
-def validate_schedule(schedule: FailureSchedule) -> ValidationResult:
+def validate_schedule(schedule: FailureSchedule) -> tuple[ScheduleViolation, ...]:
     """Check every schedule invariant; violations are returned as data, never raised."""
     out: list[ScheduleViolation] = []
 
@@ -311,7 +321,7 @@ def validate_schedule(schedule: FailureSchedule) -> ValidationResult:
             if len(schedule.faulty_set(r)) > schedule.f:
                 out.append(ScheduleViolation(None, r, "budget",
                                              f"|B({r})| = {len(schedule.faulty_set(r))} > f = {schedule.f}"))
-    return ValidationResult(tuple(out))
+    return tuple(out)
 
 
 class IoVerdict(Enum):

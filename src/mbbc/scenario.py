@@ -21,8 +21,10 @@ from .model import (
     OracleKind,
     Segment,
     SettingTriple,
+    shown,
     spec_int,
     spec_ints,
+    spec_list,
     spec_object,
     validate_schedule,
 )
@@ -65,7 +67,7 @@ class Broadcast:
     def from_dict(cls, data: dict) -> "Broadcast":
         for key in ("source", "round"):
             if type(data[key]) is not int:
-                raise ValueError(f"field {key} is {data[key]!r}, not an int")
+                raise ValueError(f"field {key} is {shown(data[key])}, not an int")
         return cls(data["source"], data["round"], decode_payload(data))
 
 
@@ -118,9 +120,9 @@ class ScenarioConfig:
         try:
             variant = VariantTag(data.get("variant", "FFA_FULL"))
         except ValueError as exc:
-            raise InvalidScenario([f"unknown variant: {data.get('variant')}"]) from exc
+            raise InvalidScenario([f"unknown variant: {shown(data.get('variant'))}"]) from exc
         scalars = {key: data.get(key, default) for key, default in _SCALAR_DEFAULTS.items()}
-        problems = [f"config field {key} is {value!r}, not an int"
+        problems = [f"config field {key} is {shown(value)}, not an int"
                     for key, value in scalars.items() if type(value) is not int]
         if problems:
             raise InvalidScenario(problems)
@@ -148,7 +150,12 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """The config as compact JSON with sorted keys. A value the parser
+        accepted can still be nested too deep to encode on a deeper stack."""
+        try:
+            return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        except RecursionError:
+            raise InvalidScenario(["config is nested too deep to encode"]) from None
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
@@ -187,34 +194,28 @@ class ScenarioConfig:
                 problems.append(f"broadcast round {b.round} outside [1, {self.horizon}]")
         if problems:
             raise InvalidScenario(problems)
-        schedule = self.resolved_schedule()
-        result = validate_schedule(schedule)
-        if not result.ok:
+        violations = validate_schedule(self.resolved_schedule())
+        if violations:
             raise InvalidScenario(
-                [f"schedule: agent={v.agent_id} round={v.round} {v.rule}: {v.detail}" for v in result.violations])
+                [f"schedule: agent={v.agent_id} round={v.round} {v.rule}: {v.detail}" for v in violations])
 
 
 def build_schedule(config: ScenarioConfig) -> FailureSchedule:
     """Resolve the schedule spec (explicit trajectories or a named generator)."""
     spec = spec_object(config.schedule, "schedule")
     if "trajectories" in spec:
-        if not isinstance(spec["trajectories"], list):
-            raise InvalidScenario([f"schedule trajectories is {spec['trajectories']!r}, not a list"])
-        trajectories = tuple(AgentTrajectory.from_dict(t) for t in spec["trajectories"])
+        trajectories = tuple(AgentTrajectory.from_dict(t)
+                             for t in spec_list(spec["trajectories"], "schedule trajectories"))
     else:
         generator = spec.get("generator")
+        generate = _GENERATORS.get(generator) if isinstance(generator, str) else None
+        if generate is None:
+            raise InvalidScenario([f"unknown schedule generator: {shown(generator)}"])
         params = spec_object(spec.get("params", {}), f"{generator} generator params")
-        if generator in ("alternating", "roundrobin") and config.delta_s < 1:
+        if generator != "static" and config.delta_s < 1:
             # Each generated stay lasts delta_s rounds; a shorter one never ends.
             raise InvalidScenario([f"{generator} generator needs delta_s >= 1, got {config.delta_s}"])
-        if generator == "static":
-            trajectories = _static_trajectories(config, params)
-        elif generator == "alternating":
-            trajectories = _alternating_trajectories(config, params)
-        elif generator == "roundrobin":
-            trajectories = _roundrobin_trajectories(config, params)
-        else:
-            raise InvalidScenario([f"unknown schedule generator: {generator!r}"])
+        trajectories = generate(config, params)
     return FailureSchedule(
         n=config.n, f=config.f, delta_s=config.delta_s, horizon=config.horizon,
         trajectories=trajectories)
@@ -283,3 +284,7 @@ def _roundrobin_trajectories(config: ScenarioConfig, params: dict) -> tuple[Agen
             step += 1
         out.append(AgentTrajectory(agent_id=i, segments=tuple(segments)))
     return tuple(out)
+
+
+_GENERATORS = {"static": _static_trajectories, "alternating": _alternating_trajectories,
+               "roundrobin": _roundrobin_trajectories}

@@ -6,7 +6,6 @@ from mbbc.adversary import (
     Observation,
     SplitSend,
     Strategy,
-    StrategyMisconfigured,
     WipeAndRun,
     build_strategy,
     generate_paired_histories,
@@ -14,7 +13,7 @@ from mbbc.adversary import (
 from mbbc.engine import Simulation, deliveries, run
 from mbbc.messages import MessageKind
 from mbbc.protocol import init_state
-from mbbc.scenario import ScenarioConfig
+from mbbc.scenario import InvalidScenario, ScenarioConfig
 from conftest import golden_correct_source, zero_agent_scenario
 
 
@@ -50,11 +49,11 @@ class TestAlternatingSets:
         assert MessageKind.READY in kinds and MessageKind.ECHO in kinds
 
     def test_overlapping_sets_rejected(self):
-        with pytest.raises(StrategyMisconfigured):
+        with pytest.raises(InvalidScenario):
             AlternatingSets([3], [3], n=6, f=1)
 
     def test_wrong_set_size_rejected(self):
-        with pytest.raises(StrategyMisconfigured):
+        with pytest.raises(InvalidScenario):
             AlternatingSets([3, 4], [5], n=6, f=1)
 
     def test_departing_p1_leaves_poisoned_queue(self):
@@ -93,7 +92,7 @@ class TestSplitSend:
         assert strat.dictate_sends(5, 4, obs_for(cfg)) == []
 
     def test_target_out_of_range_rejected(self):
-        with pytest.raises(StrategyMisconfigured):
+        with pytest.raises(InvalidScenario):
             SplitSend([9], [], n=6)
 
 
@@ -172,7 +171,7 @@ class TestPairedHistories:
             assert s2.is_faulty(0, r) == (r < switch)
 
     def test_identical_payloads_rejected(self):
-        with pytest.raises(StrategyMisconfigured):
+        with pytest.raises(InvalidScenario):
             generate_paired_histories("THEOREM_3", {"m1": "x", "m2": "x"})
 
     def test_wipe_flip_target_faulty_spans(self):
@@ -182,5 +181,5 @@ class TestPairedHistories:
         assert [r for r in range(1, h2.horizon + 1) if s2.is_faulty(1, r)] == [1, 2, 3, 4, 5, 6]
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(StrategyMisconfigured):
+        with pytest.raises(InvalidScenario):
             generate_paired_histories("THEOREM_99", {})

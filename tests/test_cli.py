@@ -252,6 +252,11 @@ GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
+def compute_event(kind: str, detail: str) -> str:
+    """A trace of GOOD_HEADER and one COMPUTE-phase event in round 2."""
+    return GOOD_HEADER + f'\n{{"detail":{detail},"kind":"{kind}","phase":"COMPUTE","round":2,"subject":1}}\n'
+
+
 @pytest.mark.parametrize("text, line", [
     (GOOD_HEADER + "\n[1]\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT + "\n\n7\n", 4),
@@ -275,6 +280,13 @@ DEEP = "[" * 100_000 + "]" * 100_000
     (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"SOME"},'
      '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace("{}", DEEP) + "\n", 2, id="deeply_nested"),
+    pytest.param(compute_event("DELIVER_CALL", '{"payload":"x"}'), 2, id="deliver-without-source"),
+    pytest.param(compute_event("DELIVER_CALL", '{"payload":"x","source":"1"}'), 2, id="deliver-source-string"),
+    pytest.param(compute_event("DELIVER_CALL", '{"payload":"x","source":true}'), 2, id="deliver-source-bool"),
+    pytest.param(compute_event("DELIVER_CALL", '{"payload":5,"source":0}'), 2, id="deliver-payload-int"),
+    pytest.param(compute_event("DELIVER_CALL", '{"payload_hex":"zz","source":0}'), 2, id="deliver-payload-hex"),
+    pytest.param(compute_event("BROADCAST_CALL", "{}"), 2, id="broadcast-without-payload"),
+    pytest.param(compute_event("BROADCAST_CALL", '{"payload_hex":"zz"}'), 2, id="broadcast-payload-hex"),
 ])
 def test_check_malformed_trace_exits_2_naming_the_line(tmp_path, capsys, text, line):
     trace = tmp_path / "bad.jsonl"
@@ -306,8 +318,7 @@ def test_trace_header_setting_not_an_object_exits_2(tmp_path, golden_config_path
 ])
 @pytest.mark.parametrize("delta_s", [0, -1])
 def test_check_of_a_generated_schedule_without_stays_exits_2(tmp_path, capsys, spec, delta_s):
-    """``check`` resolves the header's schedule without ``validate``: a
-    generator stepping by delta_s < 1 must be rejected, not looped on."""
+    """A header whose generator would step by delta_s < 1 is rejected, not looped on."""
     config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
     config.write_text(json.dumps({**golden_correct_source().to_dict(), "schedule": spec}))
     assert cli.main(["run", "--config", str(config), "--out", str(trace)]) == 0
@@ -318,19 +329,35 @@ def test_check_of_a_generated_schedule_without_stays_exits_2(tmp_path, capsys, s
     capsys.readouterr()
     assert cli.main(["check", "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid scenario:") and f"delta_s >= 1, got {delta_s}" in err, err
+    assert err.startswith("invalid scenario:") and "delta_s must be >= 1" in err, err
 
 
-def test_check_unreadable_deliver_call_exits_2(tmp_path, golden_config_path, capsys):
+@pytest.mark.parametrize("edit, flags, code", [
+    pytest.param(lambda cfg: cfg["setting"].update(timing="ASYNC"), [], 3, id="async"),
+    pytest.param(lambda cfg: cfg.update(f=9), [], 2, id="f-above-n"),
+    pytest.param(lambda cfg: cfg["schedule"]["trajectories"][0]["segments"][0].update(host=40), [], 2,
+                 id="segment-host-40"),
+    pytest.param(lambda cfg: cfg["schedule"].update(trajectories=[]), [], 2, id="no-trajectories"),
+    pytest.param(lambda cfg: cfg.update(variant="NFA_WEAK"), [], 2, id="variant-oracle-mismatch"),
+    pytest.param(None, ["--delta-b", "0"], 2, id="delta-b-0"),
+    pytest.param(None, ["--delta-b", "-3"], 2, id="delta-b-negative"),
+])
+def test_check_validates_the_header_config(tmp_path, golden_config_path, capsys, edit, flags, code):
+    """``check`` rejects a header config, or a window override, that ``run``
+    would reject, with the same exit code; ``replay`` of the trace agrees."""
     trace = tmp_path / "trace.jsonl"
     cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
-    header = trace.read_text().splitlines()[0]
-    trace.write_text(header + '\n{"detail":{"payload":"x"},"kind":"DELIVER_CALL",'
-                     '"phase":"COMPUTE","round":2,"subject":1}\n')
+    if edit is not None:
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header["config"])
+        trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     capsys.readouterr()
-    assert cli.main(["check", "--trace", str(trace)]) == 2
+    assert cli.main(["check", "--trace", str(trace), *flags]) == code
     err = capsys.readouterr().err
-    assert "bad DELIVER_CALL detail at event 0" in err and "Traceback" not in err
+    assert err.startswith("invalid scenario:" if code == 2 else "unsupported setting:"), err
+    if edit is not None:
+        assert cli.main(["replay", "--trace", str(trace)]) == code
 
 
 @pytest.mark.parametrize("field", ['"round":99', '"round":"3"'])
@@ -383,12 +410,56 @@ def test_demo_commands(tmp_path, capsys):
     ("WIPE_FLIP", '{"seed": "0"}', "params seed is '0', not an int"),
     ("WIPE_FLIP", "{not json", "params is not valid JSON"),
     pytest.param("WIPE_FLIP", DEEP, "params is not valid JSON", id="deeply_nested"),
+    ("WIPE_FLIP", '{"delta1": 2}', "params key 'delta1' is not one WIPE_FLIP takes"),
+    ("SOURCE_FLIP", '{"target": 1}', "params key 'target' is not one SOURCE_FLIP takes"),
+    ("WIPE_FLIP", '{"m1": "x"}', "params key 'm1'"),
+    ("SOURCE_FLIP", '{"m1": 5}', "params m1 is 5, not a string"),
+    ("SOURCE_FLIP", '{"m2": null}', "params m2 is None, not a string"),
+    ("WIPE_FLIP", '{"m": ["x"]}', "params m is ['x'], not a string"),
+    pytest.param("SOURCE_FLIP", '{"m1": ' + "[" * 200 + "]" * 200 + "}",
+                 "params m1 is [[[[[[[[[...]]]]]]]]], not a string", id="m1-nested"),
+    pytest.param("SOURCE_FLIP", '{"zzz": ' + "[" * 200 + "]" * 200 + "}", "params key 'zzz'",
+                 id="unknown-key-nested"),
 ])
 def test_demo_bad_params_exit_2_naming_the_field(capsys, kind, params, named):
     assert cli.main(["demo", "--kind", kind, "--params", params]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario:") and named in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where, named", [
+    ("schedule", "schedule is [[[[[[[[[...]]]]]]]]], not an object"),
+    ("strategy", "config is nested too deep to encode"),
+    ("m1", "params m1 is [[[[[[[[[...]]]]]]]]], not a string"),
+    ("zzz", "params key 'zzz'"),
+], ids=["schedule", "strategy-unused-key", "m1", "unknown-key"])
+def test_deepest_value_the_parser_accepts_exits_2(tmp_path, capsys, where, named):
+    """A value nested just below the JSON parser's recursion limit parses;
+    the message that echoes it, or the fingerprint that encodes an unused
+    key, is made on a deeper stack and must not run out of recursion there."""
+    config = tmp_path / "config.json"
+
+    def argv(depth: int) -> list[str]:
+        value = "[" * depth + "]" * depth
+        if where in ("schedule", "strategy"):
+            edit = {"schedule": "@"} if where == "schedule" else {"strategy": {"kind": "BENIGN", "x": "@"}}
+            config.write_text(json.dumps({**golden_correct_source().to_dict(), **edit})
+                              .replace('"@"', value))
+            return ["run", "--config", str(config), "--out", str(tmp_path / "t.jsonl")]
+        return ["demo", "--kind", "SOURCE_FLIP", "--params", f'{{"{where}": {value}}}']
+
+    lo, hi = 1, 100_000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cli.main(argv(mid))
+        if "not valid JSON" in capsys.readouterr().err:
+            hi = mid
+        else:
+            lo = mid + 1
+    assert cli.main(argv(lo - 1)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and named in err, err
 
 
 @pytest.mark.parametrize("command", ["run", "replay"])

@@ -5,6 +5,7 @@ from mbbc import cli
 from mbbc.checker import NO_DUPLICATION, SATISFIED, VIOLATED, run_property_checks
 from mbbc.demos import adapter_choices, adapter_output, run_demo
 from mbbc.engine import KIND_DELIVER_CALL
+from mbbc.scenario import InvalidScenario
 
 
 class TestSourceFlipDemo:
@@ -158,6 +159,5 @@ def test_wipe_flip_without_a_correct_delivery_does_not_hold(capsys):
 
 
 def test_unknown_demo_kind_raises():
-    from mbbc.adversary import StrategyMisconfigured
-    with pytest.raises(StrategyMisconfigured):
+    with pytest.raises(InvalidScenario):
         run_demo("NOT_A_DEMO", {})

@@ -114,12 +114,14 @@ def test_mutated_config_runs_or_is_rejected(workdir, data, index):
 def test_mutated_trace_is_checked_replayed_or_rejected(workdir, data, index):
     trace = workdir / "trace.jsonl"
     trace.write_text(mutate_trace(data, bundled_trace(index)))
-    code, out, err = main("check", "--trace", str(trace))
-    if code == 1:
+    checked, out, err = main("check", "--trace", str(trace))
+    if checked == 1:
         assert any(report["verdict"] == VIOLATED for report in json.loads(out)), out
     code, _, err = main("replay", "--trace", str(trace))
     if code == 1:
         assert "replay diverged" in err, err
+    if checked in (2, 3):
+        assert code == checked, err
 
 
 @FUZZ

@@ -33,41 +33,41 @@ ROAMING_PATH = [(1, 1, 1), (5, 2, 2), (0, 3, 3)]
 class TestValidateSchedule:
     def test_roaming_path_is_valid(self):
         sched = schedule_from([ROAMING_PATH], horizon=6)
-        assert validate_schedule(sched).ok
+        assert validate_schedule(sched) == ()
 
     def test_residency_below_delta_s_is_violation(self):
         sched = schedule_from([[(1, 1, 1)]], delta_s=2, horizon=4)
-        result = validate_schedule(sched)
-        assert not result.ok
-        assert any(v.rule == "residency" for v in result.violations)
+        violations = validate_schedule(sched)
+        assert violations
+        assert any(v.rule == "residency" for v in violations)
 
     def test_fault_free_schedule_is_valid(self):
         sched = schedule_from([], horizon=9)
-        assert validate_schedule(sched).ok
+        assert validate_schedule(sched) == ()
         assert all(sched.faulty_set(r) == frozenset() for r in range(1, 10))
 
     def test_adjacent_same_host_is_violation(self):
         sched = schedule_from([[(2, 1, 2), (2, 3, 4)]], horizon=6)
-        result = validate_schedule(sched)
-        assert any(v.rule == "stationary-move" for v in result.violations)
+        violations = validate_schedule(sched)
+        assert any(v.rule == "stationary-move" for v in violations)
 
     def test_gap_then_same_host_is_legal(self):
         sched = schedule_from([[(2, 1, 2), (2, 5, 6)]], horizon=6)
-        assert validate_schedule(sched).ok
+        assert validate_schedule(sched) == ()
 
     def test_overlapping_segments_are_violation(self):
         sched = schedule_from([[(2, 1, 3), (3, 3, 5)]], horizon=6)
-        result = validate_schedule(sched)
-        assert any(v.rule == "segment-order" for v in result.violations)
+        violations = validate_schedule(sched)
+        assert any(v.rule == "segment-order" for v in violations)
 
     def test_trajectory_count_must_match_f(self):
         sched = schedule_from([ROAMING_PATH], f=2, horizon=6)
-        result = validate_schedule(sched)
-        assert any(v.rule == "trajectory-count" for v in result.violations)
+        violations = validate_schedule(sched)
+        assert any(v.rule == "trajectory-count" for v in violations)
 
     def test_open_segment_exempt_from_residency(self):
         sched = schedule_from([[(1, 6, None)]], delta_s=3, horizon=6)
-        assert validate_schedule(sched).ok
+        assert validate_schedule(sched) == ()
 
     def test_validation_is_pure(self):
         sched = schedule_from([ROAMING_PATH], horizon=6)
@@ -171,7 +171,7 @@ def test_random_schedules_keep_invariants(data):
             host = (host + 1 + data.draw(st.integers(0, n - 2))) % n
         trajectories.append(AgentTrajectory(agent_id=agent, segments=tuple(segs)))
     sched = FailureSchedule(n=n, f=f, delta_s=1, horizon=horizon, trajectories=tuple(trajectories))
-    assert validate_schedule(sched).ok
+    assert validate_schedule(sched) == ()
     for r in range(1, horizon + 1):
         assert len(sched.faulty_set(r)) <= f
         assert sched.faulty_set(r) | sched.correct_set(r) == frozenset(range(n))
@@ -213,7 +213,7 @@ def valid_schedules(draw):
             r = last + 1 + gap
         trajectories.append(AgentTrajectory(agent_id=agent, segments=tuple(segs)))
     sched = FailureSchedule(n=n, f=f, delta_s=1, horizon=horizon, trajectories=tuple(trajectories))
-    assert validate_schedule(sched).ok
+    assert validate_schedule(sched) == ()
     return sched
 
 

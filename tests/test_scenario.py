@@ -109,6 +109,17 @@ class TestGenerators:
         with pytest.raises(InvalidScenario):
             build_schedule(cfg)
 
+    @pytest.mark.parametrize("spec", [
+        {"generator": "roundrobin", "params": {"offset": 1}},
+        {"generator": "alternating", "params": {"p1": [4], "p2": [5]}},
+    ])
+    @pytest.mark.parametrize("delta_s", [0, -1])
+    def test_generator_without_stays_rejected(self, spec, delta_s):
+        """A generator stepping by delta_s < 1 would never reach the horizon."""
+        cfg = ScenarioConfig.from_dict(base_dict(delta_s=delta_s, schedule=spec))
+        with pytest.raises(InvalidScenario, match=f"delta_s >= 1, got {delta_s}"):
+            build_schedule(cfg)
+
 
 def test_config_json_files_are_self_describing(tmp_path):
     cfg = golden_correct_source()

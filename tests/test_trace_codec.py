@@ -26,6 +26,10 @@ def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0
             f'"round":{round_},"subject":{subject}}}')
 
 
+def compute_line(kind: str, detail: str) -> str:
+    return f'{{"detail":{detail},"kind":"{kind}","phase":"COMPUTE","round":1,"subject":0}}'
+
+
 def per_line_events(trace: Trace) -> list[str]:
     return [encode_line(ev.to_dict()) for ev in trace.events]
 
@@ -157,6 +161,16 @@ PARSER_TABLE = [
     '{"detail":{"to":"ALL"},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
     '{"detail":{"message":{}},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
     '{"detail":{"to":[9]},"kind":"DELIVER_CALL","phase":"COMPUTE","round":1,"subject":0}',
+    compute_line("DELIVER_CALL", '{"payload":"x"}'),
+    compute_line("DELIVER_CALL", '{"payload":"x","source":"1"}'),
+    compute_line("DELIVER_CALL", '{"payload":"x","source":true}'),
+    compute_line("DELIVER_CALL", '{"payload":5,"source":0}'),
+    compute_line("DELIVER_CALL", '{"payload_hex":"zz","source":0}'),
+    compute_line("DELIVER_CALL", '{"payload_hex":"00ff","source":5}'),
+    compute_line("BROADCAST_CALL", "{}"),
+    compute_line("BROADCAST_CALL", '{"payload_hex":"zz"}'),
+    compute_line("BROADCAST_CALL", '{"payload":"x","to":[9]}'),
+    compute_line("DELIVER_CALL", '{"payload":"x","source":0,"to":[9]}'),
 ]
 
 
