@@ -1,17 +1,7 @@
 """Round-based simulator, adversary and trace checker for broadcast channels
 under mobile Byzantine faults."""
 
-from .checker import (
-    PropertyReport,
-    check_agreement,
-    check_delivery_count_laws,
-    check_integrity,
-    check_mbrb_consistency,
-    check_mbrb_totality,
-    check_no_duplication,
-    check_validity,
-    run_property_checks,
-)
+from .checker import PropertyReport, run_property_checks
 from .engine import Simulation, Trace, TraceEvent, run
 from .model import (
     AgentTrajectory,
@@ -40,13 +30,6 @@ __all__ = [
     "UnsupportedSetting",
     "Variant",
     "VariantTag",
-    "check_agreement",
-    "check_delivery_count_laws",
-    "check_integrity",
-    "check_mbrb_consistency",
-    "check_mbrb_totality",
-    "check_no_duplication",
-    "check_validity",
     "init_state",
     "is_io_correct",
     "run",

@@ -5,8 +5,8 @@ send phase (``dictate_sends`` — the envelopes the possessed process emits,
 with the sender stamp forced by the engine) and once in the compute phase
 (``corrupt_state`` — the state the process is left with). Strategies are
 deterministic functions of (process, round, observation); the observation is
-an omniscient read-only snapshot. A strategy that needs randomness must derive
-it from the scenario seed, never from global state.
+an omniscient view of the engine's live state. A strategy that needs
+randomness must derive it from the scenario seed, never from global state.
 
 The two history-forging strategies (``EQUIVOCATE_HISTORY``, ``WIPE_AND_RUN``)
 make a possessed process *faithfully run the protocol* by replaying the real
@@ -23,24 +23,28 @@ from typing import Sequence
 from .messages import ProtocolMessage, echo_msg, ready_msg, round_msg, send_msg
 from .model import FailureSchedule, InvalidScenario, shown, spec_int, spec_ints, spec_list, spec_object
 from .protocol import (
+    DELIVERY_DELAY,
     ProtocolState,
     Variant,
     compute_phase,
     init_state,
     on_cured,
     receive,
+    send_phase,
 )
 from .scenario import Broadcast, ScenarioConfig
 
 
 @dataclass
 class Observation:
-    """Read-only omniscient snapshot handed to strategies, one per round.
+    """Omniscient view handed to strategies, one per round.
 
-    ``common`` is the round's fold of the traffic every process received and
-    ``dictated[p]`` the (sender, message) receipts process p alone received;
-    the engine sets both after the receive phase, so the send phase sees
-    neither.
+    ``states`` is the engine's live list of protocol states, not a copy: a
+    strategy may change a possessed process's state in place, and must leave
+    every other state alone. ``common`` is the round's fold of the traffic
+    every process received and ``dictated[p]`` the (sender, message) receipts
+    process p alone received; the engine sets both after the receive phase,
+    so the send phase sees neither.
     """
 
     schedule: FailureSchedule
@@ -101,7 +105,7 @@ class AlternatingSets(Strategy):
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
-        state = obs.states[p].clone()
+        state = obs.states[p]
         if p in self.p1:
             state.to_send = set(self._spurious(p, r + 1))
             state.rc = 9999
@@ -140,25 +144,13 @@ class SplitSend(Strategy):
 
 
 def _faithful_sends(state: ProtocolState, n: int) -> list[tuple[int, ProtocolMessage]]:
-    """Exactly what the protocol's send phase would emit, without mutating anything."""
-    msgs = sorted(state.to_send, key=ProtocolMessage.sort_key)
-    return [(q, m) for m in msgs for q in range(n)]
+    """The protocol's own send phase on the possessed state, sent to every process."""
+    return [(q, m) for m in send_phase(state) for q in range(n)]
 
 
-def _faithful_compute(
-    state: ProtocolState,
-    p: int,
-    obs: Observation,
-    variant: Variant,
-    n: int,
-    broadcasts: Sequence[bytes],
-    sim_cure: tuple[int, int | None] | None,
-    r: int,
-) -> ProtocolState:
-    """Receive + compute exactly as the protocol would, on a copy of the state."""
-    state = state.clone()
-    if sim_cure is not None and sim_cure[0] == r:
-        on_cured(state, sim_cure[1])
+def _faithful_compute(state: ProtocolState, p: int, obs: Observation, variant: Variant, n: int,
+                      broadcasts: Sequence[bytes]) -> ProtocolState:
+    """The protocol's own receive and compute phases on the possessed state."""
     receive(state, obs.common, obs.dictated[p])
     compute_phase(state, p, variant, n, broadcasts=broadcasts)
     return state
@@ -170,8 +162,9 @@ class EquivocateHistory(Strategy):
     Paired with the mirror schedule this realises two executions that differ
     only in *when* the source is faulty: the possessed half replays exactly
     what the correct half does, including the cure-silence round (``sim_cure``
-    mirrors the oracle event the twin execution receives for real) and the
-    broadcast scheduled while faulty.
+    mirrors the oracle event the twin execution receives for real, applied
+    before the send phase as the oracle's is) and the broadcast scheduled
+    while faulty.
     """
 
     def __init__(self, config: ScenarioConfig, sim_cure: dict[int, tuple[int, int | None]]):
@@ -181,14 +174,13 @@ class EquivocateHistory(Strategy):
     def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
         cure = self.sim_cure.get(p)
         if cure is not None and cure[0] == r:
-            return []  # mirrors the cure wipe of the twin execution
+            on_cured(obs.states[p], cure[1])
         return _faithful_sends(obs.states[p], self.config.n)
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
         payloads = [b.payload for b in self.config.broadcasts if b.source == p and b.round == r]
-        return _faithful_compute(
-            obs.states[p], p, obs, self.config.variant_spec(), self.config.n,
-            payloads, self.sim_cure.get(p), r)
+        return _faithful_compute(obs.states[p], p, obs, self.config.variant_spec(), self.config.n,
+                                 payloads)
 
 
 class WipeAndRun(Strategy):
@@ -211,9 +203,8 @@ class WipeAndRun(Strategy):
             return obs.states[p]
         if r <= self.sim_until:
             payloads = [b.payload for b in self.config.broadcasts if b.source == p and b.round == r]
-            return _faithful_compute(
-                obs.states[p], p, obs, self.config.variant_spec(), self.config.n,
-                payloads, None, r)
+            return _faithful_compute(obs.states[p], p, obs, self.config.variant_spec(),
+                                     self.config.n, payloads)
         if r == self.wipe_round:
             return init_state()
         return obs.states[p]
@@ -250,7 +241,7 @@ class Arbitrary(Strategy):
             return obs.states[p]
         if spec == "init":
             return init_state()
-        state = obs.states[p].clone()
+        state = obs.states[p]
         if "rc" in spec:
             state.rc = spec["rc"]
         if "to_send" in spec:
@@ -349,7 +340,9 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
     a destination is correct, delivers, then is possessed and wiped in one
     history; in the other it was possessed from the start, mimicked correct
     behaviour, and is wiped at the same round. Its local state and cure event
-    at the switch are identical in both.
+    at the switch are identical in both. The target must stay correct through
+    the round its delivery falls due, ``1 + DELIVERY_DELAY``, so ``delta_1``
+    must be at least that.
 
     The sizes, rounds, process indices and the seed in ``params`` must be
     ints and the payloads strings; anything else, or a key the kind does not
@@ -399,6 +392,11 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
         _known_params(params, kind, ("n", "delta_1", "delta_2", "source", "target", "horizon", "seed", "m"))
         n = spec_int(params, "n", "params", 6)
         delta_1 = spec_int(params, "delta_1", "params", 4)
+        if delta_1 < 1 + DELIVERY_DELAY:
+            raise InvalidScenario([
+                f"WIPE_FLIP needs delta_1 >= {1 + DELIVERY_DELAY}: the target, possessed from round "
+                f"delta_1 + 1, must be correct in round {1 + DELIVERY_DELAY}, when it delivers the "
+                f"round-1 broadcast; got {delta_1}"])
         delta_2 = spec_int(params, "delta_2", "params", 2)
         source = spec_int(params, "source", "params", 0)
         target = spec_int(params, "target", "params", 1)

@@ -1,9 +1,11 @@
 """Property checkers over finished traces.
 
-Each checker is a pure function of (trace, schedule, parameters) returning a
-PropertyReport with verdict SATISFIED, VIOLATED (with a replayable witness) or
-UNRESOLVED (the obligation falls due beyond the horizon — never treated as a
-violation).
+Each checker is a pure function of one ``TraceIndex`` (a trace, its failure
+schedule and the scenario's parameters) returning a PropertyReport with
+verdict SATISFIED, VIOLATED (with a replayable witness) or UNRESOLVED (the
+obligation falls due beyond the horizon — never treated as a violation).
+``run_property_checks`` is the entry point: it builds the index once and
+runs the checkers a report asks for on it.
 
 Deliveries performed while a process is faulty appear in traces but are
 excluded from every evaluation: operations executed by a possessed process are
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .engine import (
     KIND_BROADCAST_CALL,
@@ -31,7 +34,7 @@ from .engine import (
 )
 from .messages import decode_payload
 from .model import FailureSchedule, io_correct_processes
-from .protocol import VariantTag
+from .protocol import DELIVERY_DELAY, VariantTag
 
 SATISFIED = "SATISFIED"
 VIOLATED = "VIOLATED"
@@ -95,18 +98,21 @@ def extract_broadcasts(trace: Trace) -> list[BroadcastRecord]:
             for idx, ev in enumerate(trace.events) if ev.kind == KIND_BROADCAST_CALL]
 
 
+@dataclass
 class TraceIndex:
-    """What the checkers look up in one trace, gathered in one pass per part.
+    """One trace with the scenario's parameters, and what the checkers look up
+    in it, gathered in one pass per part.
 
-    ``run_property_checks`` builds one index and hands it to every checker;
-    a checker called on its own builds its own. Each part is built on first
-    use, so a report that needs only some parts pays only for those.
+    ``run_property_checks`` builds one index and hands it to every checker.
+    Each part is built on first use, so a report that needs only some parts
+    pays only for those.
     """
 
-    def __init__(self, trace: Trace, schedule: FailureSchedule):
-        self.trace = trace
-        self.schedule = schedule
-        self._io_correct: dict[int, tuple[int, ...]] = {}
+    trace: Trace
+    schedule: FailureSchedule
+    delta_b: int
+    delta_c: int
+    variant: VariantTag
 
     @cached_property
     def correct_deliveries(self) -> list[DeliveryRecord]:
@@ -142,10 +148,9 @@ class TraceIndex:
                 out.setdefault(ev.subject, []).append(ev.round)
         return out
 
-    def io_correct(self, delta_c: int) -> tuple[int, ...]:
-        if delta_c not in self._io_correct:
-            self._io_correct[delta_c] = io_correct_processes(self.schedule, delta_c)
-        return self._io_correct[delta_c]
+    @cached_property
+    def io_correct(self) -> tuple[int, ...]:
+        return io_correct_processes(self.schedule, self.delta_c)
 
 
 def due_round(schedule: FailureSchedule, p: int, anchor: int) -> int | None:
@@ -161,8 +166,7 @@ def due_round(schedule: FailureSchedule, p: int, anchor: int) -> int | None:
     return None
 
 
-def check_validity(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_c: int,
-                   *, index: TraceIndex | None = None) -> PropertyReport:
+def check_validity(index: TraceIndex) -> PropertyReport:
     """Broadcasts by a source correct for delta_b rounds must reach a delivery.
 
     Two readings are evaluated: the base one (at least one delta_c-i.o.-correct
@@ -170,20 +174,19 @@ def check_validity(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_
     such process delivers) when the scenario runs the full-oracle variant with
     n > 5f, where that stronger guarantee is promised.
     """
-    index = index or TraceIndex(trace, schedule)
-    io_set = set(index.io_correct(delta_c))
-    config = trace.scenario()
-    strong = config.variant is VariantTag.FFA_FULL and config.n > 5 * config.f
+    schedule = index.schedule
+    io_set = set(index.io_correct)
+    strong = index.variant is VariantTag.FFA_FULL and schedule.n > 5 * schedule.f
 
     instances = []
     verdict = SATISFIED
     witness: list[int] = []
     for b in index.broadcasts:
-        if not schedule.correct_during(b.source, b.round, b.round + delta_b - 1):
+        if not schedule.correct_during(b.source, b.round, b.round + index.delta_b - 1):
             instances.append({"source": b.source, "round": b.round, "status": "vacuous",
                               "reason": "source not correct for delta_b rounds"})
             continue
-        anchor = b.round + 3
+        anchor = b.round + DELIVERY_DELAY
         inst: dict = {"source": b.source, "round": b.round}
         delivered_by = {d.process for d in index.by_instance.get((b.source, b.payload), ())}
         io_delivered = delivered_by & io_set
@@ -232,10 +235,8 @@ def check_validity(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_
     return PropertyReport(VALIDITY, verdict, sorted(set(witness)), details)
 
 
-def check_no_duplication(trace: Trace, schedule: FailureSchedule,
-                         *, index: TraceIndex | None = None) -> PropertyReport:
+def check_no_duplication(index: TraceIndex) -> PropertyReport:
     """No process delivers the same (source, payload) twice while correct."""
-    index = index or TraceIndex(trace, schedule)
     groups: dict[tuple[int, int, bytes], list[DeliveryRecord]] = {}
     for d in index.correct_deliveries:
         groups.setdefault((d.process, d.source, d.payload), []).append(d)
@@ -249,18 +250,17 @@ def check_no_duplication(trace: Trace, schedule: FailureSchedule,
     return PropertyReport(NO_DUPLICATION, SATISFIED, [], {"deliveries": len(groups)})
 
 
-def check_integrity(trace: Trace, schedule: FailureSchedule, delta_b: int,
-                    *, index: TraceIndex | None = None) -> PropertyReport:
+def check_integrity(index: TraceIndex) -> PropertyReport:
     """Every correct-time delivery traces back to a correct broadcast or a faulty source.
 
     A delivery in round r is explained by a broadcast when the earliest
     qualifying broadcast of its (source, payload) came in round r or before,
     and by a faulty source when the source's first faulty round is r or before.
     """
-    index = index or TraceIndex(trace, schedule)
+    schedule = index.schedule
     first_broadcast: dict[tuple[int, bytes], int] = {}
     for b in index.broadcasts:
-        if schedule.correct_during(b.source, b.round, b.round + delta_b - 1):
+        if schedule.correct_during(b.source, b.round, b.round + index.delta_b - 1):
             key = (b.source, b.payload)
             first_broadcast[key] = min(b.round, first_broadcast.get(key, b.round))
     first_faulty: dict[int, int] = {}
@@ -281,11 +281,10 @@ def check_integrity(trace: Trace, schedule: FailureSchedule, delta_b: int,
     return PropertyReport(INTEGRITY, SATISFIED, [], {})
 
 
-def _obligation_check(prop: str, index: TraceIndex, delta_c: int,
-                      match_payload: bool) -> PropertyReport:
+def _obligation_check(prop: str, index: TraceIndex, match_payload: bool) -> PropertyReport:
     """Shared core of Agreement (per message) and Totality (per source)."""
     schedule = index.schedule
-    io_set = index.io_correct(delta_c)
+    io_set = index.io_correct
     instances: dict = {}
     for d in index.correct_deliveries:
         key = (d.source, d.payload) if match_payload else d.source
@@ -320,24 +319,18 @@ def _obligation_check(prop: str, index: TraceIndex, delta_c: int,
     return PropertyReport(prop, verdict, sorted(set(witness)), {"obligations": details})
 
 
-def check_agreement(trace: Trace, schedule: FailureSchedule, delta_c: int,
-                    *, index: TraceIndex | None = None) -> PropertyReport:
+def check_agreement(index: TraceIndex) -> PropertyReport:
     """A correct-time delivery of (s, m) obliges every i.o.-correct process to deliver (s, m)."""
-    return _obligation_check(AGREEMENT, index or TraceIndex(trace, schedule), delta_c,
-                             match_payload=True)
+    return _obligation_check(AGREEMENT, index, match_payload=True)
 
 
-def check_mbrb_totality(trace: Trace, schedule: FailureSchedule, delta_c: int,
-                        *, index: TraceIndex | None = None) -> PropertyReport:
+def check_mbrb_totality(index: TraceIndex) -> PropertyReport:
     """One-shot reading: a delivery from s obliges every i.o.-correct process to deliver from s."""
-    return _obligation_check(TOTALITY, index or TraceIndex(trace, schedule), delta_c,
-                             match_payload=False)
+    return _obligation_check(TOTALITY, index, match_payload=False)
 
 
-def check_mbrb_consistency(trace: Trace, schedule: FailureSchedule,
-                           *, index: TraceIndex | None = None) -> PropertyReport:
+def check_mbrb_consistency(index: TraceIndex) -> PropertyReport:
     """One-shot reading: any two correct-time deliveries from one source carry equal payloads."""
-    index = index or TraceIndex(trace, schedule)
     by_source: dict[int, dict[bytes, DeliveryRecord]] = {}
     for d in index.correct_deliveries:
         by_source.setdefault(d.source, {}).setdefault(d.payload, d)
@@ -349,8 +342,7 @@ def check_mbrb_consistency(trace: Trace, schedule: FailureSchedule,
     return PropertyReport(CONSISTENCY, SATISFIED, [], {})
 
 
-def check_delivery_count_laws(trace: Trace, schedule: FailureSchedule, variant: VariantTag,
-                              *, index: TraceIndex | None = None) -> PropertyReport:
+def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
     """Duplicate-delivery laws of the weak variants.
 
     BFA_WEAK: once an instance has been delivered somewhere, each process must
@@ -359,10 +351,10 @@ def check_delivery_count_laws(trace: Trace, schedule: FailureSchedule, variant: 
     process must deliver the instance at every correct round from birth+3 on.
     Not applicable to the full variant.
     """
+    variant, schedule = index.variant, index.schedule
     if variant is VariantTag.FFA_FULL:
         return PropertyReport(DELIVERY_COUNT_LAW, SATISFIED, [],
                               {"note": "not applicable to the full no-duplication variant"})
-    index = index or TraceIndex(trace, schedule)
     birth_of: dict[tuple[int, bytes], int] = {}
     for b in index.broadcasts:
         key = (b.source, b.payload)
@@ -372,8 +364,8 @@ def check_delivery_count_laws(trace: Trace, schedule: FailureSchedule, variant: 
     witness: list[int] = []
     details: list[dict] = []
     for key, recs in sorted(index.by_instance.items(), key=lambda kv: kv[1][0].event_index):
-        birth = birth_of.get(key, min(r.round for r in recs) - 3)
-        due = birth + 3
+        birth = birth_of.get(key, min(r.round for r in recs) - DELIVERY_DELAY)
+        due = birth + DELIVERY_DELAY
         inst: dict = {"source": key[0], "birth_round": birth}
         per_process: dict[int, list[DeliveryRecord]] = {}
         for d in recs:
@@ -405,26 +397,22 @@ def check_delivery_count_laws(trace: Trace, schedule: FailureSchedule, variant: 
 def run_property_checks(trace: Trace, schedule: FailureSchedule, delta_b: int, delta_c: int,
                         variant: VariantTag, properties: tuple[str, ...] = MBBC_PROPERTIES,
                         ) -> list[PropertyReport]:
-    index = TraceIndex(trace, schedule)
-    reports = []
-    for prop in properties:
-        if prop == VALIDITY:
-            reports.append(check_validity(trace, schedule, delta_b, delta_c, index=index))
-        elif prop == NO_DUPLICATION:
-            reports.append(check_no_duplication(trace, schedule, index=index))
-        elif prop == INTEGRITY:
-            reports.append(check_integrity(trace, schedule, delta_b, index=index))
-        elif prop == AGREEMENT:
-            reports.append(check_agreement(trace, schedule, delta_c, index=index))
-        elif prop == DELIVERY_COUNT_LAW:
-            reports.append(check_delivery_count_laws(trace, schedule, variant, index=index))
-        elif prop == CONSISTENCY:
-            reports.append(check_mbrb_consistency(trace, schedule, index=index))
-        elif prop == TOTALITY:
-            reports.append(check_mbrb_totality(trace, schedule, delta_c, index=index))
-        else:
-            raise ValueError(f"unknown property: {prop}")
-    return reports
+    """Check ``properties`` in order on one index of the trace, one report each."""
+    checkers = _checkers()
+    unknown = [prop for prop in properties if prop not in checkers]
+    if unknown:
+        raise ValueError(f"unknown property: {unknown[0]}")
+    index = TraceIndex(trace, schedule, delta_b, delta_c, variant)
+    return [checkers[prop](index) for prop in properties]
+
+
+def _checkers() -> dict[str, Callable[[TraceIndex], PropertyReport]]:
+    """Each property's checker, read from this module's names on every call,
+    so a checker swapped on the module is the one that runs."""
+    return {VALIDITY: check_validity, NO_DUPLICATION: check_no_duplication,
+            INTEGRITY: check_integrity, AGREEMENT: check_agreement,
+            DELIVERY_COUNT_LAW: check_delivery_count_laws, CONSISTENCY: check_mbrb_consistency,
+            TOTALITY: check_mbrb_totality}
 
 
 def reports_to_json(reports: list[PropertyReport]) -> str:
@@ -444,21 +432,22 @@ def replay_witness(report: PropertyReport, trace: Trace, schedule: FailureSchedu
     if any(not 0 <= i < len(events) for i in report.witness):
         return False
 
+    index = TraceIndex(trace, schedule, delta_b, delta_c, variant)
     if report.property in (NO_DUPLICATION, CONSISTENCY):
-        at = {d.event_index: d for d in extract_deliveries(trace, schedule)}
+        at = {d.event_index: d for d in index.correct_deliveries}
         recs = [at.get(i) for i in report.witness]
-        if any(r is None or not r.correct_at_delivery for r in recs):
+        if None in recs:
             return False
         if report.property == NO_DUPLICATION:
             keys = [(r.process, r.source, r.payload) for r in recs]
             return len(set(keys)) < len(keys)
         return len(recs) >= 2 and recs[0].source == recs[1].source and recs[0].payload != recs[1].payload
 
-    if report.property in (INTEGRITY, VALIDITY, AGREEMENT, TOTALITY, DELIVERY_COUNT_LAW):
-        fresh, = run_property_checks(trace, schedule, delta_b, delta_c, variant, (report.property,))
-        return fresh.verdict == VIOLATED and set(report.witness) <= set(fresh.witness)
-
-    return False
+    check = _checkers().get(report.property)
+    if check is None:
+        return False
+    fresh = check(index)
+    return fresh.verdict == VIOLATED and set(report.witness) <= set(fresh.witness)
 
 
 def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:

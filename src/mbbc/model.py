@@ -74,7 +74,19 @@ class SettingTriple:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SettingTriple":
-        return cls(Timing(data["timing"]), Mobility(data["mobility"]), OracleKind(data["oracle"]))
+        """Read ``timing``, ``mobility`` and ``oracle`` by name; a missing or
+        unknown value is an ``InvalidScenario`` naming the field."""
+        return cls(_setting_field(data, "timing", Timing), _setting_field(data, "mobility", Mobility),
+                   _setting_field(data, "oracle", OracleKind))
+
+
+def _setting_field(data: dict, key: str, kind: type[Enum]) -> Enum:
+    if key not in data:
+        raise InvalidScenario([f"setting needs {key!r}"])
+    allowed = [member.value for member in kind]
+    if data[key] not in allowed:
+        raise InvalidScenario([f"setting {key} is {shown(data[key])}, not one of {', '.join(allowed)}"])
+    return kind(data[key])
 
 
 class RoundOutOfHorizon(Exception):

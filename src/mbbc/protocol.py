@@ -30,7 +30,6 @@ effective fault bound F:
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from collections import Counter
@@ -49,6 +48,10 @@ from .messages import (
 )
 
 InstanceKey = tuple[int, int, bytes]
+
+# Rounds from a broadcast to its delivery at a process correct throughout:
+# the SEND, the ECHO quorum and the READY quorum take one round each.
+DELIVERY_DELAY = 3
 
 
 class VariantTag(Enum):
@@ -89,9 +92,6 @@ class ProtocolState:
     cured_faulty_since: int | None = None
     rc: int = 1
     delivered: set[tuple[int, bytes]] = field(default_factory=set)
-
-    def clone(self) -> "ProtocolState":
-        return copy.deepcopy(self)
 
 
 def init_state() -> ProtocolState:
@@ -253,7 +253,7 @@ def compute_phase(
 
 
 def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:
-    due = birth + 3
+    due = birth + DELIVERY_DELAY
     if variant.tag is VariantTag.NFA_WEAK:
         return state.rc >= due
     if state.rc == due:

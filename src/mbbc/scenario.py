@@ -113,10 +113,7 @@ class ScenarioConfig:
         problems = [k for k in ("n", "f", "horizon", "setting", "schedule") if k not in data]
         if problems:
             raise InvalidScenario([f"missing config field: {k}" for k in problems])
-        try:
-            setting = SettingTriple.from_dict(spec_object(data["setting"], "setting"))
-        except (KeyError, ValueError) as exc:
-            raise InvalidScenario([f"bad setting triple: {exc}"]) from exc
+        setting = SettingTriple.from_dict(spec_object(data["setting"], "setting"))
         try:
             variant = VariantTag(data.get("variant", "FFA_FULL"))
         except ValueError as exc:

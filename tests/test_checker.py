@@ -7,19 +7,19 @@ import pytest
 from conftest import bfa_double_cure_scenario, golden_correct_source, split_send_scenario
 from mbbc import checker
 from mbbc.checker import (
+    AGREEMENT,
     ALL_PROPERTIES,
+    CONSISTENCY,
+    DELIVERY_COUNT_LAW,
+    INTEGRITY,
     MBBC_PROPERTIES,
+    NO_DUPLICATION,
     SATISFIED,
+    TOTALITY,
     UNRESOLVED,
+    VALIDITY,
     VIOLATED,
     PropertyReport,
-    check_agreement,
-    check_delivery_count_laws,
-    check_integrity,
-    check_mbrb_consistency,
-    check_mbrb_totality,
-    check_no_duplication,
-    check_validity,
     extract_deliveries,
     permanently_correct,
     projection,
@@ -58,6 +58,13 @@ def fault_free_config(n=4, horizon=6) -> ScenarioConfig:
     })
 
 
+def check_one(prop: str, trace: Trace, cfg: ScenarioConfig,
+              variant: VariantTag | None = None) -> PropertyReport:
+    """The report of one property, with delta_b 2 and delta_c 1."""
+    report, = run_property_checks(trace, cfg.resolved_schedule(), 2, 1, variant or cfg.variant, (prop,))
+    return report
+
+
 def deliver_event(process, round_, source, payload) -> TraceEvent:
     return TraceEvent(round=round_, phase="COMPUTE", kind=KIND_DELIVER_CALL,
                       subject=process, detail={"source": source, "payload": payload})
@@ -71,38 +78,38 @@ def broadcast_event(source, round_, payload) -> TraceEvent:
 class TestValidity:
     def test_golden_trace_satisfied(self):
         cfg = golden_correct_source()
-        report = check_validity(run(cfg), cfg.resolved_schedule(), 2, 1)
+        report = check_one(VALIDITY, run(cfg), cfg)
         assert report.verdict == SATISFIED
         assert report.details["per_process_reading_evaluated"] is True
 
     def test_no_broadcast_vacuous(self):
         cfg = fault_free_config()
-        report = check_validity(forged_trace(cfg, []), cfg.resolved_schedule(), 2, 1)
+        report = check_one(VALIDITY, forged_trace(cfg, []), cfg)
         assert report.verdict == SATISFIED
 
     def test_alternating_attack_below_bound_violated(self):
         cfg = attack_scenario(VariantTag.FFA_FULL, 5, 1, 1, "alternating")
         trace = run(cfg)
-        report = check_validity(trace, cfg.resolved_schedule(), 2, 1)
+        report = check_one(VALIDITY, trace, cfg)
         assert report.verdict == VIOLATED
         assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
     def test_broadcast_too_close_to_horizon_unresolved(self):
         cfg = fault_free_config(horizon=3)
         trace = forged_trace(cfg, [broadcast_event(0, 1, "m")])
-        report = check_validity(trace, cfg.resolved_schedule(), 2, 1)
+        report = check_one(VALIDITY, trace, cfg)
         assert report.verdict == UNRESOLVED  # due round 4 > horizon 3
 
 
 class TestNoDuplication:
     def test_golden_trace_satisfied(self):
         cfg = golden_correct_source()
-        assert check_no_duplication(run(cfg), cfg.resolved_schedule()).verdict == SATISFIED
+        assert check_one(NO_DUPLICATION, run(cfg), cfg).verdict == SATISFIED
 
     def test_bfa_double_cure_violated_with_three_records(self):
         cfg = bfa_double_cure_scenario()
         trace = run(cfg)
-        report = check_no_duplication(trace, cfg.resolved_schedule())
+        report = check_one(NO_DUPLICATION, trace, cfg)
         assert report.verdict == VIOLATED
         # The twice-cured process shows three delivery records.
         by_subject = [trace.events[i].subject for i in report.witness]
@@ -111,22 +118,22 @@ class TestNoDuplication:
 
     def test_zero_deliveries_satisfied(self):
         cfg = fault_free_config()
-        assert check_no_duplication(forged_trace(cfg, []), cfg.resolved_schedule()).verdict == SATISFIED
+        assert check_one(NO_DUPLICATION, forged_trace(cfg, []), cfg).verdict == SATISFIED
 
 
 class TestIntegrity:
     def test_correct_source_broadcast_branch(self):
         cfg = golden_correct_source()
-        assert check_integrity(run(cfg), cfg.resolved_schedule(), 2).verdict == SATISFIED
+        assert check_one(INTEGRITY, run(cfg), cfg).verdict == SATISFIED
 
     def test_faulty_source_branch(self):
         cfg = split_send_scenario([1, 2, 3])
-        assert check_integrity(run(cfg), cfg.resolved_schedule(), 2).verdict == SATISFIED
+        assert check_one(INTEGRITY, run(cfg), cfg).verdict == SATISFIED
 
     def test_forged_unexplained_delivery_violated(self):
         cfg = fault_free_config()
         trace = forged_trace(cfg, [deliver_event(1, 4, 0, "ghost")])
-        report = check_integrity(trace, cfg.resolved_schedule(), 2)
+        report = check_one(INTEGRITY, trace, cfg)
         assert report.verdict == VIOLATED
         assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
@@ -141,14 +148,14 @@ class TestIntegrity:
                 {"host": 0, "first_round": 4, "last_round": None}]}]},
         })
         trace = forged_trace(cfg, [deliver_event(2, round_, 0, "ghost")])
-        assert check_integrity(trace, cfg.resolved_schedule(), 2).verdict == verdict
+        assert check_one(INTEGRITY, trace, cfg).verdict == verdict
 
     @pytest.mark.parametrize("round_, verdict", [(3, SATISFIED), (2, VIOLATED)])
     def test_broadcast_in_the_delivery_round_explains_it(self, round_, verdict):
         cfg = fault_free_config(horizon=8)
         trace = forged_trace(cfg, [broadcast_event(0, 3, "m"), broadcast_event(0, 5, "m"),
                                    deliver_event(2, round_, 0, "m")])
-        assert check_integrity(trace, cfg.resolved_schedule(), 2).verdict == verdict
+        assert check_one(INTEGRITY, trace, cfg).verdict == verdict
 
 
 class TestFaultyTimeDeliveries:
@@ -183,19 +190,19 @@ class TestFaultyTimeDeliveries:
 class TestAgreement:
     def test_all_deliver_satisfied(self):
         cfg = split_send_scenario([1, 2, 3])
-        assert check_agreement(run(cfg), cfg.resolved_schedule(), 1).verdict == SATISFIED
+        assert check_one(AGREEMENT, run(cfg), cfg).verdict == SATISFIED
 
     def test_none_deliver_vacuously_satisfied(self):
         cfg = split_send_scenario([1, 2])
         trace = run(cfg)
         assert not [d for d in extract_deliveries(trace, cfg.resolved_schedule())
                     if d.correct_at_delivery]
-        assert check_agreement(trace, cfg.resolved_schedule(), 1).verdict == SATISFIED
+        assert check_one(AGREEMENT, trace, cfg).verdict == SATISFIED
 
     def test_forged_partial_delivery_violated(self):
         cfg = fault_free_config(n=4, horizon=6)
         trace = forged_trace(cfg, [deliver_event(0, 4, 0, "m"), deliver_event(1, 4, 0, "m")])
-        report = check_agreement(trace, cfg.resolved_schedule(), 1)
+        report = check_one(AGREEMENT, trace, cfg)
         assert report.verdict == VIOLATED
         missing = {o["process"] for o in report.details["obligations"] if o["status"] == VIOLATED}
         assert missing == {2, 3}
@@ -204,44 +211,44 @@ class TestAgreement:
     def test_delivery_at_horizon_leaves_others_unresolved(self):
         cfg = fault_free_config(n=3, horizon=5)
         trace = forged_trace(cfg, [deliver_event(0, 5, 0, "m")])
-        assert check_agreement(trace, cfg.resolved_schedule(), 1).verdict == UNRESOLVED
+        assert check_one(AGREEMENT, trace, cfg).verdict == UNRESOLVED
 
 
 class TestMbrbCheckers:
     def test_consistency_violated_on_two_payloads(self):
         cfg = fault_free_config()
         trace = forged_trace(cfg, [deliver_event(0, 3, 2, "a"), deliver_event(1, 4, 2, "b")])
-        report = check_mbrb_consistency(trace, cfg.resolved_schedule())
+        report = check_one(CONSISTENCY, trace, cfg)
         assert report.verdict == VIOLATED
         assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
     def test_consistency_satisfied_on_equal_payloads(self):
         cfg = fault_free_config()
         trace = forged_trace(cfg, [deliver_event(0, 3, 2, "a"), deliver_event(1, 4, 2, "a")])
-        assert check_mbrb_consistency(trace, cfg.resolved_schedule()).verdict == SATISFIED
+        assert check_one(CONSISTENCY, trace, cfg).verdict == SATISFIED
 
     def test_totality_unresolved_when_horizon_too_short(self):
         cfg = fault_free_config(n=3, horizon=4)
         trace = forged_trace(cfg, [deliver_event(0, 4, 2, "m")])
-        assert check_mbrb_totality(trace, cfg.resolved_schedule(), 1).verdict == UNRESOLVED
+        assert check_one(TOTALITY, trace, cfg).verdict == UNRESOLVED
 
     def test_totality_counts_any_payload_from_source(self):
         cfg = fault_free_config(n=2, horizon=8)
         trace = forged_trace(cfg, [deliver_event(0, 3, 1, "a"), deliver_event(1, 4, 1, "b")])
-        assert check_mbrb_totality(trace, cfg.resolved_schedule(), 1).verdict == SATISFIED
+        assert check_one(TOTALITY, trace, cfg).verdict == SATISFIED
 
 
 class TestDeliveryCountLaws:
     def test_ffa_not_applicable(self):
         cfg = golden_correct_source()
-        report = check_delivery_count_laws(run(cfg), cfg.resolved_schedule(), VariantTag.FFA_FULL)
+        report = check_one(DELIVERY_COUNT_LAW, run(cfg), cfg, VariantTag.FFA_FULL)
         assert report.verdict == SATISFIED
         assert "not applicable" in report.details["note"]
 
     def test_bfa_bound_met(self):
         cfg = bfa_double_cure_scenario()
         trace = run(cfg)
-        report = check_delivery_count_laws(trace, cfg.resolved_schedule(), VariantTag.BFA_WEAK)
+        report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.BFA_WEAK)
         assert report.verdict == SATISFIED
 
     def test_bfa_bound_violated_when_cure_delivery_removed(self):
@@ -251,7 +258,7 @@ class TestDeliveryCountLaws:
         drop = next(i for i, e in enumerate(trace.events)
                     if e.kind == KIND_DELIVER_CALL and e.subject == 5 and e.round == 6)
         trace.events.pop(drop)
-        report = check_delivery_count_laws(trace, cfg.resolved_schedule(), VariantTag.BFA_WEAK)
+        report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.BFA_WEAK)
         assert report.verdict == VIOLATED
         shortfall = report.details["instances"][0]["shortfalls"][0]
         assert shortfall["process"] == 5 and shortfall["required"] == 3
@@ -259,14 +266,13 @@ class TestDeliveryCountLaws:
     def test_nfa_per_round_law(self):
         cfg = attack_scenario(VariantTag.NFA_WEAK, 7, 1, 1, "alternating")
         trace = run(cfg)
-        report = check_delivery_count_laws(trace, cfg.resolved_schedule(), VariantTag.NFA_WEAK)
+        report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.NFA_WEAK)
         assert report.verdict == SATISFIED
         # Removing any one correct-round delivery breaks the law.
         drop = next(i for i, e in enumerate(trace.events)
                     if e.kind == KIND_DELIVER_CALL and e.round == 5)
         trace.events.pop(drop)
-        assert check_delivery_count_laws(
-            trace, cfg.resolved_schedule(), VariantTag.NFA_WEAK).verdict == VIOLATED
+        assert check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.NFA_WEAK).verdict == VIOLATED
 
 
 class TestReportPlumbing:
@@ -288,7 +294,7 @@ class TestReportPlumbing:
     def test_replay_rejects_satisfied_reports(self):
         cfg = golden_correct_source()
         trace = run(cfg)
-        report = check_no_duplication(trace, cfg.resolved_schedule())
+        report = check_one(NO_DUPLICATION, trace, cfg)
         assert report.verdict == SATISFIED
         assert not replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
@@ -300,7 +306,7 @@ class TestReportPlumbing:
     def test_replay_reads_the_deliveries_once_per_call(self, monkeypatch):
         cfg = bfa_double_cure_scenario()
         trace = run(cfg)
-        report = check_no_duplication(trace, cfg.resolved_schedule())
+        report = check_one(NO_DUPLICATION, trace, cfg)
         assert len(report.witness) > 1
         calls = []
         original = checker.extract_deliveries
@@ -321,7 +327,7 @@ class TestReportPlumbing:
                     if e.kind == KIND_DELIVER_CALL and e.subject == 5 and e.round == 6)
         trace.events.pop(drop)
         sched = cfg.resolved_schedule()
-        report = check_delivery_count_laws(trace, sched, VariantTag.BFA_WEAK)
+        report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.BFA_WEAK)
         assert report.verdict == VIOLATED and report.witness
         assert replay_witness(report, trace, sched, 2, 1, cfg.variant)
         stray = next(i for i, e in enumerate(trace.events) if e.kind == KIND_BROADCAST_CALL)
@@ -522,20 +528,8 @@ def index_cases():
     return cases
 
 
-def standalone(prop, trace, schedule, delta_b, delta_c, variant):
-    return {
-        "VALIDITY": lambda: check_validity(trace, schedule, delta_b, delta_c),
-        "NO_DUPLICATION": lambda: check_no_duplication(trace, schedule),
-        "INTEGRITY": lambda: check_integrity(trace, schedule, delta_b),
-        "AGREEMENT": lambda: check_agreement(trace, schedule, delta_c),
-        "DELIVERY_COUNT_LAW": lambda: check_delivery_count_laws(trace, schedule, variant),
-        "CONSISTENCY": lambda: check_mbrb_consistency(trace, schedule),
-        "TOTALITY": lambda: check_mbrb_totality(trace, schedule, delta_c),
-    }[prop]()
-
-
 class TestTraceIndex:
-    """run_property_checks shares one index; each checker alone gives the same report."""
+    """run_property_checks builds one index, which carries the scenario's parameters."""
 
     @pytest.mark.parametrize("properties", [MBBC_PROPERTIES, ALL_PROPERTIES])
     def test_deliveries_are_extracted_once_per_call(self, monkeypatch, properties):
@@ -555,17 +549,38 @@ class TestTraceIndex:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("cfg", index_cases())
-    def test_standalone_checkers_match_shared_index(self, cfg):
+    def test_reports_do_not_read_the_scenario_from_the_header(self, cfg):
+        """A header config holding only n and horizon, which the trace reader
+        accepts, gives the same reports as the full one."""
         trace = run(cfg)
-        schedule = cfg.resolved_schedule()
-        shared = run_property_checks(trace, schedule, cfg.delta_b, cfg.delta_c, cfg.variant,
-                                     ALL_PROPERTIES)
-        assert [r.property for r in shared] == list(ALL_PROPERTIES)
-        for report in shared:
-            alone = standalone(report.property, trace, schedule, cfg.delta_b, cfg.delta_c,
-                               cfg.variant)
-            assert json.dumps(alone.to_dict(), sort_keys=True) == json.dumps(
-                report.to_dict(), sort_keys=True), report.property
+        bare = Trace.from_jsonl(replace(trace, config={"n": cfg.n, "horizon": cfg.horizon}).to_jsonl())
+        args = (cfg.resolved_schedule(), cfg.delta_b, cfg.delta_c, cfg.variant, ALL_PROPERTIES)
+        assert reports_to_json(run_property_checks(bare, *args)) == reports_to_json(
+            run_property_checks(trace, *args))
+
+    @pytest.mark.parametrize("variant, evaluated", [
+        (VariantTag.FFA_FULL, True), (VariantTag.BFA_WEAK, False), (VariantTag.NFA_WEAK, False)])
+    def test_validity_reads_the_variant_it_is_given(self, variant, evaluated):
+        """The per-process reading follows the variant passed in, not the
+        header's (FFA_FULL here, with n > 5f)."""
+        cfg = golden_correct_source()
+        assert cfg.variant is VariantTag.FFA_FULL and cfg.n > 5 * cfg.f
+        report = check_one(VALIDITY, run(cfg), cfg, variant)
+        assert report.details["per_process_reading_evaluated"] is evaluated
+
+    def test_a_checker_swapped_on_the_module_is_the_one_that_runs(self, monkeypatch):
+        """perfbench/tracing.py times each checker by wrapping its module name."""
+        calls = []
+        original = checker.check_integrity
+
+        def wrapped(index):
+            calls.append(index)
+            return original(index)
+
+        monkeypatch.setattr(checker, "check_integrity", wrapped)
+        cfg = golden_correct_source()
+        assert check_one(INTEGRITY, run(cfg), cfg).verdict == SATISFIED
+        assert len(calls) == 1 and calls[0].variant is cfg.variant
 
     @pytest.mark.parametrize("cfg", index_cases())
     def test_replay_confirms_every_violation(self, cfg):

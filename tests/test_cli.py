@@ -167,6 +167,20 @@ def without_segment_field(key):
     return lambda cfg: cfg["schedule"]["trajectories"][0]["segments"][0].pop(key)
 
 
+def setting_field(key, value):
+    return lambda cfg: cfg["setting"].update({key: value})
+
+
+def without_setting_field(key):
+    return lambda cfg: cfg["setting"].pop(key)
+
+
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def arbitrary(actions):
     return strategy({"kind": "ARBITRARY", "script": {"1": {"1": actions}}})
 
@@ -232,6 +246,13 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
     pytest.param(scalar("setting", None), "setting is None", id="setting-null"),
     pytest.param(scalar("setting", "SYNC"), "setting is 'SYNC'", id="setting-string"),
     pytest.param(scalar("setting", []), "setting is []", id="setting-list"),
+    pytest.param(setting_field("timing", nested("SYNC", 13)),
+                 "setting timing is [[[[[[[[[...]]]]]]]]], not one of SYNC, ASYNC",
+                 id="setting-timing-nested"),
+    pytest.param(without_setting_field("mobility"), "setting needs 'mobility'",
+                 id="setting-without-mobility"),
+    pytest.param(setting_field("oracle", "XFA"), "setting oracle is 'XFA', not one of NFA, BFA, FFA",
+                 id="setting-oracle-unknown"),
 ])
 def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
     """A malformed scalar, broadcast, strategy or schedule spec is an invalid

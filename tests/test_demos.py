@@ -147,15 +147,16 @@ def test_adapter_output_leaves_the_channel_trace_alone():
 
 
 def test_wipe_flip_without_a_correct_delivery_does_not_hold(capsys):
-    """With delta_1 = 3 the target is possessed before the round its delivery
-    falls due, so delivering on the cure duplicates nothing on either history."""
-    result = run_demo("WIPE_FLIP", {"delta_1": 3})
-    assert result.projections_identical and not result.holds
-    by_choice = {c["choice"]: c["violations"] for c in result.choices}
-    assert by_choice["deliver_on_cure"] == []
-    assert_violations_replay(result)
-    assert cli.main(["demo", "--kind", "WIPE_FLIP", "--params", '{"delta_1": 3}']) == 1
-    assert "demonstration FAILED" in capsys.readouterr().err
+    """With delta_1 = 3 the target would be possessed before the round its
+    delivery falls due, so delivering on the cure would duplicate nothing: the
+    construction rejects it, naming the bound, and accepts delta_1 = 4."""
+    with pytest.raises(InvalidScenario, match="delta_1 >= 4"):
+        run_demo("WIPE_FLIP", {"delta_1": 3})
+    assert cli.main(["demo", "--kind", "WIPE_FLIP", "--params", '{"delta_1": 3}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and "delta_1 >= 4" in err, err
+    assert "Traceback" not in err
+    assert run_demo("WIPE_FLIP", {"delta_1": 4}).holds
 
 
 def test_unknown_demo_kind_raises():
