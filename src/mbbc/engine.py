@@ -17,7 +17,13 @@ Each round runs five sub-phases in a fixed order:
    adversary sees them anyway).
 5. COMPUTE  — correct processes run the protocol compute phase (scheduled
    broadcast calls are injected here); each faulty process's state is
-   replaced by whatever the strategy returns.
+   replaced by whatever the strategy returns. A correct process with no
+   dictated receipt and no broadcast call holds copies of the common
+   tallies, so its phase depends only on ``rc``, its cure flags and
+   ``delivered``: the first such process of each class of equal values, in
+   process order, runs ``compute_phase``, and the others take a copy of its
+   outcome through ``protocol.adopt_compute``. No two states share a
+   container.
 
 Every externally visible action is appended to a totally ordered trace.
 A send is one P2P_SEND event per (sender, message): ``"to": "ALL"`` for a
@@ -26,7 +32,10 @@ Receipts are not traced; links are synchronous and reliable, so
 ``deliveries`` derives them from the SEND events; a correct receiver's
 tallies after RECEIVE are a fold of its receipts in that order. SEND events
 are ordered by (sender, message), receipts by (receiver, sender, message).
-Given a config (the seed is part of it), the trace is bit-reproducible.
+Each distinct message dict and DELIVER_CALL detail is built once per
+simulation, and the events that carry it share it read-only, as the events of
+a parsed trace do. Given a config (the seed is part of it), the trace is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .messages import ProtocolMessage, decode_payload, encode_payload
 from .model import FailureSchedule, OracleKind, shown
 from .protocol import (
     ProtocolState,
+    adopt_compute,
     compute_phase,
     init_state,
     on_cured,
@@ -445,6 +455,10 @@ class Simulation:
         self.trace = Trace(fingerprint=config.fingerprint(), seed=config.seed, config=config.to_dict())
         self.round = 0
         self._broadcast_index: dict[tuple[int, int], list[bytes]] = {}
+        # Messages are type-exact (``ProtocolMessage`` takes no bool for an
+        # int), so equal keys encode to equal JSON.
+        self._message_dicts: dict[ProtocolMessage, dict] = {}
+        self._deliver_details: dict[tuple[int, bytes], dict] = {}
         for b in config.broadcasts:
             self._broadcast_index.setdefault((b.source, b.round), []).append(b.payload)
 
@@ -486,7 +500,7 @@ class Simulation:
             else:
                 outbox.extend((p, msg, TO_ALL) for msg in send_phase(self.states[p]))
         for sender, msg, to in outbox:
-            self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, {"message": msg.to_dict(), "to": to})
+            self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, {"message": self._message(msg), "to": to})
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
         # "ALL" sends come from correct senders and dictated ones from faulty
@@ -504,22 +518,46 @@ class Simulation:
             if p not in faulty:
                 receive(self.states[p], common, obs.dictated[p])
 
-        # COMPUTE.
+        # COMPUTE, run once per class of equal inputs (see the module docstring).
+        computed: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]]]] = {}
         for p in range(n):
+            state = self.states[p]
             if p in faulty:
                 new_state = self.strategy.corrupt_state(p, r, obs)
                 self.states[p] = new_state
                 self._emit(r, PHASE_COMPUTE, KIND_STATE_CORRUPTED, p,
                            {"state_digest": state_fingerprint(new_state)})
+                continue
+            payloads = self._broadcast_index.get((p, r), [])
+            for payload in payloads:
+                self._emit(r, PHASE_COMPUTE, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
+            if payloads or obs.dictated[p]:
+                delivered = compute_phase(state, p, self.variant, n, broadcasts=payloads)
             else:
-                payloads = self._broadcast_index.get((p, r), [])
-                for payload in payloads:
-                    self._emit(r, PHASE_COMPUTE, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
-                delivered = compute_phase(self.states[p], p, self.variant, n, broadcasts=payloads)
-                for source, payload in delivered:
-                    detail = {"source": source}
-                    detail.update(encode_payload(payload))
-                    self._emit(r, PHASE_COMPUTE, KIND_DELIVER_CALL, p, detail)
+                key = (state.rc, state.cured, state.cured_faulty_since, frozenset(state.delivered))
+                first = computed.get(key)
+                if first is None:
+                    delivered = compute_phase(state, p, self.variant, n)
+                    computed[key] = state, delivered
+                else:
+                    adopt_compute(state, first[0], self.variant)
+                    delivered = first[1]
+            for source, payload in delivered:
+                self._emit(r, PHASE_COMPUTE, KIND_DELIVER_CALL, p, self._deliver_detail(source, payload))
+
+    def _message(self, msg: ProtocolMessage) -> dict:
+        """``msg.to_dict()``, built once per distinct message and shared read-only."""
+        out = self._message_dicts.get(msg)
+        if out is None:
+            out = self._message_dicts[msg] = msg.to_dict()
+        return out
+
+    def _deliver_detail(self, source: int, payload: bytes) -> dict:
+        """A DELIVER_CALL's detail, built once per (source, payload) and shared read-only."""
+        out = self._deliver_details.get((source, payload))
+        if out is None:
+            out = self._deliver_details[source, payload] = {"source": source, **encode_payload(payload)}
+        return out
 
     def _emit(self, r: int, phase: str, kind: str, subject: int, detail: dict) -> None:
         self.trace.events.append(TraceEvent(r, phase, kind, subject, detail))

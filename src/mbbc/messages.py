@@ -41,6 +41,12 @@ class ProtocolMessage:
     round_value: int | None = None
 
     def __post_init__(self) -> None:
+        # Type-exact, so that equal messages are written alike: ``True == 1``
+        # would let a boolean field stand for an int one.
+        for name in ("source", "birth_round", "round_value"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} {shown(value)} is not an int")
         if self.kind is MessageKind.ROUND:
             if self.round_value is None or self.round_value < 1:
                 raise ValueError("ROUND message requires round_value >= 1")
@@ -55,7 +61,7 @@ class ProtocolMessage:
                 raise ValueError("birth_round must be >= 1")
             if self.source < 0:
                 raise ValueError("source must be a process index")
-            if not isinstance(self.payload, bytes):
+            if type(self.payload) is not bytes:
                 raise ValueError("payload must be bytes")
 
     def instance_key(self) -> tuple[int, int, bytes]:

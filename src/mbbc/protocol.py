@@ -221,9 +221,7 @@ def compute_phase(
         elif votes > F:
             state.to_send.add(abort_msg(*key))
 
-    for key in sorted(state.aborts):
-        if len(state.aborts[key]) > F:
-            state.readys[key] = set()
+    _abort_wipe(state, F)
 
     deliveries: list[tuple[int, bytes]] = []
     quorum_keys = [key for key, voters in state.readys.items() if len(voters) > 2 * F]
@@ -250,6 +248,30 @@ def compute_phase(
     state.rc += 1
     state.to_send.add(round_msg(state.rc))
     return deliveries
+
+
+def _abort_wipe(state: ProtocolState, F: int) -> None:
+    """More than F ABORT votes empty the READY tally of their instance."""
+    for key in sorted(state.aborts):
+        if len(state.aborts[key]) > F:
+            state.readys[key] = set()
+
+
+def adopt_compute(state: ProtocolState, done: ProtocolState, variant: Variant) -> None:
+    """Give ``state`` the outcome of the compute phase ``done`` has just run.
+
+    Both must have entered the phase with equal tallies, ``rc``, cure flags
+    and ``delivered``, and neither with a broadcast call: ``compute_phase``
+    would then leave ``state`` equal to ``done`` and return the same
+    deliveries. Every field the phase writes is copied, none is shared, and
+    the abort wipe runs on ``state``'s own READY tally.
+    """
+    state.to_send = set(done.to_send)
+    _abort_wipe(state, variant.effective_f)
+    state.rc = done.rc
+    state.delivered = set(done.delivered)
+    state.cured = done.cured
+    state.cured_faulty_since = done.cured_faulty_since
 
 
 def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:

@@ -46,6 +46,12 @@ VARIANT_ORACLE = {
 }
 
 
+# The largest horizon a scenario may have. Schedules, checkers and traces are
+# sized by the horizon, and a trace header alone can ask for any, so `run`,
+# `check` and `replay` all reject one above this. The bundled configs, sweeps
+# and demos use at most 100 rounds.
+MAX_HORIZON = 10_000
+
 # The int fields of a config with the default of each optional one (None:
 # required). A bool, a float or a numeric string is not an int here.
 _SCALAR_DEFAULTS = {"n": None, "f": None, "delta_s": 1, "delta_b": 2, "delta_c": 1,
@@ -177,8 +183,8 @@ class ScenarioConfig:
             problems.append("delta_s must be >= 1 round in this setting (sub-round residency is not executable)")
         if self.delta_b < 1 or self.delta_c < 1:
             problems.append("delta_b and delta_c must be >= 1")
-        if self.horizon < 1:
-            problems.append("horizon must be >= 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            problems.append(f"horizon={self.horizon} must be in [1, {MAX_HORIZON}]")
         expected_oracle = VARIANT_ORACLE[self.variant]
         if self.setting.oracle is not expected_oracle:
             problems.append(

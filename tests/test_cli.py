@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import mbbc
 from mbbc import cli
 from mbbc.sweeps import attack_scenario
 from mbbc.protocol import VariantTag
+from mbbc.scenario import MAX_HORIZON
 
 
 def child_env(**extra) -> dict:
@@ -197,6 +199,8 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
     pytest.param(scalar("delta_c", "1"), "field delta_c", id="delta_c-string"),
     pytest.param(scalar("horizon", 8.5), "field horizon", id="horizon-float"),
     pytest.param(scalar("seed", "7"), "field seed", id="seed-string"),
+    pytest.param(scalar("horizon", MAX_HORIZON + 1), f"horizon={MAX_HORIZON + 1} must be in",
+                 id="horizon-above-max"),
     pytest.param(broadcast_field("source", "0"), "field source", id="broadcast-source-string"),
     pytest.param(broadcast_field("round", 1.0), "field round", id="broadcast-round-float"),
     pytest.param(broadcast_field("payload", 5), "payload 5", id="broadcast-payload-int"),
@@ -218,6 +222,16 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
     pytest.param(arbitrary({"sends": [[6, ROUND_VOTE]]}), "receiver 6", id="arbitrary-receiver-range"),
     pytest.param(arbitrary({"sends": [[1, {"kind": "ROUND", "round_value": "7"}]]}), "round_value",
                  id="arbitrary-round_value-string"),
+    pytest.param(arbitrary({"sends": [[1, {"kind": "ROUND", "round_value": True}]]}),
+                 "round_value True is not an int", id="arbitrary-round_value-bool"),
+    pytest.param(arbitrary({"sends": [[1, {"kind": "SEND", "source": True, "birth_round": 1,
+                                            "payload": "x"}]]}),
+                 "source True is not an int", id="arbitrary-source-bool"),
+    pytest.param(arbitrary({"sends": [[1, {"kind": "ECHO", "source": 1, "birth_round": 1.5,
+                                            "payload": "x"}]]}),
+                 "birth_round 1.5 is not an int", id="arbitrary-birth_round-float"),
+    pytest.param(arbitrary({"state": {"to_send": [{"kind": "ROUND", "round_value": 3.0}]}}),
+                 "round_value 3.0 is not an int", id="arbitrary-to_send-round_value-float"),
     pytest.param(arbitrary({"sends": [[1, {"round_value": 7}]]}), "kind", id="arbitrary-message-no-kind"),
     pytest.param(arbitrary({"sends": [[1, {"kind": "SEND", "source": 0, "birth_round": 1,
                                             "payload": 5}]]}), "payload", id="arbitrary-payload-int"),
@@ -379,6 +393,21 @@ def test_check_validates_the_header_config(tmp_path, golden_config_path, capsys,
     assert err.startswith("invalid scenario:" if code == 2 else "unsupported setting:"), err
     if edit is not None:
         assert cli.main(["replay", "--trace", str(trace)]) == code
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+def test_header_only_trace_with_a_huge_horizon_exits_2_at_once(tmp_path, capsys, command):
+    """Schedules and checkers are sized by the horizon; a header alone must
+    not be able to ask for millions of rounds."""
+    config = {**golden_correct_source().to_dict(), "horizon": 2_000_000}
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": "mbbc-trace/2",
+                                 "seed": 0}) + "\n")
+    start = time.perf_counter()
+    assert cli.main([command, "--trace", str(trace)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and f"must be in [1, {MAX_HORIZON}]" in err, err
 
 
 @pytest.mark.parametrize("field", ['"round":99', '"round":"3"'])

@@ -1,4 +1,5 @@
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +21,17 @@ from mbbc.engine import (
     deliveries,
     run,
 )
-from mbbc.messages import ProtocolMessage
+from mbbc.messages import ProtocolMessage, decode_payload
 from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
-from mbbc.protocol import ProtocolState, init_state, on_p2p_deliver
+from mbbc.protocol import (
+    ProtocolState,
+    compute_phase,
+    init_state,
+    on_cured,
+    on_p2p_deliver,
+    receive,
+    send_phase,
+)
 from mbbc.scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
 
 
@@ -194,13 +203,14 @@ class TestDeliveries:
         cfg = split_send_scenario([1, 2, 3])
         sim = Simulation(cfg)
         received = {}
-        original = engine.compute_phase
+        original = engine.receive
 
-        def snapshot(state, p, *args, **kwargs):
+        def snapshot(state, *args):
+            original(state, *args)
+            [p] = [p for p, live in enumerate(sim.states) if live is state]
             received[(sim.round, p)] = tallies(state)
-            return original(state, p, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "compute_phase", snapshot)
+        monkeypatch.setattr(engine, "receive", snapshot)
         trace = sim.run()
         sched = cfg.resolved_schedule()
         assert set(received) == {(r, p) for r in range(1, cfg.horizon + 1)
@@ -226,6 +236,127 @@ class TestDeliveries:
         sends = [e.detail for e in trace.events if e.kind == KIND_P2P_SEND and e.subject == 0]
         assert sends == [{"message": vote, "to": [1, 2, 2]}]
         assert [d.receiver for d in deliveries(trace) if d.sender == 0] == [1, 2, 2]
+
+
+def crash_silent(n: int, f: int, horizon: int, variant: str, oracle: str, broadcasts: list,
+                 schedule: dict, delta_s: int = 1) -> ScenarioConfig:
+    """A CRASH_SILENT config: faulty processes send nothing."""
+    return ScenarioConfig.from_dict({
+        "n": n, "f": f, "delta_s": delta_s, "delta_b": 2, "delta_c": 1, "horizon": horizon,
+        "seed": 1, "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": oracle},
+        "variant": variant, "schedule": schedule, "broadcasts": broadcasts,
+        "strategy": {"kind": "CRASH_SILENT"},
+    })
+
+
+def roundrobin_crash(n: int, f: int, horizon: int, rounds, variant: str, oracle: str) -> ScenarioConfig:
+    """Agents walk the ring; one broadcast per round in ``rounds`` from a process they are not on."""
+    return crash_silent(n, f, horizon, variant, oracle,
+                        [{"source": (b + f + i) % n, "round": b, "payload": f"m{i}"}
+                         for i, b in enumerate(rounds)],
+                        {"generator": "roundrobin", "params": {"offset": 0}})
+
+
+def fanout_shaped() -> ScenarioConfig:
+    return roundrobin_crash(32, 6, 20, (1, 2, 3, 4, 5), "FFA_FULL", "FFA")
+
+
+def weak_redelivery_shaped() -> ScenarioConfig:
+    return roundrobin_crash(7, 1, 40, tuple(range(14, 33, 2)), "NFA_WEAK", "NFA")
+
+
+def cured_in_pairs(variant: str, oracle: str) -> ScenarioConfig:
+    """Two agents leave their hosts together, so two processes are cured in
+    one round with the same cure flags."""
+    return crash_silent(11, 2, 12, variant, oracle,
+                        [{"source": 0, "round": b, "payload": f"m{b}"} for b in (1, 3, 5)],
+                        {"generator": "alternating", "params": {"p1": [1, 2], "p2": [3, 4]}},
+                        delta_s=2)
+
+
+def cured_in_step() -> ScenarioConfig:
+    """BFA_WEAK: the possessed process leaves with the round counter every
+    correct process has, so at its cure only the cure flag tells it apart."""
+    return ScenarioConfig.from_dict({
+        "n": 6, "f": 1, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": 7, "seed": 0,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "BFA"},
+        "variant": "BFA_WEAK",
+        "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+            {"host": 3, "first_round": 1, "last_round": 4}]}]},
+        "broadcasts": [{"source": 0, "round": 1, "payload": "m"}],
+        "strategy": {"kind": "ARBITRARY", "script": {"4": {"3": {"state": {"rc": 5}}}}},
+    })
+
+
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def containers(state: ProtocolState) -> list:
+    """Every set and dict a state holds, vote sets included."""
+    out = [state.to_send, state.sends, state.echos, state.readys, state.aborts,
+           state.rc_votes, state.delivered]
+    for votes in (state.echos, state.readys, state.aborts):
+        out.extend(votes.values())
+    return out
+
+
+class TestSharedCompute:
+    """COMPUTE runs once per class of processes with equal inputs; every
+    member must end where its own receive and compute would have left it."""
+
+    @pytest.mark.parametrize("config", [
+        *[pytest.param(lambda path=path: ScenarioConfig.from_json(path.read_text()), id=path.stem)
+          for path in BUNDLED],
+        pytest.param(lambda: split_send_scenario([1, 2, 3]), id="split_send"),
+        pytest.param(fanout_shaped, id="fanout_shaped"),
+        pytest.param(weak_redelivery_shaped, id="weak_redelivery_shaped"),
+        pytest.param(lambda: cured_in_pairs("FFA_FULL", "FFA"), id="ffa_cured_in_pairs"),
+        pytest.param(lambda: cured_in_pairs("BFA_WEAK", "BFA"), id="bfa_cured_in_pairs"),
+        pytest.param(cured_in_step, id="bfa_cured_in_step"),
+    ])
+    def test_each_state_equals_a_per_process_compute(self, config):
+        cfg = config()
+        sim = Simulation(cfg)
+        sched, variant, n = sim.schedule, cfg.variant_spec(), cfg.n
+        while sim.round < cfg.horizon:
+            before = copy.deepcopy(sim.states)
+            start = len(sim.trace.events)
+            sim.step()
+            r, events = sim.round, sim.trace.events[start:]
+            receipts = {p: [] for p in range(n)}
+            for d in deliveries(Trace("", 0, {"n": n}, events)):
+                receipts[d.receiver].append((d.sender, ProtocolMessage.from_dict(d.message)))
+            for p in range(n):
+                if not sched.is_correct(p, r):
+                    continue
+                state = before[p]
+                for ev in events:
+                    if ev.kind == KIND_CURED and ev.subject == p:
+                        on_cured(state, ev.detail["faulty_since"])
+                send_phase(state)
+                receive(state, init_state(), receipts[p])
+                payloads = [b.payload for b in cfg.broadcasts if (b.source, b.round) == (p, r)]
+                delivered = compute_phase(state, p, variant, n, broadcasts=payloads)
+                assert state == sim.states[p], (r, p)
+                assert delivered == [(ev.detail["source"], decode_payload(ev.detail)) for ev in events
+                                     if ev.kind == KIND_DELIVER_CALL and ev.subject == p], (r, p)
+            held = [id(c) for state in sim.states for c in containers(state)]
+            assert len(held) == len(set(held)), f"a container is shared between states in round {r}"
+
+    def test_sharing_fires_on_the_fanout_shape(self, monkeypatch):
+        calls = []
+        original = engine.compute_phase
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "compute_phase", counted)
+        cfg = fanout_shaped()
+        run(cfg)
+        sched = cfg.resolved_schedule()
+        pairs = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
+        assert 0 < len(calls) < pairs / 4
 
 
 def tallies(state: ProtocolState) -> tuple:

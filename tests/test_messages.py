@@ -57,3 +57,22 @@ def test_sort_key_total_order():
     ordered = sorted(msgs, key=ProtocolMessage.sort_key)
     assert ordered[0].kind is MessageKind.SEND
     assert ordered[-1].kind is MessageKind.ROUND
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"kind": "SEND", "source": True, "birth_round": 1, "payload": "x"}, "source"),
+    ({"kind": "ECHO", "source": 0, "birth_round": 1.5, "payload": "x"}, "birth_round"),
+    ({"kind": "READY", "source": 0, "birth_round": True, "payload": "x"}, "birth_round"),
+    ({"kind": "ROUND", "round_value": True}, "round_value"),
+    ({"kind": "ROUND", "round_value": 2.0}, "round_value"),
+])
+def test_int_fields_are_type_exact(data, field):
+    """``True == 1`` and ``2.0 == 2``: a message holding them would equal, and
+    hash like, one that is written differently."""
+    with pytest.raises(ValueError, match=f"{field} .* is not an int"):
+        ProtocolMessage.from_dict(data)
+
+
+def test_payload_must_be_exactly_bytes():
+    with pytest.raises(ValueError, match="payload must be bytes"):
+        send_msg(0, 1, bytearray(b"x"))
