@@ -9,10 +9,17 @@ runs the checkers a report asks for on it.
 
 Deliveries performed while a process is faulty appear in traces but are
 excluded from every evaluation: operations executed by a possessed process are
-adversary output, not protocol output. "Eventually" is made finite-horizon by
-anchoring each obligation at the earliest round the protocol itself promises:
-three rounds after the broadcast for processes correct then, and the first
-correct round after that point otherwise.
+adversary output, not protocol output.
+
+"Eventually" is read over the finite horizon by one rule. Only the
+delta_c-i.o.-correct processes (correct throughout the last delta_c rounds)
+carry obligations. Each obligation has an anchor, the earliest round the
+protocol itself promises: ``DELIVERY_DELAY`` rounds after the broadcast for
+validity, one round after the first observed delivery for agreement and
+totality. A process that has not delivered owes the delivery at its first
+correct round at or after the anchor, ``FailureSchedule.next_correct``; when
+that round lies past the horizon the obligation is UNRESOLVED, otherwise it
+is VIOLATED.
 """
 
 from __future__ import annotations
@@ -132,14 +139,6 @@ class TraceIndex:
         return out
 
     @cached_property
-    def by_process(self) -> dict[int, set[tuple[int, bytes]]]:
-        """The (source, payload) instances each process delivered while correct."""
-        out: dict[int, set[tuple[int, bytes]]] = {}
-        for d in self.correct_deliveries:
-            out.setdefault(d.process, set()).add((d.source, d.payload))
-        return out
-
-    @cached_property
     def cured_rounds(self) -> dict[int, list[int]]:
         """Rounds of the CURED events of each process, in trace order."""
         out: dict[int, list[int]] = {}
@@ -152,18 +151,20 @@ class TraceIndex:
     def io_correct(self) -> tuple[int, ...]:
         return io_correct_processes(self.schedule, self.delta_c)
 
+    def owed(self, delivered: set[int], anchor: int) -> list[tuple[int, int | None]]:
+        """``(p, due)`` for each i.o.-correct p not in ``delivered``, in process
+        order: ``due`` is p's first correct round at or after ``anchor``, None
+        when that lies past the horizon (the module docstring's one rule)."""
+        return [(p, self.schedule.next_correct(p, anchor))
+                for p in self.io_correct if p not in delivered]
 
-def due_round(schedule: FailureSchedule, p: int, anchor: int) -> int | None:
-    """Earliest round at which p's obligation is enforceable: the anchor if p is
-    correct then, else p's first correct round after it; None when past the horizon."""
-    if anchor > schedule.horizon:
-        return None
-    if schedule.is_correct(p, anchor):
-        return anchor
-    for r in range(anchor + 1, schedule.horizon + 1):
-        if schedule.is_correct(p, r):
-            return r
-    return None
+
+# Verdicts from best to worst; a report's verdict is the worst of its parts.
+_VERDICT_ORDER = (SATISFIED, UNRESOLVED, VIOLATED)
+
+
+def _worst(*verdicts: str) -> str:
+    return max(verdicts, key=_VERDICT_ORDER.index)
 
 
 def check_validity(index: TraceIndex) -> PropertyReport:
@@ -175,7 +176,6 @@ def check_validity(index: TraceIndex) -> PropertyReport:
     n > 5f, where that stronger guarantee is promised.
     """
     schedule = index.schedule
-    io_set = set(index.io_correct)
     strong = index.variant is VariantTag.FFA_FULL and schedule.n > 5 * schedule.f
 
     instances = []
@@ -186,47 +186,25 @@ def check_validity(index: TraceIndex) -> PropertyReport:
             instances.append({"source": b.source, "round": b.round, "status": "vacuous",
                               "reason": "source not correct for delta_b rounds"})
             continue
-        anchor = b.round + DELIVERY_DELAY
-        inst: dict = {"source": b.source, "round": b.round}
         delivered_by = {d.process for d in index.by_instance.get((b.source, b.payload), ())}
-        io_delivered = delivered_by & io_set
-
-        if io_delivered:
-            inst["base_reading"] = SATISFIED
-        else:
-            enforceable = [p for p in sorted(io_set) if due_round(schedule, p, anchor) is not None]
-            if enforceable:
-                inst["base_reading"] = VIOLATED
-                witness.append(b.event_index)
-                verdict = VIOLATED
-            else:
-                inst["base_reading"] = UNRESOLVED
-                if verdict == SATISFIED:
-                    verdict = UNRESOLVED
-
+        owed = index.owed(delivered_by, b.round + DELIVERY_DELAY)
+        enforceable = any(due is not None for _p, due in owed)
+        # The base reading: some i.o.-correct process delivered.
+        base = (SATISFIED if len(owed) < len(index.io_correct)
+                else VIOLATED if enforceable else UNRESOLVED)
+        inst: dict = {"source": b.source, "round": b.round, "base_reading": base}
+        readings = [base]
         if strong:
-            missing = []
-            pending = []
-            for p in sorted(io_set):
-                if p in delivered_by:
-                    continue
-                due = due_round(schedule, p, anchor)
-                if due is None:
-                    pending.append(p)
-                else:
-                    missing.append({"process": p, "due_round": due})
-            if missing:
-                inst["per_process_reading"] = VIOLATED
-                inst["missing"] = missing
-                witness.append(b.event_index)
-                verdict = VIOLATED
-            elif pending:
-                inst["per_process_reading"] = UNRESOLVED
-                inst["pending"] = pending
-                if verdict == SATISFIED:
-                    verdict = UNRESOLVED
-            else:
-                inst["per_process_reading"] = SATISFIED
+            per_process = VIOLATED if enforceable else UNRESOLVED if owed else SATISFIED
+            inst["per_process_reading"] = per_process
+            if per_process == VIOLATED:
+                inst["missing"] = [{"process": p, "due_round": due} for p, due in owed if due is not None]
+            elif per_process == UNRESOLVED:
+                inst["pending"] = [p for p, _due in owed]
+            readings.append(per_process)
+        if VIOLATED in readings:
+            witness.append(b.event_index)
+        verdict = _worst(verdict, *readings)
         instances.append(inst)
 
     details = {"instances": instances, "per_process_reading_evaluated": strong}
@@ -283,38 +261,25 @@ def check_integrity(index: TraceIndex) -> PropertyReport:
 
 def _obligation_check(prop: str, index: TraceIndex, match_payload: bool) -> PropertyReport:
     """Shared core of Agreement (per message) and Totality (per source)."""
-    schedule = index.schedule
-    io_set = index.io_correct
-    instances: dict = {}
+    first: dict = {}
+    delivered: dict = {}
     for d in index.correct_deliveries:
         key = (d.source, d.payload) if match_payload else d.source
-        if key not in instances or d.round < instances[key].round:
-            instances[key] = d
-    if match_payload:
-        delivered = index.by_process
-    else:
-        delivered = {p: {source for source, _payload in keys} for p, keys in index.by_process.items()}
+        if key not in first or d.round < first[key].round:
+            first[key] = d
+        delivered.setdefault(key, set()).add(d.process)
     verdict = SATISFIED
     witness: list[int] = []
     details: list[dict] = []
-    for key, first in sorted(instances.items(), key=lambda kv: kv[1].event_index):
-        for p in io_set:
-            if key in delivered.get(p, ()):
-                continue
-            # "Eventually" grants at least one round past the first observed
-            # delivery; an obligation whose first enforceable round falls past
-            # the horizon stays UNRESOLVED rather than VIOLATED.
-            due = due_round(schedule, p, first.round + 1)
-            entry = {"process": p, "source": first.source, "first_delivery_round": first.round}
-            if due is None:
-                entry["status"] = UNRESOLVED
-                if verdict == SATISFIED:
-                    verdict = UNRESOLVED
-            else:
-                entry["status"] = VIOLATED
+    for key, d in sorted(first.items(), key=lambda kv: kv[1].event_index):
+        # "Eventually" grants at least one round past the first observed delivery.
+        for p, due in index.owed(delivered[key], d.round + 1):
+            entry = {"process": p, "source": d.source, "first_delivery_round": d.round,
+                     "status": UNRESOLVED if due is None else VIOLATED}
+            if due is not None:
                 entry["due_round"] = due
-                verdict = VIOLATED
-                witness.append(first.event_index)
+                witness.append(d.event_index)
+            verdict = _worst(verdict, entry["status"])
             details.append(entry)
     return PropertyReport(prop, verdict, sorted(set(witness)), {"obligations": details})
 
@@ -373,7 +338,7 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
         if variant is VariantTag.BFA_WEAK:
             for p in range(schedule.n):
                 cures = [r for r in index.cured_rounds.get(p, []) if r > due]
-                baseline = 1 if due <= schedule.horizon and schedule.is_correct(p, due) else 0
+                baseline = 1 if schedule.next_correct(p, due) == due else 0
                 required = baseline + len(cures)
                 mine = per_process.get(p, [])
                 if len(mine) < required:
@@ -384,8 +349,8 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
         else:  # NFA_WEAK
             for p in range(schedule.n):
                 delivered_rounds = {d.round for d in per_process.get(p, ())}
-                for r in range(due, schedule.horizon + 1):
-                    if schedule.is_correct(p, r) and r not in delivered_rounds:
+                for r in schedule.correct_rounds(p):
+                    if r >= due and r not in delivered_rounds:
                         verdict = VIOLATED
                         inst.setdefault("missing", []).append({"process": p, "round": r})
         details.append(inst)
@@ -451,10 +416,8 @@ def replay_witness(report: PropertyReport, trace: Trace, schedule: FailureSchedu
 
 
 def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:
-    out = set(range(schedule.n))
-    for r in range(1, schedule.horizon + 1):
-        out -= schedule.faulty_set(r)
-    return frozenset(out)
+    return frozenset(p for p in range(schedule.n)
+                     if len(schedule.correct_rounds(p)) == schedule.horizon)
 
 
 def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:

@@ -19,6 +19,7 @@ import os
 import sys
 from pathlib import Path
 
+from .adversary import build_strategy
 from .checker import (
     ALL_PROPERTIES,
     MBBC_PROPERTIES,
@@ -126,6 +127,7 @@ def cmd_check(args) -> int:
     overrides = {"delta_b": args.delta_b, "delta_c": args.delta_c}
     config = trace.scenario().with_overrides(**{k: v for k, v in overrides.items() if v is not None})
     config.validate()
+    build_strategy(config)  # a header strategy that `run` and `replay` reject is rejected here too
     properties = MBBC_PROPERTIES
     if args.properties:
         wanted = [p.strip().upper() for p in args.properties.split(",") if p.strip()]

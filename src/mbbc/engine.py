@@ -99,14 +99,6 @@ TO_ALL = "ALL"
 encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-@dataclass(frozen=True)
-class OracleEvent:
-    kind: str
-    process: int
-    round: int
-    faulty_since: int | None = None
-
-
 class TraceEvent(NamedTuple):
     """One traced action. Events are immutable (use ``_replace``), and a
     detail is read-only: the events of a parsed trace share one dict per
@@ -426,20 +418,19 @@ def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]]
             for msg in sorted(receivers, key=ProtocolMessage.sort_key)]
 
 
-def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind) -> list[OracleEvent]:
-    """Cure notifications at the start of round r: one per process freed at the boundary.
+def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind
+                          ) -> list[tuple[int, int | None]]:
+    """Cure notifications at the start of round r: one ``(process, faulty_since)``
+    per process freed at the boundary, in process order.
 
     The full-awareness oracle also reports when the just-ended faulty span
     began (spans merge across back-to-back agent stays — the process was
-    faulty the whole time either way).
+    faulty the whole time either way); the basic one reports None.
     """
     if oracle is OracleKind.NFA or r < 2:
         return []
-    out = []
-    for p in sorted(schedule.cured_processes(r)):
-        since = schedule.faulty_span_start(p, r - 1) if oracle is OracleKind.FFA else None
-        out.append(OracleEvent(kind="CURED", process=p, round=r, faulty_since=since))
-    return out
+    return [(p, schedule.faulty_span_start(p, r - 1) if oracle is OracleKind.FFA else None)
+            for p in sorted(schedule.cured_processes(r))]
 
 
 class Simulation:
@@ -487,9 +478,9 @@ class Simulation:
                            {"agent": traj.agent_id, "from": prev, "to": now})
 
         # ORACLE: cure notifications reach freed processes before they send.
-        for ev in deliver_oracle_events(schedule, r, self.config.setting.oracle):
-            self._emit(r, PHASE_ORACLE, KIND_CURED, ev.process, {"faulty_since": ev.faulty_since})
-            on_cured(self.states[ev.process], ev.faulty_since)
+        for p, since in deliver_oracle_events(schedule, r, self.config.setting.oracle):
+            self._emit(r, PHASE_ORACLE, KIND_CURED, p, {"faulty_since": since})
+            on_cured(self.states[p], since)
 
         # SEND: one outbox entry per (sender, message).
         obs = Observation(schedule=schedule, states=self.states)

@@ -3,12 +3,13 @@
 Processes are indices ``0..n-1`` (process ``p_k`` of a scenario description is
 index ``k-1``). Time is a round counter starting at 1; agents move only at
 round boundaries, so a process is wholly faulty or wholly correct per round.
-A schedule is the single source of truth for B(r) (faulty set) and C(r)
-(correct set).
+A schedule is the single source of truth for B(r) (faulty set), C(r)
+(correct set) and each process's next correct round.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -274,8 +275,25 @@ class FailureSchedule:
             start -= 1
         return start
 
+    @cached_property
+    def _correct_table(self) -> tuple[tuple[int, ...], ...]:
+        """Each process's correct rounds, ascending, at index p, built on first
+        use and kept outside the fields as ``_faulty_table`` is."""
+        rounds: list[list[int]] = [[] for _ in range(self.n)]
+        for r, faulty in enumerate(self._faulty_table, start=1):
+            for p in range(self.n):
+                if p not in faulty:
+                    rounds[p].append(r)
+        return tuple(map(tuple, rounds))
+
     def correct_rounds(self, p: int) -> tuple[int, ...]:
-        return tuple(r for r, faulty in enumerate(self._faulty_table, start=1) if p not in faulty)
+        return self._correct_table[p]
+
+    def next_correct(self, p: int, r: int) -> int | None:
+        """p's first correct round at or after r; None when there is none within the horizon."""
+        rounds = self._correct_table[p]
+        i = bisect_left(rounds, r)
+        return rounds[i] if i < len(rounds) else None
 
 
 def validate_schedule(schedule: FailureSchedule) -> tuple[ScheduleViolation, ...]:
@@ -336,30 +354,22 @@ def validate_schedule(schedule: FailureSchedule) -> tuple[ScheduleViolation, ...
     return tuple(out)
 
 
-class IoVerdict(Enum):
-    YES = "YES"
-    NO_WITHIN_HORIZON = "NO_WITHIN_HORIZON"
-
-
-def is_io_correct(schedule: FailureSchedule, p: int, delta_c: int) -> IoVerdict:
+def is_io_correct(schedule: FailureSchedule, p: int, delta_c: int) -> bool:
     """Finite-horizon reading of "delta_c-infinitely often correct".
 
-    YES iff after every round there is still a full delta_c-long correct window
-    for p before the horizon. Obligations of processes that fail this test are
-    not enforceable within the trace, so checkers exclude them.
+    True iff after every round there is still a full delta_c-long correct
+    window for p before the horizon. Obligations of processes that fail this
+    test are not enforceable within the trace, so checkers exclude them.
 
     The window that must follow round horizon - delta_c can only be the last
     delta_c rounds, and that window follows every earlier round too; so the
-    reading holds exactly when p is correct throughout the last delta_c rounds.
+    reading holds exactly when p is correct throughout the last delta_c rounds
+    (never when delta_c exceeds the horizon).
     """
     if delta_c < 1:
         raise ValueError("delta_c must be >= 1")
-    if delta_c > schedule.horizon:
-        return IoVerdict.NO_WITHIN_HORIZON
-    if schedule.correct_during(p, schedule.horizon - delta_c + 1, schedule.horizon):
-        return IoVerdict.YES
-    return IoVerdict.NO_WITHIN_HORIZON
+    return schedule.correct_during(p, schedule.horizon - delta_c + 1, schedule.horizon)
 
 
 def io_correct_processes(schedule: FailureSchedule, delta_c: int) -> tuple[int, ...]:
-    return tuple(p for p in range(schedule.n) if is_io_correct(schedule, p, delta_c) is IoVerdict.YES)
+    return tuple(p for p in range(schedule.n) if is_io_correct(schedule, p, delta_c))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .messages import decode_payload, encode_payload
 from .model import (
@@ -96,6 +97,14 @@ class ScenarioConfig:
         return Variant.for_tag(self.variant, self.f)
 
     def resolved_schedule(self) -> FailureSchedule:
+        """The config's failure schedule. It is built once per config object,
+        so ``validate``, the engine and the checkers share it and its tables."""
+        return self._schedule
+
+    @cached_property
+    def _schedule(self) -> FailureSchedule:
+        # Kept in the instance ``__dict__``, outside the fields, as
+        # ``FailureSchedule`` keeps its tables.
         return build_schedule(self)
 
     def to_dict(self) -> dict:

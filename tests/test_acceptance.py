@@ -26,7 +26,7 @@ from mbbc.checker import (
 )
 from mbbc.demos import run_demo
 from mbbc.engine import KIND_P2P_SEND, Simulation, run
-from mbbc.model import IoVerdict, is_io_correct
+from mbbc.model import is_io_correct
 from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import run_sweep
@@ -76,7 +76,7 @@ def test_criterion_02_faulty_source_all_deliver():
                      and e.round == 4}
     assert ready_senders == {1, 2, 3}
     delivered = {d.process for d in _correct_time_deliveries(cfg, trace)}
-    io_correct = {p for p in range(6) if is_io_correct(sched, p, cfg.delta_c) is IoVerdict.YES}
+    io_correct = {p for p in range(6) if is_io_correct(sched, p, cfg.delta_c)}
     assert io_correct <= delivered
     verdicts = _verdicts(cfg, trace)
     assert verdicts["AGREEMENT"] == SATISFIED

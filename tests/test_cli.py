@@ -395,6 +395,29 @@ def test_check_validates_the_header_config(tmp_path, golden_config_path, capsys,
         assert cli.main(["replay", "--trace", str(trace)]) == code
 
 
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "NOPE"}, "unknown strategy kind: 'NOPE'"),
+    ({"kind": "ALTERNATING_SETS", "p1": [0], "p2": [0]}, "requires disjoint sets"),
+])
+def test_check_and_replay_reject_a_header_strategy_alike(tmp_path, golden_config_path, capsys,
+                                                          spec, named):
+    """``check`` builds the header's strategy as the engine does, so a
+    strategy that ``replay`` cannot run fails both, with one message."""
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["strategy"] = spec
+    trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    errors = []
+    for command in ("check", "replay"):
+        assert cli.main([command, "--trace", str(trace)]) == 2, command
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1], errors
+    assert errors[0].startswith("invalid scenario:") and named in errors[0], errors[0]
+
+
 @pytest.mark.parametrize("command", ["check", "replay"])
 def test_header_only_trace_with_a_huge_horizon_exits_2_at_once(tmp_path, capsys, command):
     """Schedules and checkers are sized by the horizon; a header alone must

@@ -43,21 +43,16 @@ def schedule_single(segments, n=6, horizon=8, delta_s=1):
 class TestOracle:
     def test_one_round_stay_ffa(self):
         sched = schedule_single([(1, 1, 1)])
-        events = deliver_oracle_events(sched, 2, OracleKind.FFA)
-        assert len(events) == 1
-        ev = events[0]
-        assert (ev.process, ev.round, ev.faulty_since) == (1, 2, 1)
+        assert deliver_oracle_events(sched, 2, OracleKind.FFA) == [(1, 1)]
 
     def test_three_round_stay_ffa(self):
         # Stay on rounds 3..5 cures at 6 and reports the stay's first round.
         sched = schedule_single([(2, 3, 5)])
-        events = deliver_oracle_events(sched, 6, OracleKind.FFA)
-        assert [(e.process, e.round, e.faulty_since) for e in events] == [(2, 6, 3)]
+        assert deliver_oracle_events(sched, 6, OracleKind.FFA) == [(2, 3)]
 
     def test_bfa_has_no_faulty_since(self):
         sched = schedule_single([(2, 3, 5)])
-        events = deliver_oracle_events(sched, 6, OracleKind.BFA)
-        assert [(e.process, e.faulty_since) for e in events] == [(2, None)]
+        assert deliver_oracle_events(sched, 6, OracleKind.BFA) == [(2, None)]
 
     def test_nfa_never_fires(self):
         sched = schedule_single([(1, 1, 1)])

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbbc.checker import permanently_correct
 from mbbc.model import (
     AgentTrajectory,
     FailureSchedule,
-    IoVerdict,
     RoundOutOfHorizon,
     Segment,
     SettingTriple,
@@ -115,11 +115,11 @@ class TestFaultySets:
 class TestIoCorrect:
     def test_permanently_correct_is_yes(self):
         sched = schedule_from([ROAMING_PATH], horizon=6)
-        assert is_io_correct(sched, 3, 1) is IoVerdict.YES
+        assert is_io_correct(sched, 3, 1) is True
 
     def test_faulty_to_horizon_is_no(self):
         sched = schedule_from([[(2, 3, None)]], horizon=6)
-        assert is_io_correct(sched, 2, 1) is IoVerdict.NO_WITHIN_HORIZON
+        assert is_io_correct(sched, 2, 1) is False
 
     def test_roaming_p2_delta_c_one_horizon_six(self):
         sched = schedule_from([ROAMING_PATH], horizon=6)
@@ -127,7 +127,7 @@ class TestIoCorrect:
         correct = set(sched.correct_rounds(1))
         expected = all(any(j in correct for j in range(r + 1, 7)) for r in range(0, 6))
         assert expected is True
-        assert is_io_correct(sched, 1, 1) is IoVerdict.YES
+        assert is_io_correct(sched, 1, 1) is True
 
     def test_matches_brute_force_window_oracle(self):
         sched = schedule_from([[(0, 1, 1), (1, 3, 3), (0, 5, 5)]], horizon=6)
@@ -140,8 +140,8 @@ class TestIoCorrect:
                         found = True
                         break
                 if not found:
-                    return IoVerdict.NO_WITHIN_HORIZON
-            return IoVerdict.YES
+                    return False
+            return True
 
         for p in range(6):
             for delta_c in (1, 2, 3):
@@ -149,7 +149,7 @@ class TestIoCorrect:
 
     def test_delta_c_longer_than_horizon_is_no(self):
         sched = schedule_from([], horizon=3)
-        assert is_io_correct(sched, 0, 4) is IoVerdict.NO_WITHIN_HORIZON
+        assert is_io_correct(sched, 0, 4) is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,6 +244,9 @@ class TestScheduleTable:
         h = sched.horizon
         for p in range(sched.n):
             assert sched.correct_rounds(p) == tuple(r for r in range(1, h + 1) if not faulty(p, r))
+            for r in range(1, h + 2):
+                after = [later for later in range(r, h + 1) if not faulty(p, later)]
+                assert sched.next_correct(p, r) == (after[0] if after else None), (p, r)
             for r in range(1, h + 1):
                 assert sched.is_faulty(p, r) is faulty(p, r)
                 assert sched.is_correct(p, r) is not faulty(p, r)
@@ -257,6 +260,9 @@ class TestScheduleTable:
                 for last in range(r, h + 2):
                     expected = last <= h and not any(faulty(p, j) for j in range(r, last + 1))
                     assert sched.correct_during(p, r, last) is expected
+        never_hosted = {p for p in range(sched.n)
+                        if not any(faulty(p, r) for r in range(1, h + 1))}
+        assert permanently_correct(sched) == never_hosted
 
     @settings(max_examples=200, deadline=None)
     @given(valid_schedules(), st.integers(1, 4))
@@ -268,8 +274,8 @@ class TestScheduleTable:
             for r in range(0, h - delta_c + 1):
                 if not any(all(sched.is_correct(p, j) for j in range(b, b + delta_c))
                            for b in range(r + 1, h - delta_c + 2)):
-                    return IoVerdict.NO_WITHIN_HORIZON
-            return IoVerdict.YES if delta_c <= h else IoVerdict.NO_WITHIN_HORIZON
+                    return False
+            return delta_c <= h
 
         for p in range(sched.n):
             assert is_io_correct(sched, p, delta_c) is definition(p), p
@@ -280,6 +286,7 @@ class TestScheduleTable:
         other = rebuilt(sched)
         assert sched == other and hash(sched) == hash(other)
         sched.faulty_set(1)  # builds the table of one side only
+        sched.next_correct(0, 1)  # and its correct rounds
         assert sched == other and hash(sched) == hash(other)
         assert other == sched and repr(other) == repr(sched)
         other.faulty_set(sched.horizon)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import golden_correct_source
+from mbbc.engine import Simulation
 from mbbc.scenario import Broadcast, InvalidScenario, ScenarioConfig, build_schedule
 
 
@@ -119,6 +120,20 @@ class TestGenerators:
         cfg = ScenarioConfig.from_dict(base_dict(delta_s=delta_s, schedule=spec))
         with pytest.raises(InvalidScenario, match=f"delta_s >= 1, got {delta_s}"):
             build_schedule(cfg)
+
+
+def test_one_schedule_per_config_object():
+    """``validate``, the engine and ``resolved_schedule`` share one schedule
+    and its tables; a derived config builds its own."""
+    cfg = golden_correct_source()
+    cfg.validate()
+    sched = cfg.resolved_schedule()
+    assert "_faulty_table" in vars(sched)  # built by validate's budget check
+    assert Simulation(cfg).schedule is sched
+    assert cfg.resolved_schedule() is sched
+    other = cfg.with_overrides(seed=cfg.seed + 1)
+    assert other.resolved_schedule() is not sched and other.resolved_schedule() == sched
+    assert cfg == ScenarioConfig.from_dict(cfg.to_dict()) and "_schedule" not in repr(cfg)
 
 
 def test_config_json_files_are_self_describing(tmp_path):
