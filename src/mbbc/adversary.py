@@ -25,6 +25,7 @@ from .model import FailureSchedule, InvalidScenario, shown, spec_int, spec_ints,
 from .protocol import (
     DELIVERY_DELAY,
     ProtocolState,
+    Tallies,
     Variant,
     compute_phase,
     init_state,
@@ -42,14 +43,14 @@ class Observation:
     ``states`` is the engine's live list of protocol states, not a copy: a
     strategy may change a possessed process's state in place, and must leave
     every other state alone. ``common`` is the round's fold of the traffic
-    every process received and ``dictated[p]`` the (sender, message) receipts
-    process p alone received; the engine sets both after the receive phase,
-    so the send phase sees neither.
+    every process received, read-only, and ``dictated[p]`` the (sender,
+    message) receipts process p alone received; the engine sets both after
+    the receive phase, so the send phase sees neither.
     """
 
     schedule: FailureSchedule
     states: Sequence[ProtocolState]
-    common: ProtocolState | None = None
+    common: Tallies | None = None
     dictated: Sequence[list[tuple[int, ProtocolMessage]]] = ()
 
 
@@ -151,8 +152,7 @@ def _faithful_sends(state: ProtocolState, n: int) -> list[tuple[int, ProtocolMes
 def _faithful_compute(state: ProtocolState, p: int, obs: Observation, variant: Variant, n: int,
                       broadcasts: Sequence[bytes]) -> ProtocolState:
     """The protocol's own receive and compute phases on the possessed state."""
-    receive(state, obs.common, obs.dictated[p])
-    compute_phase(state, p, variant, n, broadcasts=broadcasts)
+    compute_phase(state, receive(obs.common, obs.dictated[p]), p, variant, n, broadcasts=broadcasts)
     return state
 
 
@@ -374,18 +374,11 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
         h_correct_first["schedule"] = {"trajectories": [
             {"agent_id": 0, "segments": [{"host": source, "first_round": switch, "last_round": None}]}]}
         h_correct_first["strategy"] = {
-            "kind": "EQUIVOCATE_HISTORY", "source": source, "switch_round": switch,
-            "m1": Broadcast(source, 1, m1).to_dict(), "m2": Broadcast(source, switch, m2).to_dict(),
-            "sim_cure": {str(source): [switch, 1]},
-        }
+            "kind": "EQUIVOCATE_HISTORY", "sim_cure": {str(source): [switch, 1]}}
         h_faulty_first = dict(base)
         h_faulty_first["schedule"] = {"trajectories": [
             {"agent_id": 0, "segments": [{"host": source, "first_round": 1, "last_round": switch - 1}]}]}
-        h_faulty_first["strategy"] = {
-            "kind": "EQUIVOCATE_HISTORY", "source": source, "switch_round": switch,
-            "m1": Broadcast(source, 1, m1).to_dict(), "m2": Broadcast(source, switch, m2).to_dict(),
-            "sim_cure": {},
-        }
+        h_faulty_first["strategy"] = {"kind": "EQUIVOCATE_HISTORY", "sim_cure": {}}
         return ScenarioConfig.from_dict(h_correct_first), ScenarioConfig.from_dict(h_faulty_first)
 
     if kind in ("THEOREM_4", "WIPE_FLIP"):

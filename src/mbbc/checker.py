@@ -92,11 +92,17 @@ class PropertyReport:
 
 
 def extract_deliveries(trace: Trace, schedule: FailureSchedule) -> list[DeliveryRecord]:
-    return [DeliveryRecord(process=ev.subject, round=ev.round, source=ev.detail["source"],
-                           payload=decode_payload(ev.detail),
-                           correct_at_delivery=schedule.is_correct(ev.subject, ev.round),
-                           event_index=idx)
-            for idx, ev in enumerate(trace.events) if ev.kind == KIND_DELIVER_CALL]
+    # The events of a trace share one detail dict per distinct detail: decode each once.
+    payloads: dict[int, bytes] = {}
+    out = []
+    for idx, ev in enumerate(trace.events):
+        if ev.kind == KIND_DELIVER_CALL:
+            payload = payloads.get(id(ev.detail))
+            if payload is None:
+                payload = payloads[id(ev.detail)] = decode_payload(ev.detail)
+            out.append(DeliveryRecord(ev.subject, ev.round, ev.detail["source"], payload,
+                                      schedule.is_correct(ev.subject, ev.round), idx))
+    return out
 
 
 def extract_broadcasts(trace: Trace) -> list[BroadcastRecord]:

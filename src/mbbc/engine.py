@@ -11,14 +11,15 @@ Each round runs five sub-phases in a fixed order:
    (links are authenticated).
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. The ``"ALL"`` sends
-   are folded once into the round's common tallies; each correct receiver
-   starts from a copy of them and folds its own dictated receipts. Messages
-   reaching faulty processes have no protocol effect (the omniscient
-   adversary sees them anyway).
-5. COMPUTE  — correct processes run the protocol compute phase (scheduled
-   broadcast calls are injected here); each faulty process's state is
-   replaced by whatever the strategy returns. A correct process with no
-   dictated receipt and no broadcast call holds copies of the common
+   are folded once into the round's common tallies; a correct receiver
+   with no dictated receipt reads them as they are, and one with dictated
+   receipts gets a copy with those folded in. Tallies are round-local and
+   never part of a process's state. Messages reaching faulty processes
+   have no protocol effect (the omniscient adversary sees them anyway).
+5. COMPUTE  — correct processes run the protocol compute phase on their
+   tallies (scheduled broadcast calls are injected here); each faulty
+   process's state is replaced by whatever the strategy returns. A correct
+   process with no dictated receipt and no broadcast call reads the common
    tallies, so its phase depends only on ``rc``, its cure flags and
    ``delivered``: the first such process of each class of equal values, in
    process order, runs ``compute_phase``, and the others take a copy of its
@@ -30,7 +31,7 @@ A send is one P2P_SEND event per (sender, message): ``"to": "ALL"`` for a
 correct fan-out, the sorted receivers (duplicates kept) for a dictated send.
 Receipts are not traced; links are synchronous and reliable, so
 ``deliveries`` derives them from the SEND events; a correct receiver's
-tallies after RECEIVE are a fold of its receipts in that order. SEND events
+tallies are a fold of its receipts in that order. SEND events
 are ordered by (sender, message), receipts by (receiver, sender, message).
 Each distinct message dict and DELIVER_CALL detail is built once per
 simulation, and the events that carry it share it read-only, as the events of
@@ -52,6 +53,7 @@ from .messages import ProtocolMessage, decode_payload, encode_payload
 from .model import FailureSchedule, OracleKind, shown
 from .protocol import (
     ProtocolState,
+    Tallies,
     adopt_compute,
     compute_phase,
     init_state,
@@ -497,7 +499,7 @@ class Simulation:
         # "ALL" sends come from correct senders and dictated ones from faulty
         # senders, so the two never share a sender: the common fold plus a
         # receiver's dictated receipts is its whole inbox.
-        common = init_state()
+        common = Tallies()
         dictated_sends = []
         for sender, msg, to in outbox:
             if to == TO_ALL:
@@ -505,9 +507,7 @@ class Simulation:
             else:
                 dictated_sends.append((sender, msg, to))
         obs.common, obs.dictated = common, _inboxes(dictated_sends, n)
-        for p in range(n):
-            if p not in faulty:
-                receive(self.states[p], common, obs.dictated[p])
+        tallies = {p: receive(common, obs.dictated[p]) for p in range(n) if p not in faulty}
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
         computed: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]]]] = {}
@@ -522,16 +522,16 @@ class Simulation:
             payloads = self._broadcast_index.get((p, r), [])
             for payload in payloads:
                 self._emit(r, PHASE_COMPUTE, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
-            if payloads or obs.dictated[p]:
-                delivered = compute_phase(state, p, self.variant, n, broadcasts=payloads)
+            if payloads or tallies[p] is not common:
+                delivered = compute_phase(state, tallies[p], p, self.variant, n, broadcasts=payloads)
             else:
                 key = (state.rc, state.cured, state.cured_faulty_since, frozenset(state.delivered))
                 first = computed.get(key)
                 if first is None:
-                    delivered = compute_phase(state, p, self.variant, n)
+                    delivered = compute_phase(state, common, p, self.variant, n)
                     computed[key] = state, delivered
                 else:
-                    adopt_compute(state, first[0], self.variant)
+                    adopt_compute(state, first[0])
                     delivered = first[1]
             for source, payload in delivered:
                 self._emit(r, PHASE_COMPUTE, KIND_DELIVER_CALL, p, self._deliver_detail(source, payload))

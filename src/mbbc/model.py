@@ -60,9 +60,6 @@ class SettingTriple:
     mobility: Mobility
     oracle: OracleKind
 
-    def is_supported(self) -> bool:
-        return self.timing is Timing.SYNC and self.mobility is Mobility.S_MOB_PLUS
-
     def unsupported_reason(self) -> str | None:
         if self.timing is Timing.ASYNC:
             return UNSUPPORTED_REASONS[Timing.ASYNC]

@@ -4,16 +4,20 @@ A broadcast instance is keyed by (source, birth_round, payload) and moves
 through four message stages: the source queues SEND in the birth round; every
 process that receives a well-formed SEND echoes it; a process that collects
 strictly more than (n+F)/2 ECHO votes queues READY, while one that collects
-more than F but not a quorum queues ABORT; more than F ABORT votes wipe the
-READY tally for that key. A READY quorum (more than 2F distinct voters)
-triggers delivery under a variant-specific gate and is re-queued forever so
-that temporarily faulty processes can still catch the quorum later.
+more than F but not a quorum queues ABORT. A READY quorum (more than 2F
+distinct voters) on a key with at most F ABORT votes triggers delivery under
+a variant-specific gate and is re-queued forever so that temporarily faulty
+processes can still catch the quorum later.
 
 All quorum comparisons are exact integer arithmetic (2*count > n+F); there is
 no floating point anywhere. Votes are per-sender sets, so repeated messages
-from one sender never inflate a tally, and all tallies are rebuilt each round
-(the receive phase starts them from copies of the round's common traffic, not
-from the last round's), which caps the influence of any single faulty round.
+from one sender never inflate a tally.
+
+A process's state (``ProtocolState``) is only what survives a round, which is
+what an agent corrupts and a cured process resumes from. The vote tallies
+(``Tallies``) are round-local: the receive phase builds them from the round's
+traffic and the compute phase only reads them, which caps the influence of
+any single faulty round.
 
 Three variants share the machine and differ only in the delivery gate and the
 effective fault bound F:
@@ -74,7 +78,7 @@ class Variant:
 
 @dataclass
 class ProtocolState:
-    """One process's protocol variables.
+    """One process's protocol variables: what carries over between rounds.
 
     ``delivered`` is bookkeeping for the FFA_FULL gate only: it suppresses the
     pathological case where both gate branches could fire for one (source,
@@ -83,15 +87,22 @@ class ProtocolState:
     """
 
     to_send: set[ProtocolMessage] = field(default_factory=set)
+    cured: bool = False
+    cured_faulty_since: int | None = None
+    rc: int = 1
+    delivered: set[tuple[int, bytes]] = field(default_factory=set)
+
+
+@dataclass
+class Tallies:
+    """The votes one process received in one round. Read-only once built: the
+    round's common fold is handed to every process that received nothing else."""
+
     sends: set[InstanceKey] = field(default_factory=set)
     echos: dict[InstanceKey, set[int]] = field(default_factory=dict)
     readys: dict[InstanceKey, set[int]] = field(default_factory=dict)
     aborts: dict[InstanceKey, set[int]] = field(default_factory=dict)
     rc_votes: dict[int, int] = field(default_factory=dict)
-    cured: bool = False
-    cured_faulty_since: int | None = None
-    rc: int = 1
-    delivered: set[tuple[int, bytes]] = field(default_factory=set)
 
 
 def init_state() -> ProtocolState:
@@ -122,48 +133,47 @@ def send_phase(state: ProtocolState) -> list[ProtocolMessage]:
     return sorted(state.to_send, key=ProtocolMessage.sort_key)
 
 
-def receive(state: ProtocolState, common: ProtocolState,
-            receipts: Iterable[tuple[int, ProtocolMessage]]) -> None:
-    """Run one receive phase: the round's tallies become copies of ``common``'s,
-    then ``receipts``, (sender, message) pairs, are folded in order.
+def receive(common: Tallies, receipts: Sequence[tuple[int, ProtocolMessage]]) -> Tallies:
+    """One receive phase: ``common`` with ``receipts``, (sender, message)
+    pairs, folded in order.
 
     ``common`` holds the traffic every process received this round, folded
-    once; ``receipts`` are what this process alone received. Every vote set is
-    copied, so no tally is shared with ``common`` or another receiver, and a
-    round's votes never leak into the next.
+    once; ``receipts`` are what this process alone received. With no receipts
+    the result is ``common`` itself; otherwise it is a copy, every vote set
+    copied, so ``common`` is left as it was.
     """
-    state.sends = set(common.sends)
-    state.echos = _copy_votes(common.echos)
-    state.readys = _copy_votes(common.readys)
-    state.aborts = _copy_votes(common.aborts)
-    state.rc_votes = dict(common.rc_votes)
+    if not receipts:
+        return common
+    tallies = Tallies(set(common.sends), _copy_votes(common.echos), _copy_votes(common.readys),
+                      _copy_votes(common.aborts), dict(common.rc_votes))
     for sender, msg in receipts:
-        on_p2p_deliver(state, sender, msg)
+        on_p2p_deliver(tallies, sender, msg)
+    return tallies
 
 
 def _copy_votes(votes: dict[InstanceKey, set[int]]) -> dict[InstanceKey, set[int]]:
     return {key: set(voters) for key, voters in votes.items()}
 
 
-def on_p2p_deliver(state: ProtocolState, sender: int, msg: ProtocolMessage) -> None:
-    """Record one received message into the round's tallies.
+def on_p2p_deliver(tallies: Tallies, sender: int, msg: ProtocolMessage) -> None:
+    """Record one received message into a round's tallies.
 
     A SEND counts only when its source field matches the authenticated sender;
     vote maps hold sender sets, so duplicates from one sender are idempotent.
     """
     if msg.kind is MessageKind.ROUND:
-        state.rc_votes[sender] = msg.round_value
+        tallies.rc_votes[sender] = msg.round_value
         return
     key = msg.instance_key()
     if msg.kind is MessageKind.SEND:
         if sender == msg.source:
-            state.sends.add(key)
+            tallies.sends.add(key)
     elif msg.kind is MessageKind.ECHO:
-        state.echos.setdefault(key, set()).add(sender)
+        tallies.echos.setdefault(key, set()).add(sender)
     elif msg.kind is MessageKind.READY:
-        state.readys.setdefault(key, set()).add(sender)
+        tallies.readys.setdefault(key, set()).add(sender)
     elif msg.kind is MessageKind.ABORT:
-        state.aborts.setdefault(key, set()).add(sender)
+        tallies.aborts.setdefault(key, set()).add(sender)
 
 
 def get_majority(votes: Iterable[int], current: int, min_backing: int = 0) -> int:
@@ -188,43 +198,45 @@ def get_majority(votes: Iterable[int], current: int, min_backing: int = 0) -> in
 
 def compute_phase(
     state: ProtocolState,
+    tallies: Tallies,
     self_id: int,
     variant: Variant,
     n: int,
     broadcasts: Sequence[bytes] = (),
 ) -> list[tuple[int, bytes]]:
-    """Run one compute phase; returns the deliveries (source, payload) it triggers.
+    """Run one compute phase on the round's ``tallies``, which it only reads;
+    returns the deliveries (source, payload) it triggers.
 
     Order matters and is fixed: wipe the send queue, repair the round counter
     by majority, apply any broadcast calls scheduled for this round (they must
     land after the wipe and before the counter increments, so the SEND is
     stamped with the current round), then process SEND->ECHO, ECHO->READY or
-    ABORT, ABORT wipes, the delivery gate with READY relay, and finally the
-    counter increment with its ROUND vote.
+    ABORT, the delivery gate with READY relay, and finally the counter
+    increment with its ROUND vote. A key with more than F ABORT votes has no
+    READY quorum.
     """
     F = variant.effective_f
     state.to_send.clear()
-    state.rc = get_majority(state.rc_votes.values(), state.rc, min_backing=F)
+    state.rc = get_majority(tallies.rc_votes.values(), state.rc, min_backing=F)
 
     for payload in broadcasts:
         broadcast(state, self_id, payload)
 
-    for key in sorted(state.sends):
+    for key in sorted(tallies.sends):
         source, birth, payload = key
         if state.rc == birth + 1:
             state.to_send.add(echo_msg(source, birth, payload))
 
-    for key in sorted(state.echos):
-        votes = len(state.echos[key])
+    for key in sorted(tallies.echos):
+        votes = len(tallies.echos[key])
         if 2 * votes > n + F:
             state.to_send.add(ready_msg(*key))
         elif votes > F:
             state.to_send.add(abort_msg(*key))
 
-    _abort_wipe(state, F)
-
     deliveries: list[tuple[int, bytes]] = []
-    quorum_keys = [key for key, voters in state.readys.items() if len(voters) > 2 * F]
+    quorum_keys = [key for key, voters in tallies.readys.items()
+                   if len(voters) > 2 * F and len(tallies.aborts.get(key, ())) <= F]
     min_birth: dict[tuple[int, bytes], int] = {}
     for source, birth, payload in quorum_keys:
         prev = min_birth.get((source, payload))
@@ -250,24 +262,15 @@ def compute_phase(
     return deliveries
 
 
-def _abort_wipe(state: ProtocolState, F: int) -> None:
-    """More than F ABORT votes empty the READY tally of their instance."""
-    for key in sorted(state.aborts):
-        if len(state.aborts[key]) > F:
-            state.readys[key] = set()
-
-
-def adopt_compute(state: ProtocolState, done: ProtocolState, variant: Variant) -> None:
+def adopt_compute(state: ProtocolState, done: ProtocolState) -> None:
     """Give ``state`` the outcome of the compute phase ``done`` has just run.
 
-    Both must have entered the phase with equal tallies, ``rc``, cure flags
-    and ``delivered``, and neither with a broadcast call: ``compute_phase``
-    would then leave ``state`` equal to ``done`` and return the same
-    deliveries. Every field the phase writes is copied, none is shared, and
-    the abort wipe runs on ``state``'s own READY tally.
+    Both must have entered the phase with the same tallies, equal ``rc``,
+    cure flags and ``delivered``, and neither with a broadcast call:
+    ``compute_phase`` would then leave ``state`` equal to ``done`` and return
+    the same deliveries. Every field is copied, none is shared.
     """
     state.to_send = set(done.to_send)
-    _abort_wipe(state, variant.effective_f)
     state.rc = done.rc
     state.delivered = set(done.delivered)
     state.cured = done.cured
@@ -289,14 +292,9 @@ def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:
 
 
 def state_fingerprint(state: ProtocolState) -> str:
-    """Stable digest of a state, used to record corruption events in traces."""
+    """Stable digest of a state's five fields, used to record corruption events in traces."""
     doc = {
         "to_send": [m.to_dict() for m in sorted(state.to_send, key=ProtocolMessage.sort_key)],
-        "sends": sorted((s, b, p.hex()) for s, b, p in state.sends),
-        "echos": _map_doc(state.echos),
-        "readys": _map_doc(state.readys),
-        "aborts": _map_doc(state.aborts),
-        "rc_votes": sorted(state.rc_votes.items()),
         "cured": state.cured,
         "cured_faulty_since": state.cured_faulty_since,
         "rc": state.rc,
@@ -304,7 +302,3 @@ def state_fingerprint(state: ProtocolState) -> str:
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _map_doc(votes: dict[InstanceKey, set[int]]) -> list:
-    return sorted([[s, b, p.hex()], sorted(members)] for (s, b, p), members in votes.items())

@@ -25,8 +25,8 @@ from mbbc.messages import ProtocolMessage, decode_payload
 from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
 from mbbc.protocol import (
     ProtocolState,
+    Tallies,
     compute_phase,
-    init_state,
     on_cured,
     on_p2p_deliver,
     receive,
@@ -193,29 +193,32 @@ class TestDeliveries:
             deliveries(hand_trace(3, [send_event(1, 0, msg, [receiver])]))
 
     def test_engine_receive_equals_a_fold_of_the_derived_deliveries(self, monkeypatch):
-        """After RECEIVE, each correct receiver's tallies equal a fresh fold of
-        the receipts ``deliveries`` derives for it from the trace, in order."""
+        """RECEIVE gives each correct receiver, in process order, tallies equal
+        to a fresh fold of the receipts ``deliveries`` derives for it from the
+        trace, in order."""
         cfg = split_send_scenario([1, 2, 3])
         sim = Simulation(cfg)
+        sched = cfg.resolved_schedule()
         received = {}
         original = engine.receive
 
-        def snapshot(state, *args):
-            original(state, *args)
-            [p] = [p for p, live in enumerate(sim.states) if live is state]
-            received[(sim.round, p)] = tallies(state)
+        def snapshot(*args):
+            out = original(*args)
+            correct = [p for p in range(cfg.n) if sched.is_correct(p, sim.round)]
+            done = sum(r == sim.round for r, _ in received)
+            received[(sim.round, correct[done])] = copy.deepcopy(out)
+            return out
 
         monkeypatch.setattr(engine, "receive", snapshot)
         trace = sim.run()
-        sched = cfg.resolved_schedule()
         assert set(received) == {(r, p) for r in range(1, cfg.horizon + 1)
                                  for p in range(cfg.n) if sched.is_correct(p, r)}
-        folded = {key: init_state() for key in received}
+        folded = {key: Tallies() for key in received}
         for d in deliveries(trace):
             if (d.round, d.receiver) in folded:
                 on_p2p_deliver(folded[(d.round, d.receiver)], d.sender,
                                ProtocolMessage.from_dict(d.message))
-        assert received == {key: tallies(state) for key, state in folded.items()}
+        assert received == folded
         assert any(e.detail["to"] != TO_ALL for e in trace.events if e.kind == KIND_P2P_SEND)
 
     def test_sender_is_stamped_by_the_engine(self):
@@ -287,12 +290,8 @@ BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"
 
 
 def containers(state: ProtocolState) -> list:
-    """Every set and dict a state holds, vote sets included."""
-    out = [state.to_send, state.sends, state.echos, state.readys, state.aborts,
-           state.rc_votes, state.delivered]
-    for votes in (state.echos, state.readys, state.aborts):
-        out.extend(votes.values())
-    return out
+    """Every set a state holds."""
+    return [state.to_send, state.delivered]
 
 
 class TestSharedCompute:
@@ -329,9 +328,9 @@ class TestSharedCompute:
                     if ev.kind == KIND_CURED and ev.subject == p:
                         on_cured(state, ev.detail["faulty_since"])
                 send_phase(state)
-                receive(state, init_state(), receipts[p])
+                tallies = receive(Tallies(), receipts[p])
                 payloads = [b.payload for b in cfg.broadcasts if (b.source, b.round) == (p, r)]
-                delivered = compute_phase(state, p, variant, n, broadcasts=payloads)
+                delivered = compute_phase(state, tallies, p, variant, n, broadcasts=payloads)
                 assert state == sim.states[p], (r, p)
                 assert delivered == [(ev.detail["source"], decode_payload(ev.detail)) for ev in events
                                      if ev.kind == KIND_DELIVER_CALL and ev.subject == p], (r, p)
@@ -343,7 +342,7 @@ class TestSharedCompute:
         original = engine.compute_phase
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(engine, "compute_phase", counted)
@@ -352,11 +351,6 @@ class TestSharedCompute:
         sched = cfg.resolved_schedule()
         pairs = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
         assert 0 < len(calls) < pairs / 4
-
-
-def tallies(state: ProtocolState) -> tuple:
-    """A copy of the five per-round tallies of a state."""
-    return copy.deepcopy((state.sends, state.echos, state.readys, state.aborts, state.rc_votes))
 
 
 def scripted_sends(sends: list) -> ScenarioConfig:

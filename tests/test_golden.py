@@ -47,66 +47,66 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "f55137cb9988bfca881575aebca95de266ec0659965877ee21a23b35cb5ce10c",
+        "2b7962fc7ce1e64ca1981bcf82707206f32ab11ee654371d17dacb46433a9b81",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "e1c080cb8f6b8b5a0004a9b718f632b9a8964706b643ca0fb0bee4bf237076be",
+        "be6a26e4886086e6b99602f78d4f8022653cfe2cbfbc6925f2b9fa51d3a15fb7",
         "11f826fa79275739ae3d2cff97d2168574590c064af9832d70d782d0353c1734"),
     "correct_source.json": (
-        "a97e02ef943e37c4e7e4d7ab59a628dfc701442b7932c518ef19b5bc651893ea",
+        "25832ec344b285c039a76f4a2358cc5114313d3d69082fbbb3999538617556f5",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "c5eeed9c7a5f8bbf38aa31fccec939341da8daf0fd1eba1df4a6822b9d199696",
+        "d39e5af92fd1e95fd752de128365d0d0be2a49ab4ac24fc7a21a73cc615e92d4",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "3e3770204ae596bd45f1bf21fee9f42c34c81744e400a509ccaad60779062d51",
+        "b640d9ffdbeea1ea55478d7b216437767e588a0fd9094051419fa14533270a65",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "95fd6dcce2beaf5daec739947391c20b76ed5ee5e679a6ab43e890c21e37a989",
+        "febc6c8844f5b6964e5253dc2adc8fcfbd7d0b176fdb880626ec2b3bdedf5f80",
         "ea82678ba6cdc9feab576cb9378cb87fbbb4e4545fe2be3e87c097ad6d6183bd"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "6c92905b5b460cc276e11ee20a2cc40e7ef776e8245bdaae649a98e43a04d46e",
-        "cc89f70b12345bca955424ed265f291d20f57e8c5e7dc7c1131e235f64a52742"),
+        "0142f772a4da0decdde1ddc3434a11a8d7a8b74d889a41009271becd65fa2213",
+        "73599bebc5c6a4d2ccaf3d65869b6fd4dce9178b871b80553ed0e98bb0868690"),
     "THEOREM_3": (
-        "6c92905b5b460cc276e11ee20a2cc40e7ef776e8245bdaae649a98e43a04d46e",
-        "cc89f70b12345bca955424ed265f291d20f57e8c5e7dc7c1131e235f64a52742"),
+        "0142f772a4da0decdde1ddc3434a11a8d7a8b74d889a41009271becd65fa2213",
+        "73599bebc5c6a4d2ccaf3d65869b6fd4dce9178b871b80553ed0e98bb0868690"),
     "THEOREM_4": (
-        "322f574569fc7dc7b31716bdaf8481280ccdefa46b25d1151fcdbc4dc9fefd0f",
-        "5842110ae8ce765c62fb5c63af7ee019667e21201de4793b7b07cd597cd43e9e"),
+        "b8ea55eb27f14b753cebf812da509a0798a55677aec32940d9ab6b80c41f03cb",
+        "d6418b8d6dc8b7176112238a0c0457b4b8d4ea599c6ef7776b3e57c464e9185b"),
     "WIPE_FLIP": (
-        "322f574569fc7dc7b31716bdaf8481280ccdefa46b25d1151fcdbc4dc9fefd0f",
-        "5842110ae8ce765c62fb5c63af7ee019667e21201de4793b7b07cd597cd43e9e"),
+        "b8ea55eb27f14b753cebf812da509a0798a55677aec32940d9ab6b80c41f03cb",
+        "d6418b8d6dc8b7176112238a0c0457b4b8d4ea599c6ef7776b3e57c464e9185b"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
 # the digests of the bytes the engine wrote in the per-envelope layout
 PER_ENVELOPE_TRACE_PINS = {
-    "alternating_below_bound_n5.json": "5aab3f3704b55415e6cd3126cde12093c4a10e84d5503c581b7278959a93f968",
-    "bfa_double_cure.json": "f2bc5990ce337a14bae647cdee3c54d3a51f595872b0e4c3b530107f0bf29e1d",
-    "correct_source.json": "1a4712718cecab38af6c6d3b17af453b6b1285257e27b7717a191d3d63d67d93",
-    "faulty_source_all_deliver.json": "7c954a09d839d04546b10ad95f5959d0148808d12cfb3030afd3bb6c57a798fa",
-    "faulty_source_none_deliver.json": "44369a9b6918d2b2d9c7576a3544d2cb942b282afcfc088c6847637351d77d13",
-    "nfa_alternating_n7.json": "302587fea2bfd3900c064cbb9ada64401f76da81059681101af31560539db470",
+    "alternating_below_bound_n5.json": "76d013a164a047f4069eede8153aeb7a9c98cd7362579cd3ee1d581ad060d9c6",
+    "bfa_double_cure.json": "86d84272eeb614cddbdc5c63d5086c79e5b0a6a6e5094863b9d5bc80d9c9ec91",
+    "correct_source.json": "b917898543967900e8208577e641edf86e703d09e0e6a873f6246b4a3374981c",
+    "faulty_source_all_deliver.json": "a22f0347572f6a432654d185a9b347d6710255cdd7de0f2e71ffe8adecd92003",
+    "faulty_source_none_deliver.json": "fcc3d0dae264ebee1fedf4b745e9b6ef4401f3e59b2fcb1e7ce86b6a6f8871e1",
+    "nfa_alternating_n7.json": "5cd2aff26bde26c39fa5ec4f7cf795136c2eb90750d957e3d3d2e50125e2467a",
 }
 
 # demo kind -> sha256 of its two traces rendered by `per_envelope_jsonl`
 PER_ENVELOPE_DEMO_PINS = {
     "SOURCE_FLIP": (
-        "36a191936432540aa6643cef3cb72a66f54ca83b631346c5c89622d760aada31",
-        "2e3606d71d7c0aa57b38e64e0afdea54303ea235c372723a52c0fa709df27eae"),
+        "c26f665466db9a792735eb93304354248196cd4dd1a5751cdc42ec4c0318bea1",
+        "4a4487d32806570555b757b553b541e3019bec8a16301d1e6bcb0eb99e08323e"),
     "THEOREM_3": (
-        "36a191936432540aa6643cef3cb72a66f54ca83b631346c5c89622d760aada31",
-        "2e3606d71d7c0aa57b38e64e0afdea54303ea235c372723a52c0fa709df27eae"),
+        "c26f665466db9a792735eb93304354248196cd4dd1a5751cdc42ec4c0318bea1",
+        "4a4487d32806570555b757b553b541e3019bec8a16301d1e6bcb0eb99e08323e"),
     "THEOREM_4": (
-        "a2dc7ad686875394abd0086bd8515d4166fd819b0daba151a5516c8ea658116a",
-        "e7c9c7972ea160e6c19c02c0c14657567af6d5dff67cfa98b3911baede448bb4"),
+        "6d316b5c53694dcf95ef1a30b986502bc73b1d8d64f8b4e5abcb3ed459aa6601",
+        "291d8dcd1c33fef0162458ebe76d3f0930b2ba216ee9e4a1e491ce1c6c816777"),
     "WIPE_FLIP": (
-        "a2dc7ad686875394abd0086bd8515d4166fd819b0daba151a5516c8ea658116a",
-        "e7c9c7972ea160e6c19c02c0c14657567af6d5dff67cfa98b3911baede448bb4"),
+        "6d316b5c53694dcf95ef1a30b986502bc73b1d8d64f8b4e5abcb3ed459aa6601",
+        "291d8dcd1c33fef0162458ebe76d3f0930b2ba216ee9e4a1e491ce1c6c816777"),
 }
 
 # variant -> sha256 of the `mbbc sweep --n-range 4:12` CSV
