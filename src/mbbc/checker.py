@@ -435,17 +435,26 @@ def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     trace order. Two executions are indistinguishable to the permanently
     correct processes exactly when their projections are identical; the
     impossibility demos assert this byte-for-byte on the serialized form.
+
+    Each distinct send detail object is narrowed once, and the events that
+    carry it share the narrowed detail read-only; every ``"ALL"`` send shares
+    one list of the kept processes. The memo holds each detail it has read,
+    so no id is reused while it lives.
     """
     keep = permanently_correct(schedule)
     everyone = sorted(keep)
+    narrowed: dict[int, tuple[dict, dict | None]] = {}
     observed = []
     for ev in trace.events:
         if ev.kind == KIND_P2P_SEND:
-            to = ev.detail["to"]
-            kept = everyone if to == TO_ALL else [q for q in to if q in keep]
-            if kept:
-                observed.append(TraceEvent(ev.round, ev.phase, ev.kind, ev.subject,
-                                           {**ev.detail, "to": kept}))
+            detail = ev.detail
+            hit = narrowed.get(id(detail))
+            if hit is None:
+                to = detail["to"]
+                kept = everyone if to == TO_ALL else [q for q in to if q in keep]
+                hit = narrowed[id(detail)] = (detail, {**detail, "to": kept} if kept else None)
+            if hit[1] is not None:
+                observed.append(TraceEvent(ev.round, ev.phase, ev.kind, ev.subject, hit[1]))
         elif ev.kind in (KIND_BROADCAST_CALL, KIND_DELIVER_CALL) and ev.subject in keep:
             observed.append(ev)
     return observed

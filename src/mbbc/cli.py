@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .adversary import build_strategy
@@ -40,6 +41,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
+
+# What ``replay`` prints for a line past the end of one side's trace.
+END_OF_TRACE = "<end of trace>"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,7 +197,9 @@ def cmd_replay(args) -> int:
         print(f"replay identical: {fresh.sha256()}")
         return EXIT_OK
     print("replay diverged from the stored trace", file=sys.stderr)
-    for i, (a, b) in enumerate(zip(stored_text.splitlines(), fresh_text.splitlines())):
+    # Past the end of the shorter side, its lines read as END_OF_TRACE.
+    lines = zip_longest(stored_text.splitlines(), fresh_text.splitlines(), fillvalue=END_OF_TRACE)
+    for i, (a, b) in enumerate(lines):
         if a != b:
             print(f"first divergence at line {i}:\n  stored: {a}\n  fresh:  {b}", file=sys.stderr)
             break

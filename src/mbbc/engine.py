@@ -33,10 +33,11 @@ Receipts are not traced; links are synchronous and reliable, so
 ``deliveries`` derives them from the SEND events; a correct receiver's
 tallies are a fold of its receipts in that order. SEND events
 are ordered by (sender, message), receipts by (receiver, sender, message).
-Each distinct message dict and DELIVER_CALL detail is built once per
-simulation, and the events that carry it share it read-only, as the events of
-a parsed trace do. Given a config (the seed is part of it), the trace is
-bit-reproducible.
+Each distinct message dict, ``"ALL"`` send detail, DELIVER_CALL detail and
+STATE_CORRUPTED detail is built once per simulation, and the events that
+carry it share it read-only, as the events of a parsed trace do; a dictated
+send's detail is its own, as its ``to`` list is. Given a config (the seed is
+part of it), the trace is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -126,36 +127,26 @@ class TraceEvent(NamedTuple):
 # maps to the text between the detail and the round's digits.
 _LINE_MIDDLES = {(kind, phase): f',"kind":"{kind}","phase":"{phase}","round":'
                  for kind, phase in KIND_PHASES.items()}
-# The value types that JSON writes alike exactly when they are equal and of
-# one type. ``True == 1`` and ``0.0 == -0.0`` hash alike but are written
-# differently, so a memo key holds each value's type, and never a float.
-_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
-_ALL_TEXT = encode_line(TO_ALL)
 
 
 def event_lines(events: Iterable[TraceEvent]) -> list[str]:
     """Each event's trace line, equal to ``encode_line(ev.to_dict())``.
 
-    The outer layout is written from a template, and a send's message or
-    any other flat detail of str keys and plain values is encoded once per
-    distinct value. An event whose kind, phase, round or subject the
-    template does not cover is encoded whole.
+    The outer layout is written from a template, and each detail object, and
+    each send's message object, is encoded once per call, by identity: the
+    memo holds every object it has encoded, so no id is reused while it
+    lives. A detail must therefore stay unchanged while its lines are
+    written, which ``TraceEvent``'s contract (a read-only detail) gives. An
+    event whose kind, phase, round or subject the template does not cover is
+    encoded whole.
     """
-    encoded: dict[tuple, str] = {}
+    encoded: dict[int, tuple[object, str]] = {}
 
     def encode(value) -> str:
-        if type(value) is not dict:
-            return encode_line(value)
-        types = tuple(map(type, value.values()))
-        if not _PLAIN_TYPES.issuperset(types):
-            return encode_line(value)
-        key = (*value.items(), *types)
-        text = encoded.get(key)
-        if text is None:
-            text = encode_line(value)
-            if all(type(k) is str for k in value):
-                encoded[key] = text
-        return text
+        hit = encoded.get(id(value))
+        if hit is None:
+            hit = encoded[id(value)] = (value, encode_line(value))
+        return hit[1]
 
     lines = []
     for ev in events:
@@ -165,11 +156,13 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
         if middle is None or type(rnd) is not int or type(subject) is not int:
             lines.append(encode_line(ev.to_dict()))
             continue
-        if (kind == KIND_P2P_SEND and type(detail) is dict and len(detail) == 2
+        hit = encoded.get(id(detail))
+        if hit is not None:
+            body = hit[1]
+        elif (kind == KIND_P2P_SEND and type(detail) is dict and len(detail) == 2
                 and "message" in detail and "to" in detail):
-            to = detail["to"]
-            to = _ALL_TEXT if type(to) is str and to == TO_ALL else encode_line(to)
-            body = f'{{"message":{encode(detail["message"])},"to":{to}}}'
+            body = f'{{"message":{encode(detail["message"])},"to":{encode_line(detail["to"])}}}'
+            encoded[id(detail)] = (detail, body)
         else:
             body = encode(detail)
         lines.append(f'{{"detail":{body}{middle}{rnd},"subject":{subject}}}')
@@ -451,7 +444,9 @@ class Simulation:
         # Messages are type-exact (``ProtocolMessage`` takes no bool for an
         # int), so equal keys encode to equal JSON.
         self._message_dicts: dict[ProtocolMessage, dict] = {}
+        self._send_details: dict[ProtocolMessage, dict] = {}
         self._deliver_details: dict[tuple[int, bytes], dict] = {}
+        self._digests: dict[tuple, dict] = {}
         for b in config.broadcasts:
             self._broadcast_index.setdefault((b.source, b.round), []).append(b.payload)
 
@@ -493,7 +488,7 @@ class Simulation:
             else:
                 outbox.extend((p, msg, TO_ALL) for msg in send_phase(self.states[p]))
         for sender, msg, to in outbox:
-            self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, {"message": self._message(msg), "to": to})
+            self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, self._send_detail(msg, to))
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
         # "ALL" sends come from correct senders and dictated ones from faulty
@@ -516,8 +511,7 @@ class Simulation:
             if p in faulty:
                 new_state = self.strategy.corrupt_state(p, r, obs)
                 self.states[p] = new_state
-                self._emit(r, PHASE_COMPUTE, KIND_STATE_CORRUPTED, p,
-                           {"state_digest": state_fingerprint(new_state)})
+                self._emit(r, PHASE_COMPUTE, KIND_STATE_CORRUPTED, p, self._corrupted_detail(new_state))
                 continue
             payloads = self._broadcast_index.get((p, r), [])
             for payload in payloads:
@@ -541,6 +535,29 @@ class Simulation:
         out = self._message_dicts.get(msg)
         if out is None:
             out = self._message_dicts[msg] = msg.to_dict()
+        return out
+
+    def _send_detail(self, msg: ProtocolMessage, to) -> dict:
+        """A P2P_SEND's detail: for an ``"ALL"`` send, built once per distinct
+        message and shared read-only; a dictated send's is its own, as its
+        ``to`` list is."""
+        if to != TO_ALL:
+            return {"message": self._message(msg), "to": to}
+        out = self._send_details.get(msg)
+        if out is None:
+            out = self._send_details[msg] = {"message": self._message(msg), "to": TO_ALL}
+        return out
+
+    def _corrupted_detail(self, state: ProtocolState) -> dict:
+        """A STATE_CORRUPTED detail, digested and built once per distinct state
+        and shared read-only. The key holds each scalar field's type beside
+        it, as ``True == 1`` digests differently; messages are type-exact and
+        a delivered pair's source is an int."""
+        key = (frozenset(state.to_send), type(state.rc), state.rc, type(state.cured), state.cured,
+               type(state.cured_faulty_since), state.cured_faulty_since, frozenset(state.delivered))
+        out = self._digests.get(key)
+        if out is None:
+            out = self._digests[key] = {"state_digest": state_fingerprint(state)}
         return out
 
     def _deliver_detail(self, source: int, payload: bytes) -> dict:

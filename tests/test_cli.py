@@ -563,6 +563,26 @@ def test_replay_roundtrip_and_divergence(tmp_path, golden_config_path, capsys):
     assert cli.main(["replay", "--trace", str(trace)]) == 1
 
 
+@pytest.mark.parametrize("edit", ["truncated", "extended"])
+def test_replay_of_a_prefix_trace_names_the_first_line_past_it(tmp_path, golden_config_path,
+                                                               capsys, edit):
+    """A stored trace that is a line-for-line prefix of the fresh one, or
+    extends it, diverges at the first line past the shorter side."""
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    last = len(lines) - 1
+    stored = lines[:-1] if edit == "truncated" else lines + [lines[-1]]
+    trace.write_text("\n".join(stored) + "\n")
+    capsys.readouterr()
+    assert cli.main(["replay", "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    at = last if edit == "truncated" else last + 1
+    stored_line, fresh_line = ((cli.END_OF_TRACE, lines[-1]) if edit == "truncated"
+                               else (lines[-1], cli.END_OF_TRACE))
+    assert f"first divergence at line {at}:\n  stored: {stored_line}\n  fresh:  {fresh_line}" in err
+
+
 def test_replay_of_a_float_round_value_diverges(tmp_path, golden_config_path, capsys):
     """``2.0 == 2`` in Python, but the stored bytes differ from the fresh ones."""
     trace = tmp_path / "trace.jsonl"

@@ -5,12 +5,14 @@ import pytest
 
 from conftest import golden_correct_source, split_send_scenario, zero_agent_scenario
 from mbbc import engine
+from mbbc.adversary import Strategy
 from mbbc.engine import (
     KIND_AGENT_MOVE,
     KIND_BROADCAST_CALL,
     KIND_CURED,
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
+    KIND_STATE_CORRUPTED,
     PHASE_SEND,
     TO_ALL,
     Delivery,
@@ -19,6 +21,7 @@ from mbbc.engine import (
     TraceEvent,
     deliver_oracle_events,
     deliveries,
+    encode_line,
     run,
 )
 from mbbc.messages import ProtocolMessage, decode_payload
@@ -31,6 +34,7 @@ from mbbc.protocol import (
     on_p2p_deliver,
     receive,
     send_phase,
+    state_fingerprint,
 )
 from mbbc.scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
 
@@ -363,6 +367,43 @@ def scripted_sends(sends: list) -> ScenarioConfig:
             {"host": 0, "first_round": 1, "last_round": None}]}]},
         "strategy": {"kind": "ARBITRARY", "script": {"1": {"0": {"sends": sends}}}},
     })
+
+
+class TestSharedDetails:
+    @pytest.mark.parametrize("config", [
+        split_send_scenario([1, 2, 3]),
+        scripted_sends([[q, {"kind": "ROUND", "round_value": v}] for v in (5, 7) for q in (1, 2)]),
+    ], ids=["split_send", "two_messages_one_receiver_list"])
+    def test_equal_all_sends_share_one_detail_and_dictated_sends_own_theirs(self, config):
+        trace = run(config)
+        sends = [e.detail for e in trace.events if e.kind == KIND_P2P_SEND]
+        fan_out = [d for d in sends if d["to"] == TO_ALL]
+        dictated = [d for d in sends if d["to"] != TO_ALL]
+        ids_by_text: dict[str, set[int]] = {}
+        for d in fan_out:
+            ids_by_text.setdefault(encode_line(d), set()).add(id(d))
+        assert len(fan_out) > len(ids_by_text)
+        assert all(len(ids) == 1 for ids in ids_by_text.values())
+        assert len(dictated) > 1
+        assert len({id(d["to"]) for d in dictated}) == len(dictated)
+
+    def test_corrupted_digest_is_the_state_fingerprint_type_exactly(self, monkeypatch):
+        """``rc=True`` equals ``rc=1`` but digests differently, so the digest
+        memo must not hand one's digest to the other."""
+        digests = []
+
+        class FlipRc(Strategy):
+            def corrupt_state(self, p, r, obs):
+                state = obs.states[p]
+                state.rc = True if r % 2 else 1
+                digests.append(state_fingerprint(state))
+                return state
+
+        monkeypatch.setattr(engine, "build_strategy", lambda config: FlipRc())
+        trace = run(scripted_sends([]))
+        recorded = [e.detail["state_digest"] for e in trace.events
+                    if e.kind == KIND_STATE_CORRUPTED]
+        assert recorded == digests and len(set(digests)) == 2
 
 
 class TestTraceIO:

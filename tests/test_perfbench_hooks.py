@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from conftest import golden_correct_source
-from mbbc import engine, protocol
+from mbbc import demos, engine, protocol
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +27,12 @@ def test_traced_pass_patches_every_hook_and_restores_it():
     assert rec.calls["protocol.on_p2p_deliver"] > 0
     assert engine.on_p2p_deliver is protocol.on_p2p_deliver
     assert engine.compute_phase is protocol.compute_phase
+
+
+def test_traced_demo_times_both_projections():
+    """``checker.projection_s`` is the span around ``demos.projection_jsonl``:
+    a ``run_demo`` that stopped calling it by that name would read 0 there."""
+    tracing = load_tracing()
+    with tracing.traced(tracing.Recorder()) as rec:
+        demos.run_demo("SOURCE_FLIP")
+    assert rec.calls["checker.projection"] == 2

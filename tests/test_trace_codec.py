@@ -42,6 +42,17 @@ def bundled_traces() -> list[Trace]:
     return traces
 
 
+def projection_pairs() -> list[tuple[ScenarioConfig, Trace]]:
+    """A split send with a duplicate target, and both histories of both demos."""
+    config = split_send_scenario([1, 2, 2])
+    pairs = [(config, run(config))]
+    for kind in ("SOURCE_FLIP", "WIPE_FLIP"):
+        result = run_demo(kind, {})
+        pairs += [(result.config_first, result.trace_first),
+                  (result.config_second, result.trace_second)]
+    return pairs
+
+
 def parse(text: str, monkeypatch, fast: bool):
     """``Trace.from_jsonl(text)``'s events, or its ValueError text; with
     ``fast`` off every line goes through the per-line parser."""
@@ -94,15 +105,23 @@ class TestWriter:
     def test_event_outside_the_template_writes_as_before(self, event):
         assert event_lines([event, event]) == [encode_line(event.to_dict())] * 2
 
+    def test_fresh_details_of_a_generator_write_as_per_event_lines(self):
+        """The memo goes by identity and holds what it encoded: each event
+        here is dropped once written, so without the hold CPython would hand
+        a freed detail's id to a later detail of another value."""
+        def events(count: int):
+            for i in range(count):
+                yield TraceEvent(1, "ORACLE", "CURED", 0, {"faulty_since": i})
+                yield TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
+                                 {"message": {"kind": "ROUND", "round_value": i}, "to": "ALL"})
+                yield TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
+                                 {"message": {"kind": "ROUND", "round_value": -i}, "to": [i]})
+
+        assert event_lines(events(300)) == [encode_line(ev.to_dict()) for ev in events(300)]
+
     def test_projection_with_dictated_sends_writes_as_per_event_lines(self):
-        pairs = [(split_send_scenario([1, 2, 2]), None)]
-        for kind in ("SOURCE_FLIP", "WIPE_FLIP"):
-            result = run_demo(kind, {})
-            pairs += [(result.config_first, result.trace_first),
-                      (result.config_second, result.trace_second)]
         dictated = 0
-        for config, trace in pairs:
-            trace = trace or run(config)
+        for config, trace in projection_pairs():
             schedule = config.resolved_schedule()
             keep = permanently_correct(schedule)
             dictated += sum(ev.kind == KIND_P2P_SEND and isinstance(ev.detail["to"], list)
@@ -110,6 +129,14 @@ class TestWriter:
             assert projection_jsonl(trace, schedule) == "\n".join(
                 encode_line(ev.to_dict()) for ev in projection(trace, schedule))
         assert dictated > 0
+
+    def test_projection_of_a_parsed_trace_writes_as_of_the_engine_trace(self):
+        """A parsed trace shares details by text and the engine's by
+        construction; either way the projection's bytes are the same."""
+        for config, trace in projection_pairs():
+            schedule = config.resolved_schedule()
+            parsed = Trace.from_jsonl(trace.to_jsonl())
+            assert projection_jsonl(parsed, schedule) == projection_jsonl(trace, schedule)
 
 
 PARSER_TABLE = [
