@@ -38,6 +38,7 @@ from .engine import (
     Trace,
     TraceEvent,
     event_lines,
+    round_sends,
 )
 from .messages import decode_payload
 from .model import FailureSchedule, io_correct_processes
@@ -429,32 +430,36 @@ def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:
 def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     """Events observable at processes that are correct throughout the run.
 
-    Those are every send that reaches one of them, its ``to`` narrowed to
-    them (``"ALL"`` becomes their sorted list, a list keeps its kept members,
-    duplicates included), and their own broadcast and deliver calls, in
-    trace order. Two executions are indistinguishable to the permanently
-    correct processes exactly when their projections are identical; the
-    impossibility demos assert this byte-for-byte on the serialized form.
+    Those are every (sender, message) send that reaches one of them, as one
+    P2P_SEND with the sender as subject and ``to`` narrowed to them
+    (``"ALL"`` becomes their sorted list, a list keeps its kept members,
+    duplicates included), and their own broadcast and deliver calls. Events
+    are in trace order, except that each round's sends, expanded and ordered
+    by ``round_sends``, all stand at its first P2P_SEND. Two executions are
+    indistinguishable to the permanently correct processes exactly when their
+    projections are identical; the impossibility demos assert this
+    byte-for-byte on the serialized form.
 
-    Each distinct send detail object is narrowed once, and the events that
-    carry it share the narrowed detail read-only; every ``"ALL"`` send shares
-    one list of the kept processes. The memo holds each detail it has read,
-    so no id is reused while it lives.
+    Each distinct (message, to) pair of objects is narrowed once, and the
+    events that carry it share the narrowed detail read-only; every
+    ``"ALL"`` send shares one list of the kept processes. The memo holds the
+    objects it has read, so no id is reused while it lives.
     """
     keep = permanently_correct(schedule)
     everyone = sorted(keep)
-    narrowed: dict[int, tuple[dict, dict | None]] = {}
+    sends = round_sends(trace.events)
+    narrowed: dict[tuple[int, int], tuple[object, object, dict | None]] = {}
     observed = []
     for ev in trace.events:
         if ev.kind == KIND_P2P_SEND:
-            detail = ev.detail
-            hit = narrowed.get(id(detail))
-            if hit is None:
-                to = detail["to"]
-                kept = everyone if to == TO_ALL else [q for q in to if q in keep]
-                hit = narrowed[id(detail)] = (detail, {**detail, "to": kept} if kept else None)
-            if hit[1] is not None:
-                observed.append(TraceEvent(ev.round, ev.phase, ev.kind, ev.subject, hit[1]))
+            for sender, message, to in sends.pop(ev.round, ()):
+                hit = narrowed.get((id(message), id(to)))
+                if hit is None:
+                    kept = everyone if to == TO_ALL else [q for q in to if q in keep]
+                    hit = narrowed[id(message), id(to)] = (
+                        message, to, {"message": message, "to": kept} if kept else None)
+                if hit[2] is not None:
+                    observed.append(TraceEvent(ev.round, ev.phase, ev.kind, sender, hit[2]))
         elif ev.kind in (KIND_BROADCAST_CALL, KIND_DELIVER_CALL) and ev.subject in keep:
             observed.append(ev)
     return observed

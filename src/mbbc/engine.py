@@ -5,17 +5,18 @@ Each round runs five sub-phases in a fixed order:
 1. ADVERSARY — agent moves at the round boundary are recorded.
 2. ORACLE   — cure notifications go to processes that were just freed
    (none under the no-awareness oracle).
-3. SEND     — correct processes run the protocol send phase (which performs
-   the cure wipe) and send each message to every process; faulty processes
-   emit exactly what the strategy dictates, with the sender stamp forced
-   (links are authenticated).
+3. SEND     — correct processes, in process order, run the protocol send
+   phase (which performs the cure wipe) and send each message to every
+   process; faulty processes emit exactly what the strategy dictates, with
+   the sender stamp forced (links are authenticated).
 4. RECEIVE  — every message sent in the round is delivered in the round:
-   no loss, duplication or reordering across rounds. The ``"ALL"`` sends
-   are folded once into the round's common tallies; a correct receiver
-   with no dictated receipt reads them as they are, and one with dictated
-   receipts gets a copy with those folded in. Tallies are round-local and
-   never part of a process's state. Messages reaching faulty processes
-   have no protocol effect (the omniscient adversary sees them anyway).
+   no loss, duplication or reordering across rounds. Each distinct message
+   the correct processes send to all is folded once, with all its senders,
+   into the round's common tallies; a correct receiver with no dictated
+   receipt reads them as they are, and one with dictated receipts gets a
+   copy with those folded in. Tallies are round-local and never part of a
+   process's state. Messages reaching faulty processes have no protocol
+   effect (the omniscient adversary sees them anyway).
 5. COMPUTE  — correct processes run the protocol compute phase on their
    tallies (scheduled broadcast calls are injected here); each faulty
    process's state is replaced by whatever the strategy returns. A correct
@@ -27,17 +28,19 @@ Each round runs five sub-phases in a fixed order:
    container.
 
 Every externally visible action is appended to a totally ordered trace.
-A send is one P2P_SEND event per (sender, message): ``"to": "ALL"`` for a
-correct fan-out, the sorted receivers (duplicates kept) for a dictated send.
-Receipts are not traced; links are synchronous and reliable, so
-``deliveries`` derives them from the SEND events; a correct receiver's
-tallies are a fold of its receipts in that order. SEND events
-are ordered by (sender, message), receipts by (receiver, sender, message).
-Each distinct message dict, ``"ALL"`` send detail, DELIVER_CALL detail and
+A correct fan-out is one P2P_SEND event per distinct message per round,
+``{"from": [senders], "message": …, "to": "ALL"}`` with the senders strictly
+increasing and the subject ``from[0]``; a dictated send is one event per
+(sender, message) with the sorted receivers (duplicates kept) as ``to``. The
+fan-outs come first, in message order, then the dictated sends in (sender,
+message) order. Receipts are not traced; links are synchronous and reliable,
+so ``deliveries`` derives them from the SEND events, which ``round_sends``
+expands to one (sender, message, to) send per sender in (sender, message)
+order; a correct receiver's tallies are a fold of its receipts, by (sender,
+message). Each distinct message dict, DELIVER_CALL detail and
 STATE_CORRUPTED detail is built once per simulation, and the events that
-carry it share it read-only, as the events of a parsed trace do; a dictated
-send's detail is its own, as its ``to`` list is. Given a config (the seed is
-part of it), the trace is bit-reproducible.
+carry it share it read-only, as the events of a parsed trace do. Given a
+config (the seed is part of it), the trace is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
@@ -92,8 +96,9 @@ KIND_PHASES = {
     KIND_STATE_CORRUPTED: PHASE_COMPUTE,
 }
 
-# The header's ``format``: one P2P_SEND per (sender, message), no receipts.
-TRACE_FORMAT = "mbbc-trace/2"
+# The header's ``format``: one P2P_SEND per fan-out message, listing its
+# senders, or per dictated (sender, message); no receipts.
+TRACE_FORMAT = "mbbc-trace/3"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
 
@@ -159,9 +164,11 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
         hit = encoded.get(id(detail))
         if hit is not None:
             body = hit[1]
-        elif (kind == KIND_P2P_SEND and type(detail) is dict and len(detail) == 2
-                and "message" in detail and "to" in detail):
-            body = f'{{"message":{encode(detail["message"])},"to":{encode_line(detail["to"])}}}'
+        elif (kind == KIND_P2P_SEND and type(detail) is dict and "message" in detail
+                and "to" in detail and len(detail) == 2 + ("from" in detail)):
+            senders = f'"from":{encode_line(detail["from"])},' if "from" in detail else ""
+            body = (f'{{{senders}"message":{encode(detail["message"])},'
+                    f'"to":{encode_line(detail["to"])}}}')
             encoded[id(detail)] = (detail, body)
         else:
             body = encode(detail)
@@ -189,12 +196,13 @@ class Trace:
 
         The header must carry this ``format`` and a config with int ``n`` and
         ``horizon``. Each event needs a known kind in its phase, a round in
-        [1, horizon], a subject in [0, n) and a dict detail; a P2P_SEND's
-        ``to`` is "ALL" or a list of receivers in [0, n), a DELIVER_CALL's
-        ``source`` is an int, and the payload of a DELIVER_CALL or a
-        BROADCAST_CALL decodes. A line in the writer's own layout has its
-        detail parsed and checked once per distinct text; any other line is
-        parsed whole.
+        [1, horizon], a subject in [0, n) and a dict detail. A P2P_SEND's
+        ``to`` is either "ALL", beside a ``from`` of strictly increasing
+        senders in [0, n) whose first is the subject, or a list of receivers
+        in [0, n) with no ``from``. A DELIVER_CALL's ``source`` is an int,
+        and the payload of a DELIVER_CALL or a BROADCAST_CALL decodes. A line
+        in the writer's own layout has its detail parsed and checked once per
+        distinct text; any other line is parsed whole.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -260,27 +268,41 @@ def _event(data: dict, n: int, horizon: int) -> TraceEvent:
         raise ValueError(f"round {shown(event.round)} outside 1..{horizon}")
     if not _is_int(event.subject) or not 0 <= event.subject < n:
         raise ValueError(f"subject {shown(event.subject)} outside 0..{n - 1}")
-    _check_detail(event.kind, event.detail, n)
+    sender = _check_detail(event.kind, event.detail, n)
+    if sender is not None and event.subject != sender:
+        raise ValueError(f"subject {event.subject} of a send to {TO_ALL!r} is not its first sender {sender}")
     return event
 
 
-def _check_detail(kind: str, detail, n: int) -> None:
-    """The detail keys a reader of the trace relies on; a missing one is a KeyError."""
+def _check_detail(kind: str, detail, n: int) -> int | None:
+    """The detail keys a reader of the trace relies on; a missing one is a
+    KeyError. Returns the subject a fan-out's detail requires, ``from[0]``,
+    and None for any other detail."""
     if not isinstance(detail, dict):
         raise ValueError("detail is not a JSON object")
     if kind == KIND_P2P_SEND:
         to = detail["to"]
         if not isinstance(detail["message"], dict):
             raise ValueError("message is not a JSON object")
-        if to != TO_ALL and not (isinstance(to, list)
-                                 and all(_is_int(q) and 0 <= q < n for q in to)):
+        if to == TO_ALL:
+            senders = detail["from"]
+            if not (isinstance(senders, list) and senders and all(map(_is_int, senders))
+                    and 0 <= senders[0] and senders[-1] < n
+                    and all(a < b for a, b in zip(senders, senders[1:]))):
+                raise ValueError(f"from {shown(senders)} is not a non-empty, strictly increasing "
+                                 f"list of senders in 0..{n - 1}")
+            return senders[0]
+        if not (isinstance(to, list) and all(_is_int(q) and 0 <= q < n for q in to)):
             raise ValueError(f"to {shown(to)} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
+        if "from" in detail:
+            raise ValueError("a send to a list of receivers has a from; its sender is its subject")
     elif kind == KIND_DELIVER_CALL:
         if not _is_int(detail["source"]):
             raise ValueError(f"source {shown(detail['source'])} is not an int")
         decode_payload(detail)
     elif kind == KIND_BROADCAST_CALL:
         decode_payload(detail)
+    return None
 
 
 # An event line in the writer's layout is the detail's text between these
@@ -304,10 +326,10 @@ def _layout_reader(n: int, horizon: int) -> Callable[[str], TraceEvent | None]:
     value, which the suffix cannot extend, so the whole line would read as
     the same event. Each distinct suffix is checked once, and each distinct
     (detail text, kind) is parsed and checked once; equal texts share one
-    detail dict.
+    detail dict. Only a fan-out's subject is checked against its detail.
     """
     suffixes: dict[str, tuple | None] = {}
-    details: dict[tuple[str, str], dict | None] = {}
+    details: dict[tuple[str, str], tuple[dict | None, int | None]] = {}
 
     def read(line: str) -> TraceEvent | None:
         head, _, suffix = line.rpartition(_KIND_KEY)
@@ -322,10 +344,12 @@ def _layout_reader(n: int, horizon: int) -> Callable[[str], TraceEvent | None]:
         rnd, phase, kind, subject = fields
         key = (head, kind)
         try:
-            detail = details[key]
+            detail, sender = details[key]
         except KeyError:
-            detail = details[key] = _layout_detail(head[len(_DETAIL_KEY):], kind, n)
-        return None if detail is None else TraceEvent(rnd, phase, kind, subject, detail)
+            detail, sender = details[key] = _layout_detail(head[len(_DETAIL_KEY):], kind, n)
+        if detail is None or (sender is not None and sender != subject):
+            return None
+        return TraceEvent(rnd, phase, kind, subject, detail)
 
     return read
 
@@ -343,16 +367,17 @@ def _layout_suffix(suffix: str, n: int, horizon: int) -> tuple[int, str, str, in
     return rnd, phase, kind, subject
 
 
-def _layout_detail(text: str, kind: str, n: int) -> dict | None:
+def _layout_detail(text: str, kind: str, n: int) -> tuple[dict | None, int | None]:
+    """The detail and the subject it requires (``_check_detail``), or
+    (None, None) when the per-line parser must read the line."""
     # Read inside one more array, the detail nests as deep as its whole line:
     # a detail too deep for the per-line parser is left to it, which rejects
     # the line. ``[text]`` holds one value exactly when ``text`` is one value.
     try:
         [detail] = json.loads(f"[{text}]")
-        _check_detail(kind, detail, n)
+        return detail, _check_detail(kind, detail, n)
     except (KeyError, ValueError, RecursionError):
-        return None
-    return detail
+        return None, None
 
 
 class Delivery(NamedTuple):
@@ -383,22 +408,44 @@ def _inboxes(outbox: Sequence[tuple[int, object, object]], n: int
     return inboxes
 
 
+def round_sends(events: Iterable[TraceEvent]) -> dict[int, list[tuple[int, object, object]]]:
+    """Each round's sends as (sender, message, to), keyed by round in order of
+    first appearance.
+
+    A send to ``"ALL"`` gives one such send per sender in its ``from``, and a
+    dictated send its subject's. A round's sends are in (sender, message)
+    order: by sender, and a sender's in trace order, which is message order
+    in the engine's traces. The messages and ``to`` values are the events'
+    own objects.
+    """
+    by_round: dict[int, list[tuple[int, object, object]]] = {}
+    for ev in events:
+        if ev.kind == KIND_P2P_SEND:
+            detail = ev.detail
+            message, to = detail["message"], detail["to"]
+            sends = by_round.setdefault(ev.round, [])
+            if to == TO_ALL:
+                sends.extend((sender, message, to) for sender in detail["from"])
+            else:
+                sends.append((ev.subject, message, to))
+    for sends in by_round.values():
+        sends.sort(key=itemgetter(0))
+    return by_round
+
+
 def deliveries(trace: Trace) -> list[Delivery]:
-    """Every receipt the trace's P2P_SEND events imply, by round, then receiver.
+    """Every receipt the trace's P2P_SEND events imply, by round, then receiver,
+    then (sender, message) as ``round_sends`` orders them.
 
     Folding a correct receiver's receipts of a round, in this order, gives
     the tallies the engine's RECEIVE phase leaves it with; the messages are
     the SEND events' message dicts.
     """
-    outboxes: dict[int, list[tuple[int, object, object]]] = {}
-    for ev in trace.events:
-        if ev.kind == KIND_P2P_SEND:
-            outboxes.setdefault(ev.round, []).append(
-                (ev.subject, ev.detail["message"], ev.detail["to"]))
+    by_round = round_sends(trace.events)
     n = trace.config["n"]
     return [Delivery(r, receiver, sender, message)
-            for r in sorted(outboxes)
-            for receiver, inbox in enumerate(_inboxes(outboxes[r], n))
+            for r in sorted(by_round)
+            for receiver, inbox in enumerate(_inboxes(by_round[r], n))
             for sender, message in inbox]
 
 
@@ -444,7 +491,6 @@ class Simulation:
         # Messages are type-exact (``ProtocolMessage`` takes no bool for an
         # int), so equal keys encode to equal JSON.
         self._message_dicts: dict[ProtocolMessage, dict] = {}
-        self._send_details: dict[ProtocolMessage, dict] = {}
         self._deliver_details: dict[tuple[int, bytes], dict] = {}
         self._digests: dict[tuple, dict] = {}
         for b in config.broadcasts:
@@ -479,29 +525,33 @@ class Simulation:
             self._emit(r, PHASE_ORACLE, KIND_CURED, p, {"faulty_since": since})
             on_cured(self.states[p], since)
 
-        # SEND: one outbox entry per (sender, message).
+        # SEND: each correct sender's messages grouped by message, senders in
+        # process order; one dictated entry per faulty (sender, message).
         obs = Observation(schedule=schedule, states=self.states)
-        outbox: list[tuple[int, ProtocolMessage, object]] = []
+        fan_outs: dict[ProtocolMessage, list[int]] = {}
+        dictated: list[tuple[int, ProtocolMessage, list[int]]] = []
         for p in range(n):
             if p in faulty:
-                outbox.extend(_dictated(p, self.strategy.dictate_sends(p, r, obs)))
+                dictated.extend(_dictated(p, self.strategy.dictate_sends(p, r, obs)))
             else:
-                outbox.extend((p, msg, TO_ALL) for msg in send_phase(self.states[p]))
-        for sender, msg, to in outbox:
-            self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, self._send_detail(msg, to))
+                for msg in send_phase(self.states[p]):
+                    fan_outs.setdefault(msg, []).append(p)
+        grouped = [(msg, fan_outs[msg]) for msg in sorted(fan_outs, key=ProtocolMessage.sort_key)]
+        for msg, senders in grouped:
+            self._emit(r, PHASE_SEND, KIND_P2P_SEND, senders[0],
+                       {"from": senders, "message": self._message(msg), "to": TO_ALL})
+        for sender, msg, to in dictated:
+            self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, {"message": self._message(msg), "to": to})
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
-        # "ALL" sends come from correct senders and dictated ones from faulty
+        # Fan-outs come from correct senders and dictated sends from faulty
         # senders, so the two never share a sender: the common fold plus a
-        # receiver's dictated receipts is its whole inbox.
+        # receiver's dictated receipts is its whole inbox, and a sender's
+        # fan-outs fold in message order, as its receipts do.
         common = Tallies()
-        dictated_sends = []
-        for sender, msg, to in outbox:
-            if to == TO_ALL:
-                on_p2p_deliver(common, sender, msg)
-            else:
-                dictated_sends.append((sender, msg, to))
-        obs.common, obs.dictated = common, _inboxes(dictated_sends, n)
+        for msg, senders in grouped:
+            on_p2p_deliver(common, senders, msg)
+        obs.common, obs.dictated = common, _inboxes(dictated, n)
         tallies = {p: receive(common, obs.dictated[p]) for p in range(n) if p not in faulty}
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
@@ -535,17 +585,6 @@ class Simulation:
         out = self._message_dicts.get(msg)
         if out is None:
             out = self._message_dicts[msg] = msg.to_dict()
-        return out
-
-    def _send_detail(self, msg: ProtocolMessage, to) -> dict:
-        """A P2P_SEND's detail: for an ``"ALL"`` send, built once per distinct
-        message and shared read-only; a dictated send's is its own, as its
-        ``to`` list is."""
-        if to != TO_ALL:
-            return {"message": self._message(msg), "to": to}
-        out = self._send_details.get(msg)
-        if out is None:
-            out = self._send_details[msg] = {"message": self._message(msg), "to": TO_ALL}
         return out
 
     def _corrupted_detail(self, state: ProtocolState) -> dict:

@@ -39,7 +39,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .messages import (
     MessageKind,
@@ -147,7 +147,7 @@ def receive(common: Tallies, receipts: Sequence[tuple[int, ProtocolMessage]]) ->
     tallies = Tallies(set(common.sends), _copy_votes(common.echos), _copy_votes(common.readys),
                       _copy_votes(common.aborts), dict(common.rc_votes))
     for sender, msg in receipts:
-        on_p2p_deliver(tallies, sender, msg)
+        on_p2p_deliver(tallies, (sender,), msg)
     return tallies
 
 
@@ -155,25 +155,28 @@ def _copy_votes(votes: dict[InstanceKey, set[int]]) -> dict[InstanceKey, set[int
     return {key: set(voters) for key, voters in votes.items()}
 
 
-def on_p2p_deliver(tallies: Tallies, sender: int, msg: ProtocolMessage) -> None:
-    """Record one received message into a round's tallies.
+def on_p2p_deliver(tallies: Tallies, senders: Collection[int], msg: ProtocolMessage) -> None:
+    """Record one message, received from each of ``senders``, into a round's
+    tallies: the same as recording it once per sender, in any order.
 
-    A SEND counts only when its source field matches the authenticated sender;
-    vote maps hold sender sets, so duplicates from one sender are idempotent.
+    A SEND counts only when its source field is one of its authenticated
+    senders; vote maps hold sender sets, so duplicates from one sender are
+    idempotent. A ROUND vote replaces the sender's earlier one, so a sender's
+    messages must be recorded in the order it sent them.
     """
     if msg.kind is MessageKind.ROUND:
-        tallies.rc_votes[sender] = msg.round_value
+        tallies.rc_votes.update(dict.fromkeys(senders, msg.round_value))
         return
     key = msg.instance_key()
     if msg.kind is MessageKind.SEND:
-        if sender == msg.source:
+        if msg.source in senders:
             tallies.sends.add(key)
     elif msg.kind is MessageKind.ECHO:
-        tallies.echos.setdefault(key, set()).add(sender)
+        tallies.echos.setdefault(key, set()).update(senders)
     elif msg.kind is MessageKind.READY:
-        tallies.readys.setdefault(key, set()).add(sender)
+        tallies.readys.setdefault(key, set()).update(senders)
     elif msg.kind is MessageKind.ABORT:
-        tallies.aborts.setdefault(key, set()).add(sender)
+        tallies.aborts.setdefault(key, set()).update(senders)
 
 
 def get_majority(votes: Iterable[int], current: int, min_backing: int = 0) -> int:

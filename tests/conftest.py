@@ -9,7 +9,9 @@ import random
 
 from mbbc.checker import VIOLATED, PropertyReport, replay_witness
 from mbbc.demos import DemoResult, adapter_choices, adapter_output
+from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
+from mbbc.sweeps import attack_scenario
 
 
 def golden_correct_source(delta_s: int = 1, seed: int = 7) -> ScenarioConfig:
@@ -100,6 +102,45 @@ def random_walk_schedule(rng: random.Random, n: int, f: int, horizon: int) -> li
         segments.append({"host": host, "first_round": first, "last_round": None})
         out.append({"agent_id": agent, "segments": segments})
     return out
+
+
+# The names ``shape_config`` builds.
+SHAPES = ("bfa_weak_roundrobin", "bfa_weak_walk", "ffa_full_walk", "nfa_weak_alternating_f2",
+          "nfa_weak_roundrobin", "nfa_weak_walk")
+
+
+def shape_config(name: str) -> ScenarioConfig:
+    """Longer scenarios than the bundled configs: re-delivery in every round,
+    repeated cures, random agent walks and an f=2 attack below the bound, so
+    every checker has work to do."""
+    if name == "nfa_weak_alternating_f2":
+        return attack_scenario(VariantTag.NFA_WEAK, 12, 2, 2, "alternating")
+    variant, oracle, n, horizon, walk = {
+        "nfa_weak_roundrobin": ("NFA_WEAK", "NFA", 7, 40, False),
+        "bfa_weak_roundrobin": ("BFA_WEAK", "BFA", 6, 30, False),
+        "nfa_weak_walk": ("NFA_WEAK", "NFA", 7, 30, True),
+        "bfa_weak_walk": ("BFA_WEAK", "BFA", 6, 30, True),
+        "ffa_full_walk": ("FFA_FULL", "FFA", 6, 24, True),
+    }[name]
+    rng = random.Random(name)
+    offset = rng.randrange(n)
+    rounds = range(4, horizon - 6, 3)
+    if walk:
+        schedule = {"trajectories": random_walk_schedule(rng, n, 1, horizon)}
+        sources = [rng.randrange(n) for _ in rounds]
+    else:
+        schedule = {"generator": "roundrobin", "params": {"offset": offset}}
+        sources = [(offset + b + 1 + (5 * i) % (n - 2)) % n for i, b in enumerate(rounds)]
+    return ScenarioConfig.from_dict({
+        "n": n, "f": 1, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": horizon,
+        "seed": rng.randrange(1000),
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": oracle},
+        "variant": variant,
+        "schedule": schedule,
+        "broadcasts": [{"source": s, "round": b, "payload": f"m{i}"}
+                       for i, (s, b) in enumerate(zip(sources, rounds))],
+        "strategy": {"kind": "CRASH_SILENT"},
+    })
 
 
 def random_scenario(rng: random.Random) -> ScenarioConfig:

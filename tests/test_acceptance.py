@@ -25,7 +25,7 @@ from mbbc.checker import (
     run_property_checks,
 )
 from mbbc.demos import run_demo
-from mbbc.engine import KIND_P2P_SEND, Simulation, run
+from mbbc.engine import KIND_P2P_SEND, Simulation, round_sends, run
 from mbbc.model import is_io_correct
 from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
@@ -71,9 +71,8 @@ def test_criterion_02_faulty_source_all_deliver():
     trace = run(cfg)
     sched = cfg.resolved_schedule()
     # Echo quorum forms at exactly the targets.
-    ready_senders = {e.subject for e in trace.events
-                     if e.kind == KIND_P2P_SEND and e.detail["message"]["kind"] == "READY"
-                     and e.round == 4}
+    ready_senders = {sender for sender, message, _to in round_sends(trace.events)[4]
+                     if message["kind"] == "READY"}
     assert ready_senders == {1, 2, 3}
     delivered = {d.process for d in _correct_time_deliveries(cfg, trace)}
     io_correct = {p for p in range(6) if is_io_correct(sched, p, cfg.delta_c)}
@@ -88,9 +87,8 @@ def test_criterion_02_faulty_source_all_deliver():
 def test_criterion_03_faulty_source_none_deliver():
     cfg = split_send_scenario([1, 2])
     trace = run(cfg)
-    aborts_in_4 = {e.subject for e in trace.events
-                   if e.kind == KIND_P2P_SEND and e.round == 4
-                   and e.detail["message"]["kind"] == "ABORT"}
+    aborts_in_4 = {sender for sender, message, _to in round_sends(trace.events)[4]
+                   if message["kind"] == "ABORT"}
     assert len(aborts_in_4) > cfg.f, "more than f ABORTs must circulate"
     ready_sends = [e for e in trace.events
                    if e.kind == KIND_P2P_SEND and e.detail["message"]["kind"] == "READY"]

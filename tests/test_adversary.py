@@ -10,7 +10,7 @@ from mbbc.adversary import (
     build_strategy,
     generate_paired_histories,
 )
-from mbbc.engine import Simulation, deliveries, run
+from mbbc.engine import Simulation, deliveries, round_sends, run
 from mbbc.messages import MessageKind
 from mbbc.protocol import init_state
 from mbbc.scenario import InvalidScenario, ScenarioConfig
@@ -149,8 +149,8 @@ class TestStateCorruption:
                 "1": {"0": {"sends": [[1, {"kind": "ROUND", "round_value": 7}]]}}}},
         })
         trace = run(cfg)
-        sent = [e for e in trace.events if e.kind == "P2P_SEND" and e.subject == 0 and e.round == 1]
-        assert len(sent) == 1 and sent[0].detail["to"] == [1]
+        sent = [(message, to) for sender, message, to in round_sends(trace.events)[1] if sender == 0]
+        assert sent == [({"kind": "ROUND", "round_value": 7}, [1])]
         received = [d.receiver for d in deliveries(trace) if d.sender == 0 and d.round == 1]
         assert received == [1]
 

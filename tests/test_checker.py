@@ -34,6 +34,7 @@ from mbbc.engine import (
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
     KIND_STATE_CORRUPTED,
+    TO_ALL,
     Trace,
     TraceEvent,
     deliveries,
@@ -444,6 +445,18 @@ class TestProjection:
         assert kept_receipts
         assert deliveries(replace(trace, events=projection(trace, sched))) == kept_receipts
 
+    def test_projection_has_one_send_per_sender_of_a_fan_out(self):
+        cfg = golden_correct_source()
+        trace = run(cfg)
+        sched = cfg.resolved_schedule()
+        everyone = sorted(permanently_correct(sched))
+        fan_outs = [(e.round, sender, str(e.detail["message"])) for e in trace.events
+                    if e.kind == KIND_P2P_SEND and e.detail["to"] == TO_ALL for sender in e.detail["from"]]
+        projected = [(e.round, e.subject, str(e.detail["message"])) for e in projection(trace, sched)
+                     if e.kind == KIND_P2P_SEND and e.detail["to"] == everyone]
+        assert sorted(projected) == sorted(fan_outs) and len(projected) > len(
+            [e for e in trace.events if e.kind == KIND_P2P_SEND])
+
     def test_projection_keeps_a_duplicate_kept_receiver(self):
         cfg = duplicate_receiver_scenario()
         trace = run(cfg)
@@ -463,7 +476,8 @@ class TestProjection:
         before = projection_jsonl(trace, sched)
         assert before == projection_jsonl(result.trace_first, result.config_first.resolved_schedule())
         index, event = next((i, e) for i, e in enumerate(trace.events)
-                            if e.kind == KIND_P2P_SEND and sched.is_faulty(e.subject, e.round)
+                            if e.kind == KIND_P2P_SEND and isinstance(e.detail["to"], list)
+                            and sched.is_faulty(e.subject, e.round)
                             and "payload" in e.detail["message"] and keep & set(e.detail["to"]))
         message = {**event.detail["message"], "payload": "forged"}
         events = list(trace.events)

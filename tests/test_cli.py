@@ -281,10 +281,17 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
     assert "Traceback" not in err
 
 
-GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/2","seed":0}'
+GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/3","seed":0}'
 GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
 # Nested past any recursion limit of the JSON parser.
 DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def fan_out(senders: str | None, subject: int, to: str = '"ALL"') -> str:
+    """A P2P_SEND line in round 2 with ``from`` set to ``senders`` (omitted if None)."""
+    from_ = "" if senders is None else f'"from":{senders},'
+    return (f'{{"detail":{{{from_}"message":{{"kind":"ROUND","round_value":2}},"to":{to}}},'
+            f'"kind":"P2P_SEND","phase":"SEND","round":2,"subject":{subject}}}')
 
 
 def compute_event(kind: str, detail: str) -> str:
@@ -301,8 +308,9 @@ def compute_event(kind: str, detail: str) -> str:
     ('{"fingerprint":"x","seed":0}\n' + GOOD_EVENT + "\n", 1),
     ('{"config":{},"fingerprint":"x"}\n', 1),
     ("[1]\n", 1),
-    (GOOD_HEADER.replace(',"format":"mbbc-trace/2"', "") + "\n" + GOOD_EVENT + "\n", 1),
-    (GOOD_HEADER.replace("mbbc-trace/2", "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
+    (GOOD_HEADER.replace(',"format":"mbbc-trace/3"', "") + "\n" + GOOD_EVENT + "\n", 1),
+    (GOOD_HEADER.replace("mbbc-trace/3", "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
+    pytest.param(GOOD_HEADER.replace("mbbc-trace/3", "mbbc-trace/2") + "\n", 1, id="header-only-trace-2"),
     (GOOD_HEADER.replace('"n":6', '"n":"6"') + "\n", 1),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":99') + "\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":"1"') + "\n", 2),
@@ -314,6 +322,15 @@ def compute_event(kind: str, detail: str) -> str:
      '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
     (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"SOME"},'
      '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
+    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + "\n" + fan_out("[]", 0) + "\n", 3, id="from-empty"),
+    pytest.param(GOOD_HEADER + "\n" + fan_out("[2,1]", 2) + "\n", 2, id="from-unsorted"),
+    pytest.param(GOOD_HEADER + "\n" + fan_out("[1,1]", 1) + "\n", 2, id="from-duplicate"),
+    pytest.param(GOOD_HEADER + "\n" + fan_out("[1,6]", 1) + "\n", 2, id="from-out-of-range"),
+    pytest.param(GOOD_HEADER + "\n" + fan_out("[-1,1]", 0) + "\n", 2, id="from-negative"),
+    pytest.param(GOOD_HEADER + "\n" + fan_out("[true]", 1) + "\n", 2, id="from-bool"),
+    pytest.param(GOOD_HEADER + "\n" + fan_out("[0]", 0, to="[1]") + "\n", 2, id="from-beside-a-list"),
+    pytest.param(GOOD_HEADER + "\n" + fan_out(None, 0) + "\n", 2, id="all-without-from"),
+    pytest.param(GOOD_HEADER + "\n" + fan_out("[1,3]", 3) + "\n", 2, id="subject-not-first-sender"),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace("{}", DEEP) + "\n", 2, id="deeply_nested"),
     pytest.param(compute_event("DELIVER_CALL", '{"payload":"x"}'), 2, id="deliver-without-source"),
     pytest.param(compute_event("DELIVER_CALL", '{"payload":"x","source":"1"}'), 2, id="deliver-source-string"),
@@ -424,7 +441,7 @@ def test_header_only_trace_with_a_huge_horizon_exits_2_at_once(tmp_path, capsys,
     not be able to ask for millions of rounds."""
     config = {**golden_correct_source().to_dict(), "horizon": 2_000_000}
     trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": "mbbc-trace/2",
+    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": "mbbc-trace/3",
                                  "seed": 0}) + "\n")
     start = time.perf_counter()
     assert cli.main([command, "--trace", str(trace)]) == 2
@@ -588,7 +605,7 @@ def test_replay_of_a_float_round_value_diverges(tmp_path, golden_config_path, ca
     trace = tmp_path / "trace.jsonl"
     cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
     text = trace.read_text()
-    assert text.count('"round_value":2}') > 1
+    assert '"round_value":2}' in text
     trace.write_text(text.replace('"round_value":2}', '"round_value":2.0}', 1))
     capsys.readouterr()
     assert cli.main(["replay", "--trace", str(trace)]) == 1

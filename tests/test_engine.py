@@ -1,9 +1,17 @@
 import copy
+import random
 from pathlib import Path
 
 import pytest
 
-from conftest import golden_correct_source, split_send_scenario, zero_agent_scenario
+from conftest import (
+    SHAPES,
+    golden_correct_source,
+    random_walk_schedule,
+    shape_config,
+    split_send_scenario,
+    zero_agent_scenario,
+)
 from mbbc import engine
 from mbbc.adversary import Strategy
 from mbbc.engine import (
@@ -22,6 +30,7 @@ from mbbc.engine import (
     deliver_oracle_events,
     deliveries,
     encode_line,
+    round_sends,
     run,
 )
 from mbbc.messages import ProtocolMessage, decode_payload
@@ -37,6 +46,9 @@ from mbbc.protocol import (
     state_fingerprint,
 )
 from mbbc.scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
+
+
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def schedule_single(segments, n=6, horizon=8, delta_s=1):
@@ -88,12 +100,11 @@ class TestRunBasics:
     def test_synchrony_send_deliver_bijection(self):
         trace = run(golden_correct_source())
         received = deliveries(trace)
+        sent = round_sends(trace.events)
         assert received
         for r in range(1, 9):
-            sends = sorted(
-                (e.subject, q, str(e.detail["message"]))
-                for e in trace.events if e.round == r and e.kind == KIND_P2P_SEND
-                for q in (range(6) if e.detail["to"] == TO_ALL else e.detail["to"]))
+            sends = sorted((sender, q, str(message)) for sender, message, to in sent.get(r, ())
+                           for q in (range(6) if to == TO_ALL else to))
             delivers = sorted((d.sender, d.receiver, str(d.message)) for d in received if d.round == r)
             assert sends == delivers
 
@@ -109,8 +120,7 @@ class TestRunBasics:
         # Index 5 is freed at round 3 of the golden schedule; the wipe must
         # suppress everything it had queued.
         trace = run(golden_correct_source())
-        assert not [e for e in trace.events
-                    if e.kind == KIND_P2P_SEND and e.round == 3 and e.subject == 5]
+        assert 5 not in {sender for sender, _message, _to in round_sends(trace.events)[3]}
 
     def test_golden_deliveries(self):
         trace = run(golden_correct_source())
@@ -120,9 +130,8 @@ class TestRunBasics:
     def test_send_fans_out_to_all_including_self(self):
         trace = run(golden_correct_source())
         sends = [e for e in trace.events
-                 if e.kind == KIND_P2P_SEND and e.round == 2 and e.subject == 0
-                 and e.detail["message"]["kind"] == "SEND"]
-        assert len(sends) == 1 and sends[0].detail["to"] == TO_ALL
+                 if e.kind == KIND_P2P_SEND and e.round == 2 and e.detail["message"]["kind"] == "SEND"]
+        assert len(sends) == 1 and sends[0].detail["to"] == TO_ALL and sends[0].detail["from"] == [0]
         receivers = [d.receiver for d in deliveries(trace)
                      if d.round == 2 and d.sender == 0 and d.message["kind"] == "SEND"]
         assert receivers == list(range(6))
@@ -148,27 +157,129 @@ class TestTraceOrdering:
         marks = [(e.round, self.PHASE_ORDER[e.phase]) for e in trace.events]
         assert marks == sorted(marks)
 
-    def test_within_phase_lexicographic(self):
-        trace = run(golden_correct_source())
+    @pytest.mark.parametrize("config, has_dictated", [
+        (golden_correct_source, False), (lambda: split_send_scenario([1, 2, 3]), True),
+    ], ids=["correct_source", "split_send"])
+    def test_within_phase_lexicographic(self, config, has_dictated):
+        """Fan-outs first, in message order, each listing its senders in
+        process order; then dictated sends by (sender, message). Expanded
+        sends and receipts are in (sender, message) and (receiver, sender,
+        message) order."""
+        trace = run(config())
         received = deliveries(trace)
-        for r in range(1, 9):
-            sends = [(e.subject, ProtocolMessage.from_dict(e.detail["message"]).sort_key())
-                     for e in trace.events if e.round == r and e.kind == KIND_P2P_SEND]
-            assert sends == sorted(sends)
-            delivers = [(d.receiver, d.sender, ProtocolMessage.from_dict(d.message).sort_key())
-                        for d in received if d.round == r]
+        sent = round_sends(trace.events)
+        dictated_seen = False
+        for r in range(1, trace.config["horizon"] + 1):
+            events = [e for e in trace.events if e.round == r and e.kind == KIND_P2P_SEND]
+            fan_outs = [e for e in events if e.detail["to"] == TO_ALL]
+            dictated = [e for e in events if e.detail["to"] != TO_ALL]
+            assert events == fan_outs + dictated
+            keys = [sort_key(e.detail["message"]) for e in fan_outs]
+            assert keys == sorted(set(keys))
+            for e in fan_outs:
+                assert e.detail["from"] == sorted(set(e.detail["from"])) and e.subject == e.detail["from"][0]
+            keys = [(e.subject, sort_key(e.detail["message"])) for e in dictated]
+            assert keys == sorted(keys)
+            dictated_seen |= bool(dictated)
+            expanded = [(sender, sort_key(message)) for sender, message, _to in sent.get(r, ())]
+            assert expanded == sorted(expanded)
+            delivers = [(d.receiver, d.sender, sort_key(d.message)) for d in received if d.round == r]
             assert delivers == sorted(delivers)
+        assert dictated_seen == has_dictated
 
-    def test_one_send_event_per_sender_and_message(self):
+    def test_one_send_per_sender_and_message(self):
         trace = run(split_send_scenario([1, 2, 3]))
-        keys = [(e.round, e.subject, str(e.detail["message"]))
-                for e in trace.events if e.kind == KIND_P2P_SEND]
+        keys = [(r, sender, str(message))
+                for r, sends in round_sends(trace.events).items() for sender, message, _to in sends]
         assert len(keys) == len(set(keys))
         assert not [e for e in trace.events if e.kind not in engine.KIND_PHASES]
 
 
-def send_event(round_, sender, message, to) -> TraceEvent:
-    return TraceEvent(round_, PHASE_SEND, KIND_P2P_SEND, sender,
+def sort_key(message: dict) -> tuple:
+    return ProtocolMessage.from_dict(message).sort_key()
+
+
+def receive_and_fold(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, dict, dict]:
+    """Run ``cfg``; return its trace, a copy of the tallies RECEIVE gave each
+    correct (round, receiver), and a per-receipt fold of ``deliveries`` for
+    the same keys."""
+    sim = Simulation(cfg)
+    sched = cfg.resolved_schedule()
+    received = {}
+    original = engine.receive
+
+    def snapshot(*args):
+        out = original(*args)
+        correct = [p for p in range(cfg.n) if sched.is_correct(p, sim.round)]
+        done = sum(r == sim.round for r, _ in received)
+        received[(sim.round, correct[done])] = copy.deepcopy(out)
+        return out
+
+    monkeypatch.setattr(engine, "receive", snapshot)
+    trace = sim.run()
+    folded = {key: Tallies() for key in received}
+    for d in deliveries(trace):
+        if (d.round, d.receiver) in folded:
+            on_p2p_deliver(folded[(d.round, d.receiver)], (d.sender,),
+                           ProtocolMessage.from_dict(d.message))
+    return trace, received, folded
+
+
+def arbitrary_walk(seed: int) -> ScenarioConfig:
+    """An agent on a random walk (n=6, FFA) whose host sends random votes to
+    random receivers, duplicates included, and leaves a random queue behind."""
+    rng = random.Random(seed)
+    n, horizon = 6, 12
+    base = {
+        "n": n, "f": 1, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": horizon, "seed": seed,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
+        "variant": "FFA_FULL",
+        "schedule": {"trajectories": random_walk_schedule(rng, n, 1, horizon)},
+    }
+    sched = ScenarioConfig.from_dict(base).resolved_schedule()
+
+    def message() -> dict:
+        kind = rng.choice(["SEND", "ECHO", "READY", "ABORT", "ROUND"])
+        if kind == "ROUND":
+            return {"kind": kind, "round_value": rng.randrange(1, 6)}
+        return {"kind": kind, "source": rng.randrange(n), "birth_round": rng.randrange(1, 3),
+                "payload": rng.choice(["m", "x"])}
+
+    script = {}
+    for r in range(1, horizon + 1):
+        for p in sorted(sched.faulty_set(r)):
+            script[str(r)] = {str(p): {
+                "sends": [[rng.randrange(n), message()] for _ in range(rng.randrange(8))],
+                "state": {"to_send": [message() for _ in range(3)], "rc": rng.randrange(1, 6)}}}
+    source = min(p for p in range(n) if sched.is_correct(p, 1))
+    return ScenarioConfig.from_dict({
+        **base, "broadcasts": [{"source": source, "round": 1, "payload": "m"}],
+        "strategy": {"kind": "ARBITRARY", "script": script},
+    })
+
+
+def planted_round_votes() -> ScenarioConfig:
+    """NFA_WEAK, n=7: the agent holds process 2 in rounds 1-2 and leaves
+    ROUND 5 and ROUND 7 in its queue, then moves on to process 4."""
+    return ScenarioConfig.from_dict({
+        "n": 7, "f": 1, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": 6, "seed": 0,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "NFA"},
+        "variant": "NFA_WEAK",
+        "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+            {"host": 2, "first_round": 1, "last_round": 2},
+            {"host": 4, "first_round": 3, "last_round": None}]}]},
+        "broadcasts": [{"source": 0, "round": 1, "payload": "m"}],
+        "strategy": {"kind": "ARBITRARY", "script": {"2": {"2": {"state": {"to_send": [
+            {"kind": "ROUND", "round_value": 7}, {"kind": "ROUND", "round_value": 5}]}}}}},
+    })
+
+
+def send_event(round_, senders, message, to) -> TraceEvent:
+    """A fan-out from ``senders`` (a list) when ``to`` is "ALL", else a send dictated to ``to``."""
+    if to == TO_ALL:
+        return TraceEvent(round_, PHASE_SEND, KIND_P2P_SEND, senders[0],
+                          {"from": senders, "message": message.to_dict(), "to": to})
+    return TraceEvent(round_, PHASE_SEND, KIND_P2P_SEND, senders,
                       {"message": message.to_dict(), "to": to})
 
 
@@ -179,13 +290,26 @@ def hand_trace(n, events) -> Trace:
 class TestDeliveries:
     def test_correct_fan_out_reaches_every_process_once(self):
         msg = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 2})
-        trace = hand_trace(3, [send_event(2, 1, msg, TO_ALL)])
+        trace = hand_trace(3, [send_event(2, [1], msg, TO_ALL)])
         assert deliveries(trace) == [Delivery(2, q, 1, msg.to_dict()) for q in range(3)]
+
+    def test_a_fan_out_expands_to_one_send_per_sender_in_sender_order(self):
+        a = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 5})
+        b = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 7})
+        trace = hand_trace(4, [send_event(1, [0, 3], a, TO_ALL), send_event(1, [0, 2], b, TO_ALL),
+                               send_event(1, 1, a, [2, 2]), send_event(2, [3], b, TO_ALL)])
+        assert [(r, sender, message["round_value"], to)
+                for r, sends in round_sends(trace.events).items() for sender, message, to in sends] == [
+            (1, 0, 5, TO_ALL), (1, 0, 7, TO_ALL), (1, 1, 5, [2, 2]), (1, 2, 7, TO_ALL),
+            (1, 3, 5, TO_ALL), (2, 3, 7, TO_ALL)]
+        assert [(d.receiver, d.sender, d.message["round_value"]) for d in deliveries(trace)
+                if d.round == 1 and d.receiver == 2] == [(2, 0, 5), (2, 0, 7), (2, 1, 5), (2, 1, 5),
+                                                         (2, 2, 7), (2, 3, 5)]
 
     def test_dictated_duplicate_receiver_is_delivered_twice(self):
         a = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 5})
         b = ProtocolMessage.from_dict({"kind": "ROUND", "round_value": 7})
-        trace = hand_trace(5, [send_event(1, 0, a, [1, 1, 4]), send_event(1, 3, b, TO_ALL)])
+        trace = hand_trace(5, [send_event(1, [3], b, TO_ALL), send_event(1, 0, a, [1, 1, 4])])
         assert [(d.receiver, d.sender, d.message["round_value"]) for d in deliveries(trace)] == [
             (0, 3, 7), (1, 0, 5), (1, 0, 5), (1, 3, 7), (2, 3, 7), (3, 3, 7),
             (4, 0, 5), (4, 3, 7)]
@@ -196,34 +320,39 @@ class TestDeliveries:
         with pytest.raises(ValueError, match="outside 0..2"):
             deliveries(hand_trace(3, [send_event(1, 0, msg, [receiver])]))
 
-    def test_engine_receive_equals_a_fold_of_the_derived_deliveries(self, monkeypatch):
+    @pytest.mark.parametrize("config", [
+        *[pytest.param(lambda path=path: ScenarioConfig.from_json(path.read_text()), id=path.stem)
+          for path in BUNDLED],
+        *[pytest.param(lambda name=name: shape_config(name), id=name) for name in SHAPES],
+        pytest.param(lambda: split_send_scenario([1, 2, 3]), id="split_send"),
+        pytest.param(lambda: arbitrary_walk(11), id="arbitrary_walk"),
+        pytest.param(planted_round_votes, id="planted_round_votes"),
+    ])
+    def test_engine_receive_equals_a_fold_of_the_derived_deliveries(self, config, monkeypatch):
         """RECEIVE gives each correct receiver, in process order, tallies equal
         to a fresh fold of the receipts ``deliveries`` derives for it from the
         trace, in order."""
-        cfg = split_send_scenario([1, 2, 3])
-        sim = Simulation(cfg)
+        cfg = config()
+        trace, received, folded = receive_and_fold(cfg, monkeypatch)
         sched = cfg.resolved_schedule()
-        received = {}
-        original = engine.receive
-
-        def snapshot(*args):
-            out = original(*args)
-            correct = [p for p in range(cfg.n) if sched.is_correct(p, sim.round)]
-            done = sum(r == sim.round for r, _ in received)
-            received[(sim.round, correct[done])] = copy.deepcopy(out)
-            return out
-
-        monkeypatch.setattr(engine, "receive", snapshot)
-        trace = sim.run()
         assert set(received) == {(r, p) for r in range(1, cfg.horizon + 1)
                                  for p in range(cfg.n) if sched.is_correct(p, r)}
-        folded = {key: Tallies() for key in received}
-        for d in deliveries(trace):
-            if (d.round, d.receiver) in folded:
-                on_p2p_deliver(folded[(d.round, d.receiver)], d.sender,
-                               ProtocolMessage.from_dict(d.message))
         assert received == folded
-        assert any(e.detail["to"] != TO_ALL for e in trace.events if e.kind == KIND_P2P_SEND)
+
+    def test_a_freed_process_votes_its_later_planted_round_message(self, monkeypatch):
+        """NFA_WEAK has no cure wipe: process 2, freed in round 3, sends both
+        ROUND messages the agent left in its queue, and the later one in
+        message order is its vote under the grouped fold and the per-receipt
+        fold alike."""
+        cfg = planted_round_votes()
+        trace, received, folded = receive_and_fold(cfg, monkeypatch)
+        planted = [e.detail["message"]["round_value"] for e in trace.events
+                   if e.kind == KIND_P2P_SEND and e.round == 3 and 2 in e.detail.get("from", ())
+                   and e.detail["message"]["kind"] == "ROUND"]
+        assert planted == [5, 7]
+        votes = {(tallies.rc_votes[2], folded[key].rc_votes[2])
+                 for key, tallies in received.items() if key[0] == 3}
+        assert votes == {(7, 7)}
 
     def test_sender_is_stamped_by_the_engine(self):
         """A possessed process cannot send under another process's name."""
@@ -288,9 +417,6 @@ def cured_in_step() -> ScenarioConfig:
         "broadcasts": [{"source": 0, "round": 1, "payload": "m"}],
         "strategy": {"kind": "ARBITRARY", "script": {"4": {"3": {"state": {"rc": 5}}}}},
     })
-
-
-BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def containers(state: ProtocolState) -> list:
@@ -370,22 +496,26 @@ def scripted_sends(sends: list) -> ScenarioConfig:
 
 
 class TestSharedDetails:
-    @pytest.mark.parametrize("config", [
-        split_send_scenario([1, 2, 3]),
-        scripted_sends([[q, {"kind": "ROUND", "round_value": v}] for v in (5, 7) for q in (1, 2)]),
+    @pytest.mark.parametrize("config, repeated", [
+        (split_send_scenario([1, 2, 3]), True),
+        (scripted_sends([[q, {"kind": "ROUND", "round_value": v}] for v in (5, 7) for q in (1, 2)]),
+         False),
     ], ids=["split_send", "two_messages_one_receiver_list"])
-    def test_equal_all_sends_share_one_detail_and_dictated_sends_own_theirs(self, config):
+    def test_equal_messages_share_one_dict_and_every_send_owns_its_detail(self, config, repeated):
+        """Each distinct message is one dict, shared read-only by the sends
+        that carry it; a fan-out's ``from`` and a dictated send's ``to`` are
+        each its own."""
         trace = run(config)
         sends = [e.detail for e in trace.events if e.kind == KIND_P2P_SEND]
-        fan_out = [d for d in sends if d["to"] == TO_ALL]
-        dictated = [d for d in sends if d["to"] != TO_ALL]
         ids_by_text: dict[str, set[int]] = {}
-        for d in fan_out:
-            ids_by_text.setdefault(encode_line(d), set()).add(id(d))
-        assert len(fan_out) > len(ids_by_text)
+        for d in sends:
+            ids_by_text.setdefault(encode_line(d["message"]), set()).add(id(d["message"]))
+        assert (len(sends) > len(ids_by_text)) == repeated
         assert all(len(ids) == 1 for ids in ids_by_text.values())
-        assert len(dictated) > 1
-        assert len({id(d["to"]) for d in dictated}) == len(dictated)
+        assert len({id(d) for d in sends}) == len(sends)
+        lists = [d["from"] if d["to"] == TO_ALL else d["to"] for d in sends]
+        assert len({id(x) for x in lists}) == len(lists)
+        assert sum(d["to"] != TO_ALL for d in sends) > 1
 
     def test_corrupted_digest_is_the_state_fingerprint_type_exactly(self, monkeypatch):
         """``rc=True`` equals ``rc=1`` but digests differently, so the digest

@@ -6,11 +6,13 @@ both traces of every demo kind at its default parameters, and of the
 single byte of this evidence fails here, where comparing a run with itself
 (``test_criterion_10_determinism``) cannot notice.
 
-Two families of pins survive a change of trace layout: each trace rendered
-in the per-envelope layout (``per_envelope_jsonl``) still hashes to the
-digest the engine's bytes had when it wrote that layout, and each report with
+Three families of pins survive a change of trace layout: each trace
+rendered in the per-envelope layout (``per_envelope_jsonl``) still hashes to
+the digest the engine's bytes had when it wrote that layout, each report with
 its witness indices replaced by the cited events (``WITNESS_PINS``) stays
-put while the indices move.
+put while the indices move, and what the permanently correct processes
+observe (``PROJECTION_PINS``) is read per (sender, message) whatever the
+layout.
 
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
@@ -20,66 +22,70 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from pathlib import Path
 
 import pytest
 
 from mbbc import cli
-from conftest import random_walk_schedule
-from mbbc.checker import ALL_PROPERTIES, MBBC_PROPERTIES, reports_to_json, run_property_checks
+from conftest import SHAPES, shape_config
+from mbbc.checker import (
+    ALL_PROPERTIES,
+    MBBC_PROPERTIES,
+    projection_jsonl,
+    reports_to_json,
+    run_property_checks,
+)
 from mbbc.engine import (
     KIND_P2P_SEND,
     PHASE_ADVERSARY,
     PHASE_ORACLE,
+    PHASE_SEND,
     TO_ALL,
     Trace,
     deliveries,
+    round_sends,
     run,
 )
 from mbbc.messages import ProtocolMessage
-from mbbc.protocol import VariantTag
-from mbbc.scenario import ScenarioConfig
-from mbbc.sweeps import attack_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "2b7962fc7ce1e64ca1981bcf82707206f32ab11ee654371d17dacb46433a9b81",
+        "588765c711cb2198b00c44d07240efb11d84f8c8bd6f7fd2714a3dd7b122956a",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "be6a26e4886086e6b99602f78d4f8022653cfe2cbfbc6925f2b9fa51d3a15fb7",
-        "11f826fa79275739ae3d2cff97d2168574590c064af9832d70d782d0353c1734"),
+        "ff2b02bb20913f74aee0a2247c1d62d1aca27fa32dd6563695eedcece65a2999",
+        "a8fa944e376c2539232199db114866ebf91dcf0da5f528124a6a899a992c078a"),
     "correct_source.json": (
-        "25832ec344b285c039a76f4a2358cc5114313d3d69082fbbb3999538617556f5",
+        "e9fc4b0be2e555da755736d09e8992919db3212ebf95ec76876706f9c2f13d1e",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "d39e5af92fd1e95fd752de128365d0d0be2a49ab4ac24fc7a21a73cc615e92d4",
+        "c3e0a15f9fadc118f9fb194c27b4602ffe6df726b972b3950a5fda7449749769",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "b640d9ffdbeea1ea55478d7b216437767e588a0fd9094051419fa14533270a65",
+        "cb4639ade6db677998c8fba91b60e440cd144118cec274ec277821ec3585836a",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "febc6c8844f5b6964e5253dc2adc8fcfbd7d0b176fdb880626ec2b3bdedf5f80",
-        "ea82678ba6cdc9feab576cb9378cb87fbbb4e4545fe2be3e87c097ad6d6183bd"),
+        "9cf5a9eb474941e220d3be6a2a348eb1beb579857315b25efe1a0db5dda438e6",
+        "3ce3cbb80d34bd150872992d6b62b22f7e32776e2253eb7484e1840ff91d3840"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "0142f772a4da0decdde1ddc3434a11a8d7a8b74d889a41009271becd65fa2213",
-        "73599bebc5c6a4d2ccaf3d65869b6fd4dce9178b871b80553ed0e98bb0868690"),
+        "9ea155f5ed0888744ec4690ea1c93fce401082f1982159d089b8514c6e7702f3",
+        "1c4b06bbf7799976bdc69707dc2b51b0db28da35908ab2c7a27a480094c06994"),
     "THEOREM_3": (
-        "0142f772a4da0decdde1ddc3434a11a8d7a8b74d889a41009271becd65fa2213",
-        "73599bebc5c6a4d2ccaf3d65869b6fd4dce9178b871b80553ed0e98bb0868690"),
+        "9ea155f5ed0888744ec4690ea1c93fce401082f1982159d089b8514c6e7702f3",
+        "1c4b06bbf7799976bdc69707dc2b51b0db28da35908ab2c7a27a480094c06994"),
     "THEOREM_4": (
-        "b8ea55eb27f14b753cebf812da509a0798a55677aec32940d9ab6b80c41f03cb",
-        "d6418b8d6dc8b7176112238a0c0457b4b8d4ea599c6ef7776b3e57c464e9185b"),
+        "9707f3233858bf0953026456da2859ed5f981cac68cf87f81abf734759363020",
+        "667e14b10d84643391e6008ab6c3980e5eb359ccce94b38593fb51f37f0a81bd"),
     "WIPE_FLIP": (
-        "b8ea55eb27f14b753cebf812da509a0798a55677aec32940d9ab6b80c41f03cb",
-        "d6418b8d6dc8b7176112238a0c0457b4b8d4ea599c6ef7776b3e57c464e9185b"),
+        "9707f3233858bf0953026456da2859ed5f981cac68cf87f81abf734759363020",
+        "667e14b10d84643391e6008ab6c3980e5eb359ccce94b38593fb51f37f0a81bd"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -109,6 +115,31 @@ PER_ENVELOPE_DEMO_PINS = {
         "291d8dcd1c33fef0162458ebe76d3f0930b2ba216ee9e4a1e491ce1c6c816777"),
 }
 
+# config file -> sha256 of `projection_jsonl` of its `mbbc run` trace; demo kind
+# -> the same for its two traces. What the permanently correct processes
+# observe is per (sender, message) whatever the trace's layout, so these
+# pins survive a change of it.
+PROJECTION_PINS = {
+    "alternating_below_bound_n5.json": "ee2dad521d8679c8c84001d1eb63e4ba44b3665372f0356865dd0cf2d5788772",
+    "bfa_double_cure.json": "ac51ba2b22aa161b6297ec5127a17df16b37fbfb9010a982f78b35d0b9cacc80",
+    "correct_source.json": "54d4e1f730a59029e37766738cafb91dfde77d846ce1526af568cbca020399da",
+    "faulty_source_all_deliver.json": "82f1092336043eaa414e28705eadfd2733a09501f836a999d1184c453923c11c",
+    "faulty_source_none_deliver.json": "fd71deba851e4d699a89b27d307ff83378301263775a04e186c35a8ac3f493dd",
+    "nfa_alternating_n7.json": "d1845342727d34a92083f2bde0c0d23217c9a25ce11f55dfa0185befce50d359",
+    "SOURCE_FLIP": (
+        "c5dda99cadaf0db0e3e26cd1da6e7cb2f814cf88040dce6819c234fd9af067cf",
+        "c5dda99cadaf0db0e3e26cd1da6e7cb2f814cf88040dce6819c234fd9af067cf"),
+    "THEOREM_3": (
+        "c5dda99cadaf0db0e3e26cd1da6e7cb2f814cf88040dce6819c234fd9af067cf",
+        "c5dda99cadaf0db0e3e26cd1da6e7cb2f814cf88040dce6819c234fd9af067cf"),
+    "THEOREM_4": (
+        "86b00e6443962abdda8a9044ca7a275d956eef66935899d708c08e4a11e9958b",
+        "86b00e6443962abdda8a9044ca7a275d956eef66935899d708c08e4a11e9958b"),
+    "WIPE_FLIP": (
+        "86b00e6443962abdda8a9044ca7a275d956eef66935899d708c08e4a11e9958b",
+        "86b00e6443962abdda8a9044ca7a275d956eef66935899d708c08e4a11e9958b"),
+}
+
 # variant -> sha256 of the `mbbc sweep --n-range 4:12` CSV
 SWEEP_PINS = {
     "BFA_WEAK": "1be9715f326234a37af6813bcc4bbd9f8bf6826e10bba445f5ca90aa29023caf",
@@ -116,14 +147,14 @@ SWEEP_PINS = {
     "NFA_WEAK": "0f5bf0e19beadc974556579c4173d4ff9db89fbadc69440ac58987b9d60001f3",
 }
 
-# shape -> sha256 of its ALL_PROPERTIES report; the shapes are built by `shape_config`
+# shape -> sha256 of its ALL_PROPERTIES report; the shapes are built by `conftest.shape_config`
 REPORT_PINS = {
-    "bfa_weak_roundrobin": "7b0967aa1827ad9c020993e602c3e374397cb0b27ceac5113b8e3b1e1e24a019",
-    "bfa_weak_walk": "b7da2ab4fde08873edcd55b756c493952e3e49f50e12a7da3744a64289e817cd",
-    "ffa_full_walk": "dd05de0657006a0d8b4ca5563629be1566cfa09d9b1d0ac998480539be98ce2b",
-    "nfa_weak_alternating_f2": "9e80202c3b0ed2b3d83f899550a2d4ce1870ad230e5d9c9067f0497b452c57b2",
-    "nfa_weak_roundrobin": "a740e62fce06a3d2eff0194bbd7a721aa530f0e4a61a2fda67206a6744a3e9b7",
-    "nfa_weak_walk": "7d421e2fa0185ecfe75072a7c9970a1385ccf7701ba126b21227d60364a45a00",
+    "bfa_weak_roundrobin": "045e458dda0e8b65dc43b311be14c57b04638e80d62c72ad0a4f1065c5840c12",
+    "bfa_weak_walk": "d7a73b2858f54a99fc17936cd8d94e103e284641480fa36f7a3d45e221926d0b",
+    "ffa_full_walk": "782463fd3aa19da41c3d4e6e235215d7037d055dab5eb96d3337f0bee91112a8",
+    "nfa_weak_alternating_f2": "0b536c0db84341b15456d202ca63e3e85fb2944b1b2827642b8d040ba04b34ea",
+    "nfa_weak_roundrobin": "06db5bb1ec241bdffe7541ad9f6226ed3b633f88ebbe54449320ea10c8207023",
+    "nfa_weak_walk": "b9c8a09d31a6328c4acb5bdb07ebddc3a128ad2994c98eeb20efe2be83cafc63",
 }
 
 
@@ -146,40 +177,6 @@ WITNESS_PINS = {
 }
 
 
-def shape_config(name: str) -> ScenarioConfig:
-    """Longer scenarios than the bundled configs: re-delivery in every round,
-    repeated cures, random agent walks and an f=2 attack below the bound, so
-    every checker has work to do."""
-    if name == "nfa_weak_alternating_f2":
-        return attack_scenario(VariantTag.NFA_WEAK, 12, 2, 2, "alternating")
-    variant, oracle, n, horizon, walk = {
-        "nfa_weak_roundrobin": ("NFA_WEAK", "NFA", 7, 40, False),
-        "bfa_weak_roundrobin": ("BFA_WEAK", "BFA", 6, 30, False),
-        "nfa_weak_walk": ("NFA_WEAK", "NFA", 7, 30, True),
-        "bfa_weak_walk": ("BFA_WEAK", "BFA", 6, 30, True),
-        "ffa_full_walk": ("FFA_FULL", "FFA", 6, 24, True),
-    }[name]
-    rng = random.Random(name)
-    offset = rng.randrange(n)
-    rounds = range(4, horizon - 6, 3)
-    if walk:
-        schedule = {"trajectories": random_walk_schedule(rng, n, 1, horizon)}
-        sources = [rng.randrange(n) for _ in rounds]
-    else:
-        schedule = {"generator": "roundrobin", "params": {"offset": offset}}
-        sources = [(offset + b + 1 + (5 * i) % (n - 2)) % n for i, b in enumerate(rounds)]
-    return ScenarioConfig.from_dict({
-        "n": n, "f": 1, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": horizon,
-        "seed": rng.randrange(1000),
-        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": oracle},
-        "variant": variant,
-        "schedule": schedule,
-        "broadcasts": [{"source": s, "round": b, "payload": f"m{i}"}
-                       for i, (s, b) in enumerate(zip(sources, rounds))],
-        "strategy": {"kind": "CRASH_SILENT"},
-    })
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -196,17 +193,16 @@ def per_envelope_jsonl(trace: Trace) -> str:
     n = trace.config["n"]
     rounds: dict[int, tuple[list, list, list]] = {}
     for ev in trace.events:
-        before, sends, after = rounds.setdefault(ev.round, ([], [], []))
-        if ev.kind == KIND_P2P_SEND:
-            message = ev.detail["message"]
-            order = ProtocolMessage.from_dict(message).sort_key()
-            to = range(n) if ev.detail["to"] == TO_ALL else ev.detail["to"]
-            sends.extend(((ev.subject, q, order), line(ev.round, ev.phase, ev.kind, ev.subject,
-                                                       {"receiver": q, "message": message}))
-                         for q in to)
-        else:
+        before, _sends, after = rounds.setdefault(ev.round, ([], [], []))
+        if ev.kind != KIND_P2P_SEND:
             (before if ev.phase in (PHASE_ADVERSARY, PHASE_ORACLE) else after).append(
                 line(ev.round, ev.phase, ev.kind, ev.subject, ev.detail))
+    for r, outbox in round_sends(trace.events).items():
+        for sender, message, to in outbox:
+            order = ProtocolMessage.from_dict(message).sort_key()
+            rounds[r][1].extend(((sender, q, order), line(r, PHASE_SEND, KIND_P2P_SEND, sender,
+                                                          {"receiver": q, "message": message}))
+                                for q in (range(n) if to == TO_ALL else to))
     receipts: dict[int, list[str]] = {}
     for d in deliveries(trace):
         receipts.setdefault(d.round, []).append(line(
@@ -220,6 +216,11 @@ def per_envelope_jsonl(trace: Trace) -> str:
         out += receipts.get(r, [])
         out += after
     return "\n".join(out) + "\n"
+
+
+def projection_digest(data: bytes) -> str:
+    trace = Trace.from_jsonl(data.decode("utf-8"))
+    return _sha256(projection_jsonl(trace, trace.scenario().resolved_schedule()).encode("utf-8"))
 
 
 def witness_digest(trace: Trace, reports) -> str:
@@ -296,10 +297,11 @@ def test_pins_cover_every_config_demo_and_variant():
     assert set(TRACE_PINS) == {p.name for p in CONFIG_DIR.glob("*.json")}
     assert set(DEMO_PINS) == {"THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"}
     assert set(SWEEP_PINS) == {"FFA_FULL", "BFA_WEAK", "NFA_WEAK"}
-    assert len(REPORT_PINS) == 6
+    assert set(REPORT_PINS) == set(SHAPES)
     assert set(WITNESS_PINS) == set(TRACE_PINS) | set(REPORT_PINS)
     assert set(PER_ENVELOPE_TRACE_PINS) == set(TRACE_PINS)
     assert set(PER_ENVELOPE_DEMO_PINS) == set(DEMO_PINS)
+    assert set(PROJECTION_PINS) == set(TRACE_PINS) | set(DEMO_PINS)
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_PINS))
@@ -322,6 +324,16 @@ def test_demo_traces_pinned(kind, tmp_path):
 def test_demo_traces_expand_to_their_per_envelope_pins(kind, tmp_path):
     digests = tuple(per_envelope_digest(data) for data in demo_traces(kind, tmp_path))
     assert digests == PER_ENVELOPE_DEMO_PINS[kind]
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_PINS))
+def test_projection_pinned(name, tmp_path):
+    if name in TRACE_PINS:
+        data, _trace, _reports = config_evidence(name, tmp_path)
+        assert projection_digest(data) == PROJECTION_PINS[name]
+    else:
+        digests = tuple(projection_digest(data) for data in demo_traces(name, tmp_path))
+        assert digests == PROJECTION_PINS[name]
 
 
 @pytest.mark.parametrize("variant", sorted(SWEEP_PINS))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbbc.messages import MessageKind, echo_msg, ready_msg, round_msg, send_msg
+from mbbc.messages import MessageKind, abort_msg, echo_msg, ready_msg, round_msg, send_msg
 from mbbc.protocol import (
     ProtocolState,
     Tallies,
@@ -119,42 +119,58 @@ class TestSendPhase:
 class TestReceive:
     def test_send_from_non_source_ignored(self):
         tallies = Tallies()
-        on_p2p_deliver(tallies, 3, send_msg(0, 1, b"a"))
+        on_p2p_deliver(tallies, (3,), send_msg(0, 1, b"a"))
         assert tallies.sends == set()
 
     def test_send_from_source_recorded(self):
         tallies = Tallies()
-        on_p2p_deliver(tallies, 0, send_msg(0, 1, b"a"))
+        on_p2p_deliver(tallies, (0,), send_msg(0, 1, b"a"))
         assert (0, 1, b"a") in tallies.sends
 
     def test_double_echo_single_vote(self):
         tallies = Tallies()
-        on_p2p_deliver(tallies, 4, echo_msg(0, 1, b"a"))
-        on_p2p_deliver(tallies, 4, echo_msg(0, 1, b"a"))
+        on_p2p_deliver(tallies, (4,), echo_msg(0, 1, b"a"))
+        on_p2p_deliver(tallies, (4,), echo_msg(0, 1, b"a"))
         assert tallies.echos[(0, 1, b"a")] == {4}
 
     def test_ready_vote_recorded(self):
         tallies = Tallies()
-        on_p2p_deliver(tallies, 4, ready_msg(0, 1, b"m"))
+        on_p2p_deliver(tallies, (4,), ready_msg(0, 1, b"m"))
         assert tallies.readys[(0, 1, b"m")] == {4}
 
     def test_round_vote_last_write_wins(self):
         tallies = Tallies()
-        on_p2p_deliver(tallies, 2, round_msg(5))
-        on_p2p_deliver(tallies, 2, round_msg(7))
+        on_p2p_deliver(tallies, (2,), round_msg(5))
+        on_p2p_deliver(tallies, (2,), round_msg(7))
         assert tallies.rc_votes == {2: 7}
+
+    def test_send_counts_when_its_source_is_one_of_its_senders(self):
+        tallies = Tallies()
+        on_p2p_deliver(tallies, (1, 3), send_msg(0, 1, b"a"))
+        assert tallies.sends == set()
+        on_p2p_deliver(tallies, (0, 3), send_msg(0, 1, b"a"))
+        assert tallies.sends == {(0, 1, b"a")}
+
+    @pytest.mark.parametrize("msg", [send_msg(2, 1, b"a"), echo_msg(0, 1, b"a"), ready_msg(0, 1, b"a"),
+                                     abort_msg(0, 1, b"a"), round_msg(4)])
+    def test_many_senders_fold_as_one_sender_at_a_time(self, msg):
+        grouped, one_by_one = Tallies(), Tallies()
+        on_p2p_deliver(grouped, (0, 2, 5), msg)
+        for sender in (0, 2, 5):
+            on_p2p_deliver(one_by_one, (sender,), msg)
+        assert grouped == one_by_one != Tallies()
 
     def test_no_receipts_give_common_itself(self):
         common = Tallies()
-        on_p2p_deliver(common, 1, echo_msg(0, 1, b"a"))
+        on_p2p_deliver(common, (1,), echo_msg(0, 1, b"a"))
         assert receive(common, []) is common
 
     def test_receipts_leave_common_unchanged(self):
         common = Tallies()
         for sender in (1, 2):
-            on_p2p_deliver(common, sender, echo_msg(0, 1, b"a"))
-            on_p2p_deliver(common, sender, ready_msg(0, 1, b"a"))
-            on_p2p_deliver(common, sender, round_msg(3))
+            on_p2p_deliver(common, (sender,), echo_msg(0, 1, b"a"))
+            on_p2p_deliver(common, (sender,), ready_msg(0, 1, b"a"))
+            on_p2p_deliver(common, (sender,), round_msg(3))
         before = copy.deepcopy(common)
         tallies = receive(common, [(4, echo_msg(0, 1, b"a")), (4, round_msg(5)),
                                    (4, send_msg(4, 2, b"b"))])

@@ -17,12 +17,18 @@ from mbbc.scenario import ScenarioConfig
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
 
-HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/2","seed":0}'
+HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/3","seed":0}'
 CURED = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
 
 
-def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0) -> str:
-    return (f'{{"detail":{{"message":{message},"to":{to}}},"kind":"P2P_SEND","phase":"SEND",'
+def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0,
+              senders: str | None = None) -> str:
+    """A P2P_SEND line; ``senders`` is the text of its ``from``, by default
+    ``[subject]`` for a send to "ALL" and none for any other."""
+    if senders is None and to == '"ALL"':
+        senders = f"[{subject}]"
+    from_ = "" if senders is None else f'"from":{senders},'
+    return (f'{{"detail":{{{from_}"message":{message},"to":{to}}},"kind":"P2P_SEND","phase":"SEND",'
             f'"round":{round_},"subject":{subject}}}')
 
 
@@ -84,7 +90,7 @@ class TestWriter:
     def test_memo_keeps_types_apart_on_built_events(self):
         values = [1, True, 1.0, 0.0, -0.0, 0, False, None, "1"]
         events = [TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
-                             {"message": {"kind": "ROUND", "round_value": v}, "to": "ALL"})
+                             {"from": [0], "message": {"kind": "ROUND", "round_value": v}, "to": "ALL"})
                   for v in values]
         events += [TraceEvent(1, "ORACLE", "CURED", 0, {"faulty_since": v}) for v in values]
         assert event_lines(events) == [encode_line(ev.to_dict()) for ev in events]
@@ -98,6 +104,9 @@ class TestWriter:
         TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"message": {"round_value": [1]}, "to": [2, 1]}),
         TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "extra": 0}),
         TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": "m"}),
+        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": [0], "extra": 0}),
+        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": [1], "message": {}, "extra": [0]}),
+        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": {"b": 1, "a": -0.0}}),
         TraceEvent(1, "ORACLE", "CURED", 0, {"a": {"b": -0.0}, "c": [1.5]}),
         TraceEvent(1, "ORACLE", "CURED", 0, [1, "x"]),
         TraceEvent(-1, "ORACLE", "CURED", 7, {}),
@@ -113,7 +122,8 @@ class TestWriter:
             for i in range(count):
                 yield TraceEvent(1, "ORACLE", "CURED", 0, {"faulty_since": i})
                 yield TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
-                                 {"message": {"kind": "ROUND", "round_value": i}, "to": "ALL"})
+                                 {"from": [0, i], "message": {"kind": "ROUND", "round_value": i},
+                                  "to": "ALL"})
                 yield TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
                                  {"message": {"kind": "ROUND", "round_value": -i}, "to": [i]})
 
@@ -184,6 +194,21 @@ PARSER_TABLE = [
     send_line('{"kind":"ROUND","round_value":2}', to="[1,6]"),
     send_line('{"kind":"ROUND","round_value":2}', to='"SOME"'),
     send_line('{"kind":"ROUND","round_value":2}', to="[true]"),
+    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,3,5]"),
+    send_line('{"kind":"ROUND","round_value":2}', senders="[]"),
+    send_line('{"kind":"ROUND","round_value":2}', subject=2, senders="[2,1]"),
+    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,1]"),
+    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,6]"),
+    send_line('{"kind":"ROUND","round_value":2}', senders="[-1,0]"),
+    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[true]"),
+    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1.0]"),
+    send_line('{"kind":"ROUND","round_value":2}', senders='"0"'),
+    send_line('{"kind":"ROUND","round_value":2}', senders="null"),
+    send_line('{"kind":"ROUND","round_value":2}', to="[1]", senders="[0]"),
+    send_line('{"kind":"ROUND","round_value":2}', to='"SOME"', senders="[0]"),
+    '{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
+    '"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
+    send_line('{"kind":"ROUND","round_value":2}', subject=3, senders="[1,3]"),
     send_line("[]"),
     '{"detail":{"to":"ALL"},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
     '{"detail":{"message":{}},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
@@ -242,6 +267,14 @@ class TestReader:
         assert json.loads(detail(lo))
         for depth in (lo - 1, lo, lo + 1, 100_000):
             assert parse(text(depth), monkeypatch, True) == parse(text(depth), monkeypatch, False)
+
+    def test_each_line_of_a_shared_fan_out_detail_names_its_first_sender(self, monkeypatch):
+        """Lines with one detail text share one parsed detail, but each line's
+        subject is still checked against that detail's first sender."""
+        good = send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,4]")
+        text = "\n".join([HEADER, good, good.replace('"subject":1', '"subject":4')]) + "\n"
+        assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
+        assert parse(text, monkeypatch, True).startswith("trace line 3: bad event line: subject 4 ")
 
     def test_equal_detail_texts_share_one_read_only_dict(self):
         text = "\n".join([HEADER, CURED, CURED.replace('"subject":0', '"subject":3')]) + "\n"
