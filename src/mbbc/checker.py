@@ -11,6 +11,11 @@ Deliveries performed while a process is faulty appear in traces but are
 excluded from every evaluation: operations executed by a possessed process are
 adversary output, not protocol output.
 
+A DELIVER_CALL lists every process that delivered its (source, payload) in its
+round, so the checkers read one ``DeliveryGroup`` per event, not one record
+per process. A witness cites group events; a report's ``details`` name the
+processes.
+
 "Eventually" is read over the finite horizon by one rule. Only the
 delta_c-i.o.-correct processes (correct throughout the last delta_c rounds)
 carry obligations. Each obligation has an anchor, the earliest round the
@@ -25,9 +30,11 @@ is VIOLATED.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from .engine import (
     KIND_BROADCAST_CALL,
@@ -62,13 +69,14 @@ ALL_PROPERTIES = MBBC_PROPERTIES + (CONSISTENCY, TOTALITY)
 ONE_SHOT_PROPERTIES = (VALIDITY, NO_DUPLICATION, INTEGRITY, CONSISTENCY, TOTALITY)
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    process: int
+class DeliveryGroup(NamedTuple):
+    """One DELIVER_CALL: ``correct`` holds the processes of its ``by`` that
+    were correct in its round, in process order."""
+
     round: int
     source: int
     payload: bytes
-    correct_at_delivery: bool
+    correct: tuple[int, ...]
     event_index: int
 
 
@@ -92,17 +100,20 @@ class PropertyReport:
                 "witness": list(self.witness), "details": self.details}
 
 
-def extract_deliveries(trace: Trace, schedule: FailureSchedule) -> list[DeliveryRecord]:
+def extract_deliveries(trace: Trace, schedule: FailureSchedule) -> list[DeliveryGroup]:
+    """One group per DELIVER_CALL, in trace order; ``correct`` may be empty."""
     # The events of a trace share one detail dict per distinct detail: decode each once.
     payloads: dict[int, bytes] = {}
     out = []
     for idx, ev in enumerate(trace.events):
         if ev.kind == KIND_DELIVER_CALL:
-            payload = payloads.get(id(ev.detail))
+            detail = ev.detail
+            payload = payloads.get(id(detail))
             if payload is None:
-                payload = payloads[id(ev.detail)] = decode_payload(ev.detail)
-            out.append(DeliveryRecord(ev.subject, ev.round, ev.detail["source"], payload,
-                                      schedule.is_correct(ev.subject, ev.round), idx))
+                payload = payloads[id(detail)] = decode_payload(detail)
+            by, faulty = detail["by"], schedule.faulty_set(ev.round)
+            correct = tuple(by) if faulty.isdisjoint(by) else tuple(p for p in by if p not in faulty)
+            out.append(DeliveryGroup(ev.round, detail["source"], payload, correct, idx))
     return out
 
 
@@ -117,9 +128,11 @@ class TraceIndex:
     """One trace with the scenario's parameters, and what the checkers look up
     in it, gathered in one pass per part.
 
-    ``run_property_checks`` builds one index and hands it to every checker.
-    Each part is built on first use, so a report that needs only some parts
-    pays only for those.
+    Deliveries are kept per DELIVER_CALL group (its event index, round,
+    instance and correct members), not per process, so the checkers scan
+    groups. ``run_property_checks`` builds one index and hands it to every
+    checker. Each part is built on first use, so a report that needs only
+    some parts pays only for those.
     """
 
     trace: Trace
@@ -129,21 +142,27 @@ class TraceIndex:
     variant: VariantTag
 
     @cached_property
-    def correct_deliveries(self) -> list[DeliveryRecord]:
-        """Deliveries made while the delivering process was correct, in trace order."""
-        return [d for d in extract_deliveries(self.trace, self.schedule) if d.correct_at_delivery]
+    def correct_deliveries(self) -> list[DeliveryGroup]:
+        """The groups with a member correct in their round, in trace order."""
+        return [g for g in extract_deliveries(self.trace, self.schedule) if g.correct]
 
     @cached_property
     def broadcasts(self) -> list[BroadcastRecord]:
         return extract_broadcasts(self.trace)
 
     @cached_property
-    def by_instance(self) -> dict[tuple[int, bytes], list[DeliveryRecord]]:
-        """Correct-time deliveries per (source, payload), keyed in order of first delivery."""
-        out: dict[tuple[int, bytes], list[DeliveryRecord]] = {}
-        for d in self.correct_deliveries:
-            out.setdefault((d.source, d.payload), []).append(d)
+    def by_instance(self) -> dict[tuple[int, bytes], list[DeliveryGroup]]:
+        """Correct-time delivery groups per (source, payload), keyed in order of first delivery."""
+        out: dict[tuple[int, bytes], list[DeliveryGroup]] = {}
+        for g in self.correct_deliveries:
+            out.setdefault((g.source, g.payload), []).append(g)
         return out
+
+    @cached_property
+    def delivered_by(self) -> dict[tuple[int, bytes], set[int]]:
+        """The processes that delivered each (source, payload) while correct."""
+        return {key: set().union(*(g.correct for g in groups))
+                for key, groups in self.by_instance.items()}
 
     @cached_property
     def cured_rounds(self) -> dict[int, list[int]]:
@@ -193,8 +212,8 @@ def check_validity(index: TraceIndex) -> PropertyReport:
             instances.append({"source": b.source, "round": b.round, "status": "vacuous",
                               "reason": "source not correct for delta_b rounds"})
             continue
-        delivered_by = {d.process for d in index.by_instance.get((b.source, b.payload), ())}
-        owed = index.owed(delivered_by, b.round + DELIVERY_DELAY)
+        owed = index.owed(index.delivered_by.get((b.source, b.payload), set()),
+                          b.round + DELIVERY_DELAY)
         enforceable = any(due is not None for _p, due in owed)
         # The base reading: some i.o.-correct process delivered.
         base = (SATISFIED if len(owed) < len(index.io_correct)
@@ -221,18 +240,29 @@ def check_validity(index: TraceIndex) -> PropertyReport:
 
 
 def check_no_duplication(index: TraceIndex) -> PropertyReport:
-    """No process delivers the same (source, payload) twice while correct."""
-    groups: dict[tuple[int, int, bytes], list[DeliveryRecord]] = {}
-    for d in index.correct_deliveries:
-        groups.setdefault((d.process, d.source, d.payload), []).append(d)
-    duplicates = {key: recs for key, recs in groups.items() if len(recs) > 1}
+    """No process delivers the same (source, payload) twice while correct.
+
+    An instance whose groups hold as many members as it has distinct
+    delivering processes has no duplicate, and is not scanned per process.
+    """
+    duplicates: list[tuple[int, int, int, list[DeliveryGroup]]] = []
+    for key, groups in index.by_instance.items():
+        if sum(len(g.correct) for g in groups) == len(index.delivered_by[key]):
+            continue
+        per_process: dict[int, list[DeliveryGroup]] = {p: [] for p in index.delivered_by[key]}
+        for g in groups:
+            for p in g.correct:
+                per_process[p].append(g)
+        duplicates += [(p, key[0], mine[0].event_index, mine)
+                       for p, mine in per_process.items() if len(mine) > 1]
     if duplicates:
-        witness = sorted(rec.event_index for recs in duplicates.values() for rec in recs)
-        details = {"duplicates": [
-            {"process": p, "source": s, "rounds": [r.round for r in recs]}
-            for (p, s, _m), recs in sorted(duplicates.items(), key=lambda kv: kv[0][:2])]}
+        duplicates.sort(key=lambda dup: dup[:3])
+        witness = sorted({g.event_index for *_key, mine in duplicates for g in mine})
+        details = {"duplicates": [{"process": p, "source": s, "rounds": [g.round for g in mine]}
+                                  for p, s, _first, mine in duplicates]}
         return PropertyReport(NO_DUPLICATION, VIOLATED, witness, details)
-    return PropertyReport(NO_DUPLICATION, SATISFIED, [], {"deliveries": len(groups)})
+    return PropertyReport(NO_DUPLICATION, SATISFIED, [],
+                          {"deliveries": sum(map(len, index.delivered_by.values()))})
 
 
 def check_integrity(index: TraceIndex) -> PropertyReport:
@@ -253,16 +283,16 @@ def check_integrity(index: TraceIndex) -> PropertyReport:
         for p in schedule.faulty_set(r):
             first_faulty.setdefault(p, r)
     never = schedule.horizon + 1
-    violations = []
-    witness = []
-    for d in index.correct_deliveries:
-        by_broadcast = first_broadcast.get((d.source, d.payload), never) <= d.round
-        was_faulty = first_faulty.get(d.source, never) <= d.round
-        if not (by_broadcast or was_faulty):
-            violations.append({"process": d.process, "round": d.round, "source": d.source})
-            witness.append(d.event_index)
-    if violations:
-        return PropertyReport(INTEGRITY, VIOLATED, sorted(witness), {"violations": violations})
+    unexplained = [g for g in index.correct_deliveries
+                   if first_broadcast.get((g.source, g.payload), never) > g.round
+                   and first_faulty.get(g.source, never) > g.round]
+    if unexplained:
+        # Per round, by process; a process's own deliveries keep their trace order.
+        violations = sorted(({"process": p, "round": g.round, "source": g.source}
+                             for g in unexplained for p in g.correct),
+                            key=lambda v: (v["round"], v["process"]))
+        return PropertyReport(INTEGRITY, VIOLATED, sorted(g.event_index for g in unexplained),
+                              {"violations": violations})
     return PropertyReport(INTEGRITY, SATISFIED, [], {})
 
 
@@ -270,11 +300,11 @@ def _obligation_check(prop: str, index: TraceIndex, match_payload: bool) -> Prop
     """Shared core of Agreement (per message) and Totality (per source)."""
     first: dict = {}
     delivered: dict = {}
-    for d in index.correct_deliveries:
-        key = (d.source, d.payload) if match_payload else d.source
-        if key not in first or d.round < first[key].round:
-            first[key] = d
-        delivered.setdefault(key, set()).add(d.process)
+    for g in index.correct_deliveries:
+        key = (g.source, g.payload) if match_payload else g.source
+        if key not in first or g.round < first[key].round:
+            first[key] = g
+        delivered.setdefault(key, set()).update(g.correct)
     verdict = SATISFIED
     witness: list[int] = []
     details: list[dict] = []
@@ -303,9 +333,9 @@ def check_mbrb_totality(index: TraceIndex) -> PropertyReport:
 
 def check_mbrb_consistency(index: TraceIndex) -> PropertyReport:
     """One-shot reading: any two correct-time deliveries from one source carry equal payloads."""
-    by_source: dict[int, dict[bytes, DeliveryRecord]] = {}
-    for d in index.correct_deliveries:
-        by_source.setdefault(d.source, {}).setdefault(d.payload, d)
+    by_source: dict[int, dict[bytes, DeliveryGroup]] = {}
+    for g in index.correct_deliveries:
+        by_source.setdefault(g.source, {}).setdefault(g.payload, g)
     for source, payloads in sorted(by_source.items()):
         if len(payloads) > 1:
             recs = sorted(payloads.values(), key=lambda d: d.event_index)[:2]
@@ -335,31 +365,33 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
     verdict = SATISFIED
     witness: list[int] = []
     details: list[dict] = []
-    for key, recs in sorted(index.by_instance.items(), key=lambda kv: kv[1][0].event_index):
-        birth = birth_of.get(key, min(r.round for r in recs) - DELIVERY_DELAY)
+    if variant is VariantTag.NFA_WEAK:
+        everyone = frozenset(range(schedule.n))
+        correct_in = [everyone - schedule.faulty_set(r) for r in range(1, schedule.horizon + 1)]
+    for key, groups in sorted(index.by_instance.items(), key=lambda kv: kv[1][0].event_index):
+        birth = birth_of.get(key, min(g.round for g in groups) - DELIVERY_DELAY)
         due = birth + DELIVERY_DELAY
         inst: dict = {"source": key[0], "birth_round": birth}
-        per_process: dict[int, list[DeliveryRecord]] = {}
-        for d in recs:
-            per_process.setdefault(d.process, []).append(d)
         if variant is VariantTag.BFA_WEAK:
+            actual = Counter(chain.from_iterable(g.correct for g in groups))
             for p in range(schedule.n):
                 cures = [r for r in index.cured_rounds.get(p, []) if r > due]
                 baseline = 1 if schedule.next_correct(p, due) == due else 0
                 required = baseline + len(cures)
-                mine = per_process.get(p, [])
-                if len(mine) < required:
+                if actual[p] < required:
                     verdict = VIOLATED
-                    witness.extend(d.event_index for d in mine)
+                    witness.extend(g.event_index for g in groups if p in g.correct)
                     inst.setdefault("shortfalls", []).append(
-                        {"process": p, "required": required, "actual": len(mine), "cures": cures})
-        else:  # NFA_WEAK
-            for p in range(schedule.n):
-                delivered_rounds = {d.round for d in per_process.get(p, ())}
-                for r in schedule.correct_rounds(p):
-                    if r >= due and r not in delivered_rounds:
-                        verdict = VIOLATED
-                        inst.setdefault("missing", []).append({"process": p, "round": r})
+                        {"process": p, "required": required, "actual": actual[p], "cures": cures})
+        else:  # NFA_WEAK: per round, the correct processes that did not deliver
+            delivered_in: dict[int, set[int]] = {}
+            for g in groups:
+                delivered_in.setdefault(g.round, set()).update(g.correct)
+            missing = sorted((p, r) for r in range(max(due, 1), schedule.horizon + 1)
+                             for p in correct_in[r - 1] - delivered_in.get(r, set()))
+            if missing:
+                verdict = VIOLATED
+                inst["missing"] = [{"process": p, "round": r} for p, r in missing]
         details.append(inst)
     if not index.by_instance:
         details.append({"note": "no delivered instance; law vacuous"})
@@ -406,14 +438,16 @@ def replay_witness(report: PropertyReport, trace: Trace, schedule: FailureSchedu
 
     index = TraceIndex(trace, schedule, delta_b, delta_c, variant)
     if report.property in (NO_DUPLICATION, CONSISTENCY):
-        at = {d.event_index: d for d in index.correct_deliveries}
-        recs = [at.get(i) for i in report.witness]
-        if None in recs:
+        at = {g.event_index: g for g in index.correct_deliveries}
+        groups = [at.get(i) for i in report.witness]
+        if None in groups:
             return False
         if report.property == NO_DUPLICATION:
-            keys = [(r.process, r.source, r.payload) for r in recs]
+            # Some process is a correct member of two cited groups of one instance.
+            keys = [(p, g.source, g.payload) for g in groups for p in g.correct]
             return len(set(keys)) < len(keys)
-        return len(recs) >= 2 and recs[0].source == recs[1].source and recs[0].payload != recs[1].payload
+        return (len(groups) >= 2 and groups[0].source == groups[1].source
+                and groups[0].payload != groups[1].payload)
 
     check = _checkers().get(report.property)
     if check is None:
@@ -433,21 +467,26 @@ def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     Those are every (sender, message) send that reaches one of them, as one
     P2P_SEND with the sender as subject and ``to`` narrowed to them
     (``"ALL"`` becomes their sorted list, a list keeps its kept members,
-    duplicates included), and their own broadcast and deliver calls. Events
-    are in trace order, except that each round's sends, expanded and ordered
-    by ``round_sends``, all stand at its first P2P_SEND. Two executions are
-    indistinguishable to the permanently correct processes exactly when their
-    projections are identical; the impossibility demos assert this
-    byte-for-byte on the serialized form.
+    duplicates included), and their own broadcast and deliver calls, one
+    per process: each DELIVER_CALL group gives one event per kept member,
+    with that member as subject and the detail without ``by``. Each round's
+    sends, expanded and ordered by ``round_sends``, all stand at its first
+    P2P_SEND, and its calls, by subject with a process's BROADCAST_CALLs
+    before its DELIVER_CALLs and otherwise in trace order, at its first call.
+    Two executions are indistinguishable to the permanently correct
+    processes exactly when their projections are identical; the
+    impossibility demos assert this byte-for-byte on the serialized form.
 
     Each distinct (message, to) pair of objects is narrowed once, and the
     events that carry it share the narrowed detail read-only; every
-    ``"ALL"`` send shares one list of the kept processes. The memo holds the
-    objects it has read, so no id is reused while it lives.
+    ``"ALL"`` send shares one list of the kept processes. A DELIVER_CALL
+    detail is stripped of ``by`` once. The memos hold the objects they have
+    read, so no id is reused while they live.
     """
     keep = permanently_correct(schedule)
     everyone = sorted(keep)
     sends = round_sends(trace.events)
+    calls = _kept_calls(trace.events, keep)
     narrowed: dict[tuple[int, int], tuple[object, object, dict | None]] = {}
     observed = []
     for ev in trace.events:
@@ -460,9 +499,31 @@ def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
                         message, to, {"message": message, "to": kept} if kept else None)
                 if hit[2] is not None:
                     observed.append(TraceEvent(ev.round, ev.phase, ev.kind, sender, hit[2]))
-        elif ev.kind in (KIND_BROADCAST_CALL, KIND_DELIVER_CALL) and ev.subject in keep:
-            observed.append(ev)
+        elif ev.kind in (KIND_BROADCAST_CALL, KIND_DELIVER_CALL):
+            observed += calls.pop(ev.round, ())
     return observed
+
+
+def _kept_calls(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, list[TraceEvent]]:
+    """Each round's BROADCAST_CALLs and per-process DELIVER_CALLs of the kept
+    processes, by subject, a process's broadcasts first (``projection``)."""
+    by_round: dict[int, list[TraceEvent]] = {}
+    stripped: dict[int, tuple[dict, dict]] = {}
+    for ev in events:
+        if ev.kind == KIND_BROADCAST_CALL and ev.subject in keep:
+            by_round.setdefault(ev.round, []).append(ev)
+        elif ev.kind == KIND_DELIVER_CALL:
+            kept = [p for p in ev.detail["by"] if p in keep]
+            if kept:
+                hit = stripped.get(id(ev.detail))
+                if hit is None:
+                    hit = stripped[id(ev.detail)] = (
+                        ev.detail, {k: v for k, v in ev.detail.items() if k != "by"})
+                by_round.setdefault(ev.round, []).extend(
+                    TraceEvent(ev.round, ev.phase, ev.kind, p, hit[1]) for p in kept)
+    for calls in by_round.values():
+        calls.sort(key=lambda ev: (ev.subject, ev.kind != KIND_BROADCAST_CALL))
+    return by_round
 
 
 def projection_jsonl(trace: Trace, schedule: FailureSchedule) -> str:

@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
         config = config.with_overrides(seed=args.seed)
     trace = run(config)
     args.out.write_text(trace.to_jsonl())
-    deliveries = sum(1 for ev in trace.events if ev.kind == KIND_DELIVER_CALL)
+    deliveries = sum(len(ev.detail["by"]) for ev in trace.events if ev.kind == KIND_DELIVER_CALL)
     cured = sum(1 for ev in trace.events if ev.kind == KIND_CURED)
     print(f"rounds={config.horizon} deliveries={deliveries} cured={cured} "
           f"events={len(trace.events)} trace={args.out}")

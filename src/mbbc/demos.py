@@ -4,9 +4,10 @@ Each demo builds a pair of scenarios whose executions are indistinguishable to
 every permanently correct process, runs both, and verifies that the
 projections are byte-identical. Each deterministic choice an (abstract,
 hypothetical) one-shot reliable-broadcast adapter could make on that shared
-observation is a filter over the channel trace's DELIVER_CALL events; the
-checker scores the filtered copy of both traces, and the demonstration holds
-when every choice violates a one-shot property on at least one history.
+observation is a filter over the processes of the channel trace's
+DELIVER_CALL events; the checker scores the filtered copy of both traces, and
+the demonstration holds when every choice violates a one-shot property on at
+least one history.
 
 ``SOURCE_FLIP`` (aka THEOREM_3): the source broadcasts payload A at round 1
 and payload B at the switch round, correct first and permanently faulty after
@@ -87,9 +88,10 @@ def run_demo(kind: str, params: dict | None = None) -> DemoResult:
                       projections_identical=identical, choices=choices, holds=holds)
 
 
-def adapter_choices(kind: str, cfg: ScenarioConfig) -> dict[str, Callable[[TraceEvent], bool]]:
+def adapter_choices(kind: str, cfg: ScenarioConfig) -> dict[str, Callable[[TraceEvent, int], bool]]:
     """Each choice a deterministic one-shot adapter can make on a pair's shared
-    observation, by name, as the DELIVER_CALLs of a channel trace it keeps.
+    observation, by name, as the (DELIVER_CALL, process) pairs of a channel
+    trace it keeps.
 
     On the source-flip pair the adapter delivers one subset of the two
     payloads at every process in both histories. On the wipe-flip pair it
@@ -99,15 +101,24 @@ def adapter_choices(kind: str, cfg: ScenarioConfig) -> dict[str, Callable[[Trace
         m1, m2 = (b.payload for b in cfg.broadcasts)
         subsets = {"deliver_first_payload": {m1}, "deliver_second_payload": {m2},
                    "deliver_neither": set(), "deliver_both": {m1, m2}}
-        return {name: lambda e, chosen=chosen: decode_payload(e.detail) in chosen
+        return {name: lambda e, p, chosen=chosen: decode_payload(e.detail) in chosen
                 for name, chosen in subsets.items()}
     target, wipe_round = cfg.strategy["target"], cfg.strategy["wipe_round"]
-    return {"deliver_on_cure": lambda e: True,
-            "ignore_cure": lambda e: e.subject != target or e.round <= wipe_round}
+    return {"deliver_on_cure": lambda e, p: True,
+            "ignore_cure": lambda e, p: p != target or e.round <= wipe_round}
 
 
-def adapter_output(trace: Trace, keep: Callable[[TraceEvent], bool]) -> Trace:
-    """An in-memory copy of a channel trace without the DELIVER_CALLs ``keep``
-    rejects: what the adapter delivers on that history."""
-    return replace(trace, events=[e for e in trace.events
-                                  if e.kind != KIND_DELIVER_CALL or keep(e)])
+def adapter_output(trace: Trace, keep: Callable[[TraceEvent, int], bool]) -> Trace:
+    """An in-memory copy of a channel trace whose DELIVER_CALLs list only the
+    processes ``keep`` accepts, without any left with none: what the adapter
+    delivers on that history. A narrowed event names its new ``by[0]``."""
+    events = []
+    for e in trace.events:
+        if e.kind == KIND_DELIVER_CALL:
+            by = [p for p in e.detail["by"] if keep(e, p)]
+            if not by:
+                continue
+            if len(by) < len(e.detail["by"]):
+                e = e._replace(subject=by[0], detail={**e.detail, "by": by})
+        events.append(e)
+    return replace(trace, events=events)

@@ -25,7 +25,7 @@ Each round runs five sub-phases in a fixed order:
    ``delivered``: the first such process of each class of equal values, in
    process order, runs ``compute_phase``, and the others take a copy of its
    outcome through ``protocol.adopt_compute``. No two states share a
-   container.
+   container. The round's deliveries are gathered per (source, payload).
 
 Every externally visible action is appended to a totally ordered trace.
 A correct fan-out is one P2P_SEND event per distinct message per round,
@@ -37,10 +37,16 @@ message) order. Receipts are not traced; links are synchronous and reliable,
 so ``deliveries`` derives them from the SEND events, which ``round_sends``
 expands to one (sender, message, to) send per sender in (sender, message)
 order; a correct receiver's tallies are a fold of its receipts, by (sender,
-message). Each distinct message dict, DELIVER_CALL detail and
-STATE_CORRUPTED detail is built once per simulation, and the events that
-carry it share it read-only, as the events of a parsed trace do. Given a
-config (the seed is part of it), the trace is bit-reproducible.
+message). A round's deliveries are one DELIVER_CALL per distinct (source,
+payload), ``{"by": [processes], "payload…": …, "source": s}`` with the
+delivering processes strictly increasing and the subject ``by[0]``. They come
+after the round's STATE_CORRUPTED and BROADCAST_CALL events, in order of
+first delivery (by process, then each process's own delivery order), merged
+where needed so that every process's own order is kept (``_delivery_order``).
+Each distinct message dict, DELIVER_CALL detail and STATE_CORRUPTED detail is
+built once per simulation, and the events that carry it share it read-only,
+as the events of a parsed trace do. Given a config (the seed is part of it),
+the trace is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -97,8 +104,9 @@ KIND_PHASES = {
 }
 
 # The header's ``format``: one P2P_SEND per fan-out message, listing its
-# senders, or per dictated (sender, message); no receipts.
-TRACE_FORMAT = "mbbc-trace/3"
+# senders, or per dictated (sender, message); no receipts; one DELIVER_CALL
+# per (round, source, payload), listing its processes.
+TRACE_FORMAT = "mbbc-trace/4"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
 
@@ -199,10 +207,12 @@ class Trace:
         [1, horizon], a subject in [0, n) and a dict detail. A P2P_SEND's
         ``to`` is either "ALL", beside a ``from`` of strictly increasing
         senders in [0, n) whose first is the subject, or a list of receivers
-        in [0, n) with no ``from``. A DELIVER_CALL's ``source`` is an int,
-        and the payload of a DELIVER_CALL or a BROADCAST_CALL decodes. A line
-        in the writer's own layout has its detail parsed and checked once per
-        distinct text; any other line is parsed whole.
+        in [0, n) with no ``from``. A DELIVER_CALL's ``source`` is an int and
+        its ``by`` a list of strictly increasing processes in [0, n) whose
+        first is the subject, and the payload of a DELIVER_CALL or a
+        BROADCAST_CALL decodes. A line in the writer's own layout has its
+        detail parsed and checked once per distinct text; any other line is
+        parsed whole.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -268,16 +278,18 @@ def _event(data: dict, n: int, horizon: int) -> TraceEvent:
         raise ValueError(f"round {shown(event.round)} outside 1..{horizon}")
     if not _is_int(event.subject) or not 0 <= event.subject < n:
         raise ValueError(f"subject {shown(event.subject)} outside 0..{n - 1}")
-    sender = _check_detail(event.kind, event.detail, n)
-    if sender is not None and event.subject != sender:
-        raise ValueError(f"subject {event.subject} of a send to {TO_ALL!r} is not its first sender {sender}")
+    first = _check_detail(event.kind, event.detail, n)
+    if first is not None and event.subject != first:
+        key = "from" if event.kind == KIND_P2P_SEND else "by"
+        raise ValueError(f"subject {event.subject} is not the first of its {key} list, {first}")
     return event
 
 
 def _check_detail(kind: str, detail, n: int) -> int | None:
     """The detail keys a reader of the trace relies on; a missing one is a
-    KeyError. Returns the subject a fan-out's detail requires, ``from[0]``,
-    and None for any other detail."""
+    KeyError. Returns the subject the detail requires, the first of its
+    process list: ``from[0]`` of a fan-out, ``by[0]`` of a DELIVER_CALL; None
+    for any other detail."""
     if not isinstance(detail, dict):
         raise ValueError("detail is not a JSON object")
     if kind == KIND_P2P_SEND:
@@ -285,13 +297,7 @@ def _check_detail(kind: str, detail, n: int) -> int | None:
         if not isinstance(detail["message"], dict):
             raise ValueError("message is not a JSON object")
         if to == TO_ALL:
-            senders = detail["from"]
-            if not (isinstance(senders, list) and senders and all(map(_is_int, senders))
-                    and 0 <= senders[0] and senders[-1] < n
-                    and all(a < b for a, b in zip(senders, senders[1:]))):
-                raise ValueError(f"from {shown(senders)} is not a non-empty, strictly increasing "
-                                 f"list of senders in 0..{n - 1}")
-            return senders[0]
+            return _first_process("from", detail["from"], n)
         if not (isinstance(to, list) and all(_is_int(q) and 0 <= q < n for q in to)):
             raise ValueError(f"to {shown(to)} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
         if "from" in detail:
@@ -300,9 +306,20 @@ def _check_detail(kind: str, detail, n: int) -> int | None:
         if not _is_int(detail["source"]):
             raise ValueError(f"source {shown(detail['source'])} is not an int")
         decode_payload(detail)
+        return _first_process("by", detail["by"], n)
     elif kind == KIND_BROADCAST_CALL:
         decode_payload(detail)
     return None
+
+
+def _first_process(key: str, processes, n: int) -> int:
+    """The first of a non-empty, strictly increasing list of processes in [0, n)."""
+    if not (isinstance(processes, list) and processes and all(map(_is_int, processes))
+            and 0 <= processes[0] and processes[-1] < n
+            and all(a < b for a, b in zip(processes, processes[1:]))):
+        raise ValueError(f"{key} {shown(processes)} is not a non-empty, strictly increasing "
+                         f"list of processes in 0..{n - 1}")
+    return processes[0]
 
 
 # An event line in the writer's layout is the detail's text between these
@@ -326,7 +343,8 @@ def _layout_reader(n: int, horizon: int) -> Callable[[str], TraceEvent | None]:
     value, which the suffix cannot extend, so the whole line would read as
     the same event. Each distinct suffix is checked once, and each distinct
     (detail text, kind) is parsed and checked once; equal texts share one
-    detail dict. Only a fan-out's subject is checked against its detail.
+    detail dict. The subject of a fan-out or a DELIVER_CALL is checked
+    against its detail on every line.
     """
     suffixes: dict[str, tuple | None] = {}
     details: dict[tuple[str, str], tuple[dict | None, int | None]] = {}
@@ -437,9 +455,10 @@ def deliveries(trace: Trace) -> list[Delivery]:
     """Every receipt the trace's P2P_SEND events imply, by round, then receiver,
     then (sender, message) as ``round_sends`` orders them.
 
-    Folding a correct receiver's receipts of a round, in this order, gives
-    the tallies the engine's RECEIVE phase leaves it with; the messages are
-    the SEND events' message dicts.
+    These are link deliveries of protocol messages, not the DELIVER_CALLs of
+    the broadcast layer. Folding a correct receiver's receipts of a round, in
+    this order, gives the tallies the engine's RECEIVE phase leaves it with;
+    the messages are the SEND events' message dicts.
     """
     by_round = round_sends(trace.events)
     n = trace.config["n"]
@@ -458,6 +477,46 @@ def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]]
         receivers.setdefault(msg, []).append(receiver)
     return [(sender, msg, sorted(receivers[msg]))
             for msg in sorted(receivers, key=ProtocolMessage.sort_key)]
+
+
+def _delivery_order(instances: list[tuple[int, bytes]], orders: Iterable[list[tuple[int, bytes]]]
+                    ) -> list[tuple[int, bytes]]:
+    """A round's delivered instances in the order of its DELIVER_CALLs.
+
+    ``instances`` is in order of first delivery, and ``orders`` holds the
+    processes' own delivery orders. When first delivery breaks none of them,
+    it is the order. It can break one: if p delivers only B and a later q
+    delivers A, then B, first delivery puts B before A. The instances are
+    then merged so that each process's order is kept: of the instances whose
+    predecessors in every order are placed, the first delivered goes next.
+    Orders that contradict each other (possible only when processes saw
+    different births for one instance) are broken at the first delivered
+    instance left; a process's own order within that round is then lost.
+    """
+    rank = {instance: i for i, instance in enumerate(instances)}
+    chains = [[rank[instance] for instance in order] for order in orders]
+    if all(a < b for chain in chains for a, b in zip(chain, chain[1:])):
+        return instances
+    successors: list[list[int]] = [[] for _ in instances]
+    preceding = [0] * len(instances)
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            successors[a].append(b)
+            preceding[b] += 1
+    ready = [i for i, count in enumerate(preceding) if count == 0]
+    placed = [False] * len(instances)
+    out: list[int] = []
+    while len(out) < len(instances):
+        i = heappop(ready) if ready else placed.index(False)
+        if placed[i]:
+            continue
+        placed[i] = True
+        out.append(i)
+        for j in successors[i]:
+            preceding[j] -= 1
+            if preceding[j] == 0:
+                heappush(ready, j)
+    return [instances[i] for i in out]
 
 
 def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind
@@ -491,7 +550,7 @@ class Simulation:
         # Messages are type-exact (``ProtocolMessage`` takes no bool for an
         # int), so equal keys encode to equal JSON.
         self._message_dicts: dict[ProtocolMessage, dict] = {}
-        self._deliver_details: dict[tuple[int, bytes], dict] = {}
+        self._deliver_details: dict[tuple[int, bytes, tuple[int, ...]], dict] = {}
         self._digests: dict[tuple, dict] = {}
         for b in config.broadcasts:
             self._broadcast_index.setdefault((b.source, b.round), []).append(b.payload)
@@ -556,6 +615,8 @@ class Simulation:
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
         computed: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]]]] = {}
+        delivered_by: dict[tuple[int, bytes], list[int]] = {}
+        orders: dict[int, list[tuple[int, bytes]]] = {}
         for p in range(n):
             state = self.states[p]
             if p in faulty:
@@ -577,8 +638,13 @@ class Simulation:
                 else:
                     adopt_compute(state, first[0])
                     delivered = first[1]
-            for source, payload in delivered:
-                self._emit(r, PHASE_COMPUTE, KIND_DELIVER_CALL, p, self._deliver_detail(source, payload))
+            if len(delivered) > 1:
+                orders[id(delivered)] = delivered
+            for instance in delivered:
+                delivered_by.setdefault(instance, []).append(p)
+        for source, payload in _delivery_order(list(delivered_by), orders.values()):
+            by = delivered_by[source, payload]
+            self._emit(r, PHASE_COMPUTE, KIND_DELIVER_CALL, by[0], self._deliver_detail(source, payload, by))
 
     def _message(self, msg: ProtocolMessage) -> dict:
         """``msg.to_dict()``, built once per distinct message and shared read-only."""
@@ -599,11 +665,12 @@ class Simulation:
             out = self._digests[key] = {"state_digest": state_fingerprint(state)}
         return out
 
-    def _deliver_detail(self, source: int, payload: bytes) -> dict:
-        """A DELIVER_CALL's detail, built once per (source, payload) and shared read-only."""
-        out = self._deliver_details.get((source, payload))
+    def _deliver_detail(self, source: int, payload: bytes, by: list[int]) -> dict:
+        """A DELIVER_CALL's detail, built once per (source, payload, by) and shared read-only."""
+        key = (source, payload, tuple(by))
+        out = self._deliver_details.get(key)
         if out is None:
-            out = self._deliver_details[source, payload] = {"source": source, **encode_payload(payload)}
+            out = self._deliver_details[key] = {"by": by, "source": source, **encode_payload(payload)}
         return out
 
     def _emit(self, r: int, phase: str, kind: str, subject: int, detail: dict) -> None:

@@ -7,6 +7,7 @@ Process naming: a scenario description's p_k is index k-1.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from conftest import (
     CHOICE_PINS,
@@ -43,8 +44,15 @@ def _verdicts(cfg: ScenarioConfig, trace=None) -> dict[str, str]:
                                          cfg.delta_b, cfg.delta_c, cfg.variant)}
 
 
-def _correct_time_deliveries(cfg: ScenarioConfig, trace):
-    return [d for d in extract_deliveries(trace, cfg.resolved_schedule()) if d.correct_at_delivery]
+class Delivered(NamedTuple):
+    process: int
+    round: int
+
+
+def _correct_time_deliveries(cfg: ScenarioConfig, trace) -> list[Delivered]:
+    """One entry per correct member of each DELIVER_CALL group."""
+    return [Delivered(p, g.round) for g in extract_deliveries(trace, cfg.resolved_schedule())
+            for p in g.correct]
 
 
 def test_criterion_01_golden_correct_source():

@@ -68,7 +68,19 @@ def check_one(prop: str, trace: Trace, cfg: ScenarioConfig,
 
 def deliver_event(process, round_, source, payload) -> TraceEvent:
     return TraceEvent(round=round_, phase="COMPUTE", kind=KIND_DELIVER_CALL,
-                      subject=process, detail={"source": source, "payload": payload})
+                      subject=process, detail={"by": [process], "source": source, "payload": payload})
+
+
+def drop_delivery(trace: Trace, process: int, round_: int) -> None:
+    """Take ``process`` out of its first DELIVER_CALL of ``round_``, in place,
+    dropping the event if no process is left in it."""
+    i, ev = next((i, e) for i, e in enumerate(trace.events) if e.kind == KIND_DELIVER_CALL
+                 and e.round == round_ and process in e.detail["by"])
+    by = [p for p in ev.detail["by"] if p != process]
+    if by:
+        trace.events[i] = ev._replace(subject=by[0], detail={**ev.detail, "by": by})
+    else:
+        del trace.events[i]
 
 
 def broadcast_event(source, round_, payload) -> TraceEvent:
@@ -112,9 +124,9 @@ class TestNoDuplication:
         trace = run(cfg)
         report = check_one(NO_DUPLICATION, trace, cfg)
         assert report.verdict == VIOLATED
-        # The twice-cured process shows three delivery records.
-        by_subject = [trace.events[i].subject for i in report.witness]
-        assert by_subject.count(5) == 3
+        # The twice-cured process is in three cited DELIVER_CALLs.
+        assert sum(5 in trace.events[i].detail["by"] for i in report.witness) == 3
+        assert {"process": 5, "source": 0, "rounds": [4, 6, 8]} in report.details["duplicates"]
         assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
     def test_zero_deliveries_satisfied(self):
@@ -196,8 +208,7 @@ class TestAgreement:
     def test_none_deliver_vacuously_satisfied(self):
         cfg = split_send_scenario([1, 2])
         trace = run(cfg)
-        assert not [d for d in extract_deliveries(trace, cfg.resolved_schedule())
-                    if d.correct_at_delivery]
+        assert not [g for g in extract_deliveries(trace, cfg.resolved_schedule()) if g.correct]
         assert check_one(AGREEMENT, trace, cfg).verdict == SATISFIED
 
     def test_forged_partial_delivery_violated(self):
@@ -256,9 +267,7 @@ class TestDeliveryCountLaws:
         cfg = bfa_double_cure_scenario()
         trace = run(cfg)
         # Drop one of the twice-cured process's cure deliveries.
-        drop = next(i for i, e in enumerate(trace.events)
-                    if e.kind == KIND_DELIVER_CALL and e.subject == 5 and e.round == 6)
-        trace.events.pop(drop)
+        drop_delivery(trace, 5, 6)
         report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.BFA_WEAK)
         assert report.verdict == VIOLATED
         shortfall = report.details["instances"][0]["shortfalls"][0]
@@ -270,10 +279,11 @@ class TestDeliveryCountLaws:
         report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.NFA_WEAK)
         assert report.verdict == SATISFIED
         # Removing any one correct-round delivery breaks the law.
-        drop = next(i for i, e in enumerate(trace.events)
-                    if e.kind == KIND_DELIVER_CALL and e.round == 5)
-        trace.events.pop(drop)
-        assert check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.NFA_WEAK).verdict == VIOLATED
+        first = next(e for e in trace.events if e.kind == KIND_DELIVER_CALL and e.round == 5)
+        drop_delivery(trace, first.subject, 5)
+        report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.NFA_WEAK)
+        assert report.verdict == VIOLATED
+        assert report.details["instances"][0]["missing"] == [{"process": first.subject, "round": 5}]
 
 
 class TestReportPlumbing:
@@ -324,9 +334,7 @@ class TestReportPlumbing:
         """The re-run must cite each witness index; one it does not cite fails the replay."""
         cfg = bfa_double_cure_scenario()
         trace = run(cfg)
-        drop = next(i for i, e in enumerate(trace.events)
-                    if e.kind == KIND_DELIVER_CALL and e.subject == 5 and e.round == 6)
-        trace.events.pop(drop)
+        drop_delivery(trace, 5, 6)
         sched = cfg.resolved_schedule()
         report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.BFA_WEAK)
         assert report.verdict == VIOLATED and report.witness
@@ -368,8 +376,8 @@ class TestFullVariantNeverViolated:
             "strategy": {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 6},
         })
         trace = run(cfg)
-        deliveries = sorted((d.process, d.round) for d in extract_deliveries(trace, cfg.resolved_schedule())
-                            if d.correct_at_delivery and d.process == 1)
+        deliveries = sorted((1, g.round) for g in extract_deliveries(trace, cfg.resolved_schedule())
+                            if 1 in g.correct)
         assert deliveries == [(1, 7)]  # exactly once, at the cure
         for report in run_property_checks(trace, cfg.resolved_schedule(), 2, 1, cfg.variant):
             assert report.verdict in (SATISFIED, UNRESOLVED), report.property

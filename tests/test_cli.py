@@ -11,6 +11,7 @@ import pytest
 from conftest import golden_correct_source
 import mbbc
 from mbbc import cli
+from mbbc.engine import Trace
 from mbbc.sweeps import attack_scenario
 from mbbc.protocol import VariantTag
 from mbbc.scenario import MAX_HORIZON
@@ -281,7 +282,7 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
     assert "Traceback" not in err
 
 
-GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/3","seed":0}'
+GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/4","seed":0}'
 GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
 # Nested past any recursion limit of the JSON parser.
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -294,9 +295,16 @@ def fan_out(senders: str | None, subject: int, to: str = '"ALL"') -> str:
             f'"kind":"P2P_SEND","phase":"SEND","round":2,"subject":{subject}}}')
 
 
-def compute_event(kind: str, detail: str) -> str:
+def compute_event(kind: str, detail: str, subject: int = 1) -> str:
     """A trace of GOOD_HEADER and one COMPUTE-phase event in round 2."""
-    return GOOD_HEADER + f'\n{{"detail":{detail},"kind":"{kind}","phase":"COMPUTE","round":2,"subject":1}}\n'
+    return GOOD_HEADER + (f'\n{{"detail":{detail},"kind":"{kind}","phase":"COMPUTE","round":2,'
+                          f'"subject":{subject}}}\n')
+
+
+def deliver_call(by: str | None, subject: int = 1) -> str:
+    """A trace of GOOD_HEADER and one DELIVER_CALL with ``by`` set to ``by`` (omitted if None)."""
+    by_ = "" if by is None else f'"by":{by},'
+    return compute_event("DELIVER_CALL", f'{{{by_}"payload":"x","source":0}}', subject)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -308,9 +316,9 @@ def compute_event(kind: str, detail: str) -> str:
     ('{"fingerprint":"x","seed":0}\n' + GOOD_EVENT + "\n", 1),
     ('{"config":{},"fingerprint":"x"}\n', 1),
     ("[1]\n", 1),
-    (GOOD_HEADER.replace(',"format":"mbbc-trace/3"', "") + "\n" + GOOD_EVENT + "\n", 1),
-    (GOOD_HEADER.replace("mbbc-trace/3", "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
-    pytest.param(GOOD_HEADER.replace("mbbc-trace/3", "mbbc-trace/2") + "\n", 1, id="header-only-trace-2"),
+    (GOOD_HEADER.replace(',"format":"mbbc-trace/4"', "") + "\n" + GOOD_EVENT + "\n", 1),
+    (GOOD_HEADER.replace("mbbc-trace/4", "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
+    pytest.param(GOOD_HEADER.replace("mbbc-trace/4", "mbbc-trace/2") + "\n", 1, id="header-only-trace-2"),
     (GOOD_HEADER.replace('"n":6', '"n":"6"') + "\n", 1),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":99') + "\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":"1"') + "\n", 2),
@@ -332,11 +340,25 @@ def compute_event(kind: str, detail: str) -> str:
     pytest.param(GOOD_HEADER + "\n" + fan_out(None, 0) + "\n", 2, id="all-without-from"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[1,3]", 3) + "\n", 2, id="subject-not-first-sender"),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace("{}", DEEP) + "\n", 2, id="deeply_nested"),
-    pytest.param(compute_event("DELIVER_CALL", '{"payload":"x"}'), 2, id="deliver-without-source"),
-    pytest.param(compute_event("DELIVER_CALL", '{"payload":"x","source":"1"}'), 2, id="deliver-source-string"),
-    pytest.param(compute_event("DELIVER_CALL", '{"payload":"x","source":true}'), 2, id="deliver-source-bool"),
-    pytest.param(compute_event("DELIVER_CALL", '{"payload":5,"source":0}'), 2, id="deliver-payload-int"),
-    pytest.param(compute_event("DELIVER_CALL", '{"payload_hex":"zz","source":0}'), 2, id="deliver-payload-hex"),
+    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload":"x"}'), 2, id="deliver-without-source"),
+    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload":"x","source":"1"}'), 2,
+                 id="deliver-source-string"),
+    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload":"x","source":true}'), 2,
+                 id="deliver-source-bool"),
+    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload":5,"source":0}'), 2, id="deliver-payload-int"),
+    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload_hex":"zz","source":0}'), 2,
+                 id="deliver-payload-hex"),
+    pytest.param(deliver_call(None), 2, id="by-missing"),
+    pytest.param(deliver_call("[]"), 2, id="by-empty"),
+    pytest.param(deliver_call("[2,1]", 2), 2, id="by-unsorted"),
+    pytest.param(deliver_call("[1,1]"), 2, id="by-duplicate"),
+    pytest.param(deliver_call("[1,6]"), 2, id="by-out-of-range"),
+    pytest.param(deliver_call("[-1,1]"), 2, id="by-negative"),
+    pytest.param(deliver_call("[true]"), 2, id="by-bool"),
+    pytest.param(deliver_call("[1.0]"), 2, id="by-float"),
+    pytest.param(deliver_call('"1"'), 2, id="by-string"),
+    pytest.param(deliver_call("null"), 2, id="by-null"),
+    pytest.param(deliver_call("[0,1]"), 2, id="subject-not-first-deliverer"),
     pytest.param(compute_event("BROADCAST_CALL", "{}"), 2, id="broadcast-without-payload"),
     pytest.param(compute_event("BROADCAST_CALL", '{"payload_hex":"zz"}'), 2, id="broadcast-payload-hex"),
 ])
@@ -346,6 +368,26 @@ def test_check_malformed_trace_exits_2_naming_the_line(tmp_path, capsys, text, l
     assert cli.main(["check", "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
     assert f"trace line {line}:" in err
+    assert "Traceback" not in err
+
+
+def test_a_well_formed_deliver_call_is_read():
+    """The rejection cases above differ from this trace in one field each."""
+    event, = Trace.from_jsonl(deliver_call("[1,3]")).events
+    assert (event.subject, event.detail["by"]) == (1, [1, 3])
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+@pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3"])
+def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
+    """There is no reader for older layouts: an older header is refused at
+    line 1 before any event is read."""
+    trace = tmp_path / "old.jsonl"
+    trace.write_text(GOOD_HEADER.replace("mbbc-trace/4", old) + "\n")
+    assert old in trace.read_text()
+    assert cli.main([command, "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert "trace line 1: bad header line:" in err and f"format '{old}'" in err, err
     assert "Traceback" not in err
 
 
@@ -441,7 +483,7 @@ def test_header_only_trace_with_a_huge_horizon_exits_2_at_once(tmp_path, capsys,
     not be able to ask for millions of rounds."""
     config = {**golden_correct_source().to_dict(), "horizon": 2_000_000}
     trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": "mbbc-trace/3",
+    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": "mbbc-trace/4",
                                  "seed": 0}) + "\n")
     start = time.perf_counter()
     assert cli.main([command, "--trace", str(trace)]) == 2

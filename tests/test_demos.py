@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import CHOICE_PINS, assert_violations_replay, choice_violations
@@ -5,6 +7,7 @@ from mbbc import cli
 from mbbc.checker import NO_DUPLICATION, SATISFIED, VIOLATED, run_property_checks
 from mbbc.demos import adapter_choices, adapter_output, run_demo
 from mbbc.engine import KIND_DELIVER_CALL
+from mbbc.messages import decode_payload
 from mbbc.scenario import InvalidScenario
 
 
@@ -73,9 +76,12 @@ class TestWipeFlipDemo:
             if r.property == NO_DUPLICATION)
         assert report.verdict == VIOLATED
         target = cfg.strategy["target"]
-        rounds = sorted(result.trace_first.events[i].round for i in report.witness)
-        assert {result.trace_first.events[i].subject for i in report.witness} == {target}
-        assert rounds == [4, 7]  # the real delivery and the cure re-delivery
+        cited = [result.trace_first.events[i] for i in report.witness]
+        assert all(e.kind == KIND_DELIVER_CALL and target in e.detail["by"] for e in cited)
+        # The real delivery and the cure re-delivery.
+        assert sorted(e.round for e in cited) == [4, 7]
+        assert report.details["duplicates"] == [
+            {"process": target, "source": cfg.broadcasts[0].source, "rounds": [4, 7]}]
 
     def test_wipe_only_history_is_clean(self):
         result = run_demo("THEOREM_4", {})
@@ -106,8 +112,8 @@ class TestWipeFlipDemo:
         target = result.config_first.strategy["target"]
 
         def deliveries(trace):
-            return {(e.subject, e.round) for e in trace.events if e.kind == KIND_DELIVER_CALL
-                    if e.subject != target}
+            return {(p, e.round) for e in trace.events if e.kind == KIND_DELIVER_CALL
+                    for p in e.detail["by"] if p != target}
 
         assert deliveries(result.trace_first) == deliveries(result.trace_second)
 
@@ -140,10 +146,45 @@ def test_adapter_output_leaves_the_channel_trace_alone():
     output = adapter_output(result.trace_first, keep)
     assert result.trace_first.to_jsonl() == before
     target = result.config_first.strategy["target"]
-    dropped = [e for e in result.trace_first.events if e not in output.events]
-    assert dropped and all(e.kind == KIND_DELIVER_CALL and e.subject == target
+    changed = [e for e in result.trace_first.events if e not in output.events]
+    assert changed and all(e.kind == KIND_DELIVER_CALL and target in e.detail["by"]
                            and e.round > result.config_first.strategy["wipe_round"]
-                           for e in dropped)
+                           for e in changed)
+
+
+def deliveries_of(trace, keep=lambda e, p: True) -> list[tuple[int, int, int, object]]:
+    """(round, process, source, payload) for each member of each DELIVER_CALL
+    that ``keep`` accepts."""
+    return [(e.round, p, e.detail["source"], decode_payload(e.detail))
+            for e in trace.events if e.kind == KIND_DELIVER_CALL for p in e.detail["by"] if keep(e, p)]
+
+
+@pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
+def test_adapter_output_narrows_each_deliver_call_to_the_kept_processes(kind):
+    """Every choice keeps exactly the (DELIVER_CALL, process) pairs it accepts:
+    each event's ``by`` is narrowed, its subject follows ``by[0]``, no event
+    is left empty, and nothing else changes. ``ignore_cure`` leaves the
+    target in no DELIVER_CALL after the wipe round."""
+    result = run_demo(kind, {})
+    cfg = result.config_first
+    for name, keep in adapter_choices(kind, cfg).items():
+        for trace in (result.trace_first, result.trace_second):
+            output = adapter_output(trace, keep)
+            calls = [e for e in output.events if e.kind == KIND_DELIVER_CALL]
+            assert all(e.detail["by"] and e.subject == e.detail["by"][0] for e in calls), name
+            assert [e for e in output.events if e.kind != KIND_DELIVER_CALL] == [
+                e for e in trace.events if e.kind != KIND_DELIVER_CALL]
+            assert deliveries_of(output) == deliveries_of(trace, keep), name
+    if kind == "WIPE_FLIP":
+        target, wipe_round = cfg.strategy["target"], cfg.strategy["wipe_round"]
+
+        def cure(e, p) -> bool:
+            return p == target and e.round > wipe_round
+
+        assert deliveries_of(result.trace_first, cure)
+        keep = adapter_choices(kind, cfg)["ignore_cure"]
+        for trace in (result.trace_first, result.trace_second):
+            assert not deliveries_of(adapter_output(trace, keep), cure)
 
 
 def test_wipe_flip_without_a_correct_delivery_does_not_hold(capsys):
@@ -162,3 +203,30 @@ def test_wipe_flip_without_a_correct_delivery_does_not_hold(capsys):
 def test_unknown_demo_kind_raises():
     with pytest.raises(InvalidScenario):
         run_demo("NOT_A_DEMO", {})
+
+
+WIPE_FLIP_GRID = [{"n": n, "delta_1": d1, "delta_2": d2}
+                  for n in range(4, 10) for d1 in range(1, 8) for d2 in range(1, 5)]
+SOURCE_FLIP_GRID = [{"n": n, "delta_b": db, "delta_1": d1}
+                    for n in range(4, 10) for db in range(1, 5) for d1 in range(1, 5)]
+
+
+@pytest.mark.parametrize("kind, grid, rejected", [
+    ("WIPE_FLIP", WIPE_FLIP_GRID, 72), ("SOURCE_FLIP", SOURCE_FLIP_GRID, 0)])
+def test_every_accepted_construction_holds(kind, grid, rejected, capsys):
+    """Over n 4-9 and the construction's delays, every accepted cell holds:
+    identical projections and a violation for every adapter choice. WIPE_FLIP
+    rejects exactly the cells with delta_1 <= 3 (exit 2)."""
+    held, refused = 0, 0
+    for params in grid:
+        if kind == "WIPE_FLIP" and params["delta_1"] <= 3:
+            assert cli.main(["demo", "--kind", kind, "--params", json.dumps(params)]) == 2, params
+            refused += 1
+            continue
+        result = run_demo(kind, params)
+        assert result.projections_identical, params
+        assert all(choice["violations"] for choice in result.choices), params
+        assert result.holds, params
+        held += 1
+    capsys.readouterr()
+    assert (held, refused) == (96, rejected)

@@ -124,7 +124,8 @@ class TestRunBasics:
 
     def test_golden_deliveries(self):
         trace = run(golden_correct_source())
-        deliveries = sorted((e.subject, e.round) for e in trace.events if e.kind == KIND_DELIVER_CALL)
+        deliveries = sorted((p, e.round) for e in trace.events if e.kind == KIND_DELIVER_CALL
+                            for p in e.detail["by"])
         assert deliveries == [(0, 4), (1, 5), (2, 4), (3, 4), (4, 4), (5, 4)]
 
     def test_send_fans_out_to_all_including_self(self):
@@ -424,6 +425,31 @@ def containers(state: ProtocolState) -> list:
     return [state.to_send, state.delivered]
 
 
+class TestDeliveryOrder:
+    """A round's DELIVER_CALLs keep every process's own delivery order."""
+
+    A, B, C = (0, b"a"), (0, b"b"), (1, b"c")
+
+    def test_first_delivery_when_it_keeps_every_order(self):
+        assert engine._delivery_order([self.A, self.B, self.C],
+                                      [[self.A, self.C], [self.B, self.C]]) == [self.A, self.B, self.C]
+
+    def test_a_process_that_missed_an_earlier_instance_does_not_reorder_another(self):
+        """Process 0 delivers only B; process 1 delivers A, then B. First
+        delivery would put B first and reorder process 1."""
+        assert engine._delivery_order([self.B, self.A], [[self.A, self.B]]) == [self.A, self.B]
+        assert engine._delivery_order([self.C, self.B, self.A],
+                                      [[self.A, self.C], [self.B, self.C]]) == [self.B, self.A, self.C]
+
+    def test_contradicting_orders_fall_back_to_first_delivery(self):
+        """When no instance is free, the first delivered one left goes next."""
+        assert engine._delivery_order([self.A, self.B], [[self.A, self.B], [self.B, self.A]]) == [
+            self.A, self.B]
+        assert engine._delivery_order([self.C, self.A, self.B],
+                                      [[self.A, self.B], [self.B, self.A], [self.A, self.C]]) == [
+            self.C, self.A, self.B]
+
+
 class TestSharedCompute:
     """COMPUTE runs once per class of processes with equal inputs; every
     member must end where its own receive and compute would have left it."""
@@ -463,7 +489,7 @@ class TestSharedCompute:
                 delivered = compute_phase(state, tallies, p, variant, n, broadcasts=payloads)
                 assert state == sim.states[p], (r, p)
                 assert delivered == [(ev.detail["source"], decode_payload(ev.detail)) for ev in events
-                                     if ev.kind == KIND_DELIVER_CALL and ev.subject == p], (r, p)
+                                     if ev.kind == KIND_DELIVER_CALL and p in ev.detail["by"]], (r, p)
             held = [id(c) for state in sim.states for c in containers(state)]
             assert len(held) == len(set(held)), f"a container is shared between states in round {r}"
 

@@ -6,13 +6,14 @@ both traces of every demo kind at its default parameters, and of the
 single byte of this evidence fails here, where comparing a run with itself
 (``test_criterion_10_determinism``) cannot notice.
 
-Three families of pins survive a change of trace layout: each trace
-rendered in the per-envelope layout (``per_envelope_jsonl``) still hashes to
-the digest the engine's bytes had when it wrote that layout, each report with
-its witness indices replaced by the cited events (``WITNESS_PINS``) stays
-put while the indices move, and what the permanently correct processes
-observe (``PROJECTION_PINS``) is read per (sender, message) whatever the
-layout.
+Pins that survive a change of trace layout: each trace rendered in the
+per-envelope layout (``per_envelope_jsonl``, one DELIVER_CALL per process)
+still hashes to the digest the engine's bytes had when it wrote that layout,
+and what the permanently correct processes observe (``PROJECTION_PINS``) is
+read per (sender, message) and per process whatever the layout. Each report
+with its witness indices replaced by the cited events (``WITNESS_PINS``)
+stays put while only the indices move; it moves with the cited events, as
+when a DELIVER_CALL came to list its processes.
 
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
@@ -36,6 +37,7 @@ from mbbc.checker import (
     run_property_checks,
 )
 from mbbc.engine import (
+    KIND_DELIVER_CALL,
     KIND_P2P_SEND,
     PHASE_ADVERSARY,
     PHASE_ORACLE,
@@ -53,39 +55,39 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "588765c711cb2198b00c44d07240efb11d84f8c8bd6f7fd2714a3dd7b122956a",
+        "82d68f722784c3bd55f67d1e9a4b0563c3dd39cd1c54184bfd5a9e058791e58b",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "ff2b02bb20913f74aee0a2247c1d62d1aca27fa32dd6563695eedcece65a2999",
-        "a8fa944e376c2539232199db114866ebf91dcf0da5f528124a6a899a992c078a"),
+        "a7b3b0981886dcf3ae1535f72d0b80646592a51445893a23adbadb25905a28d1",
+        "65479141fa7a26e589ea189a807188a5761f05270379c8956f3e41cc4ed19402"),
     "correct_source.json": (
-        "e9fc4b0be2e555da755736d09e8992919db3212ebf95ec76876706f9c2f13d1e",
+        "51b2aee288510d49690b38d9eb8c363f554ff16700e854582a207c0d5029858c",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "c3e0a15f9fadc118f9fb194c27b4602ffe6df726b972b3950a5fda7449749769",
+        "5a4178b244a72de26f862b7809464fd476d97086d4aa0b947e4e4767e21dc412",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "cb4639ade6db677998c8fba91b60e440cd144118cec274ec277821ec3585836a",
+        "688c8f01a01264b91724b1aba4749a2f627d29085ac2d38fdd599be5dba4df45",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "9cf5a9eb474941e220d3be6a2a348eb1beb579857315b25efe1a0db5dda438e6",
-        "3ce3cbb80d34bd150872992d6b62b22f7e32776e2253eb7484e1840ff91d3840"),
+        "185e8d371819a9fe04377278699f621af11fd0ccae7a88edd0b0ec19358c4e0f",
+        "3462476cbaedadeb6b4db0c8a5aec41e22c051a2113d6e7994ff1b628c05cbf2"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "9ea155f5ed0888744ec4690ea1c93fce401082f1982159d089b8514c6e7702f3",
-        "1c4b06bbf7799976bdc69707dc2b51b0db28da35908ab2c7a27a480094c06994"),
+        "1fd2b5d0fafa5d6793c4d2e4c5d3ef5838a8c7a1613972c49dfeb94ef3c63073",
+        "8c92b525d744e4e0705ff4710bb05df4bbb94f0879ce7a0097ecf9b8a7b657e0"),
     "THEOREM_3": (
-        "9ea155f5ed0888744ec4690ea1c93fce401082f1982159d089b8514c6e7702f3",
-        "1c4b06bbf7799976bdc69707dc2b51b0db28da35908ab2c7a27a480094c06994"),
+        "1fd2b5d0fafa5d6793c4d2e4c5d3ef5838a8c7a1613972c49dfeb94ef3c63073",
+        "8c92b525d744e4e0705ff4710bb05df4bbb94f0879ce7a0097ecf9b8a7b657e0"),
     "THEOREM_4": (
-        "9707f3233858bf0953026456da2859ed5f981cac68cf87f81abf734759363020",
-        "667e14b10d84643391e6008ab6c3980e5eb359ccce94b38593fb51f37f0a81bd"),
+        "fde81edf3c170fe1a51adc2c71e41f153dcacdbeb7bcc65046f01a96f89ee37e",
+        "4b316bc452e823ff4945603e727059db5c90e183a941d56ac8ebc99f86809260"),
     "WIPE_FLIP": (
-        "9707f3233858bf0953026456da2859ed5f981cac68cf87f81abf734759363020",
-        "667e14b10d84643391e6008ab6c3980e5eb359ccce94b38593fb51f37f0a81bd"),
+        "fde81edf3c170fe1a51adc2c71e41f153dcacdbeb7bcc65046f01a96f89ee37e",
+        "4b316bc452e823ff4945603e727059db5c90e183a941d56ac8ebc99f86809260"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -149,12 +151,12 @@ SWEEP_PINS = {
 
 # shape -> sha256 of its ALL_PROPERTIES report; the shapes are built by `conftest.shape_config`
 REPORT_PINS = {
-    "bfa_weak_roundrobin": "045e458dda0e8b65dc43b311be14c57b04638e80d62c72ad0a4f1065c5840c12",
-    "bfa_weak_walk": "d7a73b2858f54a99fc17936cd8d94e103e284641480fa36f7a3d45e221926d0b",
-    "ffa_full_walk": "782463fd3aa19da41c3d4e6e235215d7037d055dab5eb96d3337f0bee91112a8",
+    "bfa_weak_roundrobin": "27b433cb10cc880823f2cf4faf61d89fa651188bf29edfafb66fe9c279d1edaa",
+    "bfa_weak_walk": "1cb19636603060e0a19a2b1c862f6858b5463bbf452d09b4f3db671318a5ba51",
+    "ffa_full_walk": "20100e5fbeead29b672a64d0322a2b58ef31ca24ea37b072039b349fa88bc1c8",
     "nfa_weak_alternating_f2": "0b536c0db84341b15456d202ca63e3e85fb2944b1b2827642b8d040ba04b34ea",
-    "nfa_weak_roundrobin": "06db5bb1ec241bdffe7541ad9f6226ed3b633f88ebbe54449320ea10c8207023",
-    "nfa_weak_walk": "b9c8a09d31a6328c4acb5bdb07ebddc3a128ad2994c98eeb20efe2be83cafc63",
+    "nfa_weak_roundrobin": "3f8be3f43b80906cfa610ef95138485a00351b16920411c4042140bdd42abaeb",
+    "nfa_weak_walk": "3d51452fa279df8098ebc79cc8bff61b880bc6fb89e727cbb7adcf82b3da4f5e",
 }
 
 
@@ -163,17 +165,17 @@ REPORT_PINS = {
 # changes; the cited events and the verdicts must not.
 WITNESS_PINS = {
     "alternating_below_bound_n5.json": "53c0d4e0a75644b2b9ccf7544adf78b85a4d54cf77dc510c5eac7d772d7c6a58",
-    "bfa_double_cure.json": "9ffec28f58cb14174b8ba913b18247e2858ee104f485bd25b63c2125510a6e5d",
-    "bfa_weak_roundrobin": "1565e77f0dd0f402dde974ec7695213e7cfa080bbe88022a977ed73cc1713cb0",
-    "bfa_weak_walk": "00d9bef35111d9479b493ef55d574d27918bd6c2c846098bd38e6fe1f4decd94",
+    "bfa_double_cure.json": "1687a564c0f7a0b6996e41eb1df0cb256e972c882d5007cb9bab04a378cf7684",
+    "bfa_weak_roundrobin": "c0f4d5adaa938971f4622d4f136f0de6b245cd18e1ea514ea048e5a5d2f55d79",
+    "bfa_weak_walk": "3a31fd2583c3ddc8a51aa66ce44c29851036c6ee9339bb80a4098a51c6d294f0",
     "correct_source.json": "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d",
     "faulty_source_all_deliver.json": "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b",
     "faulty_source_none_deliver.json": "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a",
-    "ffa_full_walk": "7cf094838d5861363b32f0c41481482361d29031c4d0cfa0f1a7ffaf03deafc1",
-    "nfa_alternating_n7.json": "f94d5e04da6b62f45bd565a2f0b0428be0d1465fd15805e130d43dc8821c29e7",
+    "ffa_full_walk": "0f2bd006a393090f8c1fb5978967fc035934d99c4198bf64e321757161bd0149",
+    "nfa_alternating_n7.json": "26a62f7590e08bc11657f6d463cd29ba69116cbd75bf08b7a25bd3f8a86bc934",
     "nfa_weak_alternating_f2": "af830b6e07055455092fe6ef34fc6f1cd8575ceae2b4305d4f052611d7763607",
-    "nfa_weak_roundrobin": "1d5856d0f29190f87111717cd67deec7e0a0f6859e9624f2771ca6673cae78df",
-    "nfa_weak_walk": "72d97e350dc9bc05788af564a639243b6b64a170d9b239f743c4f5484fa09a96",
+    "nfa_weak_roundrobin": "ddfd00135c3c90690f32d45d929fdc65c6202f878a765b3b17db9ebe5d8454c3",
+    "nfa_weak_walk": "5a72cb75012ace154b98f9fbb34eab0052ec160746b2de366f7044b4e406e1a2",
 }
 
 
@@ -185,7 +187,9 @@ def per_envelope_jsonl(trace: Trace) -> str:
     """The trace in the per-envelope layout: a header without ``format``, and in
     each round one P2P_SEND per (sender, receiver, message) ordered by
     (sender, receiver, message), then one P2P_DELIVER per receipt in the
-    engine's RECEIVE order, between the ORACLE and the COMPUTE events."""
+    engine's RECEIVE order, between the ORACLE and the COMPUTE events. Each
+    DELIVER_CALL is one event per process of its ``by``, without ``by``, and
+    a round's COMPUTE events are stably ordered by subject."""
     def line(round_, phase, kind, subject, detail) -> str:
         return json.dumps({"round": round_, "phase": phase, "kind": kind, "subject": subject,
                            "detail": detail}, sort_keys=True, separators=(",", ":"))
@@ -194,9 +198,15 @@ def per_envelope_jsonl(trace: Trace) -> str:
     rounds: dict[int, tuple[list, list, list]] = {}
     for ev in trace.events:
         before, _sends, after = rounds.setdefault(ev.round, ([], [], []))
-        if ev.kind != KIND_P2P_SEND:
-            (before if ev.phase in (PHASE_ADVERSARY, PHASE_ORACLE) else after).append(
-                line(ev.round, ev.phase, ev.kind, ev.subject, ev.detail))
+        if ev.kind == KIND_DELIVER_CALL:
+            detail = {k: v for k, v in ev.detail.items() if k != "by"}
+            after.extend((p, line(ev.round, ev.phase, ev.kind, p, detail)) for p in ev.detail["by"])
+        elif ev.kind != KIND_P2P_SEND:
+            text = line(ev.round, ev.phase, ev.kind, ev.subject, ev.detail)
+            if ev.phase in (PHASE_ADVERSARY, PHASE_ORACLE):
+                before.append(text)
+            else:
+                after.append((ev.subject, text))
     for r, outbox in round_sends(trace.events).items():
         for sender, message, to in outbox:
             order = ProtocolMessage.from_dict(message).sort_key()
@@ -214,7 +224,7 @@ def per_envelope_jsonl(trace: Trace) -> str:
         out += before
         out += [text for _key, text in sorted(sends, key=lambda entry: entry[0])]
         out += receipts.get(r, [])
-        out += after
+        out += [text for _subject, text in sorted(after, key=lambda entry: entry[0])]
     return "\n".join(out) + "\n"
 
 

@@ -17,7 +17,7 @@ from mbbc.scenario import ScenarioConfig
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
 
-HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/3","seed":0}'
+HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/4","seed":0}'
 CURED = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
 
 
@@ -32,8 +32,14 @@ def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0
             f'"round":{round_},"subject":{subject}}}')
 
 
-def compute_line(kind: str, detail: str) -> str:
-    return f'{{"detail":{detail},"kind":"{kind}","phase":"COMPUTE","round":1,"subject":0}}'
+def compute_line(kind: str, detail: str, subject: int = 0) -> str:
+    return f'{{"detail":{detail},"kind":"{kind}","phase":"COMPUTE","round":1,"subject":{subject}}}'
+
+
+def deliver_line(by: str | None, subject: int = 0) -> str:
+    """A DELIVER_CALL line with ``by`` set to ``by`` (omitted if None)."""
+    by_ = "" if by is None else f'"by":{by},'
+    return compute_line("DELIVER_CALL", f'{{{by_}"payload":"x","source":0}}', subject)
 
 
 def per_line_events(trace: Trace) -> list[str]:
@@ -213,16 +219,29 @@ PARSER_TABLE = [
     '{"detail":{"to":"ALL"},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
     '{"detail":{"message":{}},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
     '{"detail":{"to":[9]},"kind":"DELIVER_CALL","phase":"COMPUTE","round":1,"subject":0}',
-    compute_line("DELIVER_CALL", '{"payload":"x"}'),
-    compute_line("DELIVER_CALL", '{"payload":"x","source":"1"}'),
-    compute_line("DELIVER_CALL", '{"payload":"x","source":true}'),
-    compute_line("DELIVER_CALL", '{"payload":5,"source":0}'),
-    compute_line("DELIVER_CALL", '{"payload_hex":"zz","source":0}'),
-    compute_line("DELIVER_CALL", '{"payload_hex":"00ff","source":5}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x"}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":"1"}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":true}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"payload":5,"source":0}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"payload_hex":"zz","source":0}'),
+    compute_line("DELIVER_CALL", '{"by":[0,2],"payload_hex":"00ff","source":5}'),
+    deliver_line("[0,1,5]"),
+    deliver_line(None),
+    deliver_line("[]"),
+    deliver_line("[2,1]", subject=2),
+    deliver_line("[1,1]", subject=1),
+    deliver_line("[1,6]", subject=1),
+    deliver_line("[-1,0]"),
+    deliver_line("[true]", subject=1),
+    deliver_line("[1.0]", subject=1),
+    deliver_line('"0"'),
+    deliver_line("null"),
+    deliver_line("[1,3]", subject=3),
+    deliver_line("[0]").replace('"DELIVER_CALL"', '"BROADCAST_CALL"'),
     compute_line("BROADCAST_CALL", "{}"),
     compute_line("BROADCAST_CALL", '{"payload_hex":"zz"}'),
     compute_line("BROADCAST_CALL", '{"payload":"x","to":[9]}'),
-    compute_line("DELIVER_CALL", '{"payload":"x","source":0,"to":[9]}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":0,"to":[9]}'),
 ]
 
 
@@ -272,6 +291,14 @@ class TestReader:
         """Lines with one detail text share one parsed detail, but each line's
         subject is still checked against that detail's first sender."""
         good = send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,4]")
+        text = "\n".join([HEADER, good, good.replace('"subject":1', '"subject":4')]) + "\n"
+        assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
+        assert parse(text, monkeypatch, True).startswith("trace line 3: bad event line: subject 4 ")
+
+    def test_each_line_of_a_shared_deliver_call_detail_names_its_first_process(self, monkeypatch):
+        """As for a fan-out: a DELIVER_CALL's subject is checked against
+        ``by[0]`` on every line, also when its detail text was read before."""
+        good = deliver_line("[1,4]", subject=1)
         text = "\n".join([HEADER, good, good.replace('"subject":1', '"subject":4')]) + "\n"
         assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
         assert parse(text, monkeypatch, True).startswith("trace line 3: bad event line: subject 4 ")
