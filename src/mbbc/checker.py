@@ -41,11 +41,12 @@ from .engine import (
     KIND_CURED,
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
+    PHASE_SEND,
     TO_ALL,
     Trace,
     TraceEvent,
+    encode_line,
     event_lines,
-    round_sends,
 )
 from .messages import decode_payload
 from .model import FailureSchedule, io_correct_processes
@@ -464,44 +465,85 @@ def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:
 def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     """Events observable at processes that are correct throughout the run.
 
-    Those are every (sender, message) send that reaches one of them, as one
-    P2P_SEND with the sender as subject and ``to`` narrowed to them
-    (``"ALL"`` becomes their sorted list, a list keeps its kept members,
-    duplicates included), and their own broadcast and deliver calls, one
-    per process: each DELIVER_CALL group gives one event per kept member,
-    with that member as subject and the detail without ``by``. Each round's
-    sends, expanded and ordered by ``round_sends``, all stand at its first
-    P2P_SEND, and its calls, by subject with a process's BROADCAST_CALLs
-    before its DELIVER_CALLs and otherwise in trace order, at its first call.
+    Those are the sends that reach one of them, grouped as the trace groups
+    a fan-out: one P2P_SEND per round and distinct (message, receivers
+    narrowed to them), ``{"from": [senders], "message": …, "to": [kept]}``
+    with the senders sorted and the subject ``from[0]``. ``"ALL"`` narrows to
+    their sorted list and a list to its kept members, duplicates included,
+    so a correct fan-out and a possessed sender's dictated send to every
+    process of the same message narrow alike. Messages are told apart by
+    their encoded text, so type-exactly (``True`` is not ``1``), whether or
+    not two sends share a message object. A round's groups are sorted by
+    (message text, kept receivers), which depends only on who sent what to
+    whom, not on the trace's order (fan-outs before dictated sends), and
+    stand at its first P2P_SEND. A sender makes at most one send per message
+    per round, so the groups are one-to-one with the (sender, message) sends.
+
+    Their own broadcast and deliver calls stay one per process: each
+    DELIVER_CALL group gives one event per kept member, with that member as
+    subject and the detail without ``by``, and a round's calls, by subject
+    with a process's BROADCAST_CALLs before its DELIVER_CALLs and otherwise
+    in trace order, stand at its first call. Narrowing each ``by`` instead
+    would keep the trace's group order, which the engine merges from every
+    process's delivery order, kept or not; two histories that differ only at
+    a process outside the projection could then order two groups with
+    disjoint kept members differently.
+
     Two executions are indistinguishable to the permanently correct
     processes exactly when their projections are identical; the
     impossibility demos assert this byte-for-byte on the serialized form.
-
-    Each distinct (message, to) pair of objects is narrowed once, and the
-    events that carry it share the narrowed detail read-only; every
-    ``"ALL"`` send shares one list of the kept processes. A DELIVER_CALL
-    detail is stripped of ``by`` once. The memos hold the objects they have
-    read, so no id is reused while they live.
     """
     keep = permanently_correct(schedule)
-    everyone = sorted(keep)
-    sends = round_sends(trace.events)
+    sends = _kept_sends(trace.events, keep)
     calls = _kept_calls(trace.events, keep)
-    narrowed: dict[tuple[int, int], tuple[object, object, dict | None]] = {}
     observed = []
     for ev in trace.events:
         if ev.kind == KIND_P2P_SEND:
-            for sender, message, to in sends.pop(ev.round, ()):
-                hit = narrowed.get((id(message), id(to)))
-                if hit is None:
-                    kept = everyone if to == TO_ALL else [q for q in to if q in keep]
-                    hit = narrowed[id(message), id(to)] = (
-                        message, to, {"message": message, "to": kept} if kept else None)
-                if hit[2] is not None:
-                    observed.append(TraceEvent(ev.round, ev.phase, ev.kind, sender, hit[2]))
+            observed += sends.pop(ev.round, ())
         elif ev.kind in (KIND_BROADCAST_CALL, KIND_DELIVER_CALL):
             observed += calls.pop(ev.round, ())
     return observed
+
+
+def _kept_sends(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, list[TraceEvent]]:
+    """Each round's sends to the kept processes, one P2P_SEND per (message
+    text, kept receivers) listing its senders (``projection``). Each message
+    object is encoded once; the memo holds it, so no id is reused. Groups
+    with equal kept receivers share one list, which ``event_lines`` then
+    encodes once."""
+    everyone = sorted(keep)
+    texts: dict[int, tuple[object, str]] = {}
+    shared: dict[tuple[int, ...], list[int]] = {}
+    by_round: dict[int, dict[tuple[str, tuple[int, ...]], tuple[object, list[int], list[int]]]] = {}
+    for ev in events:
+        if ev.kind != KIND_P2P_SEND:
+            continue
+        detail = ev.detail
+        message, to = detail["message"], detail["to"]
+        kept = everyone if to == TO_ALL else [q for q in to if q in keep]
+        if not kept:
+            continue
+        hit = texts.get(id(message))
+        if hit is None:
+            hit = texts[id(message)] = (message, encode_line(message))
+        groups = by_round.setdefault(ev.round, {})
+        key = (hit[1], tuple(kept))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (message, shared.setdefault(key[1], kept), [])
+        if "from" in detail:
+            group[2].extend(detail["from"])
+        else:
+            group[2].append(ev.subject)
+    out: dict[int, list[TraceEvent]] = {}
+    for r, groups in by_round.items():
+        sends = out[r] = []
+        for key in sorted(groups):
+            message, kept, senders = groups[key]
+            senders.sort()
+            sends.append(TraceEvent(r, PHASE_SEND, KIND_P2P_SEND, senders[0],
+                                    {"from": senders, "message": message, "to": kept}))
+    return out
 
 
 def _kept_calls(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, list[TraceEvent]]:

@@ -152,9 +152,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    n_values = _parse_range(args.n_range)
-    f_values = _parse_range(args.f_range)
+    n_values = _parse_range(args.n_range, "--n-range", low=1)
+    f_values = _parse_range(args.f_range, "--f-range", low=0)
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
+    if not strategies:
+        raise ValueError(f"--strategies {args.strategies!r} names no strategy")
     rows = run_sweep(VariantTag(args.variant), n_values, f_values, delta_s=args.delta_s,
                      strategies=strategies, seed=args.seed)
     args.out.write_text(rows_to_csv(rows))
@@ -206,12 +208,21 @@ def cmd_replay(args) -> int:
     return EXIT_VIOLATION
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, flag: str, low: int) -> list[int]:
+    """The values of an inclusive range ``lo:hi`` or ``lo..hi``, or of one
+    value; an empty range, or one reaching below ``low``, is a ValueError
+    naming ``flag``."""
     sep = ":" if ":" in text else ".."
     if sep in text:
         lo, _, hi = text.partition(sep)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(text)]
+    if not values:
+        raise ValueError(f"{flag} {text!r} is empty")
+    if values[0] < low:
+        raise ValueError(f"{flag} {text!r} holds {values[0]}, below {low}")
+    return values
 
 
 def _setup_logging() -> None:

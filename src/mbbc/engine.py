@@ -146,7 +146,8 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
     """Each event's trace line, equal to ``encode_line(ev.to_dict())``.
 
     The outer layout is written from a template, and each detail object, and
-    each send's message object, is encoded once per call, by identity: the
+    each send's message and ``to`` objects, is encoded once per call, by
+    identity (a projection's groups share their lists of receivers): the
     memo holds every object it has encoded, so no id is reused while it
     lives. A detail must therefore stay unchanged while its lines are
     written, which ``TraceEvent``'s contract (a read-only detail) gives. An
@@ -176,7 +177,7 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
                 and "to" in detail and len(detail) == 2 + ("from" in detail)):
             senders = f'"from":{encode_line(detail["from"])},' if "from" in detail else ""
             body = (f'{{{senders}"message":{encode(detail["message"])},'
-                    f'"to":{encode_line(detail["to"])}}}')
+                    f'"to":{encode(detail["to"])}}}')
             encoded[id(detail)] = (detail, body)
         else:
             body = encode(detail)
@@ -430,11 +431,12 @@ def round_sends(events: Iterable[TraceEvent]) -> dict[int, list[tuple[int, objec
     """Each round's sends as (sender, message, to), keyed by round in order of
     first appearance.
 
-    A send to ``"ALL"`` gives one such send per sender in its ``from``, and a
-    dictated send its subject's. A round's sends are in (sender, message)
-    order: by sender, and a sender's in trace order, which is message order
-    in the engine's traces. The messages and ``to`` values are the events'
-    own objects.
+    An event with a ``from`` gives one such send per sender in it, whatever
+    its ``to`` (a trace has ``from`` only beside ``"ALL"``, and
+    ``checker.projection`` beside a list too), and one without its
+    subject's. A round's sends are in (sender, message) order: by sender,
+    and a sender's in event order, which is message order in the engine's
+    traces. The messages and ``to`` values are the events' own objects.
     """
     by_round: dict[int, list[tuple[int, object, object]]] = {}
     for ev in events:
@@ -442,7 +444,7 @@ def round_sends(events: Iterable[TraceEvent]) -> dict[int, list[tuple[int, objec
             detail = ev.detail
             message, to = detail["message"], detail["to"]
             sends = by_round.setdefault(ev.round, [])
-            if to == TO_ALL:
+            if "from" in detail:
                 sends.extend((sender, message, to) for sender in detail["from"])
             else:
                 sends.append((ev.subject, message, to))

@@ -38,6 +38,8 @@ from mbbc.engine import (
     Trace,
     TraceEvent,
     deliveries,
+    encode_line,
+    round_sends,
     run,
 )
 from mbbc.protocol import VariantTag
@@ -453,17 +455,26 @@ class TestProjection:
         assert kept_receipts
         assert deliveries(replace(trace, events=projection(trace, sched))) == kept_receipts
 
-    def test_projection_has_one_send_per_sender_of_a_fan_out(self):
+    def test_projection_has_one_send_per_message_and_kept_receivers(self):
+        """Each round's sends to kept processes, expanded per sender, group
+        into one P2P_SEND per (message, kept receivers) listing its senders."""
         cfg = golden_correct_source()
         trace = run(cfg)
         sched = cfg.resolved_schedule()
-        everyone = sorted(permanently_correct(sched))
-        fan_outs = [(e.round, sender, str(e.detail["message"])) for e in trace.events
-                    if e.kind == KIND_P2P_SEND and e.detail["to"] == TO_ALL for sender in e.detail["from"]]
-        projected = [(e.round, e.subject, str(e.detail["message"])) for e in projection(trace, sched)
-                     if e.kind == KIND_P2P_SEND and e.detail["to"] == everyone]
-        assert sorted(projected) == sorted(fan_outs) and len(projected) > len(
-            [e for e in trace.events if e.kind == KIND_P2P_SEND])
+        keep = permanently_correct(sched)
+        everyone = sorted(keep)
+        expected: dict[tuple[int, str, tuple[int, ...]], list[int]] = {}
+        for r, sends in round_sends(trace.events).items():
+            for sender, message, to in sends:
+                kept = everyone if to == TO_ALL else [q for q in to if q in keep]
+                if kept:
+                    expected.setdefault((r, encode_line(message), tuple(kept)), []).append(sender)
+        projected = [e for e in projection(trace, sched) if e.kind == KIND_P2P_SEND]
+        assert {(e.round, encode_line(e.detail["message"]), tuple(e.detail["to"])): e.detail["from"]
+                for e in projected} == expected
+        assert len(projected) == len(expected)
+        assert all(e.subject == e.detail["from"][0] for e in projected)
+        assert any(len(e.detail["from"]) > 1 for e in projected)
 
     def test_projection_keeps_a_duplicate_kept_receiver(self):
         cfg = duplicate_receiver_scenario()
@@ -492,23 +503,52 @@ class TestProjection:
         events[index] = event._replace(detail={**event.detail, "message": message})
         assert projection_jsonl(replace(trace, events=events), sched) != before
 
-    @pytest.mark.parametrize("edit", ["state_digest", "non_kept_receiver", "send_to_itself"])
+    @pytest.mark.parametrize("edit", ["state_digest", "non_kept_receiver", "send_to_itself",
+                                      "fan_out_sender_dictates", "disjoint_deliver_groups_swap"])
     def test_what_no_kept_process_observes_leaves_the_projection_alone(self, edit):
         """Editing the possessed source's corrupted state, dropping a receiver
-        that is not permanently correct from one of its sends, or adding a send
-        that reaches only the source itself, is invisible."""
+        that is not permanently correct from one of its sends, adding a send
+        that reaches only the source itself, taking a sender out of a fan-out
+        and giving it a dictated send of the same message to every process,
+        or swapping two DELIVER_CALL groups of one round whose kept members
+        are disjoint, is invisible."""
         result = run_demo("SOURCE_FLIP", {})
         trace, config = result.trace_second, result.config_second
         sched = config.resolved_schedule()
         keep = permanently_correct(sched)
         source = config.broadcasts[0].source
         assert source not in keep
-        events = list(trace.events)
+        base = list(trace.events)
+        events = list(base)
         if edit == "state_digest":
             i = next(i for i, e in enumerate(events)
                      if e.kind == KIND_STATE_CORRUPTED and e.subject == source)
             digest = events[i].detail["state_digest"]
             events[i] = events[i]._replace(detail={"state_digest": "0" * len(digest)})
+        elif edit == "fan_out_sender_dictates":
+            i = next(i for i, e in enumerate(events) if e.kind == KIND_P2P_SEND
+                     and e.detail["to"] == TO_ALL and len(e.detail["from"]) > 1)
+            fan_out = events[i]
+            sender, *rest = fan_out.detail["from"]
+            events[i] = fan_out._replace(subject=rest[0], detail={**fan_out.detail, "from": rest})
+            last_send = max(j for j, e in enumerate(events)
+                            if e.kind == KIND_P2P_SEND and e.round == fan_out.round)
+            events.insert(last_send + 1, fan_out._replace(subject=sender, detail={
+                "message": dict(fan_out.detail["message"]), "to": list(range(config.n))}))
+        elif edit == "disjoint_deliver_groups_swap":
+            # The base trace delivers two instances in one round, at disjoint
+            # kept processes; the edit lists the two groups the other way round.
+            i = next(i for i, e in enumerate(base) if e.kind == KIND_DELIVER_CALL
+                     and len(keep & set(e.detail["by"])) > 1)
+            call = base[i]
+            kept = sorted(keep & set(call.detail["by"]))
+            first_by = [p for p in call.detail["by"] if p not in kept[1:]]
+            first = call._replace(subject=first_by[0], detail={**call.detail, "by": first_by})
+            second = call._replace(subject=kept[1], detail={"by": kept[1:], "payload": "other",
+                                                            "source": call.detail["source"]})
+            base[i:i + 1] = [first, second]
+            events = list(base)
+            events[i:i + 2] = [second, first]
         else:
             i = next(i for i, e in enumerate(events) if e.kind == KIND_P2P_SEND
                      and e.subject == source and isinstance(e.detail["to"], list))
@@ -520,8 +560,9 @@ class TestProjection:
             else:
                 message = {"kind": "ROUND", "round_value": 99}
                 events.insert(i, send._replace(detail={"message": message, "to": [source]}))
-        assert events != trace.events
-        assert projection_jsonl(replace(trace, events=events), sched) == projection_jsonl(trace, sched)
+        assert events != base
+        assert projection_jsonl(replace(trace, events=events), sched) == projection_jsonl(
+            replace(trace, events=base), sched)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

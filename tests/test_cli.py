@@ -146,6 +146,22 @@ def test_sweep_skips_alternating_cells_below_2f_plus_1(tmp_path, caplog):
     assert f2_cells == {(n, "split") for n in range(4, 9)} | {(n, "alternating") for n in range(5, 9)}
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--n-range", "5..3"], "--n-range '5..3' is empty"),
+    (["--n-range", "-1"], "--n-range '-1' holds -1, below 1"),
+    (["--n-range", "4", "--f-range", "0..-1"], "--f-range '0..-1' is empty"),
+    (["--n-range", "4", "--strategies", ","], "--strategies ',' names no strategy"),
+])
+def test_sweep_with_no_cells_to_run_exits_2(tmp_path, capsys, flags, named):
+    """A sweep range or strategy list that leaves nothing to run is invalid
+    input, not an empty CSV."""
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err, err
+    assert not out.exists()
+
+
 def scalar(key, value):
     return lambda cfg: cfg.update({key: value})
 

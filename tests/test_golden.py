@@ -9,8 +9,10 @@ single byte of this evidence fails here, where comparing a run with itself
 Pins that survive a change of trace layout: each trace rendered in the
 per-envelope layout (``per_envelope_jsonl``, one DELIVER_CALL per process)
 still hashes to the digest the engine's bytes had when it wrote that layout,
-and what the permanently correct processes observe (``PROJECTION_PINS``) is
-read per (sender, message) and per process whatever the layout. Each report
+and what the permanently correct processes observe, rendered one send per
+(sender, message) (``expanded_projection_jsonl``), still hashes to the
+digest the projection had before it grouped its sends (``PROJECTION_PINS``);
+``GROUPED_PROJECTION_PINS`` pin the grouped bytes themselves. Each report
 with its witness indices replaced by the cited events (``WITNESS_PINS``)
 stays put while only the indices move; it moves with the cited events, as
 when a DELIVER_CALL came to list its processes.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -44,6 +47,7 @@ from mbbc.engine import (
     PHASE_SEND,
     TO_ALL,
     Trace,
+    TraceEvent,
     deliveries,
     round_sends,
     run,
@@ -117,10 +121,11 @@ PER_ENVELOPE_DEMO_PINS = {
         "291d8dcd1c33fef0162458ebe76d3f0930b2ba216ee9e4a1e491ce1c6c816777"),
 }
 
-# config file -> sha256 of `projection_jsonl` of its `mbbc run` trace; demo kind
-# -> the same for its two traces. What the permanently correct processes
-# observe is per (sender, message) whatever the trace's layout, so these
-# pins survive a change of it.
+# config file -> sha256 of `projection_jsonl` of its `mbbc run` trace rendered
+# by `expanded_projection_jsonl`; demo kind -> the same for its two traces.
+# What the permanently correct processes observe, one send per (sender,
+# message), whatever the trace's layout or the projection's grouping, so
+# these pins survive a change of either.
 PROJECTION_PINS = {
     "alternating_below_bound_n5.json": "ee2dad521d8679c8c84001d1eb63e4ba44b3665372f0356865dd0cf2d5788772",
     "bfa_double_cure.json": "ac51ba2b22aa161b6297ec5127a17df16b37fbfb9010a982f78b35d0b9cacc80",
@@ -140,6 +145,29 @@ PROJECTION_PINS = {
     "WIPE_FLIP": (
         "86b00e6443962abdda8a9044ca7a275d956eef66935899d708c08e4a11e9958b",
         "86b00e6443962abdda8a9044ca7a275d956eef66935899d708c08e4a11e9958b"),
+}
+
+# config file or demo kind -> sha256 of `projection_jsonl` of its traces, as
+# `PROJECTION_PINS`, but of the grouped bytes themselves
+GROUPED_PROJECTION_PINS = {
+    "alternating_below_bound_n5.json": "f025e8e2f4de57a325d4ce4aea6b40f62d48d8b92c670adb2ae872078e541d56",
+    "bfa_double_cure.json": "84c89c8c6ced6f09b3c2a8964851be69ead1e57a05289fa2d6f02195cde40969",
+    "correct_source.json": "2275aae6e48a80d2d83c93e9c38fd39a097afb7a71949d4a2166690b635fa4e7",
+    "faulty_source_all_deliver.json": "dcc85d8d8c89691117e919ffe77d954d75ab227e6d414beae14980ddfd1a6fb7",
+    "faulty_source_none_deliver.json": "81e007cabccb904aa0f86f221948a8479a0efbe2c806622e3230998fcc4425c0",
+    "nfa_alternating_n7.json": "57b550ec87352ccdb64ec6a98310319b856313d69bf7720dd3b01e6d774dc5e6",
+    "SOURCE_FLIP": (
+        "d5cba37add316c7f0d92fc96cd29ad4aec7726e4c0f1d22743a3e7d075cb689e",
+        "d5cba37add316c7f0d92fc96cd29ad4aec7726e4c0f1d22743a3e7d075cb689e"),
+    "THEOREM_3": (
+        "d5cba37add316c7f0d92fc96cd29ad4aec7726e4c0f1d22743a3e7d075cb689e",
+        "d5cba37add316c7f0d92fc96cd29ad4aec7726e4c0f1d22743a3e7d075cb689e"),
+    "THEOREM_4": (
+        "1f9e0d870d3b8907f4a13691dc34b263b9b51dcff3eca861b1c9320eedfa9163",
+        "1f9e0d870d3b8907f4a13691dc34b263b9b51dcff3eca861b1c9320eedfa9163"),
+    "WIPE_FLIP": (
+        "1f9e0d870d3b8907f4a13691dc34b263b9b51dcff3eca861b1c9320eedfa9163",
+        "1f9e0d870d3b8907f4a13691dc34b263b9b51dcff3eca861b1c9320eedfa9163"),
 }
 
 # variant -> sha256 of the `mbbc sweep --n-range 4:12` CSV
@@ -228,9 +256,42 @@ def per_envelope_jsonl(trace: Trace) -> str:
     return "\n".join(out) + "\n"
 
 
-def projection_digest(data: bytes) -> str:
+def expanded_projection_jsonl(text: str) -> str:
+    """A projection's JSONL with each grouped send expanded into one P2P_SEND
+    per sender of its ``from``, with that sender as subject and the detail
+    without ``from``. A round's sends, ordered by sender and then message
+    order (``ProtocolMessage.sort_key``) as ``round_sends`` orders a trace's,
+    stand at its first send; every other line is kept as it is."""
+    def line(round_, subject, detail) -> str:
+        return json.dumps({"round": round_, "phase": PHASE_SEND, "kind": KIND_P2P_SEND,
+                           "subject": subject, "detail": detail}, sort_keys=True, separators=(",", ":"))
+
+    lines = text.splitlines()
+    events = [json.loads(text_line) for text_line in lines]
+    sends = round_sends(TraceEvent.from_dict(ev) for ev in events)
+    out = []
+    for text_line, ev in zip(lines, events):
+        if ev["kind"] != KIND_P2P_SEND:
+            out.append(text_line)
+            continue
+        outbox = sends.pop(ev["round"], [])
+        outbox.sort(key=lambda send: (send[0], ProtocolMessage.from_dict(send[1]).sort_key()))
+        out += [line(ev["round"], sender, {"message": message, "to": to})
+                for sender, message, to in outbox]
+    return "\n".join(out)
+
+
+def projection_texts(data: bytes) -> str:
     trace = Trace.from_jsonl(data.decode("utf-8"))
-    return _sha256(projection_jsonl(trace, trace.scenario().resolved_schedule()).encode("utf-8"))
+    return projection_jsonl(trace, trace.scenario().resolved_schedule())
+
+
+def projection_digest(data: bytes) -> str:
+    return _sha256(expanded_projection_jsonl(projection_texts(data)).encode("utf-8"))
+
+
+def grouped_projection_digest(data: bytes) -> str:
+    return _sha256(projection_texts(data).encode("utf-8"))
 
 
 def witness_digest(trace: Trace, reports) -> str:
@@ -312,6 +373,7 @@ def test_pins_cover_every_config_demo_and_variant():
     assert set(PER_ENVELOPE_TRACE_PINS) == set(TRACE_PINS)
     assert set(PER_ENVELOPE_DEMO_PINS) == set(DEMO_PINS)
     assert set(PROJECTION_PINS) == set(TRACE_PINS) | set(DEMO_PINS)
+    assert set(GROUPED_PROJECTION_PINS) == set(PROJECTION_PINS)
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_PINS))
@@ -336,14 +398,21 @@ def test_demo_traces_expand_to_their_per_envelope_pins(kind, tmp_path):
     assert digests == PER_ENVELOPE_DEMO_PINS[kind]
 
 
-@pytest.mark.parametrize("name", sorted(PROJECTION_PINS))
-def test_projection_pinned(name, tmp_path):
+def projection_pin(name: str, digest: Callable[[bytes], str], tmp_path: Path):
     if name in TRACE_PINS:
         data, _trace, _reports = config_evidence(name, tmp_path)
-        assert projection_digest(data) == PROJECTION_PINS[name]
-    else:
-        digests = tuple(projection_digest(data) for data in demo_traces(name, tmp_path))
-        assert digests == PROJECTION_PINS[name]
+        return digest(data)
+    return tuple(digest(data) for data in demo_traces(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_PINS))
+def test_projection_pinned(name, tmp_path):
+    assert projection_pin(name, projection_digest, tmp_path) == PROJECTION_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_PROJECTION_PINS))
+def test_grouped_projection_pinned(name, tmp_path):
+    assert projection_pin(name, grouped_projection_digest, tmp_path) == GROUPED_PROJECTION_PINS[name]
 
 
 @pytest.mark.parametrize("variant", sorted(SWEEP_PINS))
