@@ -41,7 +41,6 @@ from .engine import (
     KIND_CURED,
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
-    PHASE_SEND,
     TO_ALL,
     Trace,
     TraceEvent,
@@ -541,7 +540,7 @@ def _kept_sends(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, lis
         for key in sorted(groups):
             message, kept, senders = groups[key]
             senders.sort()
-            sends.append(TraceEvent(r, PHASE_SEND, KIND_P2P_SEND, senders[0],
+            sends.append(TraceEvent(r, KIND_P2P_SEND, senders[0],
                                     {"from": senders, "message": message, "to": kept}))
     return out
 
@@ -562,7 +561,7 @@ def _kept_calls(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, lis
                     hit = stripped[id(ev.detail)] = (
                         ev.detail, {k: v for k, v in ev.detail.items() if k != "by"})
                 by_round.setdefault(ev.round, []).extend(
-                    TraceEvent(ev.round, ev.phase, ev.kind, p, hit[1]) for p in kept)
+                    TraceEvent(ev.round, ev.kind, p, hit[1]) for p in kept)
     for calls in by_round.values():
         calls.sort(key=lambda ev: (ev.subject, ev.kind != KIND_BROADCAST_CALL))
     return by_round

@@ -157,8 +157,16 @@ def cmd_sweep(args) -> int:
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     if not strategies:
         raise ValueError(f"--strategies {args.strategies!r} names no strategy")
+    unknown = [s for s in strategies if s not in BUNDLED_STRATEGIES]
+    if unknown:
+        raise ValueError(f"--strategies {args.strategies!r} names unknown strategy {unknown[0]!r}, "
+                         f"not one of {', '.join(BUNDLED_STRATEGIES)}")
     rows = run_sweep(VariantTag(args.variant), n_values, f_values, delta_s=args.delta_s,
                      strategies=strategies, seed=args.seed)
+    if not rows:
+        raise ValueError(f"--n-range {args.n_range!r}, --f-range {args.f_range!r} and --strategies "
+                         f"{args.strategies!r} leave no cell to run: a cell needs f < n, "
+                         f"and alternating n >= 2f+1")
     args.out.write_text(rows_to_csv(rows))
     violated = sum(1 for r in rows if r["verdict"] == VIOLATED)
     print(f"cells={len(rows)} violated={violated} csv={args.out}")

@@ -27,7 +27,12 @@ Each round runs five sub-phases in a fixed order:
    outcome through ``protocol.adopt_compute``. No two states share a
    container. The round's deliveries are gathered per (source, payload).
 
-Every externally visible action is appended to a totally ordered trace.
+Every externally visible action is appended to a totally ordered trace as
+an event ``(round, kind, subject, detail)``. Each kind is written in one
+phase, so an event's phase is its kind's: AGENT_MOVE in ADVERSARY, CURED in
+ORACLE, P2P_SEND in SEND, and BROADCAST_CALL, DELIVER_CALL and
+STATE_CORRUPTED in COMPUTE; RECEIVE writes nothing.
+
 A correct fan-out is one P2P_SEND event per distinct message per round,
 ``{"from": [senders], "message": …, "to": "ALL"}`` with the senders strictly
 increasing and the subject ``from[0]``; a dictated send is one event per
@@ -79,13 +84,6 @@ from .scenario import ScenarioConfig
 
 logger = logging.getLogger("mbbc.engine")
 
-# Phase labels in execution order.
-PHASE_ADVERSARY = "ADVERSARY"
-PHASE_ORACLE = "ORACLE"
-PHASE_SEND = "SEND"
-PHASE_RECEIVE = "RECEIVE"
-PHASE_COMPUTE = "COMPUTE"
-
 KIND_AGENT_MOVE = "AGENT_MOVE"
 KIND_CURED = "CURED"
 KIND_P2P_SEND = "P2P_SEND"
@@ -93,20 +91,14 @@ KIND_BROADCAST_CALL = "BROADCAST_CALL"
 KIND_DELIVER_CALL = "DELIVER_CALL"
 KIND_STATE_CORRUPTED = "STATE_CORRUPTED"
 
-# The phase each traced kind belongs to.
-KIND_PHASES = {
-    KIND_AGENT_MOVE: PHASE_ADVERSARY,
-    KIND_CURED: PHASE_ORACLE,
-    KIND_P2P_SEND: PHASE_SEND,
-    KIND_BROADCAST_CALL: PHASE_COMPUTE,
-    KIND_DELIVER_CALL: PHASE_COMPUTE,
-    KIND_STATE_CORRUPTED: PHASE_COMPUTE,
-}
+# The traced kinds, in the order of the phases that write them.
+KINDS = (KIND_AGENT_MOVE, KIND_CURED, KIND_P2P_SEND,
+         KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRUPTED)
 
 # The header's ``format``: one P2P_SEND per fan-out message, listing its
 # senders, or per dictated (sender, message); no receipts; one DELIVER_CALL
 # per (round, source, payload), listing its processes.
-TRACE_FORMAT = "mbbc-trace/4"
+TRACE_FORMAT = "mbbc-trace/5"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
 
@@ -121,25 +113,23 @@ class TraceEvent(NamedTuple):
     distinct detail text."""
 
     round: int
-    phase: str
     kind: str
     subject: int
     detail: dict
 
     def to_dict(self) -> dict:
-        return {"round": self.round, "phase": self.phase, "kind": self.kind,
-                "subject": self.subject, "detail": self.detail}
+        return {"round": self.round, "kind": self.kind, "subject": self.subject,
+                "detail": self.detail}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
-        return cls(data["round"], data["phase"], data["kind"], data["subject"], data["detail"])
+        return cls(data["round"], data["kind"], data["subject"], data["detail"])
 
 
 # An event line is ``encode_line(ev.to_dict())``: the keys sorted, so the
-# detail first, then kind, phase, round and subject. Each known (kind, phase)
-# maps to the text between the detail and the round's digits.
-_LINE_MIDDLES = {(kind, phase): f',"kind":"{kind}","phase":"{phase}","round":'
-                 for kind, phase in KIND_PHASES.items()}
+# detail first, then kind, round and subject. Each known kind maps to the
+# text between the detail and the round's digits.
+_LINE_MIDDLES = {kind: f',"kind":"{kind}","round":' for kind in KINDS}
 
 
 def event_lines(events: Iterable[TraceEvent]) -> list[str]:
@@ -151,7 +141,7 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
     memo holds every object it has encoded, so no id is reused while it
     lives. A detail must therefore stay unchanged while its lines are
     written, which ``TraceEvent``'s contract (a read-only detail) gives. An
-    event whose kind, phase, round or subject the template does not cover is
+    event whose kind, round or subject the template does not cover is
     encoded whole.
     """
     encoded: dict[int, tuple[object, str]] = {}
@@ -164,9 +154,8 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
 
     lines = []
     for ev in events:
-        rnd, phase, kind, subject, detail = ev
-        middle = (_LINE_MIDDLES.get((kind, phase))
-                  if type(kind) is str and type(phase) is str else None)
+        rnd, kind, subject, detail = ev
+        middle = _LINE_MIDDLES.get(kind) if type(kind) is str else None
         if middle is None or type(rnd) is not int or type(subject) is not int:
             lines.append(encode_line(ev.to_dict()))
             continue
@@ -203,12 +192,14 @@ class Trace:
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse and validate a trace; a bad line raises a ValueError naming it.
 
-        The header must carry this ``format`` and a config with int ``n`` and
-        ``horizon``. Each event needs a known kind in its phase, a round in
-        [1, horizon], a subject in [0, n) and a dict detail. A P2P_SEND's
-        ``to`` is either "ALL", beside a ``from`` of strictly increasing
-        senders in [0, n) whose first is the subject, or a list of receivers
-        in [0, n) with no ``from``. A DELIVER_CALL's ``source`` is an int and
+        The header holds exactly ``config``, ``fingerprint``, ``format`` and
+        ``seed``: this ``format`` and a config with int ``n`` and ``horizon``.
+        An event holds exactly ``detail``, ``kind``, ``round`` and
+        ``subject``: a known kind, a round in [1, horizon], a subject in
+        [0, n) and a dict detail; any other key is named. A P2P_SEND's ``to``
+        is either "ALL", beside a ``from`` of strictly increasing senders in
+        [0, n) whose first is the subject, or a list of receivers in [0, n)
+        with no ``from``. A DELIVER_CALL's ``source`` is an int and
         its ``by`` a list of strictly increasing processes in [0, n) whose
         first is the subject, and the payload of a DELIVER_CALL or a
         BROADCAST_CALL decodes. A line in the writer's own layout has its
@@ -256,7 +247,19 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+def _only_keys(data: dict, keys: frozenset[str]) -> None:
+    """Reject a line with a key outside ``keys``; a missing one is a KeyError later."""
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {shown(key)}")
+
+
+_HEADER_KEYS = frozenset({"config", "fingerprint", "format", "seed"})
+_EVENT_KEYS = frozenset({"detail", "kind", "round", "subject"})
+
+
 def _header_fields(header: dict) -> tuple[str, int, dict]:
+    _only_keys(header, _HEADER_KEYS)
     fingerprint, seed, config = header["fingerprint"], header["seed"], header["config"]
     if header["format"] != TRACE_FORMAT:
         raise ValueError(f"format {shown(header['format'])} is not {TRACE_FORMAT!r}")
@@ -269,12 +272,10 @@ def _header_fields(header: dict) -> tuple[str, int, dict]:
 
 
 def _event(data: dict, n: int, horizon: int) -> TraceEvent:
+    _only_keys(data, _EVENT_KEYS)
     event = TraceEvent.from_dict(data)
-    phase = KIND_PHASES.get(event.kind) if isinstance(event.kind, str) else None
-    if phase is None:
+    if event.kind not in KINDS:
         raise ValueError(f"unknown kind {shown(event.kind)}")
-    if event.phase != phase:
-        raise ValueError(f"{event.kind} in phase {shown(event.phase)}, not {phase}")
     if not _is_int(event.round) or not 1 <= event.round <= horizon:
         raise ValueError(f"round {shown(event.round)} outside 1..{horizon}")
     if not _is_int(event.subject) or not 0 <= event.subject < n:
@@ -328,10 +329,10 @@ def _first_process(key: str, processes, n: int) -> int:
 # short enough that ``int`` and ``json.loads`` read them alike.
 _DETAIL_KEY = '{"detail":'
 _KIND_KEY = ',"kind":"'
-_LAYOUT_SUFFIX = re.compile(r'([A-Z0-9_]+)","phase":"([A-Z]+)",'
-                            r'"round":(0|[1-9][0-9]{0,8}),"subject":(0|[1-9][0-9]{0,8})\}')
-# Each known (kind, phase) to its interned (phase, kind).
-_LAYOUT_KINDS = {(kind, phase): (phase, kind) for kind, phase in KIND_PHASES.items()}
+_LAYOUT_SUFFIX = re.compile(r'([A-Z0-9_]+)","round":(0|[1-9][0-9]{0,8}),'
+                            r'"subject":(0|[1-9][0-9]{0,8})\}')
+# Each known kind to its interned self, so that events share its one string.
+_LAYOUT_KINDS = {kind: kind for kind in KINDS}
 
 
 def _layout_reader(n: int, horizon: int) -> Callable[[str], TraceEvent | None]:
@@ -360,7 +361,7 @@ def _layout_reader(n: int, horizon: int) -> Callable[[str], TraceEvent | None]:
             fields = suffixes[suffix] = _layout_suffix(suffix, n, horizon)
         if fields is None:
             return None
-        rnd, phase, kind, subject = fields
+        rnd, kind, subject = fields
         key = (head, kind)
         try:
             detail, sender = details[key]
@@ -368,22 +369,21 @@ def _layout_reader(n: int, horizon: int) -> Callable[[str], TraceEvent | None]:
             detail, sender = details[key] = _layout_detail(head[len(_DETAIL_KEY):], kind, n)
         if detail is None or (sender is not None and sender != subject):
             return None
-        return TraceEvent(rnd, phase, kind, subject, detail)
+        return TraceEvent(rnd, kind, subject, detail)
 
     return read
 
 
-def _layout_suffix(suffix: str, n: int, horizon: int) -> tuple[int, str, str, int] | None:
+def _layout_suffix(suffix: str, n: int, horizon: int) -> tuple[int, str, int] | None:
     match = _LAYOUT_SUFFIX.fullmatch(suffix)
     if match is None:
         return None
-    kind, phase, rnd, subject = match.groups()
-    labels = _LAYOUT_KINDS.get((kind, phase))
+    kind, rnd, subject = match.groups()
+    kind = _LAYOUT_KINDS.get(kind)
     rnd, subject = int(rnd), int(subject)
-    if labels is None or not 1 <= rnd <= horizon or subject >= n:
+    if kind is None or not 1 <= rnd <= horizon or subject >= n:
         return None
-    phase, kind = labels
-    return rnd, phase, kind, subject
+    return rnd, kind, subject
 
 
 def _layout_detail(text: str, kind: str, n: int) -> tuple[dict | None, int | None]:
@@ -578,12 +578,12 @@ class Simulation:
             now = schedule.host_of(traj.agent_id, r)
             if prev != now and (prev is not None or now is not None):
                 subject = now if now is not None else prev
-                self._emit(r, PHASE_ADVERSARY, KIND_AGENT_MOVE, subject,
+                self._emit(r, KIND_AGENT_MOVE, subject,
                            {"agent": traj.agent_id, "from": prev, "to": now})
 
         # ORACLE: cure notifications reach freed processes before they send.
         for p, since in deliver_oracle_events(schedule, r, self.config.setting.oracle):
-            self._emit(r, PHASE_ORACLE, KIND_CURED, p, {"faulty_since": since})
+            self._emit(r, KIND_CURED, p, {"faulty_since": since})
             on_cured(self.states[p], since)
 
         # SEND: each correct sender's messages grouped by message, senders in
@@ -599,10 +599,10 @@ class Simulation:
                     fan_outs.setdefault(msg, []).append(p)
         grouped = [(msg, fan_outs[msg]) for msg in sorted(fan_outs, key=ProtocolMessage.sort_key)]
         for msg, senders in grouped:
-            self._emit(r, PHASE_SEND, KIND_P2P_SEND, senders[0],
+            self._emit(r, KIND_P2P_SEND, senders[0],
                        {"from": senders, "message": self._message(msg), "to": TO_ALL})
         for sender, msg, to in dictated:
-            self._emit(r, PHASE_SEND, KIND_P2P_SEND, sender, {"message": self._message(msg), "to": to})
+            self._emit(r, KIND_P2P_SEND, sender, {"message": self._message(msg), "to": to})
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
         # Fan-outs come from correct senders and dictated sends from faulty
@@ -624,11 +624,11 @@ class Simulation:
             if p in faulty:
                 new_state = self.strategy.corrupt_state(p, r, obs)
                 self.states[p] = new_state
-                self._emit(r, PHASE_COMPUTE, KIND_STATE_CORRUPTED, p, self._corrupted_detail(new_state))
+                self._emit(r, KIND_STATE_CORRUPTED, p, self._corrupted_detail(new_state))
                 continue
             payloads = self._broadcast_index.get((p, r), [])
             for payload in payloads:
-                self._emit(r, PHASE_COMPUTE, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
+                self._emit(r, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
             if payloads or tallies[p] is not common:
                 delivered = compute_phase(state, tallies[p], p, self.variant, n, broadcasts=payloads)
             else:
@@ -646,7 +646,7 @@ class Simulation:
                 delivered_by.setdefault(instance, []).append(p)
         for source, payload in _delivery_order(list(delivered_by), orders.values()):
             by = delivered_by[source, payload]
-            self._emit(r, PHASE_COMPUTE, KIND_DELIVER_CALL, by[0], self._deliver_detail(source, payload, by))
+            self._emit(r, KIND_DELIVER_CALL, by[0], self._deliver_detail(source, payload, by))
 
     def _message(self, msg: ProtocolMessage) -> dict:
         """``msg.to_dict()``, built once per distinct message and shared read-only."""
@@ -675,8 +675,8 @@ class Simulation:
             out = self._deliver_details[key] = {"by": by, "source": source, **encode_payload(payload)}
         return out
 
-    def _emit(self, r: int, phase: str, kind: str, subject: int, detail: dict) -> None:
-        self.trace.events.append(TraceEvent(r, phase, kind, subject, detail))
+    def _emit(self, r: int, kind: str, subject: int, detail: dict) -> None:
+        self.trace.events.append(TraceEvent(r, kind, subject, detail))
 
 
 def run(config: ScenarioConfig) -> Trace:

@@ -122,7 +122,8 @@ def on_cured(state: ProtocolState, faulty_since: int | None = None) -> None:
 
 
 def send_phase(state: ProtocolState) -> list[ProtocolMessage]:
-    """Return the messages to send to every process this round.
+    """Return the messages to send to every process this round, in no
+    particular order: the engine orders a round's sends.
 
     A cured process discards its whole queue instead: anything in it may have
     been planted by the departed agent.
@@ -130,7 +131,7 @@ def send_phase(state: ProtocolState) -> list[ProtocolMessage]:
     if state.cured:
         state.to_send.clear()
         return []
-    return sorted(state.to_send, key=ProtocolMessage.sort_key)
+    return list(state.to_send)
 
 
 def receive(common: Tallies, receipts: Sequence[tuple[int, ProtocolMessage]]) -> Tallies:

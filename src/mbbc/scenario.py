@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .messages import decode_payload, encode_payload
 from .model import (
@@ -257,22 +258,7 @@ def _alternating_trajectories(config: ScenarioConfig, params: dict) -> tuple[Age
         raise InvalidScenario([f"alternating generator needs |p1| = |p2| = f = {config.f}"])
     if set(p1) & set(p2):
         raise InvalidScenario(["alternating generator needs disjoint p1 and p2"])
-    period = config.delta_s
-    out = []
-    for i in range(config.f):
-        segments = []
-        first = start
-        on_p1 = True
-        while first <= config.horizon:
-            last = min(first + period - 1, config.horizon)
-            host = p1[i] if on_p1 else p2[i]
-            # Tail stay cut by the horizon: emit as open so residency holds.
-            segments.append(Segment(host=host, first_round=first,
-                                    last_round=None if last == config.horizon else last))
-            first = last + 1
-            on_p1 = not on_p1
-        out.append(AgentTrajectory(agent_id=i, segments=tuple(segments)))
-    return tuple(out)
+    return tuple(_stays(config, i, start, lambda k: (p1, p2)[k % 2][i]) for i in range(config.f))
 
 
 def _roundrobin_trajectories(config: ScenarioConfig, params: dict) -> tuple[AgentTrajectory, ...]:
@@ -282,20 +268,23 @@ def _roundrobin_trajectories(config: ScenarioConfig, params: dict) -> tuple[Agen
     ring = [p for p in range(config.n) if p not in skip]
     if not ring:
         raise InvalidScenario(["roundrobin generator has no hosts left after skip"])
-    out = []
-    for i in range(config.f):
-        segments = []
-        first = 1
-        step = 0
-        while first <= config.horizon:
-            host = ring[(offset + i + step) % len(ring)]
-            last = min(first + config.delta_s - 1, config.horizon)
-            segments.append(Segment(host=host, first_round=first,
-                                    last_round=None if last == config.horizon else last))
-            first = last + 1
-            step += 1
-        out.append(AgentTrajectory(agent_id=i, segments=tuple(segments)))
-    return tuple(out)
+    return tuple(_stays(config, i, 1, lambda k: ring[(offset + i + k) % len(ring)])
+                 for i in range(config.f))
+
+
+def _stays(config: ScenarioConfig, agent_id: int, start: int,
+           host: Callable[[int], int]) -> AgentTrajectory:
+    """Agent ``agent_id`` in stays of delta_s rounds from ``start`` to the
+    horizon, the k-th stay (from 0) on ``host(k)``. The stay the horizon cuts
+    is left open, so residency holds."""
+    segments = []
+    first = start
+    while first <= config.horizon:
+        last = min(first + config.delta_s - 1, config.horizon)
+        segments.append(Segment(host=host(len(segments)), first_round=first,
+                                last_round=None if last == config.horizon else last))
+        first = last + 1
+    return AgentTrajectory(agent_id=agent_id, segments=tuple(segments))
 
 
 _GENERATORS = {"static": _static_trajectories, "alternating": _alternating_trajectories,

@@ -13,6 +13,17 @@ from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import attack_scenario
 
+# The phase of a round that writes each traced kind, as the engine runs them.
+# A trace line holds no phase; renders of the older layouts put it back.
+KIND_PHASE = {
+    "AGENT_MOVE": "ADVERSARY",
+    "CURED": "ORACLE",
+    "P2P_SEND": "SEND",
+    "BROADCAST_CALL": "COMPUTE",
+    "DELIVER_CALL": "COMPUTE",
+    "STATE_CORRUPTED": "COMPUTE",
+}
+
 
 def golden_correct_source(delta_s: int = 1, seed: int = 7) -> ScenarioConfig:
     """Correct source (index 0) broadcasts at round 1; one agent walks

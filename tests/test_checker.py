@@ -69,7 +69,7 @@ def check_one(prop: str, trace: Trace, cfg: ScenarioConfig,
 
 
 def deliver_event(process, round_, source, payload) -> TraceEvent:
-    return TraceEvent(round=round_, phase="COMPUTE", kind=KIND_DELIVER_CALL,
+    return TraceEvent(round=round_, kind=KIND_DELIVER_CALL,
                       subject=process, detail={"by": [process], "source": source, "payload": payload})
 
 
@@ -86,7 +86,7 @@ def drop_delivery(trace: Trace, process: int, round_: int) -> None:
 
 
 def broadcast_event(source, round_, payload) -> TraceEvent:
-    return TraceEvent(round=round_, phase="COMPUTE", kind=KIND_BROADCAST_CALL,
+    return TraceEvent(round=round_, kind=KIND_BROADCAST_CALL,
                       subject=source, detail={"payload": payload})
 
 

@@ -151,6 +151,9 @@ def test_sweep_skips_alternating_cells_below_2f_plus_1(tmp_path, caplog):
     (["--n-range", "-1"], "--n-range '-1' holds -1, below 1"),
     (["--n-range", "4", "--f-range", "0..-1"], "--f-range '0..-1' is empty"),
     (["--n-range", "4", "--strategies", ","], "--strategies ',' names no strategy"),
+    (["--n-range", "1", "--f-range", "1"], "leave no cell to run"),
+    (["--n-range", "1", "--f-range", "1", "--strategies", "nope"], "names unknown strategy 'nope'"),
+    (["--n-range", "4", "--f-range", "2", "--strategies", "alternating"], "leave no cell to run"),
 ])
 def test_sweep_with_no_cells_to_run_exits_2(tmp_path, capsys, flags, named):
     """A sweep range or strategy list that leaves nothing to run is invalid
@@ -298,8 +301,11 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
     assert "Traceback" not in err
 
 
-GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/4","seed":0}'
-GOOD_EVENT = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
+GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/5","seed":0}'
+GOOD_EVENT = '{"detail":{},"kind":"CURED","round":1,"subject":0}'
+# An event line of the older layout, and one with a key of no layout.
+LEFTOVER_PHASE = GOOD_EVENT.replace(',"round"', ',"phase":"SEND","round"')
+EXTRA_KEY = GOOD_EVENT.replace(',"kind"', ',"extra":5,"kind"')
 # Nested past any recursion limit of the JSON parser.
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -308,13 +314,12 @@ def fan_out(senders: str | None, subject: int, to: str = '"ALL"') -> str:
     """A P2P_SEND line in round 2 with ``from`` set to ``senders`` (omitted if None)."""
     from_ = "" if senders is None else f'"from":{senders},'
     return (f'{{"detail":{{{from_}"message":{{"kind":"ROUND","round_value":2}},"to":{to}}},'
-            f'"kind":"P2P_SEND","phase":"SEND","round":2,"subject":{subject}}}')
+            f'"kind":"P2P_SEND","round":2,"subject":{subject}}}')
 
 
 def compute_event(kind: str, detail: str, subject: int = 1) -> str:
-    """A trace of GOOD_HEADER and one COMPUTE-phase event in round 2."""
-    return GOOD_HEADER + (f'\n{{"detail":{detail},"kind":"{kind}","phase":"COMPUTE","round":2,'
-                          f'"subject":{subject}}}\n')
+    """A trace of GOOD_HEADER and one event of ``kind`` in round 2."""
+    return GOOD_HEADER + f'\n{{"detail":{detail},"kind":"{kind}","round":2,"subject":{subject}}}\n'
 
 
 def deliver_call(by: str | None, subject: int = 1) -> str:
@@ -326,26 +331,28 @@ def deliver_call(by: str | None, subject: int = 1) -> str:
 @pytest.mark.parametrize("text, line", [
     (GOOD_HEADER + "\n[1]\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT + "\n\n7\n", 4),
-    (GOOD_HEADER + '\n{"phase":"ORACLE","subject":0,"detail":{}}\n', 2),
-    (GOOD_HEADER + '\n{"round":1,"phase":"ORACLE","subject":0,"detail":{}}\n', 2),
+    (GOOD_HEADER + '\n{"subject":0,"detail":{}}\n', 2),
+    (GOOD_HEADER + '\n{"round":1,"subject":0,"detail":{}}\n', 2),
     (GOOD_HEADER + "\n{not json\n", 2),
     ('{"fingerprint":"x","seed":0}\n' + GOOD_EVENT + "\n", 1),
     ('{"config":{},"fingerprint":"x"}\n', 1),
     ("[1]\n", 1),
-    (GOOD_HEADER.replace(',"format":"mbbc-trace/4"', "") + "\n" + GOOD_EVENT + "\n", 1),
-    (GOOD_HEADER.replace("mbbc-trace/4", "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
-    pytest.param(GOOD_HEADER.replace("mbbc-trace/4", "mbbc-trace/2") + "\n", 1, id="header-only-trace-2"),
+    (GOOD_HEADER.replace(',"format":"mbbc-trace/5"', "") + "\n" + GOOD_EVENT + "\n", 1),
+    (GOOD_HEADER.replace("mbbc-trace/5", "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
+    pytest.param(GOOD_HEADER.replace("mbbc-trace/5", "mbbc-trace/2") + "\n", 1, id="header-only-trace-2"),
     (GOOD_HEADER.replace('"n":6', '"n":"6"') + "\n", 1),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":99') + "\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":"1"') + "\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"subject":0', '"subject":6') + "\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"CURED"', '"P2P_DELIVER"') + "\n", 2),
-    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"ORACLE"', '"SEND"') + "\n", 2),
+    pytest.param(GOOD_HEADER + "\n" + LEFTOVER_PHASE + "\n", 2, id="leftover-phase"),
+    pytest.param(GOOD_HEADER + "\n" + EXTRA_KEY + "\n", 2, id="extra-key"),
+    pytest.param(GOOD_HEADER.replace('"seed"', '"extra":5,"seed"') + "\n", 1, id="header-extra-key"),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('{}', '[]') + "\n", 2),
     (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":[1,6]},'
-     '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
+     '"kind":"P2P_SEND","round":2,"subject":0}\n', 2),
     (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"SOME"},'
-     '"kind":"P2P_SEND","phase":"SEND","round":2,"subject":0}\n', 2),
+     '"kind":"P2P_SEND","round":2,"subject":0}\n', 2),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + "\n" + fan_out("[]", 0) + "\n", 3, id="from-empty"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[2,1]", 2) + "\n", 2, id="from-unsorted"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[1,1]", 1) + "\n", 2, id="from-duplicate"),
@@ -394,12 +401,28 @@ def test_a_well_formed_deliver_call_is_read():
 
 
 @pytest.mark.parametrize("command", ["check", "replay"])
-@pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3"])
+@pytest.mark.parametrize("line, key", [(LEFTOVER_PHASE, "phase"), (EXTRA_KEY, "extra")])
+def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_path, capsys,
+                                                     command, line, key):
+    """An event holds exactly detail, kind, round and subject: a key beside
+    them is not dropped, so `replay` cannot call such a file identical."""
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    header, *events = trace.read_text().splitlines()
+    trace.write_text("\n".join([header, line, *events]) + "\n")
+    capsys.readouterr()
+    assert cli.main([command, "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert f"trace line 2: bad event line: unknown key '{key}'" in err, err
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+@pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""
     trace = tmp_path / "old.jsonl"
-    trace.write_text(GOOD_HEADER.replace("mbbc-trace/4", old) + "\n")
+    trace.write_text(GOOD_HEADER.replace("mbbc-trace/5", old) + "\n")
     assert old in trace.read_text()
     assert cli.main([command, "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
@@ -499,7 +522,7 @@ def test_header_only_trace_with_a_huge_horizon_exits_2_at_once(tmp_path, capsys,
     not be able to ask for millions of rounds."""
     config = {**golden_correct_source().to_dict(), "horizon": 2_000_000}
     trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": "mbbc-trace/4",
+    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": "mbbc-trace/5",
                                  "seed": 0}) + "\n")
     start = time.perf_counter()
     assert cli.main([command, "--trace", str(trace)]) == 2

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    KIND_PHASE,
     SHAPES,
     golden_correct_source,
     random_walk_schedule,
@@ -12,8 +13,9 @@ from conftest import (
     split_send_scenario,
     zero_agent_scenario,
 )
-from mbbc import engine
+from mbbc import adversary, engine
 from mbbc.adversary import Strategy
+from mbbc.demos import run_demo
 from mbbc.engine import (
     KIND_AGENT_MOVE,
     KIND_BROADCAST_CALL,
@@ -21,7 +23,6 @@ from mbbc.engine import (
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
     KIND_STATE_CORRUPTED,
-    PHASE_SEND,
     TO_ALL,
     Delivery,
     Simulation,
@@ -38,6 +39,7 @@ from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
 from mbbc.protocol import (
     ProtocolState,
     Tallies,
+    VariantTag,
     compute_phase,
     on_cured,
     on_p2p_deliver,
@@ -46,6 +48,7 @@ from mbbc.protocol import (
     state_fingerprint,
 )
 from mbbc.scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
+from mbbc.sweeps import attack_scenario
 
 
 BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -155,7 +158,7 @@ class TestTraceOrdering:
 
     def test_events_totally_ordered(self):
         trace = run(golden_correct_source())
-        marks = [(e.round, self.PHASE_ORDER[e.phase]) for e in trace.events]
+        marks = [(e.round, self.PHASE_ORDER[KIND_PHASE[e.kind]]) for e in trace.events]
         assert marks == sorted(marks)
 
     @pytest.mark.parametrize("config, has_dictated", [
@@ -193,7 +196,7 @@ class TestTraceOrdering:
         keys = [(r, sender, str(message))
                 for r, sends in round_sends(trace.events).items() for sender, message, _to in sends]
         assert len(keys) == len(set(keys))
-        assert not [e for e in trace.events if e.kind not in engine.KIND_PHASES]
+        assert not [e for e in trace.events if e.kind not in engine.KINDS]
 
 
 def sort_key(message: dict) -> tuple:
@@ -278,9 +281,9 @@ def planted_round_votes() -> ScenarioConfig:
 def send_event(round_, senders, message, to) -> TraceEvent:
     """A fan-out from ``senders`` (a list) when ``to`` is "ALL", else a send dictated to ``to``."""
     if to == TO_ALL:
-        return TraceEvent(round_, PHASE_SEND, KIND_P2P_SEND, senders[0],
+        return TraceEvent(round_, KIND_P2P_SEND, senders[0],
                           {"from": senders, "message": message.to_dict(), "to": to})
-    return TraceEvent(round_, PHASE_SEND, KIND_P2P_SEND, senders,
+    return TraceEvent(round_, KIND_P2P_SEND, senders,
                       {"message": message.to_dict(), "to": to})
 
 
@@ -507,6 +510,43 @@ class TestSharedCompute:
         sched = cfg.resolved_schedule()
         pairs = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
         assert 0 < len(calls) < pairs / 4
+
+
+def send_order_texts(case: str) -> list[str]:
+    """The trace texts of a bundled config, a shape, an alternating sweep
+    cell of a variant, or both traces of a demo."""
+    if case in ("SOURCE_FLIP", "WIPE_FLIP"):
+        result = run_demo(case, {})
+        return [result.trace_first.to_jsonl(), result.trace_second.to_jsonl()]
+    if case in SHAPES:
+        cfg = shape_config(case)
+    elif case in VariantTag.__members__:
+        cfg = attack_scenario(VariantTag[case], 7, 1, 2, "alternating")
+    else:
+        cfg = ScenarioConfig.from_json(next(p for p in BUNDLED if p.stem == case).read_text())
+    return [run(cfg).to_jsonl()]
+
+
+class TestSendOrder:
+    @pytest.mark.parametrize("case", [*(path.stem for path in BUNDLED), *SHAPES,
+                                      *VariantTag.__members__, "SOURCE_FLIP", "WIPE_FLIP"])
+    def test_queue_order_does_not_reach_the_trace(self, case, monkeypatch):
+        """``send_phase`` hands a queue back in no particular order: the
+        engine's sort of a round's fan-outs and ``_dictated``'s sort are the
+        only orders, so reversing every queue, the engine's and a faithful
+        adversary's alike, leaves each trace as it was."""
+        expected = send_order_texts(case)
+        lengths = []
+
+        def reversed_queue(state):
+            queue = send_phase(state)
+            lengths.append(len(queue))
+            return queue[::-1]
+
+        monkeypatch.setattr(engine, "send_phase", reversed_queue)
+        monkeypatch.setattr(adversary, "send_phase", reversed_queue)
+        assert send_order_texts(case) == expected
+        assert max(lengths) > 1
 
 
 def scripted_sends(sends: list) -> ScenarioConfig:

@@ -15,7 +15,9 @@ digest the projection had before it grouped its sends (``PROJECTION_PINS``);
 ``GROUPED_PROJECTION_PINS`` pin the grouped bytes themselves. Each report
 with its witness indices replaced by the cited events (``WITNESS_PINS``)
 stays put while only the indices move; it moves with the cited events, as
-when a DELIVER_CALL came to list its processes.
+when a DELIVER_CALL came to list its processes. These three renders put
+back the phase each line held before ``mbbc-trace/5``, read from its kind
+(``conftest.KIND_PHASE``).
 
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
@@ -31,7 +33,7 @@ from typing import Callable
 import pytest
 
 from mbbc import cli
-from conftest import SHAPES, shape_config
+from conftest import KIND_PHASE, SHAPES, shape_config
 from mbbc.checker import (
     ALL_PROPERTIES,
     MBBC_PROPERTIES,
@@ -42,9 +44,6 @@ from mbbc.checker import (
 from mbbc.engine import (
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
-    PHASE_ADVERSARY,
-    PHASE_ORACLE,
-    PHASE_SEND,
     TO_ALL,
     Trace,
     TraceEvent,
@@ -59,39 +58,39 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "82d68f722784c3bd55f67d1e9a4b0563c3dd39cd1c54184bfd5a9e058791e58b",
+        "e0e0ed12964eb372e6a6a9cd83fede87307877b420c2f7f508f88f75afcd7780",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "a7b3b0981886dcf3ae1535f72d0b80646592a51445893a23adbadb25905a28d1",
+        "0095b445a373c3b7ec191819efcc16c0a211c89372424461229d8343ec35f815",
         "65479141fa7a26e589ea189a807188a5761f05270379c8956f3e41cc4ed19402"),
     "correct_source.json": (
-        "51b2aee288510d49690b38d9eb8c363f554ff16700e854582a207c0d5029858c",
+        "43c2dd0076da2bb3d6db9b6657cbb9812d8f343daacc0dacd5b87e2a5208260a",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "5a4178b244a72de26f862b7809464fd476d97086d4aa0b947e4e4767e21dc412",
+        "783cb5a72cd66838d162ce20226ac6a69d7d32adcbc0940a02c34cbf4df27598",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "688c8f01a01264b91724b1aba4749a2f627d29085ac2d38fdd599be5dba4df45",
+        "f0c4aaac5fa7b194d5267f3743863fa16e7744087598f1e4e1012ebbfc80ceda",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "185e8d371819a9fe04377278699f621af11fd0ccae7a88edd0b0ec19358c4e0f",
+        "b6c8e96f7b2ea0883a3ade078798fe581cda6d557873fb6fe48d007bdf013a50",
         "3462476cbaedadeb6b4db0c8a5aec41e22c051a2113d6e7994ff1b628c05cbf2"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "1fd2b5d0fafa5d6793c4d2e4c5d3ef5838a8c7a1613972c49dfeb94ef3c63073",
-        "8c92b525d744e4e0705ff4710bb05df4bbb94f0879ce7a0097ecf9b8a7b657e0"),
+        "ca4fb9b43223dcc837fa4221a7d6b8d92e391d6533f8b500af3477ccae9c3a9d",
+        "cba505af308aafbecbbc3a949528d018d5d8db0caa23af1903d05d6e021ba59d"),
     "THEOREM_3": (
-        "1fd2b5d0fafa5d6793c4d2e4c5d3ef5838a8c7a1613972c49dfeb94ef3c63073",
-        "8c92b525d744e4e0705ff4710bb05df4bbb94f0879ce7a0097ecf9b8a7b657e0"),
+        "ca4fb9b43223dcc837fa4221a7d6b8d92e391d6533f8b500af3477ccae9c3a9d",
+        "cba505af308aafbecbbc3a949528d018d5d8db0caa23af1903d05d6e021ba59d"),
     "THEOREM_4": (
-        "fde81edf3c170fe1a51adc2c71e41f153dcacdbeb7bcc65046f01a96f89ee37e",
-        "4b316bc452e823ff4945603e727059db5c90e183a941d56ac8ebc99f86809260"),
+        "b9326eb4e80c2b2283e0a387cb69af3d7d578dbb7eee4dde277d5e7a77a28b60",
+        "a84ce5794c5e1f1ea2b20d6406fdd45d595c639fa3a6f123fc7f702204c95495"),
     "WIPE_FLIP": (
-        "fde81edf3c170fe1a51adc2c71e41f153dcacdbeb7bcc65046f01a96f89ee37e",
-        "4b316bc452e823ff4945603e727059db5c90e183a941d56ac8ebc99f86809260"),
+        "b9326eb4e80c2b2283e0a387cb69af3d7d578dbb7eee4dde277d5e7a77a28b60",
+        "a84ce5794c5e1f1ea2b20d6406fdd45d595c639fa3a6f123fc7f702204c95495"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -150,24 +149,24 @@ PROJECTION_PINS = {
 # config file or demo kind -> sha256 of `projection_jsonl` of its traces, as
 # `PROJECTION_PINS`, but of the grouped bytes themselves
 GROUPED_PROJECTION_PINS = {
-    "alternating_below_bound_n5.json": "f025e8e2f4de57a325d4ce4aea6b40f62d48d8b92c670adb2ae872078e541d56",
-    "bfa_double_cure.json": "84c89c8c6ced6f09b3c2a8964851be69ead1e57a05289fa2d6f02195cde40969",
-    "correct_source.json": "2275aae6e48a80d2d83c93e9c38fd39a097afb7a71949d4a2166690b635fa4e7",
-    "faulty_source_all_deliver.json": "dcc85d8d8c89691117e919ffe77d954d75ab227e6d414beae14980ddfd1a6fb7",
-    "faulty_source_none_deliver.json": "81e007cabccb904aa0f86f221948a8479a0efbe2c806622e3230998fcc4425c0",
-    "nfa_alternating_n7.json": "57b550ec87352ccdb64ec6a98310319b856313d69bf7720dd3b01e6d774dc5e6",
+    "alternating_below_bound_n5.json": "03d33d6439ea9c13714abc508af4c9ccd323cd9764bc15f29f03bf3556385ce1",
+    "bfa_double_cure.json": "4d3b051a88da963d2bd35424d54c356568bdb0fc4859b9e411f98c07ea2e9fd5",
+    "correct_source.json": "7bf6fca384617aa6dd957b76d57801b50ca77e18c27908fd9fb9e18b6e54d135",
+    "faulty_source_all_deliver.json": "309181f7435eed9b9a078f6b0ae1c03e4ebae1caebfa8a8711b43819ec1e0b5e",
+    "faulty_source_none_deliver.json": "3e9ccb5e1c7e7ec1e9a1c01fc8151eccd9f57050eccee270f73cba35d69468c4",
+    "nfa_alternating_n7.json": "41447e36c321a6bf84f0cfee48149e896c742508145401c83914ccb6aee1eba2",
     "SOURCE_FLIP": (
-        "d5cba37add316c7f0d92fc96cd29ad4aec7726e4c0f1d22743a3e7d075cb689e",
-        "d5cba37add316c7f0d92fc96cd29ad4aec7726e4c0f1d22743a3e7d075cb689e"),
+        "276715fe07d0daaefbe625b693e29c396ec924185e816f0cd8fa2c5c7ff2a8b3",
+        "276715fe07d0daaefbe625b693e29c396ec924185e816f0cd8fa2c5c7ff2a8b3"),
     "THEOREM_3": (
-        "d5cba37add316c7f0d92fc96cd29ad4aec7726e4c0f1d22743a3e7d075cb689e",
-        "d5cba37add316c7f0d92fc96cd29ad4aec7726e4c0f1d22743a3e7d075cb689e"),
+        "276715fe07d0daaefbe625b693e29c396ec924185e816f0cd8fa2c5c7ff2a8b3",
+        "276715fe07d0daaefbe625b693e29c396ec924185e816f0cd8fa2c5c7ff2a8b3"),
     "THEOREM_4": (
-        "1f9e0d870d3b8907f4a13691dc34b263b9b51dcff3eca861b1c9320eedfa9163",
-        "1f9e0d870d3b8907f4a13691dc34b263b9b51dcff3eca861b1c9320eedfa9163"),
+        "c3637b844cbe3ddb63ac0d21b8ff8f4b420c1e855fc33e02d9822a60587eb814",
+        "c3637b844cbe3ddb63ac0d21b8ff8f4b420c1e855fc33e02d9822a60587eb814"),
     "WIPE_FLIP": (
-        "1f9e0d870d3b8907f4a13691dc34b263b9b51dcff3eca861b1c9320eedfa9163",
-        "1f9e0d870d3b8907f4a13691dc34b263b9b51dcff3eca861b1c9320eedfa9163"),
+        "c3637b844cbe3ddb63ac0d21b8ff8f4b420c1e855fc33e02d9822a60587eb814",
+        "c3637b844cbe3ddb63ac0d21b8ff8f4b420c1e855fc33e02d9822a60587eb814"),
 }
 
 # variant -> sha256 of the `mbbc sweep --n-range 4:12` CSV
@@ -211,6 +210,20 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def encode(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def phased(event: dict) -> dict:
+    """An event's dict with its phase, which trace lines held before
+    ``mbbc-trace/5``, put back from its kind."""
+    return {**event, "phase": KIND_PHASE[event["kind"]]}
+
+
+def phased_line(event: dict) -> str:
+    return encode(phased(event))
+
+
 def per_envelope_jsonl(trace: Trace) -> str:
     """The trace in the per-envelope layout: a header without ``format``, and in
     each round one P2P_SEND per (sender, receiver, message) ordered by
@@ -218,9 +231,8 @@ def per_envelope_jsonl(trace: Trace) -> str:
     engine's RECEIVE order, between the ORACLE and the COMPUTE events. Each
     DELIVER_CALL is one event per process of its ``by``, without ``by``, and
     a round's COMPUTE events are stably ordered by subject."""
-    def line(round_, phase, kind, subject, detail) -> str:
-        return json.dumps({"round": round_, "phase": phase, "kind": kind, "subject": subject,
-                           "detail": detail}, sort_keys=True, separators=(",", ":"))
+    def line(round_, kind, subject, detail) -> str:
+        return phased_line({"round": round_, "kind": kind, "subject": subject, "detail": detail})
 
     n = trace.config["n"]
     rounds: dict[int, tuple[list, list, list]] = {}
@@ -228,25 +240,26 @@ def per_envelope_jsonl(trace: Trace) -> str:
         before, _sends, after = rounds.setdefault(ev.round, ([], [], []))
         if ev.kind == KIND_DELIVER_CALL:
             detail = {k: v for k, v in ev.detail.items() if k != "by"}
-            after.extend((p, line(ev.round, ev.phase, ev.kind, p, detail)) for p in ev.detail["by"])
+            after.extend((p, line(ev.round, ev.kind, p, detail)) for p in ev.detail["by"])
         elif ev.kind != KIND_P2P_SEND:
-            text = line(ev.round, ev.phase, ev.kind, ev.subject, ev.detail)
-            if ev.phase in (PHASE_ADVERSARY, PHASE_ORACLE):
+            text = line(ev.round, ev.kind, ev.subject, ev.detail)
+            if KIND_PHASE[ev.kind] in ("ADVERSARY", "ORACLE"):
                 before.append(text)
             else:
                 after.append((ev.subject, text))
     for r, outbox in round_sends(trace.events).items():
         for sender, message, to in outbox:
             order = ProtocolMessage.from_dict(message).sort_key()
-            rounds[r][1].extend(((sender, q, order), line(r, PHASE_SEND, KIND_P2P_SEND, sender,
+            rounds[r][1].extend(((sender, q, order), line(r, KIND_P2P_SEND, sender,
                                                           {"receiver": q, "message": message}))
                                 for q in (range(n) if to == TO_ALL else to))
     receipts: dict[int, list[str]] = {}
     for d in deliveries(trace):
-        receipts.setdefault(d.round, []).append(line(
-            d.round, "RECEIVE", "P2P_DELIVER", d.receiver, {"sender": d.sender, "message": d.message}))
+        receipts.setdefault(d.round, []).append(encode({
+            "round": d.round, "phase": "RECEIVE", "kind": "P2P_DELIVER", "subject": d.receiver,
+            "detail": {"sender": d.sender, "message": d.message}}))
     header = {"fingerprint": trace.fingerprint, "seed": trace.seed, "config": trace.config}
-    out = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    out = [encode(header)]
     for r in sorted(rounds):
         before, sends, after = rounds[r]
         out += before
@@ -261,22 +274,19 @@ def expanded_projection_jsonl(text: str) -> str:
     per sender of its ``from``, with that sender as subject and the detail
     without ``from``. A round's sends, ordered by sender and then message
     order (``ProtocolMessage.sort_key``) as ``round_sends`` orders a trace's,
-    stand at its first send; every other line is kept as it is."""
-    def line(round_, subject, detail) -> str:
-        return json.dumps({"round": round_, "phase": PHASE_SEND, "kind": KIND_P2P_SEND,
-                           "subject": subject, "detail": detail}, sort_keys=True, separators=(",", ":"))
-
-    lines = text.splitlines()
-    events = [json.loads(text_line) for text_line in lines]
+    stand at its first send; every other line is kept as it is. Each line
+    gets back its phase."""
+    events = [json.loads(text_line) for text_line in text.splitlines()]
     sends = round_sends(TraceEvent.from_dict(ev) for ev in events)
     out = []
-    for text_line, ev in zip(lines, events):
+    for ev in events:
         if ev["kind"] != KIND_P2P_SEND:
-            out.append(text_line)
+            out.append(phased_line(ev))
             continue
         outbox = sends.pop(ev["round"], [])
         outbox.sort(key=lambda send: (send[0], ProtocolMessage.from_dict(send[1]).sort_key()))
-        out += [line(ev["round"], sender, {"message": message, "to": to})
+        out += [phased_line({"round": ev["round"], "kind": KIND_P2P_SEND, "subject": sender,
+                             "detail": {"message": message, "to": to}})
                 for sender, message, to in outbox]
     return "\n".join(out)
 
@@ -298,7 +308,7 @@ def witness_digest(trace: Trace, reports) -> str:
     docs = []
     for report in reports:
         doc = report.to_dict()
-        doc["witness"] = [trace.events[i].to_dict() for i in report.witness]
+        doc["witness"] = [phased(trace.events[i].to_dict()) for i in report.witness]
         docs.append(doc)
     return _sha256(json.dumps(docs, indent=2, sort_keys=True).encode("utf-8"))
 

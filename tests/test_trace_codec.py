@@ -17,8 +17,8 @@ from mbbc.scenario import ScenarioConfig
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
 
-HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/4","seed":0}'
-CURED = '{"detail":{},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}'
+HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/5","seed":0}'
+CURED = '{"detail":{},"kind":"CURED","round":1,"subject":0}'
 
 
 def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0,
@@ -28,12 +28,12 @@ def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0
     if senders is None and to == '"ALL"':
         senders = f"[{subject}]"
     from_ = "" if senders is None else f'"from":{senders},'
-    return (f'{{"detail":{{{from_}"message":{message},"to":{to}}},"kind":"P2P_SEND","phase":"SEND",'
+    return (f'{{"detail":{{{from_}"message":{message},"to":{to}}},"kind":"P2P_SEND",'
             f'"round":{round_},"subject":{subject}}}')
 
 
 def compute_line(kind: str, detail: str, subject: int = 0) -> str:
-    return f'{{"detail":{detail},"kind":"{kind}","phase":"COMPUTE","round":1,"subject":{subject}}}'
+    return f'{{"detail":{detail},"kind":"{kind}","round":1,"subject":{subject}}}'
 
 
 def deliver_line(by: str | None, subject: int = 0) -> str:
@@ -95,27 +95,27 @@ class TestWriter:
 
     def test_memo_keeps_types_apart_on_built_events(self):
         values = [1, True, 1.0, 0.0, -0.0, 0, False, None, "1"]
-        events = [TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
+        events = [TraceEvent(1, KIND_P2P_SEND, 0,
                              {"from": [0], "message": {"kind": "ROUND", "round_value": v}, "to": "ALL"})
                   for v in values]
-        events += [TraceEvent(1, "ORACLE", "CURED", 0, {"faulty_since": v}) for v in values]
+        events += [TraceEvent(1, "CURED", 0, {"faulty_since": v}) for v in values]
         assert event_lines(events) == [encode_line(ev.to_dict()) for ev in events]
 
     @pytest.mark.parametrize("event", [
-        TraceEvent(1.0, "ORACLE", "CURED", 0, {}),
-        TraceEvent(True, "ORACLE", "CURED", 0, {}),
-        TraceEvent(1, "ORACLE", "CURED", False, {}),
-        TraceEvent(1, "SEND", "CURED", 0, {}),
-        TraceEvent(1, "ORACLE", "P2P_DELIVER", 0, {}),
-        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"message": {"round_value": [1]}, "to": [2, 1]}),
-        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "extra": 0}),
-        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": "m"}),
-        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": [0], "extra": 0}),
-        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": [1], "message": {}, "extra": [0]}),
-        TraceEvent(1, "SEND", KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": {"b": 1, "a": -0.0}}),
-        TraceEvent(1, "ORACLE", "CURED", 0, {"a": {"b": -0.0}, "c": [1.5]}),
-        TraceEvent(1, "ORACLE", "CURED", 0, [1, "x"]),
-        TraceEvent(-1, "ORACLE", "CURED", 7, {}),
+        TraceEvent(1.0, "CURED", 0, {}),
+        TraceEvent(True, "CURED", 0, {}),
+        TraceEvent(1, "CURED", False, {}),
+        TraceEvent(1, ["CURED"], 0, {}),
+        TraceEvent(1, "P2P_DELIVER", 0, {}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"message": {"round_value": [1]}, "to": [2, 1]}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "extra": 0}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": "m"}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": [0], "extra": 0}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": [1], "message": {}, "extra": [0]}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": {"b": 1, "a": -0.0}}),
+        TraceEvent(1, "CURED", 0, {"a": {"b": -0.0}, "c": [1.5]}),
+        TraceEvent(1, "CURED", 0, [1, "x"]),
+        TraceEvent(-1, "CURED", 7, {}),
     ])
     def test_event_outside_the_template_writes_as_before(self, event):
         assert event_lines([event, event]) == [encode_line(event.to_dict())] * 2
@@ -126,11 +126,11 @@ class TestWriter:
         a freed detail's id to a later detail of another value."""
         def events(count: int):
             for i in range(count):
-                yield TraceEvent(1, "ORACLE", "CURED", 0, {"faulty_since": i})
-                yield TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
+                yield TraceEvent(1, "CURED", 0, {"faulty_since": i})
+                yield TraceEvent(1, KIND_P2P_SEND, 0,
                                  {"from": [0, i], "message": {"kind": "ROUND", "round_value": i},
                                   "to": "ALL"})
-                yield TraceEvent(1, "SEND", KIND_P2P_SEND, 0,
+                yield TraceEvent(1, KIND_P2P_SEND, 0,
                                  {"message": {"kind": "ROUND", "round_value": -i}, "to": [i]})
 
         assert event_lines(events(300)) == [encode_line(ev.to_dict()) for ev in events(300)]
@@ -157,14 +157,14 @@ class TestWriter:
 
 PARSER_TABLE = [
     CURED,
-    '{"detail": {}, "kind": "CURED", "phase": "ORACLE", "round": 1, "subject": 0}',
-    '{"detail": {"faulty_since" : null},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}',
+    '{"detail": {}, "kind": "CURED", "round": 1, "subject": 0}',
+    '{"detail": {"faulty_since" : null},"kind":"CURED","round":1,"subject":0}',
     CURED + "  ",
     "  " + CURED,
-    '{"kind":"CURED","detail":{},"phase":"ORACLE","round":1,"subject":0}',
+    '{"kind":"CURED","detail":{},"round":1,"subject":0}',
     CURED.replace('"detail"', '"Detail"'),
     CURED.replace('{"detail":', '["detail",'),
-    '{"detail":{},"kind":"CURED","phase":"ORACLE","subject":0,"round":1}',
+    '{"detail":{},"kind":"CURED","subject":0,"round":1}',
     CURED.replace('"round":1', '"round":01'),
     CURED.replace('"round":1', '"round":1.0'),
     CURED.replace('"round":1', '"round":true'),
@@ -178,7 +178,9 @@ PARSER_TABLE = [
     CURED.replace('"subject":0', '"subject":5'),
     CURED.replace('"CURED"', '"cured"'),
     CURED.replace('"CURED"', '"P2P_DELIVER"'),
-    CURED.replace('"ORACLE"', '"SEND"'),
+    CURED.replace(',"round"', ',"phase":"ORACLE","round"'),
+    CURED.replace(',"kind"', ',"extra":5,"kind"'),
+    CURED[:-1] + ',"zz":0}',
     CURED.replace("{}", "[]"),
     CURED.replace("{}", '"x"'),
     CURED.replace("{}", ""),
@@ -189,12 +191,12 @@ PARSER_TABLE = [
     '{"a":[{}',
     "{}]}",
     "{},{}",
-    '{"detail":{},"kind":"AGENT_MOVE","phase":"ADVERSARY","round":2,"subject":1,'
-    '"detail":{"faulty_since":null},"kind":"CURED","phase":"ORACLE","round":1,"subject":0}',
+    '{"detail":{},"kind":"AGENT_MOVE","round":2,"subject":1,'
+    '"detail":{"faulty_since":null},"kind":"CURED","round":1,"subject":0}',
     send_line('{"kind":"SEND","source":0,"birth_round":1,'
-              '"payload":",\\"kind\\":\\"P2P_SEND\\",\\"phase\\":\\"SEND\\",\\"round\\":1,\\"subject\\":0}"}'),
+              '"payload":",\\"kind\\":\\"P2P_SEND\\",\\"round\\":1,\\"subject\\":0}"}'),
     send_line('{"kind":"SEND","source":0,"birth_round":1,"payload":"x"},"to":"ALL"}'
-              ',"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}'),
+              ',"kind":"P2P_SEND","round":1,"subject":0}'),
     send_line('{"kind":"ROUND","round_value":2}'),
     send_line('{"kind":"ROUND","round_value":2}', to="[5,0,5]", round_=8, subject=5),
     send_line('{"kind":"ROUND","round_value":2}', to="[1,6]"),
@@ -213,12 +215,12 @@ PARSER_TABLE = [
     send_line('{"kind":"ROUND","round_value":2}', to="[1]", senders="[0]"),
     send_line('{"kind":"ROUND","round_value":2}', to='"SOME"', senders="[0]"),
     '{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
-    '"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
+    '"kind":"P2P_SEND","round":1,"subject":0}',
     send_line('{"kind":"ROUND","round_value":2}', subject=3, senders="[1,3]"),
     send_line("[]"),
-    '{"detail":{"to":"ALL"},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
-    '{"detail":{"message":{}},"kind":"P2P_SEND","phase":"SEND","round":1,"subject":0}',
-    '{"detail":{"to":[9]},"kind":"DELIVER_CALL","phase":"COMPUTE","round":1,"subject":0}',
+    '{"detail":{"to":"ALL"},"kind":"P2P_SEND","round":1,"subject":0}',
+    '{"detail":{"message":{}},"kind":"P2P_SEND","round":1,"subject":0}',
+    '{"detail":{"to":[9]},"kind":"DELIVER_CALL","round":1,"subject":0}',
     compute_line("DELIVER_CALL", '{"by":[0],"payload":"x"}'),
     compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":"1"}'),
     compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":true}'),
@@ -260,8 +262,7 @@ class TestReader:
         lines = [line for line in PARSER_TABLE
                  if not isinstance(parse(f"{HEADER}\n{line}\n", monkeypatch, True), str)]
         assert len(lines) > 10
-        text = "\n".join([HEADER, *lines, lines[-1].replace("DELIVER_CALL", "P2P_SEND").replace(
-            "COMPUTE", "SEND")]) + "\n"
+        text = "\n".join([HEADER, *lines, lines[-1].replace("DELIVER_CALL", "P2P_SEND")]) + "\n"
         assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
         assert parse(text, monkeypatch, True) == f"trace line {len(lines) + 2}: bad event line: missing key 'message'"
 
@@ -303,6 +304,11 @@ class TestReader:
         assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
         assert parse(text, monkeypatch, True).startswith("trace line 3: bad event line: subject 4 ")
 
+    def test_a_header_key_outside_the_four_is_named(self, monkeypatch):
+        header = HEADER.replace('"seed"', '"phase":"ORACLE","seed"')
+        assert parse(f"{header}\n{CURED}\n", monkeypatch, True) == (
+            "trace line 1: bad header line: unknown key 'phase'")
+
     def test_equal_detail_texts_share_one_read_only_dict(self):
         text = "\n".join([HEADER, CURED, CURED.replace('"subject":0', '"subject":3')]) + "\n"
         first, second = Trace.from_jsonl(text).events
@@ -318,4 +324,4 @@ class TestReader:
             assert [read(line) for line in text.splitlines()[1:]] == trace.events
             assert Trace.from_jsonl(text) == trace
             kinds |= {ev.kind for ev in trace.events}
-        assert kinds == set(engine.KIND_PHASES)
+        assert kinds == set(engine.KINDS)
