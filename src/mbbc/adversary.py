@@ -108,10 +108,10 @@ class AlternatingSets(Strategy):
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
         state = obs.states[p]
         if p in self.p1:
-            state.to_send = set(self._spurious(p, r + 1))
+            state.to_send = frozenset(self._spurious(p, r + 1))
             state.rc = 9999
         else:
-            state.to_send = set()
+            state.to_send = frozenset()
         return state
 
 
@@ -245,7 +245,7 @@ class Arbitrary(Strategy):
         if "rc" in spec:
             state.rc = spec["rc"]
         if "to_send" in spec:
-            state.to_send = set(spec["to_send"])
+            state.to_send = frozenset(spec["to_send"])
         if "cured" in spec:
             state.cured = spec["cured"]
         return state

@@ -161,6 +161,9 @@ def cmd_sweep(args) -> int:
     if unknown:
         raise ValueError(f"--strategies {args.strategies!r} names unknown strategy {unknown[0]!r}, "
                          f"not one of {', '.join(BUNDLED_STRATEGIES)}")
+    repeated = [s for i, s in enumerate(strategies) if s in strategies[:i]]
+    if repeated:
+        raise ValueError(f"--strategies {args.strategies!r} names strategy {repeated[0]!r} twice")
     rows = run_sweep(VariantTag(args.variant), n_values, f_values, delta_s=args.delta_s,
                      strategies=strategies, seed=args.seed)
     if not rows:
@@ -169,7 +172,8 @@ def cmd_sweep(args) -> int:
                          f"and alternating n >= 2f+1")
     args.out.write_text(rows_to_csv(rows))
     violated = sum(1 for r in rows if r["verdict"] == VIOLATED)
-    print(f"cells={len(rows)} violated={violated} csv={args.out}")
+    cells = len({(r["n"], r["f"], r["strategy"]) for r in rows})
+    print(f"cells={cells} violated={violated} csv={args.out}")
     return EXIT_OK
 
 

@@ -23,9 +23,11 @@ Each round runs five sub-phases in a fixed order:
    process with no dictated receipt and no broadcast call reads the common
    tallies, so its phase depends only on ``rc``, its cure flags and
    ``delivered``: the first such process of each class of equal values, in
-   process order, runs ``compute_phase``, and the others take a copy of its
-   outcome through ``protocol.adopt_compute``. No two states share a
-   container. The round's deliveries are gathered per (source, payload).
+   process order, runs ``compute_phase``, and the others take its outcome
+   through ``protocol.adopt_compute``. The send queue and ``delivered`` a
+   state carries are immutable, so the members of a class share them, and
+   the next SEND walks each distinct queue once, with all the senders that
+   hold it. The round's deliveries are gathered per (source, payload).
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -586,18 +588,23 @@ class Simulation:
             self._emit(r, KIND_CURED, p, {"faulty_since": since})
             on_cured(self.states[p], since)
 
-        # SEND: each correct sender's messages grouped by message, senders in
-        # process order; one dictated entry per faulty (sender, message).
+        # SEND: the correct senders grouped by the queue they hold, each
+        # distinct queue walked once; each message's senders in process
+        # order; one dictated entry per faulty (sender, message).
         obs = Observation(schedule=schedule, states=self.states)
-        fan_outs: dict[ProtocolMessage, list[int]] = {}
+        queues: dict[int, tuple[Iterable[ProtocolMessage], list[int]]] = {}
         dictated: list[tuple[int, ProtocolMessage, list[int]]] = []
         for p in range(n):
             if p in faulty:
                 dictated.extend(_dictated(p, self.strategy.dictate_sends(p, r, obs)))
             else:
-                for msg in send_phase(self.states[p]):
-                    fan_outs.setdefault(msg, []).append(p)
-        grouped = [(msg, fan_outs[msg]) for msg in sorted(fan_outs, key=ProtocolMessage.sort_key)]
+                queue = send_phase(self.states[p])
+                queues.setdefault(id(queue), (queue, []))[1].append(p)
+        fan_outs: dict[ProtocolMessage, list[int]] = {}
+        for queue, senders in queues.values():
+            for msg in queue:
+                fan_outs.setdefault(msg, []).extend(senders)
+        grouped = [(msg, sorted(fan_outs[msg])) for msg in sorted(fan_outs, key=ProtocolMessage.sort_key)]
         for msg, senders in grouped:
             self._emit(r, KIND_P2P_SEND, senders[0],
                        {"from": senders, "message": self._message(msg), "to": TO_ALL})
@@ -632,7 +639,7 @@ class Simulation:
             if payloads or tallies[p] is not common:
                 delivered = compute_phase(state, tallies[p], p, self.variant, n, broadcasts=payloads)
             else:
-                key = (state.rc, state.cured, state.cured_faulty_since, frozenset(state.delivered))
+                key = (state.rc, state.cured, state.cured_faulty_since, state.delivered)
                 first = computed.get(key)
                 if first is None:
                     delivered = compute_phase(state, common, p, self.variant, n)
@@ -660,8 +667,8 @@ class Simulation:
         and shared read-only. The key holds each scalar field's type beside
         it, as ``True == 1`` digests differently; messages are type-exact and
         a delivered pair's source is an int."""
-        key = (frozenset(state.to_send), type(state.rc), state.rc, type(state.cured), state.cured,
-               type(state.cured_faulty_since), state.cured_faulty_since, frozenset(state.delivered))
+        key = (state.to_send, type(state.rc), state.rc, type(state.cured), state.cured,
+               type(state.cured_faulty_since), state.cured_faulty_since, state.delivered)
         out = self._digests.get(key)
         if out is None:
             out = self._digests[key] = {"state_digest": state_fingerprint(state)}

@@ -8,8 +8,8 @@ hex escape otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import shown
 
@@ -21,48 +21,64 @@ class MessageKind(Enum):
     ABORT = "ABORT"
     ROUND = "ROUND"
 
+    # By identity, as equality is: a message's hash then runs in C.
+    __hash__ = object.__hash__
+
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(MessageKind)}
 
 
-@dataclass(frozen=True)
-class ProtocolMessage:
-    """One protocol message.
-
-    SEND/ECHO/READY/ABORT carry ``(source, birth_round, payload)`` describing a
-    broadcast instance; ROUND carries only ``round_value``, the sender's round
-    counter vote. Any other field combination is rejected at construction.
-    """
-
+class _MessageFields(NamedTuple):
     kind: MessageKind
     source: int | None = None
     birth_round: int | None = None
     payload: bytes | None = None
     round_value: int | None = None
 
-    def __post_init__(self) -> None:
+
+class ProtocolMessage(_MessageFields):
+    """One protocol message: an immutable tuple, so that it hashes and
+    compares in C.
+
+    SEND/ECHO/READY/ABORT carry ``(source, birth_round, payload)`` describing a
+    broadcast instance; ROUND carries only ``round_value``, the sender's round
+    counter vote. Any other field combination is rejected at construction,
+    ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: MessageKind, source: int | None = None, birth_round: int | None = None,
+                payload: bytes | None = None, round_value: int | None = None) -> "ProtocolMessage":
         # Type-exact, so that equal messages are written alike: ``True == 1``
         # would let a boolean field stand for an int one.
-        for name in ("source", "birth_round", "round_value"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not int:
-                raise ValueError(f"{name} {shown(value)} is not an int")
-        if self.kind is MessageKind.ROUND:
-            if self.round_value is None or self.round_value < 1:
+        if not (source is None or type(source) is int):
+            raise ValueError(f"source {shown(source)} is not an int")
+        if not (birth_round is None or type(birth_round) is int):
+            raise ValueError(f"birth_round {shown(birth_round)} is not an int")
+        if not (round_value is None or type(round_value) is int):
+            raise ValueError(f"round_value {shown(round_value)} is not an int")
+        if kind is MessageKind.ROUND:
+            if round_value is None or round_value < 1:
                 raise ValueError("ROUND message requires round_value >= 1")
-            if self.source is not None or self.birth_round is not None or self.payload is not None:
+            if source is not None or birth_round is not None or payload is not None:
                 raise ValueError("ROUND message carries only round_value")
         else:
-            if self.source is None or self.birth_round is None or self.payload is None:
-                raise ValueError(f"{self.kind.value} message requires source, birth_round, payload")
-            if self.round_value is not None:
-                raise ValueError(f"{self.kind.value} message must not carry round_value")
-            if self.birth_round < 1:
+            if source is None or birth_round is None or payload is None:
+                raise ValueError(f"{kind.value} message requires source, birth_round, payload")
+            if round_value is not None:
+                raise ValueError(f"{kind.value} message must not carry round_value")
+            if birth_round < 1:
                 raise ValueError("birth_round must be >= 1")
-            if self.source < 0:
+            if source < 0:
                 raise ValueError("source must be a process index")
-            if type(self.payload) is not bytes:
+            if type(payload) is not bytes:
                 raise ValueError("payload must be bytes")
+        return tuple.__new__(cls, (kind, source, birth_round, payload, round_value))
+
+    @classmethod
+    def _make(cls, iterable) -> "ProtocolMessage":
+        return cls(*iterable)
 
     def instance_key(self) -> tuple[int, int, bytes]:
         """The (source, birth_round, payload) triple keying the vote maps."""

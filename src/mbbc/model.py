@@ -213,11 +213,25 @@ class FailureSchedule:
         return self.horizon if seg.last_round is None else seg.last_round
 
     def host_of(self, agent_id: int, r: int) -> int | None:
-        """Host of an agent in round r, or None when the agent is off-board."""
-        for seg in self.trajectories[agent_id].segments:
-            if seg.first_round <= r <= self.resolved_last(seg):
-                return seg.host
-        return None
+        """Host of an agent in round r, or None when the agent is off-board
+        or r is outside [1, horizon]."""
+        hosts = self._host_table[agent_id]
+        return hosts[r - 1] if 1 <= r <= self.horizon else None
+
+    @cached_property
+    def _host_table(self) -> tuple[tuple[int | None, ...], ...]:
+        """Each agent's host in round r at index r - 1, at the agent's index,
+        built on first use and kept outside the fields as ``_faulty_table``
+        is. Of overlapping segments, the first holds the round."""
+        table = []
+        for traj in self.trajectories:
+            hosts: list[int | None] = [None] * self.horizon
+            for seg in reversed(traj.segments):
+                last = self.resolved_last(seg)
+                for r in range(max(1, seg.first_round), min(last, self.horizon) + 1):
+                    hosts[r - 1] = seg.host
+            table.append(tuple(hosts))
+        return tuple(table)
 
     @cached_property
     def _faulty_table(self) -> tuple[frozenset[int], ...]:

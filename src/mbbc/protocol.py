@@ -84,13 +84,16 @@ class ProtocolState:
     pathological case where both gate branches could fire for one (source,
     payload) under adversarial schedules. It is part of the corruptible state,
     so it never substitutes for the gate logic itself.
+
+    ``to_send`` and ``delivered`` are frozensets: a phase that changes one
+    assigns a new set, so states may share them.
     """
 
-    to_send: set[ProtocolMessage] = field(default_factory=set)
+    to_send: frozenset[ProtocolMessage] = frozenset()
     cured: bool = False
     cured_faulty_since: int | None = None
     rc: int = 1
-    delivered: set[tuple[int, bytes]] = field(default_factory=set)
+    delivered: frozenset[tuple[int, bytes]] = frozenset()
 
 
 @dataclass
@@ -112,7 +115,7 @@ def init_state() -> ProtocolState:
 
 def broadcast(state: ProtocolState, self_id: int, payload: bytes) -> None:
     """Queue a SEND for a new broadcast instance born in the current round."""
-    state.to_send.add(send_msg(self_id, state.rc, payload))
+    state.to_send = state.to_send | {send_msg(self_id, state.rc, payload)}
 
 
 def on_cured(state: ProtocolState, faulty_since: int | None = None) -> None:
@@ -121,17 +124,16 @@ def on_cured(state: ProtocolState, faulty_since: int | None = None) -> None:
     state.cured_faulty_since = faulty_since
 
 
-def send_phase(state: ProtocolState) -> list[ProtocolMessage]:
-    """Return the messages to send to every process this round, in no
-    particular order: the engine orders a round's sends.
+def send_phase(state: ProtocolState) -> frozenset[ProtocolMessage]:
+    """Return the messages to send to every process this round: the queue
+    itself, in no particular order, as the engine orders a round's sends.
 
     A cured process discards its whole queue instead: anything in it may have
     been planted by the departed agent.
     """
     if state.cured:
-        state.to_send.clear()
-        return []
-    return list(state.to_send)
+        state.to_send = frozenset()
+    return state.to_send
 
 
 def receive(common: Tallies, receipts: Sequence[tuple[int, ProtocolMessage]]) -> Tallies:
@@ -211,32 +213,33 @@ def compute_phase(
     """Run one compute phase on the round's ``tallies``, which it only reads;
     returns the deliveries (source, payload) it triggers.
 
-    Order matters and is fixed: wipe the send queue, repair the round counter
-    by majority, apply any broadcast calls scheduled for this round (they must
-    land after the wipe and before the counter increments, so the SEND is
-    stamped with the current round), then process SEND->ECHO, ECHO->READY or
-    ABORT, the delivery gate with READY relay, and finally the counter
-    increment with its ROUND vote. A key with more than F ABORT votes has no
-    READY quorum.
+    Order matters and is fixed: start a new send queue (the old one is
+    dropped), repair the round counter by majority, apply any broadcast calls
+    scheduled for this round (they must land in the new queue and before the
+    counter increments, so the SEND is stamped with the current round), then
+    process SEND->ECHO, ECHO->READY or ABORT, the delivery gate with READY
+    relay, and finally the counter increment with its ROUND vote; the queue is
+    frozen once, at the end. A key with more than F ABORT votes has no READY
+    quorum.
     """
     F = variant.effective_f
-    state.to_send.clear()
+    queue: set[ProtocolMessage] = set()
     state.rc = get_majority(tallies.rc_votes.values(), state.rc, min_backing=F)
 
     for payload in broadcasts:
-        broadcast(state, self_id, payload)
+        queue.add(send_msg(self_id, state.rc, payload))
 
     for key in sorted(tallies.sends):
         source, birth, payload = key
         if state.rc == birth + 1:
-            state.to_send.add(echo_msg(source, birth, payload))
+            queue.add(echo_msg(source, birth, payload))
 
     for key in sorted(tallies.echos):
         votes = len(tallies.echos[key])
         if 2 * votes > n + F:
-            state.to_send.add(ready_msg(*key))
+            queue.add(ready_msg(*key))
         elif votes > F:
-            state.to_send.add(abort_msg(*key))
+            queue.add(abort_msg(*key))
 
     deliveries: list[tuple[int, bytes]] = []
     quorum_keys = [key for key, voters in tallies.readys.items()
@@ -252,17 +255,18 @@ def compute_phase(
         if birth == min_birth[(source, payload)] and _delivery_gate(state, variant, birth):
             if variant.tag is VariantTag.FFA_FULL:
                 if (source, payload) not in state.delivered:
-                    state.delivered.add((source, payload))
+                    state.delivered = state.delivered | {(source, payload)}
                     deliveries.append((source, payload))
             else:
                 deliveries.append((source, payload))
         # Relay forever, delivered or not: later-cured processes need the quorum.
-        state.to_send.add(ready_msg(*key))
+        queue.add(ready_msg(*key))
 
     state.cured = False
     state.cured_faulty_since = None
     state.rc += 1
-    state.to_send.add(round_msg(state.rc))
+    queue.add(round_msg(state.rc))
+    state.to_send = frozenset(queue)
     return deliveries
 
 
@@ -272,11 +276,12 @@ def adopt_compute(state: ProtocolState, done: ProtocolState) -> None:
     Both must have entered the phase with the same tallies, equal ``rc``,
     cure flags and ``delivered``, and neither with a broadcast call:
     ``compute_phase`` would then leave ``state`` equal to ``done`` and return
-    the same deliveries. Every field is copied, none is shared.
+    the same deliveries. The queue and ``delivered`` are frozensets, so
+    ``state`` shares ``done``'s rather than copying them.
     """
-    state.to_send = set(done.to_send)
+    state.to_send = done.to_send
     state.rc = done.rc
-    state.delivered = set(done.delivered)
+    state.delivered = done.delivered
     state.cured = done.cured
     state.cured_faulty_since = done.cured_faulty_since
 

@@ -154,15 +154,31 @@ def test_sweep_skips_alternating_cells_below_2f_plus_1(tmp_path, caplog):
     (["--n-range", "1", "--f-range", "1"], "leave no cell to run"),
     (["--n-range", "1", "--f-range", "1", "--strategies", "nope"], "names unknown strategy 'nope'"),
     (["--n-range", "4", "--f-range", "2", "--strategies", "alternating"], "leave no cell to run"),
+    (["--n-range", "5", "--f-range", "1", "--strategies", "alternating,split,alternating"],
+     "names strategy 'alternating' twice"),
 ])
 def test_sweep_with_no_cells_to_run_exits_2(tmp_path, capsys, flags, named):
-    """A sweep range or strategy list that leaves nothing to run is invalid
-    input, not an empty CSV."""
+    """A sweep range or strategy list that leaves nothing to run, or that
+    names a strategy twice, is invalid input, not an empty or doubled CSV."""
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, cells", [
+    (["--n-range", "5", "--f-range", "1", "--strategies", "alternating"], 1),
+    (["--n-range", "4:6", "--f-range", "1:2"], 11),
+])
+def test_sweep_prints_the_number_of_cells_it_ran(tmp_path, capsys, flags, cells):
+    """``cells=`` counts the (n, f, strategy) cells, not the CSV rows, of
+    which each cell writes one per property."""
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *flags, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len({(r["n"], r["f"], r["strategy"]) for r in rows}) == cells < len(rows)
+    assert f"cells={cells} " in capsys.readouterr().out
 
 
 def scalar(key, value):

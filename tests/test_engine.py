@@ -424,7 +424,7 @@ def cured_in_step() -> ScenarioConfig:
 
 
 def containers(state: ProtocolState) -> list:
-    """Every set a state holds."""
+    """Every set a state holds, each immutable, so that states may share it."""
     return [state.to_send, state.delivered]
 
 
@@ -493,8 +493,7 @@ class TestSharedCompute:
                 assert state == sim.states[p], (r, p)
                 assert delivered == [(ev.detail["source"], decode_payload(ev.detail)) for ev in events
                                      if ev.kind == KIND_DELIVER_CALL and p in ev.detail["by"]], (r, p)
-            held = [id(c) for state in sim.states for c in containers(state)]
-            assert len(held) == len(set(held)), f"a container is shared between states in round {r}"
+            assert all(type(c) is frozenset for state in sim.states for c in containers(state)), r
 
     def test_sharing_fires_on_the_fanout_shape(self, monkeypatch):
         calls = []
@@ -510,6 +509,34 @@ class TestSharedCompute:
         sched = cfg.resolved_schedule()
         pairs = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
         assert 0 < len(calls) < pairs / 4
+
+    def test_send_walks_each_shared_queue_once_on_the_fanout_shape(self, monkeypatch):
+        """The members of a compute class hold one queue, and SEND walks it
+        once for all of them: fewer walks than correct senders, same trace."""
+        cfg = fanout_shaped()
+        expected = run(cfg).to_jsonl()
+        walks = []
+        held: dict[int, tuple] = {}
+
+        class Walked:
+            def __init__(self, queue):
+                self.queue = queue
+
+            def __iter__(self):
+                walks.append(self)
+                return iter(self.queue)
+
+        def walked(state):
+            queue = send_phase(state)
+            if id(queue) not in held:
+                held[id(queue)] = (queue, Walked(queue))
+            return held[id(queue)][1]
+
+        monkeypatch.setattr(engine, "send_phase", walked)
+        assert run(cfg).to_jsonl() == expected
+        sched = cfg.resolved_schedule()
+        senders = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
+        assert 0 < len(walks) < senders
 
 
 def send_order_texts(case: str) -> list[str]:
@@ -541,7 +568,7 @@ class TestSendOrder:
         def reversed_queue(state):
             queue = send_phase(state)
             lengths.append(len(queue))
-            return queue[::-1]
+            return list(queue)[::-1]
 
         monkeypatch.setattr(engine, "send_phase", reversed_queue)
         monkeypatch.setattr(adversary, "send_phase", reversed_queue)

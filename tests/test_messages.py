@@ -26,6 +26,16 @@ def test_round_kind_rejects_instance_fields():
         ProtocolMessage(MessageKind.ROUND)
 
 
+def test_replace_checks_the_new_fields():
+    """A message is a tuple, but ``_replace`` goes through the same checks as
+    construction."""
+    assert send_msg(0, 1, b"x")._replace(source=2) == send_msg(2, 1, b"x")
+    with pytest.raises(ValueError, match="must not carry round_value"):
+        send_msg(0, 1, b"x")._replace(round_value=3)
+    with pytest.raises(ValueError, match="source True is not an int"):
+        send_msg(0, 1, b"x")._replace(source=True)
+
+
 def test_payload_equality_is_byte_equality():
     a = send_msg(0, 1, b"abc")
     b = send_msg(0, 1, b"abc")
@@ -37,6 +47,17 @@ def test_payload_equality_is_byte_equality():
 def test_dict_roundtrip_text_and_binary():
     for msg in (send_msg(2, 3, b"plain"), echo_msg(0, 1, b"\x00\xff"), round_msg(9)):
         assert ProtocolMessage.from_dict(msg.to_dict()) == msg
+
+
+@pytest.mark.parametrize("msg", [send_msg(2, 3, b"plain"), echo_msg(0, 1, b"\x00\xff"),
+                                 ready_msg(4, 2, b""), round_msg(9)])
+def test_a_rebuilt_message_is_equal_and_hashes_alike(msg):
+    """A message parsed back from its dict is a distinct object that stands
+    for the same message: a set or dict key finds it."""
+    back = ProtocolMessage.from_dict(msg.to_dict())
+    assert back is not msg
+    assert back == msg and hash(back) == hash(msg)
+    assert back in {msg}
 
 
 def test_binary_payload_hex_escaped():

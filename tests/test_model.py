@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SHAPES, shape_config
 from mbbc.checker import permanently_correct
 from mbbc.model import (
     AgentTrajectory,
@@ -16,6 +19,7 @@ from mbbc.model import (
     is_io_correct,
     validate_schedule,
 )
+from mbbc.scenario import ScenarioConfig
 
 
 def schedule_from(segments_per_agent, n=6, f=None, delta_s=1, horizon=6):
@@ -226,6 +230,16 @@ def rebuilt(sched):
             for t in sched.trajectories))
 
 
+def assert_host_of_scans(sched):
+    """``host_of`` equals the first segment holding the round, for every
+    agent and every round from before 1 to past the horizon."""
+    for agent, traj in enumerate(sched.trajectories):
+        for r in range(-1, sched.horizon + 3):
+            scanned = next((seg.host for seg in traj.segments
+                            if seg.first_round <= r <= sched.resolved_last(seg)), None)
+            assert sched.host_of(agent, r) == scanned, (agent, r)
+
+
 class TestScheduleTable:
     @settings(max_examples=200, deadline=None)
     @given(valid_schedules())
@@ -291,6 +305,31 @@ class TestScheduleTable:
         other.faulty_set(sched.horizon)
         assert sched == other and hash(sched) == hash(other)
         assert len({sched, other}) == 1
+
+    @pytest.mark.parametrize("name", [
+        *(path.name for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))),
+        *SHAPES])
+    def test_host_of_equals_the_segment_scan(self, name):
+        """The table ``host_of`` reads answers as a scan of the segments
+        does, off-board and outside the horizon included, on the bundled
+        configs and on roundrobin and walk shapes."""
+        if name in SHAPES:
+            sched = shape_config(name).resolved_schedule()
+        else:
+            path = Path(__file__).resolve().parents[1] / "configs" / name
+            sched = ScenarioConfig.from_json(path.read_text()).resolved_schedule()
+        assert_host_of_scans(sched)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_schedules())
+    def test_host_of_equals_the_segment_scan_on_random_schedules(self, sched):
+        assert_host_of_scans(sched)
+
+    def test_host_of_overlapping_segments_is_the_first_as_in_a_scan(self):
+        sched = schedule_from([[(1, 1, 3), (2, 2, 5)], [(4, 3, None), (0, 1, 4)]], n=6, horizon=6)
+        assert validate_schedule(sched) != ()
+        assert_host_of_scans(sched)
+        assert [sched.host_of(0, r) for r in range(1, 7)] == [1, 1, 1, 2, 2, None]
 
     def test_table_is_not_a_field(self):
         from dataclasses import fields

@@ -103,8 +103,8 @@ class TestSendPhase:
         state = fresh()
         broadcast(state, 0, b"a")
         on_cured(state)
-        assert send_phase(state) == []
-        assert state.to_send == set()
+        assert send_phase(state) == frozenset()
+        assert state.to_send == frozenset()
 
     def test_queued_messages_all_go_out_once(self):
         """In no particular order: the engine orders a round's sends
@@ -116,7 +116,7 @@ class TestSendPhase:
         assert len(msgs) == 2 and set(msgs) == queued
 
     def test_empty_queue_sends_nothing(self):
-        assert send_phase(fresh()) == []
+        assert send_phase(fresh()) == frozenset()
 
 
 class TestReceive:
