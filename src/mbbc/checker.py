@@ -482,11 +482,10 @@ def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     DELIVER_CALL group gives one event per kept member, with that member as
     subject and the detail without ``by``, and a round's calls, by subject
     with a process's BROADCAST_CALLs before its DELIVER_CALLs and otherwise
-    in trace order, stand at its first call. Narrowing each ``by`` instead
-    would keep the trace's group order, which the engine merges from every
-    process's delivery order, kept or not; two histories that differ only at
-    a process outside the projection could then order two groups with
-    disjoint kept members differently.
+    in trace order, stand at its first call. So the projection depends only
+    on what each kept process delivered, in its own order, and not on the
+    order of a trace's groups: two groups with disjoint kept members project
+    alike whichever the trace lists first.
 
     Two executions are indistinguishable to the permanently correct
     processes exactly when their projections are identical; the

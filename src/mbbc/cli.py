@@ -133,12 +133,16 @@ def cmd_check(args) -> int:
     config.validate()
     build_strategy(config)  # a header strategy that `run` and `replay` reject is rejected here too
     properties = MBBC_PROPERTIES
-    if args.properties:
-        wanted = [p.strip().upper() for p in args.properties.split(",") if p.strip()]
-        unknown = [p for p in wanted if p not in ALL_PROPERTIES]
+    if args.properties is not None:
+        properties = tuple(p.strip().upper() for p in args.properties.split(",") if p.strip())
+        if not properties:
+            raise ValueError(f"--properties {args.properties!r} names no property")
+        unknown = [p for p in properties if p not in ALL_PROPERTIES]
         if unknown:
             raise ValueError(f"unknown properties: {', '.join(unknown)}")
-        properties = tuple(wanted)
+        repeated = [p for i, p in enumerate(properties) if p in properties[:i]]
+        if repeated:
+            raise ValueError(f"--properties {args.properties!r} names property {repeated[0]} twice")
     reports = run_property_checks(trace, config.resolved_schedule(), config.delta_b, config.delta_c,
                                   config.variant, properties)
     text = reports_to_json(reports)

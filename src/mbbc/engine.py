@@ -47,9 +47,9 @@ order; a correct receiver's tallies are a fold of its receipts, by (sender,
 message). A round's deliveries are one DELIVER_CALL per distinct (source,
 payload), ``{"by": [processes], "payload…": …, "source": s}`` with the
 delivering processes strictly increasing and the subject ``by[0]``. They come
-after the round's STATE_CORRUPTED and BROADCAST_CALL events, in order of
-first delivery (by process, then each process's own delivery order), merged
-where needed so that every process's own order is kept (``_delivery_order``).
+after the round's STATE_CORRUPTED and BROADCAST_CALL events, in (source,
+payload) order, which is each process's own order: ``compute_phase``
+delivers in it, so a process's deliveries are a subsequence of the round's.
 Each distinct message dict, DELIVER_CALL detail and STATE_CORRUPTED detail is
 built once per simulation, and the events that carry it share it read-only,
 as the events of a parsed trace do. Given a config (the seed is part of it),
@@ -63,7 +63,6 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -483,46 +482,6 @@ def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]]
             for msg in sorted(receivers, key=ProtocolMessage.sort_key)]
 
 
-def _delivery_order(instances: list[tuple[int, bytes]], orders: Iterable[list[tuple[int, bytes]]]
-                    ) -> list[tuple[int, bytes]]:
-    """A round's delivered instances in the order of its DELIVER_CALLs.
-
-    ``instances`` is in order of first delivery, and ``orders`` holds the
-    processes' own delivery orders. When first delivery breaks none of them,
-    it is the order. It can break one: if p delivers only B and a later q
-    delivers A, then B, first delivery puts B before A. The instances are
-    then merged so that each process's order is kept: of the instances whose
-    predecessors in every order are placed, the first delivered goes next.
-    Orders that contradict each other (possible only when processes saw
-    different births for one instance) are broken at the first delivered
-    instance left; a process's own order within that round is then lost.
-    """
-    rank = {instance: i for i, instance in enumerate(instances)}
-    chains = [[rank[instance] for instance in order] for order in orders]
-    if all(a < b for chain in chains for a, b in zip(chain, chain[1:])):
-        return instances
-    successors: list[list[int]] = [[] for _ in instances]
-    preceding = [0] * len(instances)
-    for chain in chains:
-        for a, b in zip(chain, chain[1:]):
-            successors[a].append(b)
-            preceding[b] += 1
-    ready = [i for i, count in enumerate(preceding) if count == 0]
-    placed = [False] * len(instances)
-    out: list[int] = []
-    while len(out) < len(instances):
-        i = heappop(ready) if ready else placed.index(False)
-        if placed[i]:
-            continue
-        placed[i] = True
-        out.append(i)
-        for j in successors[i]:
-            preceding[j] -= 1
-            if preceding[j] == 0:
-                heappush(ready, j)
-    return [instances[i] for i in out]
-
-
 def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind
                           ) -> list[tuple[int, int | None]]:
     """Cure notifications at the start of round r: one ``(process, faulty_since)``
@@ -625,7 +584,6 @@ class Simulation:
         # COMPUTE, run once per class of equal inputs (see the module docstring).
         computed: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]]]] = {}
         delivered_by: dict[tuple[int, bytes], list[int]] = {}
-        orders: dict[int, list[tuple[int, bytes]]] = {}
         for p in range(n):
             state = self.states[p]
             if p in faulty:
@@ -647,11 +605,9 @@ class Simulation:
                 else:
                     adopt_compute(state, first[0])
                     delivered = first[1]
-            if len(delivered) > 1:
-                orders[id(delivered)] = delivered
             for instance in delivered:
                 delivered_by.setdefault(instance, []).append(p)
-        for source, payload in _delivery_order(list(delivered_by), orders.values()):
+        for source, payload in sorted(delivered_by):
             by = delivered_by[source, payload]
             self._emit(r, KIND_DELIVER_CALL, by[0], self._deliver_detail(source, payload, by))
 

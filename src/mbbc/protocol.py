@@ -113,11 +113,6 @@ def init_state() -> ProtocolState:
     return ProtocolState()
 
 
-def broadcast(state: ProtocolState, self_id: int, payload: bytes) -> None:
-    """Queue a SEND for a new broadcast instance born in the current round."""
-    state.to_send = state.to_send | {send_msg(self_id, state.rc, payload)}
-
-
 def on_cured(state: ProtocolState, faulty_since: int | None = None) -> None:
     """Oracle upcall: mark the process cured; FFA also reports when the stay began."""
     state.cured = True
@@ -211,7 +206,9 @@ def compute_phase(
     broadcasts: Sequence[bytes] = (),
 ) -> list[tuple[int, bytes]]:
     """Run one compute phase on the round's ``tallies``, which it only reads;
-    returns the deliveries (source, payload) it triggers.
+    returns the deliveries (source, payload) it triggers, in (source,
+    payload) order. A (source, payload) with READY quorums at several births
+    goes through the delivery gate once, with the earliest birth.
 
     Order matters and is fixed: start a new send queue (the old one is
     dropped), repair the round counter by majority, apply any broadcast calls
@@ -229,38 +226,34 @@ def compute_phase(
     for payload in broadcasts:
         queue.add(send_msg(self_id, state.rc, payload))
 
-    for key in sorted(tallies.sends):
-        source, birth, payload = key
+    for source, birth, payload in tallies.sends:
         if state.rc == birth + 1:
             queue.add(echo_msg(source, birth, payload))
 
-    for key in sorted(tallies.echos):
-        votes = len(tallies.echos[key])
-        if 2 * votes > n + F:
+    for key, voters in tallies.echos.items():
+        if 2 * len(voters) > n + F:
             queue.add(ready_msg(*key))
-        elif votes > F:
+        elif len(voters) > F:
             queue.add(abort_msg(*key))
 
-    deliveries: list[tuple[int, bytes]] = []
-    quorum_keys = [key for key, voters in tallies.readys.items()
-                   if len(voters) > 2 * F and len(tallies.aborts.get(key, ())) <= F]
     min_birth: dict[tuple[int, bytes], int] = {}
-    for source, birth, payload in quorum_keys:
-        prev = min_birth.get((source, payload))
-        if prev is None or birth < prev:
-            min_birth[(source, payload)] = birth
+    for key, voters in tallies.readys.items():
+        if len(voters) > 2 * F and len(tallies.aborts.get(key, ())) <= F:
+            # Relay forever, delivered or not: later-cured processes need the quorum.
+            queue.add(ready_msg(*key))
+            source, birth, payload = key
+            instance = (source, payload)
+            min_birth[instance] = min(birth, min_birth.get(instance, birth))
 
-    for key in sorted(quorum_keys):
-        source, birth, payload = key
-        if birth == min_birth[(source, payload)] and _delivery_gate(state, variant, birth):
+    deliveries: list[tuple[int, bytes]] = []
+    for instance, birth in sorted(min_birth.items()):
+        if _delivery_gate(state, variant, birth):
             if variant.tag is VariantTag.FFA_FULL:
-                if (source, payload) not in state.delivered:
-                    state.delivered = state.delivered | {(source, payload)}
-                    deliveries.append((source, payload))
+                if instance not in state.delivered:
+                    state.delivered = state.delivered | {instance}
+                    deliveries.append(instance)
             else:
-                deliveries.append((source, payload))
-        # Relay forever, delivered or not: later-cured processes need the quorum.
-        queue.add(ready_msg(*key))
+                deliveries.append(instance)
 
     state.cured = False
     state.cured_faulty_since = None

@@ -123,6 +123,25 @@ def test_check_unknown_property_exits_2(tmp_path, golden_config_path):
     assert cli.main(["check", "--trace", str(trace), "--properties", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("properties, named", [
+    (",", "--properties ',' names no property"),
+    ("", "--properties '' names no property"),
+    ("validity,Validity", "--properties 'validity,Validity' names property VALIDITY twice"),
+])
+def test_check_property_list_naming_nothing_or_a_name_twice_exits_2(
+        tmp_path, golden_config_path, capsys, properties, named):
+    """A property list that checks nothing, or one property twice, is invalid
+    input, not an empty or doubled report."""
+    trace, report = tmp_path / "trace.jsonl", tmp_path / "r.json"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(trace), "--properties", properties,
+                     "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err, err
+    assert not report.exists()
+
+
 def test_sweep_csv_frontier(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--variant", "FFA_FULL", "--n-range", "4:8",

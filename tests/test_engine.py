@@ -428,29 +428,28 @@ def containers(state: ProtocolState) -> list:
     return [state.to_send, state.delivered]
 
 
+def payloads_against_birth_order() -> ScenarioConfig:
+    """NFA_WEAK: source 0 broadcasts "b" in round 1 and "a" in round 2, so
+    from round 5 on every correct process delivers both in one round."""
+    return crash_silent(7, 1, 8, "NFA_WEAK", "NFA",
+                        [{"source": 0, "round": 1, "payload": "b"},
+                         {"source": 0, "round": 2, "payload": "a"}],
+                        {"generator": "alternating", "params": {"p1": [5], "p2": [6]}})
+
+
 class TestDeliveryOrder:
-    """A round's DELIVER_CALLs keep every process's own delivery order."""
-
-    A, B, C = (0, b"a"), (0, b"b"), (1, b"c")
-
-    def test_first_delivery_when_it_keeps_every_order(self):
-        assert engine._delivery_order([self.A, self.B, self.C],
-                                      [[self.A, self.C], [self.B, self.C]]) == [self.A, self.B, self.C]
-
-    def test_a_process_that_missed_an_earlier_instance_does_not_reorder_another(self):
-        """Process 0 delivers only B; process 1 delivers A, then B. First
-        delivery would put B first and reorder process 1."""
-        assert engine._delivery_order([self.B, self.A], [[self.A, self.B]]) == [self.A, self.B]
-        assert engine._delivery_order([self.C, self.B, self.A],
-                                      [[self.A, self.C], [self.B, self.C]]) == [self.B, self.A, self.C]
-
-    def test_contradicting_orders_fall_back_to_first_delivery(self):
-        """When no instance is free, the first delivered one left goes next."""
-        assert engine._delivery_order([self.A, self.B], [[self.A, self.B], [self.B, self.A]]) == [
-            self.A, self.B]
-        assert engine._delivery_order([self.C, self.A, self.B],
-                                      [[self.A, self.B], [self.B, self.A], [self.A, self.C]]) == [
-            self.C, self.A, self.B]
+    def test_a_round_delivers_in_source_payload_order(self):
+        """A round's DELIVER_CALLs are strictly increasing in (source,
+        payload), whatever the births of the instances."""
+        trace = run(payloads_against_birth_order())
+        by_round: dict[int, list[tuple[int, bytes]]] = {}
+        for ev in trace.events:
+            if ev.kind == KIND_DELIVER_CALL:
+                instance = (ev.detail["source"], decode_payload(ev.detail))
+                by_round.setdefault(ev.round, []).append(instance)
+        assert any(len(calls) > 1 for calls in by_round.values())
+        for r, calls in by_round.items():
+            assert all(a < b for a, b in zip(calls, calls[1:])), (r, calls)
 
 
 class TestSharedCompute:
@@ -466,6 +465,7 @@ class TestSharedCompute:
         pytest.param(lambda: cured_in_pairs("FFA_FULL", "FFA"), id="ffa_cured_in_pairs"),
         pytest.param(lambda: cured_in_pairs("BFA_WEAK", "BFA"), id="bfa_cured_in_pairs"),
         pytest.param(cured_in_step, id="bfa_cured_in_step"),
+        pytest.param(payloads_against_birth_order, id="payloads_against_birth_order"),
     ])
     def test_each_state_equals_a_per_process_compute(self, config):
         cfg = config()

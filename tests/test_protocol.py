@@ -11,7 +11,6 @@ from mbbc.protocol import (
     Tallies,
     Variant,
     VariantTag,
-    broadcast,
     compute_phase,
     get_majority,
     init_state,
@@ -61,22 +60,26 @@ class TestInit:
 
 
 class TestBroadcast:
+    """A broadcast call is a payload handed to ``compute_phase``."""
+
+    def sends(self, state: ProtocolState) -> set:
+        return {m for m in state.to_send if m.kind is MessageKind.SEND}
+
     def test_enqueues_send_with_current_round(self):
-        state = fresh(rc=1)
-        broadcast(state, 2, b"a")
-        assert send_msg(2, 1, b"a") in state.to_send
+        state = fresh(rc=999)
+        tallies = Tallies(rc_votes={p: 4 for p in range(4)})
+        compute_phase(state, tallies, 2, FFA6, n=6, broadcasts=[b"a"])
+        assert self.sends(state) == {send_msg(2, 4, b"a")}  # the repaired rc
 
     def test_distinct_payloads_distinct_entries(self):
         state = fresh()
-        broadcast(state, 0, b"a")
-        broadcast(state, 0, b"b")
-        assert len(state.to_send) == 2
+        compute_phase(state, Tallies(), 0, FFA6, n=6, broadcasts=[b"a", b"b"])
+        assert self.sends(state) == {send_msg(0, 1, b"a"), send_msg(0, 1, b"b")}
 
     def test_same_payload_twice_is_one_entry(self):
         state = fresh()
-        broadcast(state, 0, b"a")
-        broadcast(state, 0, b"a")
-        assert len(state.to_send) == 1
+        compute_phase(state, Tallies(), 0, FFA6, n=6, broadcasts=[b"a", b"a"])
+        assert self.sends(state) == {send_msg(0, 1, b"a")}
 
 
 class TestOnCured:
@@ -101,7 +104,7 @@ class TestOnCured:
 class TestSendPhase:
     def test_cured_wipes_and_sends_nothing(self):
         state = fresh()
-        broadcast(state, 0, b"a")
+        state.to_send = frozenset({send_msg(0, 1, b"a")})
         on_cured(state)
         assert send_phase(state) == frozenset()
         assert state.to_send == frozenset()
@@ -282,6 +285,13 @@ class TestComputePhase:
         vote(tallies.readys, (0, 2, b"m"), [1, 2, 3])
         deliveries = compute_phase(state, tallies, 5, BFA6, n=6)
         assert deliveries == [(0, b"m")]
+
+    def test_deliveries_in_source_payload_order_not_birth_order(self):
+        state = fresh(rc=5)
+        tallies = Tallies()
+        vote(tallies.readys, (0, 2, b"a"), [1, 2, 3, 4, 5])  # 5 > 2F = 4
+        vote(tallies.readys, (0, 1, b"b"), [1, 2, 3, 4, 5])
+        assert compute_phase(state, tallies, 6, NFA6, n=7) == [(0, b"a"), (0, b"b")]
 
     def test_relay_persists_for_quorum_keys(self):
         state = fresh(rc=9)
