@@ -352,6 +352,12 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
     birth+3) times — one baseline delivery plus one per cure. NFA_WEAK: a
     process must deliver the instance at every correct round from birth+3 on.
     Not applicable to the full variant.
+
+    The birth is the round of the instance's earliest broadcast whose source
+    was correct for delta_b rounds from it, as VALIDITY reads it. An instance
+    with no such broadcast takes its first delivery minus DELIVERY_DELAY: a
+    source possessed before its SEND went out can be made to send it with
+    any birth, and the protocol gates on the birth the SEND carries.
     """
     variant, schedule = index.variant, index.schedule
     if variant is VariantTag.FFA_FULL:
@@ -359,8 +365,9 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
                               {"note": "not applicable to the full no-duplication variant"})
     birth_of: dict[tuple[int, bytes], int] = {}
     for b in index.broadcasts:
-        key = (b.source, b.payload)
-        birth_of[key] = min(b.round, birth_of.get(key, b.round))
+        if schedule.correct_during(b.source, b.round, b.round + index.delta_b - 1):
+            key = (b.source, b.payload)
+            birth_of[key] = min(b.round, birth_of.get(key, b.round))
 
     verdict = SATISFIED
     witness: list[int] = []

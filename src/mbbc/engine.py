@@ -12,22 +12,27 @@ Each round runs five sub-phases in a fixed order:
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Each distinct message
    the correct processes send to all is folded once, with all its senders,
-   into the round's common tallies; a correct receiver with no dictated
-   receipt reads them as they are, and one with dictated receipts gets a
-   copy with those folded in. Tallies are round-local and never part of a
-   process's state. Messages reaching faulty processes have no protocol
-   effect (the omniscient adversary sees them anyway).
+   into the round's common tallies. A correct receiver's inbox is its
+   dictated receipts, as (sender, message) pairs; ``receive_phase`` folds
+   each distinct inbox once into a copy of the common tallies, and every
+   correct receiver that holds it reads that one fold, read-only. A
+   receiver with no dictated receipt reads the common tallies themselves.
+   Tallies are round-local and never part of a process's state. Messages
+   reaching faulty processes have no protocol effect (the omniscient
+   adversary sees them anyway).
 5. COMPUTE  — correct processes run the protocol compute phase on their
    tallies (scheduled broadcast calls are injected here); each faulty
-   process's state is replaced by whatever the strategy returns. A correct
-   process with no dictated receipt and no broadcast call reads the common
-   tallies, so its phase depends only on ``rc``, its cure flags and
-   ``delivered``: the first such process of each class of equal values, in
-   process order, runs ``compute_phase``, and the others take its outcome
-   through ``protocol.adopt_compute``. The send queue and ``delivered`` a
-   state carries are immutable, so the members of a class share them, and
-   the next SEND walks each distinct queue once, with all the senders that
-   hold it. The round's deliveries are gathered per (source, payload).
+   process's state is replaced by whatever the strategy returns. Without a
+   broadcast call, a correct process's phase depends only on its fold, its
+   ``rc``, its cure flags and ``delivered``: the first process of each class
+   of equal values, in process order, runs ``compute_phase``, and the others
+   take its outcome through ``protocol.adopt_compute``. Every fold is held
+   until the round ends, so its identity names it in the class key. A
+   process with a broadcast call runs its own phase. The send queue and
+   ``delivered`` a state carries are immutable, so the members of a class
+   share them, and the next SEND walks each distinct queue once, with all
+   the senders that hold it. The round's deliveries are gathered per
+   (source, payload).
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -482,6 +487,26 @@ def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]]
             for msg in sorted(receivers, key=ProtocolMessage.sort_key)]
 
 
+def receive_phase(common: Tallies, inboxes: Sequence[Sequence[tuple[int, ProtocolMessage]]],
+                  receivers: Iterable[int]) -> dict[int, Tallies]:
+    """Each receiver's tallies for one round: ``common`` with the receiver's
+    own (sender, message) receipts, ``inboxes[p]``, folded in.
+
+    Each distinct inbox is folded once, and the receivers that hold it share
+    that fold read-only; a receiver with an empty inbox gets ``common``
+    itself. Messages are type-exact, so equal inboxes fold to equal tallies.
+    """
+    folds: dict[tuple, Tallies] = {(): common}
+    tallies: dict[int, Tallies] = {}
+    for p in receivers:
+        key = tuple(inboxes[p])
+        fold = folds.get(key)
+        if fold is None:
+            fold = folds[key] = receive(common, key)
+        tallies[p] = fold
+    return tallies
+
+
 def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind
                           ) -> list[tuple[int, int | None]]:
     """Cure notifications at the start of round r: one ``(process, faulty_since)``
@@ -579,7 +604,7 @@ class Simulation:
         for msg, senders in grouped:
             on_p2p_deliver(common, senders, msg)
         obs.common, obs.dictated = common, _inboxes(dictated, n)
-        tallies = {p: receive(common, obs.dictated[p]) for p in range(n) if p not in faulty}
+        tallies = receive_phase(common, obs.dictated, [p for p in range(n) if p not in faulty])
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
         computed: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]]]] = {}
@@ -594,13 +619,14 @@ class Simulation:
             payloads = self._broadcast_index.get((p, r), [])
             for payload in payloads:
                 self._emit(r, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
-            if payloads or tallies[p] is not common:
-                delivered = compute_phase(state, tallies[p], p, self.variant, n, broadcasts=payloads)
+            fold = tallies[p]
+            if payloads:
+                delivered = compute_phase(state, fold, p, self.variant, n, broadcasts=payloads)
             else:
-                key = (state.rc, state.cured, state.cured_faulty_since, state.delivered)
+                key = (id(fold), state.rc, state.cured, state.cured_faulty_since, state.delivered)
                 first = computed.get(key)
                 if first is None:
-                    delivered = compute_phase(state, common, p, self.variant, n)
+                    delivered = compute_phase(state, fold, p, self.variant, n)
                     computed[key] = state, delivered
                 else:
                     adopt_compute(state, first[0])

@@ -99,7 +99,7 @@ class ProtocolState:
 @dataclass
 class Tallies:
     """The votes one process received in one round. Read-only once built: the
-    round's common fold is handed to every process that received nothing else."""
+    engine hands one fold to every process that received the same messages."""
 
     sends: set[InstanceKey] = field(default_factory=set)
     echos: dict[InstanceKey, set[int]] = field(default_factory=dict)

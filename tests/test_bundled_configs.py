@@ -17,6 +17,9 @@ EXPECTED = {
     "faulty_source_none_deliver.json": (0, None),
     # The weak variant abandons no-duplication: cures re-deliver, by design.
     "bfa_double_cure.json": (1, {"NO_DUPLICATION"}),
+    # The source is possessed before its SEND goes out, and the agent sends
+    # it later with a later birth: every count is owed from that birth.
+    "bfa_forged_birth.json": (0, None),
     "nfa_alternating_n7.json": (1, {"NO_DUPLICATION"}),
     # Below the n > 5f bound the alternating attack starves validity.
     "alternating_below_bound_n5.json": (1, {"VALIDITY"}),

@@ -287,6 +287,27 @@ class TestDeliveryCountLaws:
         assert report.verdict == VIOLATED
         assert report.details["instances"][0]["missing"] == [{"process": first.subject, "round": 5}]
 
+    def test_a_source_correct_for_delta_b_rounds_gives_the_birth(self):
+        cfg = bfa_double_cure_scenario()
+        report = check_one(DELIVERY_COUNT_LAW, run(cfg), cfg, VariantTag.BFA_WEAK)
+        assert [inst["birth_round"] for inst in report.details["instances"]] == [1]
+
+    def test_a_source_possessed_before_its_send_is_owed_from_the_forged_birth(self):
+        """Source 0 broadcasts in round 1 and is possessed in round 2, so its
+        SEND never goes out; in round 5 the agent sends it with birth 4, and
+        every process delivers in round 7. The counts are owed from birth 4,
+        not from the broadcast: the cures of rounds 5 to 7 owe nothing."""
+        cfg = ScenarioConfig.from_json((CONFIG_DIR / "bfa_forged_birth.json").read_text())
+        trace = run(cfg)
+        report = check_one(DELIVERY_COUNT_LAW, trace, cfg)
+        assert report.verdict == SATISFIED, report.details
+        assert report.details["instances"] == [{"source": 0, "birth_round": 4}]
+        drop_delivery(trace, 3, 7)
+        report = check_one(DELIVERY_COUNT_LAW, trace, cfg)
+        assert report.verdict == VIOLATED
+        assert report.details["instances"][0]["shortfalls"] == [
+            {"process": 3, "required": 1, "actual": 0, "cures": []}]
+
 
 class TestReportPlumbing:
     def test_run_property_checks_order_and_json(self):

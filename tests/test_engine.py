@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from conftest import (
     zero_agent_scenario,
 )
 from mbbc import adversary, engine
-from mbbc.adversary import Strategy
+from mbbc.adversary import Strategy, generate_paired_histories
 from mbbc.demos import run_demo
 from mbbc.engine import (
     KIND_AGENT_MOVE,
@@ -208,18 +210,16 @@ def receive_and_fold(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, dict, dic
     correct (round, receiver), and a per-receipt fold of ``deliveries`` for
     the same keys."""
     sim = Simulation(cfg)
-    sched = cfg.resolved_schedule()
     received = {}
-    original = engine.receive
+    original = engine.receive_phase
 
     def snapshot(*args):
         out = original(*args)
-        correct = [p for p in range(cfg.n) if sched.is_correct(p, sim.round)]
-        done = sum(r == sim.round for r, _ in received)
-        received[(sim.round, correct[done])] = copy.deepcopy(out)
+        for p, tallies in out.items():
+            received[(sim.round, p)] = copy.deepcopy(tallies)
         return out
 
-    monkeypatch.setattr(engine, "receive", snapshot)
+    monkeypatch.setattr(engine, "receive_phase", snapshot)
     trace = sim.run()
     folded = {key: Tallies() for key in received}
     for d in deliveries(trace):
@@ -537,6 +537,147 @@ class TestSharedCompute:
         sched = cfg.resolved_schedule()
         senders = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
         assert 0 < len(walks) < senders
+
+
+def compute_inputs(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, Counter, dict]:
+    """Run ``cfg``, counting the engine's ``receive`` and ``compute_phase`` calls.
+
+    Returns the trace, the counts, and for each correct (round, process) its
+    inbox, derived by ``deliveries``, and the (rc, cured, cured_faulty_since,
+    delivered) it entered COMPUTE with: SEND reads each correct state after
+    ORACLE, and nothing changes those fields before COMPUTE.
+    """
+    sim = Simulation(cfg)
+    calls: Counter = Counter()
+    entering = {}
+
+    def counted(name, function):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapped
+
+    def sending(state):
+        p = next(p for p, held in enumerate(sim.states) if held is state)
+        entering[(sim.round, p)] = (state.rc, state.cured, state.cured_faulty_since, state.delivered)
+        return send_phase(state)
+
+    monkeypatch.setattr(engine, "receive", counted("receive", receive))
+    monkeypatch.setattr(engine, "compute_phase", counted("compute_phase", compute_phase))
+    monkeypatch.setattr(engine, "send_phase", sending)
+    trace = sim.run()
+    inboxes = {key: [] for key in entering}
+    for d in deliveries(trace):
+        if (d.round, d.receiver) in inboxes:
+            inboxes[d.round, d.receiver].append((d.sender, encode_line(d.message)))
+    return trace, calls, {key: (tuple(inboxes[key]), entering[key]) for key in entering}
+
+
+def paired_history(kind: str, side: int) -> ScenarioConfig:
+    return generate_paired_histories(kind, {})[side]
+
+
+def shared_inbox_script(seed: int) -> ScenarioConfig:
+    """Three agents leave processes ``a``, ``e`` and ``h`` at the boundary of
+    round ``k``, after the instance's due round 4, and possess ``b``, ``g``
+    and ``j`` from ``k`` on. In round ``k``, ``b`` sends one SEND of its own
+    to ``a``, ``e``, ``h`` and two or three processes correct throughout, and
+    ``g`` sends one message to every process, so these receivers share one
+    inbox. All three freed processes enter COMPUTE cured: ``a`` with the
+    round counter of the others, faulty since round 1; ``e`` with another
+    counter; ``h`` with ``a``'s counter and nothing delivered, but faulty
+    since round 5 (wiped then). NFA_WEAK has no cure notice, so there the
+    agents leave them cured themselves."""
+    rng = random.Random(seed)
+    variant, oracle, n = [("FFA_FULL", "FFA", 16), ("BFA_WEAK", "BFA", 16),
+                          ("NFA_WEAK", "NFA", 19)][seed % 3]
+    k = rng.randrange(7, 10)
+    a, e, h, b, g, j, *others = rng.sample(range(1, n), n - 1)
+    receivers = [a, e, h, *others[:rng.randrange(2, 4)]]
+    rng.shuffle(receivers)
+    cured = {"cured": True} if variant == "NFA_WEAK" else {}
+
+    def message() -> dict:
+        kind = rng.choice(["SEND", "ECHO", "READY", "ABORT", "ROUND"])
+        if kind == "ROUND":
+            return {"kind": kind, "round_value": rng.choice([k, k + 1, k + 40])}
+        return {"kind": kind, "source": 0, "birth_round": rng.choice([1, k]),
+                "payload": rng.choice(["x", "y"])}
+
+    def stays(agent: int, first: int, left: int, then: int) -> dict:
+        return {"agent_id": agent, "segments": [
+            {"host": left, "first_round": first, "last_round": k - 1},
+            {"host": then, "first_round": k, "last_round": None}]}
+
+    own_send = {"kind": "SEND", "source": b, "birth_round": k - 1, "payload": rng.choice(["x", "z"])}
+    e_rc = k + rng.choice([-2, 3, 40])
+    to_all = message()
+    return ScenarioConfig.from_dict({
+        "n": n, "f": 3, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": k + 2, "seed": seed,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": oracle},
+        "variant": variant,
+        "schedule": {"trajectories": [stays(0, 1, a, b), stays(1, 2, e, g), stays(2, 5, h, j)]},
+        "broadcasts": [{"source": 0, "round": 1, "payload": "x"}],
+        "strategy": {"kind": "ARBITRARY", "script": {
+            "5": {str(h): {"state": "init"}},
+            str(k - 1): {str(a): {"state": {"rc": k, **cured}},
+                         str(e): {"state": {"rc": e_rc}},
+                         str(h): {"state": {"rc": k, **cured}}},
+            str(k): {str(b): {"sends": [[q, own_send] for q in receivers]},
+                     str(g): {"sends": [[q, to_all] for q in range(n)]}}}},
+    })
+
+
+# seed -> sha256 of the trace of ``shared_inbox_script(seed)``, derived with
+# every process that received a dictated message running its own COMPUTE.
+SHARED_INBOX_PINS = {
+    0: "23f669bf3f718a7b3392c6030255254c9942cac3a6b169c5a492a75e77cfc76b",  # FFA_FULL
+    1: "0b3dd73247e6896d9cb8ed5e8765038557dae2367aa3016afaa322ae524336d0",  # BFA_WEAK
+    2: "4c7b303712cd0659228b1af389a675a0a33e02e1a035a11cf1b14f9caa93f668",  # NFA_WEAK
+    3: "7ec35bfe44ab722d987cc9bf3e29e6e92f3ae230fc50e54ce448f420ea8cf0c5",  # FFA_FULL
+    4: "3910b887f3ce64fa672e1223d4ca2091f277a4d620f4973ebff923ca8052d05c",  # BFA_WEAK
+    5: "13aa2a97ba546ef7f133ce257a688ed6f3ee836af38db7840ed2d362d2cd95fc",  # NFA_WEAK
+}
+
+
+class TestSharedFolds:
+    """RECEIVE folds each distinct inbox of a round once, and COMPUTE runs
+    once per class of equal fold and state; broadcast calls run their own."""
+
+    @pytest.mark.parametrize("config", [
+        *[pytest.param(lambda kind=kind, side=side: paired_history(kind, side), id=f"{kind}-{side}")
+          for kind in ("SOURCE_FLIP", "WIPE_FLIP") for side in (0, 1)],
+        pytest.param(lambda: split_send_scenario([1, 2, 3]), id="split_send"),
+    ])
+    def test_one_fold_per_distinct_inbox_and_one_compute_per_class(self, config, monkeypatch):
+        cfg = config()
+        trace, calls, inputs = compute_inputs(cfg, monkeypatch)
+        sched = cfg.resolved_schedule()
+        dictated = {(r, tuple(receipt for receipt in inbox if not sched.is_correct(receipt[0], r)))
+                    for (r, _p), (inbox, _state) in inputs.items()}
+        assert calls["receive"] == sum(bool(receipts) for _r, receipts in dictated)
+        broadcasters = {(ev.round, ev.subject) for ev in trace.events if ev.kind == KIND_BROADCAST_CALL}
+        classes = {(r, inbox, state) for (r, p), (inbox, state) in inputs.items()
+                   if (r, p) not in broadcasters}
+        assert calls["compute_phase"] <= len(classes) + len(broadcasters)
+        assert len(classes) < len(inputs) - len(broadcasters)
+
+    @pytest.mark.parametrize("seed", sorted(SHARED_INBOX_PINS))
+    def test_receivers_of_one_inbox_in_different_states_stay_apart(self, seed, monkeypatch):
+        """The shared inbox of round ``k`` holds a cured receiver and one with
+        another round counter beside processes correct throughout; the trace
+        is the one each receiver's own COMPUTE gave."""
+        cfg = shared_inbox_script(seed)
+        trace, _calls, inputs = compute_inputs(cfg, monkeypatch)
+        k = cfg.horizon - 2
+        by_inbox: dict[tuple, list[tuple]] = {}
+        for (r, _p), (inbox, state) in inputs.items():
+            if r == k:
+                by_inbox.setdefault(inbox, []).append(state)
+        assert any(any(cured for _rc, cured, _since, _delivered in states)
+                   and len({rc for rc, _cured, _since, _delivered in states}) > 1
+                   and len(set(states)) >= 3 for states in by_inbox.values())
+        assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == SHARED_INBOX_PINS[seed]
 
 
 def send_order_texts(case: str) -> list[str]:

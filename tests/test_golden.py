@@ -63,6 +63,9 @@ TRACE_PINS = {
     "bfa_double_cure.json": (
         "0095b445a373c3b7ec191819efcc16c0a211c89372424461229d8343ec35f815",
         "65479141fa7a26e589ea189a807188a5761f05270379c8956f3e41cc4ed19402"),
+    "bfa_forged_birth.json": (
+        "7d6882fd881f6790c083ec365ccb21c4250ba6fb8b305a2fb537e99be08c4df9",
+        "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
         "43c2dd0076da2bb3d6db9b6657cbb9812d8f343daacc0dacd5b87e2a5208260a",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
@@ -98,6 +101,7 @@ DEMO_PINS = {
 PER_ENVELOPE_TRACE_PINS = {
     "alternating_below_bound_n5.json": "76d013a164a047f4069eede8153aeb7a9c98cd7362579cd3ee1d581ad060d9c6",
     "bfa_double_cure.json": "86d84272eeb614cddbdc5c63d5086c79e5b0a6a6e5094863b9d5bc80d9c9ec91",
+    "bfa_forged_birth.json": "72468e65889b3ab319f1833166d96bf6d45f39b88184d57a33b231fb3f171e17",
     "correct_source.json": "b917898543967900e8208577e641edf86e703d09e0e6a873f6246b4a3374981c",
     "faulty_source_all_deliver.json": "a22f0347572f6a432654d185a9b347d6710255cdd7de0f2e71ffe8adecd92003",
     "faulty_source_none_deliver.json": "fcc3d0dae264ebee1fedf4b745e9b6ef4401f3e59b2fcb1e7ce86b6a6f8871e1",
@@ -128,6 +132,7 @@ PER_ENVELOPE_DEMO_PINS = {
 PROJECTION_PINS = {
     "alternating_below_bound_n5.json": "ee2dad521d8679c8c84001d1eb63e4ba44b3665372f0356865dd0cf2d5788772",
     "bfa_double_cure.json": "ac51ba2b22aa161b6297ec5127a17df16b37fbfb9010a982f78b35d0b9cacc80",
+    "bfa_forged_birth.json": "1c903c78f30562aa5dd04396d9781404cbebf8150760c9448d14f3de4a8a5b9a",
     "correct_source.json": "54d4e1f730a59029e37766738cafb91dfde77d846ce1526af568cbca020399da",
     "faulty_source_all_deliver.json": "82f1092336043eaa414e28705eadfd2733a09501f836a999d1184c453923c11c",
     "faulty_source_none_deliver.json": "fd71deba851e4d699a89b27d307ff83378301263775a04e186c35a8ac3f493dd",
@@ -151,6 +156,7 @@ PROJECTION_PINS = {
 GROUPED_PROJECTION_PINS = {
     "alternating_below_bound_n5.json": "03d33d6439ea9c13714abc508af4c9ccd323cd9764bc15f29f03bf3556385ce1",
     "bfa_double_cure.json": "4d3b051a88da963d2bd35424d54c356568bdb0fc4859b9e411f98c07ea2e9fd5",
+    "bfa_forged_birth.json": "d1a0c18775ddaaab4e482180cfcc7537542186b2028729986e5a620acdbc58ec",
     "correct_source.json": "7bf6fca384617aa6dd957b76d57801b50ca77e18c27908fd9fb9e18b6e54d135",
     "faulty_source_all_deliver.json": "309181f7435eed9b9a078f6b0ae1c03e4ebae1caebfa8a8711b43819ec1e0b5e",
     "faulty_source_none_deliver.json": "3e9ccb5e1c7e7ec1e9a1c01fc8151eccd9f57050eccee270f73cba35d69468c4",
@@ -193,6 +199,7 @@ REPORT_PINS = {
 WITNESS_PINS = {
     "alternating_below_bound_n5.json": "53c0d4e0a75644b2b9ccf7544adf78b85a4d54cf77dc510c5eac7d772d7c6a58",
     "bfa_double_cure.json": "1687a564c0f7a0b6996e41eb1df0cb256e972c882d5007cb9bab04a378cf7684",
+    "bfa_forged_birth.json": "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9",
     "bfa_weak_roundrobin": "c0f4d5adaa938971f4622d4f136f0de6b245cd18e1ea514ea048e5a5d2f55d79",
     "bfa_weak_walk": "3a31fd2583c3ddc8a51aa66ce44c29851036c6ee9339bb80a4098a51c6d294f0",
     "correct_source.json": "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d",
