@@ -12,7 +12,10 @@ The two history-forging strategies (``EQUIVOCATE_HISTORY``, ``WIPE_AND_RUN``)
 make a possessed process *faithfully run the protocol* by replaying the real
 state machine against the process's own state — that is how the paired
 indistinguishable executions are produced: the possessed process's wire
-behaviour is byte-for-byte what a correct process would have sent.
+behaviour is byte-for-byte what a correct process would have sent. They fold
+nothing themselves: the compute phase reads the tallies the engine's receive
+phase built for the possessed process, the fold a correct process with the
+same inbox reads.
 """
 
 from __future__ import annotations
@@ -26,11 +29,9 @@ from .protocol import (
     DELIVERY_DELAY,
     ProtocolState,
     Tallies,
-    Variant,
     compute_phase,
     init_state,
     on_cured,
-    receive,
     send_phase,
 )
 from .scenario import Broadcast, ScenarioConfig
@@ -42,16 +43,15 @@ class Observation:
 
     ``states`` is the engine's live list of protocol states, not a copy: a
     strategy may change a possessed process's state in place, and must leave
-    every other state alone. ``common`` is the round's fold of the traffic
-    every process received, read-only, and ``dictated[p]`` the (sender,
-    message) receipts process p alone received; the engine sets both after
-    the receive phase, so the send phase sees neither.
+    every other state alone. ``tallies[p]`` is the fold of everything
+    process p received this round, correct or possessed, read-only and
+    shared with every process that received the same; the engine sets it
+    after the receive phase, so the send phase sees none.
     """
 
     schedule: FailureSchedule
     states: Sequence[ProtocolState]
-    common: Tallies | None = None
-    dictated: Sequence[list[tuple[int, ProtocolMessage]]] = ()
+    tallies: Sequence[Tallies] = ()
 
 
 class Strategy:
@@ -149,10 +149,13 @@ def _faithful_sends(state: ProtocolState, n: int) -> list[tuple[int, ProtocolMes
     return [(q, m) for m in send_phase(state) for q in range(n)]
 
 
-def _faithful_compute(state: ProtocolState, p: int, obs: Observation, variant: Variant, n: int,
-                      broadcasts: Sequence[bytes]) -> ProtocolState:
-    """The protocol's own receive and compute phases on the possessed state."""
-    compute_phase(state, receive(obs.common, obs.dictated[p]), p, variant, n, broadcasts=broadcasts)
+def _faithful_compute(config: ScenarioConfig, p: int, r: int, obs: Observation) -> ProtocolState:
+    """The protocol's own compute phase on the possessed state, on the fold
+    the receive phase gave p, with the broadcast calls ``config`` schedules
+    for p in round r."""
+    state = obs.states[p]
+    payloads = [b.payload for b in config.broadcasts if b.source == p and b.round == r]
+    compute_phase(state, obs.tallies[p], p, config.variant_spec(), config.n, broadcasts=payloads)
     return state
 
 
@@ -178,9 +181,7 @@ class EquivocateHistory(Strategy):
         return _faithful_sends(obs.states[p], self.config.n)
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
-        payloads = [b.payload for b in self.config.broadcasts if b.source == p and b.round == r]
-        return _faithful_compute(obs.states[p], p, obs, self.config.variant_spec(), self.config.n,
-                                 payloads)
+        return _faithful_compute(self.config, p, r, obs)
 
 
 class WipeAndRun(Strategy):
@@ -202,9 +203,7 @@ class WipeAndRun(Strategy):
         if p != self.target:
             return obs.states[p]
         if r <= self.sim_until:
-            payloads = [b.payload for b in self.config.broadcasts if b.source == p and b.round == r]
-            return _faithful_compute(obs.states[p], p, obs, self.config.variant_spec(),
-                                     self.config.n, payloads)
+            return _faithful_compute(self.config, p, r, obs)
         if r == self.wipe_round:
             return init_state()
         return obs.states[p]

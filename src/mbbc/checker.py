@@ -150,6 +150,21 @@ class TraceIndex:
     def broadcasts(self) -> list[BroadcastRecord]:
         return extract_broadcasts(self.trace)
 
+    def qualifies(self, b: BroadcastRecord) -> bool:
+        """Whether ``b``'s source was correct for delta_b rounds from its round:
+        only such a broadcast obliges a delivery or dates its instance."""
+        return self.schedule.correct_during(b.source, b.round, b.round + self.delta_b - 1)
+
+    @cached_property
+    def births(self) -> dict[tuple[int, bytes], int]:
+        """The round of each (source, payload)'s earliest qualifying broadcast."""
+        out: dict[tuple[int, bytes], int] = {}
+        for b in self.broadcasts:
+            if self.qualifies(b):
+                key = (b.source, b.payload)
+                out[key] = min(b.round, out.get(key, b.round))
+        return out
+
     @cached_property
     def by_instance(self) -> dict[tuple[int, bytes], list[DeliveryGroup]]:
         """Correct-time delivery groups per (source, payload), keyed in order of first delivery."""
@@ -208,7 +223,7 @@ def check_validity(index: TraceIndex) -> PropertyReport:
     verdict = SATISFIED
     witness: list[int] = []
     for b in index.broadcasts:
-        if not schedule.correct_during(b.source, b.round, b.round + index.delta_b - 1):
+        if not index.qualifies(b):
             instances.append({"source": b.source, "round": b.round, "status": "vacuous",
                               "reason": "source not correct for delta_b rounds"})
             continue
@@ -273,18 +288,13 @@ def check_integrity(index: TraceIndex) -> PropertyReport:
     and by a faulty source when the source's first faulty round is r or before.
     """
     schedule = index.schedule
-    first_broadcast: dict[tuple[int, bytes], int] = {}
-    for b in index.broadcasts:
-        if schedule.correct_during(b.source, b.round, b.round + index.delta_b - 1):
-            key = (b.source, b.payload)
-            first_broadcast[key] = min(b.round, first_broadcast.get(key, b.round))
     first_faulty: dict[int, int] = {}
     for r in range(1, schedule.horizon + 1):
         for p in schedule.faulty_set(r):
             first_faulty.setdefault(p, r)
     never = schedule.horizon + 1
     unexplained = [g for g in index.correct_deliveries
-                   if first_broadcast.get((g.source, g.payload), never) > g.round
+                   if index.births.get((g.source, g.payload), never) > g.round
                    and first_faulty.get(g.source, never) > g.round]
     if unexplained:
         # Per round, by process; a process's own deliveries keep their trace order.
@@ -363,12 +373,6 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
     if variant is VariantTag.FFA_FULL:
         return PropertyReport(DELIVERY_COUNT_LAW, SATISFIED, [],
                               {"note": "not applicable to the full no-duplication variant"})
-    birth_of: dict[tuple[int, bytes], int] = {}
-    for b in index.broadcasts:
-        if schedule.correct_during(b.source, b.round, b.round + index.delta_b - 1):
-            key = (b.source, b.payload)
-            birth_of[key] = min(b.round, birth_of.get(key, b.round))
-
     verdict = SATISFIED
     witness: list[int] = []
     details: list[dict] = []
@@ -376,7 +380,7 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
         everyone = frozenset(range(schedule.n))
         correct_in = [everyone - schedule.faulty_set(r) for r in range(1, schedule.horizon + 1)]
     for key, groups in sorted(index.by_instance.items(), key=lambda kv: kv[1][0].event_index):
-        birth = birth_of.get(key, min(g.round for g in groups) - DELIVERY_DELAY)
+        birth = index.births.get(key, min(g.round for g in groups) - DELIVERY_DELAY)
         due = birth + DELIVERY_DELAY
         inst: dict = {"source": key[0], "birth_round": birth}
         if variant is VariantTag.BFA_WEAK:

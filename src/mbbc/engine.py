@@ -12,14 +12,15 @@ Each round runs five sub-phases in a fixed order:
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Each distinct message
    the correct processes send to all is folded once, with all its senders,
-   into the round's common tallies. A correct receiver's inbox is its
-   dictated receipts, as (sender, message) pairs; ``receive_phase`` folds
-   each distinct inbox once into a copy of the common tallies, and every
-   correct receiver that holds it reads that one fold, read-only. A
-   receiver with no dictated receipt reads the common tallies themselves.
-   Tallies are round-local and never part of a process's state. Messages
-   reaching faulty processes have no protocol effect (the omniscient
-   adversary sees them anyway).
+   into the round's common tallies. A process's inbox is its dictated
+   receipts, as (sender, message) pairs; ``receive_phase`` folds each
+   distinct inbox once into a copy of the common tallies, and every
+   process that holds it, correct or possessed, reads that one fold,
+   read-only. A process with no dictated receipt reads the common tallies
+   themselves. Tallies are round-local and never part of a process's
+   state. RECEIVE is the only place a fold is built: the strategies see
+   every process's fold in the observation, and the history-forging ones
+   run a possessed process's compute phase on that process's fold.
 5. COMPUTE  — correct processes run the protocol compute phase on their
    tallies (scheduled broadcast calls are injected here); each faulty
    process's state is replaced by whatever the strategy returns. Without a
@@ -48,7 +49,7 @@ fan-outs come first, in message order, then the dictated sends in (sender,
 message) order. Receipts are not traced; links are synchronous and reliable,
 so ``deliveries`` derives them from the SEND events, which ``round_sends``
 expands to one (sender, message, to) send per sender in (sender, message)
-order; a correct receiver's tallies are a fold of its receipts, by (sender,
+order; a process's tallies are a fold of its receipts, by (sender,
 message). A round's deliveries are one DELIVER_CALL per distinct (source,
 payload), ``{"by": [processes], "payload…": …, "source": s}`` with the
 delivering processes strictly increasing and the subject ``by[0]``. They come
@@ -464,8 +465,8 @@ def deliveries(trace: Trace) -> list[Delivery]:
     then (sender, message) as ``round_sends`` orders them.
 
     These are link deliveries of protocol messages, not the DELIVER_CALLs of
-    the broadcast layer. Folding a correct receiver's receipts of a round, in
-    this order, gives the tallies the engine's RECEIVE phase leaves it with;
+    the broadcast layer. Folding a process's receipts of a round, in this
+    order, gives the tallies the engine's RECEIVE phase leaves it with;
     the messages are the SEND events' message dicts.
     """
     by_round = round_sends(trace.events)
@@ -487,23 +488,24 @@ def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]]
             for msg in sorted(receivers, key=ProtocolMessage.sort_key)]
 
 
-def receive_phase(common: Tallies, inboxes: Sequence[Sequence[tuple[int, ProtocolMessage]]],
-                  receivers: Iterable[int]) -> dict[int, Tallies]:
-    """Each receiver's tallies for one round: ``common`` with the receiver's
-    own (sender, message) receipts, ``inboxes[p]``, folded in.
+def receive_phase(common: Tallies, inboxes: Sequence[Sequence[tuple[int, ProtocolMessage]]]
+                  ) -> list[Tallies]:
+    """Every process's tallies for one round, indexed by process: ``common``
+    with the process's own (sender, message) receipts, ``inboxes[p]``,
+    folded in.
 
-    Each distinct inbox is folded once, and the receivers that hold it share
-    that fold read-only; a receiver with an empty inbox gets ``common``
+    Each distinct inbox is folded once, and the processes that hold it share
+    that fold read-only; a process with an empty inbox gets ``common``
     itself. Messages are type-exact, so equal inboxes fold to equal tallies.
     """
     folds: dict[tuple, Tallies] = {(): common}
-    tallies: dict[int, Tallies] = {}
-    for p in receivers:
-        key = tuple(inboxes[p])
+    tallies: list[Tallies] = []
+    for inbox in inboxes:
+        key = tuple(inbox)
         fold = folds.get(key)
         if fold is None:
             fold = folds[key] = receive(common, key)
-        tallies[p] = fold
+        tallies.append(fold)
     return tallies
 
 
@@ -603,8 +605,7 @@ class Simulation:
         common = Tallies()
         for msg, senders in grouped:
             on_p2p_deliver(common, senders, msg)
-        obs.common, obs.dictated = common, _inboxes(dictated, n)
-        tallies = receive_phase(common, obs.dictated, [p for p in range(n) if p not in faulty])
+        obs.tallies = tallies = receive_phase(common, _inboxes(dictated, n))
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
         computed: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]]]] = {}

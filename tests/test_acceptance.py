@@ -128,7 +128,7 @@ def test_criterion_04_resilience_frontier_ffa():
 
 def test_criterion_05_weak_variant_frontiers():
     _, nfa_violated = _frontier(VariantTag.NFA_WEAK, range(6, 9), strategies=("alternating",))
-    weak_props = {"validity", "integrity", "agreement"}
+    weak_props = {"validity", "integrity", "agreement", "delivery_count_law"}
     nfa_weak_violations = {n: {p for _, p in v if p in weak_props} for n, v in nfa_violated.items()}
     assert nfa_weak_violations.get(6), "no-oracle variant must fail at n = 6f"
     assert not nfa_weak_violations.get(7) and not nfa_weak_violations.get(8)

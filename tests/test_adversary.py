@@ -11,8 +11,8 @@ from mbbc.adversary import (
     generate_paired_histories,
 )
 from mbbc.engine import Simulation, deliveries, round_sends, run
-from mbbc.messages import MessageKind
-from mbbc.protocol import init_state
+from mbbc.messages import MessageKind, send_msg
+from mbbc.protocol import Tallies, init_state
 from mbbc.scenario import InvalidScenario, ScenarioConfig
 from conftest import golden_correct_source, zero_agent_scenario
 
@@ -119,6 +119,24 @@ class TestStateCorruption:
         obs = obs_for(cfg, states=states)
         # Agent leaves index 1 after round 1 in the golden schedule.
         assert strat.corrupt_state(1, 1, obs) == init_state()
+
+    @pytest.mark.parametrize("kind, p, broadcast", [
+        ("SOURCE_FLIP", 0, b"m-first"),  # the source, possessed from round 1
+        ("WIPE_FLIP", 1, None),  # the target, run faithfully through delta_1
+    ])
+    def test_faithful_compute_reads_its_own_fold(self, kind, p, broadcast):
+        """A possessed process run faithfully computes on ``obs.tallies[p]``,
+        with the broadcast calls scheduled for it in the round."""
+        cfg = generate_paired_histories(kind, {})[1]
+        strat = build_strategy(cfg)
+        tallies = [Tallies() for _ in range(cfg.n)]
+        tallies[p] = Tallies(rc_votes=dict.fromkeys(range(cfg.n), 7))
+        obs = Observation(schedule=cfg.resolved_schedule(),
+                          states=[init_state() for _ in range(cfg.n)], tallies=tallies)
+        state = strat.corrupt_state(p, 1, obs)
+        assert state is obs.states[p] and state.rc == 8
+        sends = {m for m in state.to_send if m.kind is MessageKind.SEND}
+        assert sends == ({send_msg(p, 7, broadcast)} if broadcast else set())
 
     def test_arbitrary_rc_corruption_repaired_by_majority(self):
         # Script: process 2 is possessed in round 1 and left with rc=999;

@@ -207,15 +207,15 @@ def sort_key(message: dict) -> tuple:
 
 def receive_and_fold(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, dict, dict]:
     """Run ``cfg``; return its trace, a copy of the tallies RECEIVE gave each
-    correct (round, receiver), and a per-receipt fold of ``deliveries`` for
-    the same keys."""
+    (round, process), and a per-receipt fold of ``deliveries`` for the same
+    keys."""
     sim = Simulation(cfg)
     received = {}
     original = engine.receive_phase
 
     def snapshot(*args):
         out = original(*args)
-        for p, tallies in out.items():
+        for p, tallies in enumerate(out):
             received[(sim.round, p)] = copy.deepcopy(tallies)
         return out
 
@@ -333,14 +333,12 @@ class TestDeliveries:
         pytest.param(planted_round_votes, id="planted_round_votes"),
     ])
     def test_engine_receive_equals_a_fold_of_the_derived_deliveries(self, config, monkeypatch):
-        """RECEIVE gives each correct receiver, in process order, tallies equal
-        to a fresh fold of the receipts ``deliveries`` derives for it from the
+        """RECEIVE gives each process, correct or possessed, tallies equal to
+        a fresh fold of the receipts ``deliveries`` derives for it from the
         trace, in order."""
         cfg = config()
         trace, received, folded = receive_and_fold(cfg, monkeypatch)
-        sched = cfg.resolved_schedule()
-        assert set(received) == {(r, p) for r in range(1, cfg.horizon + 1)
-                                 for p in range(cfg.n) if sched.is_correct(p, r)}
+        assert set(received) == {(r, p) for r in range(1, cfg.horizon + 1) for p in range(cfg.n)}
         assert received == folded
 
     def test_a_freed_process_votes_its_later_planted_round_message(self, monkeypatch):
@@ -641,8 +639,9 @@ SHARED_INBOX_PINS = {
 
 
 class TestSharedFolds:
-    """RECEIVE folds each distinct inbox of a round once, and COMPUTE runs
-    once per class of equal fold and state; broadcast calls run their own."""
+    """RECEIVE folds each distinct inbox of a round once, possessed processes'
+    included, and COMPUTE runs once per class of equal fold and state;
+    broadcast calls run their own."""
 
     @pytest.mark.parametrize("config", [
         *[pytest.param(lambda kind=kind, side=side: paired_history(kind, side), id=f"{kind}-{side}")
@@ -653,14 +652,48 @@ class TestSharedFolds:
         cfg = config()
         trace, calls, inputs = compute_inputs(cfg, monkeypatch)
         sched = cfg.resolved_schedule()
-        dictated = {(r, tuple(receipt for receipt in inbox if not sched.is_correct(receipt[0], r)))
-                    for (r, _p), (inbox, _state) in inputs.items()}
-        assert calls["receive"] == sum(bool(receipts) for _r, receipts in dictated)
+        dictated = {(r, p): [] for r in range(1, cfg.horizon + 1) for p in range(cfg.n)}
+        for d in deliveries(trace):
+            if not sched.is_correct(d.sender, d.round):
+                dictated[d.round, d.receiver].append((d.sender, encode_line(d.message)))
+        distinct = {(r, tuple(receipts)) for (r, _p), receipts in dictated.items() if receipts}
+        assert calls["receive"] == len(distinct)
         broadcasters = {(ev.round, ev.subject) for ev in trace.events if ev.kind == KIND_BROADCAST_CALL}
         classes = {(r, inbox, state) for (r, p), (inbox, state) in inputs.items()
                    if (r, p) not in broadcasters}
         assert calls["compute_phase"] <= len(classes) + len(broadcasters)
         assert len(classes) < len(inputs) - len(broadcasters)
+
+    @pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
+    def test_a_faithful_compute_reads_the_fold_receive_gave_its_process(self, kind, monkeypatch):
+        """On both histories, each compute phase a possessed process runs
+        faithfully reads the very tallies object RECEIVE returned for that
+        process in that round: the adversary folds nothing of its own."""
+        sim = None
+        returned: dict[int, list] = {}
+        reads: list[tuple[int, int, bool]] = []
+
+        def recording_receive(*args):
+            returned[sim.round] = receive_phase(*args)
+            return returned[sim.round]
+
+        def recording_compute(state, tallies, p, *args, **kwargs):
+            reads.append((sim.round, p, tallies is returned[sim.round][p]))
+            return compute(state, tallies, p, *args, **kwargs)
+
+        receive_phase, compute = engine.receive_phase, adversary.compute_phase
+        monkeypatch.setattr(engine, "receive_phase", recording_receive)
+        monkeypatch.setattr(adversary, "compute_phase", recording_compute)
+        for cfg in generate_paired_histories(kind, {}):
+            sim = Simulation(cfg)
+            reads.clear()
+            sim.run()
+            # EQUIVOCATE_HISTORY runs faithfully while it holds the source;
+            # WIPE_AND_RUN through ``sim_until``.
+            sched, last = cfg.resolved_schedule(), cfg.strategy.get("sim_until", cfg.horizon)
+            faithful = [(r, p) for r in range(1, last + 1) for p in sorted(sched.faulty_set(r))]
+            assert reads == [(r, p, True) for r, p in faithful]
+        assert faithful, "the second history possesses a process that runs faithfully"
 
     @pytest.mark.parametrize("seed", sorted(SHARED_INBOX_PINS))
     def test_receivers_of_one_inbox_in_different_states_stay_apart(self, seed, monkeypatch):
