@@ -34,11 +34,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .engine import (
     KIND_BROADCAST_CALL,
-    KIND_CURED,
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
     TO_ALL,
@@ -180,12 +179,23 @@ class TraceIndex:
                 for key, groups in self.by_instance.items()}
 
     @cached_property
+    def by_source(self) -> dict[int, list[tuple[int, bytes]]]:
+        """Each source's delivered (source, payload) keys of ``by_instance``,
+        sources and keys in order of first delivery."""
+        out: dict[int, list[tuple[int, bytes]]] = {}
+        for key in self.by_instance:
+            out.setdefault(key[0], []).append(key)
+        return out
+
+    @cached_property
     def cured_rounds(self) -> dict[int, list[int]]:
-        """Rounds of the CURED events of each process, in trace order."""
+        """The rounds in which each process is cured, ascending: faulty in the
+        round before, correct in it (``FailureSchedule.cured_processes``). The
+        schedule fixes them; the trace does not hold them."""
         out: dict[int, list[int]] = {}
-        for ev in self.trace.events:
-            if ev.kind == KIND_CURED:
-                out.setdefault(ev.subject, []).append(ev.round)
+        for r in range(2, self.schedule.horizon + 1):
+            for p in self.schedule.cured_processes(r):
+                out.setdefault(p, []).append(r)
         return out
 
     @cached_property
@@ -306,21 +316,21 @@ def check_integrity(index: TraceIndex) -> PropertyReport:
     return PropertyReport(INTEGRITY, SATISFIED, [], {})
 
 
-def _obligation_check(prop: str, index: TraceIndex, match_payload: bool) -> PropertyReport:
-    """Shared core of Agreement (per message) and Totality (per source)."""
-    first: dict = {}
-    delivered: dict = {}
-    for g in index.correct_deliveries:
-        key = (g.source, g.payload) if match_payload else g.source
-        if key not in first or g.round < first[key].round:
-            first[key] = g
-        delivered.setdefault(key, set()).update(g.correct)
+def _first_delivery(groups: Iterable[DeliveryGroup]) -> DeliveryGroup:
+    """The group of the earliest round, of a tie the first in the trace."""
+    return min(groups, key=lambda g: (g.round, g.event_index))
+
+
+def _obligation_check(prop: str, index: TraceIndex,
+                      obligations: Iterable[tuple[DeliveryGroup, set[int]]]) -> PropertyReport:
+    """Shared core of Agreement (per message) and Totality (per source): each
+    obligation is its first delivery group and the processes that delivered."""
     verdict = SATISFIED
     witness: list[int] = []
     details: list[dict] = []
-    for key, d in sorted(first.items(), key=lambda kv: kv[1].event_index):
+    for d, delivered in sorted(obligations, key=lambda ob: ob[0].event_index):
         # "Eventually" grants at least one round past the first observed delivery.
-        for p, due in index.owed(delivered[key], d.round + 1):
+        for p, due in index.owed(delivered, d.round + 1):
             entry = {"process": p, "source": d.source, "first_delivery_round": d.round,
                      "status": UNRESOLVED if due is None else VIOLATED}
             if due is not None:
@@ -333,24 +343,26 @@ def _obligation_check(prop: str, index: TraceIndex, match_payload: bool) -> Prop
 
 def check_agreement(index: TraceIndex) -> PropertyReport:
     """A correct-time delivery of (s, m) obliges every i.o.-correct process to deliver (s, m)."""
-    return _obligation_check(AGREEMENT, index, match_payload=True)
+    return _obligation_check(AGREEMENT, index, ((_first_delivery(groups), index.delivered_by[key])
+                                                for key, groups in index.by_instance.items()))
 
 
 def check_mbrb_totality(index: TraceIndex) -> PropertyReport:
     """One-shot reading: a delivery from s obliges every i.o.-correct process to deliver from s."""
-    return _obligation_check(TOTALITY, index, match_payload=False)
+    obligations = []
+    for keys in index.by_source.values():
+        first = _first_delivery(chain.from_iterable(index.by_instance[key] for key in keys))
+        obligations.append((first, set().union(*(index.delivered_by[key] for key in keys))))
+    return _obligation_check(TOTALITY, index, obligations)
 
 
 def check_mbrb_consistency(index: TraceIndex) -> PropertyReport:
     """One-shot reading: any two correct-time deliveries from one source carry equal payloads."""
-    by_source: dict[int, dict[bytes, DeliveryGroup]] = {}
-    for g in index.correct_deliveries:
-        by_source.setdefault(g.source, {}).setdefault(g.payload, g)
-    for source, payloads in sorted(by_source.items()):
-        if len(payloads) > 1:
-            recs = sorted(payloads.values(), key=lambda d: d.event_index)[:2]
-            return PropertyReport(CONSISTENCY, VIOLATED, [r.event_index for r in recs],
-                                  {"source": source, "distinct_payload_count": len(payloads)})
+    for source, keys in sorted(index.by_source.items()):
+        if len(keys) > 1:
+            return PropertyReport(CONSISTENCY, VIOLATED,
+                                  [index.by_instance[key][0].event_index for key in keys[:2]],
+                                  {"source": source, "distinct_payload_count": len(keys)})
     return PropertyReport(CONSISTENCY, SATISFIED, [], {})
 
 

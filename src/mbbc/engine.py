@@ -2,9 +2,10 @@
 
 Each round runs five sub-phases in a fixed order:
 
-1. ADVERSARY — agent moves at the round boundary are recorded.
+1. ADVERSARY — agents move at the round boundary, as the failure schedule
+   says; nothing is traced.
 2. ORACLE   — cure notifications go to processes that were just freed
-   (none under the no-awareness oracle).
+   (none under the no-awareness oracle); nothing is traced.
 3. SEND     — correct processes, in process order, run the protocol send
    phase (which performs the cure wipe) and send each message to every
    process; faulty processes emit exactly what the strategy dictates, with
@@ -37,9 +38,11 @@ Each round runs five sub-phases in a fixed order:
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
-phase, so an event's phase is its kind's: AGENT_MOVE in ADVERSARY, CURED in
-ORACLE, P2P_SEND in SEND, and BROADCAST_CALL, DELIVER_CALL and
-STATE_CORRUPTED in COMPUTE; RECEIVE writes nothing.
+phase, so an event's phase is its kind's: P2P_SEND in SEND, and
+BROADCAST_CALL, DELIVER_CALL and STATE_CORRUPTED in COMPUTE; ADVERSARY,
+ORACLE and RECEIVE write nothing. The schedule in the header's config fixes
+the agents' moves and the cures, which ``FailureSchedule.host_of`` and
+``deliver_oracle_events`` derive.
 
 A correct fan-out is one P2P_SEND event per distinct message per round,
 ``{"from": [senders], "message": …, "to": "ALL"}`` with the senders strictly
@@ -91,21 +94,19 @@ from .scenario import ScenarioConfig
 
 logger = logging.getLogger("mbbc.engine")
 
-KIND_AGENT_MOVE = "AGENT_MOVE"
-KIND_CURED = "CURED"
 KIND_P2P_SEND = "P2P_SEND"
 KIND_BROADCAST_CALL = "BROADCAST_CALL"
 KIND_DELIVER_CALL = "DELIVER_CALL"
 KIND_STATE_CORRUPTED = "STATE_CORRUPTED"
 
-# The traced kinds, in the order of the phases that write them.
-KINDS = (KIND_AGENT_MOVE, KIND_CURED, KIND_P2P_SEND,
-         KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRUPTED)
+# The traced kinds, in the order of the phases that write them. Agent moves
+# and cures are not traced: the header's schedule fixes them.
+KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRUPTED)
 
 # The header's ``format``: one P2P_SEND per fan-out message, listing its
-# senders, or per dictated (sender, message); no receipts; one DELIVER_CALL
-# per (round, source, payload), listing its processes.
-TRACE_FORMAT = "mbbc-trace/5"
+# senders, or per dictated (sender, message); no receipts, agent moves or
+# cures; one DELIVER_CALL per (round, source, payload), listing its processes.
+TRACE_FORMAT = "mbbc-trace/6"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
 
@@ -560,18 +561,9 @@ class Simulation:
         n = self.config.n
         faulty = schedule.faulty_set(r)
 
-        # ADVERSARY: record agent moves at the r-1/r boundary.
-        for traj in schedule.trajectories:
-            prev = schedule.host_of(traj.agent_id, r - 1) if r > 1 else None
-            now = schedule.host_of(traj.agent_id, r)
-            if prev != now and (prev is not None or now is not None):
-                subject = now if now is not None else prev
-                self._emit(r, KIND_AGENT_MOVE, subject,
-                           {"agent": traj.agent_id, "from": prev, "to": now})
-
         # ORACLE: cure notifications reach freed processes before they send.
+        # The agents' moves (ADVERSARY) are the schedule's; neither is traced.
         for p, since in deliver_oracle_events(schedule, r, self.config.setting.oracle):
-            self._emit(r, KIND_CURED, p, {"faulty_since": since})
             on_cured(self.states[p], since)
 
         # SEND: the correct senders grouped by the queue they hold, each

@@ -9,12 +9,14 @@ import random
 
 from mbbc.checker import VIOLATED, PropertyReport, replay_witness
 from mbbc.demos import DemoResult, adapter_choices, adapter_output
+from mbbc.engine import Trace, TraceEvent, deliver_oracle_events, encode_line
 from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import attack_scenario
 
-# The phase of a round that writes each traced kind, as the engine runs them.
-# A trace line holds no phase; renders of the older layouts put it back.
+# The phase of a round that writes each kind, as the engine runs them: the
+# traced kinds and the two ``mbbc-trace/6`` dropped. A trace line holds no
+# phase; renders of the older layouts put it back.
 KIND_PHASE = {
     "AGENT_MOVE": "ADVERSARY",
     "CURED": "ORACLE",
@@ -23,6 +25,38 @@ KIND_PHASE = {
     "DELIVER_CALL": "COMPUTE",
     "STATE_CORRUPTED": "COMPUTE",
 }
+
+
+def previous_layout_events(trace: Trace) -> list[TraceEvent]:
+    """The trace's events as the engine wrote them before ``mbbc-trace/6``:
+    each round's agent moves, by agent, and cure notices, by process, before
+    its traced events. The header's schedule fixes both (``host_of`` and
+    ``deliver_oracle_events``)."""
+    config = trace.scenario()
+    schedule = config.resolved_schedule()
+    traced: dict[int, list[TraceEvent]] = {}
+    for ev in trace.events:
+        traced.setdefault(ev.round, []).append(ev)
+    events = []
+    for r in range(1, schedule.horizon + 1):
+        for traj in schedule.trajectories:
+            prev, now = schedule.host_of(traj.agent_id, r - 1), schedule.host_of(traj.agent_id, r)
+            if prev != now:
+                events.append(TraceEvent(r, "AGENT_MOVE", prev if now is None else now,
+                                         {"agent": traj.agent_id, "from": prev, "to": now}))
+        events += [TraceEvent(r, "CURED", p, {"faulty_since": since})
+                   for p, since in deliver_oracle_events(schedule, r, config.setting.oracle)]
+        events += traced.get(r, [])
+    return events
+
+
+def previous_layout_jsonl(trace: Trace) -> str:
+    """The trace as ``mbbc-trace/5`` wrote it: its header in that format and
+    ``previous_layout_events``."""
+    header = {"fingerprint": trace.fingerprint, "format": "mbbc-trace/5", "seed": trace.seed,
+              "config": trace.config}
+    lines = [encode_line(header), *(encode_line(ev.to_dict()) for ev in previous_layout_events(trace))]
+    return "\n".join(lines) + "\n"
 
 
 def golden_correct_source(delta_s: int = 1, seed: int = 7) -> ScenarioConfig:

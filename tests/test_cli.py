@@ -11,7 +11,7 @@ import pytest
 from conftest import golden_correct_source
 import mbbc
 from mbbc import cli
-from mbbc.engine import Trace
+from mbbc.engine import TRACE_FORMAT, Trace
 from mbbc.sweeps import attack_scenario
 from mbbc.protocol import VariantTag
 from mbbc.scenario import MAX_HORIZON
@@ -42,6 +42,13 @@ def test_run_writes_trace_and_summary(tmp_path, golden_config_path, capsys):
     assert out.exists()
     stdout = capsys.readouterr().out
     assert "rounds=8" in stdout and "deliveries=6" in stdout and "cured=" in stdout
+
+
+def test_run_counts_the_cures_of_the_schedule(tmp_path, capsys):
+    """The trace holds no cure; `cured=` counts the oracle's notices over the horizon."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "bfa_double_cure.json"
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "t.jsonl")]) == 0
+    assert " cured=4 " in capsys.readouterr().out
 
 
 def test_run_twice_identical_files(tmp_path, golden_config_path):
@@ -336,8 +343,9 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
     assert "Traceback" not in err
 
 
-GOOD_HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/5","seed":0}'
-GOOD_EVENT = '{"detail":{},"kind":"CURED","round":1,"subject":0}'
+GOOD_HEADER = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"' + TRACE_FORMAT
+               + '","seed":0}')
+GOOD_EVENT = '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'
 # An event line of the older layout, and one with a key of no layout.
 LEFTOVER_PHASE = GOOD_EVENT.replace(',"round"', ',"phase":"SEND","round"')
 EXTRA_KEY = GOOD_EVENT.replace(',"kind"', ',"extra":5,"kind"')
@@ -372,14 +380,19 @@ def deliver_call(by: str | None, subject: int = 1) -> str:
     ('{"fingerprint":"x","seed":0}\n' + GOOD_EVENT + "\n", 1),
     ('{"config":{},"fingerprint":"x"}\n', 1),
     ("[1]\n", 1),
-    (GOOD_HEADER.replace(',"format":"mbbc-trace/5"', "") + "\n" + GOOD_EVENT + "\n", 1),
-    (GOOD_HEADER.replace("mbbc-trace/5", "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
-    pytest.param(GOOD_HEADER.replace("mbbc-trace/5", "mbbc-trace/2") + "\n", 1, id="header-only-trace-2"),
+    (GOOD_HEADER.replace(f',"format":"{TRACE_FORMAT}"', "") + "\n" + GOOD_EVENT + "\n", 1),
+    (GOOD_HEADER.replace(TRACE_FORMAT, "mbbc-trace/1") + "\n" + GOOD_EVENT + "\n", 1),
+    pytest.param(GOOD_HEADER.replace(TRACE_FORMAT, "mbbc-trace/2") + "\n", 1, id="header-only-trace-2"),
     (GOOD_HEADER.replace('"n":6', '"n":"6"') + "\n", 1),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":99') + "\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"round":1', '"round":"1"') + "\n", 2),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"subject":0', '"subject":6') + "\n", 2),
-    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"CURED"', '"P2P_DELIVER"') + "\n", 2),
+    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('"STATE_CORRUPTED"', '"P2P_DELIVER"') + "\n", 2),
+    # The kinds of an older layout: the header's schedule fixes moves and cures.
+    pytest.param(GOOD_HEADER + '\n{"detail":{"agent":0,"from":null,"to":1},"kind":"AGENT_MOVE",'
+                 '"round":1,"subject":1}\n', 2, id="agent-move"),
+    pytest.param(GOOD_HEADER + '\n{"detail":{"faulty_since":1},"kind":"CURED","round":2,'
+                 '"subject":1}\n', 2, id="cured"),
     pytest.param(GOOD_HEADER + "\n" + LEFTOVER_PHASE + "\n", 2, id="leftover-phase"),
     pytest.param(GOOD_HEADER + "\n" + EXTRA_KEY + "\n", 2, id="extra-key"),
     pytest.param(GOOD_HEADER.replace('"seed"', '"extra":5,"seed"') + "\n", 1, id="header-extra-key"),
@@ -452,12 +465,12 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 
 
 @pytest.mark.parametrize("command", ["check", "replay"])
-@pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4"])
+@pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""
     trace = tmp_path / "old.jsonl"
-    trace.write_text(GOOD_HEADER.replace("mbbc-trace/5", old) + "\n")
+    trace.write_text(GOOD_HEADER.replace(TRACE_FORMAT, old) + "\n")
     assert old in trace.read_text()
     assert cli.main([command, "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
@@ -557,7 +570,7 @@ def test_header_only_trace_with_a_huge_horizon_exits_2_at_once(tmp_path, capsys,
     not be able to ask for millions of rounds."""
     config = {**golden_correct_source().to_dict(), "horizon": 2_000_000}
     trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": "mbbc-trace/5",
+    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": TRACE_FORMAT,
                                  "seed": 0}) + "\n")
     start = time.perf_counter()
     assert cli.main([command, "--trace", str(trace)]) == 2

@@ -17,7 +17,10 @@ with its witness indices replaced by the cited events (``WITNESS_PINS``)
 stays put while only the indices move; it moves with the cited events, as
 when a DELIVER_CALL came to list its processes. These three renders put
 back the phase each line held before ``mbbc-trace/5``, read from its kind
-(``conftest.KIND_PHASE``).
+(``conftest.KIND_PHASE``), and the per-envelope one also puts back each
+round's AGENT_MOVE and CURED lines, which traces held before
+``mbbc-trace/6``, from the header's schedule
+(``conftest.previous_layout_events``).
 
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
@@ -33,7 +36,7 @@ from typing import Callable
 import pytest
 
 from mbbc import cli
-from conftest import KIND_PHASE, SHAPES, shape_config
+from conftest import KIND_PHASE, SHAPES, previous_layout_events, shape_config
 from mbbc.checker import (
     ALL_PROPERTIES,
     MBBC_PROPERTIES,
@@ -58,42 +61,42 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "e0e0ed12964eb372e6a6a9cd83fede87307877b420c2f7f508f88f75afcd7780",
+        "bda21fe4e9456e73101e616c9c004e265c371489232ac4487986c60cfb261624",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "0095b445a373c3b7ec191819efcc16c0a211c89372424461229d8343ec35f815",
-        "65479141fa7a26e589ea189a807188a5761f05270379c8956f3e41cc4ed19402"),
+        "fcde6feffbc6e85d933c838a157ff4d1ad92ff4cd871f1bfd8cb8d666662ffb7",
+        "ae3c62210ca5d6477124537023f986edf279f53248fe6ace0ecdbe8ebc61c1a2"),
     "bfa_forged_birth.json": (
-        "7d6882fd881f6790c083ec365ccb21c4250ba6fb8b305a2fb537e99be08c4df9",
+        "c4bb4d4f10c040b5c2249ecf53c3d2b2f75b1e09cedeec62b2830b65faae90c7",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "43c2dd0076da2bb3d6db9b6657cbb9812d8f343daacc0dacd5b87e2a5208260a",
+        "7e19e6d8071701d27e1c8007b128818d6a20a6353ba9ba5dcbd47fdb50f5ab60",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "783cb5a72cd66838d162ce20226ac6a69d7d32adcbc0940a02c34cbf4df27598",
+        "5b71a655cb16a1551d7c3b17fe2a998752b157624e5c0dbab17cecf3972e1775",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "f0c4aaac5fa7b194d5267f3743863fa16e7744087598f1e4e1012ebbfc80ceda",
+        "67cd1e7bed7a82852a1907798ea5818597afeae0de5a68beaac6928805513915",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "b6c8e96f7b2ea0883a3ade078798fe581cda6d557873fb6fe48d007bdf013a50",
-        "3462476cbaedadeb6b4db0c8a5aec41e22c051a2113d6e7994ff1b628c05cbf2"),
+        "55e68eea585af938dfdb2e026965f983f913cb6ef8be0f7b9f92cefc7335496f",
+        "7c142c30ec9213d34f6fa687490e39212f1efb0f5cb383056363b65e9b510542"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "ca4fb9b43223dcc837fa4221a7d6b8d92e391d6533f8b500af3477ccae9c3a9d",
-        "cba505af308aafbecbbc3a949528d018d5d8db0caa23af1903d05d6e021ba59d"),
+        "ddd6eaf50673014ad87e22d4fa1c272813c55661df5174ebfa51f84496b177bf",
+        "def1ab2f97d94680fae2738b8b6d1dc160c40cdfc0faaa27141fc65da3ef9b3f"),
     "THEOREM_3": (
-        "ca4fb9b43223dcc837fa4221a7d6b8d92e391d6533f8b500af3477ccae9c3a9d",
-        "cba505af308aafbecbbc3a949528d018d5d8db0caa23af1903d05d6e021ba59d"),
+        "ddd6eaf50673014ad87e22d4fa1c272813c55661df5174ebfa51f84496b177bf",
+        "def1ab2f97d94680fae2738b8b6d1dc160c40cdfc0faaa27141fc65da3ef9b3f"),
     "THEOREM_4": (
-        "b9326eb4e80c2b2283e0a387cb69af3d7d578dbb7eee4dde277d5e7a77a28b60",
-        "a84ce5794c5e1f1ea2b20d6406fdd45d595c639fa3a6f123fc7f702204c95495"),
+        "b20669a63e07fa29bb2bbe2f6db7791dc78e01480b36b42625f86e02e82d03a3",
+        "8fcddcfa57122a9a8b19ae3a7b19676953a5b29bd94f25923f29105db4ecfb23"),
     "WIPE_FLIP": (
-        "b9326eb4e80c2b2283e0a387cb69af3d7d578dbb7eee4dde277d5e7a77a28b60",
-        "a84ce5794c5e1f1ea2b20d6406fdd45d595c639fa3a6f123fc7f702204c95495"),
+        "b20669a63e07fa29bb2bbe2f6db7791dc78e01480b36b42625f86e02e82d03a3",
+        "8fcddcfa57122a9a8b19ae3a7b19676953a5b29bd94f25923f29105db4ecfb23"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -184,12 +187,12 @@ SWEEP_PINS = {
 
 # shape -> sha256 of its ALL_PROPERTIES report; the shapes are built by `conftest.shape_config`
 REPORT_PINS = {
-    "bfa_weak_roundrobin": "27b433cb10cc880823f2cf4faf61d89fa651188bf29edfafb66fe9c279d1edaa",
-    "bfa_weak_walk": "1cb19636603060e0a19a2b1c862f6858b5463bbf452d09b4f3db671318a5ba51",
-    "ffa_full_walk": "20100e5fbeead29b672a64d0322a2b58ef31ca24ea37b072039b349fa88bc1c8",
-    "nfa_weak_alternating_f2": "0b536c0db84341b15456d202ca63e3e85fb2944b1b2827642b8d040ba04b34ea",
-    "nfa_weak_roundrobin": "3f8be3f43b80906cfa610ef95138485a00351b16920411c4042140bdd42abaeb",
-    "nfa_weak_walk": "3d51452fa279df8098ebc79cc8bff61b880bc6fb89e727cbb7adcf82b3da4f5e",
+    "bfa_weak_roundrobin": "b54a89a7b85ae2086142f0f49a54b10abd5d9821cc24d8903a1e6874e1fa2a38",
+    "bfa_weak_walk": "c360ae85aeddb71b8e44cac96597ea98bfa8e28ece7766a1fbfc7f58997905e8",
+    "ffa_full_walk": "9b7ce77d4fc4fc3568a44cf27c2ac9a5e7caad316e810871bd3d2766e60b37d6",
+    "nfa_weak_alternating_f2": "edd0ded40ebed16279e68f583b5764460d27b6bf582a1d8acd141ed583c72463",
+    "nfa_weak_roundrobin": "8e1a685dd4a63b6c26c2005e79e802f97e7660dbcb6ea72560556a4cb215d717",
+    "nfa_weak_walk": "d04a26acb5d130a72da197b1c552d49b67ec1bc204860d01d72d7cb7df71f9e6",
 }
 
 
@@ -233,17 +236,18 @@ def phased_line(event: dict) -> str:
 
 def per_envelope_jsonl(trace: Trace) -> str:
     """The trace in the per-envelope layout: a header without ``format``, and in
-    each round one P2P_SEND per (sender, receiver, message) ordered by
-    (sender, receiver, message), then one P2P_DELIVER per receipt in the
-    engine's RECEIVE order, between the ORACLE and the COMPUTE events. Each
-    DELIVER_CALL is one event per process of its ``by``, without ``by``, and
-    a round's COMPUTE events are stably ordered by subject."""
+    each round its agent moves and cure notices (``previous_layout_events``),
+    then one P2P_SEND per (sender, receiver, message) ordered by (sender,
+    receiver, message), then one P2P_DELIVER per receipt in the engine's
+    RECEIVE order, then the COMPUTE events. Each DELIVER_CALL is one event
+    per process of its ``by``, without ``by``, and a round's COMPUTE events
+    are stably ordered by subject."""
     def line(round_, kind, subject, detail) -> str:
         return phased_line({"round": round_, "kind": kind, "subject": subject, "detail": detail})
 
     n = trace.config["n"]
     rounds: dict[int, tuple[list, list, list]] = {}
-    for ev in trace.events:
+    for ev in previous_layout_events(trace):
         before, _sends, after = rounds.setdefault(ev.round, ([], [], []))
         if ev.kind == KIND_DELIVER_CALL:
             detail = {k: v for k, v in ev.detail.items() if k != "by"}

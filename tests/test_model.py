@@ -240,6 +240,25 @@ def assert_host_of_scans(sched):
             assert sched.host_of(agent, r) == scanned, (agent, r)
 
 
+NAMED_SCHEDULES = [
+    *(path.name for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))),
+    *SHAPES]
+
+
+def named_schedule(name: str) -> FailureSchedule:
+    """The schedule of a bundled config or of a shape."""
+    if name in SHAPES:
+        return shape_config(name).resolved_schedule()
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    return ScenarioConfig.from_json(path.read_text()).resolved_schedule()
+
+
+def assert_within_budget(sched: FailureSchedule) -> None:
+    assert validate_schedule(sched) == ()
+    for r in range(1, sched.horizon + 1):
+        assert len(sched.faulty_set(r)) <= sched.f, r
+
+
 class TestScheduleTable:
     @settings(max_examples=200, deadline=None)
     @given(valid_schedules())
@@ -306,19 +325,24 @@ class TestScheduleTable:
         assert sched == other and hash(sched) == hash(other)
         assert len({sched, other}) == 1
 
-    @pytest.mark.parametrize("name", [
-        *(path.name for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))),
-        *SHAPES])
+    @pytest.mark.parametrize("name", NAMED_SCHEDULES)
     def test_host_of_equals_the_segment_scan(self, name):
         """The table ``host_of`` reads answers as a scan of the segments
         does, off-board and outside the horizon included, on the bundled
         configs and on roundrobin and walk shapes."""
-        if name in SHAPES:
-            sched = shape_config(name).resolved_schedule()
-        else:
-            path = Path(__file__).resolve().parents[1] / "configs" / name
-            sched = ScenarioConfig.from_json(path.read_text()).resolved_schedule()
-        assert_host_of_scans(sched)
+        assert_host_of_scans(named_schedule(name))
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_schedules())
+    def test_an_accepted_schedule_keeps_within_f_agents(self, sched):
+        """Each agent holds one host per round, so a schedule that
+        ``validate_schedule`` accepts never has more than f faulty processes
+        in a round; it has no budget rule of its own."""
+        assert_within_budget(sched)
+
+    @pytest.mark.parametrize("name", NAMED_SCHEDULES)
+    def test_a_named_schedule_keeps_within_f_agents(self, name):
+        assert_within_budget(named_schedule(name))
 
     @settings(max_examples=200, deadline=None)
     @given(valid_schedules())

@@ -128,8 +128,10 @@ def test_one_schedule_per_config_object():
     cfg = golden_correct_source()
     cfg.validate()
     sched = cfg.resolved_schedule()
-    assert "_faulty_table" in vars(sched)  # built by validate's budget check
-    assert Simulation(cfg).schedule is sched
+    sim = Simulation(cfg)
+    assert sim.schedule is sched
+    sim.step()
+    assert "_faulty_table" in vars(sched)  # built by the engine's first round
     assert cfg.resolved_schedule() is sched
     other = cfg.with_overrides(seed=cfg.seed + 1)
     assert other.resolved_schedule() is not sched and other.resolved_schedule() == sched

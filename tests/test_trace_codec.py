@@ -17,8 +17,10 @@ from mbbc.scenario import ScenarioConfig
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
 
-HEADER = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/5","seed":0}'
-CURED = '{"detail":{},"kind":"CURED","round":1,"subject":0}'
+HEADER = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"' + engine.TRACE_FORMAT
+          + '","seed":0}')
+# A valid line of a kind whose detail the reader does not check.
+CORRUPTED = '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'
 
 
 def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0,
@@ -98,14 +100,14 @@ class TestWriter:
         events = [TraceEvent(1, KIND_P2P_SEND, 0,
                              {"from": [0], "message": {"kind": "ROUND", "round_value": v}, "to": "ALL"})
                   for v in values]
-        events += [TraceEvent(1, "CURED", 0, {"faulty_since": v}) for v in values]
+        events += [TraceEvent(1, "STATE_CORRUPTED", 0, {"state_digest": v}) for v in values]
         assert event_lines(events) == [encode_line(ev.to_dict()) for ev in events]
 
     @pytest.mark.parametrize("event", [
-        TraceEvent(1.0, "CURED", 0, {}),
-        TraceEvent(True, "CURED", 0, {}),
-        TraceEvent(1, "CURED", False, {}),
-        TraceEvent(1, ["CURED"], 0, {}),
+        TraceEvent(1.0, "STATE_CORRUPTED", 0, {}),
+        TraceEvent(True, "STATE_CORRUPTED", 0, {}),
+        TraceEvent(1, "STATE_CORRUPTED", False, {}),
+        TraceEvent(1, ["STATE_CORRUPTED"], 0, {}),
         TraceEvent(1, "P2P_DELIVER", 0, {}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"message": {"round_value": [1]}, "to": [2, 1]}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "extra": 0}),
@@ -113,9 +115,9 @@ class TestWriter:
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": [0], "extra": 0}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": [1], "message": {}, "extra": [0]}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": {"b": 1, "a": -0.0}}),
-        TraceEvent(1, "CURED", 0, {"a": {"b": -0.0}, "c": [1.5]}),
-        TraceEvent(1, "CURED", 0, [1, "x"]),
-        TraceEvent(-1, "CURED", 7, {}),
+        TraceEvent(1, "STATE_CORRUPTED", 0, {"a": {"b": -0.0}, "c": [1.5]}),
+        TraceEvent(1, "STATE_CORRUPTED", 0, [1, "x"]),
+        TraceEvent(-1, "STATE_CORRUPTED", 7, {}),
     ])
     def test_event_outside_the_template_writes_as_before(self, event):
         assert event_lines([event, event]) == [encode_line(event.to_dict())] * 2
@@ -126,7 +128,7 @@ class TestWriter:
         a freed detail's id to a later detail of another value."""
         def events(count: int):
             for i in range(count):
-                yield TraceEvent(1, "CURED", 0, {"faulty_since": i})
+                yield TraceEvent(1, "STATE_CORRUPTED", 0, {"state_digest": i})
                 yield TraceEvent(1, KIND_P2P_SEND, 0,
                                  {"from": [0, i], "message": {"kind": "ROUND", "round_value": i},
                                   "to": "ALL"})
@@ -156,43 +158,46 @@ class TestWriter:
 
 
 PARSER_TABLE = [
-    CURED,
-    '{"detail": {}, "kind": "CURED", "round": 1, "subject": 0}',
-    '{"detail": {"faulty_since" : null},"kind":"CURED","round":1,"subject":0}',
-    CURED + "  ",
-    "  " + CURED,
-    '{"kind":"CURED","detail":{},"round":1,"subject":0}',
-    CURED.replace('"detail"', '"Detail"'),
-    CURED.replace('{"detail":', '["detail",'),
-    '{"detail":{},"kind":"CURED","subject":0,"round":1}',
-    CURED.replace('"round":1', '"round":01'),
-    CURED.replace('"round":1', '"round":1.0'),
-    CURED.replace('"round":1', '"round":true'),
-    CURED.replace('"round":1', '"round":1e0'),
-    CURED.replace('"round":1', '"round":-1'),
-    CURED.replace('"round":1', '"round":0'),
-    CURED.replace('"round":1', '"round":9'),
-    CURED.replace('"round":1', '"round":' + "1" * 30),
-    CURED.replace('"subject":0', '"subject":-0'),
-    CURED.replace('"subject":0', '"subject":6'),
-    CURED.replace('"subject":0', '"subject":5'),
-    CURED.replace('"CURED"', '"cured"'),
-    CURED.replace('"CURED"', '"P2P_DELIVER"'),
-    CURED.replace(',"round"', ',"phase":"ORACLE","round"'),
-    CURED.replace(',"kind"', ',"extra":5,"kind"'),
-    CURED[:-1] + ',"zz":0}',
-    CURED.replace("{}", "[]"),
-    CURED.replace("{}", '"x"'),
-    CURED.replace("{}", ""),
-    CURED.replace("{}", "{},{}"),
-    CURED.replace("{}", '{"a":[{}'),
-    CURED.replace("{}", '{"x":NaN}'),
-    CURED.replace("{}", "\ufeff{}"),
+    CORRUPTED,
+    '{"detail": {}, "kind": "STATE_CORRUPTED", "round": 1, "subject": 0}',
+    '{"detail": {"state_digest" : null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
+    CORRUPTED + "  ",
+    "  " + CORRUPTED,
+    '{"kind":"STATE_CORRUPTED","detail":{},"round":1,"subject":0}',
+    CORRUPTED.replace('"detail"', '"Detail"'),
+    CORRUPTED.replace('{"detail":', '["detail",'),
+    '{"detail":{},"kind":"STATE_CORRUPTED","subject":0,"round":1}',
+    CORRUPTED.replace('"round":1', '"round":01'),
+    CORRUPTED.replace('"round":1', '"round":1.0'),
+    CORRUPTED.replace('"round":1', '"round":true'),
+    CORRUPTED.replace('"round":1', '"round":1e0'),
+    CORRUPTED.replace('"round":1', '"round":-1'),
+    CORRUPTED.replace('"round":1', '"round":0'),
+    CORRUPTED.replace('"round":1', '"round":9'),
+    CORRUPTED.replace('"round":1', '"round":' + "1" * 30),
+    CORRUPTED.replace('"subject":0', '"subject":-0'),
+    CORRUPTED.replace('"subject":0', '"subject":6'),
+    CORRUPTED.replace('"subject":0', '"subject":5'),
+    CORRUPTED.replace('"STATE_CORRUPTED"', '"state_corrupted"'),
+    CORRUPTED.replace('"STATE_CORRUPTED"', '"P2P_DELIVER"'),
+    CORRUPTED.replace(',"round"', ',"phase":"COMPUTE","round"'),
+    CORRUPTED.replace(',"kind"', ',"extra":5,"kind"'),
+    CORRUPTED[:-1] + ',"zz":0}',
+    CORRUPTED.replace("{}", "[]"),
+    CORRUPTED.replace("{}", '"x"'),
+    CORRUPTED.replace("{}", ""),
+    CORRUPTED.replace("{}", "{},{}"),
+    CORRUPTED.replace("{}", '{"a":[{}'),
+    CORRUPTED.replace("{}", '{"x":NaN}'),
+    CORRUPTED.replace("{}", "\ufeff{}"),
     '{"a":[{}',
     "{}]}",
     "{},{}",
-    '{"detail":{},"kind":"AGENT_MOVE","round":2,"subject":1,'
-    '"detail":{"faulty_since":null},"kind":"CURED","round":1,"subject":0}',
+    '{"detail":{},"kind":"BROADCAST_CALL","round":2,"subject":1,'
+    '"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
+    # The kinds of an older layout, whose facts the header's schedule fixes.
+    '{"detail":{"agent":0,"from":null,"to":1},"kind":"AGENT_MOVE","round":1,"subject":1}',
+    '{"detail":{"faulty_since":null},"kind":"CURED","round":1,"subject":0}',
     send_line('{"kind":"SEND","source":0,"birth_round":1,'
               '"payload":",\\"kind\\":\\"P2P_SEND\\",\\"round\\":1,\\"subject\\":0}"}'),
     send_line('{"kind":"SEND","source":0,"birth_round":1,"payload":"x"},"to":"ALL"}'
@@ -250,7 +255,7 @@ PARSER_TABLE = [
 class TestReader:
     @pytest.mark.parametrize("line", PARSER_TABLE)
     def test_line_reads_as_the_per_line_parser_reads_it(self, line, monkeypatch):
-        text = "\n".join([HEADER, CURED, line]) + "\n"
+        text = "\n".join([HEADER, CORRUPTED, line]) + "\n"
         fast = parse(text, monkeypatch, fast=True)
         assert fast == parse(text, monkeypatch, fast=False)
         if isinstance(fast, str):
@@ -274,7 +279,7 @@ class TestReader:
             return '{"x":' + "[" * depth + "]" * depth + "}"
 
         def text(depth: int) -> str:
-            return f"{HEADER}\n{CURED.replace('{}', detail(depth))}\n"
+            return f"{HEADER}\n{CORRUPTED.replace('{}', detail(depth))}\n"
 
         lo, hi = 1, 100_000
         while lo < hi:
@@ -306,11 +311,11 @@ class TestReader:
 
     def test_a_header_key_outside_the_four_is_named(self, monkeypatch):
         header = HEADER.replace('"seed"', '"phase":"ORACLE","seed"')
-        assert parse(f"{header}\n{CURED}\n", monkeypatch, True) == (
+        assert parse(f"{header}\n{CORRUPTED}\n", monkeypatch, True) == (
             "trace line 1: bad header line: unknown key 'phase'")
 
     def test_equal_detail_texts_share_one_read_only_dict(self):
-        text = "\n".join([HEADER, CURED, CURED.replace('"subject":0', '"subject":3')]) + "\n"
+        text = "\n".join([HEADER, CORRUPTED, CORRUPTED.replace('"subject":0', '"subject":3')]) + "\n"
         first, second = Trace.from_jsonl(text).events
         assert first.detail is second.detail
 
@@ -325,3 +330,5 @@ class TestReader:
             assert Trace.from_jsonl(text) == trace
             kinds |= {ev.kind for ev in trace.events}
         assert kinds == set(engine.KINDS)
+        # The header's schedule fixes the agents' moves and the cures.
+        assert not kinds & {"AGENT_MOVE", "CURED"}
