@@ -44,9 +44,11 @@ class Observation:
     ``states`` is the engine's live list of protocol states, not a copy: a
     strategy may change a possessed process's state in place, and must leave
     every other state alone. ``tallies[p]`` is the fold of everything
-    process p received this round, correct or possessed, read-only and
-    shared with every process that received the same; the engine sets it
-    after the receive phase, so the send phase sees none.
+    process p received this round, read-only and shared with every process
+    that received the same; the engine sets it after the receive phase, so
+    the send phase sees none. A possessed process's own receipts are folded
+    in only for a strategy that ``reads_tallies``; for any other, its entry
+    is the common tallies.
     """
 
     schedule: FailureSchedule
@@ -57,6 +59,10 @@ class Observation:
 class Strategy:
     """The BENIGN strategy, and the default the others override: total
     silence, state untouched."""
+
+    # Whether ``corrupt_state`` reads a possessed process's own fold in
+    # ``obs.tallies``; if not, RECEIVE folds no possessed process's inbox.
+    reads_tallies = False
 
     def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
         return []
@@ -170,6 +176,8 @@ class EquivocateHistory(Strategy):
     while faulty.
     """
 
+    reads_tallies = True
+
     def __init__(self, config: ScenarioConfig, sim_cure: dict[int, tuple[int, int | None]]):
         self.config = config
         self.sim_cure = sim_cure
@@ -187,6 +195,8 @@ class EquivocateHistory(Strategy):
 class WipeAndRun(Strategy):
     """Possession that optionally mimics correct behaviour, then goes dark and
     wipes the state to init at ``wipe_round`` (the last faulty round)."""
+
+    reads_tallies = True
 
     def __init__(self, target: int, sim_until: int, wipe_round: int, config: ScenarioConfig):
         self.target = target

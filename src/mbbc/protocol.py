@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection, Iterable, Sequence
@@ -177,7 +176,7 @@ def on_p2p_deliver(tallies: Tallies, senders: Collection[int], msg: ProtocolMess
         tallies.aborts.setdefault(key, set()).update(senders)
 
 
-def get_majority(votes: Iterable[int], current: int, min_backing: int = 0) -> int:
+def get_majority(votes: Iterable[int], current: int | None, min_backing: int = 0) -> int | None:
     """Most frequent round vote; ties break toward the larger value; no votes keep ``current``.
 
     A plurality value is adopted only when it has strictly more than
@@ -186,9 +185,12 @@ def get_majority(votes: Iterable[int], current: int, min_backing: int = 0) -> in
     vote has been sent yet and forged votes are the only input. Under n > 3f
     at least n-2f identical honest votes clear the guard and dominate any
     forged value, which is what keeps all correct counters equal; the
-    tie-break exists only to stay deterministic on invalid scenarios.
+    tie-break exists only to stay deterministic on invalid scenarios. With
+    ``current`` None, the result is None unless some value clears the guard.
     """
-    counts = Counter(votes)
+    counts: dict[int, int] = {}
+    for vote in votes:
+        counts[vote] = counts.get(vote, 0) + 1
     if not counts:
         return current
     value, count = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
@@ -218,6 +220,11 @@ def compute_phase(
     relay, and finally the counter increment with its ROUND vote; the queue is
     frozen once, at the end. A key with more than F ABORT votes has no READY
     quorum.
+
+    ``broadcasts`` serves the adversary's faithful compute of a possessed
+    process. The engine passes none: a correct caller adopts its class's
+    outcome, then adds the same SEND to its queue, stamped with the
+    repaired counter, which is the incremented ``rc`` minus one.
     """
     F = variant.effective_f
     queue: set[ProtocolMessage] = set()
@@ -266,11 +273,13 @@ def compute_phase(
 def adopt_compute(state: ProtocolState, done: ProtocolState) -> None:
     """Give ``state`` the outcome of the compute phase ``done`` has just run.
 
-    Both must have entered the phase with the same tallies, equal ``rc``,
-    cure flags and ``delivered``, and neither with a broadcast call:
-    ``compute_phase`` would then leave ``state`` equal to ``done`` and return
-    the same deliveries. The queue and ``delivered`` are frozensets, so
-    ``state`` shares ``done``'s rather than copying them.
+    Both must have entered the phase with the same tallies, cure flags and
+    ``delivered``, and with ``rc`` values the majority repair turns into
+    one, and ``done`` without a broadcast call: ``compute_phase`` would then
+    leave ``state`` equal to ``done`` and return the same deliveries. A
+    broadcast caller adopts too, then adds its SEND to its own queue. The
+    queue and ``delivered`` are frozensets, so ``state`` shares ``done``'s
+    rather than copying them.
     """
     state.to_send = done.to_send
     state.rc = done.rc

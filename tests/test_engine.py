@@ -192,7 +192,8 @@ def sort_key(message: dict) -> tuple:
 def receive_and_fold(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, dict, dict]:
     """Run ``cfg``; return its trace, a copy of the tallies RECEIVE gave each
     (round, process), and a per-receipt fold of ``deliveries`` for the same
-    keys."""
+    keys. A possessed receiver's fold holds its dictated receipts only under
+    a strategy that reads them; otherwise it is the correct senders' alone."""
     sim = Simulation(cfg)
     received = {}
     original = engine.receive_phase
@@ -206,8 +207,10 @@ def receive_and_fold(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, dict, dic
     monkeypatch.setattr(engine, "receive_phase", snapshot)
     trace = sim.run()
     folded = {key: Tallies() for key in received}
+    sched, possessed_folds = sim.schedule, sim.strategy.reads_tallies
     for d in deliveries(trace):
-        if (d.round, d.receiver) in folded:
+        if (d.round, d.receiver) in folded and (possessed_folds or sched.is_correct(d.receiver, d.round)
+                                                 or sched.is_correct(d.sender, d.round)):
             on_p2p_deliver(folded[(d.round, d.receiver)], (d.sender,),
                            ProtocolMessage.from_dict(d.message))
     return trace, received, folded
@@ -319,7 +322,8 @@ class TestDeliveries:
     def test_engine_receive_equals_a_fold_of_the_derived_deliveries(self, config, monkeypatch):
         """RECEIVE gives each process, correct or possessed, tallies equal to
         a fresh fold of the receipts ``deliveries`` derives for it from the
-        trace, in order."""
+        trace, in order; a possessed process's dictated receipts count only
+        when the strategy reads its fold."""
         cfg = config()
         trace, received, folded = receive_and_fold(cfg, monkeypatch)
         assert set(received) == {(r, p) for r in range(1, cfg.horizon + 1) for p in range(cfg.n)}
@@ -444,6 +448,10 @@ class TestSharedCompute:
         pytest.param(lambda: split_send_scenario([1, 2, 3]), id="split_send"),
         pytest.param(fanout_shaped, id="fanout_shaped"),
         pytest.param(weak_redelivery_shaped, id="weak_redelivery_shaped"),
+        # No round counter has more than F = 2 votes, so the majority repair
+        # keeps each process's own and unequal counters stay apart.
+        *[pytest.param(lambda n=n: roundrobin_crash(n, 1, 12, (1, 2, 3), "NFA_WEAK", "NFA"),
+                       id=f"nfa_weak_n{n}_unbacked_counters") for n in (3, 4)],
         pytest.param(lambda: cured_in_pairs("FFA_FULL", "FFA"), id="ffa_cured_in_pairs"),
         pytest.param(lambda: cured_in_pairs("BFA_WEAK", "BFA"), id="bfa_cured_in_pairs"),
         pytest.param(cured_in_step, id="bfa_cured_in_step"),
@@ -491,6 +499,15 @@ class TestSharedCompute:
         sched = cfg.resolved_schedule()
         pairs = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
         assert 0 < len(calls) < pairs / 4
+
+    def test_one_compute_per_round_on_the_weak_redelivery_shape(self, monkeypatch):
+        """Every correct process enters COMPUTE with one fold and, after the
+        majority repair, one round counter: the process CRASH_SILENT has
+        just freed joins the others from ``rc = 1``, and a broadcast caller
+        differs from them only by its SEND. So one compute runs per round."""
+        cfg = weak_redelivery_shaped()
+        _trace, calls, _inputs = compute_inputs(cfg, monkeypatch)
+        assert calls["compute_phase"] == cfg.horizon
 
     def test_send_walks_each_shared_queue_once_on_the_fanout_shape(self, monkeypatch):
         """The members of a compute class hold one queue, and SEND walks it
@@ -625,8 +642,8 @@ SHARED_INBOX_PINS = {
 
 class TestSharedFolds:
     """RECEIVE folds each distinct inbox of a round once, possessed processes'
-    included, and COMPUTE runs once per class of equal fold and state;
-    broadcast calls run their own."""
+    included when the strategy reads them, and COMPUTE runs at most once per
+    class of equal fold and state; broadcast callers join their class."""
 
     @pytest.mark.parametrize("config", [
         *[pytest.param(lambda kind=kind, side=side: paired_history(kind, side), id=f"{kind}-{side}")
@@ -643,11 +660,25 @@ class TestSharedFolds:
                 dictated[d.round, d.receiver].append((d.sender, encode_line(d.message)))
         distinct = {(r, tuple(receipts)) for (r, _p), receipts in dictated.items() if receipts}
         assert calls["receive"] == len(distinct)
-        broadcasters = {(ev.round, ev.subject) for ev in trace.events if ev.kind == KIND_BROADCAST_CALL}
-        classes = {(r, inbox, state) for (r, p), (inbox, state) in inputs.items()
-                   if (r, p) not in broadcasters}
-        assert calls["compute_phase"] <= len(classes) + len(broadcasters)
-        assert len(classes) < len(inputs) - len(broadcasters)
+        classes = {(r, inbox, state) for (r, p), (inbox, state) in inputs.items()}
+        assert calls["compute_phase"] <= len(classes) < len(inputs)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_a_possessed_inbox_is_folded_only_for_a_strategy_that_reads_it(self, seed, monkeypatch):
+        """ARBITRARY never reads a possessed process's fold, so RECEIVE folds
+        only the distinct dictated inboxes that correct processes hold."""
+        cfg = arbitrary_walk(seed)
+        trace, calls, _inputs = compute_inputs(cfg, monkeypatch)
+        sched = cfg.resolved_schedule()
+        dictated: dict[tuple[int, int], list] = {}
+        for d in deliveries(trace):
+            if not sched.is_correct(d.sender, d.round):
+                dictated.setdefault((d.round, d.receiver), []).append((d.sender, encode_line(d.message)))
+        held = {True: set(), False: set()}
+        for (r, p), receipts in dictated.items():
+            held[sched.is_correct(p, r)].add((r, tuple(receipts)))
+        assert held[False] - held[True], "a possessed process holds an inbox no correct one does"
+        assert calls["receive"] == len(held[True])
 
     @pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
     def test_a_faithful_compute_reads_the_fold_receive_gave_its_process(self, kind, monkeypatch):
