@@ -46,9 +46,8 @@ class Observation:
     every other state alone. ``tallies[p]`` is the fold of everything
     process p received this round, read-only and shared with every process
     that received the same; the engine sets it after the receive phase, so
-    the send phase sees none. A possessed process's own receipts are folded
-    in only for a strategy that ``reads_tallies``; for any other, its entry
-    is the common tallies.
+    the send phase sees none. A possessed process's entry is its own fold
+    too, as a correct one's is.
     """
 
     schedule: FailureSchedule
@@ -59,10 +58,6 @@ class Observation:
 class Strategy:
     """The BENIGN strategy, and the default the others override: total
     silence, state untouched."""
-
-    # Whether ``corrupt_state`` reads a possessed process's own fold in
-    # ``obs.tallies``; if not, RECEIVE folds no possessed process's inbox.
-    reads_tallies = False
 
     def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
         return []
@@ -176,8 +171,6 @@ class EquivocateHistory(Strategy):
     while faulty.
     """
 
-    reads_tallies = True
-
     def __init__(self, config: ScenarioConfig, sim_cure: dict[int, tuple[int, int | None]]):
         self.config = config
         self.sim_cure = sim_cure
@@ -195,8 +188,6 @@ class EquivocateHistory(Strategy):
 class WipeAndRun(Strategy):
     """Possession that optionally mimics correct behaviour, then goes dark and
     wipes the state to init at ``wipe_round`` (the last faulty round)."""
-
-    reads_tallies = True
 
     def __init__(self, target: int, sim_until: int, wipe_round: int, config: ScenarioConfig):
         self.target = target

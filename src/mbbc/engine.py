@@ -16,32 +16,30 @@ Each round runs five sub-phases in a fixed order:
    into the round's common tallies. A process's inbox is its dictated
    receipts, as (sender, message) pairs; ``receive_phase`` folds each
    distinct inbox once into a copy of the common tallies, and every
-   process that holds it reads that one fold, read-only. A process with no
-   dictated receipt reads the common tallies themselves, and so does a
-   possessed one unless the strategy ``reads_tallies``. Tallies are
-   round-local and never part of a process's state. RECEIVE is the only
-   place a fold is built: the strategies see every process's fold in the
-   observation, and the history-forging ones, which read it, run a
-   possessed process's compute phase on that process's fold.
+   process that holds it reads that one fold, read-only, possessed
+   processes included. A process with no dictated receipt reads the common
+   tallies themselves. Tallies are round-local and never part of a
+   process's state. RECEIVE is the only place a fold is built: the
+   strategies see every process's fold in the observation, and the
+   history-forging ones run a possessed process's compute phase on that
+   process's fold.
 5. COMPUTE  — correct processes run the protocol compute phase on their
    tallies; each faulty process's state is replaced by whatever the
    strategy returns. A correct process's phase depends only on its fold,
    its cure flags, ``delivered`` and its ``rc`` after the phase's majority
    repair, which is the fold's majority counter when more than F votes
-   back it and the process's own otherwise: the first process of each
-   class of equal values, in process order, runs ``compute_phase``, and the
-   others take its outcome through ``protocol.adopt_compute``. A process is
-   looked up first by its own ``rc``; its repaired one is computed only when
-   that misses in a class group of the same fold, cure flags and
-   ``delivered``, as it does for a freed process that re-enters with a
-   stale counter. Every fold is held until the round ends, so its identity
-   names it in the class key. A scheduled broadcast call joins its class
-   like any other process; once the caller holds the class outcome, its
-   queue gains the SEND, stamped with the repaired ``rc``. The send queue
-   and ``delivered`` a state carries are immutable, so the members of a
-   class share them, and the next SEND walks each distinct queue once, with
-   all the senders that hold it. The round's deliveries are gathered per
-   (source, payload).
+   back it and the process's own otherwise. Those five values are the
+   process's class key, the fold named by its identity, as every fold is
+   held until the round ends. The first process of each class, in process
+   order, runs ``compute_phase``, and the others take its outcome through
+   ``protocol.adopt_compute``; a freed process that re-enters with a stale
+   counter thus joins the class its repair puts it in. A scheduled
+   broadcast call joins its class like any other process; once the caller
+   holds the class outcome, its queue gains the SEND, stamped with the
+   repaired ``rc``. The send queue and ``delivered`` a state carries are
+   immutable, so the members of a class share them, and the next SEND
+   walks each distinct queue once, with all the senders that hold it. The
+   round's deliveries are gathered per (source, payload).
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -605,23 +603,15 @@ class Simulation:
         common = Tallies()
         for msg, senders in grouped:
             on_p2p_deliver(common, senders, msg)
-        inboxes = _inboxes(dictated, n)
-        if not self.strategy.reads_tallies:
-            for p in faulty:
-                inboxes[p] = ()
-        obs.tallies = tallies = receive_phase(common, inboxes)
+        obs.tallies = tallies = receive_phase(common, _inboxes(dictated, n))
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
-        # Each class's first process is filed under the round counter it
-        # entered with and under the one the majority repair gave it. On one
-        # fold the repair either keeps every counter or gives all one, so the
-        # two never file different classes under one key. ``groups`` holds
-        # each class's key without its counter; ``majorities`` each fold's
-        # majority counter, or None where none has more than F votes.
+        # Consecutive processes mostly hold one fold, so its majority counter
+        # is counted again only when the fold changes.
+        F = self.variant.effective_f
         classes: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]]]] = {}
-        groups: set[tuple] = set()
-        majorities: dict[int, int | None] = {}
         delivered_by: dict[tuple[int, bytes], list[int]] = {}
+        last = None
         for p in range(n):
             state = self.states[p]
             if p in faulty:
@@ -631,23 +621,17 @@ class Simulation:
                 continue
             payloads = self._broadcast_index.get((p, r))
             fold = tallies[p]
-            key = (id(fold), state.cured, state.cured_faulty_since, state.delivered, state.rc)
+            if fold is not last:
+                last = fold
+                majority = get_majority(fold.rc_votes.values(), None, min_backing=F)
+            key = (id(fold), state.cured, state.cured_faulty_since, state.delivered,
+                   state.rc if majority is None else majority)
             leader = classes.get(key)
             if leader is None:
-                group = key[:-1]
-                if group in groups:
-                    if id(fold) not in majorities:
-                        majorities[id(fold)] = get_majority(fold.rc_votes.values(), None,
-                                                            min_backing=self.variant.effective_f)
-                    leader = classes.get(group + (majorities[id(fold)],))
-            if leader is None:
-                groups.add(group)
                 delivered = compute_phase(state, fold, p, self.variant, n)
                 # A broadcast caller's SEND, added below, is its own, not its class's.
                 outcome = replace(state) if payloads else state
                 leader = classes[key] = outcome, delivered
-                if state.rc - 1 != key[-1]:
-                    classes[group + (state.rc - 1,)] = leader
             else:
                 adopt_compute(state, leader[0])
                 delivered = leader[1]

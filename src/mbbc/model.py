@@ -214,7 +214,9 @@ class FailureSchedule:
 
     def host_of(self, agent_id: int, r: int) -> int | None:
         """Host of an agent in round r, or None when the agent is off-board
-        or r is outside [1, horizon]."""
+        or r is outside [1, horizon]; an agent id outside [0, f) is a ValueError."""
+        if not 0 <= agent_id < self.f:
+            raise ValueError(f"agent {agent_id} outside [0, {self.f})")
         hosts = self._host_table[agent_id]
         return hosts[r - 1] if 1 <= r <= self.horizon else None
 

@@ -53,6 +53,9 @@ VARIANT_ORACLE = {
 # `check` and `replay` all reject one above this. The bundled configs, sweeps
 # and demos use at most 100 rounds.
 MAX_HORIZON = 10_000
+# The largest process count, for the same reason: schedules, checkers and a
+# replay's states grow with n. The benchmark's largest n is 32.
+MAX_N = 1_000
 
 # The int fields of a config with the default of each optional one (None:
 # required). A bool, a float or a numeric string is not an int here.
@@ -185,8 +188,8 @@ class ScenarioConfig:
         if reason is not None:
             raise UnsupportedSetting(reason)
         problems: list[str] = []
-        if self.n < 1:
-            problems.append(f"n={self.n} must be >= 1")
+        if not 1 <= self.n <= MAX_N:
+            problems.append(f"n={self.n} must be in [1, {MAX_N}]")
         if not 0 <= self.f < self.n:
             problems.append(f"f={self.f} must satisfy 0 <= f < n")
         if self.delta_s < 1:

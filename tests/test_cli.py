@@ -14,7 +14,7 @@ from mbbc import cli
 from mbbc.engine import TRACE_FORMAT, Trace
 from mbbc.sweeps import attack_scenario
 from mbbc.protocol import VariantTag
-from mbbc.scenario import MAX_HORIZON
+from mbbc.scenario import MAX_HORIZON, MAX_N
 
 
 def child_env(**extra) -> dict:
@@ -263,6 +263,7 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
     pytest.param(scalar("seed", "7"), "field seed", id="seed-string"),
     pytest.param(scalar("horizon", MAX_HORIZON + 1), f"horizon={MAX_HORIZON + 1} must be in",
                  id="horizon-above-max"),
+    pytest.param(scalar("n", MAX_N + 1), f"n={MAX_N + 1} must be in", id="n-above-max"),
     pytest.param(broadcast_field("source", "0"), "field source", id="broadcast-source-string"),
     pytest.param(broadcast_field("round", 1.0), "field round", id="broadcast-round-float"),
     pytest.param(broadcast_field("payload", 5), "payload 5", id="broadcast-payload-int"),
@@ -564,19 +565,33 @@ def test_check_and_replay_reject_a_header_strategy_alike(tmp_path, golden_config
     assert errors[0].startswith("invalid scenario:") and named in errors[0], errors[0]
 
 
+def header_only_exit(tmp_path, capsys, command, **config) -> str:
+    """Run ``command`` on a trace of one header line holding the golden
+    config with ``config`` over it; it must exit 2 within a second. Returns
+    its stderr."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"config": {**golden_correct_source().to_dict(), **config},
+                                 "fingerprint": "x", "format": TRACE_FORMAT, "seed": 0}) + "\n")
+    start = time.perf_counter()
+    assert cli.main([command, "--trace", str(trace)]) == 2
+    assert time.perf_counter() - start < 1.0
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["check", "replay"])
 def test_header_only_trace_with_a_huge_horizon_exits_2_at_once(tmp_path, capsys, command):
     """Schedules and checkers are sized by the horizon; a header alone must
     not be able to ask for millions of rounds."""
-    config = {**golden_correct_source().to_dict(), "horizon": 2_000_000}
-    trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"config": config, "fingerprint": "x", "format": TRACE_FORMAT,
-                                 "seed": 0}) + "\n")
-    start = time.perf_counter()
-    assert cli.main([command, "--trace", str(trace)]) == 2
-    assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
+    err = header_only_exit(tmp_path, capsys, command, horizon=2_000_000)
     assert err.startswith("invalid scenario:") and f"must be in [1, {MAX_HORIZON}]" in err, err
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+def test_header_only_trace_with_a_huge_n_exits_2_at_once(tmp_path, capsys, command):
+    """Schedules, checkers and a replay's states grow with n; a header alone
+    must not be able to ask for millions of processes."""
+    err = header_only_exit(tmp_path, capsys, command, n=2_000_000)
+    assert err.startswith("invalid scenario:") and f"n=2000000 must be in [1, {MAX_N}]" in err, err
 
 
 @pytest.mark.parametrize("field", ['"round":99', '"round":"3"'])

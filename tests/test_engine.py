@@ -192,8 +192,8 @@ def sort_key(message: dict) -> tuple:
 def receive_and_fold(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, dict, dict]:
     """Run ``cfg``; return its trace, a copy of the tallies RECEIVE gave each
     (round, process), and a per-receipt fold of ``deliveries`` for the same
-    keys. A possessed receiver's fold holds its dictated receipts only under
-    a strategy that reads them; otherwise it is the correct senders' alone."""
+    keys. Every receiver's fold holds all its receipts, a possessed
+    receiver's included."""
     sim = Simulation(cfg)
     received = {}
     original = engine.receive_phase
@@ -207,10 +207,8 @@ def receive_and_fold(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, dict, dic
     monkeypatch.setattr(engine, "receive_phase", snapshot)
     trace = sim.run()
     folded = {key: Tallies() for key in received}
-    sched, possessed_folds = sim.schedule, sim.strategy.reads_tallies
     for d in deliveries(trace):
-        if (d.round, d.receiver) in folded and (possessed_folds or sched.is_correct(d.receiver, d.round)
-                                                 or sched.is_correct(d.sender, d.round)):
+        if (d.round, d.receiver) in folded:
             on_p2p_deliver(folded[(d.round, d.receiver)], (d.sender,),
                            ProtocolMessage.from_dict(d.message))
     return trace, received, folded
@@ -642,13 +640,15 @@ SHARED_INBOX_PINS = {
 
 class TestSharedFolds:
     """RECEIVE folds each distinct inbox of a round once, possessed processes'
-    included when the strategy reads them, and COMPUTE runs at most once per
-    class of equal fold and state; broadcast callers join their class."""
+    included whatever the strategy, and COMPUTE runs at most once per class
+    of equal fold and state; broadcast callers join their class."""
 
     @pytest.mark.parametrize("config", [
         *[pytest.param(lambda kind=kind, side=side: paired_history(kind, side), id=f"{kind}-{side}")
           for kind in ("SOURCE_FLIP", "WIPE_FLIP") for side in (0, 1)],
         pytest.param(lambda: split_send_scenario([1, 2, 3]), id="split_send"),
+        *[pytest.param(lambda seed=seed: arbitrary_walk(seed), id=f"arbitrary_walk-{seed}")
+          for seed in (11, 12)],
     ])
     def test_one_fold_per_distinct_inbox_and_one_compute_per_class(self, config, monkeypatch):
         cfg = config()
@@ -662,23 +662,6 @@ class TestSharedFolds:
         assert calls["receive"] == len(distinct)
         classes = {(r, inbox, state) for (r, p), (inbox, state) in inputs.items()}
         assert calls["compute_phase"] <= len(classes) < len(inputs)
-
-    @pytest.mark.parametrize("seed", [11, 12])
-    def test_a_possessed_inbox_is_folded_only_for_a_strategy_that_reads_it(self, seed, monkeypatch):
-        """ARBITRARY never reads a possessed process's fold, so RECEIVE folds
-        only the distinct dictated inboxes that correct processes hold."""
-        cfg = arbitrary_walk(seed)
-        trace, calls, _inputs = compute_inputs(cfg, monkeypatch)
-        sched = cfg.resolved_schedule()
-        dictated: dict[tuple[int, int], list] = {}
-        for d in deliveries(trace):
-            if not sched.is_correct(d.sender, d.round):
-                dictated.setdefault((d.round, d.receiver), []).append((d.sender, encode_line(d.message)))
-        held = {True: set(), False: set()}
-        for (r, p), receipts in dictated.items():
-            held[sched.is_correct(p, r)].add((r, tuple(receipts)))
-        assert held[False] - held[True], "a possessed process holds an inbox no correct one does"
-        assert calls["receive"] == len(held[True])
 
     @pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
     def test_a_faithful_compute_reads_the_fold_receive_gave_its_process(self, kind, monkeypatch):

@@ -355,6 +355,15 @@ class TestScheduleTable:
         assert_host_of_scans(sched)
         assert [sched.host_of(0, r) for r in range(1, 7)] == [1, 1, 1, 2, 2, None]
 
+    @pytest.mark.parametrize("agent", [-1, -2, 2, 3])
+    def test_host_of_an_agent_outside_0_to_f_is_a_value_error(self, agent):
+        """No negative index reaches another agent's host, and no id past
+        the last agent raises IndexError, in a round inside the horizon or not."""
+        sched = schedule_from([[(1, 1, 3)], [(4, 2, None)]], n=6, horizon=6)
+        for r in (0, 1, 4, 7):
+            with pytest.raises(ValueError, match=rf"agent {agent} outside \[0, 2\)"):
+                sched.host_of(agent, r)
+
     def test_table_is_not_a_field(self):
         from dataclasses import fields
 

@@ -206,6 +206,20 @@ class TestGetMajority:
     def test_tie_breaks_to_larger(self):
         assert get_majority([3, 3, 8, 8], current=1) == 8
 
+    # ``current=None`` with ``min_backing=F`` is the engine's class-key repair:
+    # None unless the top value has more than F votes.
+    def test_no_current_and_no_votes_is_none(self):
+        assert get_majority([], None, min_backing=1) is None
+
+    @pytest.mark.parametrize("votes", [[4], [4, 6], [4, 4, 6, 6], [9, 4, 4, 6]])
+    def test_no_current_and_top_value_at_most_f_votes_is_none(self, votes):
+        assert get_majority(votes, None, min_backing=2) is None
+
+    @pytest.mark.parametrize("votes, top", [([4, 4, 4, 6], 4), ([4, 4, 4, 6, 6, 6], 6),
+                                            ([9, 6, 6, 6, 4, 4, 4], 6), ([5, 5, 5], 5)])
+    def test_no_current_and_top_value_above_f_votes_is_it(self, votes, top):
+        assert get_majority(votes, None, min_backing=2) == top
+
 
 class TestComputePhase:
     def test_echo_quorum_queues_ready(self):
