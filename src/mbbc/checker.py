@@ -11,10 +11,11 @@ Deliveries performed while a process is faulty appear in traces but are
 excluded from every evaluation: operations executed by a possessed process are
 adversary output, not protocol output.
 
-A DELIVER_CALL lists every process that delivered its (source, payload) in its
-round, so the checkers read one ``DeliveryGroup`` per event, not one record
-per process. A witness cites group events; a report's ``details`` name the
-processes.
+A DELIVER_CALL lists the processes that delivered its instances, each a
+(source, payload), in its round, so the checkers read one ``DeliveryGroup``
+per (event, instance), not one record per process; ``engine.delivered_instances``
+expands the events. A witness cites the events of its groups, several groups
+of one event as one index; a report's ``details`` name the processes.
 
 "Eventually" is read over the finite horizon by one rule. Only the
 delta_c-i.o.-correct processes (correct throughout the last delta_c rounds)
@@ -34,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .engine import (
@@ -43,8 +45,11 @@ from .engine import (
     TO_ALL,
     Trace,
     TraceEvent,
+    delivered_instances,
     encode_line,
     event_lines,
+    instance_detail,
+    send_groups,
 )
 from .messages import decode_payload
 from .model import FailureSchedule, io_correct_processes
@@ -69,8 +74,9 @@ ONE_SHOT_PROPERTIES = (VALIDITY, NO_DUPLICATION, INTEGRITY, CONSISTENCY, TOTALIT
 
 
 class DeliveryGroup(NamedTuple):
-    """One DELIVER_CALL: ``correct`` holds the processes of its ``by`` that
-    were correct in its round, in process order."""
+    """One instance of a DELIVER_CALL: ``correct`` holds the processes of the
+    event's ``by`` that were correct in its round, in process order, and
+    ``event_index`` is the event's; the groups of one event share it."""
 
     round: int
     source: int
@@ -100,19 +106,15 @@ class PropertyReport:
 
 
 def extract_deliveries(trace: Trace, schedule: FailureSchedule) -> list[DeliveryGroup]:
-    """One group per DELIVER_CALL, in trace order; ``correct`` may be empty."""
-    # The events of a trace share one detail dict per distinct detail: decode each once.
-    payloads: dict[int, bytes] = {}
+    """One group per (DELIVER_CALL, instance), in trace order; ``correct`` may
+    be empty. The faulty set is looked up once per event."""
     out = []
-    for idx, ev in enumerate(trace.events):
-        if ev.kind == KIND_DELIVER_CALL:
-            detail = ev.detail
-            payload = payloads.get(id(detail))
-            if payload is None:
-                payload = payloads[id(detail)] = decode_payload(detail)
-            by, faulty = detail["by"], schedule.faulty_set(ev.round)
+    last = None
+    for idx, r, by, source, payload in delivered_instances(trace.events):
+        if idx != last:
+            last, faulty = idx, schedule.faulty_set(r)
             correct = tuple(by) if faulty.isdisjoint(by) else tuple(p for p in by if p not in faulty)
-            out.append(DeliveryGroup(ev.round, detail["source"], payload, correct, idx))
+        out.append(DeliveryGroup(r, source, payload, correct, idx))
     return out
 
 
@@ -127,9 +129,9 @@ class TraceIndex:
     """One trace with the scenario's parameters, and what the checkers look up
     in it, gathered in one pass per part.
 
-    Deliveries are kept per DELIVER_CALL group (its event index, round,
-    instance and correct members), not per process, so the checkers scan
-    groups. ``run_property_checks`` builds one index and hands it to every
+    Deliveries are kept per DELIVER_CALL instance group (its event index,
+    round, instance and correct members), not per process, so the checkers
+    scan groups. ``run_property_checks`` builds one index and hands it to every
     checker. Each part is built on first use, so a report that needs only
     some parts pays only for those.
     """
@@ -461,16 +463,22 @@ def replay_witness(report: PropertyReport, trace: Trace, schedule: FailureSchedu
 
     index = TraceIndex(trace, schedule, delta_b, delta_c, variant)
     if report.property in (NO_DUPLICATION, CONSISTENCY):
-        at = {g.event_index: g for g in index.correct_deliveries}
-        groups = [at.get(i) for i in report.witness]
-        if None in groups:
+        # A cited event stands for all its groups; one with none is no delivery.
+        at: dict[int, list[DeliveryGroup]] = {}
+        for g in index.correct_deliveries:
+            at.setdefault(g.event_index, []).append(g)
+        if any(i not in at for i in report.witness):
             return False
+        groups = [g for i in sorted(set(report.witness)) for g in at[i]]
         if report.property == NO_DUPLICATION:
             # Some process is a correct member of two cited groups of one instance.
             keys = [(p, g.source, g.payload) for g in groups for p in g.correct]
             return len(set(keys)) < len(keys)
-        return (len(groups) >= 2 and groups[0].source == groups[1].source
-                and groups[0].payload != groups[1].payload)
+        # Two cited groups deliver different payloads of one source.
+        payloads: dict[int, set[bytes]] = {}
+        for g in groups:
+            payloads.setdefault(g.source, set()).add(g.payload)
+        return len(report.witness) >= 2 and any(len(p) > 1 for p in payloads.values())
 
     check = _checkers().get(report.property)
     if check is None:
@@ -487,8 +495,8 @@ def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:
 def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     """Events observable at processes that are correct throughout the run.
 
-    Those are the sends that reach one of them, grouped as the trace groups
-    a fan-out: one P2P_SEND per round and distinct (message, receivers
+    Those are the sends that reach one of them, grouped by message: one
+    P2P_SEND per round and distinct (message, receivers
     narrowed to them), ``{"from": [senders], "message": …, "to": [kept]}``
     with the senders sorted and the subject ``from[0]``. ``"ALL"`` narrows to
     their sorted list and a list to its kept members, duplicates included,
@@ -502,13 +510,13 @@ def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
     per round, so the groups are one-to-one with the (sender, message) sends.
 
     Their own broadcast and deliver calls stay one per process: each
-    DELIVER_CALL group gives one event per kept member, with that member as
-    subject and the detail without ``by``, and a round's calls, by subject
-    with a process's BROADCAST_CALLs before its DELIVER_CALLs and otherwise
-    in trace order, stand at its first call. So the projection depends only
-    on what each kept process delivered, in its own order, and not on the
-    order of a trace's groups: two groups with disjoint kept members project
-    alike whichever the trace lists first.
+    instance of a DELIVER_CALL gives one event per kept member of its
+    ``by``, with that member as subject and the instance as detail, and a
+    round's calls stand at its first call, by subject, a process's
+    BROADCAST_CALLs first in trace order, then its DELIVER_CALLs in (source,
+    payload) order, the order ``compute_phase`` delivers in. So the
+    projection depends only on what each kept process broadcast and
+    delivered, and not on how a trace groups its deliveries.
 
     Two executions are indistinguishable to the permanently correct
     processes exactly when their projections are identical; the
@@ -528,34 +536,27 @@ def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:
 
 def _kept_sends(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, list[TraceEvent]]:
     """Each round's sends to the kept processes, one P2P_SEND per (message
-    text, kept receivers) listing its senders (``projection``). Each message
-    object is encoded once; the memo holds it, so no id is reused. Groups
-    with equal kept receivers share one list, which ``event_lines`` then
-    encodes once."""
+    text, kept receivers) listing its senders (``projection``), read from
+    ``engine.send_groups``. Each message object is encoded once; the memo
+    holds it, so no id is reused. Groups with equal kept receivers share one
+    list, which ``event_lines`` then encodes once."""
     everyone = sorted(keep)
     texts: dict[int, tuple[object, str]] = {}
     shared: dict[tuple[int, ...], list[int]] = {}
     by_round: dict[int, dict[tuple[str, tuple[int, ...]], tuple[object, list[int], list[int]]]] = {}
-    for ev in events:
-        if ev.kind != KIND_P2P_SEND:
-            continue
-        detail = ev.detail
-        message, to = detail["message"], detail["to"]
+    for r, senders, message, to in send_groups(events):
         kept = everyone if to == TO_ALL else [q for q in to if q in keep]
         if not kept:
             continue
         hit = texts.get(id(message))
         if hit is None:
             hit = texts[id(message)] = (message, encode_line(message))
-        groups = by_round.setdefault(ev.round, {})
+        groups = by_round.setdefault(r, {})
         key = (hit[1], tuple(kept))
         group = groups.get(key)
         if group is None:
             group = groups[key] = (message, shared.setdefault(key[1], kept), [])
-        if "from" in detail:
-            group[2].extend(detail["from"])
-        else:
-            group[2].append(ev.subject)
+        group[2].extend(senders)
     out: dict[int, list[TraceEvent]] = {}
     for r, groups in by_round.items():
         sends = out[r] = []
@@ -569,24 +570,28 @@ def _kept_sends(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, lis
 
 def _kept_calls(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, list[TraceEvent]]:
     """Each round's BROADCAST_CALLs and per-process DELIVER_CALLs of the kept
-    processes, by subject, a process's broadcasts first (``projection``)."""
-    by_round: dict[int, list[TraceEvent]] = {}
-    stripped: dict[int, tuple[dict, dict]] = {}
+    processes, by subject, a process's broadcasts first, then its deliveries
+    in (source, payload) order (``projection``). Each instance's detail is
+    built once and shared."""
+    by_round: dict[int, list[tuple[tuple, TraceEvent]]] = {}
     for ev in events:
         if ev.kind == KIND_BROADCAST_CALL and ev.subject in keep:
-            by_round.setdefault(ev.round, []).append(ev)
-        elif ev.kind == KIND_DELIVER_CALL:
-            kept = [p for p in ev.detail["by"] if p in keep]
-            if kept:
-                hit = stripped.get(id(ev.detail))
-                if hit is None:
-                    hit = stripped[id(ev.detail)] = (
-                        ev.detail, {k: v for k, v in ev.detail.items() if k != "by"})
-                by_round.setdefault(ev.round, []).extend(
-                    TraceEvent(ev.round, ev.kind, p, hit[1]) for p in kept)
-    for calls in by_round.values():
-        calls.sort(key=lambda ev: (ev.subject, ev.kind != KIND_BROADCAST_CALL))
-    return by_round
+            by_round.setdefault(ev.round, []).append(((ev.subject, False), ev))
+    details: dict[tuple[int, bytes], dict] = {}
+    for _idx, r, by, source, payload in delivered_instances(events):
+        kept = [p for p in by if p in keep]
+        if kept:
+            detail = details.get((source, payload))
+            if detail is None:
+                detail = details[source, payload] = instance_detail(source, payload)
+            by_round.setdefault(r, []).extend(
+                ((p, True, source, payload), TraceEvent(r, KIND_DELIVER_CALL, p, detail))
+                for p in kept)
+    out = {}
+    for r, calls in by_round.items():
+        calls.sort(key=itemgetter(0))
+        out[r] = [ev for _key, ev in calls]
+    return out
 
 
 def projection_jsonl(trace: Trace, schedule: FailureSchedule) -> str:

@@ -29,7 +29,7 @@ from .checker import (
     run_property_checks,
 )
 from .demos import run_demo
-from .engine import KIND_DELIVER_CALL, Trace, deliver_oracle_events, run
+from .engine import Trace, deliver_oracle_events, delivered_instances, run
 from .model import spec_object
 from .protocol import VariantTag
 from .scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
         config = config.with_overrides(seed=args.seed)
     trace = run(config)
     args.out.write_text(trace.to_jsonl())
-    deliveries = sum(len(ev.detail["by"]) for ev in trace.events if ev.kind == KIND_DELIVER_CALL)
+    deliveries = sum(len(by) for _idx, _r, by, _source, _payload in delivered_instances(trace.events))
     schedule, oracle = config.resolved_schedule(), config.setting.oracle
     cured = sum(len(deliver_oracle_events(schedule, r, oracle)) for r in range(1, config.horizon + 1))
     print(f"rounds={config.horizon} deliveries={deliveries} cured={cured} "

@@ -4,10 +4,10 @@ Each demo builds a pair of scenarios whose executions are indistinguishable to
 every permanently correct process, runs both, and verifies that the
 projections are byte-identical. Each deterministic choice an (abstract,
 hypothetical) one-shot reliable-broadcast adapter could make on that shared
-observation is a filter over the processes of the channel trace's
-DELIVER_CALL events; the checker scores the filtered copy of both traces, and
-the demonstration holds when every choice violates a one-shot property on at
-least one history.
+observation is a filter over the (instance, process) deliveries of the
+channel trace's DELIVER_CALL events; the checker scores the filtered copy of
+both traces, and the demonstration holds when every choice violates a
+one-shot property on at least one history.
 
 ``SOURCE_FLIP`` (aka THEOREM_3): the source broadcasts payload A at round 1
 and payload B at the switch round, correct first and permanently faulty after
@@ -30,8 +30,7 @@ from typing import Callable
 
 from .adversary import generate_paired_histories
 from .checker import ONE_SHOT_PROPERTIES, VIOLATED, projection_jsonl, run_property_checks
-from .engine import KIND_DELIVER_CALL, Trace, TraceEvent, run
-from .messages import decode_payload
+from .engine import KIND_DELIVER_CALL, Trace, deliver_calls, delivered_instances, run
 from .scenario import ScenarioConfig
 
 SOURCE_FLIP_KINDS = ("THEOREM_3", "SOURCE_FLIP")
@@ -88,10 +87,14 @@ def run_demo(kind: str, params: dict | None = None) -> DemoResult:
                       projections_identical=identical, choices=choices, holds=holds)
 
 
-def adapter_choices(kind: str, cfg: ScenarioConfig) -> dict[str, Callable[[TraceEvent, int], bool]]:
+# An adapter's choice: whether it keeps the delivery of (source, payload) by
+# a process in a round, called as ``keep(round, source, payload, process)``.
+Keep = Callable[[int, int, bytes, int], bool]
+
+
+def adapter_choices(kind: str, cfg: ScenarioConfig) -> dict[str, Keep]:
     """Each choice a deterministic one-shot adapter can make on a pair's shared
-    observation, by name, as the (DELIVER_CALL, process) pairs of a channel
-    trace it keeps.
+    observation, by name, as the deliveries of a channel trace it keeps.
 
     On the source-flip pair the adapter delivers one subset of the two
     payloads at every process in both histories. On the wipe-flip pair it
@@ -101,24 +104,27 @@ def adapter_choices(kind: str, cfg: ScenarioConfig) -> dict[str, Callable[[Trace
         m1, m2 = (b.payload for b in cfg.broadcasts)
         subsets = {"deliver_first_payload": {m1}, "deliver_second_payload": {m2},
                    "deliver_neither": set(), "deliver_both": {m1, m2}}
-        return {name: lambda e, p, chosen=chosen: decode_payload(e.detail) in chosen
+        return {name: lambda r, s, payload, p, chosen=chosen: payload in chosen
                 for name, chosen in subsets.items()}
     target, wipe_round = cfg.strategy["target"], cfg.strategy["wipe_round"]
-    return {"deliver_on_cure": lambda e, p: True,
-            "ignore_cure": lambda e, p: p != target or e.round <= wipe_round}
+    return {"deliver_on_cure": lambda r, s, payload, p: True,
+            "ignore_cure": lambda r, s, payload, p: p != target or r <= wipe_round}
 
 
-def adapter_output(trace: Trace, keep: Callable[[TraceEvent, int], bool]) -> Trace:
-    """An in-memory copy of a channel trace whose DELIVER_CALLs list only the
-    processes ``keep`` accepts, without any left with none: what the adapter
-    delivers on that history. A narrowed event names its new ``by[0]``."""
+def adapter_output(trace: Trace, keep: Keep) -> Trace:
+    """An in-memory copy of a channel trace that holds only the deliveries
+    ``keep`` accepts: what the adapter delivers on that history. Each round's
+    DELIVER_CALLs are regrouped by ``engine.deliver_calls`` and stand where
+    the round's first one stood; a round left with none has none."""
+    kept: dict[int, dict[tuple[int, bytes], list[int]]] = {}
+    for _idx, r, by, source, payload in delivered_instances(trace.events):
+        processes = [p for p in by if keep(r, source, payload, p)]
+        if processes:
+            kept.setdefault(r, {})[source, payload] = processes
     events = []
     for e in trace.events:
-        if e.kind == KIND_DELIVER_CALL:
-            by = [p for p in e.detail["by"] if keep(e, p)]
-            if not by:
-                continue
-            if len(by) < len(e.detail["by"]):
-                e = e._replace(subject=by[0], detail={**e.detail, "by": by})
-        events.append(e)
+        if e.kind != KIND_DELIVER_CALL:
+            events.append(e)
+        elif e.round in kept:
+            events += deliver_calls(e.round, kept.pop(e.round))
     return replace(trace, events=events)

@@ -49,25 +49,34 @@ ORACLE and RECEIVE write nothing. The schedule in the header's config fixes
 the agents' moves and the cures, which ``FailureSchedule.host_of`` and
 ``deliver_oracle_events`` derive.
 
-A correct fan-out is one P2P_SEND event per distinct message per round,
-``{"from": [senders], "message": …, "to": "ALL"}`` with the senders strictly
-increasing and the subject ``from[0]``; a dictated send is one event per
-(sender, message) with the sorted receivers (duplicates kept) as ``to``. The
-fan-outs come first, in message order, then the dictated sends in (sender,
+A round's correct fan-outs are one P2P_SEND event per distinct list of
+senders, ``{"from": [senders], "messages": [m, …], "to": "ALL"}``: the
+senders strictly increasing, the subject ``from[0]``, and ``messages`` every
+message, in message order, that exactly those senders sent to all. The
+fan-outs are ordered by their first message, so each (sender, message) pair
+stands in one of them. A dictated send is one event per (sender, message),
+``{"message": …, "to": [receivers]}``, the receivers sorted with duplicates
+kept: a faulty sender's ROUND votes replace each other, so its messages keep
+their order. The fan-outs come first, then the dictated sends in (sender,
 message) order. Receipts are not traced; links are synchronous and reliable,
-so ``deliveries`` derives them from the SEND events, which ``round_sends``
-expands to one (sender, message, to) send per sender in (sender, message)
-order; a process's tallies are a fold of its receipts, by (sender,
-message). A round's deliveries are one DELIVER_CALL per distinct (source,
-payload), ``{"by": [processes], "payload…": …, "source": s}`` with the
-delivering processes strictly increasing and the subject ``by[0]``. They come
-after the round's STATE_CORRUPTED and BROADCAST_CALL events, in (source,
-payload) order, which is each process's own order: ``compute_phase``
-delivers in it, so a process's deliveries are a subsequence of the round's.
-Each distinct message dict, DELIVER_CALL detail and STATE_CORRUPTED detail is
-built once per simulation, and the events that carry it share it read-only,
-as the events of a parsed trace do. Given a config (the seed is part of it),
-the trace is bit-reproducible.
+so ``deliveries`` derives them from the SEND events, which ``send_groups``
+reads per (event, message) and ``round_sends`` expands to one (sender,
+message, to) send per sender in (sender, message) order; a process's tallies
+are a fold of its receipts, by (sender, message). A round's deliveries are
+one DELIVER_CALL per distinct list of delivering processes, ``{"by":
+[processes], "instances": [{"payload…": …, "source": s}, …]}``: the
+processes strictly increasing, the subject ``by[0]``, and the instances
+strictly increasing in (source, payload) order. They come after the round's
+STATE_CORRUPTED and BROADCAST_CALL events, ordered by their first instance.
+``compute_phase`` delivers in (source, payload) order, so each event's
+instances are, in order, a subsequence of the deliveries of every process it
+lists. That holds per event only: a process listed in several events
+delivers their instances interleaved. ``delivered_instances`` expands each
+event into one (event, instance) delivery group per instance. Each distinct
+message dict, instance dict and STATE_CORRUPTED detail is built once per
+simulation, and the events that carry it share it read-only, as the events
+of a parsed trace share each detail. Given a config (the seed is part of
+it), the trace is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -77,8 +86,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
 from .messages import ProtocolMessage, decode_payload, encode_payload, send_msg
@@ -109,10 +117,11 @@ KIND_STATE_CORRUPTED = "STATE_CORRUPTED"
 # and cures are not traced: the header's schedule fixes them.
 KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRUPTED)
 
-# The header's ``format``: one P2P_SEND per fan-out message, listing its
-# senders, or per dictated (sender, message); no receipts, agent moves or
-# cures; one DELIVER_CALL per (round, source, payload), listing its processes.
-TRACE_FORMAT = "mbbc-trace/6"
+# The header's ``format``: per round, one P2P_SEND per list of fan-out
+# senders, listing its messages, or per dictated (sender, message); no
+# receipts, agent moves or cures; one DELIVER_CALL per list of delivering
+# processes, listing its (source, payload) instances.
+TRACE_FORMAT = "mbbc-trace/7"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
 
@@ -150,13 +159,13 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
     """Each event's trace line, equal to ``encode_line(ev.to_dict())``.
 
     The outer layout is written from a template, and each detail object, and
-    each send's message and ``to`` objects, is encoded once per call, by
-    identity (a projection's groups share their lists of receivers): the
-    memo holds every object it has encoded, so no id is reused while it
-    lives. A detail must therefore stay unchanged while its lines are
-    written, which ``TraceEvent``'s contract (a read-only detail) gives. An
-    event whose kind, round or subject the template does not cover is
-    encoded whole.
+    each send's message and ``to`` objects and each DELIVER_CALL's instances,
+    is encoded once per call, by identity (a projection's groups share their
+    lists of receivers): the memo holds every object it has encoded, so no
+    id is reused while it lives. A detail must therefore stay unchanged
+    while its lines are written, which ``TraceEvent``'s contract (a
+    read-only detail) gives. An event whose kind, round or subject the
+    template does not cover is encoded whole.
     """
     encoded: dict[int, tuple[object, str]] = {}
 
@@ -176,11 +185,24 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
         hit = encoded.get(id(detail))
         if hit is not None:
             body = hit[1]
-        elif (kind == KIND_P2P_SEND and type(detail) is dict and "message" in detail
-                and "to" in detail and len(detail) == 2 + ("from" in detail)):
+        elif type(detail) is not dict:
+            body = encode(detail)
+        elif (kind == KIND_P2P_SEND and "message" in detail and "to" in detail
+                and len(detail) == 2 + ("from" in detail)):
             senders = f'"from":{encode_line(detail["from"])},' if "from" in detail else ""
             body = (f'{{{senders}"message":{encode(detail["message"])},'
                     f'"to":{encode(detail["to"])}}}')
+            encoded[id(detail)] = (detail, body)
+        elif (kind == KIND_P2P_SEND and len(detail) == 3 and "from" in detail
+                and type(detail.get("messages")) is list and "to" in detail):
+            body = (f'{{"from":{encode_line(detail["from"])},'
+                    f'"messages":[{",".join(map(encode, detail["messages"]))}],'
+                    f'"to":{encode(detail["to"])}}}')
+            encoded[id(detail)] = (detail, body)
+        elif (kind == KIND_DELIVER_CALL and len(detail) == 2 and "by" in detail
+                and type(detail.get("instances")) is list):
+            body = (f'{{"by":{encode_line(detail["by"])},'
+                    f'"instances":[{",".join(map(encode, detail["instances"]))}]}}')
             encoded[id(detail)] = (detail, body)
         else:
             body = encode(detail)
@@ -212,13 +234,16 @@ class Trace:
         ``subject``: a known kind, a round in [1, horizon], a subject in
         [0, n) and a dict detail; any other key is named. A P2P_SEND's ``to``
         is either "ALL", beside a ``from`` of strictly increasing senders in
-        [0, n) whose first is the subject, or a list of receivers in [0, n)
-        with no ``from``. A DELIVER_CALL's ``source`` is an int and
-        its ``by`` a list of strictly increasing processes in [0, n) whose
-        first is the subject, and the payload of a DELIVER_CALL or a
-        BROADCAST_CALL decodes. A line in the writer's own layout has its
-        detail parsed and checked once per distinct text; any other line is
-        parsed whole.
+        [0, n) whose first is the subject and a non-empty list of object
+        ``messages`` (no ``message``), or a list of receivers in [0, n)
+        beside an object ``message`` (no ``from`` or ``messages``). A DELIVER_CALL's ``by``
+        is a list of strictly increasing processes in [0, n) whose first is
+        the subject, and its ``instances`` a non-empty list of objects, each
+        with an int ``source`` and a payload that decodes, strictly
+        increasing in (source, payload) order; the detail itself holds no
+        ``source`` or payload. A BROADCAST_CALL's payload decodes. A line in
+        the writer's own layout has its detail parsed and checked once per
+        distinct text; any other line is parsed whole.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -310,22 +335,43 @@ def _check_detail(kind: str, detail, n: int) -> int | None:
         raise ValueError("detail is not a JSON object")
     if kind == KIND_P2P_SEND:
         to = detail["to"]
+        if to == TO_ALL:
+            if "message" in detail:
+                raise ValueError(f'a send to {TO_ALL!r} has a message; it lists its messages')
+            _non_empty_objects("messages", detail["messages"])
+            return _first_process("from", detail["from"], n)
         if not isinstance(detail["message"], dict):
             raise ValueError("message is not a JSON object")
-        if to == TO_ALL:
-            return _first_process("from", detail["from"], n)
         if not (isinstance(to, list) and all(_is_int(q) and 0 <= q < n for q in to)):
             raise ValueError(f"to {shown(to)} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
         if "from" in detail:
             raise ValueError("a send to a list of receivers has a from; its sender is its subject")
+        if "messages" in detail:
+            raise ValueError("a send to a list of receivers has messages; it carries one message")
     elif kind == KIND_DELIVER_CALL:
-        if not _is_int(detail["source"]):
-            raise ValueError(f"source {shown(detail['source'])} is not an int")
-        decode_payload(detail)
+        for key in ("source", "payload", "payload_hex"):
+            if key in detail:
+                raise ValueError(f"a DELIVER_CALL has a {key}; its instances carry theirs")
+        last = None
+        for instance in _non_empty_objects("instances", detail["instances"]):
+            if not _is_int(instance["source"]):
+                raise ValueError(f"source {shown(instance['source'])} is not an int")
+            key = (instance["source"], decode_payload(instance))
+            if last is not None and not last < key:
+                raise ValueError(f"instance {shown(instance)} does not follow the one before it "
+                                 "in strictly increasing (source, payload) order")
+            last = key
         return _first_process("by", detail["by"], n)
     elif kind == KIND_BROADCAST_CALL:
         decode_payload(detail)
     return None
+
+
+def _non_empty_objects(key: str, values) -> list:
+    """``values`` when it is a non-empty list of JSON objects."""
+    if not (isinstance(values, list) and values and all(isinstance(v, dict) for v in values)):
+        raise ValueError(f"{key} {shown(values)} is not a non-empty list of JSON objects")
+    return values
 
 
 def _first_process(key: str, processes, n: int) -> int:
@@ -441,29 +487,37 @@ def _inboxes(outbox: Sequence[tuple[int, object, object]], n: int
     return inboxes
 
 
-def round_sends(events: Iterable[TraceEvent]) -> dict[int, list[tuple[int, object, object]]]:
-    """Each round's sends as (sender, message, to), keyed by round in order of
-    first appearance.
-
-    An event with a ``from`` gives one such send per sender in it, whatever
-    its ``to`` (a trace has ``from`` only beside ``"ALL"``, and
-    ``checker.projection`` beside a list too), and one without its
-    subject's. A round's sends are in (sender, message) order: by sender,
-    and a sender's in event order, which is message order in the engine's
-    traces. The messages and ``to`` values are the events' own objects.
-    """
-    by_round: dict[int, list[tuple[int, object, object]]] = {}
+def send_groups(events: Iterable[TraceEvent]) -> Iterator[tuple[int, Sequence[int], object, object]]:
+    """Each P2P_SEND's (round, senders, message, to), one per message, in
+    trace order: the senders are its ``from`` (its subject without one) and
+    the messages its ``messages`` (its ``message`` without one), whatever its
+    ``to``. A trace has ``from`` and ``messages`` only beside ``"ALL"``, and
+    ``checker.projection`` writes ``from`` and ``message`` beside a list.
+    The senders, messages and ``to`` values are the events' own objects."""
     for ev in events:
         if ev.kind == KIND_P2P_SEND:
             detail = ev.detail
-            message, to = detail["message"], detail["to"]
-            sends = by_round.setdefault(ev.round, [])
-            if "from" in detail:
-                sends.extend((sender, message, to) for sender in detail["from"])
-            else:
-                sends.append((ev.subject, message, to))
+            senders, to = detail["from"] if "from" in detail else (ev.subject,), detail["to"]
+            for message in detail["messages"] if "messages" in detail else (detail["message"],):
+                yield ev.round, senders, message, to
+
+
+def round_sends(events: Iterable[TraceEvent]) -> dict[int, list[tuple[int, object, object]]]:
+    """Each round's sends as (sender, message, to), one per sender of each of
+    ``send_groups``, keyed by round in order of first appearance. A round's
+    sends are in (sender, message) order, messages ordered as
+    ``ProtocolMessage.sort_key`` orders them, and a sender's equal messages
+    in event order.
+    """
+    by_round: dict[int, list[tuple[int, object, object]]] = {}
+    # Each message object's sort key; the memo holds the object, so no id is reused.
+    order: dict[int, tuple[object, tuple]] = {}
+    for r, senders, message, to in send_groups(events):
+        if id(message) not in order:
+            order[id(message)] = (message, ProtocolMessage.from_dict(message).sort_key())
+        by_round.setdefault(r, []).extend((sender, message, to) for sender in senders)
     for sends in by_round.values():
-        sends.sort(key=itemgetter(0))
+        sends.sort(key=lambda send: (send[0], order[id(send[1])][1]))
     return by_round
 
 
@@ -482,6 +536,41 @@ def deliveries(trace: Trace) -> list[Delivery]:
             for r in sorted(by_round)
             for receiver, inbox in enumerate(_inboxes(by_round[r], n))
             for sender, message in inbox]
+
+
+def delivered_instances(events: Sequence[TraceEvent]
+                        ) -> Iterator[tuple[int, int, list[int], int, bytes]]:
+    """Each instance of each DELIVER_CALL as (event index, round, by, source,
+    payload), in trace order: the instances of one event follow each other
+    and share its ``by`` list. Each instance dict's payload is decoded once
+    per call."""
+    payloads: dict[int, tuple[dict, bytes]] = {}
+    for idx, ev in enumerate(events):
+        if ev.kind == KIND_DELIVER_CALL:
+            by = ev.detail["by"]
+            for instance in ev.detail["instances"]:
+                hit = payloads.get(id(instance))
+                if hit is None:
+                    hit = payloads[id(instance)] = (instance, decode_payload(instance))
+                yield idx, ev.round, by, instance["source"], hit[1]
+
+
+def instance_detail(source: int, payload: bytes) -> dict:
+    """One (source, payload) instance as a DELIVER_CALL lists it."""
+    return {"source": source, **encode_payload(payload)}
+
+
+def deliver_calls(r: int, delivered_by: Mapping[tuple[int, bytes], Sequence[int]],
+                  instance: Callable[[int, bytes], dict] = instance_detail) -> list[TraceEvent]:
+    """Round r's DELIVER_CALLs for the processes that delivered each (source,
+    payload), listed in increasing order: one event per distinct list, its
+    instances in (source, payload) order, the events ordered by their first
+    instance. ``instance`` builds each instance's dict."""
+    groups: dict[tuple[int, ...], list[dict]] = {}
+    for source, payload in sorted(delivered_by):
+        groups.setdefault(tuple(delivered_by[source, payload]), []).append(instance(source, payload))
+    return [TraceEvent(r, KIND_DELIVER_CALL, by[0], {"by": list(by), "instances": instances})
+            for by, instances in groups.items()]
 
 
 def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]]
@@ -547,7 +636,7 @@ class Simulation:
         # Messages are type-exact (``ProtocolMessage`` takes no bool for an
         # int), so equal keys encode to equal JSON.
         self._message_dicts: dict[ProtocolMessage, dict] = {}
-        self._deliver_details: dict[tuple[int, bytes, tuple[int, ...]], dict] = {}
+        self._instances: dict[tuple[int, bytes], dict] = {}
         self._digests: dict[tuple, dict] = {}
         for b in config.broadcasts:
             self._broadcast_index.setdefault((b.source, b.round), []).append(b.payload)
@@ -574,7 +663,8 @@ class Simulation:
 
         # SEND: the correct senders grouped by the queue they hold, each
         # distinct queue walked once; each message's senders in process
-        # order; one dictated entry per faulty (sender, message).
+        # order, and one fan-out per distinct list of senders; one dictated
+        # entry per faulty (sender, message).
         obs = Observation(schedule=schedule, states=self.states)
         queues: dict[int, tuple[Iterable[ProtocolMessage], list[int]]] = {}
         dictated: list[tuple[int, ProtocolMessage, list[int]]] = []
@@ -589,9 +679,12 @@ class Simulation:
             for msg in queue:
                 fan_outs.setdefault(msg, []).extend(senders)
         grouped = [(msg, sorted(fan_outs[msg])) for msg in sorted(fan_outs, key=ProtocolMessage.sort_key)]
+        fan_out_messages: dict[tuple[int, ...], list[dict]] = {}
         for msg, senders in grouped:
+            fan_out_messages.setdefault(tuple(senders), []).append(self._message(msg))
+        for senders, messages in fan_out_messages.items():
             self._emit(r, KIND_P2P_SEND, senders[0],
-                       {"from": senders, "message": self._message(msg), "to": TO_ALL})
+                       {"from": list(senders), "messages": messages, "to": TO_ALL})
         for sender, msg, to in dictated:
             self._emit(r, KIND_P2P_SEND, sender, {"message": self._message(msg), "to": to})
 
@@ -642,9 +735,8 @@ class Simulation:
                     [send_msg(p, state.rc - 1, payload) for payload in payloads])
             for instance in delivered:
                 delivered_by.setdefault(instance, []).append(p)
-        for source, payload in sorted(delivered_by):
-            by = delivered_by[source, payload]
-            self._emit(r, KIND_DELIVER_CALL, by[0], self._deliver_detail(source, payload, by))
+        if delivered_by:
+            self.trace.events += deliver_calls(r, delivered_by, self._instance)
 
     def _message(self, msg: ProtocolMessage) -> dict:
         """``msg.to_dict()``, built once per distinct message and shared read-only."""
@@ -665,12 +757,11 @@ class Simulation:
             out = self._digests[key] = {"state_digest": state_fingerprint(state)}
         return out
 
-    def _deliver_detail(self, source: int, payload: bytes, by: list[int]) -> dict:
-        """A DELIVER_CALL's detail, built once per (source, payload, by) and shared read-only."""
-        key = (source, payload, tuple(by))
-        out = self._deliver_details.get(key)
+    def _instance(self, source: int, payload: bytes) -> dict:
+        """``instance_detail(source, payload)``, built once per instance and shared read-only."""
+        out = self._instances.get((source, payload))
         if out is None:
-            out = self._deliver_details[key] = {"by": by, "source": source, **encode_payload(payload)}
+            out = self._instances[source, payload] = instance_detail(source, payload)
         return out
 
     def _emit(self, r: int, kind: str, subject: int, detail: dict) -> None:

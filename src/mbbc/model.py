@@ -214,9 +214,14 @@ class FailureSchedule:
 
     def host_of(self, agent_id: int, r: int) -> int | None:
         """Host of an agent in round r, or None when the agent is off-board
-        or r is outside [1, horizon]; an agent id outside [0, f) is a ValueError."""
+        or r is outside [1, horizon]; an agent id outside [0, f) is a
+        ValueError, and so is one in [0, f) without a trajectory, which only
+        a schedule built without ``validate_schedule`` can lack."""
         if not 0 <= agent_id < self.f:
             raise ValueError(f"agent {agent_id} outside [0, {self.f})")
+        if agent_id >= len(self._host_table):
+            raise ValueError(f"agent {agent_id} has no trajectory: the schedule holds "
+                             f"{len(self._host_table)} of f={self.f}")
         hosts = self._host_table[agent_id]
         return hosts[r - 1] if 1 <= r <= self.horizon else None
 

@@ -9,7 +9,15 @@ import random
 
 from mbbc.checker import VIOLATED, PropertyReport, replay_witness
 from mbbc.demos import DemoResult, adapter_choices, adapter_output
-from mbbc.engine import Trace, TraceEvent, deliver_oracle_events, encode_line
+from mbbc.engine import (
+    KIND_DELIVER_CALL,
+    KIND_P2P_SEND,
+    Trace,
+    TraceEvent,
+    deliver_oracle_events,
+    encode_line,
+)
+from mbbc.messages import ProtocolMessage, decode_payload
 from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import attack_scenario
@@ -27,15 +35,99 @@ KIND_PHASE = {
 }
 
 
+def ungrouped_events(events: list[TraceEvent]) -> list[TraceEvent]:
+    """The events as the engine wrote them before ``mbbc-trace/7``: each
+    fan-out one event per message, ``{"from", "message", "to": "ALL"}``, in
+    message order (``ProtocolMessage.sort_key``), and each DELIVER_CALL one
+    event per instance, ``{"by", "payload…", "source"}``, in (source,
+    payload) order. A round's expanded fan-outs stand at its first fan-out,
+    and its expanded DELIVER_CALLs at its first DELIVER_CALL; every other
+    event is kept as it is."""
+    def message_order(ev: TraceEvent):
+        return ProtocolMessage.from_dict(ev.detail["message"]).sort_key()
+
+    def instance_order(ev: TraceEvent):
+        return ev.detail["source"], decode_payload(ev.detail)
+
+    fan_outs: dict[int, list[TraceEvent]] = {}
+    calls: dict[int, list[TraceEvent]] = {}
+    for ev in events:
+        if ev.kind == KIND_P2P_SEND and "messages" in ev.detail:
+            fan_outs.setdefault(ev.round, []).extend(
+                ev._replace(detail={"from": ev.detail["from"], "message": m, "to": ev.detail["to"]})
+                for m in ev.detail["messages"])
+        elif ev.kind == KIND_DELIVER_CALL:
+            calls.setdefault(ev.round, []).extend(
+                ev._replace(detail={"by": ev.detail["by"], **instance})
+                for instance in ev.detail["instances"])
+    out = []
+    for ev in events:
+        if ev.kind == KIND_P2P_SEND and "messages" in ev.detail:
+            out += sorted(fan_outs.pop(ev.round, ()), key=message_order)
+        elif ev.kind == KIND_DELIVER_CALL:
+            out += sorted(calls.pop(ev.round, ()), key=instance_order)
+        else:
+            out.append(ev)
+    return out
+
+
+def assert_fan_out_layout(events: list[TraceEvent]) -> None:
+    """Each round's fan-outs (P2P_SENDs to "ALL") in the ``mbbc-trace/7``
+    layout: one per distinct list of senders, each message in one of them,
+    so each (sender, message) fan-out once; each listing its messages
+    strictly increasing in message order, and the events in first-message
+    order."""
+    by_round: dict[int, list[TraceEvent]] = {}
+    for ev in events:
+        if ev.kind == KIND_P2P_SEND and ev.detail["to"] == "ALL":
+            by_round.setdefault(ev.round, []).append(ev)
+    for r, fan_outs in by_round.items():
+        senders = [tuple(ev.detail["from"]) for ev in fan_outs]
+        assert len(senders) == len(set(senders)), r
+        orders = [[ProtocolMessage.from_dict(m).sort_key() for m in ev.detail["messages"]]
+                  for ev in fan_outs]
+        assert all(keys and all(a < b for a, b in zip(keys, keys[1:])) for keys in orders), r
+        assert [keys[0] for keys in orders] == sorted(keys[0] for keys in orders), r
+        messages = [key for keys in orders for key in keys]
+        assert len(messages) == len(set(messages)), r
+        pairs = [(p, key) for sent, keys in zip(senders, orders) for p in sent for key in keys]
+        assert len(pairs) == len(set(pairs)), r
+
+
+def assert_deliver_call_layout(events: list[TraceEvent]) -> None:
+    """Each round's DELIVER_CALLs in the ``mbbc-trace/7`` layout: one per
+    distinct ``by``, its subject ``by[0]``, each listing its instances
+    strictly increasing in (source, payload) order, no instance in two of
+    them, so each (process, instance) delivery at most once, and the events
+    in first-instance order."""
+    by_round: dict[int, list[tuple[tuple[int, ...], list[tuple[int, bytes]]]]] = {}
+    for ev in events:
+        if ev.kind == KIND_DELIVER_CALL:
+            assert ev.subject == ev.detail["by"][0]
+            instances = [(i["source"], decode_payload(i)) for i in ev.detail["instances"]]
+            by_round.setdefault(ev.round, []).append((tuple(ev.detail["by"]), instances))
+    for r, calls in by_round.items():
+        bys = [by for by, _instances in calls]
+        assert len(bys) == len(set(bys)), r
+        assert all(instances and all(a < b for a, b in zip(instances, instances[1:]))
+                   for _by, instances in calls), r
+        firsts = [instances[0] for _by, instances in calls]
+        assert firsts == sorted(firsts), r
+        flat = [i for _by, instances in calls for i in instances]
+        assert len(flat) == len(set(flat)), r
+        pairs = [(p, i) for by, instances in calls for p in by for i in instances]
+        assert len(pairs) == len(set(pairs)), r
+
+
 def previous_layout_events(trace: Trace) -> list[TraceEvent]:
     """The trace's events as the engine wrote them before ``mbbc-trace/6``:
-    each round's agent moves, by agent, and cure notices, by process, before
-    its traced events. The header's schedule fixes both (``host_of`` and
-    ``deliver_oracle_events``)."""
+    ``ungrouped_events``, with each round's agent moves, by agent, and cure
+    notices, by process, before its traced events. The header's schedule
+    fixes both (``host_of`` and ``deliver_oracle_events``)."""
     config = trace.scenario()
     schedule = config.resolved_schedule()
     traced: dict[int, list[TraceEvent]] = {}
-    for ev in trace.events:
+    for ev in ungrouped_events(trace.events):
         traced.setdefault(ev.round, []).append(ev)
     events = []
     for r in range(1, schedule.horizon + 1):
@@ -217,6 +309,57 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
         "broadcasts": broadcasts,
         "strategy": strategy,
     })
+
+
+# Each variant's oracle and the k of its resilience bound n > k * f.
+VARIANT_SETTINGS = {"FFA_FULL": ("FFA", 5), "BFA_WEAK": ("BFA", 5), "NFA_WEAK": ("NFA", 6)}
+
+
+def arbitrary_config(seed: int) -> ScenarioConfig:
+    """A seeded ARBITRARY script one above its variant's bound, the variant
+    cycling with the seed: f of 1 or 2 agents on random walks, dictated
+    votes and protocol messages to every process or to random receivers
+    (duplicates kept), state overrides and wipes, and one or two broadcasts
+    by processes correct in their round. Freed processes send what the
+    script left in their queues, so fan-outs split into many sender lists."""
+    rng = random.Random(seed)
+    variant = sorted(VARIANT_SETTINGS)[seed % 3]
+    oracle, factor = VARIANT_SETTINGS[variant]
+    f = rng.choice([1, 1, 2])
+    n, horizon = factor * f + 1, rng.randrange(8, 13)
+    base = {
+        "n": n, "f": f, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": horizon, "seed": seed,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": oracle},
+        "variant": variant,
+        "schedule": {"trajectories": random_walk_schedule(rng, n, f, horizon)},
+    }
+    sched = ScenarioConfig.from_dict(base).resolved_schedule()
+
+    def message() -> dict:
+        kind = rng.choice(["SEND", "ECHO", "READY", "ABORT", "ROUND"])
+        if kind == "ROUND":
+            return {"kind": kind, "round_value": rng.randrange(1, 8)}
+        return {"kind": kind, "source": rng.randrange(n), "birth_round": rng.randrange(1, 4),
+                "payload": rng.choice(["m", "x", "y"])}
+
+    script: dict = {}
+    for r in range(1, horizon + 1):
+        for p in sorted(sched.faulty_set(r)):
+            sends = []
+            for _ in range(rng.randrange(4)):
+                m = message()
+                receivers = range(n) if rng.random() < 0.5 else [rng.randrange(n) for _ in range(3)]
+                sends += [[q, m] for q in receivers]
+            state = rng.choice([None, "init", {"rc": rng.randrange(1, 8)},
+                                {"to_send": [message() for _ in range(rng.randrange(1, 4))]}])
+            script.setdefault(str(r), {})[str(p)] = {"sends": sends, "state": state}
+    broadcasts = []
+    for i in range(rng.randrange(1, 3)):
+        r = rng.randrange(1, max(2, horizon - 4))
+        broadcasts.append({"source": rng.choice(sorted(sched.correct_set(r))), "round": r,
+                           "payload": f"b{i}"})
+    return ScenarioConfig.from_dict({**base, "broadcasts": broadcasts,
+                                     "strategy": {"kind": "ARBITRARY", "script": script}})
 
 
 # At the default parameters, the checker's (history, property) violations of

@@ -26,7 +26,7 @@ from mbbc.checker import (
     run_property_checks,
 )
 from mbbc.demos import run_demo
-from mbbc.engine import KIND_P2P_SEND, Simulation, round_sends, run
+from mbbc.engine import Simulation, round_sends, run
 from mbbc.model import is_io_correct
 from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
@@ -50,7 +50,7 @@ class Delivered(NamedTuple):
 
 
 def _correct_time_deliveries(cfg: ScenarioConfig, trace) -> list[Delivered]:
-    """One entry per correct member of each DELIVER_CALL group."""
+    """One entry per correct member of each DELIVER_CALL instance group."""
     return [Delivered(p, g.round) for g in extract_deliveries(trace, cfg.resolved_schedule())
             for p in g.correct]
 
@@ -98,8 +98,8 @@ def test_criterion_03_faulty_source_none_deliver():
     aborts_in_4 = {sender for sender, message, _to in round_sends(trace.events)[4]
                    if message["kind"] == "ABORT"}
     assert len(aborts_in_4) > cfg.f, "more than f ABORTs must circulate"
-    ready_sends = [e for e in trace.events
-                   if e.kind == KIND_P2P_SEND and e.detail["message"]["kind"] == "READY"]
+    ready_sends = [message for sends in round_sends(trace.events).values()
+                   for _sender, message, _to in sends if message["kind"] == "READY"]
     assert ready_sends == []
     assert _correct_time_deliveries(cfg, trace) == []
     verdicts = _verdicts(cfg, trace)

@@ -10,7 +10,7 @@ from mbbc.adversary import (
     build_strategy,
     generate_paired_histories,
 )
-from mbbc.engine import Simulation, deliveries, round_sends, run
+from mbbc.engine import Simulation, delivered_instances, deliveries, round_sends, run
 from mbbc.messages import MessageKind, send_msg
 from mbbc.protocol import Tallies, init_state
 from mbbc.scenario import InvalidScenario, ScenarioConfig
@@ -67,8 +67,8 @@ class TestAlternatingSets:
         cfg = alternating_config()
         trace = run(cfg)
         # No delivery for any payload other than the real broadcast.
-        bad = [e for e in trace.events
-               if e.kind == "DELIVER_CALL" and e.detail.get("payload") != "m"]
+        bad = [payload for _i, _r, _by, _s, payload in delivered_instances(trace.events)
+               if payload != b"m"]
         assert bad == []
 
 

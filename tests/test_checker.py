@@ -69,13 +69,14 @@ def check_one(prop: str, trace: Trace, cfg: ScenarioConfig,
 
 
 def deliver_event(process, round_, source, payload) -> TraceEvent:
-    return TraceEvent(round=round_, kind=KIND_DELIVER_CALL,
-                      subject=process, detail={"by": [process], "source": source, "payload": payload})
+    return TraceEvent(round=round_, kind=KIND_DELIVER_CALL, subject=process,
+                      detail={"by": [process], "instances": [{"payload": payload, "source": source}]})
 
 
 def drop_delivery(trace: Trace, process: int, round_: int) -> None:
-    """Take ``process`` out of its first DELIVER_CALL of ``round_``, in place,
-    dropping the event if no process is left in it."""
+    """Take ``process`` out of its first DELIVER_CALL of ``round_`` (all the
+    event's instances), in place, dropping the event if no process is left
+    in it."""
     i, ev = next((i, e) for i, e in enumerate(trace.events) if e.kind == KIND_DELIVER_CALL
                  and e.round == round_ and process in e.detail["by"])
     by = [p for p in ev.detail["by"] if p != process]
@@ -190,7 +191,7 @@ class TestFaultyTimeDeliveries:
                                       ALL_PROPERTIES)
         assert all(r.verdict == SATISFIED for r in reports), [r.to_dict() for r in reports]
         # The same deliveries by a correct process violate most properties.
-        honest = [deliver_event(2, e.round, 0, e.detail["payload"]) for e in forged]
+        honest = [deliver_event(2, e.round, 0, e.detail["instances"][0]["payload"]) for e in forged]
         reports = run_property_checks(forged_trace(cfg, honest), schedule, 2, 1, cfg.variant,
                                       ALL_PROPERTIES)
         violated = [r for r in reports if r.verdict == VIOLATED]
@@ -546,9 +547,9 @@ class TestProjection:
         """Editing the possessed source's corrupted state, dropping a receiver
         that is not permanently correct from one of its sends, adding a send
         that reaches only the source itself, taking a sender out of a fan-out
-        and giving it a dictated send of the same message to every process,
-        or swapping two DELIVER_CALL groups of one round whose kept members
-        are disjoint, is invisible."""
+        and giving it a dictated send of each of its messages to every
+        process, or swapping two DELIVER_CALLs of one round whose kept
+        members are disjoint, is invisible."""
         result = run_demo("SOURCE_FLIP", {})
         trace, config = result.trace_second, result.config_second
         sched = config.resolved_schedule()
@@ -570,19 +571,20 @@ class TestProjection:
             events[i] = fan_out._replace(subject=rest[0], detail={**fan_out.detail, "from": rest})
             last_send = max(j for j, e in enumerate(events)
                             if e.kind == KIND_P2P_SEND and e.round == fan_out.round)
-            events.insert(last_send + 1, fan_out._replace(subject=sender, detail={
-                "message": dict(fan_out.detail["message"]), "to": list(range(config.n))}))
+            events[last_send + 1:last_send + 1] = [fan_out._replace(subject=sender, detail={
+                "message": dict(message), "to": list(range(config.n))})
+                for message in fan_out.detail["messages"]]
         elif edit == "disjoint_deliver_groups_swap":
             # The base trace delivers two instances in one round, at disjoint
-            # kept processes; the edit lists the two groups the other way round.
+            # kept processes; the edit lists the two events the other way round.
             i = next(i for i, e in enumerate(base) if e.kind == KIND_DELIVER_CALL
                      and len(keep & set(e.detail["by"])) > 1)
             call = base[i]
             kept = sorted(keep & set(call.detail["by"]))
             first_by = [p for p in call.detail["by"] if p not in kept[1:]]
             first = call._replace(subject=first_by[0], detail={**call.detail, "by": first_by})
-            second = call._replace(subject=kept[1], detail={"by": kept[1:], "payload": "other",
-                                                            "source": call.detail["source"]})
+            other = {"payload": "other", "source": call.detail["instances"][0]["source"]}
+            second = call._replace(subject=kept[1], detail={"by": kept[1:], "instances": [other]})
             base[i:i + 1] = [first, second]
             events = list(base)
             events[i:i + 2] = [second, first]

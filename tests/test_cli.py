@@ -355,9 +355,10 @@ DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def fan_out(senders: str | None, subject: int, to: str = '"ALL"') -> str:
-    """A P2P_SEND line in round 2 with ``from`` set to ``senders`` (omitted if None)."""
+    """A P2P_SEND line in round 2 listing one message, with ``from`` set to
+    ``senders`` (omitted if None)."""
     from_ = "" if senders is None else f'"from":{senders},'
-    return (f'{{"detail":{{{from_}"message":{{"kind":"ROUND","round_value":2}},"to":{to}}},'
+    return (f'{{"detail":{{{from_}"messages":[{{"kind":"ROUND","round_value":2}}],"to":{to}}},'
             f'"kind":"P2P_SEND","round":2,"subject":{subject}}}')
 
 
@@ -366,10 +367,11 @@ def compute_event(kind: str, detail: str, subject: int = 1) -> str:
     return GOOD_HEADER + f'\n{{"detail":{detail},"kind":"{kind}","round":2,"subject":{subject}}}\n'
 
 
-def deliver_call(by: str | None, subject: int = 1) -> str:
-    """A trace of GOOD_HEADER and one DELIVER_CALL with ``by`` set to ``by`` (omitted if None)."""
+def deliver_call(by: str | None, subject: int = 1, instances: str = '[{"payload":"x","source":0}]') -> str:
+    """A trace of GOOD_HEADER and one DELIVER_CALL of ``instances`` with
+    ``by`` set to ``by`` (omitted if None)."""
     by_ = "" if by is None else f'"by":{by},'
-    return compute_event("DELIVER_CALL", f'{{{by_}"payload":"x","source":0}}', subject)
+    return compute_event("DELIVER_CALL", f'{{{by_}"instances":{instances}}}', subject)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -412,14 +414,16 @@ def deliver_call(by: str | None, subject: int = 1) -> str:
     pytest.param(GOOD_HEADER + "\n" + fan_out(None, 0) + "\n", 2, id="all-without-from"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[1,3]", 3) + "\n", 2, id="subject-not-first-sender"),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace("{}", DEEP) + "\n", 2, id="deeply_nested"),
-    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload":"x"}'), 2, id="deliver-without-source"),
-    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload":"x","source":"1"}'), 2,
+    pytest.param(deliver_call("[1]", instances='[{"payload":"x"}]'), 2, id="deliver-without-source"),
+    pytest.param(deliver_call("[1]", instances='[{"payload":"x","source":"1"}]'), 2,
                  id="deliver-source-string"),
-    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload":"x","source":true}'), 2,
+    pytest.param(deliver_call("[1]", instances='[{"payload":"x","source":true}]'), 2,
                  id="deliver-source-bool"),
-    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload":5,"source":0}'), 2, id="deliver-payload-int"),
-    pytest.param(compute_event("DELIVER_CALL", '{"by":[1],"payload_hex":"zz","source":0}'), 2,
+    pytest.param(deliver_call("[1]", instances='[{"payload":5,"source":0}]'), 2, id="deliver-payload-int"),
+    pytest.param(deliver_call("[1]", instances='[{"payload_hex":"zz","source":0}]'), 2,
                  id="deliver-payload-hex"),
+    pytest.param(deliver_call("[1]", instances="null"), 2, id="deliver-instances-null"),
+    pytest.param(deliver_call("[1]", instances="[5]"), 2, id="deliver-instance-int"),
     pytest.param(deliver_call(None), 2, id="by-missing"),
     pytest.param(deliver_call("[]"), 2, id="by-empty"),
     pytest.param(deliver_call("[2,1]", 2), 2, id="by-unsorted"),
@@ -466,7 +470,8 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 
 
 @pytest.mark.parametrize("command", ["check", "replay"])
-@pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5"])
+@pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5",
+                                 "mbbc-trace/6"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""

@@ -2,12 +2,16 @@ import json
 
 import pytest
 
-from conftest import CHOICE_PINS, assert_violations_replay, choice_violations
+from conftest import (
+    CHOICE_PINS,
+    assert_deliver_call_layout,
+    assert_violations_replay,
+    choice_violations,
+)
 from mbbc import cli
 from mbbc.checker import NO_DUPLICATION, SATISFIED, VIOLATED, run_property_checks
 from mbbc.demos import adapter_choices, adapter_output, run_demo
-from mbbc.engine import KIND_DELIVER_CALL
-from mbbc.messages import decode_payload
+from mbbc.engine import KIND_DELIVER_CALL, delivered_instances
 from mbbc.scenario import InvalidScenario
 
 
@@ -152,34 +156,44 @@ def test_adapter_output_leaves_the_channel_trace_alone():
                            for e in changed)
 
 
-def deliveries_of(trace, keep=lambda e, p: True) -> list[tuple[int, int, int, object]]:
-    """(round, process, source, payload) for each member of each DELIVER_CALL
-    that ``keep`` accepts."""
-    return [(e.round, p, e.detail["source"], decode_payload(e.detail))
-            for e in trace.events if e.kind == KIND_DELIVER_CALL for p in e.detail["by"] if keep(e, p)]
+def deliveries_of(trace, keep=lambda r, source, payload, p: True) -> list[tuple[int, int, int, bytes]]:
+    """(round, process, source, payload), sorted, for each member of each
+    DELIVER_CALL instance that ``keep`` accepts."""
+    return sorted((r, p, source, payload)
+                  for _i, r, by, source, payload in delivered_instances(trace.events)
+                  for p in by if keep(r, source, payload, p))
 
 
 @pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
 def test_adapter_output_narrows_each_deliver_call_to_the_kept_processes(kind):
-    """Every choice keeps exactly the (DELIVER_CALL, process) pairs it accepts:
-    each event's ``by`` is narrowed, its subject follows ``by[0]``, no event
-    is left empty, and nothing else changes. ``ignore_cure`` leaves the
+    """Every choice keeps exactly the (instance, process) deliveries it
+    accepts, regrouped in the trace's layout: one DELIVER_CALL per round and
+    distinct ``by``, its subject ``by[0]``, its instances increasing, the
+    events in first-instance order, none left empty, where the round's first
+    DELIVER_CALL stood; nothing else changes. ``ignore_cure`` leaves the
     target in no DELIVER_CALL after the wipe round."""
     result = run_demo(kind, {})
     cfg = result.config_first
+    narrowed = False
     for name, keep in adapter_choices(kind, cfg).items():
         for trace in (result.trace_first, result.trace_second):
             output = adapter_output(trace, keep)
             calls = [e for e in output.events if e.kind == KIND_DELIVER_CALL]
             assert all(e.detail["by"] and e.subject == e.detail["by"][0] for e in calls), name
+            assert_deliver_call_layout(output.events)
             assert [e for e in output.events if e.kind != KIND_DELIVER_CALL] == [
                 e for e in trace.events if e.kind != KIND_DELIVER_CALL]
             assert deliveries_of(output) == deliveries_of(trace, keep), name
+            narrowed |= deliveries_of(output) != deliveries_of(trace)
+            # Rounds in order, and a round's DELIVER_CALLs after its other events.
+            marks = [(e.round, e.kind == KIND_DELIVER_CALL) for e in output.events]
+            assert marks == sorted(marks), name
+    assert narrowed
     if kind == "WIPE_FLIP":
         target, wipe_round = cfg.strategy["target"], cfg.strategy["wipe_round"]
 
-        def cure(e, p) -> bool:
-            return p == target and e.round > wipe_round
+        def cure(r, source, payload, p) -> bool:
+            return p == target and r > wipe_round
 
         assert deliveries_of(result.trace_first, cure)
         keep = adapter_choices(kind, cfg)["ignore_cure"]

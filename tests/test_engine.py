@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     KIND_PHASE,
     SHAPES,
+    assert_deliver_call_layout,
     golden_correct_source,
     previous_layout_jsonl,
     random_walk_schedule,
@@ -30,12 +31,13 @@ from mbbc.engine import (
     Trace,
     TraceEvent,
     deliver_oracle_events,
+    delivered_instances,
     deliveries,
     encode_line,
     round_sends,
     run,
 )
-from mbbc.messages import ProtocolMessage, decode_payload
+from mbbc.messages import ProtocolMessage
 from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
 from mbbc.protocol import (
     ProtocolState,
@@ -88,7 +90,7 @@ class TestRunBasics:
         trace = run(zero_agent_scenario())
         p2p = [e for e in trace.events if e.kind == KIND_P2P_SEND]
         assert p2p, "round votes flow even without protocol activity"
-        assert all(e.detail["message"]["kind"] == "ROUND" for e in p2p)
+        assert all(m["kind"] == "ROUND" for e in p2p for m in e.detail["messages"])
         assert not [e for e in trace.events if e.kind in (KIND_DELIVER_CALL, KIND_BROADCAST_CALL)]
 
     def test_determinism_same_config_identical_bytes(self):
@@ -119,14 +121,14 @@ class TestRunBasics:
 
     def test_golden_deliveries(self):
         trace = run(golden_correct_source())
-        deliveries = sorted((p, e.round) for e in trace.events if e.kind == KIND_DELIVER_CALL
-                            for p in e.detail["by"])
+        deliveries = sorted((p, r) for _i, r, by, _s, _m in delivered_instances(trace.events)
+                            for p in by)
         assert deliveries == [(0, 4), (1, 5), (2, 4), (3, 4), (4, 4), (5, 4)]
 
     def test_send_fans_out_to_all_including_self(self):
         trace = run(golden_correct_source())
-        sends = [e for e in trace.events
-                 if e.kind == KIND_P2P_SEND and e.round == 2 and e.detail["message"]["kind"] == "SEND"]
+        sends = [e for e in trace.events if e.kind == KIND_P2P_SEND and e.round == 2
+                 and any(m["kind"] == "SEND" for m in e.detail["messages"])]
         assert len(sends) == 1 and sends[0].detail["to"] == TO_ALL and sends[0].detail["from"] == [0]
         receivers = [d.receiver for d in deliveries(trace)
                      if d.round == 2 and d.sender == 0 and d.message["kind"] == "SEND"]
@@ -151,9 +153,10 @@ class TestTraceOrdering:
         (golden_correct_source, False), (lambda: split_send_scenario([1, 2, 3]), True),
     ], ids=["correct_source", "split_send"])
     def test_within_phase_lexicographic(self, config, has_dictated):
-        """Fan-outs first, in message order, each listing its senders in
-        process order; then dictated sends by (sender, message). Expanded
-        sends and receipts are in (sender, message) and (receiver, sender,
+        """Fan-outs first, one per list of senders in process order, each
+        listing its messages in message order, ordered by their first
+        message; then dictated sends by (sender, message). Expanded sends
+        and receipts are in (sender, message) and (receiver, sender,
         message) order."""
         trace = run(config())
         received = deliveries(trace)
@@ -164,10 +167,14 @@ class TestTraceOrdering:
             fan_outs = [e for e in events if e.detail["to"] == TO_ALL]
             dictated = [e for e in events if e.detail["to"] != TO_ALL]
             assert events == fan_outs + dictated
-            keys = [sort_key(e.detail["message"]) for e in fan_outs]
-            assert keys == sorted(set(keys))
             for e in fan_outs:
+                keys = [sort_key(m) for m in e.detail["messages"]]
+                assert keys == sorted(set(keys))
                 assert e.detail["from"] == sorted(set(e.detail["from"])) and e.subject == e.detail["from"][0]
+            firsts = [sort_key(e.detail["messages"][0]) for e in fan_outs]
+            assert firsts == sorted(firsts)
+            senders = [tuple(e.detail["from"]) for e in fan_outs]
+            assert len(senders) == len(set(senders))
             keys = [(e.subject, sort_key(e.detail["message"])) for e in dictated]
             assert keys == sorted(keys)
             dictated_seen |= bool(dictated)
@@ -334,9 +341,9 @@ class TestDeliveries:
         fold alike."""
         cfg = planted_round_votes()
         trace, received, folded = receive_and_fold(cfg, monkeypatch)
-        planted = [e.detail["message"]["round_value"] for e in trace.events
+        planted = [m["round_value"] for e in trace.events
                    if e.kind == KIND_P2P_SEND and e.round == 3 and 2 in e.detail.get("from", ())
-                   and e.detail["message"]["kind"] == "ROUND"]
+                   for m in e.detail["messages"] if m["kind"] == "ROUND"]
         assert planted == [5, 7]
         votes = {(tallies.rc_votes[2], folded[key].rc_votes[2])
                  for key, tallies in received.items() if key[0] == 3}
@@ -423,17 +430,14 @@ def payloads_against_birth_order() -> ScenarioConfig:
 
 class TestDeliveryOrder:
     def test_a_round_delivers_in_source_payload_order(self):
-        """A round's DELIVER_CALLs are strictly increasing in (source,
-        payload), whatever the births of the instances."""
+        """Each DELIVER_CALL's instances are strictly increasing in (source,
+        payload), whatever the births of the instances, a round's events are
+        ordered by their first instance, and no instance stands in two of
+        them (``conftest.assert_deliver_call_layout``)."""
         trace = run(payloads_against_birth_order())
-        by_round: dict[int, list[tuple[int, bytes]]] = {}
-        for ev in trace.events:
-            if ev.kind == KIND_DELIVER_CALL:
-                instance = (ev.detail["source"], decode_payload(ev.detail))
-                by_round.setdefault(ev.round, []).append(instance)
-        assert any(len(calls) > 1 for calls in by_round.values())
-        for r, calls in by_round.items():
-            assert all(a < b for a, b in zip(calls, calls[1:])), (r, calls)
+        assert any(len(ev.detail["instances"]) > 1 for ev in trace.events
+                   if ev.kind == KIND_DELIVER_CALL)
+        assert_deliver_call_layout(trace.events)
 
 
 class TestSharedCompute:
@@ -479,8 +483,8 @@ class TestSharedCompute:
                 payloads = [b.payload for b in cfg.broadcasts if (b.source, b.round) == (p, r)]
                 delivered = compute_phase(state, tallies, p, variant, n, broadcasts=payloads)
                 assert state == sim.states[p], (r, p)
-                assert delivered == [(ev.detail["source"], decode_payload(ev.detail)) for ev in events
-                                     if ev.kind == KIND_DELIVER_CALL and p in ev.detail["by"]], (r, p)
+                assert delivered == sorted((source, payload) for _i, _r, by, source, payload
+                                           in delivered_instances(events) if p in by), (r, p)
             assert all(type(c) is frozenset for state in sim.states for c in containers(state)), r
 
     def test_sharing_fires_on_the_fanout_shape(self, monkeypatch):
@@ -770,17 +774,19 @@ class TestSharedDetails:
     ], ids=["split_send", "two_messages_one_receiver_list"])
     def test_equal_messages_share_one_dict_and_every_send_owns_its_detail(self, config, repeated):
         """Each distinct message is one dict, shared read-only by the sends
-        that carry it; a fan-out's ``from`` and a dictated send's ``to`` are
-        each its own."""
+        that carry it; a fan-out's ``from`` and ``messages`` and a dictated
+        send's ``to`` are each its own."""
         trace = run(config)
         sends = [e.detail for e in trace.events if e.kind == KIND_P2P_SEND]
+        messages = [m for d in sends for m in d.get("messages", [d.get("message")])]
         ids_by_text: dict[str, set[int]] = {}
-        for d in sends:
-            ids_by_text.setdefault(encode_line(d["message"]), set()).add(id(d["message"]))
-        assert (len(sends) > len(ids_by_text)) == repeated
+        for m in messages:
+            ids_by_text.setdefault(encode_line(m), set()).add(id(m))
+        assert (len(messages) > len(ids_by_text)) == repeated
         assert all(len(ids) == 1 for ids in ids_by_text.values())
         assert len({id(d) for d in sends}) == len(sends)
-        lists = [d["from"] if d["to"] == TO_ALL else d["to"] for d in sends]
+        lists = [x for d in sends for x in ((d["from"], d["messages"]) if d["to"] == TO_ALL
+                                            else (d["to"],))]
         assert len({id(x) for x in lists}) == len(lists)
         assert sum(d["to"] != TO_ALL for d in sends) > 1
 

@@ -15,12 +15,13 @@ digest the projection had before it grouped its sends (``PROJECTION_PINS``);
 ``GROUPED_PROJECTION_PINS`` pin the grouped bytes themselves. Each report
 with its witness indices replaced by the cited events (``WITNESS_PINS``)
 stays put while only the indices move; it moves with the cited events, as
-when a DELIVER_CALL came to list its processes. These three renders put
-back the phase each line held before ``mbbc-trace/5``, read from its kind
-(``conftest.KIND_PHASE``), and the per-envelope one also puts back each
-round's AGENT_MOVE and CURED lines, which traces held before
-``mbbc-trace/6``, from the header's schedule
-(``conftest.previous_layout_events``).
+when a DELIVER_CALL came to list its processes and, with ``mbbc-trace/7``,
+its instances. These three renders put back the phase each line held before
+``mbbc-trace/5``, read from its kind (``conftest.KIND_PHASE``), and the
+per-envelope one also puts back each round's AGENT_MOVE and CURED lines,
+which traces held before ``mbbc-trace/6``, from the header's schedule, and
+expands each grouped fan-out and DELIVER_CALL of ``mbbc-trace/7`` into one
+event per message and per instance (``conftest.previous_layout_events``).
 
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
@@ -61,42 +62,42 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "bda21fe4e9456e73101e616c9c004e265c371489232ac4487986c60cfb261624",
+        "1851abf31f5fccc6263ade76836da8eb97d672df2831780fe32e9ef0d8856034",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "fcde6feffbc6e85d933c838a157ff4d1ad92ff4cd871f1bfd8cb8d666662ffb7",
-        "ae3c62210ca5d6477124537023f986edf279f53248fe6ace0ecdbe8ebc61c1a2"),
+        "9ce7d89f48b7cab774ea19c5ccdc30d993e7db3e545343de58728a029109c2ac",
+        "0a99a4239ddb8892ca00a639ead24903235859a7b23000cf48179adb33fa9527"),
     "bfa_forged_birth.json": (
-        "c4bb4d4f10c040b5c2249ecf53c3d2b2f75b1e09cedeec62b2830b65faae90c7",
+        "21137a7caa88bc460a3e6931c2813d8df39d05177ae8dae999002cf00eeea079",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "7e19e6d8071701d27e1c8007b128818d6a20a6353ba9ba5dcbd47fdb50f5ab60",
+        "b87f0bcd98e999d9a1bb67ef3feecfbbaf52e2514e2b873c03dc49e2cdbc4d20",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "5b71a655cb16a1551d7c3b17fe2a998752b157624e5c0dbab17cecf3972e1775",
+        "81267b29909472c315584cd2c15994f597476d5a962af1698abb7d79f7767be9",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "67cd1e7bed7a82852a1907798ea5818597afeae0de5a68beaac6928805513915",
+        "45411a030677324c8288949f794495e307601165a2ef4558cee596866e166783",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "55e68eea585af938dfdb2e026965f983f913cb6ef8be0f7b9f92cefc7335496f",
-        "7c142c30ec9213d34f6fa687490e39212f1efb0f5cb383056363b65e9b510542"),
+        "7f8c4fbb80cde773ce02b90865aa06f9fdca507800adddd510ea32167e92c60e",
+        "3ac542c815ed690f1f0b18b36830465ad3c364936fb2b3752eb9c6ee74facb78"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "ddd6eaf50673014ad87e22d4fa1c272813c55661df5174ebfa51f84496b177bf",
-        "def1ab2f97d94680fae2738b8b6d1dc160c40cdfc0faaa27141fc65da3ef9b3f"),
+        "2d626e84150f521fd43d8ea2844130f195cf637d13958ab3e62173ad84188a8d",
+        "5fec7fd6b233292a6e5591af1ea8a290bec1f4c2d82e904720094a4ab35deadb"),
     "THEOREM_3": (
-        "ddd6eaf50673014ad87e22d4fa1c272813c55661df5174ebfa51f84496b177bf",
-        "def1ab2f97d94680fae2738b8b6d1dc160c40cdfc0faaa27141fc65da3ef9b3f"),
+        "2d626e84150f521fd43d8ea2844130f195cf637d13958ab3e62173ad84188a8d",
+        "5fec7fd6b233292a6e5591af1ea8a290bec1f4c2d82e904720094a4ab35deadb"),
     "THEOREM_4": (
-        "b20669a63e07fa29bb2bbe2f6db7791dc78e01480b36b42625f86e02e82d03a3",
-        "8fcddcfa57122a9a8b19ae3a7b19676953a5b29bd94f25923f29105db4ecfb23"),
+        "550af5556f269d99b872b1cd1931e1873efe751cbe1b9542b4bbc92f976f0245",
+        "c3cd835f00ca5db2ebfec90f4572fb0fd19c52c274883745724c384b2a7a2a02"),
     "WIPE_FLIP": (
-        "b20669a63e07fa29bb2bbe2f6db7791dc78e01480b36b42625f86e02e82d03a3",
-        "8fcddcfa57122a9a8b19ae3a7b19676953a5b29bd94f25923f29105db4ecfb23"),
+        "550af5556f269d99b872b1cd1931e1873efe751cbe1b9542b4bbc92f976f0245",
+        "c3cd835f00ca5db2ebfec90f4572fb0fd19c52c274883745724c384b2a7a2a02"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -187,12 +188,12 @@ SWEEP_PINS = {
 
 # shape -> sha256 of its ALL_PROPERTIES report; the shapes are built by `conftest.shape_config`
 REPORT_PINS = {
-    "bfa_weak_roundrobin": "b54a89a7b85ae2086142f0f49a54b10abd5d9821cc24d8903a1e6874e1fa2a38",
-    "bfa_weak_walk": "c360ae85aeddb71b8e44cac96597ea98bfa8e28ece7766a1fbfc7f58997905e8",
-    "ffa_full_walk": "9b7ce77d4fc4fc3568a44cf27c2ac9a5e7caad316e810871bd3d2766e60b37d6",
+    "bfa_weak_roundrobin": "3fd2e38c4799b0cb0020c279c8fdead558f66b0f81d3072e9a7ddee90ba953c6",
+    "bfa_weak_walk": "404cd32cd4a2a06cd573c624748bd805381aaedda30e0aee43c17552b1eb5490",
+    "ffa_full_walk": "aa0104643b0693308b3fcdfaebd720d99066a7603a33f846bceec1780864b8bf",
     "nfa_weak_alternating_f2": "edd0ded40ebed16279e68f583b5764460d27b6bf582a1d8acd141ed583c72463",
-    "nfa_weak_roundrobin": "8e1a685dd4a63b6c26c2005e79e802f97e7660dbcb6ea72560556a4cb215d717",
-    "nfa_weak_walk": "d04a26acb5d130a72da197b1c552d49b67ec1bc204860d01d72d7cb7df71f9e6",
+    "nfa_weak_roundrobin": "50cb60bbf4623710fd04305d7bdd03c768488c0b454db9647f309d88c0738e2e",
+    "nfa_weak_walk": "d153dc979c3c00389228aaec62e43bc984edae00d4796ab6da72daa2e70658ae",
 }
 
 
@@ -201,18 +202,18 @@ REPORT_PINS = {
 # changes; the cited events and the verdicts must not.
 WITNESS_PINS = {
     "alternating_below_bound_n5.json": "53c0d4e0a75644b2b9ccf7544adf78b85a4d54cf77dc510c5eac7d772d7c6a58",
-    "bfa_double_cure.json": "1687a564c0f7a0b6996e41eb1df0cb256e972c882d5007cb9bab04a378cf7684",
+    "bfa_double_cure.json": "215be56faf39f2ac82280ca3a02c4ca19ab7973e3d96a363c48a3841e46d3ad9",
     "bfa_forged_birth.json": "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9",
-    "bfa_weak_roundrobin": "c0f4d5adaa938971f4622d4f136f0de6b245cd18e1ea514ea048e5a5d2f55d79",
-    "bfa_weak_walk": "3a31fd2583c3ddc8a51aa66ce44c29851036c6ee9339bb80a4098a51c6d294f0",
+    "bfa_weak_roundrobin": "9e6982d5a4e873bb5a8f8ffd10d5dbfc91fc2b4e08212fd94f7a57e67f247071",
+    "bfa_weak_walk": "2b5a5c6154b5c29366c7253fd56a562a1477b2d2812675cca4a8a1da0eadf4a9",
     "correct_source.json": "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d",
     "faulty_source_all_deliver.json": "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b",
     "faulty_source_none_deliver.json": "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a",
-    "ffa_full_walk": "0f2bd006a393090f8c1fb5978967fc035934d99c4198bf64e321757161bd0149",
-    "nfa_alternating_n7.json": "26a62f7590e08bc11657f6d463cd29ba69116cbd75bf08b7a25bd3f8a86bc934",
+    "ffa_full_walk": "e1d6a32ce246cc28a4f9373e911f45eba53e982416ae371ceb2c833cced08864",
+    "nfa_alternating_n7.json": "275c8036604cf97fb78f76d4a00a896c381d798cfe7b4bab22de1f8f14c9bc9c",
     "nfa_weak_alternating_f2": "af830b6e07055455092fe6ef34fc6f1cd8575ceae2b4305d4f052611d7763607",
-    "nfa_weak_roundrobin": "ddfd00135c3c90690f32d45d929fdc65c6202f878a765b3b17db9ebe5d8454c3",
-    "nfa_weak_walk": "5a72cb75012ace154b98f9fbb34eab0052ec160746b2de366f7044b4e406e1a2",
+    "nfa_weak_roundrobin": "d02a6f08415f86bccf31a9ed4007bb140068947402befa00eead883cc67e5d89",
+    "nfa_weak_walk": "2658e0a34cacc03b8346e7a22ae70cf2be389d89f7f6ef17b097691d7ff0fd49",
 }
 
 
@@ -239,9 +240,10 @@ def per_envelope_jsonl(trace: Trace) -> str:
     each round its agent moves and cure notices (``previous_layout_events``),
     then one P2P_SEND per (sender, receiver, message) ordered by (sender,
     receiver, message), then one P2P_DELIVER per receipt in the engine's
-    RECEIVE order, then the COMPUTE events. Each DELIVER_CALL is one event
-    per process of its ``by``, without ``by``, and a round's COMPUTE events
-    are stably ordered by subject."""
+    RECEIVE order, then the COMPUTE events. Each DELIVER_CALL instance
+    (``previous_layout_events`` lists them one per event, in (source,
+    payload) order) is one event per process of its ``by``, without ``by``,
+    and a round's COMPUTE events are stably ordered by subject."""
     def line(round_, kind, subject, detail) -> str:
         return phased_line({"round": round_, "kind": kind, "subject": subject, "detail": detail})
 

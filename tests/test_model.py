@@ -364,6 +364,17 @@ class TestScheduleTable:
             with pytest.raises(ValueError, match=rf"agent {agent} outside \[0, 2\)"):
                 sched.host_of(agent, r)
 
+    @pytest.mark.parametrize("r", [0, 1, 4, 7])
+    def test_host_of_an_agent_without_a_trajectory_is_a_value_error(self, r):
+        """A schedule built directly with fewer trajectories than f (which
+        ``validate_schedule`` rejects) answers an id in [len(trajectories), f)
+        with a ValueError naming the agent, not an IndexError."""
+        sched = schedule_from([[(1, 1, 3)]], n=6, f=2, horizon=6)
+        assert validate_schedule(sched) != ()
+        assert sched.host_of(0, 1) == 1
+        with pytest.raises(ValueError, match=r"agent 1 has no trajectory"):
+            sched.host_of(1, r)
+
     def test_table_is_not_a_field(self):
         from dataclasses import fields
 

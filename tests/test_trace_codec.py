@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import split_send_scenario
-from mbbc import engine
+from mbbc import cli, engine
 from mbbc.checker import permanently_correct, projection, projection_jsonl
 from mbbc.demos import run_demo
-from mbbc.engine import KIND_P2P_SEND, Trace, TraceEvent, encode_line, event_lines, run
+from mbbc.engine import KIND_DELIVER_CALL, KIND_P2P_SEND, Trace, TraceEvent, encode_line, event_lines, run
 from mbbc.scenario import ScenarioConfig
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -26,22 +26,31 @@ CORRUPTED = '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'
 def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0,
               senders: str | None = None) -> str:
     """A P2P_SEND line; ``senders`` is the text of its ``from``, by default
-    ``[subject]`` for a send to "ALL" and none for any other."""
+    ``[subject]`` for a send to "ALL" and none for any other. A send to "ALL"
+    lists ``message`` as its one ``messages`` entry, any other carries it as
+    its ``message``."""
     if senders is None and to == '"ALL"':
         senders = f"[{subject}]"
     from_ = "" if senders is None else f'"from":{senders},'
-    return (f'{{"detail":{{{from_}"message":{message},"to":{to}}},"kind":"P2P_SEND",'
+    body = f'"messages":[{message}]' if to == '"ALL"' else f'"message":{message}'
+    return (f'{{"detail":{{{from_}{body},"to":{to}}},"kind":"P2P_SEND",'
             f'"round":{round_},"subject":{subject}}}')
+
+
+def fan_out_line(messages: str, senders: str = "[0]", subject: int = 0) -> str:
+    """A fan-out line whose ``messages`` is the text ``messages``."""
+    return (f'{{"detail":{{"from":{senders},"messages":{messages},"to":"ALL"}},"kind":"P2P_SEND",'
+            f'"round":1,"subject":{subject}}}')
 
 
 def compute_line(kind: str, detail: str, subject: int = 0) -> str:
     return f'{{"detail":{detail},"kind":"{kind}","round":1,"subject":{subject}}}'
 
 
-def deliver_line(by: str | None, subject: int = 0) -> str:
-    """A DELIVER_CALL line with ``by`` set to ``by`` (omitted if None)."""
+def deliver_line(by: str | None, subject: int = 0, instances: str = '[{"payload":"x","source":0}]') -> str:
+    """A DELIVER_CALL line of ``instances`` with ``by`` set to ``by`` (omitted if None)."""
     by_ = "" if by is None else f'"by":{by},'
-    return compute_line("DELIVER_CALL", f'{{{by_}"payload":"x","source":0}}', subject)
+    return compute_line("DELIVER_CALL", f'{{{by_}"instances":{instances}}}', subject)
 
 
 def per_line_events(trace: Trace) -> list[str]:
@@ -100,6 +109,12 @@ class TestWriter:
         events = [TraceEvent(1, KIND_P2P_SEND, 0,
                              {"from": [0], "message": {"kind": "ROUND", "round_value": v}, "to": "ALL"})
                   for v in values]
+        events += [TraceEvent(1, KIND_P2P_SEND, 0,
+                              {"from": [0], "messages": [{"kind": "ROUND", "round_value": v}],
+                               "to": "ALL"}) for v in values]
+        events += [TraceEvent(1, KIND_DELIVER_CALL, 0,
+                              {"by": [0], "instances": [{"payload": "x", "source": v}]})
+                   for v in values]
         events += [TraceEvent(1, "STATE_CORRUPTED", 0, {"state_digest": v}) for v in values]
         assert event_lines(events) == [encode_line(ev.to_dict()) for ev in events]
 
@@ -115,6 +130,15 @@ class TestWriter:
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": [0], "extra": 0}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": [1], "message": {}, "extra": [0]}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": {"b": 1, "a": -0.0}}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "messages": ({},), "from": [0]}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "messages": "m", "from": [0]}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "messages": [{}], "from": [0], "extra": 0}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "messages": [], "from": [0]}),
+        TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "messages": [{}, 1.5], "x": [0]}),
+        TraceEvent(1, KIND_DELIVER_CALL, 0, {"by": [0], "instances": ({"source": 0},)}),
+        TraceEvent(1, KIND_DELIVER_CALL, 0, {"by": [0], "instances": [{"source": -0.0}], "x": 1}),
+        TraceEvent(1, KIND_DELIVER_CALL, 0, {"by": {"b": 1, "a": 2}, "instances": []}),
+        TraceEvent(1, KIND_DELIVER_CALL, 0, {"instances": [{}], "source": 0}),
         TraceEvent(1, "STATE_CORRUPTED", 0, {"a": {"b": -0.0}, "c": [1.5]}),
         TraceEvent(1, "STATE_CORRUPTED", 0, [1, "x"]),
         TraceEvent(-1, "STATE_CORRUPTED", 7, {}),
@@ -134,6 +158,11 @@ class TestWriter:
                                   "to": "ALL"})
                 yield TraceEvent(1, KIND_P2P_SEND, 0,
                                  {"message": {"kind": "ROUND", "round_value": -i}, "to": [i]})
+                yield TraceEvent(1, KIND_P2P_SEND, 0,
+                                 {"from": [i], "messages": [{"kind": "ROUND", "round_value": i},
+                                                            {"kind": "ECHO", "x": -i}], "to": "ALL"})
+                yield TraceEvent(1, KIND_DELIVER_CALL, 0,
+                                 {"by": [i], "instances": [{"payload": str(i), "source": -i}]})
 
         assert event_lines(events(300)) == [encode_line(ev.to_dict()) for ev in events(300)]
 
@@ -221,17 +250,46 @@ PARSER_TABLE = [
     send_line('{"kind":"ROUND","round_value":2}', to='"SOME"', senders="[0]"),
     '{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
     '"kind":"P2P_SEND","round":1,"subject":0}',
+    '{"detail":{"messages":[{"kind":"ROUND","round_value":2}],"to":"ALL"},'
+    '"kind":"P2P_SEND","round":1,"subject":0}',
+    # The fan-out of ``mbbc-trace/6``: one message beside "ALL".
+    '{"detail":{"from":[0],"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
+    '"kind":"P2P_SEND","round":1,"subject":0}',
+    '{"detail":{"from":[0],"message":{"kind":"ROUND","round_value":2},'
+    '"messages":[{"kind":"ROUND","round_value":2}],"to":"ALL"},"kind":"P2P_SEND","round":1,"subject":0}',
+    '{"detail":{"message":{"kind":"ROUND","round_value":2},'
+    '"messages":[{"kind":"ROUND","round_value":2}],"to":[1]},"kind":"P2P_SEND","round":1,"subject":0}',
+    fan_out_line("[]"),
+    fan_out_line("null"),
+    fan_out_line('{"kind":"ROUND","round_value":2}'),
+    fan_out_line('[{"kind":"ROUND","round_value":2},3]'),
+    fan_out_line('[{"kind":"ROUND","round_value":2},{"kind":"ROUND","round_value":3}]',
+                 senders="[1,4]", subject=1),
     send_line('{"kind":"ROUND","round_value":2}', subject=3, senders="[1,3]"),
     send_line("[]"),
     '{"detail":{"to":"ALL"},"kind":"P2P_SEND","round":1,"subject":0}',
     '{"detail":{"message":{}},"kind":"P2P_SEND","round":1,"subject":0}',
     '{"detail":{"to":[9]},"kind":"DELIVER_CALL","round":1,"subject":0}',
-    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x"}'),
-    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":"1"}'),
-    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":true}'),
-    compute_line("DELIVER_CALL", '{"by":[0],"payload":5,"source":0}'),
-    compute_line("DELIVER_CALL", '{"by":[0],"payload_hex":"zz","source":0}'),
-    compute_line("DELIVER_CALL", '{"by":[0,2],"payload_hex":"00ff","source":5}'),
+    deliver_line("[0]", instances='[{"payload":"x"}]'),
+    deliver_line("[0]", instances='[{"payload":"x","source":"1"}]'),
+    deliver_line("[0]", instances='[{"payload":"x","source":true}]'),
+    deliver_line("[0]", instances='[{"payload":5,"source":0}]'),
+    deliver_line("[0]", instances='[{"payload_hex":"zz","source":0}]'),
+    deliver_line("[0,2]", instances='[{"payload_hex":"00ff","source":5}]'),
+    deliver_line("[0]", instances="[]"),
+    deliver_line("[0]", instances="null"),
+    deliver_line("[0]", instances='{"payload":"x","source":0}'),
+    deliver_line("[0]", instances='[{"payload":"x","source":0},7]'),
+    deliver_line("[0]", instances='[{"payload":"x","source":0},{"payload":"x","source":0}]'),
+    deliver_line("[0]", instances='[{"payload":"y","source":0},{"payload":"x","source":0}]'),
+    deliver_line("[0]", instances='[{"payload":"x","source":1},{"payload":"y","source":0}]'),
+    deliver_line("[0]", instances='[{"payload":"x","source":0},{"payload_hex":"78","source":0}]'),
+    deliver_line("[0]", instances='[{"payload_hex":"00ff","source":0},{"payload":"x","source":0},'
+                                  '{"payload":"a","source":2}]'),
+    # The DELIVER_CALL of ``mbbc-trace/6``: one instance's keys in the detail.
+    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":0}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"source":0}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"payload":"x"}'),
     deliver_line("[0,1,5]"),
     deliver_line(None),
     deliver_line("[]"),
@@ -248,7 +306,7 @@ PARSER_TABLE = [
     compute_line("BROADCAST_CALL", "{}"),
     compute_line("BROADCAST_CALL", '{"payload_hex":"zz"}'),
     compute_line("BROADCAST_CALL", '{"payload":"x","to":[9]}'),
-    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":0,"to":[9]}'),
+    compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"to":[9]}'),
 ]
 
 
@@ -332,3 +390,62 @@ class TestReader:
         assert kinds == set(engine.KINDS)
         # The header's schedule fixes the agents' moves and the cures.
         assert not kinds & {"AGENT_MOVE", "CURED"}
+
+
+def first_event(trace: Trace, kind: str, grouped: bool = False) -> int:
+    """The index of the trace's first event of ``kind``; with ``grouped``, of
+    its first one listing more than one process."""
+    key = "from" if kind == KIND_P2P_SEND else "by"
+    return next(i for i, ev in enumerate(trace.events) if ev.kind == kind
+                and (kind != KIND_P2P_SEND or ev.detail["to"] == "ALL")
+                and (not grouped or len(ev.detail[key]) > 1))
+
+
+def smaller_instance(instance: dict) -> dict:
+    """An instance of the same source whose payload sorts before ``instance``'s."""
+    return {"payload_hex": "00", "source": instance["source"]}
+
+
+# Each edit of one event's detail that the ``mbbc-trace/7`` reader refuses.
+REFUSED_DETAILS = {
+    "empty_messages": (KIND_P2P_SEND, lambda d: {**d, "messages": []}),
+    "empty_instances": (KIND_DELIVER_CALL, lambda d: {**d, "instances": []}),
+    "duplicate_instances": (KIND_DELIVER_CALL,
+                            lambda d: {**d, "instances": [d["instances"][0], d["instances"][0]]}),
+    "unsorted_instances": (KIND_DELIVER_CALL, lambda d: {
+        **d, "instances": [d["instances"][0], smaller_instance(d["instances"][0])]}),
+    "trace_6_fan_out": (KIND_P2P_SEND, lambda d: {"from": d["from"], "message": d["messages"][0],
+                                                  "to": d["to"]}),
+    "trace_6_fan_out_beside_messages": (KIND_P2P_SEND, lambda d: {**d, "message": d["messages"][0]}),
+    "trace_6_deliver_call": (KIND_DELIVER_CALL, lambda d: {"by": d["by"], **d["instances"][0]}),
+    "top_level_source": (KIND_DELIVER_CALL, lambda d: {**d, "source": d["instances"][0]["source"]}),
+}
+
+
+class TestRefusal:
+    """A detail outside the ``mbbc-trace/7`` layout is a ValueError naming
+    its line, and ``mbbc check`` exits 2 on it, in the middle of a real trace."""
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_DETAILS))
+    def test_refused_detail_names_its_line(self, name, tmp_path, capsys):
+        kind, edit = REFUSED_DETAILS[name]
+        trace = run(split_send_scenario([1, 2, 3]))
+        index = first_event(trace, kind, grouped=True)
+        lines = trace.to_jsonl().splitlines()
+        event = trace.events[index]
+        lines[index + 1] = encode_line(event._replace(detail=edit(event.detail)).to_dict())
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ValueError, match=rf"^trace line {index + 2}: bad event line: "):
+            Trace.from_jsonl(text)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["check", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"trace line {index + 2}: bad event line: " in err and "Traceback" not in err, err
+
+    def test_the_unedited_trace_is_read(self):
+        trace = run(split_send_scenario([1, 2, 3]))
+        assert Trace.from_jsonl(trace.to_jsonl()) == trace
+        for kind in (KIND_P2P_SEND, KIND_DELIVER_CALL):
+            assert first_event(trace, kind, grouped=True) > 0

@@ -1,0 +1,137 @@
+"""The ``mbbc-trace/7`` grouping on every trace the engine writes here: the
+bundled configs, both histories of every demo kind and a seeded pool of
+ARBITRARY scripts over the three variants (``conftest.arbitrary_config``).
+
+Per round, each (sender, message) fan-out stands in one P2P_SEND and each
+(process, instance) delivery in at most one DELIVER_CALL; the events are in
+first-message and first-instance order; and the trace reads back equal to
+itself. Over the pool, every violation replays from its witness, and the
+projection does not depend on how a trace groups its deliveries.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from conftest import arbitrary_config, assert_deliver_call_layout, assert_fan_out_layout
+from mbbc.checker import (
+    ALL_PROPERTIES,
+    VIOLATED,
+    permanently_correct,
+    projection_jsonl,
+    replay_witness,
+    run_property_checks,
+)
+from mbbc.demos import run_demo
+from mbbc.engine import KIND_DELIVER_CALL, Trace, encode_line, run
+from mbbc.messages import decode_payload
+from mbbc.scenario import ScenarioConfig
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
+ARBITRARY_SEEDS = range(60)
+
+
+def case_traces(case: str) -> list[Trace]:
+    if case in DEMOS:
+        result = run_demo(case, {})
+        return [result.trace_first, result.trace_second]
+    if case.startswith("arbitrary-"):
+        return [run(arbitrary_config(int(case.split("-")[1])))]
+    return [run(ScenarioConfig.from_json(next(p for p in CONFIGS if p.name == case).read_text()))]
+
+
+CASES = [p.name for p in CONFIGS] + DEMOS + [f"arbitrary-{seed}" for seed in ARBITRARY_SEEDS]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_grouped_layout_and_round_trip(case):
+    for trace in case_traces(case):
+        assert_fan_out_layout(trace.events)
+        assert_deliver_call_layout(trace.events)
+        assert Trace.from_jsonl(trace.to_jsonl()) == trace
+
+
+def test_the_pool_groups_several_messages_and_instances_per_event():
+    """The pool reaches what the layout groups: fan-outs of several messages
+    beside several sender lists in one round, and DELIVER_CALLs of several
+    instances beside several ``by`` lists in one round."""
+    for key in ("messages", "instances"):
+        events = [(seed, ev) for seed in ARBITRARY_SEEDS
+                  for ev in case_traces(f"arbitrary-{seed}")[0].events if key in ev.detail]
+        assert any(len(ev.detail[key]) > 1 for _seed, ev in events), key
+        rounds = [(seed, ev.round) for seed, ev in events]
+        assert len(rounds) > len(set(rounds)), key
+
+
+def test_equal_instances_share_one_dict():
+    """The engine builds each instance dict once per simulation and every
+    DELIVER_CALL that lists the instance shares it."""
+    trace = run(ScenarioConfig.from_json(
+        next(p for p in CONFIGS if p.name == "nfa_alternating_n7.json").read_text()))
+    ids_by_text: dict[str, set[int]] = {}
+    count = 0
+    for ev in trace.events:
+        if ev.kind == KIND_DELIVER_CALL:
+            for instance in ev.detail["instances"]:
+                ids_by_text.setdefault(encode_line(instance), set()).add(id(instance))
+                count += 1
+    assert count > len(ids_by_text)
+    assert all(len(ids) == 1 for ids in ids_by_text.values())
+
+
+@pytest.mark.parametrize("seed", ARBITRARY_SEEDS)
+def test_every_violation_of_the_pool_replays_from_its_witness(seed):
+    """A witness cites events; several instance groups of one DELIVER_CALL
+    share its index, and the cited events still re-derive the verdict."""
+    config = arbitrary_config(seed)
+    trace = run(config)
+    schedule = config.resolved_schedule()
+    for report in run_property_checks(trace, schedule, config.delta_b, config.delta_c,
+                                      config.variant, ALL_PROPERTIES):
+        if report.verdict == VIOLATED:
+            assert replay_witness(report, trace, schedule, config.delta_b, config.delta_c,
+                                  config.variant), report.property
+
+
+def one_call_per_instance(trace: Trace) -> Trace:
+    """The trace with each DELIVER_CALL split into one event per instance,
+    a round's in descending (source, payload) order, where its first one
+    stood: the same deliveries, grouped and ordered against the layout."""
+    calls: dict[int, list] = {}
+    for ev in trace.events:
+        if ev.kind == KIND_DELIVER_CALL:
+            calls.setdefault(ev.round, []).extend(
+                ev._replace(detail={"by": ev.detail["by"], "instances": [instance]})
+                for instance in ev.detail["instances"])
+    events = []
+    for ev in trace.events:
+        if ev.kind != KIND_DELIVER_CALL:
+            events.append(ev)
+        elif ev.round in calls:
+            events += sorted(calls.pop(ev.round), reverse=True, key=lambda e: (
+                e.detail["instances"][0]["source"], decode_payload(e.detail["instances"][0])))
+    return replace(trace, events=events)
+
+
+@pytest.mark.parametrize("seed", ARBITRARY_SEEDS)
+def test_the_projection_does_not_depend_on_how_deliveries_are_grouped(seed):
+    """A kept process's deliveries of a round project in (source, payload)
+    order whichever events list them and in whatever order."""
+    config = arbitrary_config(seed)
+    trace, schedule = run(config), config.resolved_schedule()
+    split = one_call_per_instance(trace)
+    assert projection_jsonl(split, schedule) == projection_jsonl(trace, schedule)
+
+
+def test_the_pool_projects_several_deliveries_of_one_process_in_a_round():
+    """So the test above orders something: some kept process delivers more
+    than one instance in a round."""
+    def several(seed: int) -> bool:
+        config = arbitrary_config(seed)
+        keep = permanently_correct(config.resolved_schedule())
+        return any(ev.kind == KIND_DELIVER_CALL and len(ev.detail["instances"]) > 1
+                   and keep & set(ev.detail["by"]) for ev in run(config).events)
+
+    assert any(several(seed) for seed in ARBITRARY_SEEDS)
