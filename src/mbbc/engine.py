@@ -25,12 +25,18 @@ Each round runs five sub-phases in a fixed order:
    process's fold.
 5. COMPUTE  — correct processes run the protocol compute phase on their
    tallies; each faulty process's state is replaced by whatever the
-   strategy returns. A correct process's phase depends only on its fold,
-   its cure flags, ``delivered`` and its ``rc`` after the phase's majority
-   repair, which is the fold's majority counter when more than F votes
-   back it and the process's own otherwise. Those five values are the
-   process's class key, the fold named by its identity, as every fold is
-   held until the round ends. The first process of each class, in process
+   strategy returns. The phase works at two levels. The fold's reading
+   (``protocol.read_fold``: its majority counter, the READY and ABORT
+   votes its quorums call for, and its READY quorums' earliest births)
+   depends on the fold alone, so it is built once per fold, by the first
+   class key or compute phase that reads the fold, and kept on the fold for
+   every other class and faithful compute that reads it. The rest depends
+   on the process: a correct process's phase depends only on its fold,
+   its cure flags, ``delivered`` and its ``rc`` after the majority repair,
+   which is the reading's majority counter, or the process's own when the
+   reading has none. Those five values are the process's class key, the
+   fold named by its identity, as every fold is held until the round
+   ends. The first process of each class, in process
    order, runs ``compute_phase``, and the others take its outcome through
    ``protocol.adopt_compute``; a freed process that re-enters with a stale
    counter thus joins the class its repair puts it in. A scheduled
@@ -75,8 +81,10 @@ delivers their instances interleaved. ``delivered_instances`` expands each
 event into one (event, instance) delivery group per instance. Each distinct
 message dict, instance dict and STATE_CORRUPTED detail is built once per
 simulation, and the events that carry it share it read-only, as the events
-of a parsed trace share each detail. Given a config (the seed is part of
-it), the trace is bit-reproducible.
+of a parsed trace share each detail. A STATE_CORRUPTED digest reads each
+queued message's JSON text, which is also encoded once per simulation, from
+the message's dict. Given a config (the seed is part of it), the trace is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -96,10 +104,10 @@ from .protocol import (
     Tallies,
     adopt_compute,
     compute_phase,
-    get_majority,
     init_state,
     on_cured,
     on_p2p_deliver,
+    read_fold,
     receive,
     send_phase,
     state_fingerprint,
@@ -632,14 +640,16 @@ class Simulation:
         self.states: list[ProtocolState] = [init_state() for _ in range(config.n)]
         self.trace = Trace(fingerprint=config.fingerprint(), seed=config.seed, config=config.to_dict())
         self.round = 0
-        self._broadcast_index: dict[tuple[int, int], list[bytes]] = {}
+        # Each round's broadcast calls: caller -> payloads.
+        self._broadcasts: dict[int, dict[int, list[bytes]]] = {}
         # Messages are type-exact (``ProtocolMessage`` takes no bool for an
         # int), so equal keys encode to equal JSON.
         self._message_dicts: dict[ProtocolMessage, dict] = {}
+        self._message_texts: dict[ProtocolMessage, str] = {}
         self._instances: dict[tuple[int, bytes], dict] = {}
         self._digests: dict[tuple, dict] = {}
         for b in config.broadcasts:
-            self._broadcast_index.setdefault((b.source, b.round), []).append(b.payload)
+            self._broadcasts.setdefault(b.round, {}).setdefault(b.source, []).append(b.payload)
 
     def run(self) -> Trace:
         while self.round < self.config.horizon:
@@ -699,12 +709,14 @@ class Simulation:
         obs.tallies = tallies = receive_phase(common, _inboxes(dictated, n))
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
-        # Consecutive processes mostly hold one fold, so its majority counter
-        # is counted again only when the fold changes.
+        # The first read of a fold builds its reading, which the fold keeps
+        # under (n, F), where each later process looks it up without a call.
+        # The reading's majority is the repaired counter of the key.
         F = self.variant.effective_f
-        classes: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]]]] = {}
-        delivered_by: dict[tuple[int, bytes], list[int]] = {}
-        last = None
+        broadcasts = self._broadcasts.get(r, {})
+        reading_key = (n, F)
+        # Each class's outcome, its deliveries and its members in process order.
+        classes: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]], list[int]]] = {}
         for p in range(n):
             state = self.states[p]
             if p in faulty:
@@ -712,11 +724,12 @@ class Simulation:
                 self.states[p] = new_state
                 self._emit(r, KIND_STATE_CORRUPTED, p, self._corrupted_detail(new_state))
                 continue
-            payloads = self._broadcast_index.get((p, r))
+            payloads = broadcasts.get(p)
             fold = tallies[p]
-            if fold is not last:
-                last = fold
-                majority = get_majority(fold.rc_votes.values(), None, min_backing=F)
+            reading = fold.readings.get(reading_key)
+            if reading is None:
+                reading = read_fold(fold, n, F)
+            majority = reading.majority
             key = (id(fold), state.cured, state.cured_faulty_since, state.delivered,
                    state.rc if majority is None else majority)
             leader = classes.get(key)
@@ -724,18 +737,23 @@ class Simulation:
                 delivered = compute_phase(state, fold, p, self.variant, n)
                 # A broadcast caller's SEND, added below, is its own, not its class's.
                 outcome = replace(state) if payloads else state
-                leader = classes[key] = outcome, delivered
+                classes[key] = outcome, delivered, [p]
             else:
                 adopt_compute(state, leader[0])
-                delivered = leader[1]
+                leader[2].append(p)
             if payloads:
                 for payload in payloads:
                     self._emit(r, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
                 state.to_send = state.to_send.union(
                     [send_msg(p, state.rc - 1, payload) for payload in payloads])
+        delivered_by: dict[tuple[int, bytes], list[int]] = {}
+        for _outcome, delivered, members in classes.values():
             for instance in delivered:
-                delivered_by.setdefault(instance, []).append(p)
+                delivered_by.setdefault(instance, []).extend(members)
         if delivered_by:
+            # Classes interleave in process order; ``deliver_calls`` needs each list increasing.
+            for by in delivered_by.values():
+                by.sort()
             self.trace.events += deliver_calls(r, delivered_by, self._instance)
 
     def _message(self, msg: ProtocolMessage) -> dict:
@@ -747,14 +765,20 @@ class Simulation:
 
     def _corrupted_detail(self, state: ProtocolState) -> dict:
         """A STATE_CORRUPTED detail, digested and built once per distinct state
-        and shared read-only. The key holds each scalar field's type beside
-        it, as ``True == 1`` digests differently; messages are type-exact and
-        a delivered pair's source is an int."""
+        and shared read-only. The digest reads each queued message's JSON
+        text, encoded from ``self._message(msg)`` once per distinct message.
+        The key holds each scalar field's type beside it, as ``True == 1``
+        digests differently; messages are type-exact and a delivered pair's
+        source is an int."""
         key = (state.to_send, type(state.rc), state.rc, type(state.cured), state.cured,
                type(state.cured_faulty_since), state.cured_faulty_since, state.delivered)
         out = self._digests.get(key)
         if out is None:
-            out = self._digests[key] = {"state_digest": state_fingerprint(state)}
+            texts = self._message_texts
+            for msg in state.to_send:
+                if msg not in texts:
+                    texts[msg] = encode_line(self._message(msg))
+            out = self._digests[key] = {"state_digest": state_fingerprint(state, texts.__getitem__)}
         return out
 
     def _instance(self, source: int, payload: bytes) -> dict:

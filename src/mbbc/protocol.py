@@ -19,6 +19,15 @@ what an agent corrupts and a cured process resumes from. The vote tallies
 traffic and the compute phase only reads them, which caps the influence of
 any single faulty round.
 
+The compute phase works at two levels. What depends on the tallies alone is
+the fold's reading (``FoldReading``), taken once per fold and kept on it: the
+ROUND majority that more than F votes back, the READY and ABORT votes its ECHO
+quorums and relayable READY quorums call for, and the earliest birth of each
+(source, payload) with a READY quorum. What depends on the process is applied
+per call: the counter repair, the ECHOs of SENDs born one round before the
+repaired counter, the process's own broadcast SENDs, the delivery gate and
+the ROUND vote.
+
 Three variants share the machine and differ only in the delivery gate and the
 effective fault bound F:
 
@@ -38,7 +47,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .messages import (
     MessageKind,
@@ -95,16 +104,34 @@ class ProtocolState:
     delivered: frozenset[tuple[int, bytes]] = frozenset()
 
 
+class FoldReading(NamedTuple):
+    """What the compute phase reads from one fold, whatever the process:
+    ``majority``, the ROUND value more than F votes back, else None; ``votes``,
+    the READY and ABORT messages the ECHO quorums and relayable READY quorums
+    call for; ``ready_births``, each (source, payload) with a READY quorum and
+    its earliest birth, in (source, payload) order."""
+
+    majority: int | None
+    votes: frozenset[ProtocolMessage]
+    ready_births: tuple[tuple[tuple[int, bytes], int], ...]
+
+
 @dataclass
 class Tallies:
     """The votes one process received in one round. Read-only once built: the
-    engine hands one fold to every process that received the same messages."""
+    engine hands one fold to every process that received the same messages.
+
+    ``readings`` keeps the fold's ``FoldReading`` per (n, F) once
+    ``read_fold`` has taken it; it is not part of the votes, so equality
+    ignores it."""
 
     sends: set[InstanceKey] = field(default_factory=set)
     echos: dict[InstanceKey, set[int]] = field(default_factory=dict)
     readys: dict[InstanceKey, set[int]] = field(default_factory=dict)
     aborts: dict[InstanceKey, set[int]] = field(default_factory=dict)
     rc_votes: dict[int, int] = field(default_factory=dict)
+    readings: dict[tuple[int, int], FoldReading] = field(default_factory=dict, compare=False,
+                                                         repr=False)
 
 
 def init_state() -> ProtocolState:
@@ -176,27 +203,52 @@ def on_p2p_deliver(tallies: Tallies, senders: Collection[int], msg: ProtocolMess
         tallies.aborts.setdefault(key, set()).update(senders)
 
 
-def get_majority(votes: Iterable[int], current: int | None, min_backing: int = 0) -> int | None:
-    """Most frequent round vote; ties break toward the larger value; no votes keep ``current``.
+def get_majority(votes: Iterable[int], min_backing: int = 0) -> int | None:
+    """Most frequent round vote; ties break toward the larger value; None without votes.
 
     A plurality value is adopted only when it has strictly more than
-    ``min_backing`` votes — at least one vote the adversary cannot have forged.
-    Without the guard the counter is hijackable in round 1, when no honest
-    vote has been sent yet and forged votes are the only input. Under n > 3f
-    at least n-2f identical honest votes clear the guard and dominate any
-    forged value, which is what keeps all correct counters equal; the
-    tie-break exists only to stay deterministic on invalid scenarios. With
-    ``current`` None, the result is None unless some value clears the guard.
+    ``min_backing`` votes — at least one vote the adversary cannot have forged;
+    otherwise the result is None. Without the guard the counter is hijackable
+    in round 1, when no honest vote has been sent yet and forged votes are the
+    only input. Under n > 3f at least n-2f identical honest votes clear the
+    guard and dominate any forged value, which is what keeps all correct
+    counters equal; the tie-break exists only to stay deterministic on invalid
+    scenarios.
     """
     counts: dict[int, int] = {}
     for vote in votes:
         counts[vote] = counts.get(vote, 0) + 1
     if not counts:
-        return current
+        return None
     value, count = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
-    if count <= min_backing:
-        return current
-    return value
+    return value if count > min_backing else None
+
+
+def read_fold(tallies: Tallies, n: int, F: int) -> FoldReading:
+    """The fold's reading for n processes and fault bound F, taken on the
+    first call and kept on ``tallies`` for the next. A key with more than F
+    ABORT votes has no READY quorum."""
+    reading = tallies.readings.get((n, F))
+    if reading is not None:
+        return reading
+    votes: list[ProtocolMessage] = []
+    for key, voters in tallies.echos.items():
+        if 2 * len(voters) > n + F:
+            votes.append(ready_msg(*key))
+        elif len(voters) > F:
+            votes.append(abort_msg(*key))
+    min_birth: dict[tuple[int, bytes], int] = {}
+    for key, voters in tallies.readys.items():
+        if len(voters) > 2 * F and len(tallies.aborts.get(key, ())) <= F:
+            # Relay forever, delivered or not: later-cured processes need the quorum.
+            votes.append(ready_msg(*key))
+            source, birth, payload = key
+            instance = (source, payload)
+            min_birth[instance] = min(birth, min_birth.get(instance, birth))
+    reading = tallies.readings[n, F] = FoldReading(
+        get_majority(tallies.rc_votes.values(), min_backing=F), frozenset(votes),
+        tuple(sorted(min_birth.items())))
+    return reading
 
 
 def compute_phase(
@@ -212,48 +264,35 @@ def compute_phase(
     payload) order. A (source, payload) with READY quorums at several births
     goes through the delivery gate once, with the earliest birth.
 
-    Order matters and is fixed: start a new send queue (the old one is
-    dropped), repair the round counter by majority, apply any broadcast calls
-    scheduled for this round (they must land in the new queue and before the
-    counter increments, so the SEND is stamped with the current round), then
-    process SEND->ECHO, ECHO->READY or ABORT, the delivery gate with READY
-    relay, and finally the counter increment with its ROUND vote; the queue is
-    frozen once, at the end. A key with more than F ABORT votes has no READY
-    quorum.
+    The fold's part comes from ``read_fold``, taken once per fold: its
+    majority counter, its READY and ABORT votes, and its READY quorums with
+    their earliest births. The phase applies the process's part in a fixed
+    order: repair the round counter to the fold's majority (kept when none),
+    apply any broadcast calls scheduled for this round (stamped with the
+    repaired counter, before it increments), ECHO each SEND born the round
+    before the repaired counter, put each READY quorum through the delivery
+    gate, then clear the cure flags and increment the counter with its ROUND
+    vote. The new queue is the fold's votes with the process's own messages;
+    the old one is dropped.
 
     ``broadcasts`` serves the adversary's faithful compute of a possessed
     process. The engine passes none: a correct caller adopts its class's
     outcome, then adds the same SEND to its queue, stamped with the
     repaired counter, which is the incremented ``rc`` minus one.
     """
-    F = variant.effective_f
-    queue: set[ProtocolMessage] = set()
-    state.rc = get_majority(tallies.rc_votes.values(), state.rc, min_backing=F)
-
+    reading = read_fold(tallies, n, variant.effective_f)
+    if reading.majority is not None:
+        state.rc = reading.majority
+    rc = state.rc
+    own = [round_msg(rc + 1)]
     for payload in broadcasts:
-        queue.add(send_msg(self_id, state.rc, payload))
-
+        own.append(send_msg(self_id, rc, payload))
     for source, birth, payload in tallies.sends:
-        if state.rc == birth + 1:
-            queue.add(echo_msg(source, birth, payload))
-
-    for key, voters in tallies.echos.items():
-        if 2 * len(voters) > n + F:
-            queue.add(ready_msg(*key))
-        elif len(voters) > F:
-            queue.add(abort_msg(*key))
-
-    min_birth: dict[tuple[int, bytes], int] = {}
-    for key, voters in tallies.readys.items():
-        if len(voters) > 2 * F and len(tallies.aborts.get(key, ())) <= F:
-            # Relay forever, delivered or not: later-cured processes need the quorum.
-            queue.add(ready_msg(*key))
-            source, birth, payload = key
-            instance = (source, payload)
-            min_birth[instance] = min(birth, min_birth.get(instance, birth))
+        if rc == birth + 1:
+            own.append(echo_msg(source, birth, payload))
 
     deliveries: list[tuple[int, bytes]] = []
-    for instance, birth in sorted(min_birth.items()):
+    for instance, birth in reading.ready_births:
         if _delivery_gate(state, variant, birth):
             if variant.tag is VariantTag.FFA_FULL:
                 if instance not in state.delivered:
@@ -264,9 +303,8 @@ def compute_phase(
 
     state.cured = False
     state.cured_faulty_since = None
-    state.rc += 1
-    queue.add(round_msg(state.rc))
-    state.to_send = frozenset(queue)
+    state.rc = rc + 1
+    state.to_send = reading.votes.union(own)
     return deliveries
 
 
@@ -302,14 +340,29 @@ def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:
     return state.cured_faulty_since is not None and state.cured_faulty_since <= due
 
 
-def state_fingerprint(state: ProtocolState) -> str:
-    """Stable digest of a state's five fields, used to record corruption events in traces."""
-    doc = {
-        "to_send": [m.to_dict() for m in sorted(state.to_send, key=ProtocolMessage.sort_key)],
-        "cured": state.cured,
-        "cured_faulty_since": state.cured_faulty_since,
-        "rc": state.rc,
-        "delivered": sorted((s, p.hex()) for s, p in state.delivered),
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# Compact JSON with sorted keys, the encoding of every digested value.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _message_text(msg: ProtocolMessage) -> str:
+    return _encode(msg.to_dict())
+
+
+def state_fingerprint(state: ProtocolState,
+                      message_text: Callable[[ProtocolMessage], str] = _message_text) -> str:
+    """Stable digest of a state's five fields, used to record corruption events in traces.
+
+    The digest is the sha256 of one compact JSON object with sorted keys:
+    ``cured``, ``cured_faulty_since``, ``delivered`` (sorted [source, payload
+    hex] pairs), ``rc`` and ``to_send`` (the queued messages in message order,
+    each as its ``to_dict``). It is assembled from each message's JSON text,
+    ``message_text(m)``; a caller that already holds the texts passes them,
+    and the default encodes ``m.to_dict()``. The bytes are the same either way.
+    """
+    head = _encode({"cured": state.cured, "cured_faulty_since": state.cured_faulty_since,
+                    "delivered": sorted((s, p.hex()) for s, p in state.delivered),
+                    "rc": state.rc, "to_send": []})
+    queue = ",".join(map(message_text, sorted(state.to_send, key=ProtocolMessage.sort_key)))
+    # ``to_send`` sorts last, so ``head`` ends with its empty list: ``[]}``.
+    blob = f"{head[:-2]}{queue}]}}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -143,8 +143,11 @@ class ScenarioConfig:
         if problems:
             raise InvalidScenario(problems)
         try:
-            broadcasts = tuple(Broadcast.from_dict(b) for b in data.get("broadcasts", []))
-        except (KeyError, TypeError, ValueError) as exc:
+            broadcasts = tuple(Broadcast.from_dict(spec_object(b, "broadcast entry"))
+                               for b in spec_list(data.get("broadcasts", []), "broadcasts"))
+        except KeyError as exc:
+            raise InvalidScenario([f"bad broadcast entry: needs {exc}"]) from exc
+        except ValueError as exc:
             raise InvalidScenario([f"bad broadcast entry: {exc}"]) from exc
         return cls(
             **scalars,

@@ -547,6 +547,21 @@ def test_check_validates_the_header_config(tmp_path, golden_config_path, capsys,
         assert cli.main(["replay", "--trace", str(trace)]) == code
 
 
+def test_check_names_a_header_broadcasts_field_that_is_not_a_list(tmp_path, golden_config_path,
+                                                                  capsys):
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["broadcasts"] = "x"
+    trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: broadcasts is 'x', not a list"), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec, named", [
     ({"kind": "NOPE"}, "unknown strategy kind: 'NOPE'"),
     ({"kind": "ALTERNATING_SETS", "p1": [0], "p2": [0]}, "requires disjoint sets"),

@@ -17,7 +17,7 @@ from conftest import (
     split_send_scenario,
     zero_agent_scenario,
 )
-from mbbc import adversary, engine
+from mbbc import adversary, engine, protocol
 from mbbc.adversary import Strategy, generate_paired_histories
 from mbbc.demos import run_demo
 from mbbc.engine import (
@@ -501,6 +501,40 @@ class TestSharedCompute:
         sched = cfg.resolved_schedule()
         pairs = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
         assert 0 < len(calls) < pairs / 4
+
+    def test_each_fold_is_read_once_per_round_on_the_fanout_shape(self, monkeypatch):
+        """CRASH_SILENT dictates nothing, so every process holds the common
+        fold, while the processes freed or wiped split a round into several
+        compute classes. The fold's reading is built once per round all the
+        same: once per distinct fold a correct process holds, fewer times
+        than ``compute_phase`` runs."""
+        sim = None
+        held: list[set[int]] = []
+        builds = []
+        calls = Counter()
+
+        def recording_receive(*args):
+            folds = receive_phase(*args)
+            held.append({id(folds[p]) for p in range(len(folds)) if sim.schedule.is_correct(p, sim.round)})
+            return folds
+
+        def counted_compute(*args, **kwargs):
+            calls["compute_phase"] += 1
+            return compute(*args, **kwargs)
+
+        def counted_reading(*args):
+            builds.append(args)
+            return reading(*args)
+
+        receive_phase, compute, reading = engine.receive_phase, engine.compute_phase, protocol.FoldReading
+        monkeypatch.setattr(engine, "receive_phase", recording_receive)
+        monkeypatch.setattr(engine, "compute_phase", counted_compute)
+        monkeypatch.setattr(protocol, "FoldReading", counted_reading)
+        cfg = fanout_shaped()
+        sim = Simulation(cfg)
+        sim.run()
+        assert calls["compute_phase"] > cfg.horizon == len(held)
+        assert len(builds) == sum(map(len, held)) < calls["compute_phase"]
 
     def test_one_compute_per_round_on_the_weak_redelivery_shape(self, monkeypatch):
         """Every correct process enters COMPUTE with one fold and, after the

@@ -1,15 +1,27 @@
 """The benchmark's traced pass patches names of the package by string; a
-refactor that drops one fails here, not only under ``perfbench/tests``."""
+refactor that drops one fails here, not only under ``perfbench/tests``.
+
+``perfbench/run.py`` imports ``mbbc`` afresh while it measures set-up, and
+``tracing.traced`` then patches the fresh modules. So every ``mbbc`` name
+used here, the config run included, is resolved from ``sys.modules`` at call
+time: a config built by an older ``mbbc.scenario`` would carry an older
+``VariantTag``, which the fresh protocol does not know.
+"""
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 from conftest import golden_correct_source
-from mbbc import demos, engine, protocol
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def mbbc(name: str):
+    """The module ``mbbc.<name>`` as imported now."""
+    return importlib.import_module(f"mbbc.{name}")
 
 
 def load_tracing():
@@ -21,9 +33,11 @@ def load_tracing():
 
 def test_traced_pass_patches_every_hook_and_restores_it():
     tracing = load_tracing()
+    engine, protocol = mbbc("engine"), mbbc("protocol")
+    config = mbbc("scenario").ScenarioConfig.from_dict(golden_correct_source().to_dict())
     with tracing.traced(tracing.Recorder()) as rec:
-        engine.run(golden_correct_source())
-    assert rec.calls["engine.step"] == golden_correct_source().horizon
+        engine.run(config)
+    assert rec.calls["engine.step"] == config.horizon
     assert rec.calls["protocol.on_p2p_deliver"] > 0
     assert engine.on_p2p_deliver is protocol.on_p2p_deliver
     assert engine.compute_phase is protocol.compute_phase
@@ -34,5 +48,5 @@ def test_traced_demo_times_both_projections():
     a ``run_demo`` that stopped calling it by that name would read 0 there."""
     tracing = load_tracing()
     with tracing.traced(tracing.Recorder()) as rec:
-        demos.run_demo("SOURCE_FLIP")
+        mbbc("demos").run_demo("SOURCE_FLIP")
     assert rec.calls["checker.projection"] == 2

@@ -16,6 +16,7 @@ from mbbc.protocol import (
     init_state,
     on_cured,
     on_p2p_deliver,
+    read_fold,
     receive,
     send_phase,
     state_fingerprint,
@@ -190,10 +191,10 @@ class TestReceive:
 
 class TestGetMajority:
     def test_strict_majority(self):
-        assert get_majority([5, 5, 5, 5, 9], current=1) == 5
+        assert get_majority([5, 5, 5, 5, 9]) == 5
 
-    def test_empty_keeps_current(self):
-        assert get_majority([], current=3) == 3
+    def test_empty_is_none(self):
+        assert get_majority([]) is None
 
     def test_honest_votes_dominate_adversarial(self):
         # n=6, f=1: four honest identical votes against two forged ones.
@@ -201,24 +202,24 @@ class TestGetMajority:
         # Independent check by exhaustive count.
         counts = {v: votes.count(v) for v in set(votes)}
         assert max(counts.values()) == counts[7]
-        assert get_majority(votes, current=1) == 7
+        assert get_majority(votes) == 7
 
     def test_tie_breaks_to_larger(self):
-        assert get_majority([3, 3, 8, 8], current=1) == 8
+        assert get_majority([3, 3, 8, 8]) == 8
 
-    # ``current=None`` with ``min_backing=F`` is the engine's class-key repair:
-    # None unless the top value has more than F votes.
-    def test_no_current_and_no_votes_is_none(self):
-        assert get_majority([], None, min_backing=1) is None
+    # ``min_backing=F`` is the fold reading's repair: None unless the top
+    # value has more than F votes.
+    def test_no_votes_is_none_whatever_the_backing(self):
+        assert get_majority([], min_backing=1) is None
 
     @pytest.mark.parametrize("votes", [[4], [4, 6], [4, 4, 6, 6], [9, 4, 4, 6]])
-    def test_no_current_and_top_value_at_most_f_votes_is_none(self, votes):
-        assert get_majority(votes, None, min_backing=2) is None
+    def test_top_value_at_most_f_votes_is_none(self, votes):
+        assert get_majority(votes, min_backing=2) is None
 
     @pytest.mark.parametrize("votes, top", [([4, 4, 4, 6], 4), ([4, 4, 4, 6, 6, 6], 6),
                                             ([9, 6, 6, 6, 4, 4, 4], 6), ([5, 5, 5], 5)])
-    def test_no_current_and_top_value_above_f_votes_is_it(self, votes, top):
-        assert get_majority(votes, None, min_backing=2) == top
+    def test_top_value_above_f_votes_is_it(self, votes, top):
+        assert get_majority(votes, min_backing=2) == top
 
 
 class TestComputePhase:
@@ -366,6 +367,25 @@ class TestComputePhase:
         out_a = compute_phase(a, tallies, 5, FFA6, n=6)
         out_b = compute_phase(b, tallies, 5, FFA6, n=6)
         assert out_a == out_b and a == b
+
+    def test_the_fold_reading_is_taken_once_and_kept(self):
+        # n=6, F=1: an ECHO quorum, an ECHO count that only aborts, and a
+        # READY quorum at two births of one (source, payload).
+        tallies = Tallies(rc_votes={p: 4 for p in range(4)})
+        vote(tallies.echos, (0, 2, b"e"), [1, 2, 3, 4])
+        vote(tallies.echos, (1, 2, b"a"), [1, 2])
+        vote(tallies.readys, (0, 3, b"m"), [1, 2, 3])
+        vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
+        before = copy.deepcopy(tallies)
+        reading = read_fold(tallies, 6, 1)
+        assert reading == (4, frozenset({ready_msg(0, 2, b"e"), abort_msg(1, 2, b"a"),
+                                         ready_msg(0, 3, b"m"), ready_msg(0, 1, b"m")}),
+                           (((0, b"m"), 1),))
+        assert read_fold(tallies, 6, 1) is reading and tallies == before
+        # n=7, F=2 reads the same fold apart: the quorum only aborts.
+        assert read_fold(tallies, 7, 2) == (4, frozenset({abort_msg(0, 2, b"e")}), ())
+        compute_phase(fresh(rc=1), tallies, 5, FFA6, n=6)
+        assert tallies.readings[6, 1] is reading
 
     def test_tallies_are_only_read(self):
         # A READY quorum that more than F ABORT votes void, beside one that

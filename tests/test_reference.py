@@ -1,0 +1,143 @@
+"""The standing differential: ``Simulation`` against the literal round loop
+of ``reference.Reference``, round by round.
+
+For every round it compares, by meaning rather than by bytes, so that the
+trace's grouping stays out of the reference:
+- every process's ``state_fingerprint``;
+- the sends as (sender, message, receiver), duplicates kept, the trace's
+  P2P_SENDs expanded with ``engine.round_sends``;
+- each correct process's deliveries, from ``engine.delivered_instances``.
+
+It runs on the bundled configs, both histories of both demo kinds, the
+seeded ARBITRARY scripts of ``conftest.arbitrary_config`` (seeds 0-199), a
+fixed sample of f=2 FFA_FULL CRASH_SILENT schedules (n=11, horizon 6), and
+``conftest.split_send_scenario`` for every set of targets among processes
+1-5. The split sends are the inputs whose dictated inboxes read differently
+from the common fold: only the targets see the faulty source's SEND and
+ECHO, so only they reach the ECHO quorum. A forged vote of the ARBITRARY
+scripts rarely moves a quorum or a majority.
+
+Each of these mutations of the engine, made on a copy, fails this file:
+- one fold reading kept per round rather than per fold, every fold of a
+  round sharing one ``readings`` dict in ``engine.receive_phase`` (the
+  split sends and ``faulty_source_all_deliver``);
+- the common fold's reading used for a dictated inbox, ``protocol.receive``
+  handing its copy the common fold's ``readings`` (the same inputs);
+- the compute class key without ``cured_faulty_since`` (only the crash
+  sample: it needs two processes cured in one round and one class, their
+  faulty spans starting on either side of the due round, which a random
+  script rarely builds; ``test_the_crash_sample_holds_the_cure_corner``
+  keeps that corner in the sample);
+- a leading broadcast caller's outcome taken without its copy, so that its
+  class shares its SEND (most inputs of every group but the split sends).
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from conftest import arbitrary_config, random_walk_schedule, split_send_scenario
+from mbbc.adversary import generate_paired_histories
+from mbbc.engine import TO_ALL, Simulation, delivered_instances, round_sends
+from mbbc.messages import ProtocolMessage
+from mbbc.protocol import DELIVERY_DELAY, state_fingerprint
+from mbbc.scenario import ScenarioConfig
+from reference import Reference
+
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+# The crash sample: its size and the seed of each schedule's walk.
+CRASH_SAMPLE = range(300)
+
+
+def crash_schedule(seed: int) -> ScenarioConfig:
+    """n=11, f=2, FFA_FULL under CRASH_SILENT to horizon 6: two agents on
+    random walks (``conftest.random_walk_schedule``), and source 0
+    broadcasting once in round 1."""
+    rng = random.Random(seed)
+    return ScenarioConfig.from_dict({
+        "n": 11, "f": 2, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": 6, "seed": seed,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
+        "variant": "FFA_FULL",
+        "schedule": {"trajectories": random_walk_schedule(rng, 11, 2, 6)},
+        "broadcasts": [{"source": 0, "round": 1, "payload": "m"}],
+        "strategy": {"kind": "CRASH_SILENT"},
+    })
+
+
+def assert_matches_reference(cfg: ScenarioConfig) -> None:
+    """Step ``Simulation`` and ``Reference`` side by side to the horizon."""
+    sim, ref = Simulation(cfg), Reference(cfg)
+    n = cfg.n
+    while sim.round < cfg.horizon:
+        start = len(sim.trace.events)
+        sim.step()
+        events = sim.trace.events[start:]
+        sends, delivered = ref.step()
+        r = sim.round
+
+        expanded: Counter = Counter()
+        for sender, message, to in round_sends(events).get(r, []):
+            msg = ProtocolMessage.from_dict(message)
+            for q in range(n) if to == TO_ALL else to:
+                expanded[sender, msg, q] += 1
+        assert expanded == Counter(sends), r
+
+        got: dict[int, list[tuple[int, bytes]]] = {p: [] for p in delivered}
+        for _idx, _r, by, source, payload in delivered_instances(events):
+            for p in by:
+                got[p].append((source, payload))
+        assert {p: sorted(instances) for p, instances in got.items()} == delivered, r
+
+        assert ([state_fingerprint(s) for s in sim.states]
+                == [state_fingerprint(s) for s in ref.states]), r
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=[path.stem for path in BUNDLED])
+def test_bundled_configs(path):
+    assert_matches_reference(ScenarioConfig.from_json(path.read_text()))
+
+
+@pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_demo_histories(kind, side):
+    assert_matches_reference(generate_paired_histories(kind, {})[side])
+
+
+@pytest.mark.parametrize("first", range(0, 200, 25))
+def test_arbitrary_scripts(first):
+    for seed in range(first, first + 25):
+        assert_matches_reference(arbitrary_config(seed))
+
+
+def test_split_sends():
+    for k in range(1, 6):
+        for targets in itertools.combinations(range(1, 6), k):
+            assert_matches_reference(split_send_scenario(list(targets)))
+
+
+@pytest.mark.parametrize("first", range(CRASH_SAMPLE.start, CRASH_SAMPLE.stop, 100))
+def test_crash_schedules(first):
+    for seed in range(first, first + 100):
+        assert_matches_reference(crash_schedule(seed))
+
+
+def test_the_crash_sample_holds_the_cure_corner():
+    """Some schedules of the sample free two processes in one round after
+    the due round, their faulty spans starting on either side of it: the
+    two enter COMPUTE wiped, cured and with one repaired counter, and only
+    ``cured_faulty_since`` tells FFA_FULL's delivery gate apart."""
+    due = 1 + DELIVERY_DELAY
+    corners = 0
+    for seed in CRASH_SAMPLE:
+        sched = crash_schedule(seed).resolved_schedule()
+        if sched.is_faulty(0, 1):
+            continue
+        for r in range(due + 1, sched.horizon + 1):
+            starts = {sched.faulty_span_start(p, r - 1) <= due for p in sched.cured_processes(r)}
+            corners += starts == {True, False}
+    assert corners >= 30

@@ -43,6 +43,18 @@ class TestParsing:
         b = Broadcast(source=0, round=1, payload=b"\x00\x01")
         assert Broadcast.from_dict(b.to_dict()) == b
 
+    @pytest.mark.parametrize("broadcasts, named", [
+        ("x", "broadcasts is 'x', not a list"),
+        ({"source": 0}, "broadcasts is {'source': 0}, not a list"),
+        (5, "broadcasts is 5, not a list"),
+        ([7], "broadcast entry is 7, not an object"),
+        ([{"round": 1, "payload": "m"}], "bad broadcast entry: needs 'source'"),
+    ], ids=["string", "object", "int", "int-entry", "entry-without-source"])
+    def test_a_bad_broadcasts_field_is_named(self, broadcasts, named):
+        with pytest.raises(InvalidScenario) as err:
+            ScenarioConfig.from_dict(base_dict(broadcasts=broadcasts))
+        assert str(err.value) == named
+
     def test_fingerprint_stable_and_seed_sensitive(self):
         a = ScenarioConfig.from_dict(base_dict(seed=1))
         b = ScenarioConfig.from_dict(base_dict(seed=1))
