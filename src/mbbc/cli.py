@@ -227,14 +227,20 @@ def cmd_replay(args) -> int:
 
 def _parse_range(text: str, flag: str, low: int) -> list[int]:
     """The values of an inclusive range ``lo:hi`` or ``lo..hi``, or of one
-    value; an empty range, or one reaching below ``low``, is a ValueError
-    naming ``flag``."""
+    value; a bound that is not an int, an empty range, or one reaching below
+    ``low``, is a ValueError naming ``flag``."""
+    def bound(value: str) -> int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"{flag} {text!r}: {value!r} is not an int") from None
+
     sep = ":" if ":" in text else ".."
     if sep in text:
         lo, _, hi = text.partition(sep)
-        values = list(range(int(lo), int(hi) + 1))
+        values = list(range(bound(lo), bound(hi) + 1))
     else:
-        values = [int(text)]
+        values = [bound(text)]
     if not values:
         raise ValueError(f"{flag} {text!r} is empty")
     if values[0] < low:

@@ -80,11 +80,10 @@ lists. That holds per event only: a process listed in several events
 delivers their instances interleaved. ``delivered_instances`` expands each
 event into one (event, instance) delivery group per instance. Each distinct
 message dict, instance dict and STATE_CORRUPTED detail is built once per
-simulation, and the events that carry it share it read-only, as the events
-of a parsed trace share each detail. A STATE_CORRUPTED digest reads each
-queued message's JSON text, which is also encoded once per simulation, from
-the message's dict. Given a config (the seed is part of it), the trace is
-bit-reproducible.
+simulation, and the events that carry it share it read-only. A
+STATE_CORRUPTED digest reads each queued message's JSON text, which is also
+encoded once per simulation, from the message's dict. Given a config (the
+seed is part of it), the trace is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -140,8 +138,7 @@ encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 class TraceEvent(NamedTuple):
     """One traced action. Events are immutable (use ``_replace``), and a
-    detail is read-only: the events of a parsed trace share one dict per
-    distinct detail text."""
+    detail is read-only: the engine's events share each detail it builds."""
 
     round: int
     kind: str
@@ -249,9 +246,8 @@ class Trace:
         the subject, and its ``instances`` a non-empty list of objects, each
         with an int ``source`` and a payload that decodes, strictly
         increasing in (source, payload) order; the detail itself holds no
-        ``source`` or payload. A BROADCAST_CALL's payload decodes. A line in
-        the writer's own layout has its detail parsed and checked once per
-        distinct text; any other line is parsed whole.
+        ``source`` or payload. A BROADCAST_CALL's payload decodes. Each line
+        is parsed whole, and each event has a detail of its own.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -263,10 +259,9 @@ class Trace:
             fingerprint, seed, config = _header_fields(_json_object(line))
             n, horizon = config["n"], config["horizon"]
             what = "event"
-            read = _layout_reader(n, horizon)
             events = []
             for number, line in numbered[1:]:
-                events.append(read(line) or _event(_json_object(line), n, horizon))
+                events.append(_event(_json_object(line), n, horizon))
         except KeyError as exc:
             raise ValueError(f"trace line {number}: bad {what} line: missing key {exc}") from None
         except ValueError as exc:
@@ -327,18 +322,14 @@ def _event(data: dict, n: int, horizon: int) -> TraceEvent:
         raise ValueError(f"round {shown(event.round)} outside 1..{horizon}")
     if not _is_int(event.subject) or not 0 <= event.subject < n:
         raise ValueError(f"subject {shown(event.subject)} outside 0..{n - 1}")
-    first = _check_detail(event.kind, event.detail, n)
-    if first is not None and event.subject != first:
-        key = "from" if event.kind == KIND_P2P_SEND else "by"
-        raise ValueError(f"subject {event.subject} is not the first of its {key} list, {first}")
+    _check_detail(event.kind, event.detail, event.subject, n)
     return event
 
 
-def _check_detail(kind: str, detail, n: int) -> int | None:
+def _check_detail(kind: str, detail, subject: int, n: int) -> None:
     """The detail keys a reader of the trace relies on; a missing one is a
-    KeyError. Returns the subject the detail requires, the first of its
-    process list: ``from[0]`` of a fan-out, ``by[0]`` of a DELIVER_CALL; None
-    for any other detail."""
+    KeyError. The subject of a fan-out is its ``from[0]``, and of a
+    DELIVER_CALL its ``by[0]``."""
     if not isinstance(detail, dict):
         raise ValueError("detail is not a JSON object")
     if kind == KIND_P2P_SEND:
@@ -347,7 +338,8 @@ def _check_detail(kind: str, detail, n: int) -> int | None:
             if "message" in detail:
                 raise ValueError(f'a send to {TO_ALL!r} has a message; it lists its messages')
             _non_empty_objects("messages", detail["messages"])
-            return _first_process("from", detail["from"], n)
+            _check_processes("from", detail["from"], subject, n)
+            return
         if not isinstance(detail["message"], dict):
             raise ValueError("message is not a JSON object")
         if not (isinstance(to, list) and all(_is_int(q) and 0 <= q < n for q in to)):
@@ -369,10 +361,9 @@ def _check_detail(kind: str, detail, n: int) -> int | None:
                 raise ValueError(f"instance {shown(instance)} does not follow the one before it "
                                  "in strictly increasing (source, payload) order")
             last = key
-        return _first_process("by", detail["by"], n)
+        _check_processes("by", detail["by"], subject, n)
     elif kind == KIND_BROADCAST_CALL:
         decode_payload(detail)
-    return None
 
 
 def _non_empty_objects(key: str, values) -> list:
@@ -382,89 +373,16 @@ def _non_empty_objects(key: str, values) -> list:
     return values
 
 
-def _first_process(key: str, processes, n: int) -> int:
-    """The first of a non-empty, strictly increasing list of processes in [0, n)."""
+def _check_processes(key: str, processes, subject: int, n: int) -> None:
+    """Reject ``processes`` unless it is a non-empty, strictly increasing
+    list of processes in [0, n) whose first is ``subject``."""
     if not (isinstance(processes, list) and processes and all(map(_is_int, processes))
             and 0 <= processes[0] and processes[-1] < n
             and all(a < b for a, b in zip(processes, processes[1:]))):
         raise ValueError(f"{key} {shown(processes)} is not a non-empty, strictly increasing "
                          f"list of processes in 0..{n - 1}")
-    return processes[0]
-
-
-# An event line in the writer's layout is the detail's text between these
-# two keys, then a suffix of known labels and canonical non-negative ints,
-# short enough that ``int`` and ``json.loads`` read them alike.
-_DETAIL_KEY = '{"detail":'
-_KIND_KEY = ',"kind":"'
-_LAYOUT_SUFFIX = re.compile(r'([A-Z0-9_]+)","round":(0|[1-9][0-9]{0,8}),'
-                            r'"subject":(0|[1-9][0-9]{0,8})\}')
-# Each known kind to its interned self, so that events share its one string.
-_LAYOUT_KINDS = {kind: kind for kind in KINDS}
-
-
-def _layout_reader(n: int, horizon: int) -> Callable[[str], TraceEvent | None]:
-    """A reader of event lines in the writer's layout, for one trace.
-
-    ``read(line)`` returns the line's event when the line is in the layout
-    and valid, and None for any line it cannot vouch for, which is left to
-    ``_event``. The suffix holds no ``,"kind":"`` of its own, so the last
-    one starts it. A detail text that ``json.loads`` reads is one JSON
-    value, which the suffix cannot extend, so the whole line would read as
-    the same event. Each distinct suffix is checked once, and each distinct
-    (detail text, kind) is parsed and checked once; equal texts share one
-    detail dict. The subject of a fan-out or a DELIVER_CALL is checked
-    against its detail on every line.
-    """
-    suffixes: dict[str, tuple | None] = {}
-    details: dict[tuple[str, str], tuple[dict | None, int | None]] = {}
-
-    def read(line: str) -> TraceEvent | None:
-        head, _, suffix = line.rpartition(_KIND_KEY)
-        if not head.startswith(_DETAIL_KEY):
-            return None
-        try:
-            fields = suffixes[suffix]
-        except KeyError:
-            fields = suffixes[suffix] = _layout_suffix(suffix, n, horizon)
-        if fields is None:
-            return None
-        rnd, kind, subject = fields
-        key = (head, kind)
-        try:
-            detail, sender = details[key]
-        except KeyError:
-            detail, sender = details[key] = _layout_detail(head[len(_DETAIL_KEY):], kind, n)
-        if detail is None or (sender is not None and sender != subject):
-            return None
-        return TraceEvent(rnd, kind, subject, detail)
-
-    return read
-
-
-def _layout_suffix(suffix: str, n: int, horizon: int) -> tuple[int, str, int] | None:
-    match = _LAYOUT_SUFFIX.fullmatch(suffix)
-    if match is None:
-        return None
-    kind, rnd, subject = match.groups()
-    kind = _LAYOUT_KINDS.get(kind)
-    rnd, subject = int(rnd), int(subject)
-    if kind is None or not 1 <= rnd <= horizon or subject >= n:
-        return None
-    return rnd, kind, subject
-
-
-def _layout_detail(text: str, kind: str, n: int) -> tuple[dict | None, int | None]:
-    """The detail and the subject it requires (``_check_detail``), or
-    (None, None) when the per-line parser must read the line."""
-    # Read inside one more array, the detail nests as deep as its whole line:
-    # a detail too deep for the per-line parser is left to it, which rejects
-    # the line. ``[text]`` holds one value exactly when ``text`` is one value.
-    try:
-        [detail] = json.loads(f"[{text}]")
-        return detail, _check_detail(kind, detail, n)
-    except (KeyError, ValueError, RecursionError):
-        return None, None
+    if subject != processes[0]:
+        raise ValueError(f"subject {subject} is not the first of its {key} list, {processes[0]}")
 
 
 class Delivery(NamedTuple):
@@ -550,17 +468,12 @@ def delivered_instances(events: Sequence[TraceEvent]
                         ) -> Iterator[tuple[int, int, list[int], int, bytes]]:
     """Each instance of each DELIVER_CALL as (event index, round, by, source,
     payload), in trace order: the instances of one event follow each other
-    and share its ``by`` list. Each instance dict's payload is decoded once
-    per call."""
-    payloads: dict[int, tuple[dict, bytes]] = {}
+    and share its ``by`` list."""
     for idx, ev in enumerate(events):
         if ev.kind == KIND_DELIVER_CALL:
             by = ev.detail["by"]
             for instance in ev.detail["instances"]:
-                hit = payloads.get(id(instance))
-                if hit is None:
-                    hit = payloads[id(instance)] = (instance, decode_payload(instance))
-                yield idx, ev.round, by, instance["source"], hit[1]
+                yield idx, ev.round, by, instance["source"], decode_payload(instance)
 
 
 def instance_detail(source: int, payload: bytes) -> dict:

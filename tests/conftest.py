@@ -317,10 +317,12 @@ VARIANT_SETTINGS = {"FFA_FULL": ("FFA", 5), "BFA_WEAK": ("BFA", 5), "NFA_WEAK": 
 
 def arbitrary_config(seed: int) -> ScenarioConfig:
     """A seeded ARBITRARY script one above its variant's bound, the variant
-    cycling with the seed: f of 1 or 2 agents on random walks, dictated
-    votes and protocol messages to every process or to random receivers
-    (duplicates kept), state overrides and wipes, and one or two broadcasts
-    by processes correct in their round. Freed processes send what the
+    cycling with the seed: f of 1 or 2 agents on random walks, one or two
+    broadcasts by processes correct in their round, dictated votes and
+    protocol messages to every process or to random receivers (duplicates
+    kept), and state overrides and wipes. Half the forged SEND, ECHO, READY
+    and ABORT messages name a broadcast's own (source, round, payload), so
+    they can move a real instance's quorums. Freed processes send what the
     script left in their queues, so fan-outs split into many sender lists."""
     rng = random.Random(seed)
     variant = sorted(VARIANT_SETTINGS)[seed % 3]
@@ -334,11 +336,20 @@ def arbitrary_config(seed: int) -> ScenarioConfig:
         "schedule": {"trajectories": random_walk_schedule(rng, n, f, horizon)},
     }
     sched = ScenarioConfig.from_dict(base).resolved_schedule()
+    broadcasts = []
+    for i in range(rng.randrange(1, 3)):
+        r = rng.randrange(1, max(2, horizon - 4))
+        broadcasts.append({"source": rng.choice(sorted(sched.correct_set(r))), "round": r,
+                           "payload": f"b{i}"})
 
     def message() -> dict:
         kind = rng.choice(["SEND", "ECHO", "READY", "ABORT", "ROUND"])
         if kind == "ROUND":
             return {"kind": kind, "round_value": rng.randrange(1, 8)}
+        if rng.random() < 0.5:
+            b = rng.choice(broadcasts)
+            return {"kind": kind, "source": b["source"], "birth_round": b["round"],
+                    "payload": b["payload"]}
         return {"kind": kind, "source": rng.randrange(n), "birth_round": rng.randrange(1, 4),
                 "payload": rng.choice(["m", "x", "y"])}
 
@@ -353,11 +364,6 @@ def arbitrary_config(seed: int) -> ScenarioConfig:
             state = rng.choice([None, "init", {"rc": rng.randrange(1, 8)},
                                 {"to_send": [message() for _ in range(rng.randrange(1, 4))]}])
             script.setdefault(str(r), {})[str(p)] = {"sends": sends, "state": state}
-    broadcasts = []
-    for i in range(rng.randrange(1, 3)):
-        r = rng.randrange(1, max(2, horizon - 4))
-        broadcasts.append({"source": rng.choice(sorted(sched.correct_set(r))), "round": r,
-                           "payload": f"b{i}"})
     return ScenarioConfig.from_dict({**base, "broadcasts": broadcasts,
                                      "strategy": {"kind": "ARBITRARY", "script": script}})
 

@@ -175,6 +175,8 @@ def test_sweep_skips_alternating_cells_below_2f_plus_1(tmp_path, caplog):
 @pytest.mark.parametrize("flags, named", [
     (["--n-range", "5..3"], "--n-range '5..3' is empty"),
     (["--n-range", "-1"], "--n-range '-1' holds -1, below 1"),
+    (["--n-range", "a:b"], "error: --n-range 'a:b': 'a' is not an int"),
+    (["--n-range", "3:"], "error: --n-range '3:': '' is not an int"),
     (["--n-range", "4", "--f-range", "0..-1"], "--f-range '0..-1' is empty"),
     (["--n-range", "4", "--strategies", ","], "--strategies ',' names no strategy"),
     (["--n-range", "1", "--f-range", "1"], "leave no cell to run"),

@@ -14,13 +14,19 @@ fixed sample of f=2 FFA_FULL CRASH_SILENT schedules (n=11, horizon 6), and
 ``conftest.split_send_scenario`` for every set of targets among processes
 1-5. The split sends are the inputs whose dictated inboxes read differently
 from the common fold: only the targets see the faulty source's SEND and
-ECHO, so only they reach the ECHO quorum. A forged vote of the ARBITRARY
-scripts rarely moves a quorum or a majority.
+ECHO, so only they reach the ECHO quorum. Half the forged votes of the
+ARBITRARY scripts name a broadcast's own instance
+(``test_the_pool_forges_votes_on_broadcast_instances``), yet under the
+variant's bound they cannot move its quorums: the correct processes alone
+put a correct source's ECHO count at or above the quorum, and the f forged
+votes, with what freed processes flush, stay within F of every other
+threshold.
 
 Each of these mutations of the engine, made on a copy, fails this file:
 - one fold reading kept per round rather than per fold, every fold of a
   round sharing one ``readings`` dict in ``engine.receive_phase`` (the
-  split sends and ``faulty_source_all_deliver``);
+  split sends, 15 of 31, and ``faulty_source_all_deliver``; 0 of the 200
+  pool scripts, for the reason above);
 - the common fold's reading used for a dictated inbox, ``protocol.receive``
   handing its copy the common fold's ``readings`` (the same inputs);
 - the compute class key without ``cured_faulty_since`` (only the crash
@@ -43,7 +49,7 @@ import pytest
 
 from conftest import arbitrary_config, random_walk_schedule, split_send_scenario
 from mbbc.adversary import generate_paired_histories
-from mbbc.engine import TO_ALL, Simulation, delivered_instances, round_sends
+from mbbc.engine import KIND_P2P_SEND, TO_ALL, Simulation, delivered_instances, round_sends, run
 from mbbc.messages import ProtocolMessage
 from mbbc.protocol import DELIVERY_DELAY, state_fingerprint
 from mbbc.scenario import ScenarioConfig
@@ -141,3 +147,19 @@ def test_the_crash_sample_holds_the_cure_corner():
             starts = {sched.faulty_span_start(p, r - 1) <= due for p in sched.cured_processes(r)}
             corners += starts == {True, False}
     assert corners >= 30
+
+
+def test_the_pool_forges_votes_on_broadcast_instances():
+    """Most scripts of the pool dictate a SEND, ECHO, READY or ABORT that
+    names one of their broadcasts' own (source, round, payload), so a forged
+    vote lands on a real instance's tallies."""
+    def forges(seed: int) -> bool:
+        trace = run(arbitrary_config(seed))
+        instances = {(b["source"], b["round"], b["payload"]) for b in trace.config["broadcasts"]}
+        return any(ev.kind == KIND_P2P_SEND and ev.detail["to"] != TO_ALL
+                   and ev.detail["message"]["kind"] != "ROUND"
+                   and (ev.detail["message"]["source"], ev.detail["message"]["birth_round"],
+                        ev.detail["message"]["payload"]) in instances
+                   for ev in trace.events)
+
+    assert sum(map(forges, range(200))) >= 150

@@ -1,8 +1,7 @@
 """The trace codec: the line writer writes exactly ``encode_line(ev.to_dict())``
-per event, and the reader's fast path for lines in the writer's layout
-accepts, rejects and names exactly what the per-line parser does."""
+per event, and the reader parses each line whole, to a pinned event or a
+pinned error naming the line."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -76,16 +75,13 @@ def projection_pairs() -> list[tuple[ScenarioConfig, Trace]]:
     return pairs
 
 
-def parse(text: str, monkeypatch, fast: bool):
-    """``Trace.from_jsonl(text)``'s events, or its ValueError text; with
-    ``fast`` off every line goes through the per-line parser."""
-    with monkeypatch.context() as patch:
-        if not fast:
-            patch.setattr(engine, "_layout_reader", lambda n, horizon: lambda line: None)
-        try:
-            return Trace.from_jsonl(text).events
-        except ValueError as exc:
-            return str(exc)
+def parse(text: str):
+    """``Trace.from_jsonl(text)``'s events, each written back as its
+    canonical line, or its ValueError text."""
+    try:
+        return per_line_events(Trace.from_jsonl(text))
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestWriter:
@@ -178,214 +174,298 @@ class TestWriter:
         assert dictated > 0
 
     def test_projection_of_a_parsed_trace_writes_as_of_the_engine_trace(self):
-        """A parsed trace shares details by text and the engine's by
-        construction; either way the projection's bytes are the same."""
+        """The engine's events share details by construction and a parsed
+        trace's do not; either way the projection's bytes are the same."""
         for config, trace in projection_pairs():
             schedule = config.resolved_schedule()
             parsed = Trace.from_jsonl(trace.to_jsonl())
             assert projection_jsonl(parsed, schedule) == projection_jsonl(trace, schedule)
 
 
+# Each row of ``PARSER_TABLE`` is a line and what the reader makes of it as
+# the third line of a trace, after HEADER and CORRUPTED: either the event it
+# reads to, written back as its canonical line (ITSELF when that is the line
+# itself), or ``refused(reason)``, the exact ValueError naming line 3.
+ITSELF = None
+
+
+class Refused(str):
+    """A row's outcome when the reader refuses its line: the ValueError text."""
+
+
+def refused(reason: str) -> Refused:
+    return Refused(f"trace line 3: bad event line: {reason}")
+
+
 PARSER_TABLE = [
-    CORRUPTED,
-    '{"detail": {}, "kind": "STATE_CORRUPTED", "round": 1, "subject": 0}',
-    '{"detail": {"state_digest" : null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
-    CORRUPTED + "  ",
-    "  " + CORRUPTED,
-    '{"kind":"STATE_CORRUPTED","detail":{},"round":1,"subject":0}',
-    CORRUPTED.replace('"detail"', '"Detail"'),
-    CORRUPTED.replace('{"detail":', '["detail",'),
-    '{"detail":{},"kind":"STATE_CORRUPTED","subject":0,"round":1}',
-    CORRUPTED.replace('"round":1', '"round":01'),
-    CORRUPTED.replace('"round":1', '"round":1.0'),
-    CORRUPTED.replace('"round":1', '"round":true'),
-    CORRUPTED.replace('"round":1', '"round":1e0'),
-    CORRUPTED.replace('"round":1', '"round":-1'),
-    CORRUPTED.replace('"round":1', '"round":0'),
-    CORRUPTED.replace('"round":1', '"round":9'),
-    CORRUPTED.replace('"round":1', '"round":' + "1" * 30),
-    CORRUPTED.replace('"subject":0', '"subject":-0'),
-    CORRUPTED.replace('"subject":0', '"subject":6'),
-    CORRUPTED.replace('"subject":0', '"subject":5'),
-    CORRUPTED.replace('"STATE_CORRUPTED"', '"state_corrupted"'),
-    CORRUPTED.replace('"STATE_CORRUPTED"', '"P2P_DELIVER"'),
-    CORRUPTED.replace(',"round"', ',"phase":"COMPUTE","round"'),
-    CORRUPTED.replace(',"kind"', ',"extra":5,"kind"'),
-    CORRUPTED[:-1] + ',"zz":0}',
-    CORRUPTED.replace("{}", "[]"),
-    CORRUPTED.replace("{}", '"x"'),
-    CORRUPTED.replace("{}", ""),
-    CORRUPTED.replace("{}", "{},{}"),
-    CORRUPTED.replace("{}", '{"a":[{}'),
-    CORRUPTED.replace("{}", '{"x":NaN}'),
-    CORRUPTED.replace("{}", "\ufeff{}"),
-    '{"a":[{}',
-    "{}]}",
-    "{},{}",
-    '{"detail":{},"kind":"BROADCAST_CALL","round":2,"subject":1,'
-    '"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
+    (CORRUPTED, ITSELF),
+    ('{"detail": {}, "kind": "STATE_CORRUPTED", "round": 1, "subject": 0}',
+     '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    ('{"detail": {"state_digest" : null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
+     '{"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    (CORRUPTED + "  ", '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    ("  " + CORRUPTED, '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    ('{"kind":"STATE_CORRUPTED","detail":{},"round":1,"subject":0}',
+     '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    (CORRUPTED.replace('"detail"', '"Detail"'), refused("unknown key 'Detail'")),
+    (CORRUPTED.replace('{"detail":', '["detail",'),
+     refused("not valid JSON (Expecting ',' delimiter: line 1 column 20 (char 19))")),
+    ('{"detail":{},"kind":"STATE_CORRUPTED","subject":0,"round":1}',
+     '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    (CORRUPTED.replace('"round":1', '"round":01'),
+     refused("not valid JSON (Expecting ',' delimiter: line 1 column 48 (char 47))")),
+    (CORRUPTED.replace('"round":1', '"round":1.0'), refused('round 1.0 outside 1..8')),
+    (CORRUPTED.replace('"round":1', '"round":true'), refused('round True outside 1..8')),
+    (CORRUPTED.replace('"round":1', '"round":1e0'), refused('round 1.0 outside 1..8')),
+    (CORRUPTED.replace('"round":1', '"round":-1'), refused('round -1 outside 1..8')),
+    (CORRUPTED.replace('"round":1', '"round":0'), refused('round 0 outside 1..8')),
+    (CORRUPTED.replace('"round":1', '"round":9'), refused('round 9 outside 1..8')),
+    (CORRUPTED.replace('"round":1', '"round":' + "1" * 30),
+     refused('round 111111111111111111111111111111 outside 1..8')),
+    (CORRUPTED.replace('"subject":0', '"subject":-0'),
+     '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    (CORRUPTED.replace('"subject":0', '"subject":6'), refused('subject 6 outside 0..5')),
+    (CORRUPTED.replace('"subject":0', '"subject":5'), ITSELF),
+    (CORRUPTED.replace('"STATE_CORRUPTED"', '"state_corrupted"'),
+     refused("unknown kind 'state_corrupted'")),
+    (CORRUPTED.replace('"STATE_CORRUPTED"', '"P2P_DELIVER"'),
+     refused("unknown kind 'P2P_DELIVER'")),
+    (CORRUPTED.replace(',"round"', ',"phase":"COMPUTE","round"'), refused("unknown key 'phase'")),
+    (CORRUPTED.replace(',"kind"', ',"extra":5,"kind"'), refused("unknown key 'extra'")),
+    (CORRUPTED[:-1] + ',"zz":0}', refused("unknown key 'zz'")),
+    (CORRUPTED.replace("{}", "[]"), refused('detail is not a JSON object')),
+    (CORRUPTED.replace("{}", '"x"'), refused('detail is not a JSON object')),
+    (CORRUPTED.replace("{}", ""),
+     refused('not valid JSON (Expecting value: line 1 column 11 (char 10))')),
+    (CORRUPTED.replace("{}", "{},{}"),
+     refused('not valid JSON (Expecting property name enclosed in double quotes: line 1 '
+              'column 14 (char 13))')),
+    (CORRUPTED.replace("{}", '{"a":[{}'),
+     refused("not valid JSON (Expecting ',' delimiter: line 1 column 26 (char 25))")),
+    (CORRUPTED.replace("{}", '{"x":NaN}'), ITSELF),
+    (CORRUPTED.replace("{}", "\ufeff{}"),
+     refused('not valid JSON (Expecting value: line 1 column 11 (char 10))')),
+    ('{"a":[{}', refused("not valid JSON (Expecting ',' delimiter: line 1 column 9 (char 8))")),
+    ("{}]}", refused('not valid JSON (Extra data: line 1 column 3 (char 2))')),
+    ("{},{}", refused('not valid JSON (Extra data: line 1 column 3 (char 2))')),
+    ('{"detail":{},"kind":"BROADCAST_CALL","round":2,"subject":1,'
+     '"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
+     '{"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
     # The kinds of an older layout, whose facts the header's schedule fixes.
-    '{"detail":{"agent":0,"from":null,"to":1},"kind":"AGENT_MOVE","round":1,"subject":1}',
-    '{"detail":{"faulty_since":null},"kind":"CURED","round":1,"subject":0}',
-    send_line('{"kind":"SEND","source":0,"birth_round":1,'
-              '"payload":",\\"kind\\":\\"P2P_SEND\\",\\"round\\":1,\\"subject\\":0}"}'),
-    send_line('{"kind":"SEND","source":0,"birth_round":1,"payload":"x"},"to":"ALL"}'
-              ',"kind":"P2P_SEND","round":1,"subject":0}'),
-    send_line('{"kind":"ROUND","round_value":2}'),
-    send_line('{"kind":"ROUND","round_value":2}', to="[5,0,5]", round_=8, subject=5),
-    send_line('{"kind":"ROUND","round_value":2}', to="[1,6]"),
-    send_line('{"kind":"ROUND","round_value":2}', to='"SOME"'),
-    send_line('{"kind":"ROUND","round_value":2}', to="[true]"),
-    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,3,5]"),
-    send_line('{"kind":"ROUND","round_value":2}', senders="[]"),
-    send_line('{"kind":"ROUND","round_value":2}', subject=2, senders="[2,1]"),
-    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,1]"),
-    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,6]"),
-    send_line('{"kind":"ROUND","round_value":2}', senders="[-1,0]"),
-    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[true]"),
-    send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1.0]"),
-    send_line('{"kind":"ROUND","round_value":2}', senders='"0"'),
-    send_line('{"kind":"ROUND","round_value":2}', senders="null"),
-    send_line('{"kind":"ROUND","round_value":2}', to="[1]", senders="[0]"),
-    send_line('{"kind":"ROUND","round_value":2}', to='"SOME"', senders="[0]"),
-    '{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
-    '"kind":"P2P_SEND","round":1,"subject":0}',
-    '{"detail":{"messages":[{"kind":"ROUND","round_value":2}],"to":"ALL"},'
-    '"kind":"P2P_SEND","round":1,"subject":0}',
+    ('{"detail":{"agent":0,"from":null,"to":1},"kind":"AGENT_MOVE","round":1,"subject":1}',
+     refused("unknown kind 'AGENT_MOVE'")),
+    ('{"detail":{"faulty_since":null},"kind":"CURED","round":1,"subject":0}',
+     refused("unknown kind 'CURED'")),
+    (send_line('{"kind":"SEND","source":0,"birth_round":1,'
+               '"payload":",\\"kind\\":\\"P2P_SEND\\",\\"round\\":1,\\"subject\\":0}"}'),
+     '{"detail":{"from":[0],"messages":[{"birth_round":1,"kind":"SEND","payload":"'
+      ',\\"kind\\":\\"P2P_SEND\\",\\"round\\":1,\\"subject\\":0}","source":0}],"to":"ALL"}'
+      ',"kind":"P2P_SEND","round":1,"subject":0}'),
+    (send_line('{"kind":"SEND","source":0,"birth_round":1,"payload":"x"},"to":"ALL"}'
+               ',"kind":"P2P_SEND","round":1,"subject":0}'),
+     refused("not valid JSON (Expecting ',' delimiter: line 1 column 96 (char 95))")),
+    (send_line('{"kind":"ROUND","round_value":2}'), ITSELF),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[5,0,5]", round_=8, subject=5), ITSELF),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1,6]"),
+     refused("to [1, 6] is neither 'ALL' nor a list of receivers in 0..5")),
+    (send_line('{"kind":"ROUND","round_value":2}', to='"SOME"'),
+     refused("to 'SOME' is neither 'ALL' nor a list of receivers in 0..5")),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[true]"),
+     refused("to [True] is neither 'ALL' nor a list of receivers in 0..5")),
+    (send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,3,5]"), ITSELF),
+    (send_line('{"kind":"ROUND","round_value":2}', senders="[]"),
+     refused('from [] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (send_line('{"kind":"ROUND","round_value":2}', subject=2, senders="[2,1]"),
+     refused('from [2, 1] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,1]"),
+     refused('from [1, 1] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,6]"),
+     refused('from [1, 6] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (send_line('{"kind":"ROUND","round_value":2}', senders="[-1,0]"),
+     refused('from [-1, 0] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[true]"),
+     refused('from [True] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1.0]"),
+     refused('from [1.0] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (send_line('{"kind":"ROUND","round_value":2}', senders='"0"'),
+     refused("from '0' is not a non-empty, strictly increasing list of processes in 0..5")),
+    (send_line('{"kind":"ROUND","round_value":2}', senders="null"),
+     refused('from None is not a non-empty, strictly increasing list of processes in 0..5')),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1]", senders="[0]"),
+     refused('a send to a list of receivers has a from; its sender is its subject')),
+    (send_line('{"kind":"ROUND","round_value":2}', to='"SOME"', senders="[0]"),
+     refused("to 'SOME' is neither 'ALL' nor a list of receivers in 0..5")),
+    ('{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
+     '"kind":"P2P_SEND","round":1,"subject":0}',
+     refused("a send to 'ALL' has a message; it lists its messages")),
+    ('{"detail":{"messages":[{"kind":"ROUND","round_value":2}],"to":"ALL"},'
+     '"kind":"P2P_SEND","round":1,"subject":0}', refused("missing key 'from'")),
     # The fan-out of ``mbbc-trace/6``: one message beside "ALL".
-    '{"detail":{"from":[0],"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
-    '"kind":"P2P_SEND","round":1,"subject":0}',
-    '{"detail":{"from":[0],"message":{"kind":"ROUND","round_value":2},'
-    '"messages":[{"kind":"ROUND","round_value":2}],"to":"ALL"},"kind":"P2P_SEND","round":1,"subject":0}',
-    '{"detail":{"message":{"kind":"ROUND","round_value":2},'
-    '"messages":[{"kind":"ROUND","round_value":2}],"to":[1]},"kind":"P2P_SEND","round":1,"subject":0}',
-    fan_out_line("[]"),
-    fan_out_line("null"),
-    fan_out_line('{"kind":"ROUND","round_value":2}'),
-    fan_out_line('[{"kind":"ROUND","round_value":2},3]'),
-    fan_out_line('[{"kind":"ROUND","round_value":2},{"kind":"ROUND","round_value":3}]',
-                 senders="[1,4]", subject=1),
-    send_line('{"kind":"ROUND","round_value":2}', subject=3, senders="[1,3]"),
-    send_line("[]"),
-    '{"detail":{"to":"ALL"},"kind":"P2P_SEND","round":1,"subject":0}',
-    '{"detail":{"message":{}},"kind":"P2P_SEND","round":1,"subject":0}',
-    '{"detail":{"to":[9]},"kind":"DELIVER_CALL","round":1,"subject":0}',
-    deliver_line("[0]", instances='[{"payload":"x"}]'),
-    deliver_line("[0]", instances='[{"payload":"x","source":"1"}]'),
-    deliver_line("[0]", instances='[{"payload":"x","source":true}]'),
-    deliver_line("[0]", instances='[{"payload":5,"source":0}]'),
-    deliver_line("[0]", instances='[{"payload_hex":"zz","source":0}]'),
-    deliver_line("[0,2]", instances='[{"payload_hex":"00ff","source":5}]'),
-    deliver_line("[0]", instances="[]"),
-    deliver_line("[0]", instances="null"),
-    deliver_line("[0]", instances='{"payload":"x","source":0}'),
-    deliver_line("[0]", instances='[{"payload":"x","source":0},7]'),
-    deliver_line("[0]", instances='[{"payload":"x","source":0},{"payload":"x","source":0}]'),
-    deliver_line("[0]", instances='[{"payload":"y","source":0},{"payload":"x","source":0}]'),
-    deliver_line("[0]", instances='[{"payload":"x","source":1},{"payload":"y","source":0}]'),
-    deliver_line("[0]", instances='[{"payload":"x","source":0},{"payload_hex":"78","source":0}]'),
-    deliver_line("[0]", instances='[{"payload_hex":"00ff","source":0},{"payload":"x","source":0},'
-                                  '{"payload":"a","source":2}]'),
+    ('{"detail":{"from":[0],"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
+     '"kind":"P2P_SEND","round":1,"subject":0}',
+     refused("a send to 'ALL' has a message; it lists its messages")),
+    ('{"detail":{"from":[0],"message":{"kind":"ROUND","round_value":2},'
+     '"messages":[{"kind":"ROUND","round_value":2}],"to":"ALL"},"kind":"P2P_SEND","round":1,"subject":0}',
+     refused("a send to 'ALL' has a message; it lists its messages")),
+    ('{"detail":{"message":{"kind":"ROUND","round_value":2},'
+     '"messages":[{"kind":"ROUND","round_value":2}],"to":[1]},"kind":"P2P_SEND","round":1,"subject":0}',
+     refused('a send to a list of receivers has messages; it carries one message')),
+    (fan_out_line("[]"), refused('messages [] is not a non-empty list of JSON objects')),
+    (fan_out_line("null"), refused('messages None is not a non-empty list of JSON objects')),
+    (fan_out_line('{"kind":"ROUND","round_value":2}'),
+     refused("messages {'kind': 'ROUND', 'round_value': 2} is not a non-empty list of JSON "
+              'objects')),
+    (fan_out_line('[{"kind":"ROUND","round_value":2},3]'),
+     refused("messages [{'kind': 'ROUND', 'round_value': 2}, 3] is not a non-empty list of "
+              'JSON objects')),
+    (fan_out_line('[{"kind":"ROUND","round_value":2},{"kind":"ROUND","round_value":3}]',
+                  senders="[1,4]", subject=1), ITSELF),
+    (send_line('{"kind":"ROUND","round_value":2}', subject=3, senders="[1,3]"),
+     refused('subject 3 is not the first of its from list, 1')),
+    (send_line("[]"), refused('messages [[]] is not a non-empty list of JSON objects')),
+    ('{"detail":{"to":"ALL"},"kind":"P2P_SEND","round":1,"subject":0}',
+     refused("missing key 'messages'")),
+    ('{"detail":{"message":{}},"kind":"P2P_SEND","round":1,"subject":0}',
+     refused("missing key 'to'")),
+    ('{"detail":{"to":[9]},"kind":"DELIVER_CALL","round":1,"subject":0}',
+     refused("missing key 'instances'")),
+    (deliver_line("[0]", instances='[{"payload":"x"}]'), refused("missing key 'source'")),
+    (deliver_line("[0]", instances='[{"payload":"x","source":"1"}]'),
+     refused("source '1' is not an int")),
+    (deliver_line("[0]", instances='[{"payload":"x","source":true}]'),
+     refused('source True is not an int')),
+    (deliver_line("[0]", instances='[{"payload":5,"source":0}]'),
+     refused('payload 5 is not a string')),
+    (deliver_line("[0]", instances='[{"payload_hex":"zz","source":0}]'),
+     refused('non-hexadecimal number found in fromhex() arg at position 0')),
+    (deliver_line("[0,2]", instances='[{"payload_hex":"00ff","source":5}]'), ITSELF),
+    (deliver_line("[0]", instances="[]"),
+     refused('instances [] is not a non-empty list of JSON objects')),
+    (deliver_line("[0]", instances="null"),
+     refused('instances None is not a non-empty list of JSON objects')),
+    (deliver_line("[0]", instances='{"payload":"x","source":0}'),
+     refused("instances {'payload': 'x', 'source': 0} is not a non-empty list of JSON objects")),
+    (deliver_line("[0]", instances='[{"payload":"x","source":0},7]'),
+     refused("instances [{'payload': 'x', 'source': 0}, 7] is not a non-empty list of JSON "
+              'objects')),
+    (deliver_line("[0]", instances='[{"payload":"x","source":0},{"payload":"x","source":0}]'),
+     refused("instance {'payload': 'x', 'source': 0} does not follow the one before it in "
+              'strictly increasing (source, payload) order')),
+    (deliver_line("[0]", instances='[{"payload":"y","source":0},{"payload":"x","source":0}]'),
+     refused("instance {'payload': 'x', 'source': 0} does not follow the one before it in "
+              'strictly increasing (source, payload) order')),
+    (deliver_line("[0]", instances='[{"payload":"x","source":1},{"payload":"y","source":0}]'),
+     refused("instance {'payload': 'y', 'source': 0} does not follow the one before it in "
+              'strictly increasing (source, payload) order')),
+    (deliver_line("[0]", instances='[{"payload":"x","source":0},{"payload_hex":"78","source":0}]'),
+     refused("instance {'payload_hex': '78', 'source': 0} does not follow the one before "
+              'it in strictly increasing (source, payload) order')),
+    (deliver_line("[0]", instances='[{"payload_hex":"00ff","source":0},{"payload":"x","source":0},'
+                                   '{"payload":"a","source":2}]'), ITSELF),
     # The DELIVER_CALL of ``mbbc-trace/6``: one instance's keys in the detail.
-    compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":0}'),
-    compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"source":0}'),
-    compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"payload":"x"}'),
-    deliver_line("[0,1,5]"),
-    deliver_line(None),
-    deliver_line("[]"),
-    deliver_line("[2,1]", subject=2),
-    deliver_line("[1,1]", subject=1),
-    deliver_line("[1,6]", subject=1),
-    deliver_line("[-1,0]"),
-    deliver_line("[true]", subject=1),
-    deliver_line("[1.0]", subject=1),
-    deliver_line('"0"'),
-    deliver_line("null"),
-    deliver_line("[1,3]", subject=3),
-    deliver_line("[0]").replace('"DELIVER_CALL"', '"BROADCAST_CALL"'),
-    compute_line("BROADCAST_CALL", "{}"),
-    compute_line("BROADCAST_CALL", '{"payload_hex":"zz"}'),
-    compute_line("BROADCAST_CALL", '{"payload":"x","to":[9]}'),
-    compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"to":[9]}'),
+    (compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":0}'),
+     refused('a DELIVER_CALL has a source; its instances carry theirs')),
+    (compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"source":0}'),
+     refused('a DELIVER_CALL has a source; its instances carry theirs')),
+    (compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"payload":"x"}'),
+     refused('a DELIVER_CALL has a payload; its instances carry theirs')),
+    (deliver_line("[0,1,5]"), ITSELF),
+    (deliver_line(None), refused("missing key 'by'")),
+    (deliver_line("[]"),
+     refused('by [] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line("[2,1]", subject=2),
+     refused('by [2, 1] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line("[1,1]", subject=1),
+     refused('by [1, 1] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line("[1,6]", subject=1),
+     refused('by [1, 6] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line("[-1,0]"),
+     refused('by [-1, 0] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line("[true]", subject=1),
+     refused('by [True] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line("[1.0]", subject=1),
+     refused('by [1.0] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line('"0"'),
+     refused("by '0' is not a non-empty, strictly increasing list of processes in 0..5")),
+    (deliver_line("null"),
+     refused('by None is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line("[1,3]", subject=3), refused('subject 3 is not the first of its by list, 1')),
+    (deliver_line("[0]").replace('"DELIVER_CALL"', '"BROADCAST_CALL"'),
+     refused("missing key 'payload'")),
+    (compute_line("BROADCAST_CALL", "{}"), refused("missing key 'payload'")),
+    (compute_line("BROADCAST_CALL", '{"payload_hex":"zz"}'),
+     refused('non-hexadecimal number found in fromhex() arg at position 0')),
+    (compute_line("BROADCAST_CALL", '{"payload":"x","to":[9]}'), ITSELF),
+    (compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"to":[9]}'),
+     ITSELF),
 ]
 
 
+
 class TestReader:
-    @pytest.mark.parametrize("line", PARSER_TABLE)
-    def test_line_reads_as_the_per_line_parser_reads_it(self, line, monkeypatch):
-        text = "\n".join([HEADER, CORRUPTED, line]) + "\n"
-        fast = parse(text, monkeypatch, fast=True)
-        assert fast == parse(text, monkeypatch, fast=False)
-        if isinstance(fast, str):
-            assert fast.startswith("trace line 3: "), fast
+    @pytest.mark.parametrize(("line", "outcome"), PARSER_TABLE)
+    def test_line_reads_to_its_pinned_outcome(self, line, outcome):
+        expected = outcome if isinstance(outcome, Refused) else [CORRUPTED, outcome or line]
+        assert parse("\n".join([HEADER, CORRUPTED, line]) + "\n") == expected
 
-    def test_table_reads_as_one_trace_as_the_per_line_parser_reads_it(self, monkeypatch):
-        """The memo of detail texts is keyed by kind: a detail valid for one
-        kind is still checked for the next."""
-        lines = [line for line in PARSER_TABLE
-                 if not isinstance(parse(f"{HEADER}\n{line}\n", monkeypatch, True), str)]
-        assert len(lines) > 10
+    def test_table_reads_as_one_trace(self):
+        """The rows the reader accepts read as one trace to their pinned
+        events, and a detail valid for one kind is still checked for the
+        next: the last line's is a DELIVER_CALL's under P2P_SEND."""
+        rows = [(line, outcome) for line, outcome in PARSER_TABLE
+                if not isinstance(outcome, Refused)]
+        assert len(rows) > 10
+        lines = [line for line, _outcome in rows]
+        assert parse("\n".join([HEADER, *lines]) + "\n") == [
+            outcome or line for line, outcome in rows]
         text = "\n".join([HEADER, *lines, lines[-1].replace("DELIVER_CALL", "P2P_SEND")]) + "\n"
-        assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
-        assert parse(text, monkeypatch, True) == f"trace line {len(lines) + 2}: bad event line: missing key 'message'"
+        assert parse(text) == f"trace line {len(lines) + 2}: bad event line: missing key 'message'"
 
-    def test_deeply_nested_detail_reads_as_the_per_line_parser_reads_it(self, monkeypatch):
-        """A whole line nests one level deeper than its detail. At the first
-        depth where the per-line parser runs out of recursion, the detail
-        alone still parses, yet the fast path must reject the line too."""
-        def detail(depth: int) -> str:
-            return '{"x":' + "[" * depth + "]" * depth + "}"
-
+    def test_deeply_nested_detail_is_refused_on_its_own_line(self):
+        """From the first depth at which the parser runs out of recursion, a
+        line is refused as not valid JSON on its own line number, and no
+        RecursionError escapes."""
         def text(depth: int) -> str:
-            return f"{HEADER}\n{CORRUPTED.replace('{}', detail(depth))}\n"
+            detail = '{"x":' + "[" * depth + "]" * depth + "}"
+            return f"{HEADER}\n{CORRUPTED.replace('{}', detail)}\n"
 
         lo, hi = 1, 100_000
         while lo < hi:
             mid = (lo + hi) // 2
-            if isinstance(parse(text(mid), monkeypatch, fast=False), str):
+            if isinstance(parse(text(mid)), str):
                 hi = mid
             else:
                 lo = mid + 1
-        assert "not valid JSON" in parse(text(lo), monkeypatch, fast=False)
-        assert json.loads(detail(lo))
-        for depth in (lo - 1, lo, lo + 1, 100_000):
-            assert parse(text(depth), monkeypatch, True) == parse(text(depth), monkeypatch, False)
+        assert not isinstance(parse(text(lo - 1)), str)
+        for depth in (lo, lo + 1, 100_000):
+            refusal = parse(text(depth))
+            assert refusal.startswith("trace line 2: bad event line: not valid JSON ("), depth
 
-    def test_each_line_of_a_shared_fan_out_detail_names_its_first_sender(self, monkeypatch):
-        """Lines with one detail text share one parsed detail, but each line's
-        subject is still checked against that detail's first sender."""
+    def test_each_line_of_a_shared_fan_out_detail_names_its_first_sender(self):
+        """Two lines with one detail text: each line's subject is checked
+        against that detail's first sender."""
         good = send_line('{"kind":"ROUND","round_value":2}', subject=1, senders="[1,4]")
         text = "\n".join([HEADER, good, good.replace('"subject":1', '"subject":4')]) + "\n"
-        assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
-        assert parse(text, monkeypatch, True).startswith("trace line 3: bad event line: subject 4 ")
+        assert parse(text) == ("trace line 3: bad event line: "
+                               "subject 4 is not the first of its from list, 1")
 
-    def test_each_line_of_a_shared_deliver_call_detail_names_its_first_process(self, monkeypatch):
-        """As for a fan-out: a DELIVER_CALL's subject is checked against
-        ``by[0]`` on every line, also when its detail text was read before."""
+    def test_each_line_of_a_shared_deliver_call_detail_names_its_first_process(self):
+        """As for a fan-out: on each of two lines with one detail text, a
+        DELIVER_CALL's subject is checked against ``by[0]``."""
         good = deliver_line("[1,4]", subject=1)
         text = "\n".join([HEADER, good, good.replace('"subject":1', '"subject":4')]) + "\n"
-        assert parse(text, monkeypatch, True) == parse(text, monkeypatch, False)
-        assert parse(text, monkeypatch, True).startswith("trace line 3: bad event line: subject 4 ")
+        assert parse(text) == ("trace line 3: bad event line: "
+                               "subject 4 is not the first of its by list, 1")
 
-    def test_a_header_key_outside_the_four_is_named(self, monkeypatch):
+    def test_a_header_key_outside_the_four_is_named(self):
         header = HEADER.replace('"seed"', '"phase":"ORACLE","seed"')
-        assert parse(f"{header}\n{CORRUPTED}\n", monkeypatch, True) == (
+        assert parse(f"{header}\n{CORRUPTED}\n") == (
             "trace line 1: bad header line: unknown key 'phase'")
 
-    def test_equal_detail_texts_share_one_read_only_dict(self):
-        text = "\n".join([HEADER, CORRUPTED, CORRUPTED.replace('"subject":0', '"subject":3')]) + "\n"
-        first, second = Trace.from_jsonl(text).events
-        assert first.detail is second.detail
-
-    def test_every_bundled_event_line_takes_the_fast_path(self):
-        """A layout pattern that misses a kind (``[A-Z_]+`` misses P2P_SEND)
-        would send its lines down the per-line parser unnoticed."""
+    def test_bundled_traces_read_back_and_cover_every_kind(self):
         kinds = set()
         for trace in bundled_traces():
-            text = trace.to_jsonl()
-            read = engine._layout_reader(trace.config["n"], trace.config["horizon"])
-            assert [read(line) for line in text.splitlines()[1:]] == trace.events
-            assert Trace.from_jsonl(text) == trace
+            assert Trace.from_jsonl(trace.to_jsonl()) == trace
             kinds |= {ev.kind for ev in trace.events}
         assert kinds == set(engine.KINDS)
         # The header's schedule fixes the agents' moves and the cures.
