@@ -55,6 +55,13 @@ ORACLE and RECEIVE write nothing. The schedule in the header's config fixes
 the agents' moves and the cures, which ``FailureSchedule.host_of`` and
 ``deliver_oracle_events`` derive.
 
+A possessed process p writes its STATE_CORRUPTED in round r unless p was
+also possessed in round r-1 and held a state of the same digest then: the
+first round of each faulty span always has its event, and a stay that
+leaves the state's digest unchanged writes nothing more. So the digest of
+any possessed (p, r) is that of p's latest STATE_CORRUPTED at or before r
+within its span, which starts at ``FailureSchedule.faulty_span_start(p, r)``.
+
 A round's correct fan-outs are one P2P_SEND event per distinct list of
 senders, ``{"from": [senders], "messages": [m, …], "to": "ALL"}``: the
 senders strictly increasing, the subject ``from[0]``, and ``messages`` every
@@ -126,8 +133,9 @@ KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRU
 # The header's ``format``: per round, one P2P_SEND per list of fan-out
 # senders, listing its messages, or per dictated (sender, message); no
 # receipts, agent moves or cures; one DELIVER_CALL per list of delivering
-# processes, listing its (source, payload) instances.
-TRACE_FORMAT = "mbbc-trace/7"
+# processes, listing its (source, payload) instances; a STATE_CORRUPTED only
+# where a possessed process's digest is new to its stay.
+TRACE_FORMAT = "mbbc-trace/8"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
 
@@ -561,6 +569,8 @@ class Simulation:
         self._message_texts: dict[ProtocolMessage, str] = {}
         self._instances: dict[tuple[int, bytes], dict] = {}
         self._digests: dict[tuple, dict] = {}
+        # Last round's possessed processes, each to its STATE_CORRUPTED detail.
+        self._corrupted: dict[int, dict] = {}
         for b in config.broadcasts:
             self._broadcasts.setdefault(b.round, {}).setdefault(b.source, []).append(b.payload)
 
@@ -630,12 +640,16 @@ class Simulation:
         reading_key = (n, F)
         # Each class's outcome, its deliveries and its members in process order.
         classes: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]], list[int]]] = {}
+        # A possessed process writes its digest when it is new to its stay.
+        last_corrupted, corrupted = self._corrupted, {}
         for p in range(n):
             state = self.states[p]
             if p in faulty:
                 new_state = self.strategy.corrupt_state(p, r, obs)
                 self.states[p] = new_state
-                self._emit(r, KIND_STATE_CORRUPTED, p, self._corrupted_detail(new_state))
+                detail = corrupted[p] = self._corrupted_detail(new_state)
+                if detail != last_corrupted.get(p):
+                    self._emit(r, KIND_STATE_CORRUPTED, p, detail)
                 continue
             payloads = broadcasts.get(p)
             fold = tallies[p]
@@ -668,6 +682,7 @@ class Simulation:
             for by in delivered_by.values():
                 by.sort()
             self.trace.events += deliver_calls(r, delivered_by, self._instance)
+        self._corrupted = corrupted
 
     def _message(self, msg: ProtocolMessage) -> dict:
         """``msg.to_dict()``, built once per distinct message and shared read-only."""

@@ -40,6 +40,10 @@ def split_target_count(n: int, f: int) -> int:
 def attack_scenario(variant: VariantTag, n: int, f: int, delta_s: int, strategy: str,
                     seed: int = 0) -> ScenarioConfig:
     """One sweep cell: a full scenario for the given attack at the given sizes."""
+    if delta_s < 1:
+        # Every attack stays delta_s rounds on a host and times its broadcast by it.
+        raise InvalidScenario([f"delta_s={delta_s} must be >= 1 (sub-round residency is not "
+                               "executable)"])
     payload = b"sweep-payload"
     base = {
         "n": n, "f": f, "delta_s": delta_s, "delta_b": 2, "delta_c": 1,

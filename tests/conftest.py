@@ -10,15 +10,17 @@ import random
 from mbbc.checker import VIOLATED, PropertyReport, replay_witness
 from mbbc.demos import DemoResult, adapter_choices, adapter_output
 from mbbc.engine import (
+    KIND_BROADCAST_CALL,
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
+    KIND_STATE_CORRUPTED,
     Trace,
     TraceEvent,
     deliver_oracle_events,
     encode_line,
 )
 from mbbc.messages import ProtocolMessage, decode_payload
-from mbbc.protocol import VariantTag
+from mbbc.protocol import Variant, VariantTag
 from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import attack_scenario
 
@@ -119,15 +121,82 @@ def assert_deliver_call_layout(events: list[TraceEvent]) -> None:
         assert len(pairs) == len(set(pairs)), r
 
 
+def assert_corruption_layout(trace: Trace) -> None:
+    """The trace's STATE_CORRUPTED events in the ``mbbc-trace/8`` layout: at
+    most one per (process, round), each of a process possessed in its
+    round; the first round of every faulty span has one, which the header's
+    schedule fixes (``possessed_digests``); and each later one in a span
+    changes the digest of the round before."""
+    schedule = trace.scenario().resolved_schedule()
+    digests = possessed_digests(trace)
+    written = [(ev.subject, ev.round, ev.detail["state_digest"]) for ev in trace.events
+               if ev.kind == KIND_STATE_CORRUPTED]
+    assert len({(p, r) for p, r, _digest in written}) == len(written)
+    for p, r, digest in written:
+        assert schedule.is_faulty(p, r), (p, r)
+        if schedule.faulty_span_start(p, r) < r:
+            assert digest != digests[p, r - 1], (p, r)
+
+
+def possessed_details(trace: Trace) -> dict[tuple[int, int], dict]:
+    """Each possessed (process, round)'s STATE_CORRUPTED detail, in round
+    and then process order: the detail of the process's latest
+    STATE_CORRUPTED at or before the round within its faulty span, whose
+    start the header's schedule fixes (``faulty_span_start``). The first
+    round of a span must have its own event."""
+    schedule = trace.scenario().resolved_schedule()
+    written = {(ev.subject, ev.round): ev.detail for ev in trace.events
+               if ev.kind == KIND_STATE_CORRUPTED}
+    details: dict[tuple[int, int], dict] = {}
+    for r in range(1, schedule.horizon + 1):
+        for p in sorted(schedule.faulty_set(r)):
+            if (p, r) in written:
+                details[p, r] = written[p, r]
+            else:
+                assert schedule.faulty_span_start(p, r) < r, f"span of {p} at {r} has no digest"
+                details[p, r] = details[p, r - 1]
+    return details
+
+
+def possessed_digests(trace: Trace) -> dict[tuple[int, int], str]:
+    """Each possessed (process, round)'s state digest (``possessed_details``)."""
+    return {key: detail["state_digest"] for key, detail in possessed_details(trace).items()}
+
+
+# Where an event stands in its round: the SEND phase's events, then the
+# COMPUTE phase's STATE_CORRUPTED and BROADCAST_CALL events in subject order,
+# then its DELIVER_CALLs.
+_ROUND_PLACE = {KIND_P2P_SEND: 0, KIND_STATE_CORRUPTED: 1, KIND_BROADCAST_CALL: 1,
+                KIND_DELIVER_CALL: 2}
+
+
+def every_corruption_events(trace: Trace) -> list[TraceEvent]:
+    """The trace's events as the engine wrote them before ``mbbc-trace/8``:
+    one STATE_CORRUPTED per possessed process per round. Each one the trace
+    omits is put back with the detail ``possessed_details`` recovers, among
+    its round's STATE_CORRUPTED and BROADCAST_CALL events, which stand in
+    subject order; every other event keeps its place."""
+    written = {(ev.subject, ev.round) for ev in trace.events if ev.kind == KIND_STATE_CORRUPTED}
+    restored = [TraceEvent(r, KIND_STATE_CORRUPTED, p, detail)
+                for (p, r), detail in possessed_details(trace).items() if (p, r) not in written]
+
+    def place(ev: TraceEvent) -> tuple[int, int, int]:
+        spot = _ROUND_PLACE[ev.kind]
+        return ev.round, spot, ev.subject if spot == 1 else 0
+
+    return sorted(trace.events + restored, key=place)
+
+
 def previous_layout_events(trace: Trace) -> list[TraceEvent]:
     """The trace's events as the engine wrote them before ``mbbc-trace/6``:
-    ``ungrouped_events``, with each round's agent moves, by agent, and cure
-    notices, by process, before its traced events. The header's schedule
-    fixes both (``host_of`` and ``deliver_oracle_events``)."""
+    ``ungrouped_events`` of ``every_corruption_events``, with each round's
+    agent moves, by agent, and cure notices, by process, before its traced
+    events. The header's schedule fixes both (``host_of`` and
+    ``deliver_oracle_events``)."""
     config = trace.scenario()
     schedule = config.resolved_schedule()
     traced: dict[int, list[TraceEvent]] = {}
-    for ev in ungrouped_events(trace.events):
+    for ev in ungrouped_events(every_corruption_events(trace)):
         traced.setdefault(ev.round, []).append(ev)
     events = []
     for r in range(1, schedule.horizon + 1):
@@ -323,7 +392,14 @@ def arbitrary_config(seed: int) -> ScenarioConfig:
     kept), and state overrides and wipes. Half the forged SEND, ECHO, READY
     and ABORT messages name a broadcast's own (source, round, payload), so
     they can move a real instance's quorums. Freed processes send what the
-    script left in their queues, so fan-outs split into many sender lists."""
+    script left in their queues, so fan-outs split into many sender lists.
+
+    About half the scripts also split a broadcast's SEND: an agent that
+    holds the source in its SEND and ECHO rounds sends the source's SEND,
+    then its own ECHO, only to a strict subset of the processes correct in
+    both rounds. The subset holds F or (n+F)//2 of them, so its members'
+    folds read one ECHO above an ABORT or READY threshold that every other
+    correct fold stays at."""
     rng = random.Random(seed)
     variant = sorted(VARIANT_SETTINGS)[seed % 3]
     oracle, factor = VARIANT_SETTINGS[variant]
@@ -364,6 +440,19 @@ def arbitrary_config(seed: int) -> ScenarioConfig:
             state = rng.choice([None, "init", {"rc": rng.randrange(1, 8)},
                                 {"to_send": [message() for _ in range(rng.randrange(1, 4))]}])
             script.setdefault(str(r), {})[str(p)] = {"sends": sends, "state": state}
+
+    splits = [(p, r) for r in range(1, horizon - 2) for p in sorted(sched.faulty_set(r + 1))
+              if not sched.is_faulty(p, r) and sched.is_faulty(p, r + 2)]
+    if splits and rng.random() < 0.5:
+        source, birth = rng.choice(splits)
+        payload = f"b{len(broadcasts)}"
+        broadcasts.append({"source": source, "round": birth, "payload": payload})
+        F = Variant.for_tag(VariantTag(variant), f).effective_f
+        hearers = sorted(sched.correct_set(birth + 1) & sched.correct_set(birth + 2))
+        targets = rng.sample(hearers, min(len(hearers), rng.choice([F, (n + F) // 2])))
+        for r, kind in ((birth + 1, "SEND"), (birth + 2, "ECHO")):
+            m = {"kind": kind, "source": source, "birth_round": birth, "payload": payload}
+            script[str(r)][str(source)]["sends"] += [[q, m] for q in targets]
     return ScenarioConfig.from_dict({**base, "broadcasts": broadcasts,
                                      "strategy": {"kind": "ARBITRARY", "script": script}})
 

@@ -184,14 +184,20 @@ def test_sweep_skips_alternating_cells_below_2f_plus_1(tmp_path, caplog):
     (["--n-range", "4", "--f-range", "2", "--strategies", "alternating"], "leave no cell to run"),
     (["--n-range", "5", "--f-range", "1", "--strategies", "alternating,split,alternating"],
      "names strategy 'alternating' twice"),
+    # Only the flag's own problem, not the broadcast round derived from it.
+    pytest.param(["--n-range", "5", "--f-range", "1", "--delta-s", "0"],
+                 "invalid scenario: delta_s=0 must be >= 1 (sub-round residency is not executable)\n",
+                 id="delta_s-0"),
 ])
 def test_sweep_with_no_cells_to_run_exits_2(tmp_path, capsys, flags, named):
-    """A sweep range or strategy list that leaves nothing to run, or that
-    names a strategy twice, is invalid input, not an empty or doubled CSV."""
+    """A sweep range or strategy list that leaves nothing to run, that
+    names a strategy twice, or whose residency is below one round, is
+    invalid input, not an empty or doubled CSV."""
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and named in err, err
+    prefix = "invalid scenario:" if named.startswith("invalid scenario:") else "error:"
+    assert err.startswith(prefix) and named in err, err
     assert not out.exists()
 
 
@@ -473,7 +479,7 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 
 @pytest.mark.parametrize("command", ["check", "replay"])
 @pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5",
-                                 "mbbc-trace/6"])
+                                 "mbbc-trace/6", "mbbc-trace/7"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""

@@ -7,6 +7,7 @@ from conftest import (
     assert_deliver_call_layout,
     assert_violations_replay,
     choice_violations,
+    possessed_digests,
 )
 from mbbc import cli
 from mbbc.checker import NO_DUPLICATION, SATISFIED, VIOLATED, run_property_checks
@@ -96,20 +97,15 @@ class TestWipeFlipDemo:
             assert report.verdict == SATISFIED, report.property
 
     def test_target_state_digest_identical_at_cure(self):
-        # Both histories wipe the target to init in the same round: the last
-        # corruption events coincide, which is the local-indistinguishability core.
+        # Both histories wipe the target to init in the same round: the
+        # target's digests in that round coincide, which is the
+        # local-indistinguishability core.
         result = run_demo("THEOREM_4", {})
         wipe_round = result.config_first.strategy["wipe_round"]
         target = result.config_first.strategy["target"]
-
-        def corruption_digest(trace):
-            return [e.detail["state_digest"] for e in trace.events
-                    if e.kind == "STATE_CORRUPTED" and e.subject == target
-                    and e.round == wipe_round]
-
-        a = corruption_digest(result.trace_first)
-        b = corruption_digest(result.trace_second)
-        assert a and a == b
+        a = possessed_digests(result.trace_first)[target, wipe_round]
+        b = possessed_digests(result.trace_second)[target, wipe_round]
+        assert a == b
 
     def test_deliveries_differ_only_at_the_flip_target(self):
         result = run_demo("THEOREM_4", {})

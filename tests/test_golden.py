@@ -19,9 +19,11 @@ when a DELIVER_CALL came to list its processes and, with ``mbbc-trace/7``,
 its instances. These three renders put back the phase each line held before
 ``mbbc-trace/5``, read from its kind (``conftest.KIND_PHASE``), and the
 per-envelope one also puts back each round's AGENT_MOVE and CURED lines,
-which traces held before ``mbbc-trace/6``, from the header's schedule, and
+which traces held before ``mbbc-trace/6``, from the header's schedule,
 expands each grouped fan-out and DELIVER_CALL of ``mbbc-trace/7`` into one
-event per message and per instance (``conftest.previous_layout_events``).
+event per message and per instance, and puts back each STATE_CORRUPTED that
+``mbbc-trace/8`` omits while a possessed process's digest holds
+(``conftest.previous_layout_events``).
 
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
@@ -62,42 +64,42 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "1851abf31f5fccc6263ade76836da8eb97d672df2831780fe32e9ef0d8856034",
+        "2fd64a8169ad27055a985ee2204a772d2b5bb2ab6f4bce94ca8f2ed743a7c845",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "9ce7d89f48b7cab774ea19c5ccdc30d993e7db3e545343de58728a029109c2ac",
-        "0a99a4239ddb8892ca00a639ead24903235859a7b23000cf48179adb33fa9527"),
+        "79274e2de25957bfc072316013ed1fc1f707d7a7bf27e2163b7c353a2b356dc4",
+        "b565b1d7e2424a7619b181547bb51a6506f398ba7375d5cdec60f5d24028885e"),
     "bfa_forged_birth.json": (
-        "21137a7caa88bc460a3e6931c2813d8df39d05177ae8dae999002cf00eeea079",
+        "ebc72e442ca4d1e704f9fb02222f99ff3b420f4c9681baace52607cc9a669cc2",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "b87f0bcd98e999d9a1bb67ef3feecfbbaf52e2514e2b873c03dc49e2cdbc4d20",
+        "0e60345750ff61e52bf469af7897ae3ae66e74814766297c95473a2c5157fcf0",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "81267b29909472c315584cd2c15994f597476d5a962af1698abb7d79f7767be9",
+        "e65e451bcb28eb622debf612eb8af4b41e21ae4062ce8be331058e4294db6526",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "45411a030677324c8288949f794495e307601165a2ef4558cee596866e166783",
+        "91ecb17c9e412a3404182b1047604f07655b3a5958c32b4f19e85c23bea921a3",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "7f8c4fbb80cde773ce02b90865aa06f9fdca507800adddd510ea32167e92c60e",
+        "da2d59944609ac530693bef1b2eff36e49760e00eaea0d70233f775806e06bfb",
         "3ac542c815ed690f1f0b18b36830465ad3c364936fb2b3752eb9c6ee74facb78"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "2d626e84150f521fd43d8ea2844130f195cf637d13958ab3e62173ad84188a8d",
-        "5fec7fd6b233292a6e5591af1ea8a290bec1f4c2d82e904720094a4ab35deadb"),
+        "f9fc0eef3fde8f46b17a9869d223c0bd1cff5a07375c7178d1ee68f35749bbee",
+        "e3fd4933180e1f2d095f11c30d2ba1147997546fe63c169e16e773dcafb83ef6"),
     "THEOREM_3": (
-        "2d626e84150f521fd43d8ea2844130f195cf637d13958ab3e62173ad84188a8d",
-        "5fec7fd6b233292a6e5591af1ea8a290bec1f4c2d82e904720094a4ab35deadb"),
+        "f9fc0eef3fde8f46b17a9869d223c0bd1cff5a07375c7178d1ee68f35749bbee",
+        "e3fd4933180e1f2d095f11c30d2ba1147997546fe63c169e16e773dcafb83ef6"),
     "THEOREM_4": (
-        "550af5556f269d99b872b1cd1931e1873efe751cbe1b9542b4bbc92f976f0245",
-        "c3cd835f00ca5db2ebfec90f4572fb0fd19c52c274883745724c384b2a7a2a02"),
+        "b8d545e5c36071025bc5c2abd32d30d4689fb23397c2a5eb2d795fc90ce396a8",
+        "d30b7d6def539584c05a126aabdb85da7885034c7a51fa7e0de471ff6e243396"),
     "WIPE_FLIP": (
-        "550af5556f269d99b872b1cd1931e1873efe751cbe1b9542b4bbc92f976f0245",
-        "c3cd835f00ca5db2ebfec90f4572fb0fd19c52c274883745724c384b2a7a2a02"),
+        "b8d545e5c36071025bc5c2abd32d30d4689fb23397c2a5eb2d795fc90ce396a8",
+        "d30b7d6def539584c05a126aabdb85da7885034c7a51fa7e0de471ff6e243396"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -189,11 +191,11 @@ SWEEP_PINS = {
 # shape -> sha256 of its ALL_PROPERTIES report; the shapes are built by `conftest.shape_config`
 REPORT_PINS = {
     "bfa_weak_roundrobin": "3fd2e38c4799b0cb0020c279c8fdead558f66b0f81d3072e9a7ddee90ba953c6",
-    "bfa_weak_walk": "404cd32cd4a2a06cd573c624748bd805381aaedda30e0aee43c17552b1eb5490",
-    "ffa_full_walk": "aa0104643b0693308b3fcdfaebd720d99066a7603a33f846bceec1780864b8bf",
+    "bfa_weak_walk": "521581903eac44db0cc3acc43eaac695aae9c1af94f81d0341ca319f159c0d2b",
+    "ffa_full_walk": "be2841d61d092e6812e487a38a9b8cf8c2088ff8979d9e922cffbbd28b81b572",
     "nfa_weak_alternating_f2": "edd0ded40ebed16279e68f583b5764460d27b6bf582a1d8acd141ed583c72463",
     "nfa_weak_roundrobin": "50cb60bbf4623710fd04305d7bdd03c768488c0b454db9647f309d88c0738e2e",
-    "nfa_weak_walk": "d153dc979c3c00389228aaec62e43bc984edae00d4796ab6da72daa2e70658ae",
+    "nfa_weak_walk": "15839396373304b343313acae565fa96b4b97372cc69d2f92e077a1d6736ff32",
 }
 
 

@@ -1,12 +1,15 @@
-"""The ``mbbc-trace/7`` grouping on every trace the engine writes here: the
-bundled configs, both histories of every demo kind and a seeded pool of
-ARBITRARY scripts over the three variants (``conftest.arbitrary_config``).
+"""The ``mbbc-trace/8`` layout on every trace the engine writes here: the
+bundled configs, both histories of every demo kind, the longer shapes
+(``conftest.shape_config``) and a seeded pool of ARBITRARY scripts over the
+three variants (``conftest.arbitrary_config``).
 
 Per round, each (sender, message) fan-out stands in one P2P_SEND and each
 (process, instance) delivery in at most one DELIVER_CALL; the events are in
-first-message and first-instance order; and the trace reads back equal to
-itself. Over the pool, every violation replays from its witness, and the
-projection does not depend on how a trace groups its deliveries.
+first-message and first-instance order; a possessed process writes its
+STATE_CORRUPTED at the start of each faulty span and then only when its
+digest changes; and the trace reads back equal to itself. Over the pool,
+every violation replays from its witness, and the projection does not
+depend on how a trace groups its deliveries.
 """
 
 from dataclasses import replace
@@ -14,7 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import arbitrary_config, assert_deliver_call_layout, assert_fan_out_layout
+from conftest import (
+    SHAPES,
+    arbitrary_config,
+    assert_corruption_layout,
+    assert_deliver_call_layout,
+    assert_fan_out_layout,
+    possessed_details,
+    shape_config,
+)
 from mbbc.checker import (
     ALL_PROPERTIES,
     VIOLATED,
@@ -24,7 +35,7 @@ from mbbc.checker import (
     run_property_checks,
 )
 from mbbc.demos import run_demo
-from mbbc.engine import KIND_DELIVER_CALL, Trace, encode_line, run
+from mbbc.engine import KIND_DELIVER_CALL, KIND_STATE_CORRUPTED, Trace, encode_line, run
 from mbbc.messages import decode_payload
 from mbbc.scenario import ScenarioConfig
 
@@ -39,10 +50,13 @@ def case_traces(case: str) -> list[Trace]:
         return [result.trace_first, result.trace_second]
     if case.startswith("arbitrary-"):
         return [run(arbitrary_config(int(case.split("-")[1])))]
+    if case in SHAPES:
+        return [run(shape_config(case))]
     return [run(ScenarioConfig.from_json(next(p for p in CONFIGS if p.name == case).read_text()))]
 
 
-CASES = [p.name for p in CONFIGS] + DEMOS + [f"arbitrary-{seed}" for seed in ARBITRARY_SEEDS]
+CASES = ([p.name for p in CONFIGS] + DEMOS + list(SHAPES)
+         + [f"arbitrary-{seed}" for seed in ARBITRARY_SEEDS])
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -50,7 +64,23 @@ def test_grouped_layout_and_round_trip(case):
     for trace in case_traces(case):
         assert_fan_out_layout(trace.events)
         assert_deliver_call_layout(trace.events)
+        assert_corruption_layout(trace)
         assert Trace.from_jsonl(trace.to_jsonl()) == trace
+
+
+def test_possessed_digests_are_omitted_while_they_hold():
+    """The cases reach both sides of the omission rule: a stay that keeps
+    its digest writes fewer STATE_CORRUPTED events than it has rounds, and
+    one that changes it writes a later event."""
+    omitted = later = 0
+    for case in CASES:
+        for trace in case_traces(case):
+            details = possessed_details(trace)
+            written = [(ev.subject, ev.round) for ev in trace.events if ev.kind == KIND_STATE_CORRUPTED]
+            omitted += len(details) - len(written)
+            schedule = trace.scenario().resolved_schedule()
+            later += sum(schedule.faulty_span_start(p, r) < r for p, r in written)
+    assert omitted > 0 and later > 0
 
 
 def test_the_pool_groups_several_messages_and_instances_per_event():
