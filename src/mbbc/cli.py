@@ -29,7 +29,7 @@ from .checker import (
     run_property_checks,
 )
 from .demos import run_demo
-from .engine import Trace, deliver_oracle_events, delivered_instances, run
+from .engine import Trace, deliver_oracle_events, delivered_instances, event_lines, run
 from .model import spec_object
 from .protocol import VariantTag
 from .scenario import InvalidScenario, ScenarioConfig, UnsupportedSetting
@@ -216,13 +216,22 @@ def cmd_replay(args) -> int:
         print(f"replay identical: {fresh.sha256()}")
         return EXIT_OK
     print("replay diverged from the stored trace", file=sys.stderr)
-    # Past the end of the shorter side, its lines read as END_OF_TRACE.
-    lines = zip_longest(stored_text.splitlines(), fresh_text.splitlines(), fillvalue=END_OF_TRACE)
-    for i, (a, b) in enumerate(lines):
-        if a != b:
-            print(f"first divergence at line {i}:\n  stored: {a}\n  fresh:  {b}", file=sys.stderr)
-            break
+    stored_lines, fresh_lines = stored_text.splitlines(), fresh_text.splitlines()
+    i = next(i for i, (a, b) in enumerate(zip_longest(stored_lines, fresh_lines)) if a != b)
+    print(f"first divergence at line {i}:\n  stored: {_shown_line(stored, stored_lines, i)}\n"
+          f"  fresh:  {_shown_line(fresh, fresh_lines, i)}", file=sys.stderr)
     return EXIT_VIOLATION
+
+
+def _shown_line(trace: Trace, lines: list[str], i: int) -> str:
+    """Line ``i`` of the trace's ``lines`` as ``replay`` prints it: the
+    header as written, an event resolved, with every message and instance in
+    full, and END_OF_TRACE past the last line."""
+    if i >= len(lines):
+        return END_OF_TRACE
+    if i == 0:
+        return lines[0]
+    return event_lines(trace.events[i - 1:i])[0]
 
 
 def _parse_range(text: str, flag: str, low: int) -> list[int]:

@@ -91,6 +91,12 @@ simulation, and the events that carry it share it read-only. A
 STATE_CORRUPTED digest reads each queued message's JSON text, which is also
 encoded once per simulation, from the message's dict. Given a config (the
 seed is part of it), the trace is bit-reproducible.
+
+The JSONL (``Trace.to_jsonl``) writes each distinct message and instance in
+full once per trace, and cites it after that by its index in the trace's
+message or instance table (``event_lines``). In memory nothing is cited: a
+parsed trace's events share each message and instance the tables hold,
+read-only, as the engine's events share the dicts it builds.
 """
 
 from __future__ import annotations
@@ -134,8 +140,9 @@ KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRU
 # senders, listing its messages, or per dictated (sender, message); no
 # receipts, agent moves or cures; one DELIVER_CALL per list of delivering
 # processes, listing its (source, payload) instances; a STATE_CORRUPTED only
-# where a possessed process's digest is new to its stay.
-TRACE_FORMAT = "mbbc-trace/8"
+# where a possessed process's digest is new to its stay; each distinct message
+# and instance written in full once, and cited by its index after that.
+TRACE_FORMAT = "mbbc-trace/9"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
 
@@ -168,17 +175,29 @@ class TraceEvent(NamedTuple):
 _LINE_MIDDLES = {kind: f',"kind":"{kind}","round":' for kind in KINDS}
 
 
-def event_lines(events: Iterable[TraceEvent]) -> list[str]:
-    """Each event's trace line, equal to ``encode_line(ev.to_dict())``.
+def event_lines(events: Iterable[TraceEvent],
+                tables: tuple[dict[str, int], dict[str, int]] | None = None) -> list[str]:
+    """Each event's trace line.
+
+    Without ``tables`` each line is ``encode_line(ev.to_dict())`` and stands
+    alone, as a projection's lines must. ``tables`` is the (message,
+    instance) pair of citation tables, each mapping an object's encoded text
+    to its index: every object in a P2P_SEND's ``messages`` list (beside
+    ``"ALL"``) or its ``message`` (beside any other ``to``), or in a DELIVER_CALL's
+    ``instances``, is written in full at the first use of its text, which
+    appends the text to its table, and as its int index at every later use.
+    The tables are the caller's, so their definitions carry over from one
+    call to the next; ``Trace.to_jsonl`` passes empty ones.
 
     The outer layout is written from a template, and each detail object, and
     each send's message and ``to`` objects and each DELIVER_CALL's instances,
     is encoded once per call, by identity (a projection's groups share their
-    lists of receivers): the memo holds every object it has encoded, so no
-    id is reused while it lives. A detail must therefore stay unchanged
-    while its lines are written, which ``TraceEvent``'s contract (a
-    read-only detail) gives. An event whose kind, round or subject the
-    template does not cover is encoded whole.
+    lists of receivers): the memos hold every object they have encoded, so
+    no id is reused while they live. A detail's line is kept for a later
+    event that shares the detail only when it defines nothing. A detail must
+    therefore stay unchanged while its lines are written, which
+    ``TraceEvent``'s contract (a read-only detail) gives. An event whose
+    kind, round or subject the template does not cover is encoded whole.
     """
     encoded: dict[int, tuple[object, str]] = {}
 
@@ -187,6 +206,13 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
         if hit is None:
             hit = encoded[id(value)] = (value, encode_line(value))
         return hit[1]
+
+    if tables is None:
+        cite_message = cite_instance = encode
+        messages = instances = ()
+    else:
+        cite_message, cite_instance = map(_citer, tables)
+        messages, instances = tables
 
     lines = []
     for ev in events:
@@ -200,27 +226,79 @@ def event_lines(events: Iterable[TraceEvent]) -> list[str]:
             body = hit[1]
         elif type(detail) is not dict:
             body = encode(detail)
-        elif (kind == KIND_P2P_SEND and "message" in detail and "to" in detail
-                and len(detail) == 2 + ("from" in detail)):
-            senders = f'"from":{encode_line(detail["from"])},' if "from" in detail else ""
-            body = (f'{{{senders}"message":{encode(detail["message"])},'
-                    f'"to":{encode(detail["to"])}}}')
-            encoded[id(detail)] = (detail, body)
-        elif (kind == KIND_P2P_SEND and len(detail) == 3 and "from" in detail
-                and type(detail.get("messages")) is list and "to" in detail):
-            body = (f'{{"from":{encode_line(detail["from"])},'
-                    f'"messages":[{",".join(map(encode, detail["messages"]))}],'
-                    f'"to":{encode(detail["to"])}}}')
-            encoded[id(detail)] = (detail, body)
-        elif (kind == KIND_DELIVER_CALL and len(detail) == 2 and "by" in detail
-                and type(detail.get("instances")) is list):
-            body = (f'{{"by":{encode_line(detail["by"])},'
-                    f'"instances":[{",".join(map(encode, detail["instances"]))}]}}')
-            encoded[id(detail)] = (detail, body)
         else:
-            body = encode(detail)
+            before = len(messages) + len(instances)
+            if (kind == KIND_P2P_SEND and "message" in detail and "to" in detail
+                    and len(detail) == 2 + ("from" in detail) and detail["to"] != TO_ALL):
+                senders = f'"from":{encode_line(detail["from"])},' if "from" in detail else ""
+                body = (f'{{{senders}"message":{cite_message(detail["message"])},'
+                        f'"to":{encode(detail["to"])}}}')
+            elif (kind == KIND_P2P_SEND and len(detail) == 3 and "from" in detail
+                    and type(detail.get("messages")) is list and detail.get("to") == TO_ALL):
+                body = (f'{{"from":{encode_line(detail["from"])},'
+                        f'"messages":[{",".join(map(cite_message, detail["messages"]))}],'
+                        f'"to":{encode(detail["to"])}}}')
+            elif (kind == KIND_DELIVER_CALL and len(detail) == 2 and "by" in detail
+                    and type(detail.get("instances")) is list):
+                body = (f'{{"by":{encode_line(detail["by"])},'
+                        f'"instances":[{",".join(map(cite_instance, detail["instances"]))}]}}')
+            elif tables is not None and kind in (KIND_P2P_SEND, KIND_DELIVER_CALL):
+                body = encode_line(_cited_detail(kind, detail, cite_message, cite_instance))
+            else:
+                body = encode_line(detail)
+            if len(messages) + len(instances) == before:
+                encoded[id(detail)] = (detail, body)
         lines.append(f'{{"detail":{body}{middle}{rnd},"subject":{subject}}}')
     return lines
+
+
+def _citer(table: dict[str, int]) -> Callable[[object], str]:
+    """A writer of the objects of ``table``'s places: a JSON object in full
+    at the first use of its text, which appends the text to ``table``, and
+    as its index after that; any other value as it is. Each value is encoded
+    once, and its memo holds it, so no id is reused."""
+    written: dict[int, tuple[object, str]] = {}
+
+    def cite(value) -> str:
+        hit = written.get(id(value))
+        if hit is not None:
+            return hit[1]
+        text = later = encode_line(value)
+        if isinstance(value, dict):
+            size = len(table)
+            index = table.setdefault(text, size)
+            later = str(index)
+            if index != size:
+                text = later
+        written[id(value)] = (value, later)
+        return text
+
+    return cite
+
+
+def _cited_detail(kind: str, detail: dict, cite_message: Callable[[object], str],
+                  cite_instance: Callable[[object], str]) -> dict:
+    """A copy of a detail outside the template whose cited place holds each
+    object or its index, as ``cite_message`` or ``cite_instance`` writes it:
+    the place the reader resolves, a P2P_SEND's ``messages`` beside "ALL"
+    and its ``message`` otherwise, and a DELIVER_CALL's ``instances``."""
+    if kind == KIND_DELIVER_CALL:
+        key, cite = "instances", cite_instance
+    else:
+        key, cite = ("messages" if detail.get("to") == TO_ALL else "message"), cite_message
+    if key not in detail:
+        return detail
+
+    def cited(value):
+        text = cite(value)
+        return int(text) if text.isdigit() else value
+
+    value = detail[key]
+    if key == "message":
+        return {**detail, key: cited(value)}
+    if isinstance(value, (list, tuple)):
+        return {**detail, key: [cited(v) for v in value]}
+    return detail
 
 
 @dataclass
@@ -234,7 +312,7 @@ class Trace:
         header = {"fingerprint": self.fingerprint, "format": TRACE_FORMAT, "seed": self.seed,
                   "config": self.config}
         lines = [encode_line(header)]
-        lines.extend(event_lines(self.events))
+        lines.extend(event_lines(self.events, ({}, {})))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -247,15 +325,22 @@ class Trace:
         ``subject``: a known kind, a round in [1, horizon], a subject in
         [0, n) and a dict detail; any other key is named. A P2P_SEND's ``to``
         is either "ALL", beside a ``from`` of strictly increasing senders in
-        [0, n) whose first is the subject and a non-empty list of object
-        ``messages`` (no ``message``), or a list of receivers in [0, n)
-        beside an object ``message`` (no ``from`` or ``messages``). A DELIVER_CALL's ``by``
-        is a list of strictly increasing processes in [0, n) whose first is
-        the subject, and its ``instances`` a non-empty list of objects, each
-        with an int ``source`` and a payload that decodes, strictly
-        increasing in (source, payload) order; the detail itself holds no
-        ``source`` or payload. A BROADCAST_CALL's payload decodes. Each line
-        is parsed whole, and each event has a detail of its own.
+        [0, n) whose first is the subject and a non-empty list of
+        ``messages`` (no ``message``), or a non-empty, sorted list of
+        receivers in [0, n) beside a ``message`` (no ``from`` or
+        ``messages``). A DELIVER_CALL's ``by`` is a list of strictly
+        increasing processes in [0, n) whose first is the subject, and its
+        ``instances`` a non-empty list, strictly increasing in (source,
+        payload) order; the detail itself holds no ``source`` or payload. A
+        BROADCAST_CALL's payload decodes.
+
+        A message or an instance is a JSON object, which the reader appends
+        to the trace's message or instance table, or an int citing an entry
+        already there; an instance object holds an int ``source`` and a
+        payload that decodes, checked once, at its definition. Each line is
+        parsed whole, and each event has a detail of its own, but its
+        messages and instances are the table's objects, shared read-only by
+        every event that cites them.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -267,9 +352,10 @@ class Trace:
             fingerprint, seed, config = _header_fields(_json_object(line))
             n, horizon = config["n"], config["horizon"]
             what = "event"
+            tables = _Tables([], [], [])
             events = []
             for number, line in numbered[1:]:
-                events.append(_event(_json_object(line), n, horizon))
+                events.append(_event(_json_object(line), n, horizon, tables))
         except KeyError as exc:
             raise ValueError(f"trace line {number}: bad {what} line: missing key {exc}") from None
         except ValueError as exc:
@@ -321,7 +407,16 @@ def _header_fields(header: dict) -> tuple[str, int, dict]:
     return fingerprint, seed, config
 
 
-def _event(data: dict, n: int, horizon: int) -> TraceEvent:
+class _Tables(NamedTuple):
+    """The citation tables of a trace being read, in definition order: each
+    message, each instance and each instance's (source, payload)."""
+
+    messages: list[dict]
+    instances: list[dict]
+    instance_keys: list[tuple[int, bytes]]
+
+
+def _event(data: dict, n: int, horizon: int, tables: _Tables) -> TraceEvent:
     _only_keys(data, _EVENT_KEYS)
     event = TraceEvent.from_dict(data)
     if event.kind not in KINDS:
@@ -330,28 +425,48 @@ def _event(data: dict, n: int, horizon: int) -> TraceEvent:
         raise ValueError(f"round {shown(event.round)} outside 1..{horizon}")
     if not _is_int(event.subject) or not 0 <= event.subject < n:
         raise ValueError(f"subject {shown(event.subject)} outside 0..{n - 1}")
-    _check_detail(event.kind, event.detail, event.subject, n)
+    _check_detail(event.kind, event.detail, event.subject, n, tables)
     return event
 
 
-def _check_detail(kind: str, detail, subject: int, n: int) -> None:
+def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> None:
     """The detail keys a reader of the trace relies on; a missing one is a
     KeyError. The subject of a fan-out is its ``from[0]``, and of a
-    DELIVER_CALL its ``by[0]``."""
+    DELIVER_CALL its ``by[0]``. Each message and instance citation is
+    replaced, in place, by the table entry it cites."""
     if not isinstance(detail, dict):
         raise ValueError("detail is not a JSON object")
     if kind == KIND_P2P_SEND:
         to = detail["to"]
+        table = tables.messages
         if to == TO_ALL:
             if "message" in detail:
                 raise ValueError(f'a send to {TO_ALL!r} has a message; it lists its messages')
-            _non_empty_objects("messages", detail["messages"])
+            messages = detail["messages"]
+            if not (isinstance(messages, list) and messages):
+                raise _not_a_list("messages", messages)
+            for i, message in enumerate(messages):
+                if isinstance(message, dict):
+                    table.append(message)
+                elif isinstance(message, (int, float)):
+                    messages[i] = table[_citation("message", table, message)]
+                else:
+                    raise _not_a_list("messages", messages)
             _check_processes("from", detail["from"], subject, n)
             return
-        if not isinstance(detail["message"], dict):
+        message = detail["message"]
+        if isinstance(message, dict):
+            table.append(message)
+        elif isinstance(message, (int, float)):
+            detail["message"] = table[_citation("message", table, message)]
+        else:
             raise ValueError("message is not a JSON object")
         if not (isinstance(to, list) and all(_is_int(q) and 0 <= q < n for q in to)):
             raise ValueError(f"to {shown(to)} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
+        if not to:
+            raise ValueError("to [] names no receiver")
+        if to != sorted(to):
+            raise ValueError(f"to {shown(to)} is not sorted")
         if "from" in detail:
             raise ValueError("a send to a list of receivers has a from; its sender is its subject")
         if "messages" in detail:
@@ -360,11 +475,24 @@ def _check_detail(kind: str, detail, subject: int, n: int) -> None:
         for key in ("source", "payload", "payload_hex"):
             if key in detail:
                 raise ValueError(f"a DELIVER_CALL has a {key}; its instances carry theirs")
+        instances = detail["instances"]
+        if not (isinstance(instances, list) and instances):
+            raise _not_a_list("instances", instances)
+        table, keys = tables.instances, tables.instance_keys
         last = None
-        for instance in _non_empty_objects("instances", detail["instances"]):
-            if not _is_int(instance["source"]):
-                raise ValueError(f"source {shown(instance['source'])} is not an int")
-            key = (instance["source"], decode_payload(instance))
+        for i, instance in enumerate(instances):
+            if isinstance(instance, dict):
+                if not _is_int(instance["source"]):
+                    raise ValueError(f"source {shown(instance['source'])} is not an int")
+                key = (instance["source"], decode_payload(instance))
+                table.append(instance)
+                keys.append(key)
+            elif isinstance(instance, (int, float)):
+                index = _citation("instance", table, instance)
+                instances[i] = instance = table[index]
+                key = keys[index]
+            else:
+                raise _not_a_list("instances", instances)
             if last is not None and not last < key:
                 raise ValueError(f"instance {shown(instance)} does not follow the one before it "
                                  "in strictly increasing (source, payload) order")
@@ -374,11 +502,22 @@ def _check_detail(kind: str, detail, subject: int, n: int) -> None:
         decode_payload(detail)
 
 
-def _non_empty_objects(key: str, values) -> list:
-    """``values`` when it is a non-empty list of JSON objects."""
-    if not (isinstance(values, list) and values and all(isinstance(v, dict) for v in values)):
-        raise ValueError(f"{key} {shown(values)} is not a non-empty list of JSON objects")
-    return values
+def _not_a_list(key: str, values) -> ValueError:
+    """The refusal of a ``values`` that is not a non-empty list of JSON
+    objects and citations (numbers)."""
+    return ValueError(f"{key} {shown(values)} is not a non-empty list of JSON objects")
+
+
+def _citation(name: str, table: list, value) -> int:
+    """The index ``value`` cites in ``table``, the ``name`` objects defined so far."""
+    if not _is_int(value):
+        raise ValueError(f"{name} citation {shown(value)} is not an int")
+    if not 0 <= value < len(table):
+        if not table:
+            raise ValueError(f"{name} citation {value} cites nothing: no {name} is defined yet")
+        raise ValueError(f"{name} citation {value} is outside 0..{len(table) - 1}, "
+                         f"the {name}s defined so far")
+    return value
 
 
 def _check_processes(key: str, processes, subject: int, n: int) -> None:
@@ -476,12 +615,18 @@ def delivered_instances(events: Sequence[TraceEvent]
                         ) -> Iterator[tuple[int, int, list[int], int, bytes]]:
     """Each instance of each DELIVER_CALL as (event index, round, by, source,
     payload), in trace order: the instances of one event follow each other
-    and share its ``by`` list."""
+    and share its ``by`` list. Each instance object is decoded once; the
+    memo holds it, so no id is reused."""
+    decoded: dict[int, tuple[dict, int, bytes]] = {}
     for idx, ev in enumerate(events):
         if ev.kind == KIND_DELIVER_CALL:
             by = ev.detail["by"]
             for instance in ev.detail["instances"]:
-                yield idx, ev.round, by, instance["source"], decode_payload(instance)
+                hit = decoded.get(id(instance))
+                if hit is None:
+                    hit = decoded[id(instance)] = (instance, instance["source"],
+                                                   decode_payload(instance))
+                yield idx, ev.round, by, hit[1], hit[2]
 
 
 def instance_detail(source: int, payload: bytes) -> dict:

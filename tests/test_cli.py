@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,10 @@ import pytest
 from conftest import golden_correct_source
 import mbbc
 from mbbc import cli
-from mbbc.engine import TRACE_FORMAT, Trace
+from mbbc.engine import TRACE_FORMAT, Trace, event_lines, run
 from mbbc.sweeps import attack_scenario
 from mbbc.protocol import VariantTag
-from mbbc.scenario import MAX_HORIZON, MAX_N
+from mbbc.scenario import MAX_HORIZON, MAX_N, ScenarioConfig
 
 
 def child_env(**extra) -> dict:
@@ -412,6 +413,12 @@ def deliver_call(by: str | None, subject: int = 1, instances: str = '[{"payload"
      '"kind":"P2P_SEND","round":2,"subject":0}\n', 2),
     (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"SOME"},'
      '"kind":"P2P_SEND","round":2,"subject":0}\n', 2),
+    pytest.param(GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":[3,1]},'
+                 '"kind":"P2P_SEND","round":2,"subject":0}\n', 2, id="to-unsorted"),
+    pytest.param(GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":[]},'
+                 '"kind":"P2P_SEND","round":2,"subject":0}\n', 2, id="to-empty"),
+    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + '\n{"detail":{"message":0,"to":[1]},'
+                 '"kind":"P2P_SEND","round":2,"subject":0}\n', 3, id="message-citation-undefined"),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + "\n" + fan_out("[]", 0) + "\n", 3, id="from-empty"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[2,1]", 2) + "\n", 2, id="from-unsorted"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[1,1]", 1) + "\n", 2, id="from-duplicate"),
@@ -479,7 +486,7 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 
 @pytest.mark.parametrize("command", ["check", "replay"])
 @pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5",
-                                 "mbbc-trace/6", "mbbc-trace/7"])
+                                 "mbbc-trace/6", "mbbc-trace/7", "mbbc-trace/8"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""
@@ -756,10 +763,14 @@ def test_replay_roundtrip_and_divergence(tmp_path, golden_config_path, capsys):
 def test_replay_of_a_prefix_trace_names_the_first_line_past_it(tmp_path, golden_config_path,
                                                                capsys, edit):
     """A stored trace that is a line-for-line prefix of the fresh one, or
-    extends it, diverges at the first line past the shorter side."""
+    extends it, diverges at the first line past the shorter side. The line
+    past it is printed resolved, every message and instance in full, as
+    ``event_lines`` writes it without citation tables: the repeated last
+    line of the extended trace re-encodes with citations."""
     trace = tmp_path / "trace.jsonl"
     cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
-    lines = trace.read_text().splitlines()
+    text = trace.read_text()
+    lines = text.splitlines()
     last = len(lines) - 1
     stored = lines[:-1] if edit == "truncated" else lines + [lines[-1]]
     trace.write_text("\n".join(stored) + "\n")
@@ -767,9 +778,49 @@ def test_replay_of_a_prefix_trace_names_the_first_line_past_it(tmp_path, golden_
     assert cli.main(["replay", "--trace", str(trace)]) == 1
     err = capsys.readouterr().err
     at = last if edit == "truncated" else last + 1
-    stored_line, fresh_line = ((cli.END_OF_TRACE, lines[-1]) if edit == "truncated"
-                               else (lines[-1], cli.END_OF_TRACE))
+    resolved, = event_lines(Trace.from_jsonl(text).events[-1:])
+    assert resolved != lines[-1]
+    stored_line, fresh_line = ((cli.END_OF_TRACE, resolved) if edit == "truncated"
+                               else (resolved, cli.END_OF_TRACE))
     assert f"first divergence at line {at}:\n  stored: {stored_line}\n  fresh:  {fresh_line}" in err
+
+
+def test_replay_prints_diverging_events_resolved(tmp_path, capsys):
+    """A stored trace whose first differing event cites its instances: both
+    sides print that event with every instance in full."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "nfa_alternating_n7.json"
+    fresh = run(ScenarioConfig.from_json(config.read_text()))
+    lines = fresh.to_jsonl().splitlines()
+    index = next(i for i, ev in enumerate(fresh.events)
+                 if '"instances":[0' in lines[i + 1] and len(ev.detail["by"]) > 1)
+    event = fresh.events[index]
+    edited = event._replace(detail={**event.detail, "by": event.detail["by"][:-1]})
+    stored = replace(fresh, events=[*fresh.events[:index], edited, *fresh.events[index + 1:]])
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(stored.to_jsonl())
+    capsys.readouterr()
+    assert cli.main(["replay", "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    shown_stored, shown_fresh = event_lines([edited, event])
+    assert '"instances":[{' in shown_fresh
+    assert (f"first divergence at line {index + 1}:\n  stored: {shown_stored}\n"
+            f"  fresh:  {shown_fresh}") in err
+
+
+def test_replay_prints_diverging_headers_as_written(tmp_path, golden_config_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(golden_config_path.read_text()), "seed": 99}))
+    fresh = tmp_path / "fresh.jsonl"
+    cli.main(["run", "--config", str(other), "--out", str(fresh)])
+    capsys.readouterr()
+    assert cli.main(["replay", "--config", str(other), "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    stored_header = trace.read_text().splitlines()[0]
+    fresh_header = fresh.read_text().splitlines()[0]
+    assert (f"first divergence at line 0:\n  stored: {stored_header}\n"
+            f"  fresh:  {fresh_header}") in err
 
 
 def test_replay_of_a_float_round_value_diverges(tmp_path, golden_config_path, capsys):

@@ -23,7 +23,9 @@ which traces held before ``mbbc-trace/6``, from the header's schedule,
 expands each grouped fan-out and DELIVER_CALL of ``mbbc-trace/7`` into one
 event per message and per instance, and puts back each STATE_CORRUPTED that
 ``mbbc-trace/8`` omits while a possessed process's digest holds
-(``conftest.previous_layout_events``).
+(``conftest.previous_layout_events``). Each render reads the parsed
+trace, whose citations of ``mbbc-trace/9`` are resolved, so none depends
+on which message or instance a line writes in full.
 
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
@@ -64,42 +66,42 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "2fd64a8169ad27055a985ee2204a772d2b5bb2ab6f4bce94ca8f2ed743a7c845",
+        "2bbdde3c18786a7e25e132fd932ca9f1be9c8398702bc0fd130e1ba79193a7fa",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "79274e2de25957bfc072316013ed1fc1f707d7a7bf27e2163b7c353a2b356dc4",
+        "139b15605feccf3e211cc25dd7a259e189e409a474f351ef96d223086d9221d6",
         "b565b1d7e2424a7619b181547bb51a6506f398ba7375d5cdec60f5d24028885e"),
     "bfa_forged_birth.json": (
-        "ebc72e442ca4d1e704f9fb02222f99ff3b420f4c9681baace52607cc9a669cc2",
+        "5195f5d40426f0c9ba496fc83f2ff24d5e7d0f32ecdb5d654ccee94efb886afd",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "0e60345750ff61e52bf469af7897ae3ae66e74814766297c95473a2c5157fcf0",
+        "b2e3bc9e217a3cc207017077fa44044eb8e42b87151f22f4b2c3723978a4c29e",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "e65e451bcb28eb622debf612eb8af4b41e21ae4062ce8be331058e4294db6526",
+        "7b32b712eef34469ff2f9253f3c311b54639c230ecb1fdc5d4018a33bc95987d",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "91ecb17c9e412a3404182b1047604f07655b3a5958c32b4f19e85c23bea921a3",
+        "a5d20b58c7134bda909e0f2c0842540393973642e209937d682204940ccc81fe",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "nfa_alternating_n7.json": (
-        "da2d59944609ac530693bef1b2eff36e49760e00eaea0d70233f775806e06bfb",
+        "cd3ce0ccee45164d9468d944724196469051577a868c9d4359d32686412cb472",
         "3ac542c815ed690f1f0b18b36830465ad3c364936fb2b3752eb9c6ee74facb78"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "f9fc0eef3fde8f46b17a9869d223c0bd1cff5a07375c7178d1ee68f35749bbee",
-        "e3fd4933180e1f2d095f11c30d2ba1147997546fe63c169e16e773dcafb83ef6"),
+        "766cfaee4d290b8848740f71187d6757d48e31500b19426106117568b080fd3a",
+        "83d029bb41ab719cf77539f92b67919c25efe1ff6b2ab8c9599033665ee401a3"),
     "THEOREM_3": (
-        "f9fc0eef3fde8f46b17a9869d223c0bd1cff5a07375c7178d1ee68f35749bbee",
-        "e3fd4933180e1f2d095f11c30d2ba1147997546fe63c169e16e773dcafb83ef6"),
+        "766cfaee4d290b8848740f71187d6757d48e31500b19426106117568b080fd3a",
+        "83d029bb41ab719cf77539f92b67919c25efe1ff6b2ab8c9599033665ee401a3"),
     "THEOREM_4": (
-        "b8d545e5c36071025bc5c2abd32d30d4689fb23397c2a5eb2d795fc90ce396a8",
-        "d30b7d6def539584c05a126aabdb85da7885034c7a51fa7e0de471ff6e243396"),
+        "8e56f67e22be069b5b684f58a01e65800b7df4b424ee793efb093c661f1caa43",
+        "e7dd5623cfd8e9aa41b0a1e2402aafd2204b30cad93c2c739a963748f110acf6"),
     "WIPE_FLIP": (
-        "b8d545e5c36071025bc5c2abd32d30d4689fb23397c2a5eb2d795fc90ce396a8",
-        "d30b7d6def539584c05a126aabdb85da7885034c7a51fa7e0de471ff6e243396"),
+        "8e56f67e22be069b5b684f58a01e65800b7df4b424ee793efb093c661f1caa43",
+        "e7dd5623cfd8e9aa41b0a1e2402aafd2204b30cad93c2c739a963748f110acf6"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:

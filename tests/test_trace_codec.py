@@ -1,7 +1,10 @@
-"""The trace codec: the line writer writes exactly ``encode_line(ev.to_dict())``
-per event, and the reader parses each line whole, to a pinned event or a
-pinned error naming the line."""
+"""The trace codec: without citation tables the line writer writes exactly
+``encode_line(ev.to_dict())`` per event; with them, as ``Trace.to_jsonl``
+writes, it writes those lines with every message and instance after the first
+of its text cited by its index (``cited``). The reader parses each line
+whole, to a pinned event or a pinned error naming the line."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,47 @@ def per_line_events(trace: Trace) -> list[str]:
     return [encode_line(ev.to_dict()) for ev in trace.events]
 
 
+def cited(lines: list[str]) -> list[str]:
+    """The ``mbbc-trace/9`` citation pass over uncited event lines, written
+    out literally. In line order and then list order, each JSON object in a
+    P2P_SEND's ``messages`` (beside ``"ALL"``) or its ``message`` (beside
+    anything else), and in a DELIVER_CALL's ``instances``, is kept in full
+    the first time its text appears in its table, and replaced by the index
+    of that first appearance after that."""
+    tables: dict[str, dict[str, int]] = {KIND_P2P_SEND: {}, KIND_DELIVER_CALL: {}}
+    out = []
+    for line in lines:
+        event = json.loads(line)
+        kind, detail = event["kind"], event["detail"]
+        if isinstance(kind, str) and kind in tables and isinstance(detail, dict):
+            table = tables[kind]
+
+            def cite(value):
+                if not isinstance(value, dict):
+                    return value
+                text = encode_line(value)
+                if text in table:
+                    return table[text]
+                table[text] = len(table)
+                return value
+
+            if kind == KIND_DELIVER_CALL:
+                key = "instances"
+            else:
+                key = "messages" if detail.get("to") == "ALL" else "message"
+            if key == "message" and key in detail:
+                detail[key] = cite(detail[key])
+            elif isinstance(detail.get(key), list):
+                detail[key] = [cite(value) for value in detail[key]]
+        out.append(encode_line(event))
+    return out
+
+
+# Empty (message, instance) citation tables, as ``Trace.to_jsonl`` starts from.
+def tables() -> tuple[dict[str, int], dict[str, int]]:
+    return {}, {}
+
+
 def bundled_traces() -> list[Trace]:
     traces = [run(ScenarioConfig.from_json(path.read_text())) for path in CONFIGS]
     for kind in DEMOS:
@@ -85,20 +129,28 @@ def parse(text: str):
 
 
 class TestWriter:
-    def test_bundled_traces_write_as_per_event_lines(self):
+    def test_bundled_traces_write_as_cited_per_event_lines(self):
+        cites = 0
         for trace in bundled_traces():
-            assert trace.to_jsonl().splitlines()[1:] == per_line_events(trace)
+            lines = trace.to_jsonl().splitlines()[1:]
+            assert lines == cited(per_line_events(trace))
+            cites += lines != per_line_events(trace)
+        assert cites > 0
 
     @pytest.mark.parametrize("values", [("1", "true", "1.0", "1"), ("0.0", "-0.0", "0", "0.0")])
     def test_equal_round_values_of_other_types_rewrite_byte_for_byte(self, values):
         """``True == 1 == 1.0`` and ``0.0 == -0.0``, but JSON writes each
-        differently: a memo must not write one as another."""
+        differently: a memo must not write one as another, and a table must
+        not cite one for another. Only the fourth message repeats the text
+        of the first, and only it is cited."""
         lines = [send_line(f'{{"kind":"ROUND","round_value":{v}}}', subject=s)
                  for s, v in enumerate(values)]
-        text = "\n".join([HEADER, *lines]) + "\n"
-        trace = Trace.from_jsonl(text)
-        assert trace.to_jsonl() == text
-        assert trace.to_jsonl().splitlines()[1:] == per_line_events(trace)
+        trace = Trace.from_jsonl("\n".join([HEADER, *lines]) + "\n")
+        assert per_line_events(trace) == lines
+        written = trace.to_jsonl()
+        assert written.splitlines()[1:] == cited(lines) == [*lines[:3], send_line("0", subject=3)]
+        assert Trace.from_jsonl(written) == trace
+        assert Trace.from_jsonl(written).to_jsonl() == written
 
     def test_memo_keeps_types_apart_on_built_events(self):
         values = [1, True, 1.0, 0.0, -0.0, 0, False, None, "1"]
@@ -112,7 +164,9 @@ class TestWriter:
                               {"by": [0], "instances": [{"payload": "x", "source": v}]})
                    for v in values]
         events += [TraceEvent(1, "STATE_CORRUPTED", 0, {"state_digest": v}) for v in values]
-        assert event_lines(events) == [encode_line(ev.to_dict()) for ev in events]
+        lines = [encode_line(ev.to_dict()) for ev in events]
+        assert event_lines(events) == lines
+        assert event_lines(events, tables()) == cited(lines)
 
     @pytest.mark.parametrize("event", [
         TraceEvent(1.0, "STATE_CORRUPTED", 0, {}),
@@ -140,7 +194,9 @@ class TestWriter:
         TraceEvent(-1, "STATE_CORRUPTED", 7, {}),
     ])
     def test_event_outside_the_template_writes_as_before(self, event):
-        assert event_lines([event, event]) == [encode_line(event.to_dict())] * 2
+        lines = [encode_line(event.to_dict())] * 2
+        assert event_lines([event, event]) == lines
+        assert event_lines([event, event], tables()) == cited(lines)
 
     def test_fresh_details_of_a_generator_write_as_per_event_lines(self):
         """The memo goes by identity and holds what it encoded: each event
@@ -160,7 +216,51 @@ class TestWriter:
                 yield TraceEvent(1, KIND_DELIVER_CALL, 0,
                                  {"by": [i], "instances": [{"payload": str(i), "source": -i}]})
 
-        assert event_lines(events(300)) == [encode_line(ev.to_dict()) for ev in events(300)]
+        lines = [encode_line(ev.to_dict()) for ev in events(300)]
+        assert event_lines(events(300)) == lines
+        assert event_lines(events(300), tables()) == cited(lines)
+
+    def test_a_shared_detail_defines_its_objects_at_its_first_line_only(self):
+        """The detail memo keeps a line only when it defines nothing: the
+        second event of a shared detail cites what the first defined."""
+        fan_out = {"from": [0, 1], "messages": [{"kind": "ROUND", "round_value": 2}], "to": "ALL"}
+        dictated = {"message": {"kind": "ROUND", "round_value": 3}, "to": [1, 1]}
+        deliver = {"by": [0], "instances": [{"payload": "x", "source": 0}]}
+        events = [TraceEvent(r, kind, 0, detail) for detail, kind in [
+            (fan_out, KIND_P2P_SEND), (dictated, KIND_P2P_SEND), (deliver, KIND_DELIVER_CALL)]
+            for r in (1, 2)]
+        lines = [encode_line(ev.to_dict()) for ev in events]
+        written = event_lines(events, tables())
+        assert written == cited(lines)
+        assert [line.count('"kind":"ROUND"') + line.count('"source"') for line in written] == [
+            1, 0, 1, 0, 1, 0]
+
+    def test_details_with_a_key_outside_the_template_cite_as_the_reader_resolves(self):
+        """The reader keeps a key it does not know, so a detail that holds
+        one is written whole, its cited place cited all the same."""
+        message, instance = {"kind": "ROUND", "round_value": 2}, {"payload": "x", "source": 0}
+        details = [(KIND_P2P_SEND, {"from": [0], "messages": [message], "to": "ALL", "note": 1}),
+                   (KIND_P2P_SEND, {"message": message, "to": [1], "note": 1}),
+                   (KIND_DELIVER_CALL, {"by": [0], "instances": [instance], "note": 1}),
+                   (KIND_DELIVER_CALL, {"by": [0], "instances": [instance], "note": 2})]
+        trace = Trace("x", 0, {"horizon": 8, "n": 6},
+                      [TraceEvent(1, kind, 0, detail) for kind, detail in details])
+        lines = trace.to_jsonl().splitlines()[1:]
+        assert lines == cited(per_line_events(trace))
+        assert ['"message":0' in lines[1], '"instances":[0]' in lines[3]] == [True, True]
+        assert Trace.from_jsonl(trace.to_jsonl()) == trace
+
+    def test_tables_carry_their_definitions_from_call_to_call(self):
+        events = [TraceEvent(1, KIND_DELIVER_CALL, 0, {"by": [0], "instances": [
+            {"payload": "x", "source": 0}, {"payload": "y", "source": 0}]})]
+        messages, instances = shared = tables()
+        first, = event_lines(events, shared)
+        again, = event_lines(events, shared)
+        assert (messages, instances) == ({}, {'{"payload":"x","source":0}': 0,
+                                             '{"payload":"y","source":0}': 1})
+        assert first == encode_line(events[0].to_dict())
+        assert again == first.replace('[{"payload":"x","source":0},{"payload":"y","source":0}]',
+                                      "[0,1]")
 
     def test_projection_with_dictated_sends_writes_as_per_event_lines(self):
         dictated = 0
@@ -185,7 +285,9 @@ class TestWriter:
 # Each row of ``PARSER_TABLE`` is a line and what the reader makes of it as
 # the third line of a trace, after HEADER and CORRUPTED: either the event it
 # reads to, written back as its canonical line (ITSELF when that is the line
-# itself), or ``refused(reason)``, the exact ValueError naming line 3.
+# itself), or ``refused(reason)``, the exact ValueError naming line 3. A
+# refused row may hold two lines, the first of which reads; its ValueError
+# names line 4.
 ITSELF = None
 
 
@@ -193,8 +295,8 @@ class Refused(str):
     """A row's outcome when the reader refuses its line: the ValueError text."""
 
 
-def refused(reason: str) -> Refused:
-    return Refused(f"trace line 3: bad event line: {reason}")
+def refused(reason: str, line: int = 3) -> Refused:
+    return Refused(f"trace line {line}: bad event line: {reason}")
 
 
 PARSER_TABLE = [
@@ -265,7 +367,12 @@ PARSER_TABLE = [
                ',"kind":"P2P_SEND","round":1,"subject":0}'),
      refused("not valid JSON (Expecting ',' delimiter: line 1 column 96 (char 95))")),
     (send_line('{"kind":"ROUND","round_value":2}'), ITSELF),
-    (send_line('{"kind":"ROUND","round_value":2}', to="[5,0,5]", round_=8, subject=5), ITSELF),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[5,0,5]", round_=8, subject=5),
+     refused("to [5, 0, 5] is not sorted")),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[0,5,5]", round_=8, subject=5), ITSELF),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1,1]"), ITSELF),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[3,1]"), refused("to [3, 1] is not sorted")),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[]"), refused("to [] names no receiver")),
     (send_line('{"kind":"ROUND","round_value":2}', to="[1,6]"),
      refused("to [1, 6] is neither 'ALL' nor a list of receivers in 0..5")),
     (send_line('{"kind":"ROUND","round_value":2}', to='"SOME"'),
@@ -316,8 +423,24 @@ PARSER_TABLE = [
      refused("messages {'kind': 'ROUND', 'round_value': 2} is not a non-empty list of JSON "
               'objects')),
     (fan_out_line('[{"kind":"ROUND","round_value":2},3]'),
-     refused("messages [{'kind': 'ROUND', 'round_value': 2}, 3] is not a non-empty list of "
-              'JSON objects')),
+     refused("message citation 3 is outside 0..0, the messages defined so far")),
+    # Citations: an int in [0, entries so far) of the place's own table.
+    (fan_out_line("[true]"), refused("message citation True is not an int")),
+    (fan_out_line("[1.0]"), refused("message citation 1.0 is not an int")),
+    (fan_out_line('[{"kind":"ROUND","round_value":2},-1]'),
+     refused("message citation -1 is outside 0..0, the messages defined so far")),
+    (fan_out_line("[0]"), refused("message citation 0 cites nothing: no message is defined yet")),
+    (send_line("0", to="[1]"), refused("message citation 0 cites nothing: no message is defined yet")),
+    (send_line("false", to="[1]"), refused("message citation False is not an int")),
+    (send_line('"m"', to="[1]"), refused("message is not a JSON object")),
+    (deliver_line("[0]", instances="[0]"),
+     refused("instance citation 0 cites nothing: no instance is defined yet")),
+    (deliver_line("[0]", instances="[1e0]"), refused("instance citation 1.0 is not an int")),
+    (deliver_line("[0]") + "\n" + send_line("0", to="[1]"),
+     refused("message citation 0 cites nothing: no message is defined yet", line=4)),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1]") + "\n"
+     + deliver_line("[0]", instances="[0]"),
+     refused("instance citation 0 cites nothing: no instance is defined yet", line=4)),
     (fan_out_line('[{"kind":"ROUND","round_value":2},{"kind":"ROUND","round_value":3}]',
                   senders="[1,4]", subject=1), ITSELF),
     (send_line('{"kind":"ROUND","round_value":2}', subject=3, senders="[1,3]"),
@@ -346,8 +469,7 @@ PARSER_TABLE = [
     (deliver_line("[0]", instances='{"payload":"x","source":0}'),
      refused("instances {'payload': 'x', 'source': 0} is not a non-empty list of JSON objects")),
     (deliver_line("[0]", instances='[{"payload":"x","source":0},7]'),
-     refused("instances [{'payload': 'x', 'source': 0}, 7] is not a non-empty list of JSON "
-              'objects')),
+     refused("instance citation 7 is outside 0..0, the instances defined so far")),
     (deliver_line("[0]", instances='[{"payload":"x","source":0},{"payload":"x","source":0}]'),
      refused("instance {'payload': 'x', 'source': 0} does not follow the one before it in "
               'strictly increasing (source, payload) order')),
@@ -440,6 +562,39 @@ class TestReader:
         for depth in (lo, lo + 1, 100_000):
             refusal = parse(text(depth))
             assert refusal.startswith("trace line 2: bad event line: not valid JSON ("), depth
+
+    def test_citations_resolve_to_the_table_objects(self):
+        """A citation reads to the object its table holds, shared read-only;
+        a full object that repeats an earlier text appends, so a later
+        citation of its index reads to it, and the trace writes back in the
+        writer's own form, with the repeat cited."""
+        x, y = '{"payload":"x","source":0}', '{"payload":"y","source":0}'
+        m = '{"kind":"ROUND","round_value":2}'
+        lines = [deliver_line("[0]", instances=f"[{x},{y}]"),
+                 send_line(m, to="[1]"),
+                 deliver_line("[1]", subject=1, instances=f"[{x}]"),
+                 deliver_line("[0,2]", instances="[2,1]"),
+                 send_line("0", subject=1, senders="[1,3]")]
+        trace = Trace.from_jsonl("\n".join([HEADER, *lines]) + "\n")
+        first, second, repeat, both, fan_out = (ev.detail for ev in trace.events)
+        assert both["instances"][0] is repeat["instances"][0]
+        assert both["instances"][1] is first["instances"][1]
+        assert fan_out["messages"][0] is second["message"]
+        assert per_line_events(trace) == [
+            lines[0], lines[1], lines[2], deliver_line("[0,2]", instances=f"[{x},{y}]"),
+            send_line(m, subject=1, senders="[1,3]")]
+        assert trace.to_jsonl().splitlines()[1:] == [
+            lines[0], lines[1], deliver_line("[1]", subject=1, instances="[0]"),
+            deliver_line("[0,2]", instances="[0,1]"), lines[4]]
+
+    def test_cited_instances_out_of_order_are_refused(self):
+        """The (source, payload) order is checked on the kept keys of the
+        cited instances, naming the line that cites them."""
+        defined = deliver_line("[0]", instances='[{"payload":"x","source":0},{"payload":"y","source":1}]')
+        text = "\n".join([HEADER, defined, deliver_line("[1]", subject=1, instances="[1,0]")]) + "\n"
+        assert parse(text) == ("trace line 3: bad event line: instance {'payload': 'x', 'source': 0} "
+                               "does not follow the one before it in strictly increasing (source, "
+                               "payload) order")
 
     def test_each_line_of_a_shared_fan_out_detail_names_its_first_sender(self):
         """Two lines with one detail text: each line's subject is checked

@@ -1,4 +1,4 @@
-"""The ``mbbc-trace/8`` layout on every trace the engine writes here: the
+"""The ``mbbc-trace/9`` layout on every trace the engine writes here: the
 bundled configs, both histories of every demo kind, the longer shapes
 (``conftest.shape_config``) and a seeded pool of ARBITRARY scripts over the
 three variants (``conftest.arbitrary_config``).
@@ -7,11 +7,14 @@ Per round, each (sender, message) fan-out stands in one P2P_SEND and each
 (process, instance) delivery in at most one DELIVER_CALL; the events are in
 first-message and first-instance order; a possessed process writes its
 STATE_CORRUPTED at the start of each faulty span and then only when its
-digest changes; and the trace reads back equal to itself. Over the pool,
-every violation replays from its witness, and the projection does not
-depend on how a trace groups its deliveries.
+digest changes; and the trace reads back equal to itself. Its JSONL writes
+each message and each instance in full once, and cites it by its index in
+the message or instance table after that. Over the pool, every violation
+replays from its witness, and the projection does not depend on how a trace
+groups its deliveries.
 """
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from mbbc.checker import (
     run_property_checks,
 )
 from mbbc.demos import run_demo
-from mbbc.engine import KIND_DELIVER_CALL, KIND_STATE_CORRUPTED, Trace, encode_line, run
+from mbbc.engine import KIND_DELIVER_CALL, KIND_P2P_SEND, KIND_STATE_CORRUPTED, Trace, encode_line, run
 from mbbc.messages import decode_payload
 from mbbc.scenario import ScenarioConfig
 
@@ -57,6 +60,41 @@ def case_traces(case: str) -> list[Trace]:
 
 CASES = ([p.name for p in CONFIGS] + DEMOS + list(SHAPES)
          + [f"arbitrary-{seed}" for seed in ARBITRARY_SEEDS])
+CITATION_CASES = ([p.name for p in CONFIGS] + DEMOS + list(SHAPES)
+                  + [f"arbitrary-{seed}" for seed in range(200)])
+
+
+def citation_counts(trace: Trace) -> dict[str, int]:
+    """The citations of messages (under P2P_SEND) and of instances (under
+    DELIVER_CALL) in the trace's JSONL, after checking that each message
+    text and each instance text is written in full at most once, that every
+    citation is an int index of an earlier definition in the same table,
+    that the JSONL reads back to the trace's events and that the read trace
+    writes back byte for byte."""
+    text = trace.to_jsonl()
+    tables: dict[str, list[str]] = {KIND_P2P_SEND: [], KIND_DELIVER_CALL: []}
+    citations = dict.fromkeys(tables, 0)
+    for line in text.splitlines()[1:]:
+        event = json.loads(line)
+        kind, detail = event["kind"], event["detail"]
+        if kind == KIND_P2P_SEND:
+            values = detail["messages"] if detail["to"] == "ALL" else [detail["message"]]
+        elif kind == KIND_DELIVER_CALL:
+            values = detail["instances"]
+        else:
+            continue
+        table = tables[kind]
+        for value in values:
+            if isinstance(value, dict):
+                assert encode_line(value) not in table, line
+                table.append(encode_line(value))
+            else:
+                assert type(value) is int and 0 <= value < len(table), line
+                citations[kind] += 1
+    parsed = Trace.from_jsonl(text)
+    assert parsed.events == trace.events
+    assert parsed.to_jsonl() == text
+    return citations
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -66,6 +104,23 @@ def test_grouped_layout_and_round_trip(case):
         assert_deliver_call_layout(trace.events)
         assert_corruption_layout(trace)
         assert Trace.from_jsonl(trace.to_jsonl()) == trace
+
+
+@pytest.mark.parametrize("case", CITATION_CASES)
+def test_each_message_and_instance_is_written_in_full_once(case):
+    for trace in case_traces(case):
+        citation_counts(trace)
+
+
+def test_the_cases_cite_messages_and_instances():
+    """The cases repeat messages and instances, so the test above sees
+    citations of both tables."""
+    cited = dict.fromkeys((KIND_P2P_SEND, KIND_DELIVER_CALL), 0)
+    for case in CASES:
+        for trace in case_traces(case):
+            for kind, count in citation_counts(trace).items():
+                cited[kind] += count
+    assert all(cited.values()), cited
 
 
 def test_possessed_digests_are_omitted_while_they_hold():
