@@ -13,7 +13,7 @@ adversary output, not protocol output.
 
 A DELIVER_CALL lists the processes that delivered its instances, each a
 (source, payload), in its round, so the checkers read one ``DeliveryGroup``
-per (event, instance), not one record per process; ``engine.delivered_instances``
+per (event, instance), not one record per process; ``extract_deliveries``
 expands the events. A witness cites the events of its groups, several groups
 of one event as one index; a report's ``details`` name the processes.
 
@@ -85,6 +85,11 @@ class DeliveryGroup(NamedTuple):
     event_index: int
 
 
+# Builds a DeliveryGroup from its five fields without the NamedTuple's ``__new__``.
+_new_group = tuple.__new__
+_ROUND, _CORRECT, _EVENT_INDEX = itemgetter(0), itemgetter(3), itemgetter(4)
+
+
 @dataclass(frozen=True)
 class BroadcastRecord:
     source: int
@@ -107,14 +112,23 @@ class PropertyReport:
 
 def extract_deliveries(trace: Trace, schedule: FailureSchedule) -> list[DeliveryGroup]:
     """One group per (DELIVER_CALL, instance), in trace order; ``correct`` may
-    be empty. The faulty set is looked up once per event."""
-    out = []
-    last = None
-    for idx, r, by, source, payload in delivered_instances(trace.events):
-        if idx != last:
-            last, faulty = idx, schedule.faulty_set(r)
-            correct = tuple(by) if faulty.isdisjoint(by) else tuple(p for p in by if p not in faulty)
-        out.append(DeliveryGroup(r, source, payload, correct, idx))
+    be empty. One pass over the events: an event's faulty set and
+    ``correct`` are found once, each instance object is decoded once (the
+    trace holds it, so no id is reused), and each group is built as a tuple."""
+    out: list[DeliveryGroup] = []
+    decoded: dict[int, tuple[int, bytes]] = {}
+    for idx, ev in enumerate(trace.events):
+        if ev.kind != KIND_DELIVER_CALL:
+            continue
+        r, by = ev.round, ev.detail["by"]
+        faulty = schedule.faulty_set(r)
+        correct = tuple(by) if faulty.isdisjoint(by) else tuple(p for p in by if p not in faulty)
+        for instance in ev.detail["instances"]:
+            hit = decoded.get(id(instance))
+            if hit is None:
+                hit = decoded[id(instance)] = (instance["source"], decode_payload(instance))
+            source, payload = hit
+            out.append(_new_group(DeliveryGroup, (r, source, payload, correct, idx)))
     return out
 
 
@@ -271,23 +285,28 @@ def check_no_duplication(index: TraceIndex) -> PropertyReport:
 
     An instance whose groups hold as many members as it has distinct
     delivering processes has no duplicate, and is not scanned per process.
+    Otherwise one pass over its groups lists each process's groups, and each
+    duplicating process's rounds and events are read off its list.
     """
-    duplicates: list[tuple[int, int, int, list[DeliveryGroup]]] = []
+    duplicates: list[tuple[int, int, int, list[int]]] = []
+    witness: set[int] = set()
     for key, groups in index.by_instance.items():
-        if sum(len(g.correct) for g in groups) == len(index.delivered_by[key]):
+        delivered = index.delivered_by[key]
+        if sum(map(len, map(_CORRECT, groups))) == len(delivered):
             continue
-        per_process: dict[int, list[DeliveryGroup]] = {p: [] for p in index.delivered_by[key]}
+        per_process: dict[int, list[DeliveryGroup]] = {p: [] for p in delivered}
         for g in groups:
             for p in g.correct:
                 per_process[p].append(g)
-        duplicates += [(p, key[0], mine[0].event_index, mine)
-                       for p, mine in per_process.items() if len(mine) > 1]
+        for p, mine in per_process.items():
+            if len(mine) > 1:
+                duplicates.append((p, key[0], mine[0].event_index, list(map(_ROUND, mine))))
+                witness.update(map(_EVENT_INDEX, mine))
     if duplicates:
         duplicates.sort(key=lambda dup: dup[:3])
-        witness = sorted({g.event_index for *_key, mine in duplicates for g in mine})
-        details = {"duplicates": [{"process": p, "source": s, "rounds": [g.round for g in mine]}
-                                  for p, s, _first, mine in duplicates]}
-        return PropertyReport(NO_DUPLICATION, VIOLATED, witness, details)
+        details = {"duplicates": [{"process": p, "source": s, "rounds": rounds}
+                                  for p, s, _first, rounds in duplicates]}
+        return PropertyReport(NO_DUPLICATION, VIOLATED, sorted(witness), details)
     return PropertyReport(NO_DUPLICATION, SATISFIED, [],
                           {"deliveries": sum(map(len, index.delivered_by.values()))})
 

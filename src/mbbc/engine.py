@@ -104,6 +104,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -338,9 +339,10 @@ class Trace:
         to the trace's message or instance table, or an int citing an entry
         already there; an instance object holds an int ``source`` and a
         payload that decodes, checked once, at its definition. Each line is
-        parsed whole, and each event has a detail of its own, but its
-        messages and instances are the table's objects, shared read-only by
-        every event that cites them.
+        read as ``json.loads`` reads it (``_json_object`` scans a short line
+        in C first) and checked whole, and each event has a detail of its
+        own, but its messages and instances are the table's objects, shared
+        read-only by every event that cites them.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -348,14 +350,15 @@ class Trace:
             raise ValueError("empty trace file")
         number, line = numbered[0]
         what = "header"
+        scan_chars = sys.getrecursionlimit() // 2
         try:
-            fingerprint, seed, config = _header_fields(_json_object(line))
+            fingerprint, seed, config = _header_fields(_json_object(line, scan_chars))
             n, horizon = config["n"], config["horizon"]
             what = "event"
             tables = _Tables([], [], [])
             events = []
             for number, line in numbered[1:]:
-                events.append(_event(_json_object(line), n, horizon, tables))
+                events.append(_event(_json_object(line, scan_chars), n, horizon, tables))
         except KeyError as exc:
             raise ValueError(f"trace line {number}: bad {what} line: missing key {exc}") from None
         except ValueError as exc:
@@ -369,11 +372,29 @@ class Trace:
         return ScenarioConfig.from_dict(self.config)
 
 
-def _json_object(line: str) -> dict:
+# The C scanner that ``json.loads`` calls three frames down.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _json_object(line: str, scan_chars: int) -> dict:
+    """The JSON object a line holds, as ``json.loads`` reads it, or a
+    ValueError with ``json.loads``'s exact text.
+
+    A line shorter than ``scan_chars`` goes to the C scanner alone, and to
+    ``json.loads`` only when the scan raises or stops short of the line's
+    end. The scan runs three frames shallower, so it could read a line
+    nested past ``json.loads``'s reach; ``from_jsonl`` passes half the
+    recursion limit, and a line that short nests a quarter of it at most.
+    """
     try:
-        data = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"not valid JSON ({exc})") from None
+        data, end = _scan_once(line, 0) if len(line) < scan_chars else (None, -1)
+    except (StopIteration, json.JSONDecodeError, RecursionError):
+        end = -1
+    if end != len(line):
+        try:
+            data = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
     return data

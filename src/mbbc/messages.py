@@ -80,11 +80,6 @@ class ProtocolMessage(_MessageFields):
     def _make(cls, iterable) -> "ProtocolMessage":
         return cls(*iterable)
 
-    def instance_key(self) -> tuple[int, int, bytes]:
-        """The (source, birth_round, payload) triple keying the vote maps."""
-        assert self.kind is not MessageKind.ROUND
-        return (self.source, self.birth_round, self.payload)
-
     def sort_key(self) -> tuple:
         return (
             _KIND_ORDER[self.kind],

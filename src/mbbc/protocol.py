@@ -49,17 +49,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
-from .messages import (
-    MessageKind,
-    ProtocolMessage,
-    abort_msg,
-    echo_msg,
-    ready_msg,
-    round_msg,
-    send_msg,
-)
+from .messages import MessageKind, ProtocolMessage, echo_msg, round_msg, send_msg
 
 InstanceKey = tuple[int, int, bytes]
+
+# Read once here: an Enum class attribute costs a lookup per message.
+_SEND, _ECHO, _READY, _ABORT, _ROUND = (MessageKind.SEND, MessageKind.ECHO, MessageKind.READY,
+                                         MessageKind.ABORT, MessageKind.ROUND)
+# Builds a ProtocolMessage from fields already validated, skipping ``__new__``'s checks.
+_trusted = tuple.__new__
 
 # Rounds from a broadcast to its delivery at a process correct throughout:
 # the SEND, the ECHO quorum and the READY quorum take one round each.
@@ -188,19 +186,17 @@ def on_p2p_deliver(tallies: Tallies, senders: Collection[int], msg: ProtocolMess
     idempotent. A ROUND vote replaces the sender's earlier one, so a sender's
     messages must be recorded in the order it sent them.
     """
-    if msg.kind is MessageKind.ROUND:
+    kind = msg.kind
+    if kind is _ROUND:
         tallies.rc_votes.update(dict.fromkeys(senders, msg.round_value))
         return
-    key = msg.instance_key()
-    if msg.kind is MessageKind.SEND:
+    key = msg[1:4]  # (source, birth_round, payload)
+    if kind is _SEND:
         if msg.source in senders:
             tallies.sends.add(key)
-    elif msg.kind is MessageKind.ECHO:
-        tallies.echos.setdefault(key, set()).update(senders)
-    elif msg.kind is MessageKind.READY:
-        tallies.readys.setdefault(key, set()).update(senders)
-    elif msg.kind is MessageKind.ABORT:
-        tallies.aborts.setdefault(key, set()).update(senders)
+        return
+    votes = tallies.readys if kind is _READY else tallies.echos if kind is _ECHO else tallies.aborts
+    votes.setdefault(key, set()).update(senders)
 
 
 def get_majority(votes: Iterable[int], min_backing: int = 0) -> int | None:
@@ -227,22 +223,27 @@ def get_majority(votes: Iterable[int], min_backing: int = 0) -> int | None:
 def read_fold(tallies: Tallies, n: int, F: int) -> FoldReading:
     """The fold's reading for n processes and fault bound F, taken on the
     first call and kept on ``tallies`` for the next. A key with more than F
-    ABORT votes has no READY quorum."""
+    ABORT votes has no READY quorum.
+
+    Each vote is built straight from its key, without ``ProtocolMessage``'s
+    checks. That is sound only because every key in the vote maps is the
+    (source, birth_round, payload) of a received message, validated when it
+    was built: a vote equals ``ready_msg(*key)`` or ``abort_msg(*key)``."""
     reading = tallies.readings.get((n, F))
     if reading is not None:
         return reading
     votes: list[ProtocolMessage] = []
-    for key, voters in tallies.echos.items():
+    for (source, birth, payload), voters in tallies.echos.items():
         if 2 * len(voters) > n + F:
-            votes.append(ready_msg(*key))
+            votes.append(_trusted(ProtocolMessage, (_READY, source, birth, payload, None)))
         elif len(voters) > F:
-            votes.append(abort_msg(*key))
+            votes.append(_trusted(ProtocolMessage, (_ABORT, source, birth, payload, None)))
     min_birth: dict[tuple[int, bytes], int] = {}
     for key, voters in tallies.readys.items():
         if len(voters) > 2 * F and len(tallies.aborts.get(key, ())) <= F:
             # Relay forever, delivered or not: later-cured processes need the quorum.
-            votes.append(ready_msg(*key))
             source, birth, payload = key
+            votes.append(_trusted(ProtocolMessage, (_READY, source, birth, payload, None)))
             instance = (source, payload)
             min_birth[instance] = min(birth, min_birth.get(instance, birth))
     reading = tallies.readings[n, F] = FoldReading(

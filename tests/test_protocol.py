@@ -1,11 +1,23 @@
 import copy
 import dataclasses
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbbc.messages import MessageKind, abort_msg, echo_msg, ready_msg, round_msg, send_msg
+from conftest import arbitrary_config
+from mbbc import engine
+from mbbc.messages import (
+    MessageKind,
+    ProtocolMessage,
+    abort_msg,
+    echo_msg,
+    ready_msg,
+    round_msg,
+    send_msg,
+)
 from mbbc.protocol import (
     ProtocolState,
     Tallies,
@@ -21,10 +33,12 @@ from mbbc.protocol import (
     send_phase,
     state_fingerprint,
 )
+from mbbc.scenario import ScenarioConfig
 
 FFA6 = Variant.for_tag(VariantTag.FFA_FULL, 1)  # n=6, f=1 unless a test says otherwise
 BFA6 = Variant.for_tag(VariantTag.BFA_WEAK, 1)
 NFA6 = Variant.for_tag(VariantTag.NFA_WEAK, 1)
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def fresh(rc: int = 1) -> ProtocolState:
@@ -400,6 +414,76 @@ class TestComputePhase:
         deliveries = compute_phase(fresh(rc=4), tallies, 5, FFA6, n=6)
         assert deliveries == [(1, b"k")]
         assert tallies == before
+
+
+def checked_votes(tallies: Tallies, n: int, F: int) -> set[ProtocolMessage]:
+    """The votes ``read_fold`` owes a fold, each built by ``ready_msg`` or
+    ``abort_msg``, which check every field: an ECHO quorum votes READY, more
+    than F ECHOs short of one vote ABORT, and a READY quorum with at most F
+    ABORT votes is relayed."""
+    votes = set()
+    for key, voters in tallies.echos.items():
+        if 2 * len(voters) > n + F:
+            votes.add(ready_msg(*key))
+        elif len(voters) > F:
+            votes.add(abort_msg(*key))
+    for key, voters in tallies.readys.items():
+        if len(voters) > 2 * F and len(tallies.aborts.get(key, ())) <= F:
+            votes.add(ready_msg(*key))
+    return votes
+
+
+class TestFoldVotes:
+    """``read_fold`` builds its votes from the fold's keys without
+    ``ProtocolMessage``'s checks. Over every fold the engine reads in the
+    bundled configs and the seeded scripts of ``test_reference.py``, each
+    vote is the message the checking constructors build: equal, of equal
+    hash, and of the same type, field by field. Swapping READY for ABORT
+    in either of ``read_fold``'s branches fails both tests."""
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """Runs configs, and gives each fold the engine read, with its run's n and F."""
+        seen: dict[int, tuple[Tallies, int, int]] = {}
+        receive_phase = engine.receive_phase
+
+        def run(configs):
+            for cfg in configs:
+                n, F = cfg.n, cfg.variant_spec().effective_f
+
+                def recording(common, inboxes):
+                    tallies = receive_phase(common, inboxes)
+                    # The dict holds every fold, so no id is reused.
+                    seen.update((id(t), (t, n, F)) for t in [common, *tallies])
+                    return tallies
+
+                monkeypatch.setattr(engine, "receive_phase", recording)
+                engine.run(cfg)
+            return list(seen.values())
+        return run
+
+    def assert_votes_are_checked(self, folds) -> Counter:
+        kinds: Counter = Counter()
+        for fold, n, F in folds:
+            votes = read_fold(fold, n, F).votes
+            checked = {msg: msg for msg in checked_votes(fold, n, F)}
+            assert votes == checked.keys()
+            for vote in votes:
+                want = checked[vote]
+                assert type(vote) is type(want) is ProtocolMessage
+                assert hash(vote) == hash(want)
+                assert list(map(type, vote)) == list(map(type, want))
+                kinds[vote.kind] += 1
+        return kinds
+
+    def test_bundled_configs(self, folds):
+        kinds = self.assert_votes_are_checked(
+            folds(ScenarioConfig.from_json(path.read_text()) for path in BUNDLED))
+        assert kinds[MessageKind.READY] and kinds[MessageKind.ABORT]
+
+    def test_script_pool(self, folds):
+        kinds = self.assert_votes_are_checked(folds(arbitrary_config(seed) for seed in range(200)))
+        assert kinds[MessageKind.READY] and kinds[MessageKind.ABORT]
 
 
 class TestStateFingerprint:

@@ -305,8 +305,22 @@ PARSER_TABLE = [
      '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
     ('{"detail": {"state_digest" : null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
      '{"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    # The reader scans a line in C and hands it to ``json.loads`` when the
+    # scan does not read it whole: these read, or are refused, as
+    # ``json.loads`` reads them.
     (CORRUPTED + "  ", '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
     ("  " + CORRUPTED, '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    ("\t" + CORRUPTED + " \t", '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    (CORRUPTED + "x", refused("not valid JSON (Extra data: line 1 column 61 (char 60))")),
+    (CORRUPTED + " x", refused("not valid JSON (Extra data: line 1 column 62 (char 61))")),
+    (CORRUPTED + ",", refused("not valid JSON (Extra data: line 1 column 61 (char 60))")),
+    (CORRUPTED + CORRUPTED, refused("not valid JSON (Extra data: line 1 column 61 (char 60))")),
+    (CORRUPTED + " " + CORRUPTED,
+     refused("not valid JSON (Extra data: line 1 column 62 (char 61))")),
+    ("[]", refused("not a JSON object")),
+    (" [] ", refused("not a JSON object")),
+    ("1", refused("not a JSON object")),
+    ("null", refused("not a JSON object")),
     ('{"kind":"STATE_CORRUPTED","detail":{},"round":1,"subject":0}',
      '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
     (CORRUPTED.replace('"detail"', '"Detail"'), refused("unknown key 'Detail'")),
