@@ -214,7 +214,7 @@ class Arbitrary(Strategy):
     """Explicit per-round script, for golden tests and hand-built attacks.
 
     Script shape: ``{round: {process: {"sends": [[receiver, message], ...],
-    "state": null | "init" | {"rc": int, "to_send": [message, ...],
+    "state": null | "init" | {"rc": int >= 0, "to_send": [message, ...],
     "cured": bool}}}}`` with rounds and process ids as strings (JSON object
     keys) or ints, and messages in their JSON form. The whole script is
     checked when the strategy is built.
@@ -286,6 +286,9 @@ def _scripted_state(spec, what: str):
     spec = dict(spec_object(spec, f"{what} state"))
     if "rc" in spec and type(spec["rc"]) is not int:
         raise InvalidScenario([f"{what}: state rc is {shown(spec['rc'])}, not an int"])
+    # The next compute votes ``rc + 1``, and a ROUND vote is at least 1.
+    if "rc" in spec and spec["rc"] < 0:
+        raise InvalidScenario([f"{what}: state rc is {spec['rc']}, below 0"])
     if "cured" in spec and type(spec["cured"]) is not bool:
         raise InvalidScenario([f"{what}: state cured is {shown(spec['cured'])}, not a bool"])
     if "to_send" in spec:

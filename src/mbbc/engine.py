@@ -9,16 +9,22 @@ Each round runs five sub-phases in a fixed order:
 3. SEND     — correct processes, in process order, run the protocol send
    phase (which performs the cure wipe) and send each message to every
    process; faulty processes emit exactly what the strategy dictates, with
-   the sender stamp forced (links are authenticated).
+   the sender stamp forced (links are authenticated). The correct senders
+   are grouped by the queue they hold, and each distinct queue is walked
+   once: a message one queue holds takes that queue's senders, already in
+   process order, and only a message several queues hold merges and sorts
+   theirs, once per set of queues. A round's messages are ordered by each
+   message's ``sort_key``, kept per simulation beside its dict and JSON
+   text.
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Each distinct message
    the correct processes send to all is folded once, with all its senders,
    into the round's common tallies. A process's inbox is its dictated
-   receipts, as (sender, message) pairs; ``receive_phase`` folds each
-   distinct inbox once into a copy of the common tallies, and every
-   process that holds it reads that one fold, read-only, possessed
-   processes included. A process with no dictated receipt reads the common
-   tallies themselves. Tallies are round-local and never part of a
+   receipts, as (sender, message) pairs; only the receivers of dictated
+   sends hold one. ``receive_phase`` folds each distinct inbox once into a
+   copy of the common tallies, and every process that holds it reads that
+   one fold, read-only, possessed processes included. A process with no
+   dictated receipt reads the common tallies themselves. Tallies are round-local and never part of a
    process's state. RECEIVE is the only place a fold is built: the
    strategies see every process's fold in the observation, and the
    history-forging ones run a possessed process's compute phase on that
@@ -30,7 +36,9 @@ Each round runs five sub-phases in a fixed order:
    votes its quorums call for, and its READY quorums' earliest births)
    depends on the fold alone, so it is built once per fold, by the first
    class key or compute phase that reads the fold, and kept on the fold for
-   every other class and faithful compute that reads it. The rest depends
+   every other class and faithful compute that reads it; a process that
+   holds the fold of the process before it reads the majority without a
+   call. The rest depends
    on the process: a correct process's phase depends only on its fold,
    its cure flags, ``delivered`` and its ``rc`` after the majority repair,
    which is the reading's majority counter, or the process's own when the
@@ -45,7 +53,10 @@ Each round runs five sub-phases in a fixed order:
    repaired ``rc``. The send queue and ``delivered`` a state carries are
    immutable, so the members of a class share them, and the next SEND
    walks each distinct queue once, with all the senders that hold it. The
-   round's deliveries are gathered per (source, payload).
+   round's DELIVER_CALLs are built per set of delivering classes: each
+   class delivers in (source, payload) order and lists its members in
+   process order, so only an instance several classes deliver merges and
+   sorts their members.
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -53,7 +64,8 @@ phase, so an event's phase is its kind's: P2P_SEND in SEND, and
 BROADCAST_CALL, DELIVER_CALL and STATE_CORRUPTED in COMPUTE; ADVERSARY,
 ORACLE and RECEIVE write nothing. The schedule in the header's config fixes
 the agents' moves and the cures, which ``FailureSchedule.host_of`` and
-``deliver_oracle_events`` derive.
+``deliver_oracle_events`` derive; the latter reads each round's cures from
+``FailureSchedule.cures``, a table the schedule builds once.
 
 A possessed process p writes its STATE_CORRUPTED in round r unless p was
 also possessed in round r-1 and held a state of the same digest then: the
@@ -106,6 +118,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, field, replace
+from operator import methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
@@ -563,10 +576,11 @@ class Delivery(NamedTuple):
 
 
 def _inboxes(outbox: Sequence[tuple[int, object, object]], n: int
-             ) -> list[list[tuple[int, object]]]:
+             ) -> list[Sequence[tuple[int, object]]]:
     """Turn one round's (sender, message, to) sends into each process's
-    (sender, message) receipts, in outbox order."""
-    inboxes: list[list[tuple[int, object]]] = [[] for _ in range(n)]
+    (sender, message) receipts, in outbox order: a list for each process
+    that receives something, and one shared empty tuple for every other."""
+    inboxes: list[Sequence[tuple[int, object]]] = [()] * n
     everyone = range(n)
     for sender, message, to in outbox:
         if to == TO_ALL:
@@ -577,7 +591,11 @@ def _inboxes(outbox: Sequence[tuple[int, object, object]], n: int
                 if not 0 <= q < n:
                     raise ValueError(f"receiver {q} of a send by {sender} is outside 0..{n - 1}")
         for q in receivers:
-            inboxes[q].append((sender, message))
+            inbox = inboxes[q]
+            if inbox:
+                inbox.append((sender, message))
+            else:
+                inboxes[q] = [(sender, message)]
     return inboxes
 
 
@@ -655,28 +673,29 @@ def instance_detail(source: int, payload: bytes) -> dict:
     return {"source": source, **encode_payload(payload)}
 
 
-def deliver_calls(r: int, delivered_by: Mapping[tuple[int, bytes], Sequence[int]],
-                  instance: Callable[[int, bytes], dict] = instance_detail) -> list[TraceEvent]:
+def deliver_calls(r: int, delivered_by: Mapping[tuple[int, bytes], Sequence[int]]) -> list[TraceEvent]:
     """Round r's DELIVER_CALLs for the processes that delivered each (source,
     payload), listed in increasing order: one event per distinct list, its
     instances in (source, payload) order, the events ordered by their first
-    instance. ``instance`` builds each instance's dict."""
+    instance."""
     groups: dict[tuple[int, ...], list[dict]] = {}
     for source, payload in sorted(delivered_by):
-        groups.setdefault(tuple(delivered_by[source, payload]), []).append(instance(source, payload))
+        groups.setdefault(tuple(delivered_by[source, payload]), []).append(
+            instance_detail(source, payload))
     return [TraceEvent(r, KIND_DELIVER_CALL, by[0], {"by": list(by), "instances": instances})
             for by, instances in groups.items()]
 
 
-def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]]
+def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]],
+              sort_key: Callable[[ProtocolMessage], tuple]
               ) -> list[tuple[int, ProtocolMessage, list[int]]]:
     """A faulty sender's dictated (receiver, message) pairs as outbox entries:
-    one per distinct message, in message order, receivers sorted with duplicates kept."""
+    one per distinct message, in message order (``sort_key``), receivers
+    sorted with duplicates kept."""
     receivers: dict[ProtocolMessage, list[int]] = {}
     for receiver, msg in sends:
         receivers.setdefault(msg, []).append(receiver)
-    return [(sender, msg, sorted(receivers[msg]))
-            for msg in sorted(receivers, key=ProtocolMessage.sort_key)]
+    return [(sender, msg, sorted(receivers[msg])) for msg in sorted(receivers, key=sort_key)]
 
 
 def receive_phase(common: Tallies, inboxes: Sequence[Sequence[tuple[int, ProtocolMessage]]]
@@ -689,30 +708,51 @@ def receive_phase(common: Tallies, inboxes: Sequence[Sequence[tuple[int, Protoco
     that fold read-only; a process with an empty inbox gets ``common``
     itself. Messages are type-exact, so equal inboxes fold to equal tallies.
     """
-    folds: dict[tuple, Tallies] = {(): common}
+    folds: dict[tuple, Tallies] = {}
     tallies: list[Tallies] = []
     for inbox in inboxes:
-        key = tuple(inbox)
-        fold = folds.get(key)
-        if fold is None:
-            fold = folds[key] = receive(common, key)
-        tallies.append(fold)
+        if inbox:
+            key = tuple(inbox)
+            fold = folds.get(key)
+            if fold is None:
+                fold = folds[key] = receive(common, key)
+            tallies.append(fold)
+        else:
+            tallies.append(common)
     return tallies
 
 
 def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind
                           ) -> list[tuple[int, int | None]]:
     """Cure notifications at the start of round r: one ``(process, faulty_since)``
-    per process freed at the boundary, in process order.
+    per process freed at the boundary, in process order, read from
+    ``FailureSchedule.cures``.
 
     The full-awareness oracle also reports when the just-ended faulty span
     began (spans merge across back-to-back agent stays — the process was
     faulty the whole time either way); the basic one reports None.
     """
-    if oracle is OracleKind.NFA or r < 2:
+    if oracle is OracleKind.NFA:
         return []
-    return [(p, schedule.faulty_span_start(p, r - 1) if oracle is OracleKind.FFA else None)
-            for p in sorted(schedule.cured_processes(r))]
+    cures = schedule.cures(r)
+    if oracle is OracleKind.FFA:
+        return list(cures)
+    return [(p, None) for p, _since in cures]
+
+
+class _Memo(dict):
+    """A dict that builds a missing key's value as ``build(key)`` on its
+    first lookup and keeps it, so a hit costs one C lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class Simulation:
@@ -729,11 +769,14 @@ class Simulation:
         self.round = 0
         # Each round's broadcast calls: caller -> payloads.
         self._broadcasts: dict[int, dict[int, list[bytes]]] = {}
-        # Messages are type-exact (``ProtocolMessage`` takes no bool for an
-        # int), so equal keys encode to equal JSON.
-        self._message_dicts: dict[ProtocolMessage, dict] = {}
-        self._message_texts: dict[ProtocolMessage, str] = {}
-        self._instances: dict[tuple[int, bytes], dict] = {}
+        # Each distinct message's ``sort_key()``, ``to_dict()`` and JSON
+        # text, and each (source, payload)'s instance dict, built once and
+        # shared read-only. Messages are type-exact (``ProtocolMessage``
+        # takes no bool for an int), so equal keys encode to equal JSON.
+        self._sort_keys = _Memo(methodcaller("sort_key"))
+        self._message_dicts = _Memo(methodcaller("to_dict"))
+        self._message_texts = _Memo(lambda msg, dicts=self._message_dicts: encode_line(dicts[msg]))
+        self._instances = _Memo(lambda instance: instance_detail(*instance))
         self._digests: dict[tuple, dict] = {}
         # Last round's possessed processes, each to its STATE_CORRUPTED detail.
         self._corrupted: dict[int, dict] = {}
@@ -751,41 +794,65 @@ class Simulation:
         if r > self.config.horizon:
             raise RuntimeError("simulation already ran to its horizon")
         self.round = r
-        schedule = self.schedule
+        schedule, states, strategy, variant = self.schedule, self.states, self.strategy, self.variant
         n = self.config.n
+        emit = self.trace.events.append
         faulty = schedule.faulty_set(r)
 
         # ORACLE: cure notifications reach freed processes before they send.
         # The agents' moves (ADVERSARY) are the schedule's; neither is traced.
         for p, since in deliver_oracle_events(schedule, r, self.config.setting.oracle):
-            on_cured(self.states[p], since)
+            on_cured(states[p], since)
 
-        # SEND: the correct senders grouped by the queue they hold, each
-        # distinct queue walked once; each message's senders in process
-        # order, and one fan-out per distinct list of senders; one dictated
-        # entry per faulty (sender, message).
-        obs = Observation(schedule=schedule, states=self.states)
-        queues: dict[int, tuple[Iterable[ProtocolMessage], list[int]]] = {}
+        # SEND: the correct senders grouped by the queue they hold, in
+        # process order, each distinct queue walked once; one dictated entry
+        # per faulty (sender, message) that is dictated.
+        obs = Observation(schedule=schedule, states=states)
+        sort_key, message_dicts = self._sort_keys.__getitem__, self._message_dicts
+        queues: list[tuple[Iterable[ProtocolMessage], list[int]]] = []
+        senders_of: dict[int, list[int]] = {}
         dictated: list[tuple[int, ProtocolMessage, list[int]]] = []
         for p in range(n):
             if p in faulty:
-                dictated.extend(_dictated(p, self.strategy.dictate_sends(p, r, obs)))
+                sends = strategy.dictate_sends(p, r, obs)
+                if sends:
+                    dictated += _dictated(p, sends, sort_key)
+                continue
+            queue = send_phase(states[p])
+            senders = senders_of.get(id(queue))
+            if senders is None:
+                senders_of[id(queue)] = senders = [p]
+                queues.append((queue, senders))
             else:
-                queue = send_phase(self.states[p])
-                queues.setdefault(id(queue), (queue, []))[1].append(p)
+                senders.append(p)
+        # A message one queue holds has that queue's senders; one several
+        # hold, the union of theirs, sorted, built once per set of queues:
+        # each queue joins each list held before its walk began once (those
+        # lists all lived at that point, so no two share an id).
         fan_outs: dict[ProtocolMessage, list[int]] = {}
-        for queue, senders in queues.values():
+        for queue, senders in queues:
+            unions: dict[int, list[int]] = {}
             for msg in queue:
-                fan_outs.setdefault(msg, []).extend(senders)
-        grouped = [(msg, sorted(fan_outs[msg])) for msg in sorted(fan_outs, key=ProtocolMessage.sort_key)]
-        fan_out_messages: dict[tuple[int, ...], list[dict]] = {}
-        for msg, senders in grouped:
-            fan_out_messages.setdefault(tuple(senders), []).append(self._message(msg))
-        for senders, messages in fan_out_messages.items():
-            self._emit(r, KIND_P2P_SEND, senders[0],
-                       {"from": list(senders), "messages": messages, "to": TO_ALL})
+                held = fan_outs.setdefault(msg, senders)
+                if held is not senders:
+                    union = unions.get(id(held))
+                    if union is None:
+                        union = unions[id(held)] = sorted(held + senders)
+                    fan_outs[msg] = union
+        ordered = sorted(fan_outs, key=sort_key)
+        # Each distinct list of senders is one list object: one fan-out each.
+        fan_out_messages: dict[int, tuple[list[int], list[dict]]] = {}
+        for msg in ordered:
+            senders = fan_outs[msg]
+            group = fan_out_messages.get(id(senders))
+            if group is None:
+                group = fan_out_messages[id(senders)] = (senders, [])
+            group[1].append(message_dicts[msg])
+        for senders, messages in fan_out_messages.values():
+            emit(TraceEvent(r, KIND_P2P_SEND, senders[0],
+                            {"from": senders, "messages": messages, "to": TO_ALL}))
         for sender, msg, to in dictated:
-            self._emit(r, KIND_P2P_SEND, sender, {"message": self._message(msg), "to": to})
+            emit(TraceEvent(r, KIND_P2P_SEND, sender, {"message": message_dicts[msg], "to": to}))
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
         # Fan-outs come from correct senders and dictated sends from faulty
@@ -793,41 +860,39 @@ class Simulation:
         # receiver's dictated receipts is its whole inbox, and a sender's
         # fan-outs fold in message order, as its receipts do.
         common = Tallies()
-        for msg, senders in grouped:
-            on_p2p_deliver(common, senders, msg)
+        for msg in ordered:
+            on_p2p_deliver(common, fan_outs[msg], msg)
         obs.tallies = tallies = receive_phase(common, _inboxes(dictated, n))
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
-        # The first read of a fold builds its reading, which the fold keeps
-        # under (n, F), where each later process looks it up without a call.
-        # The reading's majority is the repaired counter of the key.
-        F = self.variant.effective_f
+        # The first read of a fold builds its reading, which the fold keeps;
+        # a process that holds the fold the process before it held reads it
+        # without a call. The reading's majority is the repaired counter of
+        # the key.
+        F = variant.effective_f
         broadcasts = self._broadcasts.get(r, {})
-        reading_key = (n, F)
         # Each class's outcome, its deliveries and its members in process order.
         classes: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]], list[int]]] = {}
         # A possessed process writes its digest when it is new to its stay.
         last_corrupted, corrupted = self._corrupted, {}
+        last_fold = majority = None
         for p in range(n):
-            state = self.states[p]
+            state = states[p]
             if p in faulty:
-                new_state = self.strategy.corrupt_state(p, r, obs)
-                self.states[p] = new_state
+                new_state = states[p] = strategy.corrupt_state(p, r, obs)
                 detail = corrupted[p] = self._corrupted_detail(new_state)
                 if detail != last_corrupted.get(p):
-                    self._emit(r, KIND_STATE_CORRUPTED, p, detail)
+                    emit(TraceEvent(r, KIND_STATE_CORRUPTED, p, detail))
                 continue
-            payloads = broadcasts.get(p)
+            payloads = broadcasts.get(p) if broadcasts else None
             fold = tallies[p]
-            reading = fold.readings.get(reading_key)
-            if reading is None:
-                reading = read_fold(fold, n, F)
-            majority = reading.majority
+            if fold is not last_fold:
+                last_fold, majority = fold, read_fold(fold, n, F).majority
             key = (id(fold), state.cured, state.cured_faulty_since, state.delivered,
                    state.rc if majority is None else majority)
             leader = classes.get(key)
             if leader is None:
-                delivered = compute_phase(state, fold, p, self.variant, n)
+                delivered = compute_phase(state, fold, p, variant, n)
                 # A broadcast caller's SEND, added below, is its own, not its class's.
                 outcome = replace(state) if payloads else state
                 classes[key] = outcome, delivered, [p]
@@ -836,54 +901,54 @@ class Simulation:
                 leader[2].append(p)
             if payloads:
                 for payload in payloads:
-                    self._emit(r, KIND_BROADCAST_CALL, p, dict(encode_payload(payload)))
+                    emit(TraceEvent(r, KIND_BROADCAST_CALL, p, dict(encode_payload(payload))))
                 state.to_send = state.to_send.union(
                     [send_msg(p, state.rc - 1, payload) for payload in payloads])
-        delivered_by: dict[tuple[int, bytes], list[int]] = {}
-        for _outcome, delivered, members in classes.values():
-            for instance in delivered:
-                delivered_by.setdefault(instance, []).extend(members)
-        if delivered_by:
-            # Classes interleave in process order; ``deliver_calls`` needs each list increasing.
-            for by in delivered_by.values():
-                by.sort()
-            self.trace.events += deliver_calls(r, delivered_by, self._instance)
+        delivering = [(delivered, members) for _outcome, delivered, members in classes.values()
+                      if delivered]
+        if delivering:
+            self.trace.events += self._deliver_calls(r, delivering)
         self._corrupted = corrupted
 
-    def _message(self, msg: ProtocolMessage) -> dict:
-        """``msg.to_dict()``, built once per distinct message and shared read-only."""
-        out = self._message_dicts.get(msg)
-        if out is None:
-            out = self._message_dicts[msg] = msg.to_dict()
-        return out
+    def _deliver_calls(self, r: int, delivering: list[tuple[list[tuple[int, bytes]], list[int]]]
+                       ) -> list[TraceEvent]:
+        """Round r's DELIVER_CALLs, as ``deliver_calls`` writes them, from
+        the classes that deliver: each class's deliveries in (source,
+        payload) order and its members in process order, the classes in
+        order of their first members. One event per distinct set of classes
+        that deliver an instance: its ``by`` is their members, merged."""
+        instances = self._instances
+        if len(delivering) == 1:
+            delivered, members = delivering[0]
+            return [TraceEvent(r, KIND_DELIVER_CALL, members[0],
+                               {"by": members, "instances": [instances[i] for i in delivered]})]
+        holders: dict[tuple[int, bytes], list[int]] = {}
+        for index, (delivered, _members) in enumerate(delivering):
+            for instance in delivered:
+                holders.setdefault(instance, []).append(index)
+        groups: dict[tuple[int, ...], list[dict]] = {}
+        for instance in sorted(holders):
+            groups.setdefault(tuple(holders[instance]), []).append(instances[instance])
+        events = []
+        for indexes, listed in groups.items():
+            by = (delivering[indexes[0]][1] if len(indexes) == 1
+                  else sorted(p for index in indexes for p in delivering[index][1]))
+            events.append(TraceEvent(r, KIND_DELIVER_CALL, by[0], {"by": by, "instances": listed}))
+        return events
 
     def _corrupted_detail(self, state: ProtocolState) -> dict:
         """A STATE_CORRUPTED detail, digested and built once per distinct state
         and shared read-only. The digest reads each queued message's JSON
-        text, encoded from ``self._message(msg)`` once per distinct message.
-        The key holds each scalar field's type beside it, as ``True == 1``
-        digests differently; messages are type-exact and a delivered pair's
-        source is an int."""
+        text and sort key from the simulation's memos. The key holds each
+        scalar field's type beside it, as ``True == 1`` digests differently;
+        messages are type-exact and a delivered pair's source is an int."""
         key = (state.to_send, type(state.rc), state.rc, type(state.cured), state.cured,
                type(state.cured_faulty_since), state.cured_faulty_since, state.delivered)
         out = self._digests.get(key)
         if out is None:
-            texts = self._message_texts
-            for msg in state.to_send:
-                if msg not in texts:
-                    texts[msg] = encode_line(self._message(msg))
-            out = self._digests[key] = {"state_digest": state_fingerprint(state, texts.__getitem__)}
+            out = self._digests[key] = {"state_digest": state_fingerprint(
+                state, self._message_texts.__getitem__, self._sort_keys.__getitem__)}
         return out
-
-    def _instance(self, source: int, payload: bytes) -> dict:
-        """``instance_detail(source, payload)``, built once per instance and shared read-only."""
-        out = self._instances.get((source, payload))
-        if out is None:
-            out = self._instances[source, payload] = instance_detail(source, payload)
-        return out
-
-    def _emit(self, r: int, kind: str, subject: int, detail: dict) -> None:
-        self.trace.events.append(TraceEvent(r, kind, subject, detail))
 
 
 def run(config: ScenarioConfig) -> Trace:

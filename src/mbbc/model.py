@@ -279,6 +279,26 @@ class FailureSchedule:
             return frozenset()
         return self.faulty_set(r - 1) - self.faulty_set(r)
 
+    def cures(self, r: int) -> tuple[tuple[int, int], ...]:
+        """Each process freed at the r-1/r boundary (``cured_processes``)
+        with the first round of the faulty span that just ended
+        (``faulty_span_start(p, r - 1)``), in process order; none outside
+        [2, horizon]."""
+        return self._cure_table[r - 1] if 1 <= r <= self.horizon else ()
+
+    @cached_property
+    def _cure_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``cures(r)`` at index r - 1, built on first use from
+        ``_faulty_table`` and kept outside the fields as it is."""
+        starts: dict[int, int] = {}
+        table = []
+        before: frozenset[int] = frozenset()
+        for r, faulty in enumerate(self._faulty_table, start=1):
+            table.append(tuple((p, starts.pop(p)) for p in sorted(before - faulty)))
+            starts.update(dict.fromkeys(faulty - before, r))
+            before = faulty
+        return tuple(table)
+
     def faulty_span_start(self, p: int, r: int) -> int:
         """First round of the maximal contiguous faulty span of p that covers round r."""
         if not self.is_faulty(p, r):

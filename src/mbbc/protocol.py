@@ -82,7 +82,7 @@ class Variant:
         return cls(tag, 2 * f if tag is VariantTag.NFA_WEAK else f)
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtocolState:
     """One process's protocol variables: what carries over between rounds.
 
@@ -350,20 +350,23 @@ def _message_text(msg: ProtocolMessage) -> str:
 
 
 def state_fingerprint(state: ProtocolState,
-                      message_text: Callable[[ProtocolMessage], str] = _message_text) -> str:
+                      message_text: Callable[[ProtocolMessage], str] = _message_text,
+                      sort_key: Callable[[ProtocolMessage], tuple] | None = None) -> str:
     """Stable digest of a state's five fields, used to record corruption events in traces.
 
     The digest is the sha256 of one compact JSON object with sorted keys:
     ``cured``, ``cured_faulty_since``, ``delivered`` (sorted [source, payload
     hex] pairs), ``rc`` and ``to_send`` (the queued messages in message order,
     each as its ``to_dict``). It is assembled from each message's JSON text,
-    ``message_text(m)``; a caller that already holds the texts passes them,
-    and the default encodes ``m.to_dict()``. The bytes are the same either way.
+    ``message_text(m)``, in the order of ``sort_key(m)``; a caller that
+    already holds the texts or the keys passes them, and the defaults encode
+    ``m.to_dict()`` and call ``m.sort_key()``. The bytes are the same either way.
     """
     head = _encode({"cured": state.cured, "cured_faulty_since": state.cured_faulty_since,
                     "delivered": sorted((s, p.hex()) for s, p in state.delivered),
                     "rc": state.rc, "to_send": []})
-    queue = ",".join(map(message_text, sorted(state.to_send, key=ProtocolMessage.sort_key)))
+    queue = ",".join(map(message_text, sorted(state.to_send,
+                                              key=sort_key or ProtocolMessage.sort_key)))
     # ``to_send`` sorts last, so ``head`` ends with its empty list: ``[]}``.
     blob = f"{head[:-2]}{queue}]}}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

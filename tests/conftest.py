@@ -292,6 +292,36 @@ def zero_agent_scenario(n: int = 4, horizon: int = 5, broadcasts=()) -> Scenario
     })
 
 
+def crash_silent(n: int, f: int, horizon: int, variant: str, oracle: str, broadcasts: list,
+                 schedule: dict, delta_s: int = 1) -> ScenarioConfig:
+    """A CRASH_SILENT config: faulty processes send nothing."""
+    return ScenarioConfig.from_dict({
+        "n": n, "f": f, "delta_s": delta_s, "delta_b": 2, "delta_c": 1, "horizon": horizon,
+        "seed": 1, "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": oracle},
+        "variant": variant, "schedule": schedule, "broadcasts": broadcasts,
+        "strategy": {"kind": "CRASH_SILENT"},
+    })
+
+
+def roundrobin_crash(n: int, f: int, horizon: int, rounds, variant: str, oracle: str) -> ScenarioConfig:
+    """Agents walk the ring; one broadcast per round in ``rounds`` from a process they are not on."""
+    return crash_silent(n, f, horizon, variant, oracle,
+                        [{"source": (b + f + i) % n, "round": b, "payload": f"m{i}"}
+                         for i, b in enumerate(rounds)],
+                        {"generator": "roundrobin", "params": {"offset": 0}})
+
+
+def fanout_shaped() -> ScenarioConfig:
+    """The shape of the benchmark's ``fanout`` inputs: FFA_FULL at n=32, f=6."""
+    return roundrobin_crash(32, 6, 20, (1, 2, 3, 4, 5), "FFA_FULL", "FFA")
+
+
+def weak_redelivery_shaped() -> ScenarioConfig:
+    """The shape of the benchmark's ``weak_redelivery`` inputs: NFA_WEAK at n=7,
+    re-delivering every round from the first birth plus 3."""
+    return roundrobin_crash(7, 1, 40, tuple(range(14, 33, 2)), "NFA_WEAK", "NFA")
+
+
 def random_walk_schedule(rng: random.Random, n: int, f: int, horizon: int) -> list[dict]:
     """Random legal trajectories with delta_s=1: each agent re-hosts every round."""
     out = []

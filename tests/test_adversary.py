@@ -156,6 +156,34 @@ class TestStateCorruption:
         correct_rcs = {sim.states[p].rc for p in range(5)}
         assert correct_rcs == {3}
 
+    @staticmethod
+    def scripted_rc(rc: int) -> ScenarioConfig:
+        """NFA_WEAK at n=3, f=1: process 1 is possessed in round 1 and left
+        with ``rc``. No counter has more than F = 2 votes, so the majority
+        repair keeps the freed process's own, and its next compute votes
+        ``rc + 1``."""
+        return ScenarioConfig.from_dict({
+            "n": 3, "f": 1, "delta_s": 1, "horizon": 4, "seed": 0,
+            "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "NFA"},
+            "variant": "NFA_WEAK",
+            "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+                {"host": 1, "first_round": 1, "last_round": 1}]}]},
+            "strategy": {"kind": "ARBITRARY", "script": {"1": {"1": {"state": {"rc": rc}}}}},
+        })
+
+    @pytest.mark.parametrize("rc", [-1, -3])
+    def test_arbitrary_negative_rc_rejected_when_built(self, rc):
+        """A ROUND vote is at least 1, so a counter below 0 is refused when
+        the strategy is built, naming its round and process, not mid-run."""
+        refusal = rf"^ARBITRARY round 1 process 1: state rc is {rc}, below 0$"
+        with pytest.raises(InvalidScenario, match=refusal):
+            build_strategy(self.scripted_rc(rc))
+
+    def test_arbitrary_rc_zero_runs(self):
+        sim = Simulation(self.scripted_rc(0))
+        sim.run()
+        assert sim.states[1].rc == 3
+
     def test_arbitrary_script_sends(self):
         cfg = ScenarioConfig.from_dict({
             "n": 3, "f": 1, "delta_s": 1, "horizon": 2, "seed": 0,

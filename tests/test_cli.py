@@ -309,6 +309,8 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
                                             "payload": 5}]]}), "payload", id="arbitrary-payload-int"),
     pytest.param(arbitrary({"sends": [1]}), "pair", id="arbitrary-send-not-a-pair"),
     pytest.param(arbitrary({"state": {"rc": "3"}}), "rc", id="arbitrary-rc-string"),
+    pytest.param(arbitrary({"state": {"rc": -1}}), "round 1 process 1: state rc is -1, below 0",
+                 id="arbitrary-rc-negative"),
     pytest.param(arbitrary({"state": {"cured": 1}}), "cured", id="arbitrary-cured-int"),
     pytest.param(arbitrary({"state": {"to_send": [{"kind": "ECHO"}]}}), "ECHO",
                  id="arbitrary-to_send-message"),
@@ -580,6 +582,8 @@ def test_check_names_a_header_broadcasts_field_that_is_not_a_list(tmp_path, gold
 @pytest.mark.parametrize("spec, named", [
     ({"kind": "NOPE"}, "unknown strategy kind: 'NOPE'"),
     ({"kind": "ALTERNATING_SETS", "p1": [0], "p2": [0]}, "requires disjoint sets"),
+    ({"kind": "ARBITRARY", "script": {"1": {"1": {"state": {"rc": -1}}}}},
+     "ARBITRARY round 1 process 1: state rc is -1, below 0"),
 ])
 def test_check_and_replay_reject_a_header_strategy_alike(tmp_path, golden_config_path, capsys,
                                                           spec, named):

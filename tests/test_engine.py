@@ -10,11 +10,15 @@ from conftest import (
     KIND_PHASE,
     SHAPES,
     assert_deliver_call_layout,
+    crash_silent,
+    fanout_shaped,
     golden_correct_source,
     previous_layout_jsonl,
     random_walk_schedule,
+    roundrobin_crash,
     shape_config,
     split_send_scenario,
+    weak_redelivery_shaped,
     zero_agent_scenario,
 )
 from mbbc import adversary, engine, protocol
@@ -362,33 +366,6 @@ class TestDeliveries:
         sends = [e.detail for e in trace.events if e.kind == KIND_P2P_SEND and e.subject == 0]
         assert sends == [{"message": vote, "to": [1, 2, 2]}]
         assert [d.receiver for d in deliveries(trace) if d.sender == 0] == [1, 2, 2]
-
-
-def crash_silent(n: int, f: int, horizon: int, variant: str, oracle: str, broadcasts: list,
-                 schedule: dict, delta_s: int = 1) -> ScenarioConfig:
-    """A CRASH_SILENT config: faulty processes send nothing."""
-    return ScenarioConfig.from_dict({
-        "n": n, "f": f, "delta_s": delta_s, "delta_b": 2, "delta_c": 1, "horizon": horizon,
-        "seed": 1, "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": oracle},
-        "variant": variant, "schedule": schedule, "broadcasts": broadcasts,
-        "strategy": {"kind": "CRASH_SILENT"},
-    })
-
-
-def roundrobin_crash(n: int, f: int, horizon: int, rounds, variant: str, oracle: str) -> ScenarioConfig:
-    """Agents walk the ring; one broadcast per round in ``rounds`` from a process they are not on."""
-    return crash_silent(n, f, horizon, variant, oracle,
-                        [{"source": (b + f + i) % n, "round": b, "payload": f"m{i}"}
-                         for i, b in enumerate(rounds)],
-                        {"generator": "roundrobin", "params": {"offset": 0}})
-
-
-def fanout_shaped() -> ScenarioConfig:
-    return roundrobin_crash(32, 6, 20, (1, 2, 3, 4, 5), "FFA_FULL", "FFA")
-
-
-def weak_redelivery_shaped() -> ScenarioConfig:
-    return roundrobin_crash(7, 1, 40, tuple(range(14, 33, 2)), "NFA_WEAK", "NFA")
 
 
 def cured_in_pairs(variant: str, oracle: str) -> ScenarioConfig:
@@ -823,6 +800,27 @@ class TestSharedDetails:
                                             else (d["to"],))]
         assert len({id(x) for x in lists}) == len(lists)
         assert sum(d["to"] != TO_ALL for d in sends) > 1
+
+    @pytest.mark.parametrize("config", [fanout_shaped, weak_redelivery_shaped],
+                             ids=["fanout_shaped", "weak_redelivery_shaped"])
+    def test_each_message_is_sort_keyed_once_per_simulation(self, config, monkeypatch):
+        """A simulation keeps each distinct message's ``sort_key`` beside its
+        dict and JSON text: the round's fan-outs and every digested queue
+        look it up there, so no message is keyed twice, however many rounds
+        and queues carry it."""
+        keyed: Counter = Counter()
+        sort_key = ProtocolMessage.sort_key
+
+        def counted(msg):
+            keyed[msg] += 1
+            return sort_key(msg)
+
+        monkeypatch.setattr(ProtocolMessage, "sort_key", counted)
+        trace = run(config())
+        sent = {encode_line(m) for e in trace.events if e.kind == KIND_P2P_SEND
+                for m in e.detail["messages"]}
+        assert len(keyed) >= len(sent) > 10
+        assert max(keyed.values()) == 1
 
     def test_corrupted_digest_is_the_state_fingerprint_type_exactly(self, monkeypatch):
         """``rc=True`` equals ``rc=1`` but digests differently, so the digest

@@ -292,6 +292,10 @@ class TestScheduleTable:
                 for last in range(r, h + 2):
                     expected = last <= h and not any(faulty(p, j) for j in range(r, last + 1))
                     assert sched.correct_during(p, r, last) is expected
+        for r in range(1, h + 1):
+            assert sched.cures(r) == tuple((p, sched.faulty_span_start(p, r - 1))
+                                           for p in sorted(sched.cured_processes(r))), r
+        assert sched.cures(0) == sched.cures(h + 1) == ()
         never_hosted = {p for p in range(sched.n)
                         if not any(faulty(p, r) for r in range(1, h + 1))}
         assert permanently_correct(sched) == never_hosted

@@ -12,8 +12,10 @@ trace's grouping stays out of the reference:
   against ``state_fingerprint`` of the reference's state after the round.
 
 It runs on the bundled configs, both histories of both demo kinds, the
-seeded ARBITRARY scripts of ``conftest.arbitrary_config`` (seeds 0-199), a
-fixed sample of f=2 FFA_FULL CRASH_SILENT schedules (n=11, horizon 6), and
+longer scenarios of ``conftest`` (``fanout_shaped`` at n=32 and f=6,
+``weak_redelivery_shaped`` and every ``SHAPES`` config), the seeded
+ARBITRARY scripts of ``conftest.arbitrary_config`` (seeds 0-199), a fixed
+sample of f=2 FFA_FULL CRASH_SILENT schedules (n=11, horizon 6), and
 ``conftest.split_send_scenario`` for every set of targets among processes
 1-5. The split sends are the inputs whose dictated inboxes read differently
 from the common fold: only the targets see the faulty source's SEND and
@@ -57,7 +59,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import arbitrary_config, possessed_digests, random_walk_schedule, split_send_scenario
+from conftest import (
+    SHAPES,
+    arbitrary_config,
+    fanout_shaped,
+    possessed_digests,
+    random_walk_schedule,
+    shape_config,
+    split_send_scenario,
+    weak_redelivery_shaped,
+)
 from mbbc import engine
 from mbbc.adversary import generate_paired_histories
 from mbbc.engine import KIND_P2P_SEND, TO_ALL, Simulation, delivered_instances, round_sends, run
@@ -121,6 +132,15 @@ def assert_matches_reference(cfg: ScenarioConfig) -> None:
 @pytest.mark.parametrize("path", BUNDLED, ids=[path.stem for path in BUNDLED])
 def test_bundled_configs(path):
     assert_matches_reference(ScenarioConfig.from_json(path.read_text()))
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(fanout_shaped, id="fanout_shaped"),
+    pytest.param(weak_redelivery_shaped, id="weak_redelivery_shaped"),
+    *[pytest.param(lambda name=name: shape_config(name), id=name) for name in SHAPES],
+])
+def test_long_shapes(config):
+    assert_matches_reference(config())
 
 
 @pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
