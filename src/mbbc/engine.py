@@ -13,9 +13,8 @@ Each round runs five sub-phases in a fixed order:
    are grouped by the queue they hold, and each distinct queue is walked
    once: a message one queue holds takes that queue's senders, already in
    process order, and only a message several queues hold merges and sorts
-   theirs, once per set of queues. A round's messages are ordered by each
-   message's ``sort_key``, kept per simulation beside its dict and JSON
-   text.
+   theirs, once per set of queues. Messages are ordered by ``sort_key``,
+   which the simulation keeps per message beside its dict and JSON text.
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Each distinct message
    the correct processes send to all is folded once, with all its senders,
@@ -24,11 +23,11 @@ Each round runs five sub-phases in a fixed order:
    sends hold one. ``receive_phase`` folds each distinct inbox once into a
    copy of the common tallies, and every process that holds it reads that
    one fold, read-only, possessed processes included. A process with no
-   dictated receipt reads the common tallies themselves. Tallies are round-local and never part of a
-   process's state. RECEIVE is the only place a fold is built: the
-   strategies see every process's fold in the observation, and the
-   history-forging ones run a possessed process's compute phase on that
-   process's fold.
+   dictated receipt reads the common tallies themselves. Tallies are
+   round-local and never part of a process's state. RECEIVE is the only
+   place a fold is built: the strategies see every process's fold in the
+   observation, and the history-forging ones run a possessed process's
+   compute phase on that process's fold.
 5. COMPUTE  — correct processes run the protocol compute phase on their
    tallies; each faulty process's state is replaced by whatever the
    strategy returns. The phase works at two levels. The fold's reading
@@ -36,27 +35,24 @@ Each round runs five sub-phases in a fixed order:
    votes its quorums call for, and its READY quorums' earliest births)
    depends on the fold alone, so it is built once per fold, by the first
    class key or compute phase that reads the fold, and kept on the fold for
-   every other class and faithful compute that reads it; a process that
-   holds the fold of the process before it reads the majority without a
-   call. The rest depends
+   every other class and faithful compute that reads it. The rest depends
    on the process: a correct process's phase depends only on its fold,
    its cure flags, ``delivered`` and its ``rc`` after the majority repair,
    which is the reading's majority counter, or the process's own when the
    reading has none. Those five values are the process's class key, the
    fold named by its identity, as every fold is held until the round
-   ends. The first process of each class, in process
-   order, runs ``compute_phase``, and the others take its outcome through
+   ends. The first process of each class, in process order, runs
+   ``compute_phase``, and the others take its outcome through
    ``protocol.adopt_compute``; a freed process that re-enters with a stale
    counter thus joins the class its repair puts it in. A scheduled
    broadcast call joins its class like any other process; once the caller
    holds the class outcome, its queue gains the SEND, stamped with the
    repaired ``rc``. The send queue and ``delivered`` a state carries are
-   immutable, so the members of a class share them, and the next SEND
-   walks each distinct queue once, with all the senders that hold it. The
-   round's DELIVER_CALLs are built per set of delivering classes: each
-   class delivers in (source, payload) order and lists its members in
-   process order, so only an instance several classes deliver merges and
-   sorts their members.
+   immutable, so the members of a class share them, and so do the next
+   SEND's senders of a queue. Each class delivers in (source, payload)
+   order and lists its members in process order, so the round's
+   DELIVER_CALLs are built per set of delivering classes, and only an
+   instance several classes deliver merges and sorts their members.
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -100,9 +96,9 @@ delivers their instances interleaved. ``delivered_instances`` expands each
 event into one (event, instance) delivery group per instance. Each distinct
 message dict, instance dict and STATE_CORRUPTED detail is built once per
 simulation, and the events that carry it share it read-only. A
-STATE_CORRUPTED digest reads each queued message's JSON text, which is also
-encoded once per simulation, from the message's dict. Given a config (the
-seed is part of it), the trace is bit-reproducible.
+STATE_CORRUPTED digest reads each queued message's JSON text
+(``ProtocolMessage.to_json``), which is also written once per simulation.
+Given a config (the seed is part of it), the trace is bit-reproducible.
 
 The JSONL (``Trace.to_jsonl``) writes each distinct message and instance in
 full once per trace, and cites it after that by its index in the trace's
@@ -591,11 +587,9 @@ def _inboxes(outbox: Sequence[tuple[int, object, object]], n: int
                 if not 0 <= q < n:
                     raise ValueError(f"receiver {q} of a send by {sender} is outside 0..{n - 1}")
         for q in receivers:
-            inbox = inboxes[q]
-            if inbox:
-                inbox.append((sender, message))
-            else:
-                inboxes[q] = [(sender, message)]
+            if not inboxes[q]:
+                inboxes[q] = []
+            inboxes[q].append((sender, message))
     return inboxes
 
 
@@ -734,10 +728,7 @@ def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind
     """
     if oracle is OracleKind.NFA:
         return []
-    cures = schedule.cures(r)
-    if oracle is OracleKind.FFA:
-        return list(cures)
-    return [(p, None) for p, _since in cures]
+    return [(p, since if oracle is OracleKind.FFA else None) for p, since in schedule.cures(r)]
 
 
 class _Memo(dict):
@@ -775,7 +766,7 @@ class Simulation:
         # takes no bool for an int), so equal keys encode to equal JSON.
         self._sort_keys = _Memo(methodcaller("sort_key"))
         self._message_dicts = _Memo(methodcaller("to_dict"))
-        self._message_texts = _Memo(lambda msg, dicts=self._message_dicts: encode_line(dicts[msg]))
+        self._message_texts = _Memo(methodcaller("to_json"))
         self._instances = _Memo(lambda instance: instance_detail(*instance))
         self._digests: dict[tuple, dict] = {}
         # Last round's possessed processes, each to its STATE_CORRUPTED detail.

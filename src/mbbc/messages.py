@@ -9,6 +9,7 @@ hex escape otherwise.
 from __future__ import annotations
 
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .model import shown
@@ -88,6 +89,17 @@ class ProtocolMessage(_MessageFields):
             b"" if self.payload is None else self.payload,
             -1 if self.round_value is None else self.round_value,
         )
+
+    def to_json(self) -> str:
+        """``to_dict()`` as compact JSON with sorted keys, the text
+        ``json.JSONEncoder(sort_keys=True, separators=(",", ":"))`` writes
+        for it, written without the encoder's cost per call: every int
+        field is type-exact, so it is written as its repr."""
+        if self.kind is MessageKind.ROUND:
+            return f'{{"kind":"ROUND","round_value":{self.round_value}}}'
+        ((key, text),) = encode_payload(self.payload).items()
+        return (f'{{"birth_round":{self.birth_round},"kind":"{self.kind.value}",'
+                f'"{key}":{encode_basestring_ascii(text)},"source":{self.source}}}')
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind.value}

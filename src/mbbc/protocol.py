@@ -341,16 +341,13 @@ def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:
     return state.cured_faulty_since is not None and state.cured_faulty_since <= due
 
 
-# Compact JSON with sorted keys, the encoding of every digested value.
+# Compact JSON with sorted keys, the encoding of every digested value
+# (``ProtocolMessage.to_json`` writes a message's).
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _message_text(msg: ProtocolMessage) -> str:
-    return _encode(msg.to_dict())
-
-
 def state_fingerprint(state: ProtocolState,
-                      message_text: Callable[[ProtocolMessage], str] = _message_text,
+                      message_text: Callable[[ProtocolMessage], str] = ProtocolMessage.to_json,
                       sort_key: Callable[[ProtocolMessage], tuple] | None = None) -> str:
     """Stable digest of a state's five fields, used to record corruption events in traces.
 
@@ -359,14 +356,24 @@ def state_fingerprint(state: ProtocolState,
     hex] pairs), ``rc`` and ``to_send`` (the queued messages in message order,
     each as its ``to_dict``). It is assembled from each message's JSON text,
     ``message_text(m)``, in the order of ``sort_key(m)``; a caller that
-    already holds the texts or the keys passes them, and the defaults encode
-    ``m.to_dict()`` and call ``m.sort_key()``. The bytes are the same either way.
+    already holds the texts or the keys passes them, and the defaults call
+    ``m.to_json()`` and ``m.sort_key()``. The bytes are the same either way.
+    The other fields are written directly when each has its type (a bool, an
+    int or None, an int, int sources), as the encoder would write them, and
+    encoded otherwise, as ``True == 1`` is written differently.
     """
-    head = _encode({"cured": state.cured, "cured_faulty_since": state.cured_faulty_since,
-                    "delivered": sorted((s, p.hex()) for s, p in state.delivered),
-                    "rc": state.rc, "to_send": []})
+    cured, since, rc = state.cured, state.cured_faulty_since, state.rc
+    delivered = sorted((s, p.hex()) for s, p in state.delivered)
+    if (type(cured) is bool and type(rc) is int and (since is None or type(since) is int)
+            and all(type(s) is int for s, _hex in delivered)):
+        pairs = ",".join([f'[{s},"{h}"]' for s, h in delivered])
+        head = (f'{{"cured":{"true" if cured else "false"},'
+                f'"cured_faulty_since":{"null" if since is None else since},'
+                f'"delivered":[{pairs}],"rc":{rc},"to_send":[')
+    else:
+        # ``to_send`` sorts last, so the encoding ends with its empty list: ``[]}``.
+        head = _encode({"cured": cured, "cured_faulty_since": since, "delivered": delivered,
+                        "rc": rc, "to_send": []})[:-2]
     queue = ",".join(map(message_text, sorted(state.to_send,
                                               key=sort_key or ProtocolMessage.sort_key)))
-    # ``to_send`` sorts last, so ``head`` ends with its empty list: ``[]}``.
-    blob = f"{head[:-2]}{queue}]}}"
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(f"{head}{queue}]}}".encode("utf-8")).hexdigest()

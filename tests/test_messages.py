@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbbc.messages import (
     MessageKind,
@@ -97,3 +101,15 @@ def test_int_fields_are_type_exact(data, field):
 def test_payload_must_be_exactly_bytes():
     with pytest.raises(ValueError, match="payload must be bytes"):
         send_msg(0, 1, bytearray(b"x"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(MessageKind)), source=st.integers(0, 2 ** 70),
+       birth=st.integers(1, 2 ** 70), round_value=st.integers(1, 2 ** 70),
+       payload=st.binary(max_size=8) | st.text(max_size=8).map(str.encode))
+def test_to_json_is_the_encoders_text(kind, source, birth, round_value, payload):
+    """``to_json`` writes what the compact, key-sorted encoder writes for
+    ``to_dict()``: both payload keys, escapes and non-ASCII text included."""
+    msg = (round_msg(round_value) if kind is MessageKind.ROUND
+           else ProtocolMessage(kind, source, birth, payload))
+    assert msg.to_json() == json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -516,6 +518,32 @@ class TestStateFingerprint:
         state = self.build()
         change(state)
         assert state_fingerprint(state) != state_fingerprint(self.build())
+
+    @pytest.mark.parametrize("change", [
+        lambda s: None,
+        lambda s: s.to_send.add(send_msg(2, 3, "é \"\\ \u2603".encode())),
+        lambda s: s.to_send.add(echo_msg(1, 2, b"\xff")),
+        lambda s: s.delivered.update({(3, b""), (1, b"\x00\xff")}),
+        lambda s: setattr(s, "rc", True),
+        lambda s: setattr(s, "cured", 1),
+        lambda s: setattr(s, "cured_faulty_since", True),
+        lambda s: setattr(s, "cured_faulty_since", None),
+        lambda s: s.delivered.add((True, b"m")),
+    ], ids=["built", "escaped_payload", "hex_payload", "delivered", "rc_bool", "cured_int",
+            "cured_faulty_since_bool", "cured_faulty_since_none", "delivered_source_bool"])
+    def test_the_digest_hashes_the_encoders_text(self, change):
+        """The fields written directly, and those of other types that are
+        encoded, give the text the compact, key-sorted encoder writes for the
+        whole state."""
+        state = self.build()
+        change(state)
+        text = json.dumps({"cured": state.cured, "cured_faulty_since": state.cured_faulty_since,
+                           "delivered": sorted((s, p.hex()) for s, p in state.delivered),
+                           "rc": state.rc,
+                           "to_send": [m.to_dict() for m in sorted(state.to_send,
+                                                                   key=ProtocolMessage.sort_key)]},
+                          sort_keys=True, separators=(",", ":"))
+        assert state_fingerprint(state) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @settings(max_examples=200, deadline=None)
