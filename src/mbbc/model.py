@@ -289,7 +289,7 @@ class FailureSchedule:
     @cached_property
     def _cure_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """``cures(r)`` at index r - 1, built on first use from
-        ``_faulty_table`` and kept outside the fields as it is."""
+        ``_faulty_table`` and, like it, kept outside the fields."""
         starts: dict[int, int] = {}
         table = []
         before: frozenset[int] = frozenset()
