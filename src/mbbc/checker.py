@@ -206,11 +206,11 @@ class TraceIndex:
     @cached_property
     def cured_rounds(self) -> dict[int, list[int]]:
         """The rounds in which each process is cured, ascending: faulty in the
-        round before, correct in it (``FailureSchedule.cured_processes``). The
+        round before, correct in it (``FailureSchedule.cures``). The
         schedule fixes them; the trace does not hold them."""
         out: dict[int, list[int]] = {}
         for r in range(2, self.schedule.horizon + 1):
-            for p in self.schedule.cured_processes(r):
+            for p, _since in self.schedule.cures(r):
                 out.setdefault(p, []).append(r)
         return out
 
@@ -319,14 +319,10 @@ def check_integrity(index: TraceIndex) -> PropertyReport:
     and by a faulty source when the source's first faulty round is r or before.
     """
     schedule = index.schedule
-    first_faulty: dict[int, int] = {}
-    for r in range(1, schedule.horizon + 1):
-        for p in schedule.faulty_set(r):
-            first_faulty.setdefault(p, r)
     never = schedule.horizon + 1
     unexplained = [g for g in index.correct_deliveries
                    if index.births.get((g.source, g.payload), never) > g.round
-                   and first_faulty.get(g.source, never) > g.round]
+                   and (schedule.first_faulty(g.source) or never) > g.round]
     if unexplained:
         # Per round, by process; a process's own deliveries keep their trace order.
         violations = sorted(({"process": p, "round": g.round, "source": g.source}
@@ -410,8 +406,7 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
     witness: list[int] = []
     details: list[dict] = []
     if variant is VariantTag.NFA_WEAK:
-        everyone = frozenset(range(schedule.n))
-        correct_in = [everyone - schedule.faulty_set(r) for r in range(1, schedule.horizon + 1)]
+        correct_in = [schedule.correct_set(r) for r in range(1, schedule.horizon + 1)]
     for key, groups in sorted(index.by_instance.items(), key=lambda kv: kv[1][0].event_index):
         birth = index.births.get(key, min(g.round for g in groups) - DELIVERY_DELAY)
         due = birth + DELIVERY_DELAY
@@ -507,8 +502,7 @@ def replay_witness(report: PropertyReport, trace: Trace, schedule: FailureSchedu
 
 
 def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:
-    return frozenset(p for p in range(schedule.n)
-                     if len(schedule.correct_rounds(p)) == schedule.horizon)
+    return frozenset(p for p in range(schedule.n) if schedule.first_faulty(p) is None)
 
 
 def projection(trace: Trace, schedule: FailureSchedule) -> list[TraceEvent]:

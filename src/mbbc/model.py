@@ -5,14 +5,24 @@ index ``k-1``). Time is a round counter starting at 1; agents move only at
 round boundaries, so a process is wholly faulty or wholly correct per round.
 A schedule is the single source of truth for B(r) (faulty set), C(r)
 (correct set) and each process's next correct round.
+
+Each config object resolves its schedule once, and the schedule resolves
+into round tables: it fills each agent's host row by slices and derives from
+the rows, with set operations, the faulty and correct sets, each process's
+faulty spans (which give its first faulty round and its correct rounds) and
+the cures with their span starts. Each table is built on first use; the
+engine and the checkers read them instead of scanning round by round.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 
 class Timing(Enum):
@@ -113,10 +123,13 @@ def shown(value, depth: int = 8) -> str:
     return repr(value)
 
 
-def spec_object(value, what: str) -> dict:
-    """A JSON object of a spec."""
+def spec_object(value, what: str, keys: tuple[str, ...] | None = None) -> dict:
+    """A JSON object of a spec; with ``keys``, one that holds no other key."""
     if not isinstance(value, dict):
         raise InvalidScenario([f"{what} is {shown(value)}, not an object"])
+    if keys is not None and value.keys() - keys:
+        raise InvalidScenario([f"{what} key {shown(key)} is not one of {', '.join(keys)}"
+                               for key in value if key not in keys])
     return value
 
 
@@ -147,9 +160,10 @@ def spec_ints(data: dict, key: str, what: str) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One contiguous stay of an agent on a host; ``last_round=None`` means open (to horizon)."""
+class Segment(NamedTuple):
+    """One contiguous stay of an agent on a host; ``last_round=None`` means open (to horizon).
+
+    A tuple, so a generator builds its stays in bulk with ``tuple.__new__``."""
 
     host: int
     first_round: int
@@ -160,7 +174,7 @@ class Segment:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Segment":
-        data = spec_object(data, "segment")
+        data = spec_object(data, "segment", cls._fields)
         last = data.get("last_round")
         if last is not None and type(last) is not int:
             raise InvalidScenario([f"segment last_round is {shown(last)}, neither an int nor null"])
@@ -185,7 +199,7 @@ class AgentTrajectory:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AgentTrajectory":
-        data = spec_object(data, "trajectory")
+        data = spec_object(data, "trajectory", ("agent_id", "segments"))
         segments = spec_list(data.get("segments"), "trajectory segments")
         return cls(spec_int(data, "agent_id", "trajectory"),
                    tuple(Segment.from_dict(s) for s in segments))
@@ -229,14 +243,21 @@ class FailureSchedule:
     def _host_table(self) -> tuple[tuple[int | None, ...], ...]:
         """Each agent's host in round r at index r - 1, at the agent's index,
         built on first use and kept outside the fields as ``_faulty_table``
-        is. Of overlapping segments, the first holds the round."""
+        is. Each segment fills its rounds as one slice, the last segment
+        first, so of overlapping segments the first holds the round."""
+        horizon = self.horizon
         table = []
         for traj in self.trajectories:
-            hosts: list[int | None] = [None] * self.horizon
-            for seg in reversed(traj.segments):
-                last = self.resolved_last(seg)
-                for r in range(max(1, seg.first_round), min(last, self.horizon) + 1):
-                    hosts[r - 1] = seg.host
+            hosts: list[int | None] = [None] * horizon
+            for host, first, last in reversed(traj.segments):
+                # Clipped to [1, horizon] by comparisons: ``min`` and ``max``
+                # calls cost as much as the slice.
+                if last is None or last > horizon:
+                    last = horizon
+                if first < 1:
+                    first = 1
+                if first <= last:
+                    hosts[first - 1:last] = [host] * (last - first + 1)
             table.append(tuple(hosts))
         return tuple(table)
 
@@ -248,8 +269,30 @@ class FailureSchedule:
         A cached property lives in the instance ``__dict__``, not in a field,
         so equality and hashing still see the five fields only.
         """
-        rounds = zip(*self._host_table) if self.trajectories else [()] * self.horizon
-        return tuple(frozenset(h for h in hosts if h is not None) for hosts in rounds)
+        rounds = zip(*self._host_table) if self.trajectories else repeat((), self.horizon)
+        off_board = frozenset((None,))
+        return tuple(hosts - off_board if None in hosts else hosts for hosts in map(frozenset, rounds))
+
+    @cached_property
+    def _correct_sets(self) -> tuple[frozenset[int], ...]:
+        """C(r) at index r - 1, built on first use from ``_faulty_table``."""
+        return tuple(map(frozenset(range(self.n)).difference, self._faulty_table))
+
+    @cached_property
+    def _spans(self) -> dict[int, list[list[int]]]:
+        """Each process's maximal faulty spans, ``[first, last]`` in round
+        order, for the processes faulty in some round: one walk over
+        ``_faulty_table`` that opens a span where a process joins B(r) and
+        closes it where the process leaves."""
+        spans: dict[int, list[list[int]]] = {}
+        before: frozenset[int] = frozenset()
+        for r, faulty in enumerate(self._faulty_table, start=1):
+            for p in faulty - before:
+                spans.setdefault(p, []).append([r, self.horizon])
+            for p in before - faulty:
+                spans[p][-1][1] = r - 1
+            before = faulty
+        return spans
 
     def faulty_set(self, r: int) -> frozenset[int]:
         """B(r): distinct hosts of all agents in round r (co-location collapses)."""
@@ -258,13 +301,20 @@ class FailureSchedule:
         return self._faulty_table[r - 1]
 
     def correct_set(self, r: int) -> frozenset[int]:
-        return frozenset(range(self.n)) - self.faulty_set(r)
+        if r < 1 or r > self.horizon:
+            raise RoundOutOfHorizon(f"round {r} outside [1, {self.horizon}]")
+        return self._correct_sets[r - 1]
 
     def is_faulty(self, p: int, r: int) -> bool:
         return p in self.faulty_set(r)
 
     def is_correct(self, p: int, r: int) -> bool:
         return p not in self.faulty_set(r)
+
+    def first_faulty(self, p: int) -> int | None:
+        """p's first faulty round; None when p is correct throughout the horizon."""
+        spans = self._spans.get(p)
+        return spans[0][0] if spans else None
 
     def correct_during(self, p: int, first: int, last: int) -> bool:
         """Correct in every round of [first, last]; rounds beyond the horizon are unknowable."""
@@ -288,46 +338,38 @@ class FailureSchedule:
 
     @cached_property
     def _cure_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``cures(r)`` at index r - 1, built on first use from
-        ``_faulty_table`` and, like it, kept outside the fields."""
-        starts: dict[int, int] = {}
-        table = []
-        before: frozenset[int] = frozenset()
-        for r, faulty in enumerate(self._faulty_table, start=1):
-            table.append(tuple((p, starts.pop(p)) for p in sorted(before - faulty)))
-            starts.update(dict.fromkeys(faulty - before, r))
-            before = faulty
-        return tuple(table)
+        """``cures(r)`` at index r - 1: each span that ends before the
+        horizon, at its end, built on first use from ``_spans`` and, like
+        it, kept outside the fields."""
+        table: list[list[tuple[int, int]]] = [[] for _ in range(self.horizon)]
+        for p, spans in sorted(self._spans.items()):
+            for first, last in spans:
+                if last < self.horizon:
+                    table[last].append((p, first))
+        return tuple(map(tuple, table))
 
     def faulty_span_start(self, p: int, r: int) -> int:
         """First round of the maximal contiguous faulty span of p that covers round r."""
         if not self.is_faulty(p, r):
             raise ValueError(f"process {p} is not faulty in round {r}")
-        table = self._faulty_table
-        start = r
-        while start > 1 and p in table[start - 2]:
-            start -= 1
-        return start
-
-    @cached_property
-    def _correct_table(self) -> tuple[tuple[int, ...], ...]:
-        """Each process's correct rounds, ascending, at index p, built on first
-        use and kept outside the fields as ``_faulty_table`` is."""
-        rounds: list[list[int]] = [[] for _ in range(self.n)]
-        for r, faulty in enumerate(self._faulty_table, start=1):
-            for p in range(self.n):
-                if p not in faulty:
-                    rounds[p].append(r)
-        return tuple(map(tuple, rounds))
+        spans = self._spans[p]
+        return spans[bisect_right(spans, r, key=itemgetter(0)) - 1][0]
 
     def correct_rounds(self, p: int) -> tuple[int, ...]:
-        return self._correct_table[p]
+        """p's correct rounds, ascending: the gaps between its faulty spans."""
+        spans = self._spans.get(p, [])
+        gap_starts = chain((1,), (last + 1 for _, last in spans))
+        gap_ends = chain((first for first, _ in spans), (self.horizon + 1,))
+        return tuple(chain.from_iterable(map(range, gap_starts, gap_ends)))
 
     def next_correct(self, p: int, r: int) -> int | None:
         """p's first correct round at or after r; None when there is none within the horizon."""
-        rounds = self._correct_table[p]
-        i = bisect_left(rounds, r)
-        return rounds[i] if i < len(rounds) else None
+        r = max(r, 1)
+        spans = self._spans.get(p, [])
+        i = bisect_right(spans, r, key=itemgetter(0))  # spans[i - 1] starts at or before r
+        if i and r <= spans[i - 1][1]:
+            r = spans[i - 1][1] + 1
+        return r if r <= self.horizon else None
 
 
 def validate_schedule(schedule: FailureSchedule) -> tuple[ScheduleViolation, ...]:
@@ -347,38 +389,37 @@ def validate_schedule(schedule: FailureSchedule) -> tuple[ScheduleViolation, ...
             None, None, "trajectory-count",
             f"{len(schedule.trajectories)} trajectories for f={schedule.f} agents"))
 
+    n, horizon, delta_s = schedule.n, schedule.horizon, schedule.delta_s
     for index, traj in enumerate(schedule.trajectories):
+        agent = traj.agent_id
         # ``host_of`` finds an agent's trajectory by its id.
-        if traj.agent_id != index:
-            out.append(ScheduleViolation(traj.agent_id, None, "agent-id",
-                                         f"trajectory {index} has agent id {traj.agent_id}, not {index}"))
-        prev: Segment | None = None
-        for seg in traj.segments:
-            last = schedule.resolved_last(seg)
-            if not 0 <= seg.host < schedule.n:
-                out.append(ScheduleViolation(traj.agent_id, seg.first_round, "host-range",
-                                             f"host {seg.host} outside [0, {schedule.n})"))
-            if seg.first_round < 1 or seg.first_round > schedule.horizon:
-                out.append(ScheduleViolation(traj.agent_id, seg.first_round, "segment-bounds",
-                                             f"segment starts at round {seg.first_round}"))
-            if last < seg.first_round:
-                out.append(ScheduleViolation(traj.agent_id, seg.first_round, "segment-order",
+        if agent != index:
+            out.append(ScheduleViolation(agent, None, "agent-id",
+                                         f"trajectory {index} has agent id {agent}, not {index}"))
+        prev_host = prev_last = None
+        for host, first, last_round in traj.segments:
+            last = horizon if last_round is None else last_round
+            if not 0 <= host < n:
+                out.append(ScheduleViolation(agent, first, "host-range", f"host {host} outside [0, {n})"))
+            if first < 1 or first > horizon:
+                out.append(ScheduleViolation(agent, first, "segment-bounds", f"segment starts at round {first}"))
+            if last < first:
+                out.append(ScheduleViolation(agent, first, "segment-order",
                                              f"segment ends ({last}) before it starts"))
-            elif seg.last_round is not None and last - seg.first_round + 1 < schedule.delta_s:
-                out.append(ScheduleViolation(traj.agent_id, seg.first_round, "residency",
-                                             f"residency {last - seg.first_round + 1} < delta_s={schedule.delta_s}"))
-            if seg.last_round is not None and seg.last_round > schedule.horizon:
-                out.append(ScheduleViolation(traj.agent_id, seg.last_round, "segment-bounds",
-                                             f"segment ends at round {seg.last_round} beyond horizon"))
-            if prev is not None:
-                prev_last = schedule.resolved_last(prev)
-                if seg.first_round <= prev_last:
-                    out.append(ScheduleViolation(traj.agent_id, seg.first_round, "segment-order",
+            elif last_round is not None and last - first + 1 < delta_s:
+                out.append(ScheduleViolation(agent, first, "residency",
+                                             f"residency {last - first + 1} < delta_s={delta_s}"))
+            if last_round is not None and last_round > horizon:
+                out.append(ScheduleViolation(agent, last_round, "segment-bounds",
+                                             f"segment ends at round {last_round} beyond horizon"))
+            if prev_last is not None:
+                if first <= prev_last:
+                    out.append(ScheduleViolation(agent, first, "segment-order",
                                                  "segments overlap or are out of order"))
-                elif seg.first_round == prev_last + 1 and seg.host == prev.host:
-                    out.append(ScheduleViolation(traj.agent_id, seg.first_round, "stationary-move",
-                                                 f"adjacent segments both on host {seg.host}"))
-            prev = seg
+                elif first == prev_last + 1 and host == prev_host:
+                    out.append(ScheduleViolation(agent, first, "stationary-move",
+                                                 f"adjacent segments both on host {host}"))
+            prev_host, prev_last = host, last
 
     # |B(r)| <= f needs no rule of its own: each of the f trajectories, its
     # segments not overlapping, holds one host per round.

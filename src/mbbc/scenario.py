@@ -13,7 +13,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from itertools import chain, cycle, islice, repeat
+from typing import Iterator
 
 from .messages import decode_payload, encode_payload
 from .model import (
@@ -61,6 +62,8 @@ MAX_N = 1_000
 # required). A bool, a float or a numeric string is not an int here.
 _SCALAR_DEFAULTS = {"n": None, "f": None, "delta_s": 1, "delta_b": 2, "delta_c": 1,
                     "horizon": None, "seed": 0}
+# Every field a config may hold, in ``to_dict`` order; any other is rejected.
+_CONFIG_KEYS = (*_SCALAR_DEFAULTS, "setting", "variant", "schedule", "broadcasts", "strategy")
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,7 @@ class ScenarioConfig:
         problems = [k for k in ("n", "f", "horizon", "setting", "schedule") if k not in data]
         if problems:
             raise InvalidScenario([f"missing config field: {k}" for k in problems])
+        spec_object(data, "config", _CONFIG_KEYS)
         setting = SettingTriple.from_dict(spec_object(data["setting"], "setting"))
         try:
             variant = VariantTag(data.get("variant", "FFA_FULL"))
@@ -221,16 +225,18 @@ class ScenarioConfig:
 
 def build_schedule(config: ScenarioConfig) -> FailureSchedule:
     """Resolve the schedule spec (explicit trajectories or a named generator)."""
-    spec = spec_object(config.schedule, "schedule")
-    if "trajectories" in spec:
+    if isinstance(config.schedule, dict) and "trajectories" in config.schedule:
+        spec = spec_object(config.schedule, "schedule", ("trajectories",))
         trajectories = tuple(AgentTrajectory.from_dict(t)
                              for t in spec_list(spec["trajectories"], "schedule trajectories"))
     else:
+        spec = spec_object(config.schedule, "schedule", ("generator", "params"))
         generator = spec.get("generator")
         generate = _GENERATORS.get(generator) if isinstance(generator, str) else None
         if generate is None:
             raise InvalidScenario([f"unknown schedule generator: {shown(generator)}"])
-        params = spec_object(spec.get("params", {}), f"{generator} generator params")
+        params = spec_object(spec.get("params", {}), f"{generator} generator params",
+                             _GENERATOR_KEYS[generator])
         if generator != "static" and config.delta_s < 1:
             # Each generated stay lasts delta_s rounds; a shorter one never ends.
             raise InvalidScenario([f"{generator} generator needs delta_s >= 1, got {config.delta_s}"])
@@ -264,34 +270,37 @@ def _alternating_trajectories(config: ScenarioConfig, params: dict) -> tuple[Age
         raise InvalidScenario([f"alternating generator needs |p1| = |p2| = f = {config.f}"])
     if set(p1) & set(p2):
         raise InvalidScenario(["alternating generator needs disjoint p1 and p2"])
-    return tuple(_stays(config, i, start, lambda k: (p1, p2)[k % 2][i]) for i in range(config.f))
+    return tuple(_stays(config, i, start, cycle((p1[i], p2[i]))) for i in range(config.f))
 
 
 def _roundrobin_trajectories(config: ScenarioConfig, params: dict) -> tuple[AgentTrajectory, ...]:
     """Agent i walks the ring of processes, one stay of delta_s per host."""
     offset = spec_int(params, "offset", "roundrobin generator", default=0)
     skip = set(spec_ints(params, "skip", "roundrobin generator"))
+    problems = [f"roundrobin generator skip {s} outside [0, {config.n})"
+                for s in sorted(skip) if not 0 <= s < config.n]
+    if problems:
+        raise InvalidScenario(problems)
     ring = [p for p in range(config.n) if p not in skip]
     if not ring:
         raise InvalidScenario(["roundrobin generator has no hosts left after skip"])
-    return tuple(_stays(config, i, 1, lambda k: ring[(offset + i + k) % len(ring)])
+    return tuple(_stays(config, i, 1, islice(cycle(ring), (offset + i) % len(ring), None))
                  for i in range(config.f))
 
 
-def _stays(config: ScenarioConfig, agent_id: int, start: int,
-           host: Callable[[int], int]) -> AgentTrajectory:
+def _stays(config: ScenarioConfig, agent_id: int, start: int, hosts: Iterator[int]) -> AgentTrajectory:
     """Agent ``agent_id`` in stays of delta_s rounds from ``start`` to the
-    horizon, the k-th stay (from 0) on ``host(k)``. The stay the horizon cuts
-    is left open, so residency holds."""
-    segments = []
-    first = start
-    while first <= config.horizon:
-        last = min(first + config.delta_s - 1, config.horizon)
-        segments.append(Segment(host=host(len(segments)), first_round=first,
-                                last_round=None if last == config.horizon else last))
-        first = last + 1
-    return AgentTrajectory(agent_id=agent_id, segments=tuple(segments))
+    horizon, the k-th stay (from 0) on the k-th of ``hosts``, built in bulk
+    as ``Segment`` tuples. The last stay, which the horizon ends or cuts, is
+    left open, so residency holds."""
+    firsts = range(start, config.horizon + 1, config.delta_s)
+    lasts = chain(range(start + config.delta_s - 1, config.horizon, config.delta_s), (None,))
+    return AgentTrajectory(agent_id=agent_id,
+                           segments=tuple(map(tuple.__new__, repeat(Segment), zip(hosts, firsts, lasts))))
 
 
 _GENERATORS = {"static": _static_trajectories, "alternating": _alternating_trajectories,
                "roundrobin": _roundrobin_trajectories}
+# The params each generator reads; it rejects any other.
+_GENERATOR_KEYS = {"static": ("hosts",), "alternating": ("p1", "p2", "start"),
+                   "roundrobin": ("offset", "skip")}

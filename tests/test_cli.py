@@ -240,6 +240,15 @@ def without_segment_field(key):
     return lambda cfg: cfg["schedule"]["trajectories"][0]["segments"][0].pop(key)
 
 
+def misspelled_last_round(index, value):
+    """Segment ``index`` with its ``last_round`` written as ``last``."""
+    def edit(cfg):
+        segment = cfg["schedule"]["trajectories"][0]["segments"][index]
+        del segment["last_round"]
+        segment["last"] = value
+    return edit
+
+
 def setting_field(key, value):
     return lambda cfg: cfg["setting"].update({key: value})
 
@@ -331,6 +340,21 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
     pytest.param(segment_field("host", True), "host", id="segment-host-bool"),
     pytest.param(lambda cfg: cfg["schedule"]["trajectories"][0].update({"agent_id": 3}), "agent id 3",
                  id="trajectory-agent_id-range"),
+    pytest.param(misspelled_last_round(-1, 6), "segment key 'last' is not one of",
+                 id="last-segment-last_round-misspelled"),
+    pytest.param(misspelled_last_round(0, 1), "segment key 'last' is not one of",
+                 id="segment-last_round-misspelled-before-another"),
+    pytest.param(lambda cfg: cfg["schedule"]["trajectories"][0].update({"agent": 0}),
+                 "trajectory key 'agent' is not one of", id="trajectory-unknown-key"),
+    pytest.param(lambda cfg: cfg["schedule"].update({"generator": "static"}),
+                 "schedule key 'generator' is not one of trajectories", id="schedule-unknown-key"),
+    pytest.param(schedule({"generator": "roundrobin", "params": {"ofset": 2}}),
+                 "roundrobin generator params key 'ofset' is not one of", id="roundrobin-params-unknown-key"),
+    pytest.param(schedule({"generator": "static", "params": {"hosts": [3], "start": 2}}),
+                 "static generator params key 'start' is not one of", id="static-params-unknown-key"),
+    pytest.param(schedule({"generator": "roundrobin", "params": {"skip": [6]}}),
+                 "roundrobin generator skip 6 outside [0, 6)", id="roundrobin-skip-range"),
+    pytest.param(scalar("delta_S", 3), "config key 'delta_S' is not one of", id="config-unknown-key"),
     pytest.param(scalar("setting", None), "setting is None", id="setting-null"),
     pytest.param(scalar("setting", "SYNC"), "setting is 'SYNC'", id="setting-string"),
     pytest.param(scalar("setting", []), "setting is []", id="setting-list"),

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SHAPES, shape_config
-from mbbc.checker import permanently_correct
+from mbbc.adversary import generate_paired_histories
+from mbbc.checker import TraceIndex, permanently_correct
+from mbbc.engine import Trace
 from mbbc.model import (
     AgentTrajectory,
     FailureSchedule,
@@ -19,7 +21,9 @@ from mbbc.model import (
     is_io_correct,
     validate_schedule,
 )
+from mbbc.protocol import VariantTag
 from mbbc.scenario import ScenarioConfig
+from mbbc.sweeps import BUNDLED_STRATEGIES, attack_scenario
 
 
 def schedule_from(segments_per_agent, n=6, f=None, delta_s=1, horizon=6):
@@ -240,6 +244,51 @@ def assert_host_of_scans(sched):
             assert sched.host_of(agent, r) == scanned, (agent, r)
 
 
+def assert_tables_are_literal(sched):
+    """Every round table of ``sched`` equals its literal recomputation,
+    round by round, from ``host_of``: the faulty and correct sets, the
+    cures with their span starts, each process's correct rounds, next
+    correct round and first faulty round, and the checker's cured rounds."""
+    h, n = sched.horizon, sched.n
+    faulty = [frozenset()] + [frozenset(sched.host_of(a, r) for a in range(sched.f)) - {None}
+                              for r in range(1, h + 1)]
+
+    def span_start(p, r):
+        while r > 1 and p in faulty[r - 1]:
+            r -= 1
+        return r
+
+    for r in range(1, h + 1):
+        assert sched.faulty_set(r) == faulty[r], r
+        assert sched.correct_set(r) == frozenset(range(n)) - faulty[r], r
+        cured = faulty[r - 1] - faulty[r]
+        assert sched.cured_processes(r) == cured, r
+        assert sched.cures(r) == tuple((p, span_start(p, r - 1)) for p in sorted(cured)), r
+    assert sched.cures(0) == sched.cures(h + 1) == ()
+    for p in range(n):
+        correct = tuple(r for r in range(1, h + 1) if p not in faulty[r])
+        assert sched.correct_rounds(p) == correct, p
+        assert sched.first_faulty(p) == next((r for r in range(1, h + 1) if p in faulty[r]), None)
+        for r in range(-1, h + 2):
+            assert sched.next_correct(p, r) == next((c for c in correct if c >= r), None), (p, r)
+        for r in range(1, h + 1):
+            assert sched.is_faulty(p, r) is (p in faulty[r])
+            assert sched.is_correct(p, r) is (p not in faulty[r])
+            if p in faulty[r]:
+                assert sched.faulty_span_start(p, r) == span_start(p, r), (p, r)
+            clean = True
+            for last in range(r, h + 2):
+                clean = clean and last <= h and p not in faulty[last]
+                assert sched.correct_during(p, r, last) is clean, (p, r, last)
+    assert permanently_correct(sched) == {p for p in range(n) if all(p not in b for b in faulty)}
+    cured_rounds: dict[int, list[int]] = {}
+    for r in range(2, h + 1):
+        for p in sched.cured_processes(r):
+            cured_rounds.setdefault(p, []).append(r)
+    index = TraceIndex(Trace("", 0, {}), sched, 2, 1, VariantTag.BFA_WEAK)
+    assert index.cured_rounds == cured_rounds
+
+
 NAMED_SCHEDULES = [
     *(path.name for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))),
     *SHAPES]
@@ -270,35 +319,28 @@ class TestScheduleTable:
     @settings(max_examples=200, deadline=None)
     @given(valid_schedules())
     def test_derived_queries_agree_with_agent_hosts(self, sched):
-        def faulty(p, r):
-            return any(sched.host_of(a, r) == p for a in range(sched.f))
+        assert_tables_are_literal(sched)
 
-        h = sched.horizon
-        for p in range(sched.n):
-            assert sched.correct_rounds(p) == tuple(r for r in range(1, h + 1) if not faulty(p, r))
-            for r in range(1, h + 2):
-                after = [later for later in range(r, h + 1) if not faulty(p, later)]
-                assert sched.next_correct(p, r) == (after[0] if after else None), (p, r)
-            for r in range(1, h + 1):
-                assert sched.is_faulty(p, r) is faulty(p, r)
-                assert sched.is_correct(p, r) is not faulty(p, r)
-                assert (p in sched.cured_processes(r)) is (r > 1 and faulty(p, r - 1)
-                                                           and not faulty(p, r))
-                if faulty(p, r):
-                    start = r
-                    while start > 1 and faulty(p, start - 1):
-                        start -= 1
-                    assert sched.faulty_span_start(p, r) == start
-                for last in range(r, h + 2):
-                    expected = last <= h and not any(faulty(p, j) for j in range(r, last + 1))
-                    assert sched.correct_during(p, r, last) is expected
-        for r in range(1, h + 1):
-            assert sched.cures(r) == tuple((p, sched.faulty_span_start(p, r - 1))
-                                           for p in sorted(sched.cured_processes(r))), r
-        assert sched.cures(0) == sched.cures(h + 1) == ()
-        never_hosted = {p for p in range(sched.n)
-                        if not any(faulty(p, r) for r in range(1, h + 1))}
-        assert permanently_correct(sched) == never_hosted
+    @pytest.mark.parametrize("name", NAMED_SCHEDULES)
+    def test_derived_queries_of_a_named_schedule_agree_with_agent_hosts(self, name):
+        assert_tables_are_literal(named_schedule(name))
+
+    @pytest.mark.parametrize("strategy", BUNDLED_STRATEGIES)
+    @pytest.mark.parametrize("f", [1, 2])
+    @pytest.mark.parametrize("delta_s", [1, 2])
+    def test_derived_queries_of_the_sweep_grid_agree_with_agent_hosts(self, strategy, f, delta_s):
+        """Every cell of the resilience grid the sweeps and the benchmark
+        run: n from 2f+1 to 6f+2, each variant."""
+        for variant in VariantTag:
+            for n in range(2 * f + 1, 6 * f + 3):
+                assert_tables_are_literal(
+                    attack_scenario(variant, n, f, delta_s, strategy).resolved_schedule())
+
+    @pytest.mark.parametrize("kind", ["SOURCE_FLIP", "WIPE_FLIP"])
+    @pytest.mark.parametrize("params", [{}, {"n": 16, "horizon": 30}])
+    def test_derived_queries_of_the_demo_histories_agree_with_agent_hosts(self, kind, params):
+        for config in generate_paired_histories(kind, params):
+            assert_tables_are_literal(config.resolved_schedule())
 
     @settings(max_examples=200, deadline=None)
     @given(valid_schedules(), st.integers(1, 4))

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import golden_correct_source
 from mbbc.engine import Simulation
+from mbbc.model import Segment
 from mbbc.scenario import Broadcast, InvalidScenario, ScenarioConfig, build_schedule
 
 
@@ -132,6 +133,118 @@ class TestGenerators:
         cfg = ScenarioConfig.from_dict(base_dict(delta_s=delta_s, schedule=spec))
         with pytest.raises(InvalidScenario, match=f"delta_s >= 1, got {delta_s}"):
             build_schedule(cfg)
+
+
+
+def trajectory(*segments):
+    return {"agent_id": 0, "segments": [dict(zip(("host", "first_round", "last_round"), s))
+                                        for s in segments]}
+
+
+class TestUnknownKeys:
+    """A key a spec does not define is rejected by name, never ignored."""
+
+    @pytest.mark.parametrize("key", ["delta_S", "comment"])
+    def test_config(self, key):
+        with pytest.raises(InvalidScenario, match=f"config key '{key}' is not one of n, f, "):
+            ScenarioConfig.from_dict(base_dict(**{key: 3}))
+
+    @pytest.mark.parametrize("schedule, named", [
+        ({"trajectories": [], "note": 1}, "schedule key 'note' is not one of trajectories"),
+        ({"trajectories": [], "generator": "static"},
+         "schedule key 'generator' is not one of trajectories"),
+        ({"generator": "static", "params": {"hosts": [3]}, "param": {}},
+         "schedule key 'param' is not one of generator, params"),
+        ({"generator": "roundrobin", "params": {"ofset": 2}},
+         "roundrobin generator params key 'ofset' is not one of offset, skip"),
+        ({"generator": "static", "params": {"hosts": [3], "host": 3}},
+         "static generator params key 'host' is not one of hosts"),
+        ({"generator": "alternating", "params": {"p1": [4], "p2": [5], "begin": 2}},
+         "alternating generator params key 'begin' is not one of p1, p2, start"),
+        ({"trajectories": [{"agent_id": 0, "segments": [], "id": 0}]},
+         "trajectory key 'id' is not one of agent_id, segments"),
+        ({"trajectories": [{"agent_id": 0, "segments": [{"host": 1, "first_round": 1, "last": 2}]}]},
+         "segment key 'last' is not one of host, first_round, last_round"),
+        ({"trajectories": [{"agent_id": 0, "segments": [{"host": 1, "first_round": 1, "last": 2},
+                                                        {"host": 2, "first_round": 3}]}]},
+         "segment key 'last' is not one of host, first_round, last_round"),
+    ], ids=["schedule-explicit", "schedule-both", "schedule-generator", "roundrobin", "static",
+            "alternating", "trajectory", "last-segment", "segment-before-another"])
+    def test_schedule_spec(self, schedule, named):
+        cfg = ScenarioConfig.from_dict(base_dict(schedule=schedule))
+        with pytest.raises(InvalidScenario) as err:
+            cfg.validate()
+        assert str(err.value) == named
+
+    def test_every_unknown_key_is_named(self):
+        with pytest.raises(InvalidScenario) as err:
+            Segment.from_dict({"host": 1, "first": 1, "last": 2})
+        assert err.value.problems == [
+            "segment key 'first' is not one of host, first_round, last_round",
+            "segment key 'last' is not one of host, first_round, last_round"]
+
+    @pytest.mark.parametrize("skip", [[6], [-1], [0, 9]])
+    def test_roundrobin_skip_outside_the_processes(self, skip):
+        cfg = ScenarioConfig.from_dict(base_dict(
+            schedule={"generator": "roundrobin", "params": {"skip": skip}}))
+        with pytest.raises(InvalidScenario) as err:
+            cfg.validate()
+        assert err.value.problems == [f"roundrobin generator skip {s} outside [0, 6)"
+                                      for s in skip if not 0 <= s < 6]
+
+
+# Each schedule rejection with its text, as `validate` words it.
+SCHEDULE_REJECTIONS = [
+    pytest.param(
+        {"generator": "roundrobin", "params": {"skip": [0, 1, 2, 4, 5]}}, {},
+        "schedule: agent=0 round=2 stationary-move: adjacent segments both on host 3; "
+        "schedule: agent=0 round=3 stationary-move: adjacent segments both on host 3; "
+        "schedule: agent=0 round=4 stationary-move: adjacent segments both on host 3; "
+        "schedule: agent=0 round=5 stationary-move: adjacent segments both on host 3",
+        id="roundrobin-one-host"),
+    pytest.param(
+        {"generator": "roundrobin", "params": {"skip": [1, 2, 3, 4, 5]}}, {"delta_s": 2, "horizon": 7},
+        "schedule: agent=0 round=3 stationary-move: adjacent segments both on host 0; "
+        "schedule: agent=0 round=5 stationary-move: adjacent segments both on host 0; "
+        "schedule: agent=0 round=7 stationary-move: adjacent segments both on host 0",
+        id="roundrobin-one-host-delta_s-2"),
+    pytest.param(
+        {"generator": "alternating", "params": {"p1": [1], "p2": [2], "start": 0}}, {},
+        "schedule: agent=0 round=0 segment-bounds: segment starts at round 0",
+        id="alternating-start-0"),
+    pytest.param(
+        {"generator": "alternating", "params": {"p1": [6], "p2": [-1]}}, {},
+        "schedule: agent=0 round=2 host-range: host 6 outside [0, 6); "
+        "schedule: agent=0 round=3 host-range: host -1 outside [0, 6); "
+        "schedule: agent=0 round=4 host-range: host 6 outside [0, 6); "
+        "schedule: agent=0 round=5 host-range: host -1 outside [0, 6)",
+        id="alternating-host-range"),
+    pytest.param(
+        {"generator": "static", "params": {"hosts": [7, 2]}}, {"f": 2},
+        "schedule: agent=0 round=1 host-range: host 7 outside [0, 6)",
+        id="static-host-range"),
+    pytest.param(
+        {"trajectories": [trajectory((1, 1, 1), (2, 2, None))]}, {"delta_s": 2},
+        "schedule: agent=0 round=1 residency: residency 1 < delta_s=2",
+        id="explicit-short"),
+    pytest.param(
+        {"trajectories": [trajectory((1, 1, 3), (2, 3, None))]}, {},
+        "schedule: agent=0 round=3 segment-order: segments overlap or are out of order",
+        id="explicit-overlap"),
+    pytest.param(
+        {"trajectories": [trajectory((1, 1, 2), (1, 3, 4), (1, 5, None))]}, {},
+        "schedule: agent=0 round=3 stationary-move: adjacent segments both on host 1; "
+        "schedule: agent=0 round=5 stationary-move: adjacent segments both on host 1",
+        id="explicit-back-to-back"),
+]
+
+
+@pytest.mark.parametrize("schedule, sizes, text", SCHEDULE_REJECTIONS)
+def test_a_schedule_rejection_keeps_its_text(schedule, sizes, text):
+    cfg = ScenarioConfig.from_dict(base_dict(**{"horizon": 5, **sizes, "schedule": schedule}))
+    with pytest.raises(InvalidScenario) as err:
+        cfg.validate()
+    assert str(err.value) == text
 
 
 def test_one_schedule_per_config_object():
