@@ -114,11 +114,12 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, field, replace
-from operator import methodcaller
+from itertools import islice
+from operator import lt, methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
-from .messages import ProtocolMessage, decode_payload, encode_payload, send_msg
+from .messages import ProtocolMessage, compact_json, decode_payload, encode_payload, send_msg
 from .model import FailureSchedule, OracleKind, shown
 from .protocol import (
     ProtocolState,
@@ -156,9 +157,10 @@ TRACE_FORMAT = "mbbc-trace/9"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
 
-# One trace line: compact JSON with sorted keys. One encoder serves every
-# line; ``json.dumps`` would build a new one per call.
-encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# One trace line, citation or projection line: compact JSON with sorted
+# keys, written by the one C encoder ``messages.compact_json`` builds at
+# import (the pure-Python encoder, slower, where the C accelerator is absent).
+encode_line = compact_json
 
 
 class TraceEvent(NamedTuple):
@@ -414,10 +416,12 @@ def _is_int(value) -> bool:
 
 
 def _only_keys(data: dict, keys: frozenset[str]) -> None:
-    """Reject a line with a key outside ``keys``; a missing one is a KeyError later."""
-    for key in data:
-        if key not in keys:
-            raise ValueError(f"unknown key {shown(key)}")
+    """Reject a line with a key outside ``keys``, naming the first; a
+    missing one is a KeyError later."""
+    if data.keys() <= keys:
+        return
+    key = next(key for key in data if key not in keys)
+    raise ValueError(f"unknown key {shown(key)}")
 
 
 _HEADER_KEYS = frozenset({"config", "fingerprint", "format", "seed"})
@@ -476,22 +480,27 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
             if not (isinstance(messages, list) and messages):
                 raise _not_a_list("messages", messages)
             for i, message in enumerate(messages):
-                if isinstance(message, dict):
+                if type(message) is int and 0 <= message < len(table):
+                    messages[i] = table[message]
+                elif isinstance(message, dict):
                     table.append(message)
                 elif isinstance(message, (int, float)):
-                    messages[i] = table[_citation("message", table, message)]
+                    raise _bad_citation("message", table, message)
                 else:
                     raise _not_a_list("messages", messages)
             _check_processes("from", detail["from"], subject, n)
             return
         message = detail["message"]
-        if isinstance(message, dict):
+        if type(message) is int and 0 <= message < len(table):
+            detail["message"] = table[message]
+        elif isinstance(message, dict):
             table.append(message)
         elif isinstance(message, (int, float)):
-            detail["message"] = table[_citation("message", table, message)]
+            raise _bad_citation("message", table, message)
         else:
             raise ValueError("message is not a JSON object")
-        if not (isinstance(to, list) and all(_is_int(q) and 0 <= q < n for q in to)):
+        if not (isinstance(to, list) and _INT.issuperset(map(type, to))
+                and (not to or 0 <= min(to) and max(to) < n)):
             raise ValueError(f"to {shown(to)} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
         if not to:
             raise ValueError("to [] names no receiver")
@@ -511,16 +520,17 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
         table, keys = tables.instances, tables.instance_keys
         last = None
         for i, instance in enumerate(instances):
-            if isinstance(instance, dict):
+            if type(instance) is int and 0 <= instance < len(table):
+                key = keys[instance]
+                instances[i] = instance = table[instance]
+            elif isinstance(instance, dict):
                 if not _is_int(instance["source"]):
                     raise ValueError(f"source {shown(instance['source'])} is not an int")
                 key = (instance["source"], decode_payload(instance))
                 table.append(instance)
                 keys.append(key)
             elif isinstance(instance, (int, float)):
-                index = _citation("instance", table, instance)
-                instances[i] = instance = table[index]
-                key = keys[index]
+                raise _bad_citation("instance", table, instance)
             else:
                 raise _not_a_list("instances", instances)
             if last is not None and not last < key:
@@ -538,24 +548,28 @@ def _not_a_list(key: str, values) -> ValueError:
     return ValueError(f"{key} {shown(values)} is not a non-empty list of JSON objects")
 
 
-def _citation(name: str, table: list, value) -> int:
-    """The index ``value`` cites in ``table``, the ``name`` objects defined so far."""
+def _bad_citation(name: str, table: list, value) -> ValueError:
+    """The refusal of a number ``value`` that cites none of ``table``, the
+    ``name`` objects defined so far: not a type-exact int, or out of range."""
     if not _is_int(value):
-        raise ValueError(f"{name} citation {shown(value)} is not an int")
-    if not 0 <= value < len(table):
-        if not table:
-            raise ValueError(f"{name} citation {value} cites nothing: no {name} is defined yet")
-        raise ValueError(f"{name} citation {value} is outside 0..{len(table) - 1}, "
-                         f"the {name}s defined so far")
-    return value
+        return ValueError(f"{name} citation {shown(value)} is not an int")
+    if not table:
+        return ValueError(f"{name} citation {value} cites nothing: no {name} is defined yet")
+    return ValueError(f"{name} citation {value} is outside 0..{len(table) - 1}, "
+                      f"the {name}s defined so far")
+
+
+# The one type a process or receiver list holds: ``_INT.issuperset(map(type,
+# xs))`` tests every entry in C, and rejects a bool as ``True == 1`` would not.
+_INT = frozenset({int})
 
 
 def _check_processes(key: str, processes, subject: int, n: int) -> None:
     """Reject ``processes`` unless it is a non-empty, strictly increasing
     list of processes in [0, n) whose first is ``subject``."""
-    if not (isinstance(processes, list) and processes and all(map(_is_int, processes))
+    if not (isinstance(processes, list) and processes and _INT.issuperset(map(type, processes))
             and 0 <= processes[0] and processes[-1] < n
-            and all(a < b for a, b in zip(processes, processes[1:]))):
+            and all(map(lt, processes, islice(processes, 1, None)))):
         raise ValueError(f"{key} {shown(processes)} is not a non-empty, strictly increasing "
                          f"list of processes in 0..{n - 1}")
     if subject != processes[0]:

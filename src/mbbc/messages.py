@@ -9,10 +9,26 @@ hex escape otherwise.
 from __future__ import annotations
 
 from enum import Enum
-from json.encoder import encode_basestring_ascii
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 from .model import shown
+
+# Compact JSON with sorted keys, the text of every trace line, config
+# fingerprint and digested value: ``json.dumps(value, sort_keys=True,
+# separators=(",", ":"))``. One C encoder, built once, writes every such text;
+# ``json.dumps`` would build a new one per call. It keeps no markers (a shared
+# dict would keep stale ids after an exception), so a cycle, like nesting past
+# the recursion limit, is a RecursionError. Without the C accelerator the
+# pure-Python encoder writes the same text, slower.
+if c_make_encoder is None:
+    compact_json = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+else:
+    _compact_chunks = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
+                                     None, ":", ",", True, False, True)
+
+    def compact_json(value) -> str:
+        return "".join(_compact_chunks(value, 0))
 
 
 class MessageKind(Enum):
@@ -91,10 +107,9 @@ class ProtocolMessage(_MessageFields):
         )
 
     def to_json(self) -> str:
-        """``to_dict()`` as compact JSON with sorted keys, the text
-        ``json.JSONEncoder(sort_keys=True, separators=(",", ":"))`` writes
-        for it, written without the encoder's cost per call: every int
-        field is type-exact, so it is written as its repr."""
+        """``compact_json(self.to_dict())``, written without the encoder's
+        cost per call: every int field is type-exact, so it is written as
+        its repr."""
         if self.kind is MessageKind.ROUND:
             return f'{{"kind":"ROUND","round_value":{self.round_value}}}'
         ((key, text),) = encode_payload(self.payload).items()

@@ -44,12 +44,11 @@ effective fault bound F:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
-from .messages import MessageKind, ProtocolMessage, echo_msg, round_msg, send_msg
+from .messages import MessageKind, ProtocolMessage, compact_json, echo_msg, round_msg, send_msg
 
 InstanceKey = tuple[int, int, bytes]
 
@@ -342,8 +341,10 @@ def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:
 
 
 # Compact JSON with sorted keys, the encoding of every digested value
-# (``ProtocolMessage.to_json`` writes a message's).
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# (``ProtocolMessage.to_json`` writes a message's): the one C encoder that
+# ``messages.compact_json`` builds at import, or the pure-Python encoder,
+# slower, where the C accelerator is absent.
+_encode = compact_json
 
 
 def state_fingerprint(state: ProtocolState,

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, cycle, islice, repeat
 from typing import Iterator
 
-from .messages import decode_payload, encode_payload
+from .messages import compact_json, decode_payload, encode_payload
 from .model import (
     AgentTrajectory,
     FailureSchedule,
@@ -64,6 +64,7 @@ _SCALAR_DEFAULTS = {"n": None, "f": None, "delta_s": 1, "delta_b": 2, "delta_c":
                     "horizon": None, "seed": 0}
 # Every field a config may hold, in ``to_dict`` order; any other is rejected.
 _CONFIG_KEYS = (*_SCALAR_DEFAULTS, "setting", "variant", "schedule", "broadcasts", "strategy")
+_BROADCAST_KEYS = ("source", "round", "payload", "payload_hex")
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ class Broadcast:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Broadcast":
+        if "payload" in data and "payload_hex" in data:
+            raise ValueError("both payload and payload_hex are given; an entry takes one")
         for key in ("source", "round"):
             if type(data[key]) is not int:
                 raise ValueError(f"field {key} is {shown(data[key])}, not an int")
@@ -136,7 +139,8 @@ class ScenarioConfig:
         if problems:
             raise InvalidScenario([f"missing config field: {k}" for k in problems])
         spec_object(data, "config", _CONFIG_KEYS)
-        setting = SettingTriple.from_dict(spec_object(data["setting"], "setting"))
+        setting = SettingTriple.from_dict(spec_object(data["setting"], "setting",
+                                                      ("timing", "mobility", "oracle")))
         try:
             variant = VariantTag(data.get("variant", "FFA_FULL"))
         except ValueError as exc:
@@ -147,7 +151,7 @@ class ScenarioConfig:
         if problems:
             raise InvalidScenario(problems)
         try:
-            broadcasts = tuple(Broadcast.from_dict(spec_object(b, "broadcast entry"))
+            broadcasts = tuple(Broadcast.from_dict(spec_object(b, "broadcast entry", _BROADCAST_KEYS))
                                for b in spec_list(data.get("broadcasts", []), "broadcasts"))
         except KeyError as exc:
             raise InvalidScenario([f"bad broadcast entry: needs {exc}"]) from exc
@@ -173,10 +177,14 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def canonical_json(self) -> str:
-        """The config as compact JSON with sorted keys. A value the parser
-        accepted can still be nested too deep to encode on a deeper stack."""
+        """The config as compact JSON with sorted keys, the text ``json.dumps``
+        writes with those options, from the one C encoder that
+        ``messages.compact_json`` builds at import (or the pure-Python
+        encoder, slower, where the C accelerator is absent). A value the
+        parser accepted can still be nested too deep to encode on a deeper
+        stack."""
         try:
-            return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            return compact_json(self.to_dict())
         except RecursionError:
             raise InvalidScenario(["config is nested too deep to encode"]) from None
 

@@ -365,6 +365,13 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
                  id="setting-without-mobility"),
     pytest.param(setting_field("oracle", "XFA"), "setting oracle is 'XFA', not one of NFA, BFA, FFA",
                  id="setting-oracle-unknown"),
+    pytest.param(setting_field("orcale", "FFA"), "setting key 'orcale' is not one of",
+                 id="setting-unknown-key"),
+    pytest.param(broadcast_field("rnd", 1), "broadcast entry key 'rnd' is not one of",
+                 id="broadcast-unknown-key"),
+    pytest.param(broadcast_field("payload_hex", "6d"),
+                 "bad broadcast entry: both payload and payload_hex are given",
+                 id="broadcast-both-payloads"),
 ])
 def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
     """A malformed scalar, broadcast, strategy or schedule spec is an invalid
@@ -626,6 +633,31 @@ def test_check_and_replay_reject_a_header_strategy_alike(tmp_path, golden_config
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1], errors
     assert errors[0].startswith("invalid scenario:") and named in errors[0], errors[0]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (setting_field("orcale", "FFA"), "setting key 'orcale' is not one of"),
+    (broadcast_field("rnd", 1), "broadcast entry key 'rnd' is not one of"),
+    (broadcast_field("payload_hex", "6d"), "bad broadcast entry: both payload and payload_hex"),
+], ids=["setting-unknown-key", "broadcast-unknown-key", "broadcast-both-payloads"])
+def test_check_and_replay_reject_a_header_key_alike(tmp_path, golden_config_path, capsys,
+                                                     edit, named):
+    """A header config that ``run`` refuses for a key is refused by
+    ``check`` and ``replay`` too, with one message."""
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header["config"])
+    trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    errors = []
+    for command in ("check", "replay"):
+        assert cli.main([command, "--trace", str(trace)]) == 2, command
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1], errors
+    assert errors[0].startswith("invalid scenario:") and named in errors[0], errors[0]
+    assert "Traceback" not in errors[0]
 
 
 def header_only_exit(tmp_path, capsys, command, **config) -> str:

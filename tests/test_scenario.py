@@ -176,6 +176,32 @@ class TestUnknownKeys:
             cfg.validate()
         assert str(err.value) == named
 
+    @pytest.mark.parametrize("setting, named", [
+        ({"timing": "SYNC", "mobility": "S-MOB+", "orcale": "FFA"},
+         ["setting key 'orcale' is not one of timing, mobility, oracle"]),
+        ({"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA", "Timing": "ASYNC"},
+         ["setting key 'Timing' is not one of timing, mobility, oracle"]),
+    ], ids=["misspelled", "beside-the-three"])
+    def test_setting(self, setting, named):
+        with pytest.raises(InvalidScenario) as err:
+            ScenarioConfig.from_dict(base_dict(setting=setting))
+        assert err.value.problems == named
+
+    @pytest.mark.parametrize("entry, named", [
+        ({"source": 0, "rnd": 1, "payload": "m"},
+         "broadcast entry key 'rnd' is not one of source, round, payload, payload_hex"),
+        ({"source": 0, "round": 1, "payload": "m", "note": "x"},
+         "broadcast entry key 'note' is not one of source, round, payload, payload_hex"),
+        ({"source": 0, "round": 1, "payload": "m", "payload_hex": "6d"},
+         "bad broadcast entry: both payload and payload_hex are given; an entry takes one"),
+        ({"source": 0, "round": 1, "payload": "m", "payload_hex": "00ff"},
+         "bad broadcast entry: both payload and payload_hex are given; an entry takes one"),
+    ], ids=["misspelled-round", "beside-the-four", "both-payloads-alike", "both-payloads-differing"])
+    def test_broadcast_entry(self, entry, named):
+        with pytest.raises(InvalidScenario) as err:
+            ScenarioConfig.from_dict(base_dict(broadcasts=[entry]))
+        assert str(err.value) == named
+
     def test_every_unknown_key_is_named(self):
         with pytest.raises(InvalidScenario) as err:
             Segment.from_dict({"host": 1, "first": 1, "last": 2})

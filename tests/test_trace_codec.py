@@ -5,9 +5,12 @@ of its text cited by its index (``cited``). The reader parses each line
 whole, to a pinned event or a pinned error naming the line."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import split_send_scenario
 from mbbc import cli, engine
@@ -126,6 +129,69 @@ def parse(text: str):
         return per_line_events(Trace.from_jsonl(text))
     except ValueError as exc:
         return str(exc)
+
+
+def dumps(value) -> str:
+    """The text ``encode_line`` must write: ``json.dumps`` with its options."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# Strings the default text strategy leaves out or seldom draws: non-ASCII,
+# control characters and lone surrogates.
+SPECIAL_TEXT = st.sampled_from(["", "é", "日本", "\x00\x1f\x7f", "\n\t\"\\/", "\ud800",
+                                "a\udfffb", "\U0001f600", "\u2028"])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text() | SPECIAL_TEXT
+                | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf,
+                                   True, 1, 0, False, 10 ** 40]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4) | SPECIAL_TEXT, inner, max_size=5),
+    max_leaves=30)
+
+# Each bundled config's fingerprint, the sha256 of its ``canonical_json``.
+CONFIG_FINGERPRINTS = {
+    "alternating_below_bound_n5": "5295fc7dfea77d4ee0553a2e5d52c56355ecdd55c1e023df0b8df8b5c5e7abb3",
+    "bfa_double_cure": "f00244c8f28ee98ea54f814f69b1ed52a4491d3eed1dfe6a5b75c01a88fb5db5",
+    "bfa_forged_birth": "9ef9042a6765621abcaec3e2ba2c8dc80538ae8a519d1702e57ba38524fec0dd",
+    "correct_source": "b72aaef4df448771bd1250b13c1e5662f1ce8bbc19cc4a3aacb58424f2f81cbc",
+    "faulty_source_all_deliver": "a9b05aa3e4e9b26fd95c21e19cec1e415027b2a3efa31eb4e5d5abb95bd6cf1c",
+    "faulty_source_none_deliver": "574f7ac87e92afb5867b5300b6d72ffb8fee3d04449298a5dc9e6a735c59fca1",
+    "nfa_alternating_n7": "5aa0a8ca696f4d1ee5780acf19781cf20e65703b5a1051dd618c4d3906cdfb87",
+}
+
+
+class TestEncoder:
+    """The one compact encoder behind every trace line, config fingerprint
+    and digest writes what ``json.dumps`` writes with the same options."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert encode_line(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        "top-level string", "\ud800", -0.0, 1e300, math.nan, math.inf, -math.inf, 10 ** 40,
+        None, [True, 1, False, 0], {"b": [1.5, "é"], "a": {"\x01": None}}, [], {}])
+    def test_named_values(self, value):
+        assert encode_line(value) == dumps(value)
+
+    @pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: {"k": v}], ids=["list", "object"])
+    def test_nesting_past_the_recursion_limit_raises_from_both(self, wrap):
+        value = None
+        for _ in range(100_000):
+            value = wrap(value)
+        with pytest.raises(RecursionError):
+            encode_line(value)
+        with pytest.raises(RecursionError):
+            dumps(value)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_bundled_config_texts_and_fingerprints_hold(self, path):
+        config = ScenarioConfig.from_json(path.read_text())
+        assert config.canonical_json() == dumps(config.to_dict())
+        assert config.fingerprint() == CONFIG_FINGERPRINTS[path.stem]
 
 
 class TestWriter:
@@ -534,6 +600,26 @@ PARSER_TABLE = [
     (compute_line("BROADCAST_CALL", '{"payload":"x","to":[9]}'), ITSELF),
     (compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"to":[9]}'),
      ITSELF),
+    # A valid entry, then a bad one: the reader's checks meet the valid one
+    # first. The first line of each citation row defines one object.
+    (send_line('{"kind":"ROUND","round_value":2}') + "\n" + fan_out_line("[0,true]"),
+     refused("message citation True is not an int", line=4)),
+    (send_line('{"kind":"ROUND","round_value":2}') + "\n" + fan_out_line("[0,1.0]"),
+     refused("message citation 1.0 is not an int", line=4)),
+    (send_line('{"kind":"ROUND","round_value":2}') + "\n" + fan_out_line("[0,1]"),
+     refused("message citation 1 is outside 0..0, the messages defined so far", line=4)),
+    (deliver_line("[0]") + "\n" + deliver_line("[0]", instances="[0,true]"),
+     refused("instance citation True is not an int", line=4)),
+    (deliver_line("[0]") + "\n" + deliver_line("[0]", instances="[0,1.0]"),
+     refused("instance citation 1.0 is not an int", line=4)),
+    (deliver_line("[0]") + "\n" + deliver_line("[0]", instances="[0,1]"),
+     refused("instance citation 1 is outside 0..0, the instances defined so far", line=4)),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[0,true]"),
+     refused("to [0, True] is neither 'ALL' nor a list of receivers in 0..5")),
+    (send_line('{"kind":"ROUND","round_value":2}', senders="[0,false]"),
+     refused('from [0, False] is not a non-empty, strictly increasing list of processes in 0..5')),
+    (deliver_line("[0,false]"),
+     refused('by [0, False] is not a non-empty, strictly increasing list of processes in 0..5')),
 ]
 
 
