@@ -227,7 +227,7 @@ class Arbitrary(Strategy):
             for p, actions in spec_object(per_proc, f"ARBITRARY round {rnd}").items():
                 where = f"ARBITRARY round {rnd} process {p}"
                 key = (_key_int(rnd, where), _key_int(p, where))
-                actions = spec_object(actions, where)
+                actions = spec_object(actions, where, ("sends", "state"))
                 self.sends[key] = [_scripted_send(send, n, where)
                                    for send in spec_list(actions.get("sends", []), f"{where} sends")]
                 self.states[key] = _scripted_state(actions.get("state"), where)
@@ -283,11 +283,9 @@ def _scripted_state(spec, what: str):
     """None, "init", or a dict of state overrides with its messages parsed."""
     if spec is None or spec == "init":
         return spec
-    spec = dict(spec_object(spec, f"{what} state"))
-    if "rc" in spec and type(spec["rc"]) is not int:
-        raise InvalidScenario([f"{what}: state rc is {shown(spec['rc'])}, not an int"])
+    spec = dict(spec_object(spec, f"{what} state", ("rc", "to_send", "cured")))
     # The next compute votes ``rc + 1``, and a ROUND vote is at least 1.
-    if "rc" in spec and spec["rc"] < 0:
+    if "rc" in spec and spec_int(spec, "rc", f"{what}: state") < 0:
         raise InvalidScenario([f"{what}: state rc is {spec['rc']}, below 0"])
     if "cured" in spec and type(spec["cured"]) is not bool:
         raise InvalidScenario([f"{what}: state cured is {shown(spec['cured'])}, not a bool"])
@@ -308,10 +306,21 @@ def _sim_cure(spec: dict) -> dict[int, tuple[int, int | None]]:
     return out
 
 
+# Each strategy kind's spec keys; a spec that holds any other is refused.
+_STRATEGY_KEYS = {"BENIGN": ("kind",), "CRASH_SILENT": ("kind",),
+                  "ALTERNATING_SETS": ("kind", "p1", "p2"), "SPLIT_SEND": ("kind", "targets"),
+                  "EQUIVOCATE_HISTORY": ("kind", "sim_cure"), "ARBITRARY": ("kind", "script"),
+                  "WIPE_AND_RUN": ("kind", "target", "sim_until", "wipe_round")}
+
+
 def build_strategy(config: ScenarioConfig) -> Strategy:
-    """The strategy a config names; a spec that cannot be run raises InvalidScenario."""
+    """The strategy a config names; a spec that cannot be run, or that holds
+    a key its kind does not take, raises InvalidScenario."""
     spec = spec_object(config.strategy, "strategy")
     kind = spec.get("kind", "BENIGN")
+    if not (isinstance(kind, str) and kind in _STRATEGY_KEYS):
+        raise InvalidScenario([f"unknown strategy kind: {shown(kind)}"])
+    spec_object(spec, f"{kind} strategy", _STRATEGY_KEYS[kind])
     if kind == "BENIGN":
         return Strategy()
     if kind == "CRASH_SILENT":
@@ -325,9 +334,7 @@ def build_strategy(config: ScenarioConfig) -> Strategy:
     if kind == "WIPE_AND_RUN":
         return WipeAndRun(spec_int(spec, "target", kind), spec_int(spec, "sim_until", kind, 0),
                           spec_int(spec, "wipe_round", kind), config)
-    if kind == "ARBITRARY":
-        return Arbitrary(spec.get("script", {}), config.n)
-    raise InvalidScenario([f"unknown strategy kind: {shown(kind)}"])
+    return Arbitrary(spec.get("script", {}), config.n)
 
 
 def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, ScenarioConfig]:
@@ -352,7 +359,8 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
     take, is an ``InvalidScenario`` naming the key.
     """
     if kind in ("THEOREM_3", "SOURCE_FLIP"):
-        _known_params(params, kind, ("n", "delta_b", "delta_1", "source", "horizon", "seed", "m1", "m2"))
+        spec_object(params, f"{kind} params",
+                    ("n", "delta_b", "delta_1", "source", "horizon", "seed", "m1", "m2"))
         n = spec_int(params, "n", "params", 6)
         delta_b = spec_int(params, "delta_b", "params", 2)
         delta_1 = spec_int(params, "delta_1", "params", 1)
@@ -385,7 +393,8 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
         return ScenarioConfig.from_dict(h_correct_first), ScenarioConfig.from_dict(h_faulty_first)
 
     if kind in ("THEOREM_4", "WIPE_FLIP"):
-        _known_params(params, kind, ("n", "delta_1", "delta_2", "source", "target", "horizon", "seed", "m"))
+        spec_object(params, f"{kind} params",
+                    ("n", "delta_1", "delta_2", "source", "target", "horizon", "seed", "m"))
         n = spec_int(params, "n", "params", 6)
         delta_1 = spec_int(params, "delta_1", "params", 4)
         if delta_1 < 1 + DELIVERY_DELAY:
@@ -424,12 +433,6 @@ def generate_paired_histories(kind: str, params: dict) -> tuple[ScenarioConfig, 
         return ScenarioConfig.from_dict(h_deliver_first), ScenarioConfig.from_dict(h_faulty_first)
 
     raise InvalidScenario([f"unknown paired-history kind: {shown(kind)}"])
-
-
-def _known_params(params: dict, kind: str, keys: tuple[str, ...]) -> None:
-    for key in params:
-        if key not in keys:
-            raise InvalidScenario([f"params key {shown(key)} is not one {kind} takes: {', '.join(keys)}"])
 
 
 def _payload(params: dict, key: str, default: str) -> bytes:

@@ -43,6 +43,7 @@ from .engine import (
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
     TO_ALL,
+    Memo,
     Trace,
     TraceEvent,
     delivered_instances,
@@ -111,24 +112,17 @@ class PropertyReport:
 
 
 def extract_deliveries(trace: Trace, schedule: FailureSchedule) -> list[DeliveryGroup]:
-    """One group per (DELIVER_CALL, instance), in trace order; ``correct`` may
-    be empty. One pass over the events: an event's faulty set and
-    ``correct`` are found once, each instance object is decoded once (the
-    trace holds it, so no id is reused), and each group is built as a tuple."""
+    """One group per (DELIVER_CALL, instance), in trace order, read from
+    ``engine.delivered_instances``; ``correct`` may be empty. An event's
+    faulty set and ``correct`` are found once, at its first instance, and
+    each group is built as a tuple."""
     out: list[DeliveryGroup] = []
-    decoded: dict[int, tuple[int, bytes]] = {}
-    for idx, ev in enumerate(trace.events):
-        if ev.kind != KIND_DELIVER_CALL:
-            continue
-        r, by = ev.round, ev.detail["by"]
-        faulty = schedule.faulty_set(r)
-        correct = tuple(by) if faulty.isdisjoint(by) else tuple(p for p in by if p not in faulty)
-        for instance in ev.detail["instances"]:
-            hit = decoded.get(id(instance))
-            if hit is None:
-                hit = decoded[id(instance)] = (instance["source"], decode_payload(instance))
-            source, payload = hit
-            out.append(_new_group(DeliveryGroup, (r, source, payload, correct, idx)))
+    last = correct = None
+    for idx, r, by, source, payload in delivered_instances(trace.events):
+        if idx != last:
+            last, faulty = idx, schedule.faulty_set(r)
+            correct = tuple(by) if faulty.isdisjoint(by) else tuple(p for p in by if p not in faulty)
+        out.append(_new_group(DeliveryGroup, (r, source, payload, correct, idx)))
     return out
 
 
@@ -590,13 +584,11 @@ def _kept_calls(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, lis
     for ev in events:
         if ev.kind == KIND_BROADCAST_CALL and ev.subject in keep:
             by_round.setdefault(ev.round, []).append(((ev.subject, False), ev))
-    details: dict[tuple[int, bytes], dict] = {}
+    details = Memo(instance_detail)
     for _idx, r, by, source, payload in delivered_instances(events):
         kept = [p for p in by if p in keep]
         if kept:
-            detail = details.get((source, payload))
-            if detail is None:
-                detail = details[source, payload] = instance_detail(source, payload)
+            detail = details[source, payload]
             by_round.setdefault(r, []).extend(
                 ((p, True, source, payload), TraceEvent(r, KIND_DELIVER_CALL, p, detail))
                 for p in kept)

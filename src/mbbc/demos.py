@@ -30,7 +30,7 @@ from typing import Callable
 
 from .adversary import generate_paired_histories
 from .checker import ONE_SHOT_PROPERTIES, VIOLATED, projection_jsonl, run_property_checks
-from .engine import KIND_DELIVER_CALL, Trace, deliver_calls, delivered_instances, run
+from .engine import KIND_DELIVER_CALL, Memo, Trace, deliver_calls, delivered_instances, instance_detail, run
 from .scenario import ScenarioConfig
 
 SOURCE_FLIP_KINDS = ("THEOREM_3", "SOURCE_FLIP")
@@ -114,17 +114,20 @@ def adapter_choices(kind: str, cfg: ScenarioConfig) -> dict[str, Keep]:
 def adapter_output(trace: Trace, keep: Keep) -> Trace:
     """An in-memory copy of a channel trace that holds only the deliveries
     ``keep`` accepts: what the adapter delivers on that history. Each round's
-    DELIVER_CALLs are regrouped by ``engine.deliver_calls`` and stand where
-    the round's first one stood; a round left with none has none."""
-    kept: dict[int, dict[tuple[int, bytes], list[int]]] = {}
+    kept instances, a class per list of processes that keep them, are
+    regrouped by ``engine.deliver_calls`` and stand where the round's first
+    DELIVER_CALL stood; a round left with none has none."""
+    kept: dict[int, dict[tuple[int, ...], list[tuple[int, bytes]]]] = {}
     for _idx, r, by, source, payload in delivered_instances(trace.events):
         processes = [p for p in by if keep(r, source, payload, p)]
         if processes:
-            kept.setdefault(r, {})[source, payload] = processes
+            kept.setdefault(r, {}).setdefault(tuple(processes), []).append((source, payload))
+    instances = Memo(instance_detail)
     events = []
     for e in trace.events:
         if e.kind != KIND_DELIVER_CALL:
             events.append(e)
         elif e.round in kept:
-            events += deliver_calls(e.round, kept.pop(e.round))
+            classes = [(sorted(delivered), list(members)) for members, delivered in kept.pop(e.round).items()]
+            events += deliver_calls(e.round, classes, instances)
     return replace(trace, events=events)

@@ -50,9 +50,9 @@ Each round runs five sub-phases in a fixed order:
    repaired ``rc``. The send queue and ``delivered`` a state carries are
    immutable, so the members of a class share them, and so do the next
    SEND's senders of a queue. Each class delivers in (source, payload)
-   order and lists its members in process order, so the round's
-   DELIVER_CALLs are built per set of delivering classes, and only an
-   instance several classes deliver merges and sorts their members.
+   order and lists its members in process order, so ``deliver_calls``
+   builds the round's DELIVER_CALLs per set of delivering classes, and only
+   an instance several classes deliver merges and sorts their members.
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -93,11 +93,12 @@ STATE_CORRUPTED and BROADCAST_CALL events, ordered by their first instance.
 instances are, in order, a subsequence of the deliveries of every process it
 lists. That holds per event only: a process listed in several events
 delivers their instances interleaved. ``delivered_instances`` expands each
-event into one (event, instance) delivery group per instance. Each distinct
-message dict, instance dict and STATE_CORRUPTED detail is built once per
-simulation, and the events that carry it share it read-only. A
-STATE_CORRUPTED digest reads each queued message's JSON text
-(``ProtocolMessage.to_json``), which is also written once per simulation.
+event into one (event, instance) delivery group per instance, for every
+reader of the DELIVER_CALLs. Each distinct message dict, instance dict and
+STATE_CORRUPTED detail is built once per simulation, and the events that
+carry it share it read-only. A STATE_CORRUPTED digest reads each queued
+message's JSON text (``ProtocolMessage.to_json``), which is also written
+once per simulation.
 Given a config (the seed is part of it), the trace is bit-reproducible.
 
 The JSONL (``Trace.to_jsonl``) writes each distinct message and instance in
@@ -156,6 +157,16 @@ KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRU
 TRACE_FORMAT = "mbbc-trace/9"
 # The ``to`` of a send that reaches every process.
 TO_ALL = "ALL"
+# Each detail's one key set, by kind (a P2P_SEND's by its ``to``), and an
+# instance object's: the reader refuses any other key, and ``event_lines``
+# writes each of these details from its template.
+_PAYLOAD_KEYS = frozenset({"payload", "payload_hex"})
+_FAN_OUT_KEYS = frozenset({"from", "messages", "to"})
+_DICTATED_KEYS = frozenset({"message", "to"})
+_DETAIL_KEYS = {kind: (keys, f"a {kind}") for kind, keys in [
+    (KIND_BROADCAST_CALL, _PAYLOAD_KEYS), (KIND_DELIVER_CALL, frozenset({"by", "instances"})),
+    (KIND_STATE_CORRUPTED, frozenset({"state_digest"}))]}
+_INSTANCE_KEYS = _PAYLOAD_KEYS | {"source"}
 
 # One trace line, citation or projection line: compact JSON with sorted
 # keys, written by the one C encoder ``messages.compact_json`` builds at
@@ -194,10 +205,10 @@ def event_lines(events: Iterable[TraceEvent],
     Without ``tables`` each line is ``encode_line(ev.to_dict())`` and stands
     alone, as a projection's lines must. ``tables`` is the (message,
     instance) pair of citation tables, each mapping an object's encoded text
-    to its index: every object in a P2P_SEND's ``messages`` list (beside
-    ``"ALL"``) or its ``message`` (beside any other ``to``), or in a DELIVER_CALL's
-    ``instances``, is written in full at the first use of its text, which
-    appends the text to its table, and as its int index at every later use.
+    to its index: every object in a fan-out's ``messages``, a send's
+    ``message`` (beside any other ``to``) or a DELIVER_CALL's ``instances``
+    is written in full at the first use of its text, which appends the text
+    to its table, and as its int index at every later use.
     The tables are the caller's, so their definitions carry over from one
     call to the next; ``Trace.to_jsonl`` passes empty ones.
 
@@ -208,8 +219,9 @@ def event_lines(events: Iterable[TraceEvent],
     no id is reused while they live. A detail's line is kept for a later
     event that shares the detail only when it defines nothing. A detail must
     therefore stay unchanged while its lines are written, which
-    ``TraceEvent``'s contract (a read-only detail) gives. An event whose
-    kind, round or subject the template does not cover is encoded whole.
+    ``TraceEvent``'s contract (a read-only detail) gives. An event, or a
+    detail, that the template does not cover is encoded whole: no detail
+    the reader accepts lies outside it.
     """
     encoded: dict[int, tuple[object, str]] = {}
 
@@ -254,8 +266,6 @@ def event_lines(events: Iterable[TraceEvent],
                     and type(detail.get("instances")) is list):
                 body = (f'{{"by":{encode_line(detail["by"])},'
                         f'"instances":[{",".join(map(cite_instance, detail["instances"]))}]}}')
-            elif tables is not None and kind in (KIND_P2P_SEND, KIND_DELIVER_CALL):
-                body = encode_line(_cited_detail(kind, detail, cite_message, cite_instance))
             else:
                 body = encode_line(detail)
             if len(messages) + len(instances) == before:
@@ -288,31 +298,6 @@ def _citer(table: dict[str, int]) -> Callable[[object], str]:
     return cite
 
 
-def _cited_detail(kind: str, detail: dict, cite_message: Callable[[object], str],
-                  cite_instance: Callable[[object], str]) -> dict:
-    """A copy of a detail outside the template whose cited place holds each
-    object or its index, as ``cite_message`` or ``cite_instance`` writes it:
-    the place the reader resolves, a P2P_SEND's ``messages`` beside "ALL"
-    and its ``message`` otherwise, and a DELIVER_CALL's ``instances``."""
-    if kind == KIND_DELIVER_CALL:
-        key, cite = "instances", cite_instance
-    else:
-        key, cite = ("messages" if detail.get("to") == TO_ALL else "message"), cite_message
-    if key not in detail:
-        return detail
-
-    def cited(value):
-        text = cite(value)
-        return int(text) if text.isdigit() else value
-
-    value = detail[key]
-    if key == "message":
-        return {**detail, key: cited(value)}
-    if isinstance(value, (list, tuple)):
-        return {**detail, key: [cited(v) for v in value]}
-    return detail
-
-
 @dataclass
 class Trace:
     fingerprint: str
@@ -335,20 +320,18 @@ class Trace:
         ``seed``: this ``format`` and a config with int ``n`` and ``horizon``.
         An event holds exactly ``detail``, ``kind``, ``round`` and
         ``subject``: a known kind, a round in [1, horizon], a subject in
-        [0, n) and a dict detail; any other key is named. A P2P_SEND's ``to``
-        is either "ALL", beside a ``from`` of strictly increasing senders in
-        [0, n) whose first is the subject and a non-empty list of
-        ``messages`` (no ``message``), or a non-empty, sorted list of
-        receivers in [0, n) beside a ``message`` (no ``from`` or
-        ``messages``). A DELIVER_CALL's ``by`` is a list of strictly
-        increasing processes in [0, n) whose first is the subject, and its
-        ``instances`` a non-empty list, strictly increasing in (source,
-        payload) order; the detail itself holds no ``source`` or payload. A
-        BROADCAST_CALL's payload decodes.
+        [0, n) and a dict detail of its one key set; any other key is
+        named. A P2P_SEND's ``to`` is either "ALL", beside a ``from`` of
+        strictly increasing senders in [0, n) whose first is the subject and
+        a non-empty list of ``messages``, or a non-empty, sorted list of
+        receivers in [0, n) beside a ``message``. A DELIVER_CALL's ``by`` is
+        a list of strictly increasing processes in [0, n) whose first is the
+        subject, and its ``instances`` a non-empty list, strictly increasing
+        in (source, payload) order. A BROADCAST_CALL's payload decodes.
 
         A message or an instance is a JSON object, which the reader appends
         to the trace's message or instance table, or an int citing an entry
-        already there; an instance object holds an int ``source`` and a
+        already there; an instance object holds an int ``source`` and one
         payload that decodes, checked once, at its definition. Each line is
         read as ``json.loads`` reads it (``_json_object`` scans a short line
         in C first) and checked whole, and each event has a detail of its
@@ -411,17 +394,13 @@ def _json_object(line: str, scan_chars: int) -> dict:
     return data
 
 
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _only_keys(data: dict, keys: frozenset[str]) -> None:
-    """Reject a line with a key outside ``keys``, naming the first; a
-    missing one is a KeyError later."""
+def _only_keys(data: dict, keys: frozenset[str], place: str = "") -> None:
+    """Reject an object with a key outside ``keys``, naming the first and
+    the object's ``place`` in its line; a missing one is a KeyError later."""
     if data.keys() <= keys:
         return
     key = next(key for key in data if key not in keys)
-    raise ValueError(f"unknown key {shown(key)}")
+    raise ValueError(f"unknown key {shown(key)}" + (f" in {place}" if place else ""))
 
 
 _HEADER_KEYS = frozenset({"config", "fingerprint", "format", "seed"})
@@ -436,7 +415,7 @@ def _header_fields(header: dict) -> tuple[str, int, dict]:
     if not isinstance(config, dict):
         raise ValueError("config is not a JSON object")
     for key in ("n", "horizon"):
-        if not _is_int(config[key]) or config[key] < 1:
+        if type(config[key]) is not int or config[key] < 1:
             raise ValueError(f"config {key} is not a positive int")
     return fingerprint, seed, config
 
@@ -455,50 +434,34 @@ def _event(data: dict, n: int, horizon: int, tables: _Tables) -> TraceEvent:
     event = TraceEvent.from_dict(data)
     if event.kind not in KINDS:
         raise ValueError(f"unknown kind {shown(event.kind)}")
-    if not _is_int(event.round) or not 1 <= event.round <= horizon:
+    if type(event.round) is not int or not 1 <= event.round <= horizon:
         raise ValueError(f"round {shown(event.round)} outside 1..{horizon}")
-    if not _is_int(event.subject) or not 0 <= event.subject < n:
+    if type(event.subject) is not int or not 0 <= event.subject < n:
         raise ValueError(f"subject {shown(event.subject)} outside 0..{n - 1}")
     _check_detail(event.kind, event.detail, event.subject, n, tables)
     return event
 
 
 def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> None:
-    """The detail keys a reader of the trace relies on; a missing one is a
-    KeyError. The subject of a fan-out is its ``from[0]``, and of a
-    DELIVER_CALL its ``by[0]``. Each message and instance citation is
-    replaced, in place, by the table entry it cites."""
+    """The detail keys a reader of the trace relies on, and no other. The
+    subject of a fan-out is its ``from[0]``, and of a DELIVER_CALL its
+    ``by[0]``. Each message and instance citation is replaced, in place, by
+    the table entry it cites."""
     if not isinstance(detail, dict):
         raise ValueError("detail is not a JSON object")
     if kind == KIND_P2P_SEND:
-        to = detail["to"]
-        table = tables.messages
+        to, table = detail["to"], tables.messages
         if to == TO_ALL:
-            if "message" in detail:
-                raise ValueError(f'a send to {TO_ALL!r} has a message; it lists its messages')
+            _only_keys(detail, _FAN_OUT_KEYS, "a send to 'ALL'")
             messages = detail["messages"]
-            if not (isinstance(messages, list) and messages):
+            if not (isinstance(messages, list) and messages and _resolved(messages, table, "message")):
                 raise _not_a_list("messages", messages)
-            for i, message in enumerate(messages):
-                if type(message) is int and 0 <= message < len(table):
-                    messages[i] = table[message]
-                elif isinstance(message, dict):
-                    table.append(message)
-                elif isinstance(message, (int, float)):
-                    raise _bad_citation("message", table, message)
-                else:
-                    raise _not_a_list("messages", messages)
             _check_processes("from", detail["from"], subject, n)
             return
-        message = detail["message"]
-        if type(message) is int and 0 <= message < len(table):
-            detail["message"] = table[message]
-        elif isinstance(message, dict):
-            table.append(message)
-        elif isinstance(message, (int, float)):
-            raise _bad_citation("message", table, message)
-        else:
+        message = [detail["message"]]
+        if not _resolved(message, table, "message"):
             raise ValueError("message is not a JSON object")
+        detail["message"] = message[0]
         if not (isinstance(to, list) and _INT.issuperset(map(type, to))
                 and (not to or 0 <= min(to) and max(to) < n)):
             raise ValueError(f"to {shown(to)} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
@@ -506,14 +469,12 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
             raise ValueError("to [] names no receiver")
         if to != sorted(to):
             raise ValueError(f"to {shown(to)} is not sorted")
-        if "from" in detail:
-            raise ValueError("a send to a list of receivers has a from; its sender is its subject")
-        if "messages" in detail:
-            raise ValueError("a send to a list of receivers has messages; it carries one message")
+        _only_keys(detail, _DICTATED_KEYS, "a send to a list of receivers")
+        return
+    _only_keys(detail, *_DETAIL_KEYS[kind])
+    if kind == KIND_BROADCAST_CALL:
+        decode_payload(detail)
     elif kind == KIND_DELIVER_CALL:
-        for key in ("source", "payload", "payload_hex"):
-            if key in detail:
-                raise ValueError(f"a DELIVER_CALL has a {key}; its instances carry theirs")
         instances = detail["instances"]
         if not (isinstance(instances, list) and instances):
             raise _not_a_list("instances", instances)
@@ -524,7 +485,8 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
                 key = keys[instance]
                 instances[i] = instance = table[instance]
             elif isinstance(instance, dict):
-                if not _is_int(instance["source"]):
+                _only_keys(instance, _INSTANCE_KEYS, "an instance")
+                if type(instance["source"]) is not int:
                     raise ValueError(f"source {shown(instance['source'])} is not an int")
                 key = (instance["source"], decode_payload(instance))
                 table.append(instance)
@@ -538,8 +500,22 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
                                  "in strictly increasing (source, payload) order")
             last = key
         _check_processes("by", detail["by"], subject, n)
-    elif kind == KIND_BROADCAST_CALL:
-        decode_payload(detail)
+
+
+def _resolved(values: list, table: list, name: str) -> bool:
+    """Append each JSON object of ``values`` to ``table``, the ``name``
+    objects so far, and replace each int that cites one by it; any other
+    number is refused, and any other value returns False."""
+    for i, value in enumerate(values):
+        if type(value) is int and 0 <= value < len(table):
+            values[i] = table[value]
+        elif isinstance(value, dict):
+            table.append(value)
+        elif isinstance(value, (int, float)):
+            raise _bad_citation(name, table, value)
+        else:
+            return False
+    return True
 
 
 def _not_a_list(key: str, values) -> ValueError:
@@ -551,7 +527,7 @@ def _not_a_list(key: str, values) -> ValueError:
 def _bad_citation(name: str, table: list, value) -> ValueError:
     """The refusal of a number ``value`` that cites none of ``table``, the
     ``name`` objects defined so far: not a type-exact int, or out of range."""
-    if not _is_int(value):
+    if type(value) is not int:
         return ValueError(f"{name} citation {shown(value)} is not an int")
     if not table:
         return ValueError(f"{name} citation {value} cites nothing: no {name} is defined yet")
@@ -676,22 +652,36 @@ def delivered_instances(events: Sequence[TraceEvent]
                 yield idx, ev.round, by, hit[1], hit[2]
 
 
-def instance_detail(source: int, payload: bytes) -> dict:
+def instance_detail(instance: tuple[int, bytes]) -> dict:
     """One (source, payload) instance as a DELIVER_CALL lists it."""
-    return {"source": source, **encode_payload(payload)}
+    return {"source": instance[0], **encode_payload(instance[1])}
 
 
-def deliver_calls(r: int, delivered_by: Mapping[tuple[int, bytes], Sequence[int]]) -> list[TraceEvent]:
-    """Round r's DELIVER_CALLs for the processes that delivered each (source,
-    payload), listed in increasing order: one event per distinct list, its
-    instances in (source, payload) order, the events ordered by their first
-    instance."""
+def deliver_calls(r: int, delivering: Sequence[tuple[Sequence[tuple[int, bytes]], list[int]]],
+                  instances: Mapping[tuple[int, bytes], dict]) -> list[TraceEvent]:
+    """Round r's DELIVER_CALLs from the classes that deliver: each class's
+    (source, payload) deliveries in that order and its members in process
+    order, no process in two classes that deliver one instance. One event
+    per distinct set of classes that deliver an instance, its ``by`` their
+    members, merged, its ``instances`` the dicts ``instances`` maps them to,
+    the events in order of their first instances."""
+    if len(delivering) == 1:
+        delivered, members = delivering[0]
+        return [TraceEvent(r, KIND_DELIVER_CALL, members[0],
+                           {"by": members, "instances": [instances[i] for i in delivered]})]
+    holders: dict[tuple[int, bytes], list[int]] = {}
+    for index, (delivered, _members) in enumerate(delivering):
+        for instance in delivered:
+            holders.setdefault(instance, []).append(index)
     groups: dict[tuple[int, ...], list[dict]] = {}
-    for source, payload in sorted(delivered_by):
-        groups.setdefault(tuple(delivered_by[source, payload]), []).append(
-            instance_detail(source, payload))
-    return [TraceEvent(r, KIND_DELIVER_CALL, by[0], {"by": list(by), "instances": instances})
-            for by, instances in groups.items()]
+    for instance in sorted(holders):
+        groups.setdefault(tuple(holders[instance]), []).append(instances[instance])
+    events = []
+    for indexes, listed in groups.items():
+        by = (delivering[indexes[0]][1] if len(indexes) == 1
+              else sorted(p for index in indexes for p in delivering[index][1]))
+        events.append(TraceEvent(r, KIND_DELIVER_CALL, by[0], {"by": by, "instances": listed}))
+    return events
 
 
 def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]],
@@ -745,7 +735,7 @@ def deliver_oracle_events(schedule: FailureSchedule, r: int, oracle: OracleKind
     return [(p, since if oracle is OracleKind.FFA else None) for p, since in schedule.cures(r)]
 
 
-class _Memo(dict):
+class Memo(dict):
     """A dict that builds a missing key's value as ``build(key)`` on its
     first lookup and keeps it, so a hit costs one C lookup."""
 
@@ -778,10 +768,10 @@ class Simulation:
         # text, and each (source, payload)'s instance dict, built once and
         # shared read-only. Messages are type-exact (``ProtocolMessage``
         # takes no bool for an int), so equal keys encode to equal JSON.
-        self._sort_keys = _Memo(methodcaller("sort_key"))
-        self._message_dicts = _Memo(methodcaller("to_dict"))
-        self._message_texts = _Memo(methodcaller("to_json"))
-        self._instances = _Memo(lambda instance: instance_detail(*instance))
+        self._sort_keys = Memo(methodcaller("sort_key"))
+        self._message_dicts = Memo(methodcaller("to_dict"))
+        self._message_texts = Memo(methodcaller("to_json"))
+        self._instances = Memo(instance_detail)
         self._digests: dict[tuple, dict] = {}
         # Last round's possessed processes, each to its STATE_CORRUPTED detail.
         self._corrupted: dict[int, dict] = {}
@@ -912,34 +902,8 @@ class Simulation:
         delivering = [(delivered, members) for _outcome, delivered, members in classes.values()
                       if delivered]
         if delivering:
-            self.trace.events += self._deliver_calls(r, delivering)
+            self.trace.events += deliver_calls(r, delivering, self._instances)
         self._corrupted = corrupted
-
-    def _deliver_calls(self, r: int, delivering: list[tuple[list[tuple[int, bytes]], list[int]]]
-                       ) -> list[TraceEvent]:
-        """Round r's DELIVER_CALLs, as ``deliver_calls`` writes them, from
-        the classes that deliver: each class's deliveries in (source,
-        payload) order and its members in process order, the classes in
-        order of their first members. One event per distinct set of classes
-        that deliver an instance: its ``by`` is their members, merged."""
-        instances = self._instances
-        if len(delivering) == 1:
-            delivered, members = delivering[0]
-            return [TraceEvent(r, KIND_DELIVER_CALL, members[0],
-                               {"by": members, "instances": [instances[i] for i in delivered]})]
-        holders: dict[tuple[int, bytes], list[int]] = {}
-        for index, (delivered, _members) in enumerate(delivering):
-            for instance in delivered:
-                holders.setdefault(instance, []).append(index)
-        groups: dict[tuple[int, ...], list[dict]] = {}
-        for instance in sorted(holders):
-            groups.setdefault(tuple(holders[instance]), []).append(instances[instance])
-        events = []
-        for indexes, listed in groups.items():
-            by = (delivering[indexes[0]][1] if len(indexes) == 1
-                  else sorted(p for index in indexes for p in delivering[index][1]))
-            events.append(TraceEvent(r, KIND_DELIVER_CALL, by[0], {"by": by, "instances": listed}))
-        return events
 
     def _corrupted_detail(self, state: ProtocolState) -> dict:
         """A STATE_CORRUPTED detail, digested and built once per distinct state

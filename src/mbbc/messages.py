@@ -43,6 +43,7 @@ class MessageKind(Enum):
 
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(MessageKind)}
+_KINDS = {kind.value: kind for kind in MessageKind}
 
 
 class _MessageFields(NamedTuple):
@@ -128,7 +129,10 @@ class ProtocolMessage(_MessageFields):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolMessage":
-        kind = MessageKind(data["kind"])
+        value = data["kind"]
+        kind = _KINDS.get(value) if type(value) is str else None
+        if kind is None:
+            raise ValueError(f"kind {shown(value)} is not one of {', '.join(_KINDS)}")
         if kind is MessageKind.ROUND:
             return cls(kind=kind, round_value=data["round_value"])
         return cls(
@@ -171,7 +175,9 @@ def encode_payload(payload: bytes) -> dict:
 
 
 def decode_payload(data: dict) -> bytes:
-    """Inverse of ``encode_payload``; a value that is not a string is a ValueError."""
+    """Inverse of ``encode_payload``; both keys, or a non-string value, is a ValueError."""
+    if "payload_hex" in data and "payload" in data:
+        raise ValueError("both payload and payload_hex are given; an entry takes one")
     key = "payload_hex" if "payload_hex" in data else "payload"
     text = data[key]
     if not isinstance(text, str):

@@ -80,8 +80,6 @@ class Broadcast:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Broadcast":
-        if "payload" in data and "payload_hex" in data:
-            raise ValueError("both payload and payload_hex are given; an entry takes one")
         for key in ("source", "round"):
             if type(data[key]) is not int:
                 raise ValueError(f"field {key} is {shown(data[key])}, not an int")

@@ -325,6 +325,38 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
                  id="arbitrary-to_send-message"),
     pytest.param(strategy({"kind": "ARBITRARY", "script": {"one": {"1": {}}}}), "'one'",
                  id="arbitrary-round-key"),
+    # Each kind's spec holds only the keys that kind takes, and so do
+    # ARBITRARY's action and state objects.
+    pytest.param(strategy({"kind": "BENIGN", "x": 1}), "BENIGN strategy key 'x' is not one of kind",
+                 id="benign-unknown-key"),
+    pytest.param(strategy({"targets": [1]}), "BENIGN strategy key 'targets' is not one of kind",
+                 id="default-kind-unknown-key"),
+    pytest.param(strategy({"kind": "CRASH_SILENT", "targets": [1]}),
+                 "CRASH_SILENT strategy key 'targets' is not one of kind", id="crash-silent-unknown-key"),
+    pytest.param(strategy({"kind": "ALTERNATING_SETS", "p1": [4], "p2": [5], "p3": [3]}),
+                 "ALTERNATING_SETS strategy key 'p3' is not one of kind, p1, p2",
+                 id="alternating-unknown-key"),
+    pytest.param(strategy({"kind": "SPLIT_SEND", "target": [1]}),
+                 "SPLIT_SEND strategy key 'target' is not one of kind, targets", id="split-unknown-key"),
+    pytest.param(strategy({"kind": "EQUIVOCATE_HISTORY", "sim_cures": {}}),
+                 "EQUIVOCATE_HISTORY strategy key 'sim_cures' is not one of kind, sim_cure",
+                 id="equivocate-unknown-key"),
+    pytest.param(strategy({**WIPE, "sim_untill": 1}),
+                 "WIPE_AND_RUN strategy key 'sim_untill' is not one of kind, target, sim_until, wipe_round",
+                 id="wipe-unknown-key"),
+    pytest.param(strategy({"kind": "ARBITRARY", "scripts": {}}),
+                 "ARBITRARY strategy key 'scripts' is not one of kind, script", id="arbitrary-unknown-key"),
+    pytest.param(arbitrary({"send": [[1, ROUND_VOTE]]}),
+                 "ARBITRARY round 1 process 1 key 'send' is not one of sends, state",
+                 id="arbitrary-action-unknown-key"),
+    pytest.param(arbitrary({"state": {"rcc": 3}}),
+                 "ARBITRARY round 1 process 1 state key 'rcc' is not one of rc, to_send, cured",
+                 id="arbitrary-state-unknown-key"),
+    pytest.param(arbitrary({"sends": [[1, {"kind": "VOTE", "round_value": 7}]]}),
+                 "kind 'VOTE' is not one of SEND, ECHO, READY, ABORT, ROUND", id="arbitrary-message-kind"),
+    pytest.param(arbitrary({"sends": [[1, {"kind": "SEND", "source": 0, "birth_round": 1,
+                                            "payload": "x", "payload_hex": "79"}]]}),
+                 "both payload and payload_hex are given", id="arbitrary-message-both-payloads"),
     pytest.param(schedule("x"), "schedule is 'x'", id="schedule-string"),
     pytest.param(schedule({"generator": "roundrobin", "params": {"offset": "1"}}), "offset",
                  id="roundrobin-offset-string"),
@@ -615,6 +647,7 @@ def test_check_names_a_header_broadcasts_field_that_is_not_a_list(tmp_path, gold
     ({"kind": "ALTERNATING_SETS", "p1": [0], "p2": [0]}, "requires disjoint sets"),
     ({"kind": "ARBITRARY", "script": {"1": {"1": {"state": {"rc": -1}}}}},
      "ARBITRARY round 1 process 1: state rc is -1, below 0"),
+    ({"kind": "CRASH_SILENT", "targets": [1]}, "CRASH_SILENT strategy key 'targets' is not one of kind"),
 ])
 def test_check_and_replay_reject_a_header_strategy_alike(tmp_path, golden_config_path, capsys,
                                                           spec, named):
@@ -739,8 +772,10 @@ def test_demo_commands(tmp_path, capsys):
     ("WIPE_FLIP", '{"seed": "0"}', "params seed is '0', not an int"),
     ("WIPE_FLIP", "{not json", "params is not valid JSON"),
     pytest.param("WIPE_FLIP", DEEP, "params is not valid JSON", id="deeply_nested"),
-    ("WIPE_FLIP", '{"delta1": 2}', "params key 'delta1' is not one WIPE_FLIP takes"),
-    ("SOURCE_FLIP", '{"target": 1}', "params key 'target' is not one SOURCE_FLIP takes"),
+    ("WIPE_FLIP", '{"delta1": 2}', "WIPE_FLIP params key 'delta1' is not one of n, delta_1, "
+                                   "delta_2, source, target, horizon, seed, m"),
+    ("SOURCE_FLIP", '{"target": 1}', "SOURCE_FLIP params key 'target' is not one of n, delta_b, "
+                                     "delta_1, source, horizon, seed, m1, m2"),
     ("WIPE_FLIP", '{"m1": "x"}', "params key 'm1'"),
     ("SOURCE_FLIP", '{"m1": 5}', "params m1 is 5, not a string"),
     ("SOURCE_FLIP", '{"m2": null}', "params m2 is None, not a string"),
@@ -757,23 +792,33 @@ def test_demo_bad_params_exit_2_naming_the_field(capsys, kind, params, named):
     assert "Traceback" not in err
 
 
+# Where ``test_deepest_value_the_parser_accepts_exits_2`` puts its value in
+# a config ("@").
+DEEP_CONFIG_EDITS = {
+    "schedule": {"schedule": "@"},
+    "strategy": {"strategy": {"kind": "BENIGN", "x": "@"}},
+    "arbitrary-send-kind": {"strategy": {"kind": "ARBITRARY",
+                                         "script": {"1": {"1": {"sends": [[0, {"kind": "@"}]]}}}}},
+}
+
+
 @pytest.mark.parametrize("where, named", [
     ("schedule", "schedule is [[[[[[[[[...]]]]]]]]], not an object"),
-    ("strategy", "config is nested too deep to encode"),
+    ("strategy", "BENIGN strategy key 'x' is not one of kind"),
+    ("arbitrary-send-kind", "kind [[[[[[[[[...]]]]]]]]] is not one of SEND, ECHO, READY, ABORT, ROUND"),
     ("m1", "params m1 is [[[[[[[[[...]]]]]]]]], not a string"),
     ("zzz", "params key 'zzz'"),
-], ids=["schedule", "strategy-unused-key", "m1", "unknown-key"])
+], ids=["schedule", "strategy-unknown-key", "arbitrary-send-kind", "m1", "unknown-key"])
 def test_deepest_value_the_parser_accepts_exits_2(tmp_path, capsys, where, named):
     """A value nested just below the JSON parser's recursion limit parses;
-    the message that echoes it, or the fingerprint that encodes an unused
-    key, is made on a deeper stack and must not run out of recursion there."""
+    the message that names it, made on a deeper stack, must not run out of
+    recursion there, and echoes a shortened value, not all of it."""
     config = tmp_path / "config.json"
 
     def argv(depth: int) -> list[str]:
         value = "[" * depth + "]" * depth
-        if where in ("schedule", "strategy"):
-            edit = {"schedule": "@"} if where == "schedule" else {"strategy": {"kind": "BENIGN", "x": "@"}}
-            config.write_text(json.dumps({**golden_correct_source().to_dict(), **edit})
+        if where in DEEP_CONFIG_EDITS:
+            config.write_text(json.dumps({**golden_correct_source().to_dict(), **DEEP_CONFIG_EDITS[where]})
                               .replace('"@"', value))
             return ["run", "--config", str(config), "--out", str(tmp_path / "t.jsonl")]
         return ["demo", "--kind", "SOURCE_FLIP", "--params", f'{{"{where}": {value}}}']
@@ -789,6 +834,7 @@ def test_deepest_value_the_parser_accepts_exits_2(tmp_path, capsys, where, named
     assert cli.main(argv(lo - 1)) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario:") and named in err, err
+    assert len(err) < 300, err
 
 
 @pytest.mark.parametrize("command", ["run", "replay"])

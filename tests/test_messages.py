@@ -77,6 +77,23 @@ def test_payload_that_is_not_a_string_is_a_value_error(data):
         decode_payload(data)
 
 
+@pytest.mark.parametrize("data", [{"payload": "y", "payload_hex": "79"},
+                                  {"payload": "x", "payload_hex": "79"}])
+def test_both_payload_keys_are_a_value_error(data):
+    with pytest.raises(ValueError, match="^both payload and payload_hex are given; an entry takes one$"):
+        decode_payload(data)
+
+
+@pytest.mark.parametrize("kind, shown", [
+    ("VOTE", "'VOTE'"), ("send", "'send'"), (None, "None"), (1, "1"), (["SEND"], "['SEND']"),
+    ([[[[[[[[[["SEND"]]]]]]]]]], "[[[[[[[[[...]]]]]]]]]"),
+])
+def test_an_unknown_kind_is_named_shortened(kind, shown):
+    with pytest.raises(ValueError) as err:
+        ProtocolMessage.from_dict({"kind": kind, "round_value": 1})
+    assert str(err.value) == f"kind {shown} is not one of SEND, ECHO, READY, ABORT, ROUND"
+
+
 def test_sort_key_total_order():
     msgs = [round_msg(2), send_msg(1, 1, b"b"), send_msg(0, 1, b"a"), ready_msg(0, 1, b"a")]
     ordered = sorted(msgs, key=ProtocolMessage.sort_key)

@@ -63,6 +63,19 @@ class TestParsing:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
+    def test_a_config_nested_too_deep_to_encode_is_refused(self):
+        """``canonical_json`` turns the encoder's RecursionError into an
+        invalid scenario; a config value can hold nesting past the limit
+        (a parsed one can come close to it and be encoded on a deeper
+        stack)."""
+        value: list = []
+        for _ in range(100_000):
+            value = [value]
+        config = ScenarioConfig.from_dict(base_dict(strategy={"kind": "BENIGN", "x": value}))
+        with pytest.raises(InvalidScenario) as err:
+            config.fingerprint()
+        assert err.value.problems == ["config is nested too deep to encode"]
+
 
 class TestValidation:
     def test_trajectory_count_mismatch_reported(self):

@@ -24,7 +24,8 @@ DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
 
 HEADER = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"' + engine.TRACE_FORMAT
           + '","seed":0}')
-# A valid line of a kind whose detail the reader does not check.
+# A valid line of a kind whose detail's one key, ``state_digest``, the reader
+# does not read.
 CORRUPTED = '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'
 
 
@@ -65,10 +66,13 @@ def per_line_events(trace: Trace) -> list[str]:
 def cited(lines: list[str]) -> list[str]:
     """The ``mbbc-trace/9`` citation pass over uncited event lines, written
     out literally. In line order and then list order, each JSON object in a
-    P2P_SEND's ``messages`` (beside ``"ALL"``) or its ``message`` (beside
-    anything else), and in a DELIVER_CALL's ``instances``, is kept in full
-    the first time its text appears in its table, and replaced by the index
-    of that first appearance after that."""
+    fan-out's ``messages`` (``{"from", "messages": [...], "to": "ALL"}``),
+    a send's ``message`` (``{"message", "to"}`` with any other ``to``, and a
+    ``from`` in a projection) and a DELIVER_CALL's ``instances`` (``{"by",
+    "instances": [...]}``) is kept in full the first time its text appears
+    in its table, and replaced by the index of that first appearance after
+    that. A detail of any other shape, which the reader refuses, is kept
+    whole."""
     tables: dict[str, dict[str, int]] = {KIND_P2P_SEND: {}, KIND_DELIVER_CALL: {}}
     out = []
     for line in lines:
@@ -86,13 +90,16 @@ def cited(lines: list[str]) -> list[str]:
                 table[text] = len(table)
                 return value
 
+            keys = detail.keys()
             if kind == KIND_DELIVER_CALL:
-                key = "instances"
+                key = "instances" if keys == {"by", "instances"} else None
+            elif detail.get("to") == "ALL":
+                key = "messages" if keys == {"from", "messages", "to"} else None
             else:
-                key = "messages" if detail.get("to") == "ALL" else "message"
-            if key == "message" and key in detail:
+                key = "message" if keys - {"from"} == {"message", "to"} else None
+            if key == "message":
                 detail[key] = cite(detail[key])
-            elif isinstance(detail.get(key), list):
+            elif key is not None and isinstance(detail[key], list):
                 detail[key] = [cite(value) for value in detail[key]]
         out.append(encode_line(event))
     return out
@@ -240,7 +247,6 @@ class TestWriter:
         TraceEvent(1, "STATE_CORRUPTED", False, {}),
         TraceEvent(1, ["STATE_CORRUPTED"], 0, {}),
         TraceEvent(1, "P2P_DELIVER", 0, {}),
-        TraceEvent(1, KIND_P2P_SEND, 0, {"message": {"round_value": [1]}, "to": [2, 1]}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "extra": 0}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": "m"}),
         TraceEvent(1, KIND_P2P_SEND, 0, {"to": "ALL", "message": {}, "from": [0], "extra": 0}),
@@ -260,9 +266,12 @@ class TestWriter:
         TraceEvent(-1, "STATE_CORRUPTED", 7, {}),
     ])
     def test_event_outside_the_template_writes_as_before(self, event):
+        """An event, or a detail, outside the template is written whole at
+        each use, with tables or without: nothing in it is cited, as the
+        reader refuses every P2P_SEND and DELIVER_CALL detail outside it."""
         lines = [encode_line(event.to_dict())] * 2
         assert event_lines([event, event]) == lines
-        assert event_lines([event, event], tables()) == cited(lines)
+        assert event_lines([event, event], tables()) == lines
 
     def test_fresh_details_of_a_generator_write_as_per_event_lines(self):
         """The memo goes by identity and holds what it encoded: each event
@@ -301,9 +310,10 @@ class TestWriter:
         assert [line.count('"kind":"ROUND"') + line.count('"source"') for line in written] == [
             1, 0, 1, 0, 1, 0]
 
-    def test_details_with_a_key_outside_the_template_cite_as_the_reader_resolves(self):
-        """The reader keeps a key it does not know, so a detail that holds
-        one is written whole, its cited place cited all the same."""
+    def test_details_with_a_key_outside_the_template_write_whole_and_are_refused(self):
+        """A detail that holds a key outside its kind's key set is written
+        whole, nothing in it cited, and the reader refuses it, naming the
+        key."""
         message, instance = {"kind": "ROUND", "round_value": 2}, {"payload": "x", "source": 0}
         details = [(KIND_P2P_SEND, {"from": [0], "messages": [message], "to": "ALL", "note": 1}),
                    (KIND_P2P_SEND, {"message": message, "to": [1], "note": 1}),
@@ -311,10 +321,9 @@ class TestWriter:
                    (KIND_DELIVER_CALL, {"by": [0], "instances": [instance], "note": 2})]
         trace = Trace("x", 0, {"horizon": 8, "n": 6},
                       [TraceEvent(1, kind, 0, detail) for kind, detail in details])
-        lines = trace.to_jsonl().splitlines()[1:]
-        assert lines == cited(per_line_events(trace))
-        assert ['"message":0' in lines[1], '"instances":[0]' in lines[3]] == [True, True]
-        assert Trace.from_jsonl(trace.to_jsonl()) == trace
+        text = trace.to_jsonl()
+        assert text.splitlines()[1:] == per_line_events(trace) == cited(per_line_events(trace))
+        assert parse(text) == "trace line 2: bad event line: unknown key 'note' in a send to 'ALL'"
 
     def test_tables_carry_their_definitions_from_call_to_call(self):
         events = [TraceEvent(1, KIND_DELIVER_CALL, 0, {"by": [0], "instances": [
@@ -424,7 +433,7 @@ PARSER_TABLE = [
               'column 14 (char 13))')),
     (CORRUPTED.replace("{}", '{"a":[{}'),
      refused("not valid JSON (Expecting ',' delimiter: line 1 column 26 (char 25))")),
-    (CORRUPTED.replace("{}", '{"x":NaN}'), ITSELF),
+    (CORRUPTED.replace("{}", '{"state_digest":NaN}'), ITSELF),
     (CORRUPTED.replace("{}", "\ufeff{}"),
      refused('not valid JSON (Expecting value: line 1 column 11 (char 10))')),
     ('{"a":[{}', refused("not valid JSON (Expecting ',' delimiter: line 1 column 9 (char 8))")),
@@ -479,24 +488,24 @@ PARSER_TABLE = [
     (send_line('{"kind":"ROUND","round_value":2}', senders="null"),
      refused('from None is not a non-empty, strictly increasing list of processes in 0..5')),
     (send_line('{"kind":"ROUND","round_value":2}', to="[1]", senders="[0]"),
-     refused('a send to a list of receivers has a from; its sender is its subject')),
+     refused("unknown key 'from' in a send to a list of receivers")),
     (send_line('{"kind":"ROUND","round_value":2}', to='"SOME"', senders="[0]"),
      refused("to 'SOME' is neither 'ALL' nor a list of receivers in 0..5")),
     ('{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
      '"kind":"P2P_SEND","round":1,"subject":0}',
-     refused("a send to 'ALL' has a message; it lists its messages")),
+     refused("unknown key 'message' in a send to 'ALL'")),
     ('{"detail":{"messages":[{"kind":"ROUND","round_value":2}],"to":"ALL"},'
      '"kind":"P2P_SEND","round":1,"subject":0}', refused("missing key 'from'")),
     # The fan-out of ``mbbc-trace/6``: one message beside "ALL".
     ('{"detail":{"from":[0],"message":{"kind":"ROUND","round_value":2},"to":"ALL"},'
      '"kind":"P2P_SEND","round":1,"subject":0}',
-     refused("a send to 'ALL' has a message; it lists its messages")),
+     refused("unknown key 'message' in a send to 'ALL'")),
     ('{"detail":{"from":[0],"message":{"kind":"ROUND","round_value":2},'
      '"messages":[{"kind":"ROUND","round_value":2}],"to":"ALL"},"kind":"P2P_SEND","round":1,"subject":0}',
-     refused("a send to 'ALL' has a message; it lists its messages")),
+     refused("unknown key 'message' in a send to 'ALL'")),
     ('{"detail":{"message":{"kind":"ROUND","round_value":2},'
      '"messages":[{"kind":"ROUND","round_value":2}],"to":[1]},"kind":"P2P_SEND","round":1,"subject":0}',
-     refused('a send to a list of receivers has messages; it carries one message')),
+     refused("unknown key 'messages' in a send to a list of receivers")),
     (fan_out_line("[]"), refused('messages [] is not a non-empty list of JSON objects')),
     (fan_out_line("null"), refused('messages None is not a non-empty list of JSON objects')),
     (fan_out_line('{"kind":"ROUND","round_value":2}'),
@@ -531,7 +540,7 @@ PARSER_TABLE = [
     ('{"detail":{"message":{}},"kind":"P2P_SEND","round":1,"subject":0}',
      refused("missing key 'to'")),
     ('{"detail":{"to":[9]},"kind":"DELIVER_CALL","round":1,"subject":0}',
-     refused("missing key 'instances'")),
+     refused("unknown key 'to' in a DELIVER_CALL")),
     (deliver_line("[0]", instances='[{"payload":"x"}]'), refused("missing key 'source'")),
     (deliver_line("[0]", instances='[{"payload":"x","source":"1"}]'),
      refused("source '1' is not an int")),
@@ -566,11 +575,11 @@ PARSER_TABLE = [
                                    '{"payload":"a","source":2}]'), ITSELF),
     # The DELIVER_CALL of ``mbbc-trace/6``: one instance's keys in the detail.
     (compute_line("DELIVER_CALL", '{"by":[0],"payload":"x","source":0}'),
-     refused('a DELIVER_CALL has a source; its instances carry theirs')),
+     refused("unknown key 'payload' in a DELIVER_CALL")),
     (compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"source":0}'),
-     refused('a DELIVER_CALL has a source; its instances carry theirs')),
+     refused("unknown key 'source' in a DELIVER_CALL")),
     (compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"payload":"x"}'),
-     refused('a DELIVER_CALL has a payload; its instances carry theirs')),
+     refused("unknown key 'payload' in a DELIVER_CALL")),
     (deliver_line("[0,1,5]"), ITSELF),
     (deliver_line(None), refused("missing key 'by'")),
     (deliver_line("[]"),
@@ -593,13 +602,14 @@ PARSER_TABLE = [
      refused('by None is not a non-empty, strictly increasing list of processes in 0..5')),
     (deliver_line("[1,3]", subject=3), refused('subject 3 is not the first of its by list, 1')),
     (deliver_line("[0]").replace('"DELIVER_CALL"', '"BROADCAST_CALL"'),
-     refused("missing key 'payload'")),
+     refused("unknown key 'by' in a BROADCAST_CALL")),
     (compute_line("BROADCAST_CALL", "{}"), refused("missing key 'payload'")),
     (compute_line("BROADCAST_CALL", '{"payload_hex":"zz"}'),
      refused('non-hexadecimal number found in fromhex() arg at position 0')),
-    (compute_line("BROADCAST_CALL", '{"payload":"x","to":[9]}'), ITSELF),
+    (compute_line("BROADCAST_CALL", '{"payload":"x","to":[9]}'),
+     refused("unknown key 'to' in a BROADCAST_CALL")),
     (compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"to":[9]}'),
-     ITSELF),
+     refused("unknown key 'to' in a DELIVER_CALL")),
     # A valid entry, then a bad one: the reader's checks meet the valid one
     # first. The first line of each citation row defines one object.
     (send_line('{"kind":"ROUND","round_value":2}') + "\n" + fan_out_line("[0,true]"),
@@ -620,6 +630,26 @@ PARSER_TABLE = [
      refused('from [0, False] is not a non-empty, strictly increasing list of processes in 0..5')),
     (deliver_line("[0,false]"),
      refused('by [0, False] is not a non-empty, strictly increasing list of processes in 0..5')),
+    # Each detail, and each instance object, holds the keys of its one key
+    # set; any other key is refused by name, and so is a second payload.
+    (fan_out_line('[{"kind":"ROUND","round_value":2}]').replace('"to"', '"note":1,"to"'),
+     refused("unknown key 'note' in a send to 'ALL'")),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1]").replace('"to"', '"note":1,"to"'),
+     refused("unknown key 'note' in a send to a list of receivers")),
+    (compute_line("DELIVER_CALL", '{"by":[0],"instances":[{"payload":"x","source":0}],"note":1}'),
+     refused("unknown key 'note' in a DELIVER_CALL")),
+    (deliver_line("[0]", instances='[{"note":1,"payload":"x","source":0}]'),
+     refused("unknown key 'note' in an instance")),
+    (deliver_line("[0]") + "\n" + deliver_line("[0]", instances='[0,{"payload":"y","source":0,"x":1}]'),
+     refused("unknown key 'x' in an instance", line=4)),
+    (compute_line("BROADCAST_CALL", '{"note":1,"payload":"x"}'),
+     refused("unknown key 'note' in a BROADCAST_CALL")),
+    (compute_line("STATE_CORRUPTED", '{"note":1,"state_digest":"x"}'),
+     refused("unknown key 'note' in a STATE_CORRUPTED")),
+    (compute_line("BROADCAST_CALL", '{"payload":"x","payload_hex":"79"}'),
+     refused("both payload and payload_hex are given; an entry takes one")),
+    (deliver_line("[0]", instances='[{"payload":"x","payload_hex":"79","source":0}]'),
+     refused("both payload and payload_hex are given; an entry takes one")),
 ]
 
 
@@ -641,14 +671,14 @@ class TestReader:
         assert parse("\n".join([HEADER, *lines]) + "\n") == [
             outcome or line for line, outcome in rows]
         text = "\n".join([HEADER, *lines, lines[-1].replace("DELIVER_CALL", "P2P_SEND")]) + "\n"
-        assert parse(text) == f"trace line {len(lines) + 2}: bad event line: missing key 'message'"
+        assert parse(text) == f"trace line {len(lines) + 2}: bad event line: missing key 'to'"
 
     def test_deeply_nested_detail_is_refused_on_its_own_line(self):
         """From the first depth at which the parser runs out of recursion, a
         line is refused as not valid JSON on its own line number, and no
         RecursionError escapes."""
         def text(depth: int) -> str:
-            detail = '{"x":' + "[" * depth + "]" * depth + "}"
+            detail = '{"state_digest":' + "[" * depth + "]" * depth + "}"
             return f"{HEADER}\n{CORRUPTED.replace('{}', detail)}\n"
 
         lo, hi = 1, 100_000
@@ -754,6 +784,9 @@ REFUSED_DETAILS = {
     "trace_6_fan_out_beside_messages": (KIND_P2P_SEND, lambda d: {**d, "message": d["messages"][0]}),
     "trace_6_deliver_call": (KIND_DELIVER_CALL, lambda d: {"by": d["by"], **d["instances"][0]}),
     "top_level_source": (KIND_DELIVER_CALL, lambda d: {**d, "source": d["instances"][0]["source"]}),
+    "fan_out_undefined_key": (KIND_P2P_SEND, lambda d: {**d, "note": 1}),
+    "instance_undefined_key": (KIND_DELIVER_CALL, lambda d: {
+        **d, "instances": [{**d["instances"][0], "note": 1}, *d["instances"][1:]]}),
 }
 
 
