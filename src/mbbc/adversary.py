@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .messages import ProtocolMessage, echo_msg, ready_msg, round_msg, send_msg
+from .messages import TO_ALL, ProtocolMessage, echo_msg, ready_msg, round_msg, send_msg
 from .model import FailureSchedule, InvalidScenario, shown, spec_int, spec_ints, spec_list, spec_object
 from .protocol import (
     DELIVERY_DELAY,
@@ -41,13 +41,15 @@ from .scenario import Broadcast, ScenarioConfig
 class Observation:
     """Omniscient view handed to strategies, one per round.
 
-    ``states`` is the engine's live list of protocol states, not a copy: a
-    strategy may change a possessed process's state in place, and must leave
-    every other state alone. ``tallies[p]`` is the fold of everything
-    process p received this round, read-only and shared with every process
-    that received the same; the engine sets it after the receive phase, so
-    the send phase sees none. A possessed process's entry is its own fold
-    too, as a correct one's is.
+    ``states`` is the engine's live list of protocol states, not a copy,
+    and the processes of a class hold one object: a strategy may change a
+    possessed process's state in place, as no other process holds that
+    object while the strategy runs, and must leave every other state
+    alone. It returns the possessed process's own state or a new one.
+    ``tallies[p]`` is the fold of everything process p received this round,
+    read-only and shared with every process that received the same; the
+    engine sets it after the receive phase, so the send phase sees none. A
+    possessed process's entry is its own fold too, as a correct one's is.
     """
 
     schedule: FailureSchedule
@@ -59,7 +61,14 @@ class Strategy:
     """The BENIGN strategy, and the default the others override: total
     silence, state untouched."""
 
-    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
+    def dictate_sends(self, p: int, r: int, obs: Observation
+                      ) -> list[tuple[int | str, ProtocolMessage]]:
+        """The (receiver, message) pairs possessed process p sends in round
+        r, a receiver repeated to send it a message twice. A ``TO_ALL``
+        receiver stands for every process, p included, in one entry: a
+        sender each of whose messages reaches every process is folded once
+        into the round's common tallies, and only the others' receipts make
+        an inbox. The trace lists the receivers in full either way."""
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
@@ -101,9 +110,9 @@ class AlternatingSets(Strategy):
         junk = b"\xee" + bytes([r % 251])
         return [echo_msg(p, r, junk), ready_msg(p, r, junk), round_msg(9000 + r)]
 
-    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
+    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int | str, ProtocolMessage]]:
         if p in self.p1:
-            return [(q, m) for m in self._spurious(p, r) for q in range(self.n)]
+            return [(TO_ALL, m) for m in self._spurious(p, r)]
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
@@ -133,7 +142,7 @@ class SplitSend(Strategy):
         self.broadcasts = tuple(broadcasts)
         self.n = n
 
-    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
+    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int | str, ProtocolMessage]]:
         out: list[tuple[int, ProtocolMessage]] = []
         for b in self.broadcasts:
             if b.source != p:
@@ -145,9 +154,9 @@ class SplitSend(Strategy):
         return out
 
 
-def _faithful_sends(state: ProtocolState, n: int) -> list[tuple[int, ProtocolMessage]]:
+def _faithful_sends(state: ProtocolState) -> list[tuple[str, ProtocolMessage]]:
     """The protocol's own send phase on the possessed state, sent to every process."""
-    return [(q, m) for m in send_phase(state) for q in range(n)]
+    return [(TO_ALL, m) for m in send_phase(state)]
 
 
 def _faithful_compute(config: ScenarioConfig, p: int, r: int, obs: Observation) -> ProtocolState:
@@ -161,10 +170,12 @@ def _faithful_compute(config: ScenarioConfig, p: int, r: int, obs: Observation) 
 
 
 class EquivocateHistory(Strategy):
-    """Possess the source while making it run the protocol faithfully.
+    """Make every possessed process run the protocol faithfully: its own send
+    phase, sent to every process, and its own compute phase on its fold.
 
-    Paired with the mirror schedule this realises two executions that differ
-    only in *when* the source is faulty: the possessed half replays exactly
+    The demos' SOURCE_FLIP schedules possess only the source. Paired with
+    the mirror schedule this realises two executions that differ only in
+    *when* the source is faulty: the possessed half replays exactly
     what the correct half does, including the cure-silence round (``sim_cure``
     mirrors the oracle event the twin execution receives for real, applied
     before the send phase as the oracle's is) and the broadcast scheduled
@@ -175,11 +186,11 @@ class EquivocateHistory(Strategy):
         self.config = config
         self.sim_cure = sim_cure
 
-    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
+    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int | str, ProtocolMessage]]:
         cure = self.sim_cure.get(p)
         if cure is not None and cure[0] == r:
             on_cured(obs.states[p], cure[1])
-        return _faithful_sends(obs.states[p], self.config.n)
+        return _faithful_sends(obs.states[p])
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
         return _faithful_compute(self.config, p, r, obs)
@@ -195,9 +206,9 @@ class WipeAndRun(Strategy):
         self.wipe_round = wipe_round
         self.config = config
 
-    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
+    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int | str, ProtocolMessage]]:
         if p == self.target and r <= self.sim_until:
-            return _faithful_sends(obs.states[p], self.config.n)
+            return _faithful_sends(obs.states[p])
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
@@ -232,7 +243,7 @@ class Arbitrary(Strategy):
                                    for send in spec_list(actions.get("sends", []), f"{where} sends")]
                 self.states[key] = _scripted_state(actions.get("state"), where)
 
-    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int, ProtocolMessage]]:
+    def dictate_sends(self, p: int, r: int, obs: Observation) -> list[tuple[int | str, ProtocolMessage]]:
         return self.sends.get((r, p), [])
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:

@@ -6,28 +6,37 @@ Each round runs five sub-phases in a fixed order:
    says; nothing is traced.
 2. ORACLE   — cure notifications go to processes that were just freed
    (none under the no-awareness oracle); nothing is traced.
-3. SEND     — correct processes, in process order, run the protocol send
-   phase (which performs the cure wipe) and send each message to every
-   process; faulty processes emit exactly what the strategy dictates, with
-   the sender stamp forced (links are authenticated). The correct senders
-   are grouped by the queue they hold, and each distinct queue is walked
-   once: a message one queue holds takes that queue's senders, already in
-   process order, and only a message several queues hold merges and sorts
-   theirs, once per set of queues. Messages are ordered by ``sort_key``,
-   which the simulation keeps per message beside its dict and JSON text.
+3. SEND     — correct processes run the protocol send phase (which
+   performs the cure wipe) and send each message to every process; faulty
+   processes emit exactly what the strategy dictates, with the sender stamp
+   forced (links are authenticated). The engine keeps, between rounds, the
+   groups the last COMPUTE left: each is one ``ProtocolState`` object and
+   the processes that hold it, in process order. The send phase runs once
+   per group, and the group's members are the senders of its queue: a
+   message one group holds takes that group's members, and only a message
+   several groups hold merges and sorts theirs, once per set of groups.
+   Before any strategy call, each possessed member is taken out of its
+   group, and one that shares its state object gets a copy of its own, as
+   a strategy may change it. A strategy dictates (receiver, message) pairs,
+   where a ``TO_ALL`` receiver stands for every process. Messages are
+   ordered by ``sort_key``, which the simulation keeps per message beside
+   its dict and JSON text.
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Each distinct message
    the correct processes send to all is folded once, with all its senders,
-   into the round's common tallies. A process's inbox is its dictated
-   receipts, as (sender, message) pairs; only the receivers of dictated
-   sends hold one. ``receive_phase`` folds each distinct inbox once into a
-   copy of the common tallies, and every process that holds it reads that
-   one fold, read-only, possessed processes included. A process with no
-   dictated receipt reads the common tallies themselves. Tallies are
-   round-local and never part of a process's state. RECEIVE is the only
-   place a fold is built: the strategies see every process's fold in the
-   observation, and the history-forging ones run a possessed process's
-   compute phase on that process's fold.
+   into the round's common tallies. So is each message of a possessed
+   sender each of whose dictated messages reaches every process, once per
+   (sender, message), as ``TO_ALL`` entries do. A process's inbox is its
+   receipts from the other possessed senders, the partial ones, as (sender,
+   message) pairs; only their receivers hold one. ``receive_phase`` folds
+   each distinct inbox once into a copy of the common tallies, and every
+   process that holds it reads that one fold, read-only, possessed
+   processes included. A process with no such receipt reads the common
+   tallies themselves, as every process does in a round without partial
+   senders. Tallies are round-local and never part of a process's state.
+   RECEIVE is the only place a fold is built: the strategies see every
+   process's fold in the observation, and the history-forging ones run a
+   possessed process's compute phase on that process's fold.
 5. COMPUTE  — correct processes run the protocol compute phase on their
    tallies; each faulty process's state is replaced by whatever the
    strategy returns. The phase works at two levels. The fold's reading
@@ -39,20 +48,26 @@ Each round runs five sub-phases in a fixed order:
    on the process: a correct process's phase depends only on its fold,
    its cure flags, ``delivered`` and its ``rc`` after the majority repair,
    which is the reading's majority counter, or the process's own when the
-   reading has none. Those five values are the process's class key, the
-   fold named by its identity, as every fold is held until the round
-   ends. The first process of each class, in process order, runs
-   ``compute_phase``, and the others take its outcome through
-   ``protocol.adopt_compute``; a freed process that re-enters with a stale
+   reading has none. Those five values are the class key, the fold named
+   by its identity, as every fold is held until the round ends. The
+   members of a group share all but the fold, so the key is taken once per
+   group, and a group is split by fold only in a round with partial
+   senders. The first group, or part of one, that enters a class runs
+   ``compute_phase``: in place on its state object when it is the whole
+   group, else on a copy. Every later member of the class takes the
+   outcome object itself; a freed process that re-enters with a stale
    counter thus joins the class its repair puts it in. A scheduled
-   broadcast call joins its class like any other process; once the caller
-   holds the class outcome, its queue gains the SEND, stamped with the
-   repaired ``rc``. The send queue and ``delivered`` a state carries are
-   immutable, so the members of a class share them, and so do the next
-   SEND's senders of a queue. Each class delivers in (source, payload)
-   order and lists its members in process order, so ``deliver_calls``
-   builds the round's DELIVER_CALLs per set of delivering classes, and only
-   an instance several classes deliver merges and sorts their members.
+   broadcast call joins its class like any other process, then takes a
+   copy of the outcome whose queue gains the SEND, stamped with the
+   repaired ``rc``. A state object that two processes hold is never changed
+   in place: a possessed member, a part split off by fold and a caller each
+   work on a copy. The next round's groups are the classes, less their
+   callers, and one group for each caller and each possessed process. The
+   send queue and ``delivered`` a state carries are immutable, so copies
+   share them. Each class delivers in (source, payload) order and lists its
+   members in process order, so ``deliver_calls`` builds the round's
+   DELIVER_CALLs per set of delivering classes, and only an instance
+   several classes deliver merges and sorts their members.
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -114,18 +129,17 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import lt, methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
-from .messages import ProtocolMessage, compact_json, decode_payload, encode_payload, send_msg
+from .messages import TO_ALL, ProtocolMessage, compact_json, decode_payload, encode_payload, send_msg
 from .model import FailureSchedule, OracleKind, shown
 from .protocol import (
     ProtocolState,
     Tallies,
-    adopt_compute,
     compute_phase,
     init_state,
     on_cured,
@@ -155,8 +169,6 @@ KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRU
 # where a possessed process's digest is new to its stay; each distinct message
 # and instance written in full once, and cited by its index after that.
 TRACE_FORMAT = "mbbc-trace/9"
-# The ``to`` of a send that reaches every process.
-TO_ALL = "ALL"
 # Each detail's one key set, by kind (a P2P_SEND's by its ``to``), and an
 # instance object's: the reader refuses any other key, and ``event_lines``
 # writes each of these details from its template.
@@ -472,7 +484,11 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
         _only_keys(detail, _DICTATED_KEYS, "a send to a list of receivers")
         return
     _only_keys(detail, *_DETAIL_KEYS[kind])
-    if kind == KIND_BROADCAST_CALL:
+    if kind == KIND_STATE_CORRUPTED:
+        digest = detail["state_digest"]
+        if not (type(digest) is str and len(digest) == 64 and _HEX.issuperset(digest)):
+            raise ValueError(f"state_digest {shown(digest)} is not 64 lowercase hex digits")
+    elif kind == KIND_BROADCAST_CALL:
         decode_payload(detail)
     elif kind == KIND_DELIVER_CALL:
         instances = detail["instances"]
@@ -535,6 +551,8 @@ def _bad_citation(name: str, table: list, value) -> ValueError:
                       f"the {name}s defined so far")
 
 
+# The digits of a STATE_CORRUPTED's ``state_digest``, a sha256 in lowercase hex.
+_HEX = frozenset("0123456789abcdef")
 # The one type a process or receiver list holds: ``_INT.issuperset(map(type,
 # xs))`` tests every entry in C, and rejects a bool as ``True == 1`` would not.
 _INT = frozenset({int})
@@ -684,16 +702,67 @@ def deliver_calls(r: int, delivering: Sequence[tuple[Sequence[tuple[int, bytes]]
     return events
 
 
-def _dictated(sender: int, sends: Sequence[tuple[int, ProtocolMessage]],
-              sort_key: Callable[[ProtocolMessage], tuple]
-              ) -> list[tuple[int, ProtocolMessage, list[int]]]:
-    """A faulty sender's dictated (receiver, message) pairs as outbox entries:
-    one per distinct message, in message order (``sort_key``), receivers
-    sorted with duplicates kept."""
-    receivers: dict[ProtocolMessage, list[int]] = {}
+def _dictated(sender: int, sends: Sequence[tuple[int | str, ProtocolMessage]],
+              sort_key: Callable[[ProtocolMessage], tuple], everyone: list[int]
+              ) -> tuple[list[tuple[int, ProtocolMessage, list[int]]], bool]:
+    """A possessed sender's dictated (receiver, message) pairs as outbox
+    entries, and whether each entry reaches every process. One entry per
+    distinct message, in message order (``sort_key``), its receivers sorted
+    with duplicates kept, a list of the entry's own; a ``TO_ALL`` receiver
+    stands for each process of ``everyone``."""
+    receivers: dict[ProtocolMessage, list] = {}
     for receiver, msg in sends:
         receivers.setdefault(msg, []).append(receiver)
-    return [(sender, msg, sorted(receivers[msg])) for msg in sorted(receivers, key=sort_key)]
+    entries = []
+    reaches_all = True
+    for msg in sorted(receivers, key=sort_key):
+        to = receivers[msg]
+        if to == [TO_ALL]:
+            to = everyone[:]
+        else:
+            if TO_ALL in to:
+                to = [q for q in to if q != TO_ALL] + everyone * to.count(TO_ALL)
+            to.sort()
+            reaches_all = reaches_all and set(to) == set(everyone)
+        entries.append((sender, msg, to))
+    return entries, reaches_all
+
+
+def _possessed_taken_out(groups: list[tuple[ProtocolState, list[int]]], faulty: frozenset[int],
+                         states: list[ProtocolState]) -> list[tuple[ProtocolState, list[int]]]:
+    """The groups of the round's correct processes: ``groups`` with every
+    possessed member taken out. A possessed member that shares its state
+    object gets a copy of its own in ``states``, as a strategy may change
+    it; of a group whose members are all possessed, the first keeps the
+    object."""
+    correct_groups = []
+    for state, members in groups:
+        if faulty.isdisjoint(members):
+            correct_groups.append((state, members))
+            continue
+        correct = [p for p in members if p not in faulty]
+        possessed = [p for p in members if p in faulty]
+        for p in possessed if correct else possessed[1:]:
+            states[p] = state.copy()
+        if correct:
+            correct_groups.append((state, correct))
+    return correct_groups
+
+
+def _by_fold(members: list[int], tallies: Sequence[Tallies]) -> list[tuple[list[int], Tallies]]:
+    """A group's members split by the fold each reads, each part in process
+    order with its fold; ``members`` itself when all read one fold."""
+    parts: dict[int, tuple[list[int], Tallies]] = {}
+    for p in members:
+        fold = tallies[p]
+        part = parts.get(id(fold))
+        if part is None:
+            parts[id(fold)] = ([p], fold)
+        else:
+            part[0].append(p)
+    if len(parts) == 1:
+        return [(members, tallies[members[0]])]
+    return list(parts.values())
 
 
 def receive_phase(common: Tallies, inboxes: Sequence[Sequence[tuple[int, ProtocolMessage]]]
@@ -759,7 +828,12 @@ class Simulation:
         self.schedule = config.resolved_schedule()
         self.strategy: Strategy = build_strategy(config)
         self.variant = config.variant_spec()
-        self.states: list[ProtocolState] = [init_state() for _ in range(config.n)]
+        # Each process's state, and the groups of processes that share one
+        # object (see the module docstring): at the start, all of them.
+        state = init_state()
+        self.states: list[ProtocolState] = [state] * config.n
+        self._everyone = list(range(config.n))
+        self._groups: list[tuple[ProtocolState, list[int]]] = [(state, self._everyone)]
         self.trace = Trace(fingerprint=config.fingerprint(), seed=config.seed, config=config.to_dict())
         self.round = 0
         # Each round's broadcast calls: caller -> payloads.
@@ -796,44 +870,45 @@ class Simulation:
 
         # ORACLE: cure notifications reach freed processes before they send.
         # The agents' moves (ADVERSARY) are the schedule's; neither is traced.
+        # A freed process was possessed last round, so it holds its own state.
         for p, since in deliver_oracle_events(schedule, r, self.config.setting.oracle):
             on_cured(states[p], since)
 
-        # SEND: the correct senders grouped by the queue they hold, in
-        # process order, each distinct queue walked once; one dictated entry
-        # per faulty (sender, message) that is dictated.
+        # SEND: one send phase per group of correct processes, its members
+        # the senders of its queue; one dictated entry per possessed (sender,
+        # message) that is dictated.
+        groups = _possessed_taken_out(self._groups, faulty, states) if faulty else self._groups
         obs = Observation(schedule=schedule, states=states)
         sort_key, message_dicts = self._sort_keys.__getitem__, self._message_dicts
-        queues: list[tuple[Iterable[ProtocolMessage], list[int]]] = []
-        senders_of: dict[int, list[int]] = {}
-        dictated: list[tuple[int, ProtocolMessage, list[int]]] = []
-        for p in range(n):
-            if p in faulty:
-                sends = strategy.dictate_sends(p, r, obs)
-                if sends:
-                    dictated += _dictated(p, sends, sort_key)
-                continue
-            queue = send_phase(states[p])
-            senders = senders_of.get(id(queue))
-            if senders is None:
-                senders_of[id(queue)] = senders = [p]
-                queues.append((queue, senders))
-            else:
-                senders.append(p)
-        # A message one queue holds has that queue's senders; one several
-        # hold, the union of theirs, sorted, built once per set of queues:
-        # each queue joins each list held before its walk began once (those
-        # lists all lived at that point, so no two share an id).
+        # A message one group holds has that group's members as senders; one
+        # several hold, the union of theirs, sorted, built once per set of
+        # groups: each group joins each list held before its walk began once
+        # (those lists all lived at that point, so no two share an id).
         fan_outs: dict[ProtocolMessage, list[int]] = {}
-        for queue, senders in queues:
+        for state, senders in groups:
             unions: dict[int, list[int]] = {}
-            for msg in queue:
+            for msg in send_phase(state):
                 held = fan_outs.setdefault(msg, senders)
                 if held is not senders:
                     union = unions.get(id(held))
                     if union is None:
                         union = unions[id(held)] = sorted(held + senders)
                     fan_outs[msg] = union
+        # The dictated entries in (sender, message) order; those of a sender
+        # that sends each of its messages to every process fold into the
+        # common tallies, and only the others reach an inbox.
+        dictated: list[tuple[int, ProtocolMessage, list[int]]] = []
+        to_all: list[tuple[int, ProtocolMessage, list[int]]] = []
+        partial: list[tuple[int, ProtocolMessage, list[int]]] = []
+        for p in sorted(faulty):
+            sends = strategy.dictate_sends(p, r, obs)
+            if sends:
+                entries, reaches_all = _dictated(p, sends, sort_key, self._everyone)
+                dictated += entries
+                if reaches_all:
+                    to_all += entries
+                else:
+                    partial += entries
         ordered = sorted(fan_outs, key=sort_key)
         # Each distinct list of senders is one list object: one fan-out each.
         fan_out_messages: dict[int, tuple[list[int], list[dict]]] = {}
@@ -843,64 +918,95 @@ class Simulation:
             if group is None:
                 group = fan_out_messages[id(senders)] = (senders, [])
             group[1].append(message_dicts[msg])
+        # A group keeps its list of members for later rounds, so each
+        # fan-out's ``from`` is a copy of its own.
         for senders, messages in fan_out_messages.values():
             emit(TraceEvent(r, KIND_P2P_SEND, senders[0],
-                            {"from": senders, "messages": messages, "to": TO_ALL}))
+                            {"from": senders[:], "messages": messages, "to": TO_ALL}))
         for sender, msg, to in dictated:
             emit(TraceEvent(r, KIND_P2P_SEND, sender, {"message": message_dicts[msg], "to": to}))
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
-        # Fan-outs come from correct senders and dictated sends from faulty
-        # senders, so the two never share a sender: the common fold plus a
-        # receiver's dictated receipts is its whole inbox, and a sender's
-        # fan-outs fold in message order, as its receipts do.
+        # The fan-outs come from correct senders and the to-all and partial
+        # entries from two sets of possessed senders, so no two of the three
+        # share a sender, and each sender's messages fold in message order,
+        # as its receipts do: the common fold plus a receiver's partial
+        # receipts is its whole inbox.
         common = Tallies()
         for msg in ordered:
             on_p2p_deliver(common, fan_outs[msg], msg)
-        obs.tallies = tallies = receive_phase(common, _inboxes(dictated, n))
+        for sender, msg, _to in to_all:
+            on_p2p_deliver(common, (sender,), msg)
+        obs.tallies = tallies = (receive_phase(common, _inboxes(partial, n)) if partial
+                                 else [common] * n)
 
         # COMPUTE, run once per class of equal inputs (see the module docstring).
         # The first read of a fold builds its reading, which the fold keeps;
-        # a process that holds the fold the process before it held reads it
+        # a group that holds the fold the group before it held reads it
         # without a call. The reading's majority is the repaired counter of
         # the key.
         F = variant.effective_f
-        broadcasts = self._broadcasts.get(r, {})
-        # Each class's outcome, its deliveries and its members in process order.
-        classes: dict[tuple, tuple[ProtocolState, list[tuple[int, bytes]], list[int]]] = {}
-        # A possessed process writes its digest when it is new to its stay.
-        last_corrupted, corrupted = self._corrupted, {}
+        # Each class: its outcome, its deliveries, its members in process
+        # order, and whether those are a list of its own, merged from
+        # several groups (sorted once the round's groups are in).
+        classes: dict[tuple, list] = {}
         last_fold = majority = None
-        for p in range(n):
-            state = states[p]
+        for state, members in groups:
+            for part, fold in _by_fold(members, tallies) if partial else ((members, common),):
+                if fold is not last_fold:
+                    last_fold, majority = fold, read_fold(fold, n, F).majority
+                key = (id(fold), state.cured, state.cured_faulty_since, state.delivered,
+                       state.rc if majority is None else majority)
+                found = classes.get(key)
+                if found is None:
+                    # In place when the part is every holder of the state.
+                    outcome = state if part is members else state.copy()
+                    classes[key] = [outcome, compute_phase(outcome, fold, part[0], variant, n),
+                                    part, False]
+                    if outcome is state:
+                        continue
+                else:
+                    outcome = found[0]
+                    if found[3]:
+                        found[2] += part
+                    else:
+                        found[2], found[3] = found[2] + part, True
+                for p in part:
+                    states[p] = outcome
+        # The possessed processes' states and the correct broadcast callers'
+        # SENDs, in process order. A caller's SEND, stamped with the repaired
+        # counter, goes to a copy of its class's outcome, its own.
+        broadcasts = self._broadcasts.get(r)
+        callers = broadcasts.keys() - faulty if broadcasts else ()
+        last_corrupted, corrupted = self._corrupted, {}
+        alone: list[tuple[ProtocolState, list[int]]] = []
+        for p in sorted(faulty.union(callers)) if callers else sorted(faulty):
             if p in faulty:
                 new_state = states[p] = strategy.corrupt_state(p, r, obs)
                 detail = corrupted[p] = self._corrupted_detail(new_state)
                 if detail != last_corrupted.get(p):
                     emit(TraceEvent(r, KIND_STATE_CORRUPTED, p, detail))
-                continue
-            payloads = broadcasts.get(p) if broadcasts else None
-            fold = tallies[p]
-            if fold is not last_fold:
-                last_fold, majority = fold, read_fold(fold, n, F).majority
-            key = (id(fold), state.cured, state.cured_faulty_since, state.delivered,
-                   state.rc if majority is None else majority)
-            leader = classes.get(key)
-            if leader is None:
-                delivered = compute_phase(state, fold, p, variant, n)
-                # A broadcast caller's SEND, added below, is its own, not its class's.
-                outcome = replace(state) if payloads else state
-                classes[key] = outcome, delivered, [p]
             else:
-                adopt_compute(state, leader[0])
-                leader[2].append(p)
-            if payloads:
+                payloads = broadcasts[p]
                 for payload in payloads:
                     emit(TraceEvent(r, KIND_BROADCAST_CALL, p, dict(encode_payload(payload))))
-                state.to_send = state.to_send.union(
-                    [send_msg(p, state.rc - 1, payload) for payload in payloads])
-        delivering = [(delivered, members) for _outcome, delivered, members in classes.values()
-                      if delivered]
+                new_state = states[p] = states[p].copy()
+                new_state.to_send = new_state.to_send.union(
+                    [send_msg(p, new_state.rc - 1, payload) for payload in payloads])
+            alone.append((new_state, [p]))
+        delivering = []
+        next_groups = []
+        for outcome, delivered, members, merged in classes.values():
+            if merged:
+                members.sort()
+            if delivered:
+                delivering.append((delivered, members))
+            if callers and not callers.isdisjoint(members):
+                members = [p for p in members if p not in callers]
+                if not members:
+                    continue
+            next_groups.append((outcome, members))
+        self._groups = next_groups + alone if alone else next_groups
         if delivering:
             self.trace.events += deliver_calls(r, delivering, self._instances)
         self._corrupted = corrupted

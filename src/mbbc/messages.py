@@ -31,6 +31,11 @@ else:
         return "".join(_compact_chunks(value, 0))
 
 
+# The receiver of a send to every process: a trace's ``to`` of a fan-out, and
+# the receiver of a dictated send that reaches every process.
+TO_ALL = "ALL"
+
+
 class MessageKind(Enum):
     SEND = "SEND"
     ECHO = "ECHO"
@@ -44,6 +49,9 @@ class MessageKind(Enum):
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(MessageKind)}
 _KINDS = {kind.value: kind for kind in MessageKind}
+# The keys ``to_dict`` writes, by kind: a ROUND's, and an instance message's.
+_ROUND_KEYS = ("kind", "round_value")
+_INSTANCE_KEYS = ("kind", "source", "birth_round", "payload", "payload_hex")
 
 
 class _MessageFields(NamedTuple):
@@ -129,10 +137,17 @@ class ProtocolMessage(_MessageFields):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolMessage":
+        """The message ``to_dict`` wrote; a missing key is a KeyError, and a
+        bad value, or a key the message's kind does not define, is a
+        ValueError naming it."""
         value = data["kind"]
         kind = _KINDS.get(value) if type(value) is str else None
         if kind is None:
             raise ValueError(f"kind {shown(value)} is not one of {', '.join(_KINDS)}")
+        keys = _ROUND_KEYS if kind is MessageKind.ROUND else _INSTANCE_KEYS
+        if data.keys() - keys:
+            key = next(key for key in data if key not in keys)
+            raise ValueError(f"{kind.value} message key {shown(key)} is not one of {', '.join(keys)}")
         if kind is MessageKind.ROUND:
             return cls(kind=kind, round_value=data["round_value"])
         return cls(

@@ -91,7 +91,9 @@ class ProtocolState:
     so it never substitutes for the gate logic itself.
 
     ``to_send`` and ``delivered`` are frozensets: a phase that changes one
-    assigns a new set, so states may share them.
+    assigns a new set, so states may share them. The engine also lets the
+    processes of a class hold one state object, and changes no object that
+    two processes hold (see ``engine``).
     """
 
     to_send: frozenset[ProtocolMessage] = frozenset()
@@ -99,6 +101,11 @@ class ProtocolState:
     cured_faulty_since: int | None = None
     rc: int = 1
     delivered: frozenset[tuple[int, bytes]] = frozenset()
+
+    def copy(self) -> "ProtocolState":
+        """A new state of the same values, sharing the frozensets."""
+        return ProtocolState(self.to_send, self.cured, self.cured_faulty_since, self.rc,
+                             self.delivered)
 
 
 class FoldReading(NamedTuple):
@@ -137,9 +144,16 @@ def init_state() -> ProtocolState:
 
 
 def on_cured(state: ProtocolState, faulty_since: int | None = None) -> None:
-    """Oracle upcall: mark the process cured; FFA also reports when the stay began."""
+    """Oracle upcall: mark the process cured; FFA also reports when the stay began.
+
+    ``delivered`` is cleared, as ``send_phase`` clears the queue: the agent
+    may have planted anything in it, or left the mark of a delivery made
+    while possessed, which is not the process's own and must not suppress
+    the delivery the FFA_FULL gate owes it on the cure.
+    """
     state.cured = True
     state.cured_faulty_since = faulty_since
+    state.delivered = frozenset()
 
 
 def send_phase(state: ProtocolState) -> frozenset[ProtocolMessage]:
@@ -276,8 +290,8 @@ def compute_phase(
     the old one is dropped.
 
     ``broadcasts`` serves the adversary's faithful compute of a possessed
-    process. The engine passes none: a correct caller adopts its class's
-    outcome, then adds the same SEND to its queue, stamped with the
+    process. The engine passes none: a correct caller takes a copy of its
+    class's outcome, then adds the same SEND to its queue, stamped with the
     repaired counter, which is the incremented ``rc`` minus one.
     """
     reading = read_fold(tallies, n, variant.effective_f)
@@ -306,24 +320,6 @@ def compute_phase(
     state.rc = rc + 1
     state.to_send = reading.votes.union(own)
     return deliveries
-
-
-def adopt_compute(state: ProtocolState, done: ProtocolState) -> None:
-    """Give ``state`` the outcome of the compute phase ``done`` has just run.
-
-    Both must have entered the phase with the same tallies, cure flags and
-    ``delivered``, and with ``rc`` values the majority repair turns into
-    one, and ``done`` without a broadcast call: ``compute_phase`` would then
-    leave ``state`` equal to ``done`` and return the same deliveries. A
-    broadcast caller adopts too, then adds its SEND to its own queue. The
-    queue and ``delivered`` are frozensets, so ``state`` shares ``done``'s
-    rather than copying them.
-    """
-    state.to_send = done.to_send
-    state.rc = done.rc
-    state.delivered = done.delivered
-    state.cured = done.cured
-    state.cured_faulty_since = done.cured_faulty_since
 
 
 def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:

@@ -25,7 +25,7 @@ states, and each process's own fold.
 from __future__ import annotations
 
 from mbbc.adversary import Observation, build_strategy
-from mbbc.messages import ProtocolMessage
+from mbbc.messages import TO_ALL, ProtocolMessage
 from mbbc.model import OracleKind
 from mbbc.protocol import Tallies, compute_phase, init_state, on_cured, receive, send_phase
 from mbbc.scenario import ScenarioConfig
@@ -63,7 +63,8 @@ class Reference:
         sends: list[tuple[int, ProtocolMessage, int]] = []
         for p in range(n):
             if p in faulty:
-                sends += [(p, msg, q) for q, msg in self.strategy.dictate_sends(p, r, obs)]
+                for q, msg in self.strategy.dictate_sends(p, r, obs):
+                    sends += [(p, msg, q) for q in (range(n) if q == TO_ALL else (q,))]
             else:
                 sends += [(p, msg, q) for msg in send_phase(states[p]) for q in range(n)]
 

@@ -11,7 +11,7 @@ from mbbc.adversary import (
     generate_paired_histories,
 )
 from mbbc.engine import Simulation, delivered_instances, deliveries, round_sends, run
-from mbbc.messages import MessageKind, send_msg
+from mbbc.messages import TO_ALL, MessageKind, send_msg
 from mbbc.protocol import Tallies, init_state
 from mbbc.scenario import InvalidScenario, ScenarioConfig
 from conftest import golden_correct_source, zero_agent_scenario
@@ -45,8 +45,12 @@ class TestAlternatingSets:
         sends = strat.dictate_sends(4, 2, obs_for(cfg))
         receivers = {q for q, _ in sends}
         kinds = {m.kind for _, m in sends}
-        assert receivers == set(range(6))
+        assert receivers == {TO_ALL}
         assert MessageKind.READY in kinds and MessageKind.ECHO in kinds
+        # The engine sends each of them to every process, itself included.
+        dictated = [ev.detail["to"] for ev in run(cfg).events
+                    if ev.kind == "P2P_SEND" and (ev.round, ev.subject) == (2, 4)]
+        assert dictated == [list(range(6))] * len(sends)
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(InvalidScenario):

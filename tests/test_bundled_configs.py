@@ -20,6 +20,8 @@ EXPECTED = {
     # The source is possessed before its SEND goes out, and the agent sends
     # it later with a later birth: every count is owed from that birth.
     "bfa_forged_birth.json": (0, None),
+    # A stay across the due round, run faithfully: the cure owes the delivery.
+    "ffa_delivery_on_cure.json": (0, None),
     "nfa_alternating_n7.json": (1, {"NO_DUPLICATION"}),
     # Below the n > 5f bound the alternating attack starves validity.
     "alternating_below_bound_n5.json": (1, {"VALIDITY"}),

@@ -352,6 +352,13 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
     pytest.param(arbitrary({"state": {"rcc": 3}}),
                  "ARBITRARY round 1 process 1 state key 'rcc' is not one of rc, to_send, cured",
                  id="arbitrary-state-unknown-key"),
+    pytest.param(arbitrary({"sends": [[1, {"kind": "ROUND", "round_value": 7, "zz": 1}]]}),
+                 "ROUND message key 'zz' is not one of kind, round_value",
+                 id="arbitrary-message-unknown-key"),
+    pytest.param(arbitrary({"state": {"to_send": [{"kind": "ECHO", "source": 0, "birth_round": 1,
+                                                   "payload": "x", "round_value": 2}]}}),
+                 "ECHO message key 'round_value' is not one of kind, source, birth_round, payload, "
+                 "payload_hex", id="arbitrary-to_send-message-unknown-key"),
     pytest.param(arbitrary({"sends": [[1, {"kind": "VOTE", "round_value": 7}]]}),
                  "kind 'VOTE' is not one of SEND, ECHO, READY, ABORT, ROUND", id="arbitrary-message-kind"),
     pytest.param(arbitrary({"sends": [[1, {"kind": "SEND", "source": 0, "birth_round": 1,
@@ -420,7 +427,8 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
 
 GOOD_HEADER = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"' + TRACE_FORMAT
                + '","seed":0}')
-GOOD_EVENT = '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'
+DIGEST_DETAIL = '{"state_digest":"' + "0" * 64 + '"}'
+GOOD_EVENT = '{"detail":' + DIGEST_DETAIL + ',"kind":"STATE_CORRUPTED","round":1,"subject":0}'
 # An event line of the older layout, and one with a key of no layout.
 LEFTOVER_PHASE = GOOD_EVENT.replace(',"round"', ',"phase":"SEND","round"')
 EXTRA_KEY = GOOD_EVENT.replace(',"kind"', ',"extra":5,"kind"')
@@ -473,7 +481,13 @@ def deliver_call(by: str | None, subject: int = 1, instances: str = '[{"payload"
     pytest.param(GOOD_HEADER + "\n" + LEFTOVER_PHASE + "\n", 2, id="leftover-phase"),
     pytest.param(GOOD_HEADER + "\n" + EXTRA_KEY + "\n", 2, id="extra-key"),
     pytest.param(GOOD_HEADER.replace('"seed"', '"extra":5,"seed"') + "\n", 1, id="header-extra-key"),
-    (GOOD_HEADER + "\n" + GOOD_EVENT.replace('{}', '[]') + "\n", 2),
+    (GOOD_HEADER + "\n" + GOOD_EVENT.replace(DIGEST_DETAIL, '[]') + "\n", 2),
+    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + "\n" + GOOD_EVENT.replace(DIGEST_DETAIL, "{}") + "\n",
+                 3, id="state-digest-missing"),
+    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace(DIGEST_DETAIL, '{"state_digest":NaN}') + "\n", 2,
+                 id="state-digest-nan"),
+    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace('"0000', '"000') + "\n", 2,
+                 id="state-digest-short"),
     (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":[1,6]},'
      '"kind":"P2P_SEND","round":2,"subject":0}\n', 2),
     (GOOD_HEADER + '\n{"detail":{"message":{"kind":"ROUND","round_value":2},"to":"SOME"},'
@@ -493,7 +507,7 @@ def deliver_call(by: str | None, subject: int = 1, instances: str = '[{"payload"
     pytest.param(GOOD_HEADER + "\n" + fan_out("[0]", 0, to="[1]") + "\n", 2, id="from-beside-a-list"),
     pytest.param(GOOD_HEADER + "\n" + fan_out(None, 0) + "\n", 2, id="all-without-from"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[1,3]", 3) + "\n", 2, id="subject-not-first-sender"),
-    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace("{}", DEEP) + "\n", 2, id="deeply_nested"),
+    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT.replace(DIGEST_DETAIL, DEEP) + "\n", 2, id="deeply_nested"),
     pytest.param(deliver_call("[1]", instances='[{"payload":"x"}]'), 2, id="deliver-without-source"),
     pytest.param(deliver_call("[1]", instances='[{"payload":"x","source":"1"}]'), 2,
                  id="deliver-source-string"),
@@ -845,7 +859,7 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
         path.write_text('{"n": ' + DEEP + "}")
         argv = ["run", "--config", str(path), "--out", str(tmp_path / "t.jsonl")]
     else:
-        path.write_text(GOOD_HEADER + "\n" + GOOD_EVENT.replace("{}", DEEP) + "\n")
+        path.write_text(GOOD_HEADER + "\n" + GOOD_EVENT.replace(DIGEST_DETAIL, DEEP) + "\n")
         argv = ["replay", "--trace", str(path)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

@@ -22,7 +22,7 @@ from conftest import (
     zero_agent_scenario,
 )
 from mbbc import adversary, engine, protocol
-from mbbc.adversary import Strategy, generate_paired_histories
+from mbbc.adversary import Observation, Strategy, generate_paired_histories
 from mbbc.demos import run_demo
 from mbbc.engine import (
     KIND_BROADCAST_CALL,
@@ -41,7 +41,7 @@ from mbbc.engine import (
     round_sends,
     run,
 )
-from mbbc.messages import ProtocolMessage
+from mbbc.messages import ProtocolMessage, send_msg
 from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
 from mbbc.protocol import (
     ProtocolState,
@@ -200,23 +200,29 @@ def sort_key(message: dict) -> tuple:
     return ProtocolMessage.from_dict(message).sort_key()
 
 
+def observations(monkeypatch) -> list[Observation]:
+    """Patch the engine to keep each round's ``Observation``, in the order
+    the rounds run: once a round has run, its ``tallies`` are every
+    process's fold, as RECEIVE left them for the strategies and COMPUTE."""
+    made = []
+
+    def kept(**fields):
+        made.append(Observation(**fields))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "Observation", kept)
+    return made
+
+
 def receive_and_fold(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, dict, dict]:
     """Run ``cfg``; return its trace, a copy of the tallies RECEIVE gave each
     (round, process), and a per-receipt fold of ``deliveries`` for the same
     keys. Every receiver's fold holds all its receipts, a possessed
     receiver's included."""
-    sim = Simulation(cfg)
-    received = {}
-    original = engine.receive_phase
-
-    def snapshot(*args):
-        out = original(*args)
-        for p, tallies in enumerate(out):
-            received[(sim.round, p)] = copy.deepcopy(tallies)
-        return out
-
-    monkeypatch.setattr(engine, "receive_phase", snapshot)
-    trace = sim.run()
+    observed = observations(monkeypatch)
+    trace = Simulation(cfg).run()
+    received = {(r, p): copy.deepcopy(tallies)
+                for r, obs in enumerate(observed, start=1) for p, tallies in enumerate(obs.tallies)}
     folded = {key: Tallies() for key in received}
     for d in deliveries(trace):
         if (d.round, d.receiver) in folded:
@@ -353,6 +359,25 @@ class TestDeliveries:
                  for key, tallies in received.items() if key[0] == 3}
         assert votes == {(7, 7)}
 
+    def test_a_sender_with_one_partial_send_keeps_all_its_sends_on_the_inbox_path(self, monkeypatch):
+        """Process 0, possessed, sends ROUND 5 to every process and ROUND 3
+        to process 2 alone. ROUND 3 comes first in message order, so process
+        2 folds 3, then 5, and votes 5, as every other process does. Only a
+        sender each of whose sends reaches every process folds into the
+        common tallies: were the ROUND 5 folded there, process 2 would fold
+        its ROUND 3 after it and keep 3. The pinned trace is the one the
+        per-process engine gave."""
+        five, three = {"kind": "ROUND", "round_value": 5}, {"kind": "ROUND", "round_value": 3}
+        cfg = scripted_sends([[q, five] for q in range(3)] + [[2, three]])
+        trace, received, folded = receive_and_fold(cfg, monkeypatch)
+        assert received == folded
+        assert {key: tallies.rc_votes.get(0) for key, tallies in received.items() if key[0] == 1} == {
+            (1, 0): 5, (1, 1): 5, (1, 2): 5}
+        assert [ev.detail["to"] for ev in trace.events
+                if ev.kind == KIND_P2P_SEND and ev.subject == 0] == [[2], [0, 1, 2]]
+        assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == (
+            "0587ea89d1f122f74bc73f969f13c8608e91bdebdc322bce7f009b5889e4e853")
+
     def test_sender_is_stamped_by_the_engine(self):
         """A possessed process cannot send under another process's name."""
         forged = {"kind": "SEND", "source": 2, "birth_round": 1, "payload": "x"}
@@ -441,7 +466,8 @@ class TestSharedCompute:
         sim = Simulation(cfg)
         sched, variant, n = sim.schedule, cfg.variant_spec(), cfg.n
         while sim.round < cfg.horizon:
-            before = copy.deepcopy(sim.states)
+            # Members of a class share one state object: copy each apart.
+            before = [copy.deepcopy(state) for state in sim.states]
             start = len(sim.trace.events)
             sim.step()
             r, events = sim.round, sim.trace.events[start:]
@@ -485,15 +511,8 @@ class TestSharedCompute:
         compute classes. The fold's reading is built once per round all the
         same: once per distinct fold a correct process holds, fewer times
         than ``compute_phase`` runs."""
-        sim = None
-        held: list[set[int]] = []
         builds = []
         calls = Counter()
-
-        def recording_receive(*args):
-            folds = receive_phase(*args)
-            held.append({id(folds[p]) for p in range(len(folds)) if sim.schedule.is_correct(p, sim.round)})
-            return folds
 
         def counted_compute(*args, **kwargs):
             calls["compute_phase"] += 1
@@ -503,13 +522,15 @@ class TestSharedCompute:
             builds.append(args)
             return reading(*args)
 
-        receive_phase, compute, reading = engine.receive_phase, engine.compute_phase, protocol.FoldReading
-        monkeypatch.setattr(engine, "receive_phase", recording_receive)
+        compute, reading = engine.compute_phase, protocol.FoldReading
+        observed = observations(monkeypatch)
         monkeypatch.setattr(engine, "compute_phase", counted_compute)
         monkeypatch.setattr(protocol, "FoldReading", counted_reading)
         cfg = fanout_shaped()
         sim = Simulation(cfg)
         sim.run()
+        held = [{id(obs.tallies[p]) for p in sim.schedule.correct_set(r)}
+                for r, obs in enumerate(observed, start=1)]
         assert calls["compute_phase"] > cfg.horizon == len(held)
         assert len(builds) == sum(map(len, held)) < calls["compute_phase"]
 
@@ -557,7 +578,9 @@ def compute_inputs(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, Counter, di
     Returns the trace, the counts, and for each correct (round, process) its
     inbox, derived by ``deliveries``, and the (rc, cured, cured_faulty_since,
     delivered) it entered COMPUTE with: SEND reads each correct state after
-    ORACLE, and nothing changes those fields before COMPUTE.
+    ORACLE, once per group, and the processes that hold the state object
+    then are that group's members; nothing changes those fields before
+    COMPUTE.
     """
     sim = Simulation(cfg)
     calls: Counter = Counter()
@@ -570,8 +593,10 @@ def compute_inputs(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, Counter, di
         return wrapped
 
     def sending(state):
-        p = next(p for p, held in enumerate(sim.states) if held is state)
-        entering[(sim.round, p)] = (state.rc, state.cured, state.cured_faulty_since, state.delivered)
+        for p, held in enumerate(sim.states):
+            if held is state:
+                entering[(sim.round, p)] = (state.rc, state.cured, state.cured_faulty_since,
+                                            state.delivered)
         return send_phase(state)
 
     monkeypatch.setattr(engine, "receive", counted("receive", receive))
@@ -666,12 +691,19 @@ class TestSharedFolds:
           for seed in (11, 12)],
     ])
     def test_one_fold_per_distinct_inbox_and_one_compute_per_class(self, config, monkeypatch):
+        """A possessed sender each of whose dictated sends reaches every
+        process folds into the common tallies; the receipts of the others,
+        the partial senders, are the inboxes."""
         cfg = config()
         trace, calls, inputs = compute_inputs(cfg, monkeypatch)
         sched = cfg.resolved_schedule()
+        everyone = set(range(cfg.n))
+        partial = {(ev.round, ev.subject) for ev in trace.events
+                   if ev.kind == KIND_P2P_SEND and "from" not in ev.detail
+                   and set(ev.detail["to"]) != everyone}
         dictated = {(r, p): [] for r in range(1, cfg.horizon + 1) for p in range(cfg.n)}
         for d in deliveries(trace):
-            if not sched.is_correct(d.sender, d.round):
+            if not sched.is_correct(d.sender, d.round) and (d.round, d.sender) in partial:
                 dictated[d.round, d.receiver].append((d.sender, encode_line(d.message)))
         distinct = {(r, tuple(receipts)) for (r, _p), receipts in dictated.items() if receipts}
         assert calls["receive"] == len(distinct)
@@ -684,26 +716,24 @@ class TestSharedFolds:
         faithfully reads the very tallies object RECEIVE returned for that
         process in that round: the adversary folds nothing of its own."""
         sim = None
-        returned: dict[int, list] = {}
-        reads: list[tuple[int, int, bool]] = []
-
-        def recording_receive(*args):
-            returned[sim.round] = receive_phase(*args)
-            return returned[sim.round]
+        reads: list[tuple[int, int, object]] = []
 
         def recording_compute(state, tallies, p, *args, **kwargs):
-            reads.append((sim.round, p, tallies is returned[sim.round][p]))
+            reads.append((sim.round, p, tallies))
             return compute(state, tallies, p, *args, **kwargs)
 
-        receive_phase, compute = engine.receive_phase, adversary.compute_phase
-        monkeypatch.setattr(engine, "receive_phase", recording_receive)
+        compute = adversary.compute_phase
+        observed = observations(monkeypatch)
         monkeypatch.setattr(adversary, "compute_phase", recording_compute)
         for cfg in generate_paired_histories(kind, {}):
             sim = Simulation(cfg)
             reads.clear()
+            observed.clear()
             sim.run()
-            # EQUIVOCATE_HISTORY runs faithfully while it holds the source;
-            # WIPE_AND_RUN through ``sim_until``.
+            reads[:] = [(r, p, tallies is observed[r - 1].tallies[p]) for r, p, tallies in reads]
+            # EQUIVOCATE_HISTORY runs a faithful compute on every possessed
+            # process (here only the source is possessed); WIPE_AND_RUN
+            # through ``sim_until``.
             sched, last = cfg.resolved_schedule(), cfg.strategy.get("sim_until", cfg.horizon)
             faithful = [(r, p) for r in range(1, last + 1) for p in sorted(sched.faulty_set(r))]
             assert reads == [(r, p, True) for r, p in faithful]
@@ -726,6 +756,101 @@ class TestSharedFolds:
                    and len(set(states)) >= 3 for states in by_inbox.values())
         text = previous_layout_jsonl(trace)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHARED_INBOX_PINS[seed]
+
+
+def spied_strategies(monkeypatch) -> Counter:
+    """Patch the engine's strategies to assert, at each ``dictate_sends``
+    and ``corrupt_state`` call, that no other process holds the possessed
+    process's state object; returns the calls counted by name."""
+    calls: Counter = Counter()
+    build = engine.build_strategy
+
+    def spied(config):
+        strategy = build(config)
+        for name in ("dictate_sends", "corrupt_state"):
+            def check(p, r, obs, method=getattr(strategy, name), name=name):
+                holders = [q for q, state in enumerate(obs.states) if state is obs.states[p]]
+                assert holders == [p], (name, r, p, holders)
+                calls[name] += 1
+                return method(p, r, obs)
+            setattr(strategy, name, check)
+        return strategy
+
+    monkeypatch.setattr(engine, "build_strategy", spied)
+    return calls
+
+
+class TestSharedStates:
+    """Between rounds the processes of each class hold one state object.
+    SEND runs once per group of holders; a holder the agent takes, or one
+    that calls broadcast, gets a copy of its own, and no shared object is
+    changed in place."""
+
+    @pytest.mark.parametrize("config", [
+        *[pytest.param(lambda path=path: ScenarioConfig.from_json(path.read_text()), id=path.stem)
+          for path in BUNDLED],
+        *[pytest.param(lambda kind=kind, side=side: paired_history(kind, side), id=f"{kind}-{side}")
+          for kind in ("SOURCE_FLIP", "WIPE_FLIP") for side in (0, 1)],
+        *[pytest.param(lambda variant=variant: attack_scenario(variant, 11, 2, 1, "alternating"),
+                       id=f"alternating-{variant.value}") for variant in VariantTag],
+        pytest.param(lambda: split_send_scenario([1, 2, 3]), id="split_send"),
+        pytest.param(lambda: arbitrary_walk(11), id="arbitrary_walk"),
+        pytest.param(lambda: cured_in_pairs("FFA_FULL", "FFA"), id="ffa_cured_in_pairs"),
+    ])
+    def test_no_possessed_process_shares_its_state_while_the_strategy_runs(self, config, monkeypatch):
+        cfg = config()
+        expected = run(cfg).to_jsonl()
+        calls = spied_strategies(monkeypatch)
+        sim = Simulation(cfg)
+        assert len({id(state) for state in sim.states}) == 1
+        assert sim.run().to_jsonl() == expected
+        assert calls["corrupt_state"] > 0
+
+    @pytest.mark.parametrize("config", [fanout_shaped, weak_redelivery_shaped,
+                                        lambda: cured_in_pairs("BFA_WEAK", "BFA")],
+                             ids=["fanout_shaped", "weak_redelivery_shaped", "bfa_cured_in_pairs"])
+    def test_send_runs_once_per_group_of_holders(self, config, monkeypatch):
+        """The holders of the states SEND reads partition the round's
+        correct processes, and fewer states than processes are read."""
+        cfg = config()
+        sim = Simulation(cfg)
+        holders: dict[int, list[list[int]]] = {}
+
+        def sending(state):
+            holders.setdefault(sim.round, []).append(
+                [p for p, held in enumerate(sim.states) if held is state])
+            return send_phase(state)
+
+        monkeypatch.setattr(engine, "send_phase", sending)
+        sim.run()
+        for r in range(1, cfg.horizon + 1):
+            held = sorted(p for group in holders[r] for p in group)
+            assert held == sorted(sim.schedule.correct_set(r)), r
+        assert sum(map(len, holders.values())) < sum(len(sim.schedule.correct_set(r))
+                                                      for r in range(1, cfg.horizon + 1))
+
+    def test_a_class_computes_in_place_when_it_is_its_whole_group(self):
+        """With no agent and no broadcast every process stays in one class:
+        all hold the first round's state object to the horizon, computed in
+        place, and no copy is made."""
+        sim = Simulation(zero_agent_scenario())
+        first = sim.states[0]
+        while sim.round < sim.config.horizon:
+            sim.step()
+            assert all(state is first for state in sim.states)
+        assert first.rc == sim.config.horizon + 1
+
+    def test_a_broadcast_caller_holds_a_state_of_its_own(self):
+        """The caller's SEND goes to a copy of its class's outcome; the rest
+        of the class share the outcome, whose queue holds no SEND."""
+        sim = Simulation(zero_agent_scenario(broadcasts=[{"source": 1, "round": 2, "payload": "m"}]))
+        sim.step()
+        sim.step()
+        caller, others = sim.states[1], [sim.states[p] for p in (0, 2, 3)]
+        assert all(state is others[0] for state in others) and caller is not others[0]
+        assert caller.to_send - others[0].to_send == {send_msg(1, 2, b"m")}
+        sim.step()
+        assert all(state is sim.states[0] for state in sim.states)
 
 
 def send_order_texts(case: str) -> list[str]:

@@ -83,6 +83,9 @@ TRACE_PINS = {
     "faulty_source_none_deliver.json": (
         "a5d20b58c7134bda909e0f2c0842540393973642e209937d682204940ccc81fe",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
+    "ffa_delivery_on_cure.json": (
+        "80e39666a7485045bfc51ed0fbaedcc0d6a37eca65a77b37dbb0ea8b63bc5b9d",
+        "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "nfa_alternating_n7.json": (
         "cd3ce0ccee45164d9468d944724196469051577a868c9d4359d32686412cb472",
         "3ac542c815ed690f1f0b18b36830465ad3c364936fb2b3752eb9c6ee74facb78"),
@@ -113,6 +116,7 @@ PER_ENVELOPE_TRACE_PINS = {
     "correct_source.json": "b917898543967900e8208577e641edf86e703d09e0e6a873f6246b4a3374981c",
     "faulty_source_all_deliver.json": "a22f0347572f6a432654d185a9b347d6710255cdd7de0f2e71ffe8adecd92003",
     "faulty_source_none_deliver.json": "fcc3d0dae264ebee1fedf4b745e9b6ef4401f3e59b2fcb1e7ce86b6a6f8871e1",
+    "ffa_delivery_on_cure.json": "b1f8e846bf85139658b380eec5d3de0bdffb1f29821b3259d7bdb20ed5cc0476",
     "nfa_alternating_n7.json": "5cd2aff26bde26c39fa5ec4f7cf795136c2eb90750d957e3d3d2e50125e2467a",
 }
 
@@ -144,6 +148,7 @@ PROJECTION_PINS = {
     "correct_source.json": "54d4e1f730a59029e37766738cafb91dfde77d846ce1526af568cbca020399da",
     "faulty_source_all_deliver.json": "82f1092336043eaa414e28705eadfd2733a09501f836a999d1184c453923c11c",
     "faulty_source_none_deliver.json": "fd71deba851e4d699a89b27d307ff83378301263775a04e186c35a8ac3f493dd",
+    "ffa_delivery_on_cure.json": "b725a28471bca693ea86b5eb94a955f0167195f2e0d20c25463963444e667778",
     "nfa_alternating_n7.json": "d1845342727d34a92083f2bde0c0d23217c9a25ce11f55dfa0185befce50d359",
     "SOURCE_FLIP": (
         "c5dda99cadaf0db0e3e26cd1da6e7cb2f814cf88040dce6819c234fd9af067cf",
@@ -168,6 +173,7 @@ GROUPED_PROJECTION_PINS = {
     "correct_source.json": "7bf6fca384617aa6dd957b76d57801b50ca77e18c27908fd9fb9e18b6e54d135",
     "faulty_source_all_deliver.json": "309181f7435eed9b9a078f6b0ae1c03e4ebae1caebfa8a8711b43819ec1e0b5e",
     "faulty_source_none_deliver.json": "3e9ccb5e1c7e7ec1e9a1c01fc8151eccd9f57050eccee270f73cba35d69468c4",
+    "ffa_delivery_on_cure.json": "ef17ef59d762f57cfc341dce42beabcc4f2a4afc1228c3daf419aebd3729de6f",
     "nfa_alternating_n7.json": "41447e36c321a6bf84f0cfee48149e896c742508145401c83914ccb6aee1eba2",
     "SOURCE_FLIP": (
         "276715fe07d0daaefbe625b693e29c396ec924185e816f0cd8fa2c5c7ff2a8b3",
@@ -213,6 +219,7 @@ WITNESS_PINS = {
     "correct_source.json": "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d",
     "faulty_source_all_deliver.json": "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b",
     "faulty_source_none_deliver.json": "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a",
+    "ffa_delivery_on_cure.json": "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d",
     "ffa_full_walk": "e1d6a32ce246cc28a4f9373e911f45eba53e982416ae371ceb2c833cced08864",
     "nfa_alternating_n7.json": "275c8036604cf97fb78f76d4a00a896c381d798cfe7b4bab22de1f8f14c9bc9c",
     "nfa_weak_alternating_f2": "af830b6e07055455092fe6ef34fc6f1cd8575ceae2b4305d4f052611d7763607",
@@ -406,6 +413,24 @@ def test_pins_cover_every_config_demo_and_variant():
 @pytest.mark.parametrize("name", sorted(TRACE_PINS))
 def test_bundled_config_trace_and_report_pinned(name, tmp_path):
     assert config_digests(name, tmp_path) == TRACE_PINS[name]
+
+
+def test_delivery_on_cure_satisfies_every_property(tmp_path):
+    """FFA_FULL, n=6, f=1: EQUIVOCATE_HISTORY holds process 3 in rounds 3-5
+    and runs its compute faithfully, so it delivers the round-1 broadcast
+    in the due round 4 while possessed, which is not traced. On its cure in
+    round 6 the gate owes it the delivery, as its stay began by round 4;
+    the cure clears ``delivered``, so nothing the agent left suppresses it,
+    and every property holds (this trace once violated VALIDITY, AGREEMENT
+    and TOTALITY). The pinned trace is the one the per-process engine gave
+    with that mend."""
+    _data, trace, _reports = config_evidence("ffa_delivery_on_cure.json", tmp_path)
+    config = trace.scenario()
+    reports = run_property_checks(trace, config.resolved_schedule(), config.delta_b,
+                                  config.delta_c, config.variant, ALL_PROPERTIES)
+    assert {r.property: r.verdict for r in reports} == dict.fromkeys(ALL_PROPERTIES, "SATISFIED")
+    assert [(ev.round, ev.detail["by"]) for ev in trace.events
+            if ev.kind == KIND_DELIVER_CALL] == [(4, [0, 1, 2, 4, 5]), (6, [3])]
 
 
 @pytest.mark.parametrize("name", sorted(PER_ENVELOPE_TRACE_PINS))

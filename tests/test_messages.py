@@ -84,6 +84,22 @@ def test_both_payload_keys_are_a_value_error(data):
         decode_payload(data)
 
 
+@pytest.mark.parametrize("data, text", [
+    ({"kind": "ROUND", "round_value": 7, "zz": 1},
+     "ROUND message key 'zz' is not one of kind, round_value"),
+    ({"kind": "ROUND", "round_value": 7, "source": 0},
+     "ROUND message key 'source' is not one of kind, round_value"),
+    ({"kind": "READY", "source": 0, "birth_round": 1, "payload": "x", "round_value": 2},
+     "READY message key 'round_value' is not one of kind, source, birth_round, payload, payload_hex"),
+    ({"kind": "SEND", "source": 0, "birth_round": 1, "payload": "x", "x" * 40: 1},
+     f"SEND message key '{'x' * 40}' is not one of kind, source, birth_round, payload, payload_hex"),
+])
+def test_a_key_the_message_does_not_define_is_named(data, text):
+    with pytest.raises(ValueError) as err:
+        ProtocolMessage.from_dict(data)
+    assert str(err.value) == text
+
+
 @pytest.mark.parametrize("kind, shown", [
     ("VOTE", "'VOTE'"), ("send", "'send'"), (None, "None"), (1, "1"), (["SEND"], "['SEND']"),
     ([[[[[[[[[["SEND"]]]]]]]]]], "[[[[[[[[[...]]]]]]]]]"),

@@ -35,6 +35,7 @@ from mbbc.protocol import (
     send_phase,
     state_fingerprint,
 )
+from mbbc.checker import ALL_PROPERTIES, run_property_checks
 from mbbc.scenario import ScenarioConfig
 
 FFA6 = Variant.for_tag(VariantTag.FFA_FULL, 1)  # n=6, f=1 unless a test says otherwise
@@ -116,6 +117,48 @@ class TestOnCured:
         state = fresh()
         on_cured(state, faulty_since=2)
         assert state.cured_faulty_since == 2
+
+    def test_clears_delivered(self):
+        """What the agent left in ``delivered`` is not the process's own."""
+        state = fresh()
+        state.delivered = frozenset({(0, b"m")})
+        on_cured(state, faulty_since=3)
+        assert state.delivered == frozenset()
+
+
+def faithful_stays(n: int, stays: list[tuple[int, int, int]]) -> ScenarioConfig:
+    """FFA_FULL to horizon 10, source 0 broadcasting in round 1, one agent
+    per (host, first, last) stay, all under EQUIVOCATE_HISTORY."""
+    return ScenarioConfig.from_dict({
+        "n": n, "f": len(stays), "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": 10,
+        "seed": 0, "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
+        "variant": "FFA_FULL",
+        "schedule": {"trajectories": [
+            {"agent_id": i, "segments": [{"host": host, "first_round": first, "last_round": last}]}
+            for i, (host, first, last) in enumerate(stays)]},
+        "broadcasts": [{"source": 0, "round": 1, "payload": "due"}],
+        "strategy": {"kind": "EQUIVOCATE_HISTORY"},
+    })
+
+
+@pytest.mark.parametrize("n, stays", [
+    *[(n, [(3, 3, 5)]) for n in range(6, 13)],
+    *[(n, [(3, 3, 5), (4, 4, 6)]) for n in (11, 16)],
+])
+def test_a_faithful_stay_across_the_due_round_delivers_on_its_cure(n, stays):
+    """Above FFA_FULL's bound, a process possessed across the due round 4
+    and run faithfully delivers there unseen; its cure owes it the delivery
+    (its stay began by round 4), and every property holds. Before the cure
+    cleared ``delivered`` the mark left there suppressed it: VALIDITY,
+    AGREEMENT and TOTALITY were VIOLATED in each of these."""
+    config = faithful_stays(n, stays)
+    trace = engine.run(config)
+    reports = run_property_checks(trace, config.resolved_schedule(), config.delta_b,
+                                  config.delta_c, config.variant, ALL_PROPERTIES)
+    assert [r.property for r in reports if r.verdict != "SATISFIED"] == []
+    cured = {(host, last + 1) for host, _first, last in stays}
+    assert cured <= {(p, ev.round) for ev in trace.events if ev.kind == engine.KIND_DELIVER_CALL
+                     for p in ev.detail["by"]}
 
 
 class TestSendPhase:

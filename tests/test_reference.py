@@ -15,9 +15,13 @@ It runs on the bundled configs, both histories of both demo kinds, the
 longer scenarios of ``conftest`` (``fanout_shaped`` at n=32 and f=6,
 ``weak_redelivery_shaped`` and every ``SHAPES`` config), the seeded
 ARBITRARY scripts of ``conftest.arbitrary_config`` (seeds 0-199), a fixed
-sample of f=2 FFA_FULL CRASH_SILENT schedules (n=11, horizon 6), and
+sample of f=2 FFA_FULL CRASH_SILENT schedules (n=11, horizon 6),
 ``conftest.split_send_scenario`` for every set of targets among processes
-1-5. The split sends are the inputs whose dictated inboxes read differently
+1-5, seeded SOURCE_FLIP and WIPE_FLIP pairs at n=16 and horizon 30 (the
+``forged_pairs`` benchmark's shape), and every ALTERNATING_SETS cell of the
+``frontier_sweep`` benchmark's grid. The last two are inputs whose
+possessed processes send each message to every process, which the engine
+folds into the common tallies and the reference into each inbox. The split sends are the inputs whose dictated inboxes read differently
 from the common fold: only the targets see the faulty source's SEND and
 ECHO, so only they reach the ECHO quorum. Half the forged votes of the
 ARBITRARY scripts name a broadcast's own instance
@@ -46,8 +50,18 @@ Each of these mutations of the engine, made on a copy, fails this file:
   faulty spans starting on either side of the due round, which a random
   script rarely builds; ``test_the_crash_sample_holds_the_cure_corner``
   keeps that corner in the sample);
-- a leading broadcast caller's outcome taken without its copy, so that its
-  class shares its SEND (most inputs of every group but the split sends).
+- a broadcast caller's SEND added to its class's outcome rather than to a
+  copy of its own, so that its class shares the SEND (most inputs of every
+  group but the split sends);
+- a possessed process left holding the state object its class shares, so
+  that the strategy or the class's compute changes both (every group);
+- a part of a group that a dictated inbox splits off computed in place,
+  not on a copy (the split sends, both faulty-source configs and four of
+  the eight pool groups).
+
+A sender that dictates one message to every process and another to one
+process folded into the common tallies for the first would change no state
+here; ``test_engine.py`` pins that case on the folds themselves.
 """
 
 from __future__ import annotations
@@ -73,8 +87,9 @@ from mbbc import engine
 from mbbc.adversary import generate_paired_histories
 from mbbc.engine import KIND_P2P_SEND, TO_ALL, Simulation, delivered_instances, round_sends, run
 from mbbc.messages import ProtocolMessage
-from mbbc.protocol import DELIVERY_DELAY, read_fold, state_fingerprint
+from mbbc.protocol import DELIVERY_DELAY, VariantTag, read_fold, state_fingerprint
 from mbbc.scenario import ScenarioConfig
+from mbbc.sweeps import attack_scenario
 from reference import Reference
 
 BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -153,6 +168,37 @@ def test_demo_histories(kind, side):
 def test_arbitrary_scripts(first):
     for seed in range(first, first + 25):
         assert_matches_reference(arbitrary_config(seed))
+
+
+def forged_pairs(seed: int) -> list[ScenarioConfig]:
+    """Both histories of a SOURCE_FLIP and a WIPE_FLIP pair at n=16 and
+    horizon 30, their source, target, seeds and payloads drawn from
+    ``seed``: the pairs of the ``forged_pairs`` benchmark workload, whose
+    possessed processes send every message to every process."""
+    rng = random.Random(seed)
+    source, target = rng.sample(range(16), 2)
+    scale = {"n": 16, "horizon": 30, "source": source, "seed": rng.randrange(10 ** 6)}
+    pairs = [("SOURCE_FLIP", {**scale, "m1": f"a{rng.randrange(16 ** 6):06x}",
+                              "m2": f"b{rng.randrange(16 ** 6):06x}"}),
+             ("WIPE_FLIP", {**scale, "target": target, "m": f"w{rng.randrange(16 ** 6):06x}"})]
+    return [config for kind, params in pairs for config in generate_paired_histories(kind, params)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_forged_pairs_at_scale(seed):
+    for config in forged_pairs(seed):
+        assert_matches_reference(config)
+
+
+@pytest.mark.parametrize("variant", list(VariantTag), ids=lambda variant: variant.value)
+def test_alternating_sweep_cells(variant):
+    """Every ALTERNATING_SETS cell of the ``frontier_sweep`` benchmark grid:
+    n from 2f+1 to 6f+2 at f of 1 and 2, and delta_s of 1 and 2. Its P1
+    hosts send each spurious vote to every process."""
+    for f in (1, 2):
+        for n in range(2 * f + 1, 6 * f + 3):
+            for delta_s in (1, 2):
+                assert_matches_reference(attack_scenario(variant, n, f, delta_s, "alternating"))
 
 
 def test_split_sends():

@@ -24,9 +24,11 @@ DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
 
 HEADER = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"' + engine.TRACE_FORMAT
           + '","seed":0}')
-# A valid line of a kind whose detail's one key, ``state_digest``, the reader
-# does not read.
-CORRUPTED = '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'
+# A valid line of a kind whose detail's one key, ``state_digest``, is 64
+# lowercase hex digits, as a sha256 is written.
+DIGEST = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+DETAIL = '{"state_digest":"' + DIGEST + '"}'
+CORRUPTED = '{"detail":' + DETAIL + ',"kind":"STATE_CORRUPTED","round":1,"subject":0}'
 
 
 def send_line(message: str, to: str = '"ALL"', round_: int = 1, subject: int = 0,
@@ -165,6 +167,7 @@ CONFIG_FINGERPRINTS = {
     "correct_source": "b72aaef4df448771bd1250b13c1e5662f1ce8bbc19cc4a3aacb58424f2f81cbc",
     "faulty_source_all_deliver": "a9b05aa3e4e9b26fd95c21e19cec1e415027b2a3efa31eb4e5d5abb95bd6cf1c",
     "faulty_source_none_deliver": "574f7ac87e92afb5867b5300b6d72ffb8fee3d04449298a5dc9e6a735c59fca1",
+    "ffa_delivery_on_cure": "c813d684783bfa6bcb597b28a4c0c68880fc5d9bfa14a53e170ed06220bf36a0",
     "nfa_alternating_n7": "5aa0a8ca696f4d1ee5780acf19781cf20e65703b5a1051dd618c4d3906cdfb87",
 }
 
@@ -376,35 +379,46 @@ def refused(reason: str, line: int = 3) -> Refused:
 
 PARSER_TABLE = [
     (CORRUPTED, ITSELF),
-    ('{"detail": {}, "kind": "STATE_CORRUPTED", "round": 1, "subject": 0}',
-     '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
-    ('{"detail": {"state_digest" : null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
-     '{"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    ('{"detail": {"state_digest" : "' + DIGEST + '"}, "kind": "STATE_CORRUPTED", "round": 1, '
+     '"subject": 0}', CORRUPTED),
+    # A STATE_CORRUPTED's digest is a sha256 in lowercase hex, and nothing else.
+    (CORRUPTED.replace(DETAIL, "{}"), refused("missing key 'state_digest'")),
+    (CORRUPTED.replace(DETAIL, '{"state_digest":null}'),
+     refused("state_digest None is not 64 lowercase hex digits")),
+    (CORRUPTED.replace(DETAIL, '{"state_digest":NaN}'),
+     refused("state_digest nan is not 64 lowercase hex digits")),
+    (CORRUPTED.replace(DIGEST, DIGEST.upper()),
+     refused(f"state_digest '{DIGEST.upper()}' is not 64 lowercase hex digits")),
+    (CORRUPTED.replace(DIGEST, DIGEST[1:]),
+     refused(f"state_digest '{DIGEST[1:]}' is not 64 lowercase hex digits")),
+    (CORRUPTED.replace(DIGEST, DIGEST + "0"),
+     refused(f"state_digest '{DIGEST}0' is not 64 lowercase hex digits")),
+    (CORRUPTED.replace(DIGEST, "g" + DIGEST[1:]),
+     refused(f"state_digest 'g{DIGEST[1:]}' is not 64 lowercase hex digits")),
+    (CORRUPTED.replace(f'"{DIGEST}"', "[]"), refused("state_digest [] is not 64 lowercase hex digits")),
     # The reader scans a line in C and hands it to ``json.loads`` when the
     # scan does not read it whole: these read, or are refused, as
     # ``json.loads`` reads them.
-    (CORRUPTED + "  ", '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
-    ("  " + CORRUPTED, '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
-    ("\t" + CORRUPTED + " \t", '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
-    (CORRUPTED + "x", refused("not valid JSON (Extra data: line 1 column 61 (char 60))")),
-    (CORRUPTED + " x", refused("not valid JSON (Extra data: line 1 column 62 (char 61))")),
-    (CORRUPTED + ",", refused("not valid JSON (Extra data: line 1 column 61 (char 60))")),
-    (CORRUPTED + CORRUPTED, refused("not valid JSON (Extra data: line 1 column 61 (char 60))")),
+    (CORRUPTED + "  ", CORRUPTED),
+    ("  " + CORRUPTED, CORRUPTED),
+    ("\t" + CORRUPTED + " \t", CORRUPTED),
+    (CORRUPTED + "x", refused("not valid JSON (Extra data: line 1 column 142 (char 141))")),
+    (CORRUPTED + " x", refused("not valid JSON (Extra data: line 1 column 143 (char 142))")),
+    (CORRUPTED + ",", refused("not valid JSON (Extra data: line 1 column 142 (char 141))")),
+    (CORRUPTED + CORRUPTED, refused("not valid JSON (Extra data: line 1 column 142 (char 141))")),
     (CORRUPTED + " " + CORRUPTED,
-     refused("not valid JSON (Extra data: line 1 column 62 (char 61))")),
+     refused("not valid JSON (Extra data: line 1 column 143 (char 142))")),
     ("[]", refused("not a JSON object")),
     (" [] ", refused("not a JSON object")),
     ("1", refused("not a JSON object")),
     ("null", refused("not a JSON object")),
-    ('{"kind":"STATE_CORRUPTED","detail":{},"round":1,"subject":0}',
-     '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    ('{"kind":"STATE_CORRUPTED","detail":' + DETAIL + ',"round":1,"subject":0}', CORRUPTED),
     (CORRUPTED.replace('"detail"', '"Detail"'), refused("unknown key 'Detail'")),
     (CORRUPTED.replace('{"detail":', '["detail",'),
-     refused("not valid JSON (Expecting ',' delimiter: line 1 column 20 (char 19))")),
-    ('{"detail":{},"kind":"STATE_CORRUPTED","subject":0,"round":1}',
-     '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+     refused("not valid JSON (Expecting ',' delimiter: line 1 column 101 (char 100))")),
+    ('{"detail":' + DETAIL + ',"kind":"STATE_CORRUPTED","subject":0,"round":1}', CORRUPTED),
     (CORRUPTED.replace('"round":1', '"round":01'),
-     refused("not valid JSON (Expecting ',' delimiter: line 1 column 48 (char 47))")),
+     refused("not valid JSON (Expecting ',' delimiter: line 1 column 129 (char 128))")),
     (CORRUPTED.replace('"round":1', '"round":1.0'), refused('round 1.0 outside 1..8')),
     (CORRUPTED.replace('"round":1', '"round":true'), refused('round True outside 1..8')),
     (CORRUPTED.replace('"round":1', '"round":1e0'), refused('round 1.0 outside 1..8')),
@@ -414,7 +428,7 @@ PARSER_TABLE = [
     (CORRUPTED.replace('"round":1', '"round":' + "1" * 30),
      refused('round 111111111111111111111111111111 outside 1..8')),
     (CORRUPTED.replace('"subject":0', '"subject":-0'),
-     '{"detail":{},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+     CORRUPTED),
     (CORRUPTED.replace('"subject":0', '"subject":6'), refused('subject 6 outside 0..5')),
     (CORRUPTED.replace('"subject":0', '"subject":5'), ITSELF),
     (CORRUPTED.replace('"STATE_CORRUPTED"', '"state_corrupted"'),
@@ -424,24 +438,21 @@ PARSER_TABLE = [
     (CORRUPTED.replace(',"round"', ',"phase":"COMPUTE","round"'), refused("unknown key 'phase'")),
     (CORRUPTED.replace(',"kind"', ',"extra":5,"kind"'), refused("unknown key 'extra'")),
     (CORRUPTED[:-1] + ',"zz":0}', refused("unknown key 'zz'")),
-    (CORRUPTED.replace("{}", "[]"), refused('detail is not a JSON object')),
-    (CORRUPTED.replace("{}", '"x"'), refused('detail is not a JSON object')),
-    (CORRUPTED.replace("{}", ""),
+    (CORRUPTED.replace(DETAIL, "[]"), refused('detail is not a JSON object')),
+    (CORRUPTED.replace(DETAIL, '"x"'), refused('detail is not a JSON object')),
+    (CORRUPTED.replace(DETAIL, ""),
      refused('not valid JSON (Expecting value: line 1 column 11 (char 10))')),
-    (CORRUPTED.replace("{}", "{},{}"),
+    (CORRUPTED.replace(DETAIL, "{},{}"),
      refused('not valid JSON (Expecting property name enclosed in double quotes: line 1 '
               'column 14 (char 13))')),
-    (CORRUPTED.replace("{}", '{"a":[{}'),
+    (CORRUPTED.replace(DETAIL, '{"a":[{}'),
      refused("not valid JSON (Expecting ',' delimiter: line 1 column 26 (char 25))")),
-    (CORRUPTED.replace("{}", '{"state_digest":NaN}'), ITSELF),
-    (CORRUPTED.replace("{}", "\ufeff{}"),
+    (CORRUPTED.replace(DETAIL, "\ufeff{}"),
      refused('not valid JSON (Expecting value: line 1 column 11 (char 10))')),
     ('{"a":[{}', refused("not valid JSON (Expecting ',' delimiter: line 1 column 9 (char 8))")),
     ("{}]}", refused('not valid JSON (Extra data: line 1 column 3 (char 2))')),
     ("{},{}", refused('not valid JSON (Extra data: line 1 column 3 (char 2))')),
-    ('{"detail":{},"kind":"BROADCAST_CALL","round":2,"subject":1,'
-     '"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}',
-     '{"detail":{"state_digest":null},"kind":"STATE_CORRUPTED","round":1,"subject":0}'),
+    ('{"detail":{},"kind":"BROADCAST_CALL","round":2,"subject":1,' + CORRUPTED[1:], CORRUPTED),
     # The kinds of an older layout, whose facts the header's schedule fixes.
     ('{"detail":{"agent":0,"from":null,"to":1},"kind":"AGENT_MOVE","round":1,"subject":1}',
      refused("unknown kind 'AGENT_MOVE'")),
@@ -678,8 +689,8 @@ class TestReader:
         line is refused as not valid JSON on its own line number, and no
         RecursionError escapes."""
         def text(depth: int) -> str:
-            detail = '{"state_digest":' + "[" * depth + "]" * depth + "}"
-            return f"{HEADER}\n{CORRUPTED.replace('{}', detail)}\n"
+            message = '{"kind":' + "[" * depth + "]" * depth + "}"
+            return f"{HEADER}\n{fan_out_line(f'[{message}]')}\n"
 
         lo, hi = 1, 100_000
         while lo < hi:
