@@ -225,8 +225,8 @@ def cmd_replay(args) -> int:
 
 def _shown_line(trace: Trace, lines: list[str], i: int) -> str:
     """Line ``i`` of the trace's ``lines`` as ``replay`` prints it: the
-    header as written, an event resolved, with every message and instance in
-    full, and END_OF_TRACE past the last line."""
+    header as written, an event resolved, with every cited value in full,
+    and END_OF_TRACE past the last line."""
     if i >= len(lines):
         return END_OF_TRACE
     if i == 0:

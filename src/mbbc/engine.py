@@ -116,11 +116,13 @@ message's JSON text (``ProtocolMessage.to_json``), which is also written
 once per simulation.
 Given a config (the seed is part of it), the trace is bit-reproducible.
 
-The JSONL (``Trace.to_jsonl``) writes each distinct message and instance in
-full once per trace, and cites it after that by its index in the trace's
-message or instance table (``event_lines``). In memory nothing is cited: a
-parsed trace's events share each message and instance the tables hold,
-read-only, as the engine's events share the dicts it builds.
+The JSONL (``Trace.to_jsonl``) writes each distinct message, instance,
+process list (a fan-out's ``from``, a DELIVER_CALL's ``by``), receiver list
+(a dictated send's ``to``) and state digest in full once per trace, and
+cites it after that by its index in the trace's table of that kind
+(``event_lines``). In memory nothing is cited: a parsed trace's events
+share each value the tables hold, read-only, as the engine's events share
+the dicts it builds.
 """
 
 from __future__ import annotations
@@ -166,9 +168,10 @@ KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRU
 # senders, listing its messages, or per dictated (sender, message); no
 # receipts, agent moves or cures; one DELIVER_CALL per list of delivering
 # processes, listing its (source, payload) instances; a STATE_CORRUPTED only
-# where a possessed process's digest is new to its stay; each distinct message
-# and instance written in full once, and cited by its index after that.
-TRACE_FORMAT = "mbbc-trace/9"
+# where a possessed process's digest is new to its stay; each distinct message,
+# instance, process list, receiver list and state digest written in full
+# once, and cited by its index after that.
+TRACE_FORMAT = "mbbc-trace/10"
 # Each detail's one key set, by kind (a P2P_SEND's by its ``to``), and an
 # instance object's: the reader refuses any other key, and ``event_lines``
 # writes each of these details from its template.
@@ -211,29 +214,31 @@ _LINE_MIDDLES = {kind: f',"kind":"{kind}","round":' for kind in KINDS}
 
 
 def event_lines(events: Iterable[TraceEvent],
-                tables: tuple[dict[str, int], dict[str, int]] | None = None) -> list[str]:
+                tables: tuple[dict[str, int], ...] | None = None) -> list[str]:
     """Each event's trace line.
 
     Without ``tables`` each line is ``encode_line(ev.to_dict())`` and stands
-    alone, as a projection's lines must. ``tables`` is the (message,
-    instance) pair of citation tables, each mapping an object's encoded text
-    to its index: every object in a fan-out's ``messages``, a send's
-    ``message`` (beside any other ``to``) or a DELIVER_CALL's ``instances``
-    is written in full at the first use of its text, which appends the text
-    to its table, and as its int index at every later use.
+    alone, as a projection's lines must. ``tables`` is the five citation
+    tables of ``_CITED``, in its order, each mapping a value's encoded text
+    to its index: every JSON object in a fan-out's ``messages``, a send's
+    ``message`` (beside any other ``to``) or a DELIVER_CALL's ``instances``,
+    every list in a fan-out's ``from``, a DELIVER_CALL's ``by`` or a
+    dictated send's ``to``, and every string in a STATE_CORRUPTED's
+    ``state_digest`` is written in full at the first use of its text, which
+    appends the text to its table, and as its int index at every later use.
     The tables are the caller's, so their definitions carry over from one
     call to the next; ``Trace.to_jsonl`` passes empty ones.
 
-    The outer layout is written from a template, and each detail object, and
-    each send's message and ``to`` objects and each DELIVER_CALL's instances,
-    is encoded once per call, by identity (a projection's groups share their
-    lists of receivers): the memos hold every object they have encoded, so
-    no id is reused while they live. A detail's line is kept for a later
-    event that shares the detail only when it defines nothing. A detail must
-    therefore stay unchanged while its lines are written, which
-    ``TraceEvent``'s contract (a read-only detail) gives. An event, or a
-    detail, that the template does not cover is encoded whole: no detail
-    the reader accepts lies outside it.
+    The outer layout is written from a template, and each detail object and
+    each message and instance object is encoded once per call, by identity,
+    as is each value a template places when there are no tables (a
+    projection's groups share their lists of receivers): the memos hold
+    every object they have encoded, so no id is reused while they live. A
+    detail's line is kept for a later event that shares the detail only
+    when it defines nothing. A detail must therefore stay unchanged while
+    its lines are written, which ``TraceEvent``'s contract (a read-only
+    detail) gives. An event, or a detail, that the template does not cover
+    is encoded whole: no detail the reader accepts lies outside it.
     """
     encoded: dict[int, tuple[object, str]] = {}
 
@@ -243,12 +248,13 @@ def event_lines(events: Iterable[TraceEvent],
             hit = encoded[id(value)] = (value, encode_line(value))
         return hit[1]
 
+    # One entry per value the tables gain: a line that adds none defines nothing.
+    defined: list[int] = []
     if tables is None:
-        cite_message = cite_instance = encode
-        messages = instances = ()
+        cite_message = cite_instance = cite_processes = cite_receivers = cite_digest = encode
     else:
-        cite_message, cite_instance = map(_citer, tables)
-        messages, instances = tables
+        cite_message, cite_instance, cite_processes, cite_receivers, cite_digest = (
+            _citer(table, defines, defined) for table, defines in zip(tables, _CITED))
 
     lines = []
     for ev in events:
@@ -263,51 +269,72 @@ def event_lines(events: Iterable[TraceEvent],
         elif type(detail) is not dict:
             body = encode(detail)
         else:
-            before = len(messages) + len(instances)
+            before = len(defined)
             if (kind == KIND_P2P_SEND and "message" in detail and "to" in detail
                     and len(detail) == 2 + ("from" in detail) and detail["to"] != TO_ALL):
                 senders = f'"from":{encode_line(detail["from"])},' if "from" in detail else ""
                 body = (f'{{{senders}"message":{cite_message(detail["message"])},'
-                        f'"to":{encode(detail["to"])}}}')
+                        f'"to":{cite_receivers(detail["to"])}}}')
             elif (kind == KIND_P2P_SEND and len(detail) == 3 and "from" in detail
-                    and type(detail.get("messages")) is list and detail.get("to") == TO_ALL):
-                body = (f'{{"from":{encode_line(detail["from"])},'
+                    and type(detail.get("messages")) is list and detail["messages"]
+                    and detail.get("to") == TO_ALL):
+                body = (f'{{"from":{cite_processes(detail["from"])},'
                         f'"messages":[{",".join(map(cite_message, detail["messages"]))}],'
                         f'"to":{encode(detail["to"])}}}')
             elif (kind == KIND_DELIVER_CALL and len(detail) == 2 and "by" in detail
-                    and type(detail.get("instances")) is list):
-                body = (f'{{"by":{encode_line(detail["by"])},'
+                    and type(detail.get("instances")) is list and detail["instances"]):
+                body = (f'{{"by":{cite_processes(detail["by"])},'
                         f'"instances":[{",".join(map(cite_instance, detail["instances"]))}]}}')
+            elif kind == KIND_STATE_CORRUPTED and len(detail) == 1 and "state_digest" in detail:
+                body = f'{{"state_digest":{cite_digest(detail["state_digest"])}}}'
             else:
                 body = encode_line(detail)
-            if len(messages) + len(instances) == before:
+            if len(defined) == before:
                 encoded[id(detail)] = (detail, body)
         lines.append(f'{{"detail":{body}{middle}{rnd},"subject":{subject}}}')
     return lines
 
 
-def _citer(table: dict[str, int]) -> Callable[[object], str]:
-    """A writer of the objects of ``table``'s places: a JSON object in full
-    at the first use of its text, which appends the text to ``table``, and
-    as its index after that; any other value as it is. Each value is encoded
-    once, and its memo holds it, so no id is reused."""
+# The citation tables of ``mbbc-trace/10``, in the order ``event_lines``
+# takes them and ``_Tables`` holds them, each with the JSON type a value of
+# its places must have to be defined there: messages, instances, process
+# lists (``from`` and ``by``), receiver lists (a dictated send's ``to``)
+# and state digests.
+_CITED = (dict, dict, list, list, str)
+
+
+def _citer(table: dict[str, int], defines: type, defined: list[int]) -> Callable[[object], str]:
+    """A writer of the values of ``table``'s places: a value of type
+    ``defines`` in full at the first use of its text, which appends the text
+    to ``table`` and its index to ``defined``, and as its index after that;
+    any other value as it is. A JSON object is encoded once, by identity,
+    and its memo holds it, so no id is reused; a list or a string, which the
+    engine builds afresh at each use, is encoded at each use."""
+    def cite(value) -> str:
+        text = encode_line(value)
+        if isinstance(value, defines):
+            size = len(table)
+            index = table.setdefault(text, size)
+            if index != size:
+                return str(index)
+            defined.append(index)
+        return text
+
+    if defines is not dict:
+        return cite
     written: dict[int, tuple[object, str]] = {}
 
-    def cite(value) -> str:
+    def cite_object(value) -> str:
         hit = written.get(id(value))
         if hit is not None:
             return hit[1]
-        text = later = encode_line(value)
-        if isinstance(value, dict):
-            size = len(table)
-            index = table.setdefault(text, size)
-            later = str(index)
-            if index != size:
-                text = later
-        written[id(value)] = (value, later)
+        text = cite(value)
+        # Every later use cites the object's entry: a written object's text
+        # is a key of ``table``, and no citation or other value's text is.
+        written[id(value)] = (value, str(table.get(text, text)))
         return text
 
-    return cite
+    return cite_object
 
 
 @dataclass
@@ -321,7 +348,7 @@ class Trace:
         header = {"fingerprint": self.fingerprint, "format": TRACE_FORMAT, "seed": self.seed,
                   "config": self.config}
         lines = [encode_line(header)]
-        lines.extend(event_lines(self.events, ({}, {})))
+        lines.extend(event_lines(self.events, tuple({} for _ in _CITED)))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -339,16 +366,21 @@ class Trace:
         receivers in [0, n) beside a ``message``. A DELIVER_CALL's ``by`` is
         a list of strictly increasing processes in [0, n) whose first is the
         subject, and its ``instances`` a non-empty list, strictly increasing
-        in (source, payload) order. A BROADCAST_CALL's payload decodes.
+        in (source, payload) order. A BROADCAST_CALL's payload decodes. A
+        STATE_CORRUPTED's ``state_digest`` is 64 lowercase hex digits.
 
-        A message or an instance is a JSON object, which the reader appends
-        to the trace's message or instance table, or an int citing an entry
-        already there; an instance object holds an int ``source`` and one
-        payload that decodes, checked once, at its definition. Each line is
-        read as ``json.loads`` reads it (``_json_object`` scans a short line
-        in C first) and checked whole, and each event has a detail of its
-        own, but its messages and instances are the table's objects, shared
-        read-only by every event that cites them.
+        Each of these values is either a definition, which the reader checks
+        once, under the rule of its table, and appends to it, or a
+        type-exact int citing an entry already there (``_Tables``): a
+        message or an instance is a JSON object, and an instance object
+        holds an int ``source`` and one payload that decodes; a ``from`` or a
+        ``by`` is a process list, a dictated ``to`` a receiver list, and a
+        ``state_digest`` a digest. A citation costs a lookup, and of a
+        process list also the check of its first entry against the line's
+        subject. Each line is read as ``json.loads`` reads it
+        (``_json_object`` scans a short line in C first) and checked whole,
+        and each event has a detail of its own, but the values in it are the
+        table's, shared read-only by every event that cites them.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -361,7 +393,7 @@ class Trace:
             fingerprint, seed, config = _header_fields(_json_object(line, scan_chars))
             n, horizon = config["n"], config["horizon"]
             what = "event"
-            tables = _Tables([], [], [])
+            tables = _Tables([], [], [], [], [], [])
             events = []
             for number, line in numbered[1:]:
                 events.append(_event(_json_object(line, scan_chars), n, horizon, tables))
@@ -406,13 +438,12 @@ def _json_object(line: str, scan_chars: int) -> dict:
     return data
 
 
-def _only_keys(data: dict, keys: frozenset[str], place: str = "") -> None:
-    """Reject an object with a key outside ``keys``, naming the first and
-    the object's ``place`` in its line; a missing one is a KeyError later."""
-    if data.keys() <= keys:
-        return
+def _unknown_key(data: dict, keys: frozenset[str], place: str = "") -> ValueError:
+    """The refusal of an object with a key outside ``keys``, naming the
+    first and the object's ``place`` in its line. Each caller tests
+    ``data.keys() <= keys`` inline; a missing key is a KeyError later."""
     key = next(key for key in data if key not in keys)
-    raise ValueError(f"unknown key {shown(key)}" + (f" in {place}" if place else ""))
+    return ValueError(f"unknown key {shown(key)}" + (f" in {place}" if place else ""))
 
 
 _HEADER_KEYS = frozenset({"config", "fingerprint", "format", "seed"})
@@ -420,7 +451,8 @@ _EVENT_KEYS = frozenset({"detail", "kind", "round", "subject"})
 
 
 def _header_fields(header: dict) -> tuple[str, int, dict]:
-    _only_keys(header, _HEADER_KEYS)
+    if not header.keys() <= _HEADER_KEYS:
+        raise _unknown_key(header, _HEADER_KEYS)
     fingerprint, seed, config = header["fingerprint"], header["seed"], header["config"]
     if header["format"] != TRACE_FORMAT:
         raise ValueError(f"format {shown(header['format'])} is not {TRACE_FORMAT!r}")
@@ -434,59 +466,85 @@ def _header_fields(header: dict) -> tuple[str, int, dict]:
 
 class _Tables(NamedTuple):
     """The citation tables of a trace being read, in definition order: each
-    message, each instance and each instance's (source, payload)."""
+    message, each instance and each instance's (source, payload), each
+    process list (a fan-out's ``from`` or a DELIVER_CALL's ``by``), each
+    receiver list (a dictated send's ``to``) and each state digest. An
+    entry is appended once its definition passes its place's checks, so a
+    citation of it needs only a lookup; a cited process list's first entry
+    is still checked against each citing line's subject."""
 
     messages: list[dict]
     instances: list[dict]
     instance_keys: list[tuple[int, bytes]]
+    processes: list[list[int]]
+    receivers: list[list[int]]
+    digests: list[str]
 
 
 def _event(data: dict, n: int, horizon: int, tables: _Tables) -> TraceEvent:
-    _only_keys(data, _EVENT_KEYS)
-    event = TraceEvent.from_dict(data)
-    if event.kind not in KINDS:
-        raise ValueError(f"unknown kind {shown(event.kind)}")
-    if type(event.round) is not int or not 1 <= event.round <= horizon:
-        raise ValueError(f"round {shown(event.round)} outside 1..{horizon}")
-    if type(event.subject) is not int or not 0 <= event.subject < n:
-        raise ValueError(f"subject {shown(event.subject)} outside 0..{n - 1}")
-    _check_detail(event.kind, event.detail, event.subject, n, tables)
-    return event
+    if not data.keys() <= _EVENT_KEYS:
+        raise _unknown_key(data, _EVENT_KEYS)
+    rnd, kind, subject, detail = data["round"], data["kind"], data["subject"], data["detail"]
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {shown(kind)}")
+    if type(rnd) is not int or not 1 <= rnd <= horizon:
+        raise ValueError(f"round {shown(rnd)} outside 1..{horizon}")
+    if type(subject) is not int or not 0 <= subject < n:
+        raise ValueError(f"subject {shown(subject)} outside 0..{n - 1}")
+    _check_detail(kind, detail, subject, n, tables)
+    return tuple.__new__(TraceEvent, (rnd, kind, subject, detail))
 
 
 def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> None:
     """The detail keys a reader of the trace relies on, and no other. The
     subject of a fan-out is its ``from[0]``, and of a DELIVER_CALL its
-    ``by[0]``. Each message and instance citation is replaced, in place, by
-    the table entry it cites."""
+    ``by[0]``. Each citation is replaced, in place, by the table entry it
+    cites."""
     if not isinstance(detail, dict):
         raise ValueError("detail is not a JSON object")
     if kind == KIND_P2P_SEND:
         to, table = detail["to"], tables.messages
         if to == TO_ALL:
-            _only_keys(detail, _FAN_OUT_KEYS, "a send to 'ALL'")
+            if not detail.keys() <= _FAN_OUT_KEYS:
+                raise _unknown_key(detail, _FAN_OUT_KEYS, "a send to 'ALL'")
             messages = detail["messages"]
             if not (isinstance(messages, list) and messages and _resolved(messages, table, "message")):
                 raise _not_a_list("messages", messages)
-            _check_processes("from", detail["from"], subject, n)
+            detail["from"] = _check_processes("from", detail["from"], subject, n, tables.processes)
             return
         message = [detail["message"]]
         if not _resolved(message, table, "message"):
             raise ValueError("message is not a JSON object")
         detail["message"] = message[0]
-        if not (isinstance(to, list) and _INT.issuperset(map(type, to))
+        table = tables.receivers
+        if type(to) is int and 0 <= to < len(table):
+            detail["to"] = table[to]
+        elif (isinstance(to, list) and _INT.issuperset(map(type, to))
                 and (not to or 0 <= min(to) and max(to) < n)):
+            if not to:
+                raise ValueError("to [] names no receiver")
+            if to != sorted(to):
+                raise ValueError(f"to {shown(to)} is not sorted")
+            table.append(to)
+        elif isinstance(to, (int, float)):
+            raise _bad_citation("receiver list", table, to)
+        else:
             raise ValueError(f"to {shown(to)} is neither {TO_ALL!r} nor a list of receivers in 0..{n - 1}")
-        if not to:
-            raise ValueError("to [] names no receiver")
-        if to != sorted(to):
-            raise ValueError(f"to {shown(to)} is not sorted")
-        _only_keys(detail, _DICTATED_KEYS, "a send to a list of receivers")
+        if not detail.keys() <= _DICTATED_KEYS:
+            raise _unknown_key(detail, _DICTATED_KEYS, "a send to a list of receivers")
         return
-    _only_keys(detail, *_DETAIL_KEYS[kind])
+    keys, place = _DETAIL_KEYS[kind]
+    if not detail.keys() <= keys:
+        raise _unknown_key(detail, keys, place)
     if kind == KIND_STATE_CORRUPTED:
-        digest = detail["state_digest"]
-        if not (type(digest) is str and len(digest) == 64 and _HEX.issuperset(digest)):
+        digest, table = detail["state_digest"], tables.digests
+        if type(digest) is int and 0 <= digest < len(table):
+            detail["state_digest"] = table[digest]
+        elif type(digest) is str and len(digest) == 64 and _HEX.issuperset(digest):
+            table.append(digest)
+        elif isinstance(digest, (int, float)):
+            raise _bad_citation("digest", table, digest)
+        else:
             raise ValueError(f"state_digest {shown(digest)} is not 64 lowercase hex digits")
     elif kind == KIND_BROADCAST_CALL:
         decode_payload(detail)
@@ -501,7 +559,8 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
                 key = keys[instance]
                 instances[i] = instance = table[instance]
             elif isinstance(instance, dict):
-                _only_keys(instance, _INSTANCE_KEYS, "an instance")
+                if not instance.keys() <= _INSTANCE_KEYS:
+                    raise _unknown_key(instance, _INSTANCE_KEYS, "an instance")
                 if type(instance["source"]) is not int:
                     raise ValueError(f"source {shown(instance['source'])} is not an int")
                 key = (instance["source"], decode_payload(instance))
@@ -515,7 +574,7 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
                 raise ValueError(f"instance {shown(instance)} does not follow the one before it "
                                  "in strictly increasing (source, payload) order")
             last = key
-        _check_processes("by", detail["by"], subject, n)
+        detail["by"] = _check_processes("by", detail["by"], subject, n, tables.processes)
 
 
 def _resolved(values: list, table: list, name: str) -> bool:
@@ -542,7 +601,7 @@ def _not_a_list(key: str, values) -> ValueError:
 
 def _bad_citation(name: str, table: list, value) -> ValueError:
     """The refusal of a number ``value`` that cites none of ``table``, the
-    ``name`` objects defined so far: not a type-exact int, or out of range."""
+    ``name`` values defined so far: not a type-exact int, or out of range."""
     if type(value) is not int:
         return ValueError(f"{name} citation {shown(value)} is not an int")
     if not table:
@@ -558,16 +617,25 @@ _HEX = frozenset("0123456789abcdef")
 _INT = frozenset({int})
 
 
-def _check_processes(key: str, processes, subject: int, n: int) -> None:
-    """Reject ``processes`` unless it is a non-empty, strictly increasing
-    list of processes in [0, n) whose first is ``subject``."""
-    if not (isinstance(processes, list) and processes and _INT.issuperset(map(type, processes))
+def _check_processes(key: str, processes, subject: int, n: int, table: list[list[int]]) -> list[int]:
+    """The process list ``processes`` is or cites in ``table``: a
+    definition, appended to ``table``, must be a non-empty, strictly
+    increasing list of processes in [0, n); and either way its first entry
+    must be ``subject``."""
+    if type(processes) is int and 0 <= processes < len(table):
+        processes = table[processes]
+    elif (isinstance(processes, list) and processes and _INT.issuperset(map(type, processes))
             and 0 <= processes[0] and processes[-1] < n
             and all(map(lt, processes, islice(processes, 1, None)))):
+        table.append(processes)
+    elif isinstance(processes, (int, float)):
+        raise _bad_citation("process list", table, processes)
+    else:
         raise ValueError(f"{key} {shown(processes)} is not a non-empty, strictly increasing "
                          f"list of processes in 0..{n - 1}")
     if subject != processes[0]:
         raise ValueError(f"subject {subject} is not the first of its {key} list, {processes[0]}")
+    return processes
 
 
 class Delivery(NamedTuple):

@@ -9,9 +9,10 @@ A schedule is the single source of truth for B(r) (faulty set), C(r)
 Each config object resolves its schedule once, and the schedule resolves
 into round tables: it fills each agent's host row by slices and derives from
 the rows, with set operations, the faulty and correct sets, each process's
-faulty spans (which give its first faulty round and its correct rounds) and
-the cures with their span starts. Each table is built on first use; the
-engine and the checkers read them instead of scanning round by round.
+faulty spans (which give its first faulty round and its next correct
+round) and the cures with their span starts. Each table is built on first
+use; the engine and the checkers read them instead of scanning round by
+round.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -308,9 +309,6 @@ class FailureSchedule:
     def is_faulty(self, p: int, r: int) -> bool:
         return p in self.faulty_set(r)
 
-    def is_correct(self, p: int, r: int) -> bool:
-        return p not in self.faulty_set(r)
-
     def first_faulty(self, p: int) -> int | None:
         """p's first faulty round; None when p is correct throughout the horizon."""
         spans = self._spans.get(p)
@@ -354,13 +352,6 @@ class FailureSchedule:
             raise ValueError(f"process {p} is not faulty in round {r}")
         spans = self._spans[p]
         return spans[bisect_right(spans, r, key=itemgetter(0)) - 1][0]
-
-    def correct_rounds(self, p: int) -> tuple[int, ...]:
-        """p's correct rounds, ascending: the gaps between its faulty spans."""
-        spans = self._spans.get(p, [])
-        gap_starts = chain((1,), (last + 1 for _, last in spans))
-        gap_ends = chain((first for first, _ in spans), (self.horizon + 1,))
-        return tuple(chain.from_iterable(map(range, gap_starts, gap_ends)))
 
     def next_correct(self, p: int, r: int) -> int | None:
         """p's first correct round at or after r; None when there is none within the horizon."""

@@ -66,7 +66,7 @@ def test_criterion_01_golden_correct_source():
         assert (p, 4) in deliveries, f"process {p} must deliver in round 4"
     # Index 1 (the description's p2) is faulty in round 4 and delivers at its
     # first correct round after it.
-    first_correct_after_4 = next(r for r in range(5, cfg.horizon + 1) if sched.is_correct(1, r))
+    first_correct_after_4 = sched.next_correct(1, 5)
     assert (1, first_correct_after_4) in deliveries
     verdicts = _verdicts(cfg, trace)
     assert set(verdicts.values()) == {SATISFIED}, verdicts
@@ -170,7 +170,7 @@ def test_criterion_06_delivery_count_laws():
     for d in _correct_time_deliveries(nfa_cfg, nfa_trace):
         recs.setdefault(d.process, set()).add(d.round)
     for p in range(nfa_cfg.n):
-        expected = {r for r in range(birth + 3, nfa_cfg.horizon + 1) if sched.is_correct(p, r)}
+        expected = {r for r in range(birth + 3, nfa_cfg.horizon + 1) if p in sched.correct_set(r)}
         assert recs.get(p, set()) == expected, f"process {p}"
     nfa_verdicts = _verdicts(nfa_cfg, nfa_trace)
     assert nfa_verdicts["DELIVERY_COUNT_LAW"] == SATISFIED

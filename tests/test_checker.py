@@ -311,16 +311,16 @@ class TestDeliveryCountLaws:
 
     def test_cures_come_from_the_schedule_not_the_trace(self):
         """Process 5 is cured in rounds 6 and 8 and re-delivers in both. A
-        trace that drops its round-8 DELIVER_CALL, and any round-8 CURED line
-        of it an older layout held, still owes that re-delivery: the header's
+        trace that drops its round-8 DELIVER_CALL, written and read back,
+        still owes that re-delivery: no line records a cure, and the header's
         schedule says who is cured."""
         cfg = ScenarioConfig.from_json((CONFIG_DIR / "bfa_double_cure.json").read_text())
-        lines = run(cfg).to_jsonl().splitlines()
-        kept = [line for line in lines if not (line.endswith(',"round":8,"subject":5}') and (
-            '"kind":"DELIVER_CALL"' in line or '"kind":"CURED"' in line))]
-        calls = [line for line in lines if line not in kept and '"kind":"DELIVER_CALL"' in line]
-        assert len(calls) == 1 and '"by":[5]' in calls[0]
-        report = check_one(DELIVERY_COUNT_LAW, Trace.from_jsonl("\n".join(kept) + "\n"), cfg)
+        trace = run(cfg)
+        calls = [ev for ev in trace.events
+                 if ev.kind == KIND_DELIVER_CALL and ev.round == 8 and ev.subject == 5]
+        assert [ev.detail["by"] for ev in calls] == [[5]]
+        trace.events = [ev for ev in trace.events if ev not in calls]
+        report = check_one(DELIVERY_COUNT_LAW, Trace.from_jsonl(trace.to_jsonl()), cfg)
         assert report.verdict == VIOLATED
         assert report.details["instances"][0]["shortfalls"] == [
             {"process": 5, "required": 3, "actual": 2, "cures": [6, 8]}]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import golden_correct_source
+from conftest import golden_correct_source, roundrobin_crash
 import mbbc
 from mbbc import cli
 from mbbc.engine import TRACE_FORMAT, Trace, event_lines, run
@@ -565,7 +565,8 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 
 @pytest.mark.parametrize("command", ["check", "replay"])
 @pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5",
-                                 "mbbc-trace/6", "mbbc-trace/7", "mbbc-trace/8"])
+                                 "mbbc-trace/6", "mbbc-trace/7", "mbbc-trace/8",
+                                 "mbbc-trace/9"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""
@@ -575,6 +576,35 @@ def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, ca
     assert cli.main([command, "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
     assert "trace line 1: bad header line:" in err and f"format '{old}'" in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+@pytest.mark.parametrize("key, table", [("from", "process list"), ("by", "process list"),
+                                        ("to", "receiver list"), ("state_digest", "digest")])
+@pytest.mark.parametrize("citation, reason", [
+    ("999", "citation 999 is outside 0.."), ("true", "citation True is not an int")])
+def test_a_bad_list_or_digest_citation_exits_2_naming_its_line(tmp_path, capsys, command, key,
+                                                               table, citation, reason):
+    """A trace's first citation of a ``key`` list or digest, made to cite
+    past its table or made a bool, is refused on its line."""
+    if key == "state_digest":
+        config = tmp_path / "crash.json"
+        config.write_text(json.dumps(roundrobin_crash(7, 1, 12, (1,), "NFA_WEAK", "NFA").to_dict()))
+    else:
+        config = Path(__file__).resolve().parents[1] / "configs" / "nfa_alternating_n7.json"
+    trace = tmp_path / "trace.jsonl"
+    assert cli.main(["run", "--config", str(config), "--out", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    number, value = next((number, json.loads(line)["detail"].get(key))
+                         for number, line in enumerate(lines, start=1)
+                         if type(json.loads(line).get("detail", {}).get(key)) is int)
+    lines[number - 1] = lines[number - 1].replace(f'"{key}":{value}', f'"{key}":{citation}')
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main([command, "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert f"trace line {number}: bad event line: {table} {reason}" in err, err
     assert "Traceback" not in err
 
 
@@ -884,7 +914,7 @@ def test_replay_of_a_prefix_trace_names_the_first_line_past_it(tmp_path, golden_
                                                                capsys, edit):
     """A stored trace that is a line-for-line prefix of the fresh one, or
     extends it, diverges at the first line past the shorter side. The line
-    past it is printed resolved, every message and instance in full, as
+    past it is printed resolved, every cited value in full, as
     ``event_lines`` writes it without citation tables: the repeated last
     line of the extended trace re-encodes with citations."""
     trace = tmp_path / "trace.jsonl"

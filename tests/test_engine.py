@@ -257,7 +257,7 @@ def arbitrary_walk(seed: int) -> ScenarioConfig:
             script[str(r)] = {str(p): {
                 "sends": [[rng.randrange(n), message()] for _ in range(rng.randrange(8))],
                 "state": {"to_send": [message() for _ in range(3)], "rc": rng.randrange(1, 6)}}}
-    source = min(p for p in range(n) if sched.is_correct(p, 1))
+    source = min(sched.correct_set(1))
     return ScenarioConfig.from_dict({
         **base, "broadcasts": [{"source": source, "round": 1, "payload": "m"}],
         "strategy": {"kind": "ARBITRARY", "script": script},
@@ -376,7 +376,7 @@ class TestDeliveries:
         assert [ev.detail["to"] for ev in trace.events
                 if ev.kind == KIND_P2P_SEND and ev.subject == 0] == [[2], [0, 1, 2]]
         assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == (
-            "0587ea89d1f122f74bc73f969f13c8608e91bdebdc322bce7f009b5889e4e853")
+            "1999f02e02b1a5e2a9516f683f5f4abbc444bdc7cc5362ac8829b3a9086736ae")
 
     def test_sender_is_stamped_by_the_engine(self):
         """A possessed process cannot send under another process's name."""
@@ -476,7 +476,7 @@ class TestSharedCompute:
                 receipts[d.receiver].append((d.sender, ProtocolMessage.from_dict(d.message)))
             cures = dict(deliver_oracle_events(sched, r, cfg.setting.oracle))
             for p in range(n):
-                if not sched.is_correct(p, r):
+                if p not in sched.correct_set(r):
                     continue
                 state = before[p]
                 if p in cures:
@@ -502,7 +502,7 @@ class TestSharedCompute:
         cfg = fanout_shaped()
         run(cfg)
         sched = cfg.resolved_schedule()
-        pairs = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
+        pairs = sum(len(sched.correct_set(r)) for r in range(1, cfg.horizon + 1))
         assert 0 < len(calls) < pairs / 4
 
     def test_each_fold_is_read_once_per_round_on_the_fanout_shape(self, monkeypatch):
@@ -568,7 +568,7 @@ class TestSharedCompute:
         monkeypatch.setattr(engine, "send_phase", walked)
         assert run(cfg).to_jsonl() == expected
         sched = cfg.resolved_schedule()
-        senders = sum(sched.is_correct(p, r) for r in range(1, cfg.horizon + 1) for p in range(cfg.n))
+        senders = sum(len(sched.correct_set(r)) for r in range(1, cfg.horizon + 1))
         assert 0 < len(walks) < senders
 
 
@@ -703,7 +703,7 @@ class TestSharedFolds:
                    and set(ev.detail["to"]) != everyone}
         dictated = {(r, p): [] for r in range(1, cfg.horizon + 1) for p in range(cfg.n)}
         for d in deliveries(trace):
-            if not sched.is_correct(d.sender, d.round) and (d.round, d.sender) in partial:
+            if d.sender not in sched.correct_set(d.round) and (d.round, d.sender) in partial:
                 dictated[d.round, d.receiver].append((d.sender, encode_line(d.message)))
         distinct = {(r, tuple(receipts)) for (r, _p), receipts in dictated.items() if receipts}
         assert calls["receive"] == len(distinct)

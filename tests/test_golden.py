@@ -24,8 +24,8 @@ expands each grouped fan-out and DELIVER_CALL of ``mbbc-trace/7`` into one
 event per message and per instance, and puts back each STATE_CORRUPTED that
 ``mbbc-trace/8`` omits while a possessed process's digest holds
 (``conftest.previous_layout_events``). Each render reads the parsed
-trace, whose citations of ``mbbc-trace/9`` are resolved, so none depends
-on which message or instance a line writes in full.
+trace, whose citations of ``mbbc-trace/10`` are resolved, so none depends
+on which value a line writes in full.
 
 Re-derive a pin only with a change that alters the trace format on purpose,
 and say so where the change is recorded.
@@ -66,45 +66,45 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "2bbdde3c18786a7e25e132fd932ca9f1be9c8398702bc0fd130e1ba79193a7fa",
+        "06334b61264adbf4181893bc1fd0a2add1a475aa72cc7a0a64bc25a06715400f",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "139b15605feccf3e211cc25dd7a259e189e409a474f351ef96d223086d9221d6",
+        "2189eaf6b7a876e9356ecaccd2c2aa9a8bc1b2bf9dc9f206a55f8fc0679d3947",
         "b565b1d7e2424a7619b181547bb51a6506f398ba7375d5cdec60f5d24028885e"),
     "bfa_forged_birth.json": (
-        "5195f5d40426f0c9ba496fc83f2ff24d5e7d0f32ecdb5d654ccee94efb886afd",
+        "8015109304265cccb42c60b08062b3ba571caf462eba6e5502575613ad551590",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "b2e3bc9e217a3cc207017077fa44044eb8e42b87151f22f4b2c3723978a4c29e",
+        "35e443dc87bf316f99fe379fa66c121a3c00b43845d3a8fd28bd952c5d6a4b6f",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "7b32b712eef34469ff2f9253f3c311b54639c230ecb1fdc5d4018a33bc95987d",
+        "17608b8bc90b34092b6e5e0e434f759a95ba310e4a865765b564f41519ed94ce",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "a5d20b58c7134bda909e0f2c0842540393973642e209937d682204940ccc81fe",
+        "49f0bc51fb0c5b4d94e4c78e4b0bfcf95cd5fa479b395f0137331a27e2196c8e",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "ffa_delivery_on_cure.json": (
-        "80e39666a7485045bfc51ed0fbaedcc0d6a37eca65a77b37dbb0ea8b63bc5b9d",
+        "e995cdcdd01c5a047f9bdd82c1468e334183085815175415205a3429e42ab7ec",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "nfa_alternating_n7.json": (
-        "cd3ce0ccee45164d9468d944724196469051577a868c9d4359d32686412cb472",
+        "43877e0e071aa4f7165e828b8ad716d29293cadc99bc62bbc11b648b2becebe5",
         "3ac542c815ed690f1f0b18b36830465ad3c364936fb2b3752eb9c6ee74facb78"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "766cfaee4d290b8848740f71187d6757d48e31500b19426106117568b080fd3a",
-        "83d029bb41ab719cf77539f92b67919c25efe1ff6b2ab8c9599033665ee401a3"),
+        "e6034c35064a8876d29501a75441d36ef426d390cbea1300f66d9ed9b2301927",
+        "639147c8de2aad146d15197fba622e6b5d5ec1697a36240113fef7fef24109be"),
     "THEOREM_3": (
-        "766cfaee4d290b8848740f71187d6757d48e31500b19426106117568b080fd3a",
-        "83d029bb41ab719cf77539f92b67919c25efe1ff6b2ab8c9599033665ee401a3"),
+        "e6034c35064a8876d29501a75441d36ef426d390cbea1300f66d9ed9b2301927",
+        "639147c8de2aad146d15197fba622e6b5d5ec1697a36240113fef7fef24109be"),
     "THEOREM_4": (
-        "8e56f67e22be069b5b684f58a01e65800b7df4b424ee793efb093c661f1caa43",
-        "e7dd5623cfd8e9aa41b0a1e2402aafd2204b30cad93c2c739a963748f110acf6"),
+        "26386cb508ab8c550a573f29131870b7b6d3af5e9417484dd3db6aac0acc819b",
+        "1ba9cf400742942565ad5f518608bcc4956d665b173ddabeb059061b46ebc694"),
     "WIPE_FLIP": (
-        "8e56f67e22be069b5b684f58a01e65800b7df4b424ee793efb093c661f1caa43",
-        "e7dd5623cfd8e9aa41b0a1e2402aafd2204b30cad93c2c739a963748f110acf6"),
+        "26386cb508ab8c550a573f29131870b7b6d3af5e9417484dd3db6aac0acc819b",
+        "1ba9cf400742942565ad5f518608bcc4956d665b173ddabeb059061b46ebc694"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:

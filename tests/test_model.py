@@ -132,7 +132,7 @@ class TestIoCorrect:
     def test_roaming_p2_delta_c_one_horizon_six(self):
         sched = schedule_from([ROAMING_PATH], horizon=6)
         # Independent oracle: every suffix of rounds must contain a correct round.
-        correct = set(sched.correct_rounds(1))
+        correct = {r for r in range(1, 7) if 1 in sched.correct_set(r)}
         expected = all(any(j in correct for j in range(r + 1, 7)) for r in range(0, 6))
         assert expected is True
         assert is_io_correct(sched, 1, 1) is True
@@ -144,7 +144,7 @@ class TestIoCorrect:
             for r in range(0, sched.horizon - delta_c + 1):
                 found = False
                 for b in range(r + 1, sched.horizon - delta_c + 2):
-                    if all(sched.is_correct(p, j) for j in range(b, b + delta_c)):
+                    if all(p in sched.correct_set(j) for j in range(b, b + delta_c)):
                         found = True
                         break
                 if not found:
@@ -267,13 +267,11 @@ def assert_tables_are_literal(sched):
     assert sched.cures(0) == sched.cures(h + 1) == ()
     for p in range(n):
         correct = tuple(r for r in range(1, h + 1) if p not in faulty[r])
-        assert sched.correct_rounds(p) == correct, p
         assert sched.first_faulty(p) == next((r for r in range(1, h + 1) if p in faulty[r]), None)
         for r in range(-1, h + 2):
             assert sched.next_correct(p, r) == next((c for c in correct if c >= r), None), (p, r)
         for r in range(1, h + 1):
             assert sched.is_faulty(p, r) is (p in faulty[r])
-            assert sched.is_correct(p, r) is (p not in faulty[r])
             if p in faulty[r]:
                 assert sched.faulty_span_start(p, r) == span_start(p, r), (p, r)
             clean = True
@@ -350,7 +348,7 @@ class TestScheduleTable:
         def definition(p):
             # After every round r there is a full delta_c-long correct window.
             for r in range(0, h - delta_c + 1):
-                if not any(all(sched.is_correct(p, j) for j in range(b, b + delta_c))
+                if not any(all(p in sched.correct_set(j) for j in range(b, b + delta_c))
                            for b in range(r + 1, h - delta_c + 2)):
                     return False
             return delta_c <= h
@@ -445,7 +443,7 @@ class TestScheduleTable:
             with pytest.raises(RoundOutOfHorizon):
                 sched.faulty_set(r)
             with pytest.raises(RoundOutOfHorizon):
-                sched.is_correct(0, r)
+                sched.correct_set(r)
             with pytest.raises(RoundOutOfHorizon):
                 sched.is_faulty(0, r)
         with pytest.raises(RoundOutOfHorizon):

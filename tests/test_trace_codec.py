@@ -1,8 +1,9 @@
 """The trace codec: without citation tables the line writer writes exactly
 ``encode_line(ev.to_dict())`` per event; with them, as ``Trace.to_jsonl``
-writes, it writes those lines with every message and instance after the first
-of its text cited by its index (``cited``). The reader parses each line
-whole, to a pinned event or a pinned error naming the line."""
+writes, it writes those lines with every message, instance, process list,
+receiver list and state digest after the first of its text cited by its
+index (``cited``). The reader parses each line whole, to a pinned event or a
+pinned error naming the line."""
 
 import json
 import math
@@ -12,11 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import split_send_scenario
+from conftest import roundrobin_crash, split_send_scenario
 from mbbc import cli, engine
 from mbbc.checker import permanently_correct, projection, projection_jsonl
 from mbbc.demos import run_demo
-from mbbc.engine import KIND_DELIVER_CALL, KIND_P2P_SEND, Trace, TraceEvent, encode_line, event_lines, run
+from mbbc.engine import (
+    KIND_DELIVER_CALL,
+    KIND_P2P_SEND,
+    KIND_STATE_CORRUPTED,
+    Trace,
+    TraceEvent,
+    encode_line,
+    event_lines,
+    run,
+)
 from mbbc.scenario import ScenarioConfig
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -66,50 +76,63 @@ def per_line_events(trace: Trace) -> list[str]:
 
 
 def cited(lines: list[str]) -> list[str]:
-    """The ``mbbc-trace/9`` citation pass over uncited event lines, written
-    out literally. In line order and then list order, each JSON object in a
-    fan-out's ``messages`` (``{"from", "messages": [...], "to": "ALL"}``),
-    a send's ``message`` (``{"message", "to"}`` with any other ``to``, and a
-    ``from`` in a projection) and a DELIVER_CALL's ``instances`` (``{"by",
-    "instances": [...]}``) is kept in full the first time its text appears
-    in its table, and replaced by the index of that first appearance after
-    that. A detail of any other shape, which the reader refuses, is kept
-    whole."""
-    tables: dict[str, dict[str, int]] = {KIND_P2P_SEND: {}, KIND_DELIVER_CALL: {}}
+    """The ``mbbc-trace/10`` citation pass over uncited event lines, written
+    out literally. In line order and then list order, each value of one of
+    five tables' places is kept in full the first time its text appears in
+    its table, and replaced by the index of that first appearance after
+    that. A JSON object in a fan-out's ``messages`` (``{"from", "messages":
+    [...], "to": "ALL"}``) or a send's ``message`` (``{"message", "to"}``
+    with any other ``to``, and a ``from`` in a projection) is a message; one
+    in a DELIVER_CALL's ``instances`` (``{"by", "instances": [...]}``) an
+    instance; a list in a fan-out's ``from`` or a DELIVER_CALL's ``by`` a
+    process list; a list in a send's ``to`` beside a ``message`` a receiver
+    list; and a string in a STATE_CORRUPTED's ``state_digest`` (its one
+    key) a digest. A value of another type, and a detail of any other
+    shape, which the reader refuses, is kept whole."""
+    tables: dict[str, dict[str, int]] = {name: {} for name in (
+        "message", "instance", "process list", "receiver list", "digest")}
+
+    def cite(name: str, defines: type, value):
+        if not isinstance(value, defines):
+            return value
+        table, text = tables[name], encode_line(value)
+        if text in table:
+            return table[text]
+        table[text] = len(table)
+        return value
+
     out = []
     for line in lines:
         event = json.loads(line)
         kind, detail = event["kind"], event["detail"]
-        if isinstance(kind, str) and kind in tables and isinstance(detail, dict):
-            table = tables[kind]
-
-            def cite(value):
-                if not isinstance(value, dict):
-                    return value
-                text = encode_line(value)
-                if text in table:
-                    return table[text]
-                table[text] = len(table)
-                return value
-
-            keys = detail.keys()
-            if kind == KIND_DELIVER_CALL:
-                key = "instances" if keys == {"by", "instances"} else None
-            elif detail.get("to") == "ALL":
-                key = "messages" if keys == {"from", "messages", "to"} else None
+        places: list[tuple[str, str, type]] = []
+        keys = detail.keys() if isinstance(detail, dict) else None
+        if keys is None:
+            pass
+        elif kind == KIND_DELIVER_CALL and keys == {"by", "instances"}:
+            if isinstance(detail["instances"], list) and detail["instances"]:
+                places = [("by", "process list", list), ("instances", "instance", dict)]
+        elif kind == KIND_P2P_SEND and detail.get("to") == "ALL":
+            if (keys == {"from", "messages", "to"} and isinstance(detail["messages"], list)
+                    and detail["messages"]):
+                places = [("from", "process list", list), ("messages", "message", dict)]
+        elif kind == KIND_P2P_SEND and keys - {"from"} == {"message", "to"}:
+            places = [("message", "message", dict), ("to", "receiver list", list)]
+        elif kind == KIND_STATE_CORRUPTED and keys == {"state_digest"}:
+            places = [("state_digest", "digest", str)]
+        for key, name, defines in places:
+            if key in ("messages", "instances"):
+                detail[key] = [cite(name, defines, value) for value in detail[key]]
             else:
-                key = "message" if keys - {"from"} == {"message", "to"} else None
-            if key == "message":
-                detail[key] = cite(detail[key])
-            elif key is not None and isinstance(detail[key], list):
-                detail[key] = [cite(value) for value in detail[key]]
+                detail[key] = cite(name, defines, detail[key])
         out.append(encode_line(event))
     return out
 
 
-# Empty (message, instance) citation tables, as ``Trace.to_jsonl`` starts from.
-def tables() -> tuple[dict[str, int], dict[str, int]]:
-    return {}, {}
+# Empty (message, instance, process list, receiver list, digest) citation
+# tables, as ``Trace.to_jsonl`` starts from.
+def tables() -> tuple[dict[str, int], ...]:
+    return {}, {}, {}, {}, {}
 
 
 def bundled_traces() -> list[Trace]:
@@ -240,6 +263,11 @@ class TestWriter:
                               {"by": [0], "instances": [{"payload": "x", "source": v}]})
                    for v in values]
         events += [TraceEvent(1, "STATE_CORRUPTED", 0, {"state_digest": v}) for v in values]
+        events += [TraceEvent(1, KIND_P2P_SEND, 0, {"from": [v], "messages": [{}], "to": "ALL"})
+                   for v in values]
+        events += [TraceEvent(1, KIND_P2P_SEND, 0, {"message": {}, "to": [v]}) for v in values]
+        events += [TraceEvent(1, KIND_DELIVER_CALL, 0, {"by": [v], "instances": [{"source": 0}]})
+                   for v in values]
         lines = [encode_line(ev.to_dict()) for ev in events]
         assert event_lines(events) == lines
         assert event_lines(events, tables()) == cited(lines)
@@ -271,7 +299,8 @@ class TestWriter:
     def test_event_outside_the_template_writes_as_before(self, event):
         """An event, or a detail, outside the template is written whole at
         each use, with tables or without: nothing in it is cited, as the
-        reader refuses every P2P_SEND and DELIVER_CALL detail outside it."""
+        reader refuses every P2P_SEND, DELIVER_CALL and STATE_CORRUPTED
+        detail outside it."""
         lines = [encode_line(event.to_dict())] * 2
         assert event_lines([event, event]) == lines
         assert event_lines([event, event], tables()) == lines
@@ -331,14 +360,14 @@ class TestWriter:
     def test_tables_carry_their_definitions_from_call_to_call(self):
         events = [TraceEvent(1, KIND_DELIVER_CALL, 0, {"by": [0], "instances": [
             {"payload": "x", "source": 0}, {"payload": "y", "source": 0}]})]
-        messages, instances = shared = tables()
+        shared = tables()
         first, = event_lines(events, shared)
         again, = event_lines(events, shared)
-        assert (messages, instances) == ({}, {'{"payload":"x","source":0}': 0,
-                                             '{"payload":"y","source":0}': 1})
+        assert shared == ({}, {'{"payload":"x","source":0}': 0, '{"payload":"y","source":0}': 1},
+                          {"[0]": 0}, {}, {})
         assert first == encode_line(events[0].to_dict())
         assert again == first.replace('[{"payload":"x","source":0},{"payload":"y","source":0}]',
-                                      "[0,1]")
+                                      "[0,1]").replace('"by":[0]', '"by":0')
 
     def test_projection_with_dictated_sends_writes_as_per_event_lines(self):
         dictated = 0
@@ -381,12 +410,14 @@ PARSER_TABLE = [
     (CORRUPTED, ITSELF),
     ('{"detail": {"state_digest" : "' + DIGEST + '"}, "kind": "STATE_CORRUPTED", "round": 1, '
      '"subject": 0}', CORRUPTED),
-    # A STATE_CORRUPTED's digest is a sha256 in lowercase hex, and nothing else.
+    # A STATE_CORRUPTED's digest is a sha256 in lowercase hex, or the int
+    # index of one already defined (CORRUPTED, line 2, defines digest 0), and
+    # nothing else: any other number is a citation the reader refuses.
+    (CORRUPTED.replace(f'"{DIGEST}"', "0"), CORRUPTED),
     (CORRUPTED.replace(DETAIL, "{}"), refused("missing key 'state_digest'")),
     (CORRUPTED.replace(DETAIL, '{"state_digest":null}'),
      refused("state_digest None is not 64 lowercase hex digits")),
-    (CORRUPTED.replace(DETAIL, '{"state_digest":NaN}'),
-     refused("state_digest nan is not 64 lowercase hex digits")),
+    (CORRUPTED.replace(DETAIL, '{"state_digest":NaN}'), refused("digest citation nan is not an int")),
     (CORRUPTED.replace(DIGEST, DIGEST.upper()),
      refused(f"state_digest '{DIGEST.upper()}' is not 64 lowercase hex digits")),
     (CORRUPTED.replace(DIGEST, DIGEST[1:]),
@@ -641,6 +672,54 @@ PARSER_TABLE = [
      refused('from [0, False] is not a non-empty, strictly increasing list of processes in 0..5')),
     (deliver_line("[0,false]"),
      refused('by [0, False] is not a non-empty, strictly increasing list of processes in 0..5')),
+    # A process list (a fan-out's ``from`` or a DELIVER_CALL's ``by``), a
+    # receiver list (a dictated send's ``to``) or a digest is defined in
+    # full, under its table's rule, or cited by an int index into its table.
+    (CORRUPTED.replace(f'"{DIGEST}"', "1"),
+     refused("digest citation 1 is outside 0..0, the digests defined so far")),
+    (CORRUPTED.replace(f'"{DIGEST}"', "-1"),
+     refused("digest citation -1 is outside 0..0, the digests defined so far")),
+    (CORRUPTED.replace(f'"{DIGEST}"', "true"), refused("digest citation True is not an int")),
+    (CORRUPTED.replace(f'"{DIGEST}"', "1.0"), refused("digest citation 1.0 is not an int")),
+    (send_line('{"kind":"ROUND","round_value":2}', senders="0"),
+     refused("process list citation 0 cites nothing: no process list is defined yet")),
+    (deliver_line("0"), refused("process list citation 0 cites nothing: no process list is defined yet")),
+    (deliver_line("true"), refused("process list citation True is not an int")),
+    (send_line('{"kind":"ROUND","round_value":2}', senders="0.0"),
+     refused("process list citation 0.0 is not an int")),
+    (send_line('{"kind":"ROUND","round_value":2}', to="0"),
+     refused("receiver list citation 0 cites nothing: no receiver list is defined yet")),
+    (send_line('{"kind":"ROUND","round_value":2}', to="false"),
+     refused("receiver list citation False is not an int")),
+    (send_line('{"kind":"ROUND","round_value":2}', to="1.0"),
+     refused("receiver list citation 1.0 is not an int")),
+    (send_line('{"kind":"ROUND","round_value":2}', senders="[0,2]") + "\n" + deliver_line("1"),
+     refused("process list citation 1 is outside 0..0, the process lists defined so far", line=4)),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1]") + "\n"
+     + send_line("0", to="1"),
+     refused("receiver list citation 1 is outside 0..0, the receiver lists defined so far", line=4)),
+    # A cited ``from`` or ``by`` still names the line's subject first.
+    (send_line('{"kind":"ROUND","round_value":2}', senders="[0,2]") + "\n"
+     + send_line("0", subject=2, senders="0"),
+     refused("subject 2 is not the first of its from list, 0", line=4)),
+    (deliver_line("[0,2]") + "\n" + deliver_line("0", subject=2, instances="[0]"),
+     refused("subject 2 is not the first of its by list, 0", line=4)),
+    # A definition after another is checked under its table's rule as the
+    # first is.
+    (send_line('{"kind":"ROUND","round_value":2}') + "\n"
+     + send_line("0", subject=2, senders="[2,1]"),
+     refused("from [2, 1] is not a non-empty, strictly increasing list of processes in 0..5",
+             line=4)),
+    (deliver_line("[0]") + "\n" + deliver_line("[2,2]", subject=2, instances="[0]"),
+     refused("by [2, 2] is not a non-empty, strictly increasing list of processes in 0..5",
+             line=4)),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1]") + "\n"
+     + send_line("0", to="[3,1]"), refused("to [3, 1] is not sorted", line=4)),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1]") + "\n"
+     + send_line("0", to="[]"), refused("to [] names no receiver", line=4)),
+    (send_line('{"kind":"ROUND","round_value":2}', to="[1]") + "\n"
+     + send_line("0", to="[1,6]"),
+     refused("to [1, 6] is neither 'ALL' nor a list of receivers in 0..5", line=4)),
     # Each detail, and each instance object, holds the keys of its one key
     # set; any other key is refused by name, and so is a second payload.
     (fan_out_line('[{"kind":"ROUND","round_value":2}]').replace('"to"', '"note":1,"to"'),
@@ -766,6 +845,44 @@ class TestReader:
         assert kinds == set(engine.KINDS)
         # The header's schedule fixes the agents' moves and the cures.
         assert not kinds & {"AGENT_MOVE", "CURED"}
+
+    def test_a_digest_citation_before_any_digest_is_refused(self):
+        line = CORRUPTED.replace(f'"{DIGEST}"', "0")
+        assert parse(f"{HEADER}\n{line}\n") == (
+            "trace line 2: bad event line: digest citation 0 cites nothing: no digest is "
+            "defined yet")
+
+    def test_a_crash_silent_trace_cites_the_wiped_digest(self):
+        """Each process the agent walks onto is wiped to the same state: its
+        digest is written in full once and cited after that, and the trace
+        reads back to the engine's events and writes back byte for byte."""
+        trace = run(roundrobin_crash(7, 1, 12, (1,), "NFA_WEAK", "NFA"))
+        text = trace.to_jsonl()
+        digests = [json.loads(line)["detail"]["state_digest"] for line in text.splitlines()[1:]
+                   if '"kind":"STATE_CORRUPTED"' in line]
+        assert type(digests[0]) is str and digests[1:] and set(digests[1:]) == {0}
+        parsed = Trace.from_jsonl(text)
+        assert parsed == trace and parsed.to_jsonl() == text
+        assert len({ev.detail["state_digest"] for ev in parsed.events
+                    if ev.kind == KIND_STATE_CORRUPTED}) == 1
+
+    def test_cited_lists_read_to_the_table_list(self):
+        """``nfa_alternating_n7`` cites a ``from``, a ``by`` and a ``to``:
+        each reads to the list its definition holds, shared read-only, and
+        the trace writes back byte for byte."""
+        path = next(path for path in CONFIGS if path.stem == "nfa_alternating_n7")
+        trace = run(ScenarioConfig.from_json(path.read_text()))
+        text = trace.to_jsonl()
+        details = [json.loads(line)["detail"] for line in text.splitlines()[1:]]
+        parsed = Trace.from_jsonl(text)
+        assert parsed == trace and parsed.to_jsonl() == text
+        defined = [ev.detail[key] for ev, detail in zip(parsed.events, details)
+                   for key in ("from", "by", "to") if type(detail.get(key)) is list]
+        for key in ("from", "by", "to"):
+            cited = [ev.detail[key] for ev, detail in zip(parsed.events, details)
+                     if type(detail.get(key)) is int]
+            assert cited, key
+            assert all(any(entry is value for value in defined) for entry in cited), key
 
 
 def first_event(trace: Trace, kind: str, grouped: bool = False) -> int:

@@ -1,4 +1,4 @@
-"""The ``mbbc-trace/9`` layout on every trace the engine writes here: the
+"""The ``mbbc-trace/10`` layout on every trace the engine writes here: the
 bundled configs, both histories of every demo kind, the longer shapes
 (``conftest.shape_config``) and a seeded pool of ARBITRARY scripts over the
 three variants (``conftest.arbitrary_config``).
@@ -8,8 +8,8 @@ Per round, each (sender, message) fan-out stands in one P2P_SEND and each
 first-message and first-instance order; a possessed process writes its
 STATE_CORRUPTED at the start of each faulty span and then only when its
 digest changes; and the trace reads back equal to itself. Its JSONL writes
-each message and each instance in full once, and cites it by its index in
-the message or instance table after that. Over the pool, every violation
+each message, instance, process list, receiver list and state digest in
+full once, and cites it by its index in that value's table after that. Over the pool, every violation
 replays from its witness, and the projection does not depend on how a trace
 groups its deliveries.
 """
@@ -64,33 +64,45 @@ CITATION_CASES = ([p.name for p in CONFIGS] + DEMOS + list(SHAPES)
                   + [f"arbitrary-{seed}" for seed in range(200)])
 
 
+# The citation tables of ``mbbc-trace/10``.
+TABLES = ("message", "instance", "process list", "receiver list", "digest")
+
+
+def cited_places(detail: dict, kind: str) -> list[tuple[str, list]]:
+    """Each citation table's values in one line's detail: a fan-out's
+    ``from`` and messages, a dictated send's message and ``to``, a
+    DELIVER_CALL's ``by`` and instances, and a STATE_CORRUPTED's digest."""
+    if kind == KIND_P2P_SEND and detail["to"] == "ALL":
+        return [("process list", [detail["from"]]), ("message", detail["messages"])]
+    if kind == KIND_P2P_SEND:
+        return [("message", [detail["message"]]), ("receiver list", [detail["to"]])]
+    if kind == KIND_DELIVER_CALL:
+        return [("process list", [detail["by"]]), ("instance", detail["instances"])]
+    if kind == KIND_STATE_CORRUPTED:
+        return [("digest", [detail["state_digest"]])]
+    return []
+
+
 def citation_counts(trace: Trace) -> dict[str, int]:
-    """The citations of messages (under P2P_SEND) and of instances (under
-    DELIVER_CALL) in the trace's JSONL, after checking that each message
-    text and each instance text is written in full at most once, that every
-    citation is an int index of an earlier definition in the same table,
-    that the JSONL reads back to the trace's events and that the read trace
-    writes back byte for byte."""
+    """The citations of each table in the trace's JSONL, after checking that
+    each message, instance, process list, receiver list and digest text is
+    written in full at most once, that every citation is an int index of an
+    earlier definition in the same table, that the JSONL reads back to the
+    trace's events and that the read trace writes back byte for byte."""
     text = trace.to_jsonl()
-    tables: dict[str, list[str]] = {KIND_P2P_SEND: [], KIND_DELIVER_CALL: []}
-    citations = dict.fromkeys(tables, 0)
+    tables: dict[str, list[str]] = {name: [] for name in TABLES}
+    citations = dict.fromkeys(TABLES, 0)
     for line in text.splitlines()[1:]:
         event = json.loads(line)
-        kind, detail = event["kind"], event["detail"]
-        if kind == KIND_P2P_SEND:
-            values = detail["messages"] if detail["to"] == "ALL" else [detail["message"]]
-        elif kind == KIND_DELIVER_CALL:
-            values = detail["instances"]
-        else:
-            continue
-        table = tables[kind]
-        for value in values:
-            if isinstance(value, dict):
-                assert encode_line(value) not in table, line
-                table.append(encode_line(value))
-            else:
-                assert type(value) is int and 0 <= value < len(table), line
-                citations[kind] += 1
+        for name, values in cited_places(event["detail"], event["kind"]):
+            table = tables[name]
+            for value in values:
+                if type(value) is int:
+                    assert 0 <= value < len(table), line
+                    citations[name] += 1
+                else:
+                    assert encode_line(value) not in table, line
+                    table.append(encode_line(value))
     parsed = Trace.from_jsonl(text)
     assert parsed.events == trace.events
     assert parsed.to_jsonl() == text
@@ -107,19 +119,19 @@ def test_grouped_layout_and_round_trip(case):
 
 
 @pytest.mark.parametrize("case", CITATION_CASES)
-def test_each_message_and_instance_is_written_in_full_once(case):
+def test_each_cited_value_is_written_in_full_once(case):
     for trace in case_traces(case):
         citation_counts(trace)
 
 
-def test_the_cases_cite_messages_and_instances():
-    """The cases repeat messages and instances, so the test above sees
-    citations of both tables."""
-    cited = dict.fromkeys((KIND_P2P_SEND, KIND_DELIVER_CALL), 0)
+def test_the_cases_cite_every_table():
+    """The cases repeat each kind of cited value, so the test above sees
+    citations of every table."""
+    cited = dict.fromkeys(TABLES, 0)
     for case in CASES:
         for trace in case_traces(case):
-            for kind, count in citation_counts(trace).items():
-                cited[kind] += count
+            for name, count in citation_counts(trace).items():
+                cited[name] += count
     assert all(cited.values()), cited
 
 
