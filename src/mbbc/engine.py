@@ -46,10 +46,10 @@ Each round runs five sub-phases in a fixed order:
    class key or compute phase that reads the fold, and kept on the fold for
    every other class and faithful compute that reads it. The rest depends
    on the process: a correct process's phase depends only on its fold,
-   its cure flags, ``delivered`` and its ``rc`` after the majority repair,
-   which is the reading's majority counter, or the process's own when the
-   reading has none. Those five values are the class key, the fold named
-   by its identity, as every fold is held until the round ends. The
+   its cure flags and its ``rc`` after the majority repair, which is the
+   reading's majority counter, or the process's own when the reading has
+   none. Those four values are the class key, the fold named by its
+   identity, as every fold is held until the round ends. The
    members of a group share all but the fold, so the key is taken once per
    group, and a group is split by fold only in a round with partial
    senders. The first group, or part of one, that enters a class runs
@@ -63,11 +63,11 @@ Each round runs five sub-phases in a fixed order:
    in place: a possessed member, a part split off by fold and a caller each
    work on a copy. The next round's groups are the classes, less their
    callers, and one group for each caller and each possessed process. The
-   send queue and ``delivered`` a state carries are immutable, so copies
-   share them. Each class delivers in (source, payload) order and lists its
-   members in process order, so ``deliver_calls`` builds the round's
-   DELIVER_CALLs per set of delivering classes, and only an instance
-   several classes deliver merges and sorts their members.
+   send queue a state carries is immutable, so copies share it. Each class
+   delivers in (source, payload) order and lists its members in process
+   order, so ``deliver_calls`` builds the round's DELIVER_CALLs per set of
+   delivering classes, and only an instance several classes deliver merges
+   and sorts their members.
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -167,11 +167,12 @@ KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRU
 # The header's ``format``: per round, one P2P_SEND per list of fan-out
 # senders, listing its messages, or per dictated (sender, message); no
 # receipts, agent moves or cures; one DELIVER_CALL per list of delivering
-# processes, listing its (source, payload) instances; a STATE_CORRUPTED only
+# processes, listing its (source, payload) instances; a STATE_CORRUPTED, the
+# digest of a state's four fields (``protocol.state_fingerprint``), only
 # where a possessed process's digest is new to its stay; each distinct message,
 # instance, process list, receiver list and state digest written in full
 # once, and cited by its index after that.
-TRACE_FORMAT = "mbbc-trace/10"
+TRACE_FORMAT = "mbbc-trace/11"
 # Each detail's one key set, by kind (a P2P_SEND's by its ``to``), and an
 # instance object's: the reader refuses any other key, and ``event_lines``
 # writes each of these details from its template.
@@ -201,10 +202,6 @@ class TraceEvent(NamedTuple):
     def to_dict(self) -> dict:
         return {"round": self.round, "kind": self.kind, "subject": self.subject,
                 "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceEvent":
-        return cls(data["round"], data["kind"], data["subject"], data["detail"])
 
 
 # An event line is ``encode_line(ev.to_dict())``: the keys sorted, so the
@@ -372,15 +369,15 @@ class Trace:
         Each of these values is either a definition, which the reader checks
         once, under the rule of its table, and appends to it, or a
         type-exact int citing an entry already there (``_Tables``): a
-        message or an instance is a JSON object, and an instance object
-        holds an int ``source`` and one payload that decodes; a ``from`` or a
-        ``by`` is a process list, a dictated ``to`` a receiver list, and a
-        ``state_digest`` a digest. A citation costs a lookup, and of a
-        process list also the check of its first entry against the line's
-        subject. Each line is read as ``json.loads`` reads it
-        (``_json_object`` scans a short line in C first) and checked whole,
-        and each event has a detail of its own, but the values in it are the
-        table's, shared read-only by every event that cites them.
+        message is a JSON object that ``ProtocolMessage.from_dict`` reads,
+        an instance a JSON object of an int ``source`` and one payload that
+        decodes; a ``from`` or a ``by`` is a process list, a dictated ``to``
+        a receiver list, and a ``state_digest`` a digest. A citation costs a
+        lookup, and of a process list also the check of its first entry
+        against the line's subject. Each line is read as ``json.loads`` reads
+        it (``_json_object`` scans a short line in C first) and checked
+        whole, and each event has a detail of its own, but the values in it
+        are the table's, shared read-only by every event that cites them.
         """
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln.strip()]
@@ -508,12 +505,12 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
             if not detail.keys() <= _FAN_OUT_KEYS:
                 raise _unknown_key(detail, _FAN_OUT_KEYS, "a send to 'ALL'")
             messages = detail["messages"]
-            if not (isinstance(messages, list) and messages and _resolved(messages, table, "message")):
+            if not (isinstance(messages, list) and messages and _resolved_messages(messages, table)):
                 raise _not_a_list("messages", messages)
             detail["from"] = _check_processes("from", detail["from"], subject, n, tables.processes)
             return
         message = [detail["message"]]
-        if not _resolved(message, table, "message"):
+        if not _resolved_messages(message, table):
             raise ValueError("message is not a JSON object")
         detail["message"] = message[0]
         table = tables.receivers
@@ -577,17 +574,19 @@ def _check_detail(kind: str, detail, subject: int, n: int, tables: _Tables) -> N
         detail["by"] = _check_processes("by", detail["by"], subject, n, tables.processes)
 
 
-def _resolved(values: list, table: list, name: str) -> bool:
-    """Append each JSON object of ``values`` to ``table``, the ``name``
-    objects so far, and replace each int that cites one by it; any other
-    number is refused, and any other value returns False."""
+def _resolved_messages(values: list, table: list[dict]) -> bool:
+    """Append each JSON object of ``values`` to ``table``, the messages so
+    far, once ``ProtocolMessage.from_dict`` reads it as a message, and
+    replace each int that cites one by it; any other number is refused, and
+    any other value returns False."""
     for i, value in enumerate(values):
         if type(value) is int and 0 <= value < len(table):
             values[i] = table[value]
         elif isinstance(value, dict):
+            ProtocolMessage.from_dict(value)
             table.append(value)
         elif isinstance(value, (int, float)):
-            raise _bad_citation(name, table, value)
+            raise _bad_citation("message", table, value)
         else:
             return False
     return True
@@ -1023,7 +1022,7 @@ class Simulation:
             for part, fold in _by_fold(members, tallies) if partial else ((members, common),):
                 if fold is not last_fold:
                     last_fold, majority = fold, read_fold(fold, n, F).majority
-                key = (id(fold), state.cured, state.cured_faulty_since, state.delivered,
+                key = (id(fold), state.cured, state.cured_faulty_since,
                        state.rc if majority is None else majority)
                 found = classes.get(key)
                 if found is None:
@@ -1082,11 +1081,8 @@ class Simulation:
     def _corrupted_detail(self, state: ProtocolState) -> dict:
         """A STATE_CORRUPTED detail, digested and built once per distinct state
         and shared read-only. The digest reads each queued message's JSON
-        text and sort key from the simulation's memos. The key holds each
-        scalar field's type beside it, as ``True == 1`` digests differently;
-        messages are type-exact and a delivered pair's source is an int."""
-        key = (state.to_send, type(state.rc), state.rc, type(state.cured), state.cured,
-               type(state.cured_faulty_since), state.cured_faulty_since, state.delivered)
+        text and sort key from the simulation's memos."""
+        key = (state.to_send, state.rc, state.cured, state.cured_faulty_since)
         out = self._digests.get(key)
         if out is None:
             out = self._digests[key] = {"state_digest": state_fingerprint(

@@ -224,9 +224,6 @@ class FailureSchedule:
     horizon: int
     trajectories: tuple[AgentTrajectory, ...]
 
-    def resolved_last(self, seg: Segment) -> int:
-        return self.horizon if seg.last_round is None else seg.last_round
-
     def host_of(self, agent_id: int, r: int) -> int | None:
         """Host of an agent in round r, or None when the agent is off-board
         or r is outside [1, horizon]; an agent id outside [0, f) is a
@@ -321,15 +318,9 @@ class FailureSchedule:
         table = self._faulty_table
         return all(p not in table[r - 1] for r in range(first, last + 1))
 
-    def cured_processes(self, r: int) -> frozenset[int]:
-        """Processes freed at the r-1/r boundary: faulty in r-1, correct in r."""
-        if r < 2:
-            return frozenset()
-        return self.faulty_set(r - 1) - self.faulty_set(r)
-
     def cures(self, r: int) -> tuple[tuple[int, int], ...]:
-        """Each process freed at the r-1/r boundary (``cured_processes``)
-        with the first round of the faulty span that just ended
+        """Each process freed at the r-1/r boundary, faulty in r-1 and
+        correct in r, with the first round of the faulty span that just ended
         (``faulty_span_start(p, r - 1)``), in process order; none outside
         [2, horizon]."""
         return self._cure_table[r - 1] if 1 <= r <= self.horizon else ()

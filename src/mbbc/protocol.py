@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
-from .messages import MessageKind, ProtocolMessage, compact_json, echo_msg, round_msg, send_msg
+from .messages import MessageKind, ProtocolMessage, echo_msg, round_msg, send_msg
 
 InstanceKey = tuple[int, int, bytes]
 
@@ -85,27 +85,24 @@ class Variant:
 class ProtocolState:
     """One process's protocol variables: what carries over between rounds.
 
-    ``delivered`` is bookkeeping for the FFA_FULL gate only: it suppresses the
-    pathological case where both gate branches could fire for one (source,
-    payload) under adversarial schedules. It is part of the corruptible state,
-    so it never substitutes for the gate logic itself.
+    No field records what the process has delivered: the delivery gate
+    alone decides each round's deliveries, from the round counter and the
+    cure flags the oracle sets.
 
-    ``to_send`` and ``delivered`` are frozensets: a phase that changes one
-    assigns a new set, so states may share them. The engine also lets the
-    processes of a class hold one state object, and changes no object that
-    two processes hold (see ``engine``).
+    ``to_send`` is a frozenset: a phase that changes it assigns a new set,
+    so states may share it. The engine also lets the processes of a class
+    hold one state object, and changes no object that two processes hold
+    (see ``engine``).
     """
 
     to_send: frozenset[ProtocolMessage] = frozenset()
     cured: bool = False
     cured_faulty_since: int | None = None
     rc: int = 1
-    delivered: frozenset[tuple[int, bytes]] = frozenset()
 
     def copy(self) -> "ProtocolState":
-        """A new state of the same values, sharing the frozensets."""
-        return ProtocolState(self.to_send, self.cured, self.cured_faulty_since, self.rc,
-                             self.delivered)
+        """A new state of the same values, sharing the queue."""
+        return ProtocolState(self.to_send, self.cured, self.cured_faulty_since, self.rc)
 
 
 class FoldReading(NamedTuple):
@@ -144,16 +141,9 @@ def init_state() -> ProtocolState:
 
 
 def on_cured(state: ProtocolState, faulty_since: int | None = None) -> None:
-    """Oracle upcall: mark the process cured; FFA also reports when the stay began.
-
-    ``delivered`` is cleared, as ``send_phase`` clears the queue: the agent
-    may have planted anything in it, or left the mark of a delivery made
-    while possessed, which is not the process's own and must not suppress
-    the delivery the FFA_FULL gate owes it on the cure.
-    """
+    """Oracle upcall: mark the process cured; FFA also reports when the stay began."""
     state.cured = True
     state.cured_faulty_since = faulty_since
-    state.delivered = frozenset()
 
 
 def send_phase(state: ProtocolState) -> frozenset[ProtocolMessage]:
@@ -276,7 +266,8 @@ def compute_phase(
     """Run one compute phase on the round's ``tallies``, which it only reads;
     returns the deliveries (source, payload) it triggers, in (source,
     payload) order. A (source, payload) with READY quorums at several births
-    goes through the delivery gate once, with the earliest birth.
+    goes through the delivery gate once, with the earliest birth, and every
+    pass of the gate is a delivery, whatever the variant.
 
     The fold's part comes from ``read_fold``, taken once per fold: its
     majority counter, its READY and ABORT votes, and its READY quorums with
@@ -305,15 +296,8 @@ def compute_phase(
         if rc == birth + 1:
             own.append(echo_msg(source, birth, payload))
 
-    deliveries: list[tuple[int, bytes]] = []
-    for instance, birth in reading.ready_births:
-        if _delivery_gate(state, variant, birth):
-            if variant.tag is VariantTag.FFA_FULL:
-                if instance not in state.delivered:
-                    state.delivered = state.delivered | {instance}
-                    deliveries.append(instance)
-            else:
-                deliveries.append(instance)
+    deliveries = [instance for instance, birth in reading.ready_births
+                  if _delivery_gate(state, variant, birth)]
 
     state.cured = False
     state.cured_faulty_since = None
@@ -336,41 +320,26 @@ def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:
     return state.cured_faulty_since is not None and state.cured_faulty_since <= due
 
 
-# Compact JSON with sorted keys, the encoding of every digested value
-# (``ProtocolMessage.to_json`` writes a message's): the one C encoder that
-# ``messages.compact_json`` builds at import, or the pure-Python encoder,
-# slower, where the C accelerator is absent.
-_encode = compact_json
-
-
 def state_fingerprint(state: ProtocolState,
                       message_text: Callable[[ProtocolMessage], str] = ProtocolMessage.to_json,
                       sort_key: Callable[[ProtocolMessage], tuple] | None = None) -> str:
-    """Stable digest of a state's five fields, used to record corruption events in traces.
+    """Stable digest of a state's four fields, used to record corruption events in traces.
 
     The digest is the sha256 of one compact JSON object with sorted keys:
-    ``cured``, ``cured_faulty_since``, ``delivered`` (sorted [source, payload
-    hex] pairs), ``rc`` and ``to_send`` (the queued messages in message order,
-    each as its ``to_dict``). It is assembled from each message's JSON text,
-    ``message_text(m)``, in the order of ``sort_key(m)``; a caller that
-    already holds the texts or the keys passes them, and the defaults call
-    ``m.to_json()`` and ``m.sort_key()``. The bytes are the same either way.
-    The other fields are written directly when each has its type (a bool, an
-    int or None, an int, int sources), as the encoder would write them, and
-    encoded otherwise, as ``True == 1`` is written differently.
+    ``cured``, ``cured_faulty_since``, ``rc`` and ``to_send`` (the queued
+    messages in message order, each as its ``to_dict``). It is assembled from
+    each message's JSON text, ``message_text(m)``, in the order of
+    ``sort_key(m)``; a caller that already holds the texts or the keys passes
+    them, and the defaults call ``m.to_json()`` and ``m.sort_key()``. The
+    bytes are the same either way. The other fields are written directly, as
+    the encoder writes a bool, an int or None: every writer of them gives
+    each its type (the protocol, the oracle's cure, and a strategy's checked
+    overrides).
     """
-    cured, since, rc = state.cured, state.cured_faulty_since, state.rc
-    delivered = sorted((s, p.hex()) for s, p in state.delivered)
-    if (type(cured) is bool and type(rc) is int and (since is None or type(since) is int)
-            and all(type(s) is int for s, _hex in delivered)):
-        pairs = ",".join([f'[{s},"{h}"]' for s, h in delivered])
-        head = (f'{{"cured":{"true" if cured else "false"},'
-                f'"cured_faulty_since":{"null" if since is None else since},'
-                f'"delivered":[{pairs}],"rc":{rc},"to_send":[')
-    else:
-        # ``to_send`` sorts last, so the encoding ends with its empty list: ``[]}``.
-        head = _encode({"cured": cured, "cured_faulty_since": since, "delivered": delivered,
-                        "rc": rc, "to_send": []})[:-2]
+    since = state.cured_faulty_since
+    head = (f'{{"cured":{"true" if state.cured else "false"},'
+            f'"cured_faulty_since":{"null" if since is None else since},'
+            f'"rc":{state.rc},"to_send":[')
     queue = ",".join(map(message_text, sorted(state.to_send,
                                               key=sort_key or ProtocolMessage.sort_key)))
     return hashlib.sha256(f"{head}{queue}]}}".encode("utf-8")).hexdigest()

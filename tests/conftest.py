@@ -487,6 +487,60 @@ def arbitrary_config(seed: int) -> ScenarioConfig:
                                      "strategy": {"kind": "ARBITRARY", "script": script}})
 
 
+def forged_birth_config(seed: int, n: int, f: int) -> ScenarioConfig:
+    """A seeded FFA_FULL ARBITRARY script at ``n`` processes and ``f`` agents
+    on random walks, in which possessed processes forge the broadcasts' own
+    (source, payload) at other births. Each round each possessed process
+    sends SEND, ECHO, READY and ABORT messages naming a broadcast's source
+    and payload at a birth in 1..horizon, a third of them at the birth that
+    the processes correct in the round would echo, and random ROUND votes,
+    each message to every process or to a random subset. It may also
+    override its ``rc`` or ``cured``, queue forged messages, or wipe its
+    state. A possessed source's forged SEND is authenticated, so a real
+    instance can gain READY quorums at several births, and its earliest one
+    can move between rounds: the route on which both branches of FFA_FULL's
+    delivery gate could pass for one (source, payload)."""
+    rng = random.Random(seed)
+    horizon = rng.randrange(8, 13)
+    base = {
+        "n": n, "f": f, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": horizon, "seed": seed,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
+        "variant": "FFA_FULL",
+        "schedule": {"trajectories": random_walk_schedule(rng, n, f, horizon)},
+    }
+    sched = ScenarioConfig.from_dict(base).resolved_schedule()
+    broadcasts = []
+    for i in range(rng.randrange(1, 3)):
+        r = rng.randrange(1, max(2, horizon - 4))
+        broadcasts.append({"source": rng.choice(sorted(sched.correct_set(r))), "round": r,
+                           "payload": f"b{i}"})
+
+    def message(r: int) -> dict:
+        kind = rng.choice(["SEND", "ECHO", "READY", "ABORT", "ROUND"])
+        if kind == "ROUND":
+            return {"kind": kind, "round_value": rng.randrange(1, horizon + 2)}
+        b = rng.choice(broadcasts)
+        birth = max(1, r - 1) if rng.random() < 1 / 3 else rng.randrange(1, horizon + 1)
+        return {"kind": kind, "source": b["source"], "birth_round": birth, "payload": b["payload"]}
+
+    script: dict = {}
+    for r in range(1, horizon + 1):
+        for p in sorted(sched.faulty_set(r)):
+            sends = []
+            for _ in range(rng.randrange(1, 6)):
+                m = message(r)
+                receivers = (range(n) if rng.random() < 0.5
+                             else sorted(rng.sample(range(n), rng.randrange(1, n))))
+                sends += [[q, m] for q in receivers]
+            state = rng.choice([None, None, "init", {"rc": rng.randrange(1, horizon + 2)},
+                                {"cured": rng.random() < 0.5},
+                                {"rc": rng.randrange(1, horizon + 2), "cured": True},
+                                {"to_send": [message(r) for _ in range(rng.randrange(1, 4))]}])
+            script.setdefault(str(r), {})[str(p)] = {"sends": sends, "state": state}
+    return ScenarioConfig.from_dict({**base, "broadcasts": broadcasts,
+                                     "strategy": {"kind": "ARBITRARY", "script": script}})
+
+
 # At the default parameters, the checker's (history, property) violations of
 # each adapter choice.
 CHOICE_PINS = {

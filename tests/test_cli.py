@@ -321,6 +321,11 @@ WIPE = {"kind": "WIPE_AND_RUN", "target": 1, "sim_until": 0, "wipe_round": 2}
     pytest.param(arbitrary({"state": {"rc": -1}}), "round 1 process 1: state rc is -1, below 0",
                  id="arbitrary-rc-negative"),
     pytest.param(arbitrary({"state": {"cured": 1}}), "cured", id="arbitrary-cured-int"),
+    # Every writer of a state's scalar fields gives each its type, so the
+    # state digest writes them as the JSON encoder would.
+    pytest.param(arbitrary({"state": {"rc": True}}), "rc is True", id="arbitrary-rc-bool"),
+    pytest.param(strategy({"kind": "EQUIVOCATE_HISTORY", "sim_cure": {"0": [4, True]}}),
+                 "sim_cure", id="equivocate-cure-faulty-since-bool"),
     pytest.param(arbitrary({"state": {"to_send": [{"kind": "ECHO"}]}}), "ECHO",
                  id="arbitrary-to_send-message"),
     pytest.param(strategy({"kind": "ARBITRARY", "script": {"one": {"1": {}}}}), "'one'",
@@ -498,6 +503,11 @@ def deliver_call(by: str | None, subject: int = 1, instances: str = '[{"payload"
                  '"kind":"P2P_SEND","round":2,"subject":0}\n', 2, id="to-empty"),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + '\n{"detail":{"message":0,"to":[1]},'
                  '"kind":"P2P_SEND","round":2,"subject":0}\n', 3, id="message-citation-undefined"),
+    pytest.param(GOOD_HEADER + '\n{"detail":{"message":{"kind":"NOPE","x":1},"to":[1]},'
+                 '"kind":"P2P_SEND","round":2,"subject":0}\n', 2, id="message-kind-unknown"),
+    pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + "\n"
+                 + fan_out("[0]", 0).replace('"round_value":2', '"round_value":2,"x":1') + "\n",
+                 3, id="message-key-unknown"),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + "\n" + fan_out("[]", 0) + "\n", 3, id="from-empty"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[2,1]", 2) + "\n", 2, id="from-unsorted"),
     pytest.param(GOOD_HEADER + "\n" + fan_out("[1,1]", 1) + "\n", 2, id="from-duplicate"),
@@ -566,7 +576,7 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 @pytest.mark.parametrize("command", ["check", "replay"])
 @pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5",
                                  "mbbc-trace/6", "mbbc-trace/7", "mbbc-trace/8",
-                                 "mbbc-trace/9"])
+                                 "mbbc-trace/9", "mbbc-trace/10"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""
@@ -973,17 +983,19 @@ def test_replay_prints_diverging_headers_as_written(tmp_path, golden_config_path
             f"  fresh:  {fresh_header}") in err
 
 
-def test_replay_of_a_float_round_value_diverges(tmp_path, golden_config_path, capsys):
-    """``2.0 == 2`` in Python, but the stored bytes differ from the fresh ones."""
+def test_replay_of_a_float_round_value_is_refused(tmp_path, golden_config_path, capsys):
+    """``2.0 == 2`` in Python, but a ROUND vote is a type-exact int: the
+    reader reads each message as a ``ProtocolMessage``, so the trace is
+    invalid input (exit 2), not replayed."""
     trace = tmp_path / "trace.jsonl"
     cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
     text = trace.read_text()
     assert '"round_value":2}' in text
     trace.write_text(text.replace('"round_value":2}', '"round_value":2.0}', 1))
     capsys.readouterr()
-    assert cli.main(["replay", "--trace", str(trace)]) == 1
+    assert cli.main(["replay", "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert "replay diverged" in err and '"round_value":2.0}' in err
+    assert "bad event line: round_value 2.0 is not an int" in err and "Traceback" not in err
 
 
 def test_module_entrypoint_smoke(tmp_path, golden_config_path):

@@ -44,7 +44,6 @@ from mbbc.engine import (
 from mbbc.messages import ProtocolMessage, send_msg
 from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
 from mbbc.protocol import (
-    ProtocolState,
     Tallies,
     VariantTag,
     compute_phase,
@@ -366,7 +365,7 @@ class TestDeliveries:
         sender each of whose sends reaches every process folds into the
         common tallies: were the ROUND 5 folded there, process 2 would fold
         its ROUND 3 after it and keep 3. The pinned trace is the one the
-        per-process engine gave."""
+        per-process engine gave, each state digest over the four fields."""
         five, three = {"kind": "ROUND", "round_value": 5}, {"kind": "ROUND", "round_value": 3}
         cfg = scripted_sends([[q, five] for q in range(3)] + [[2, three]])
         trace, received, folded = receive_and_fold(cfg, monkeypatch)
@@ -376,7 +375,7 @@ class TestDeliveries:
         assert [ev.detail["to"] for ev in trace.events
                 if ev.kind == KIND_P2P_SEND and ev.subject == 0] == [[2], [0, 1, 2]]
         assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == (
-            "1999f02e02b1a5e2a9516f683f5f4abbc444bdc7cc5362ac8829b3a9086736ae")
+            "a93459e46c2e321dd472737cd7f95563551e2f409c86e168556a2105203c30a8")
 
     def test_sender_is_stamped_by_the_engine(self):
         """A possessed process cannot send under another process's name."""
@@ -414,11 +413,6 @@ def cured_in_step() -> ScenarioConfig:
         "broadcasts": [{"source": 0, "round": 1, "payload": "m"}],
         "strategy": {"kind": "ARBITRARY", "script": {"4": {"3": {"state": {"rc": 5}}}}},
     })
-
-
-def containers(state: ProtocolState) -> list:
-    """Every set a state holds, each immutable, so that states may share it."""
-    return [state.to_send, state.delivered]
 
 
 def payloads_against_birth_order() -> ScenarioConfig:
@@ -488,7 +482,8 @@ class TestSharedCompute:
                 assert state == sim.states[p], (r, p)
                 assert delivered == sorted((source, payload) for _i, _r, by, source, payload
                                            in delivered_instances(events) if p in by), (r, p)
-            assert all(type(c) is frozenset for state in sim.states for c in containers(state)), r
+            # The queue is immutable, so states may share it.
+            assert all(type(state.to_send) is frozenset for state in sim.states), r
 
     def test_sharing_fires_on_the_fanout_shape(self, monkeypatch):
         calls = []
@@ -576,8 +571,8 @@ def compute_inputs(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, Counter, di
     """Run ``cfg``, counting the engine's ``receive`` and ``compute_phase`` calls.
 
     Returns the trace, the counts, and for each correct (round, process) its
-    inbox, derived by ``deliveries``, and the (rc, cured, cured_faulty_since,
-    delivered) it entered COMPUTE with: SEND reads each correct state after
+    inbox, derived by ``deliveries``, and the (rc, cured, cured_faulty_since)
+    it entered COMPUTE with: SEND reads each correct state after
     ORACLE, once per group, and the processes that hold the state object
     then are that group's members; nothing changes those fields before
     COMPUTE.
@@ -595,8 +590,7 @@ def compute_inputs(cfg: ScenarioConfig, monkeypatch) -> tuple[Trace, Counter, di
     def sending(state):
         for p, held in enumerate(sim.states):
             if held is state:
-                entering[(sim.round, p)] = (state.rc, state.cured, state.cured_faulty_since,
-                                            state.delivered)
+                entering[(sim.round, p)] = (state.rc, state.cured, state.cured_faulty_since)
         return send_phase(state)
 
     monkeypatch.setattr(engine, "receive", counted("receive", receive))
@@ -622,8 +616,7 @@ def shared_inbox_script(seed: int) -> ScenarioConfig:
     ``g`` sends one message to every process, so these receivers share one
     inbox. All three freed processes enter COMPUTE cured: ``a`` with the
     round counter of the others, faulty since round 1; ``e`` with another
-    counter; ``h`` with ``a``'s counter and nothing delivered, but faulty
-    since round 5 (wiped then). NFA_WEAK has no cure notice, so there the
+    counter; ``h`` with ``a``'s counter, but faulty since round 5 (wiped then). NFA_WEAK has no cure notice, so there the
     agents leave them cured themselves."""
     rng = random.Random(seed)
     variant, oracle, n = [("FFA_FULL", "FFA", 16), ("BFA_WEAK", "BFA", 16),
@@ -667,14 +660,15 @@ def shared_inbox_script(seed: int) -> ScenarioConfig:
 
 # seed -> sha256 of the trace of ``shared_inbox_script(seed)`` in the
 # ``mbbc-trace/5`` layout (``previous_layout_jsonl``), derived with every
-# process that received a dictated message running its own COMPUTE.
+# process that received a dictated message running its own COMPUTE, each
+# state digest over the four fields.
 SHARED_INBOX_PINS = {
-    0: "23f669bf3f718a7b3392c6030255254c9942cac3a6b169c5a492a75e77cfc76b",  # FFA_FULL
-    1: "0b3dd73247e6896d9cb8ed5e8765038557dae2367aa3016afaa322ae524336d0",  # BFA_WEAK
-    2: "4c7b303712cd0659228b1af389a675a0a33e02e1a035a11cf1b14f9caa93f668",  # NFA_WEAK
-    3: "7ec35bfe44ab722d987cc9bf3e29e6e92f3ae230fc50e54ce448f420ea8cf0c5",  # FFA_FULL
-    4: "3910b887f3ce64fa672e1223d4ca2091f277a4d620f4973ebff923ca8052d05c",  # BFA_WEAK
-    5: "13aa2a97ba546ef7f133ce257a688ed6f3ee836af38db7840ed2d362d2cd95fc",  # NFA_WEAK
+    0: "2c55db6e7817d6efdd417fc1e2a2efb89ec6d94bd5e5bf5133d548d0890bcb68",  # FFA_FULL
+    1: "0febc6b7a4a213c7eb2912c81eb84b06d2ebbcce3334dcf4b3effa82a31f419d",  # BFA_WEAK
+    2: "a5aaa4c9ac94be6958e2411efd4e32b1319538640fe4f7b551b88b91e89a6521",  # NFA_WEAK
+    3: "e7e1b4f60666d739491a5ddd2d4a11d81360f3b55242ffc98e938dfab00fecc3",  # FFA_FULL
+    4: "5a06dea6ece4518aeda0400026a42d7299a65bc3f90b52d81b388b450e88b68b",  # BFA_WEAK
+    5: "5c4f48f19bb8c24c9bdf35606a2b6d876594f39ff4eac41a34513fd5e4f24a89",  # NFA_WEAK
 }
 
 
@@ -751,8 +745,8 @@ class TestSharedFolds:
         for (r, _p), (inbox, state) in inputs.items():
             if r == k:
                 by_inbox.setdefault(inbox, []).append(state)
-        assert any(any(cured for _rc, cured, _since, _delivered in states)
-                   and len({rc for rc, _cured, _since, _delivered in states}) > 1
+        assert any(any(cured for _rc, cured, _since in states)
+                   and len({rc for rc, _cured, _since in states}) > 1
                    and len(set(states)) >= 3 for states in by_inbox.values())
         text = previous_layout_jsonl(trace)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHARED_INBOX_PINS[seed]
@@ -946,24 +940,6 @@ class TestSharedDetails:
                 for m in e.detail["messages"]}
         assert len(keyed) >= len(sent) > 10
         assert max(keyed.values()) == 1
-
-    def test_corrupted_digest_is_the_state_fingerprint_type_exactly(self, monkeypatch):
-        """``rc=True`` equals ``rc=1`` but digests differently, so the digest
-        memo must not hand one's digest to the other."""
-        digests = []
-
-        class FlipRc(Strategy):
-            def corrupt_state(self, p, r, obs):
-                state = obs.states[p]
-                state.rc = True if r % 2 else 1
-                digests.append(state_fingerprint(state))
-                return state
-
-        monkeypatch.setattr(engine, "build_strategy", lambda config: FlipRc())
-        trace = run(scripted_sends([]))
-        recorded = [e.detail["state_digest"] for e in trace.events
-                    if e.kind == KIND_STATE_CORRUPTED]
-        assert recorded == digests and len(set(digests)) == 2
 
 
 class TestTraceIO:

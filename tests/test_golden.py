@@ -66,74 +66,74 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "06334b61264adbf4181893bc1fd0a2add1a475aa72cc7a0a64bc25a06715400f",
+        "7d8b5a5d665f640e93dee64b6517f1d0443dffe920520bb705ce15b01a51f144",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "2189eaf6b7a876e9356ecaccd2c2aa9a8bc1b2bf9dc9f206a55f8fc0679d3947",
+        "f385e01b7baf7487e66834407af18dd8b05f444c26027c228ba951959b73f98b",
         "b565b1d7e2424a7619b181547bb51a6506f398ba7375d5cdec60f5d24028885e"),
     "bfa_forged_birth.json": (
-        "8015109304265cccb42c60b08062b3ba571caf462eba6e5502575613ad551590",
+        "c0736a06b68afe37edb86dd22203791775f5cc98be5301f83c598ebfdb66fbfb",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "35e443dc87bf316f99fe379fa66c121a3c00b43845d3a8fd28bd952c5d6a4b6f",
+        "5264d8d967109532057708b162703b1ca02f7dddc2a5daf992798edfd27d8a03",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "17608b8bc90b34092b6e5e0e434f759a95ba310e4a865765b564f41519ed94ce",
+        "d20d577f7119414172536c13895acf6c6c6f0ca9a07a02fc6f761d1d48aeeb92",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "49f0bc51fb0c5b4d94e4c78e4b0bfcf95cd5fa479b395f0137331a27e2196c8e",
+        "083c9ec975eb5aaa4a89aef8388da129f27edb6a1fe2388a4d792dd6d8b24f26",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "ffa_delivery_on_cure.json": (
-        "e995cdcdd01c5a047f9bdd82c1468e334183085815175415205a3429e42ab7ec",
+        "275706f9220bafb82a98976af3984e0332a52bb3e351421d8e014c2a1925519d",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "nfa_alternating_n7.json": (
-        "43877e0e071aa4f7165e828b8ad716d29293cadc99bc62bbc11b648b2becebe5",
+        "bce965aae84a593ce0a24ff719f3d1917cf0376b94d9afc79448d2e4a0044e08",
         "3ac542c815ed690f1f0b18b36830465ad3c364936fb2b3752eb9c6ee74facb78"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "e6034c35064a8876d29501a75441d36ef426d390cbea1300f66d9ed9b2301927",
-        "639147c8de2aad146d15197fba622e6b5d5ec1697a36240113fef7fef24109be"),
+        "9d9c49832ff41e0dc1edc50f16d63a869005d12e7dfb5cb790dd80f3ac8f437e",
+        "068666c5965f51a023c9a3a2631746f45d34472e9d95b797e54203938f164ee6"),
     "THEOREM_3": (
-        "e6034c35064a8876d29501a75441d36ef426d390cbea1300f66d9ed9b2301927",
-        "639147c8de2aad146d15197fba622e6b5d5ec1697a36240113fef7fef24109be"),
+        "9d9c49832ff41e0dc1edc50f16d63a869005d12e7dfb5cb790dd80f3ac8f437e",
+        "068666c5965f51a023c9a3a2631746f45d34472e9d95b797e54203938f164ee6"),
     "THEOREM_4": (
-        "26386cb508ab8c550a573f29131870b7b6d3af5e9417484dd3db6aac0acc819b",
-        "1ba9cf400742942565ad5f518608bcc4956d665b173ddabeb059061b46ebc694"),
+        "0b407d81c8eb1240729acd9299339b4d0f107e535b197eb01a4d1c6bb7e1b08e",
+        "f64348f8f39804431e5b9c50650f526e2adb5657153abd61bfb60bdd6bd5fad8"),
     "WIPE_FLIP": (
-        "26386cb508ab8c550a573f29131870b7b6d3af5e9417484dd3db6aac0acc819b",
-        "1ba9cf400742942565ad5f518608bcc4956d665b173ddabeb059061b46ebc694"),
+        "0b407d81c8eb1240729acd9299339b4d0f107e535b197eb01a4d1c6bb7e1b08e",
+        "f64348f8f39804431e5b9c50650f526e2adb5657153abd61bfb60bdd6bd5fad8"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
 # the digests of the bytes the engine wrote in the per-envelope layout
 PER_ENVELOPE_TRACE_PINS = {
-    "alternating_below_bound_n5.json": "76d013a164a047f4069eede8153aeb7a9c98cd7362579cd3ee1d581ad060d9c6",
-    "bfa_double_cure.json": "86d84272eeb614cddbdc5c63d5086c79e5b0a6a6e5094863b9d5bc80d9c9ec91",
-    "bfa_forged_birth.json": "72468e65889b3ab319f1833166d96bf6d45f39b88184d57a33b231fb3f171e17",
-    "correct_source.json": "b917898543967900e8208577e641edf86e703d09e0e6a873f6246b4a3374981c",
-    "faulty_source_all_deliver.json": "a22f0347572f6a432654d185a9b347d6710255cdd7de0f2e71ffe8adecd92003",
-    "faulty_source_none_deliver.json": "fcc3d0dae264ebee1fedf4b745e9b6ef4401f3e59b2fcb1e7ce86b6a6f8871e1",
-    "ffa_delivery_on_cure.json": "b1f8e846bf85139658b380eec5d3de0bdffb1f29821b3259d7bdb20ed5cc0476",
-    "nfa_alternating_n7.json": "5cd2aff26bde26c39fa5ec4f7cf795136c2eb90750d957e3d3d2e50125e2467a",
+    "alternating_below_bound_n5.json": "5e7c71f0c9969bbf0911b6faf61871e603a240293e8de354f1335ec00f2a68fe",
+    "bfa_double_cure.json": "e9d900e357766e79f0782e430736ae333fa2ebc698b681751f21c0db67858e45",
+    "bfa_forged_birth.json": "043c57799ef103356c04c6e72b3d713da3a006e90d5dc1c23ca45b6008118743",
+    "correct_source.json": "3ed610e68d5968ad747ec64a574f7b1f6cfa83f5663fa583269bcc12ca3475a1",
+    "faulty_source_all_deliver.json": "0f545159992357ecd49702930af7186c3ca73db4bb40b5e39d147ed4779ebee7",
+    "faulty_source_none_deliver.json": "29b098b584fa0479a34d40a2a577285c2c0f9e10d35f39a20415730a968bc06c",
+    "ffa_delivery_on_cure.json": "9fe00f72baf37726472ff321fc9fb872cbf01b9be257c2252ad28976e7787ab3",
+    "nfa_alternating_n7.json": "06e33aa21f2c203007e7b4970f51463a4fda3bb7e02a50fc5e85fb30eba2a7d6",
 }
 
 # demo kind -> sha256 of its two traces rendered by `per_envelope_jsonl`
 PER_ENVELOPE_DEMO_PINS = {
     "SOURCE_FLIP": (
-        "c26f665466db9a792735eb93304354248196cd4dd1a5751cdc42ec4c0318bea1",
-        "4a4487d32806570555b757b553b541e3019bec8a16301d1e6bcb0eb99e08323e"),
+        "e4271fb11a2c0f235400c970bbda5e20633525fa03ef4cecceb674b0ec4b9415",
+        "662a13d7f0c4fe758fce90ab5b47fada5e656e2c0c9c65525e1ce90365001d2c"),
     "THEOREM_3": (
-        "c26f665466db9a792735eb93304354248196cd4dd1a5751cdc42ec4c0318bea1",
-        "4a4487d32806570555b757b553b541e3019bec8a16301d1e6bcb0eb99e08323e"),
+        "e4271fb11a2c0f235400c970bbda5e20633525fa03ef4cecceb674b0ec4b9415",
+        "662a13d7f0c4fe758fce90ab5b47fada5e656e2c0c9c65525e1ce90365001d2c"),
     "THEOREM_4": (
-        "6d316b5c53694dcf95ef1a30b986502bc73b1d8d64f8b4e5abcb3ed459aa6601",
-        "291d8dcd1c33fef0162458ebe76d3f0930b2ba216ee9e4a1e491ce1c6c816777"),
+        "370a8d8c6c4b1a2c64b01da15768a8bd454b73929841dd52c12576ba7f56785d",
+        "34eb229c4eccceadbb1014aa86b4265969add559e6493991e69e176a28e98fa3"),
     "WIPE_FLIP": (
-        "6d316b5c53694dcf95ef1a30b986502bc73b1d8d64f8b4e5abcb3ed459aa6601",
-        "291d8dcd1c33fef0162458ebe76d3f0930b2ba216ee9e4a1e491ce1c6c816777"),
+        "370a8d8c6c4b1a2c64b01da15768a8bd454b73929841dd52c12576ba7f56785d",
+        "34eb229c4eccceadbb1014aa86b4265969add559e6493991e69e176a28e98fa3"),
 }
 
 # config file -> sha256 of `projection_jsonl` of its `mbbc run` trace rendered
@@ -301,7 +301,7 @@ def expanded_projection_jsonl(text: str) -> str:
     stand at its first send; every other line is kept as it is. Each line
     gets back its phase."""
     events = [json.loads(text_line) for text_line in text.splitlines()]
-    sends = round_sends(TraceEvent.from_dict(ev) for ev in events)
+    sends = round_sends(TraceEvent(**ev) for ev in events)
     out = []
     for ev in events:
         if ev["kind"] != KIND_P2P_SEND:
@@ -420,10 +420,9 @@ def test_delivery_on_cure_satisfies_every_property(tmp_path):
     and runs its compute faithfully, so it delivers the round-1 broadcast
     in the due round 4 while possessed, which is not traced. On its cure in
     round 6 the gate owes it the delivery, as its stay began by round 4;
-    the cure clears ``delivered``, so nothing the agent left suppresses it,
-    and every property holds (this trace once violated VALIDITY, AGREEMENT
-    and TOTALITY). The pinned trace is the one the per-process engine gave
-    with that mend."""
+    no state field records the possessed delivery, so nothing the agent
+    left suppresses it, and every property holds (this trace once violated
+    VALIDITY, AGREEMENT and TOTALITY)."""
     _data, trace, _reports = config_evidence("ffa_delivery_on_cure.json", tmp_path)
     config = trace.scenario()
     reports = run_property_checks(trace, config.resolved_schedule(), config.delta_b,

@@ -74,7 +74,7 @@ class TestInit:
 
     def test_state_holds_only_what_survives_a_round(self):
         assert [f.name for f in dataclasses.fields(ProtocolState)] == [
-            "to_send", "cured", "cured_faulty_since", "rc", "delivered"]
+            "to_send", "cured", "cured_faulty_since", "rc"]
 
 
 class TestBroadcast:
@@ -118,12 +118,13 @@ class TestOnCured:
         on_cured(state, faulty_since=2)
         assert state.cured_faulty_since == 2
 
-    def test_clears_delivered(self):
-        """What the agent left in ``delivered`` is not the process's own."""
-        state = fresh()
-        state.delivered = frozenset({(0, b"m")})
+    def test_sets_only_the_cure_flags(self):
+        """The next send phase wipes the queue; the cure itself sets the
+        cure flags and nothing else."""
+        state = fresh(rc=7)
+        state.to_send = frozenset({round_msg(7)})
         on_cured(state, faulty_since=3)
-        assert state.delivered == frozenset()
+        assert state == ProtocolState(frozenset({round_msg(7)}), True, 3, 7)
 
 
 def faithful_stays(n: int, stays: list[tuple[int, int, int]]) -> ScenarioConfig:
@@ -148,8 +149,8 @@ def faithful_stays(n: int, stays: list[tuple[int, int, int]]) -> ScenarioConfig:
 def test_a_faithful_stay_across_the_due_round_delivers_on_its_cure(n, stays):
     """Above FFA_FULL's bound, a process possessed across the due round 4
     and run faithfully delivers there unseen; its cure owes it the delivery
-    (its stay began by round 4), and every property holds. Before the cure
-    cleared ``delivered`` the mark left there suppressed it: VALIDITY,
+    (its stay began by round 4), and every property holds. While the state
+    kept a ``delivered`` set, the mark left there suppressed it: VALIDITY,
     AGREEMENT and TOTALITY were VIOLATED in each of these."""
     config = faithful_stays(n, stays)
     trace = engine.run(config)
@@ -537,7 +538,6 @@ class TestStateFingerprint:
         state = fresh(rc=5)
         state.to_send = {round_msg(5), ready_msg(0, 1, b"m")}
         on_cured(state, faulty_since=2)
-        state.delivered = {(0, b"m")}
         return state
 
     def test_equal_fields_equal_digests(self):
@@ -553,10 +553,7 @@ class TestStateFingerprint:
         lambda s: setattr(s, "cured", False),
         lambda s: setattr(s, "cured_faulty_since", 3),
         lambda s: setattr(s, "cured_faulty_since", None),
-        lambda s: s.delivered.add((1, b"m")),
-        lambda s: s.delivered.clear(),
-    ], ids=["to_send+", "to_send-", "rc", "cured", "cured_faulty_since", "cured_faulty_since_none",
-            "delivered+", "delivered-"])
+    ], ids=["to_send+", "to_send-", "rc", "cured", "cured_faulty_since", "cured_faulty_since_none"])
     def test_each_field_moves_the_digest(self, change):
         state = self.build()
         change(state)
@@ -566,22 +563,15 @@ class TestStateFingerprint:
         lambda s: None,
         lambda s: s.to_send.add(send_msg(2, 3, "é \"\\ \u2603".encode())),
         lambda s: s.to_send.add(echo_msg(1, 2, b"\xff")),
-        lambda s: s.delivered.update({(3, b""), (1, b"\x00\xff")}),
-        lambda s: setattr(s, "rc", True),
-        lambda s: setattr(s, "cured", 1),
-        lambda s: setattr(s, "cured_faulty_since", True),
+        lambda s: setattr(s, "cured", False),
         lambda s: setattr(s, "cured_faulty_since", None),
-        lambda s: s.delivered.add((True, b"m")),
-    ], ids=["built", "escaped_payload", "hex_payload", "delivered", "rc_bool", "cured_int",
-            "cured_faulty_since_bool", "cured_faulty_since_none", "delivered_source_bool"])
+    ], ids=["built", "escaped_payload", "hex_payload", "not_cured", "cured_faulty_since_none"])
     def test_the_digest_hashes_the_encoders_text(self, change):
-        """The fields written directly, and those of other types that are
-        encoded, give the text the compact, key-sorted encoder writes for the
-        whole state."""
+        """The fields written directly give the text the compact, key-sorted
+        encoder writes for the whole state."""
         state = self.build()
         change(state)
         text = json.dumps({"cured": state.cured, "cured_faulty_since": state.cured_faulty_since,
-                           "delivered": sorted((s, p.hex()) for s, p in state.delivered),
                            "rc": state.rc,
                            "to_send": [m.to_dict() for m in sorted(state.to_send,
                                                                    key=ProtocolMessage.sort_key)]},

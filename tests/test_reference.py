@@ -225,7 +225,7 @@ def test_the_crash_sample_holds_the_cure_corner():
         if sched.is_faulty(0, 1):
             continue
         for r in range(due + 1, sched.horizon + 1):
-            starts = {sched.faulty_span_start(p, r - 1) <= due for p in sched.cured_processes(r)}
+            starts = {start <= due for _p, start in sched.cures(r)}
             corners += starts == {True, False}
     assert corners >= 30
 
