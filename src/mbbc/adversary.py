@@ -32,6 +32,7 @@ from .protocol import (
     compute_phase,
     init_state,
     on_cured,
+    queue_broadcasts,
     send_phase,
 )
 from .scenario import Broadcast, ScenarioConfig
@@ -165,7 +166,8 @@ def _faithful_compute(config: ScenarioConfig, p: int, r: int, obs: Observation) 
     for p in round r."""
     state = obs.states[p]
     payloads = [b.payload for b in config.broadcasts if b.source == p and b.round == r]
-    compute_phase(state, obs.tallies[p], p, config.variant_spec(), config.n, broadcasts=payloads)
+    compute_phase(state, obs.tallies[p], config.variant_spec(), config.n)
+    queue_broadcasts(state, p, payloads)
     return state
 
 

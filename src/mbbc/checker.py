@@ -2,8 +2,9 @@
 
 Each checker is a pure function of one ``TraceIndex`` (a trace, its failure
 schedule and the scenario's parameters) returning a PropertyReport with
-verdict SATISFIED, VIOLATED (with a replayable witness) or UNRESOLVED (the
-obligation falls due beyond the horizon — never treated as a violation).
+verdict SATISFIED, VIOLATED (with a witness: the indices of the events that
+show the violation) or UNRESOLVED (the obligation falls due beyond the
+horizon — never treated as a violation).
 ``run_property_checks`` is the entry point: it builds the index once and
 runs the checkers a report asks for on it.
 
@@ -454,45 +455,6 @@ def _checkers() -> dict[str, Callable[[TraceIndex], PropertyReport]]:
 
 def reports_to_json(reports: list[PropertyReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
-
-
-def replay_witness(report: PropertyReport, trace: Trace, schedule: FailureSchedule,
-                   delta_b: int, delta_c: int, variant: VariantTag) -> bool:
-    """Re-derive a VIOLATED verdict from its witness events alone.
-
-    Returns True when the cited events (plus, for absence-style properties, a
-    scan confirming the absence) establish the violation on this trace.
-    """
-    if report.verdict != VIOLATED:
-        return False
-    events = trace.events
-    if any(not 0 <= i < len(events) for i in report.witness):
-        return False
-
-    index = TraceIndex(trace, schedule, delta_b, delta_c, variant)
-    if report.property in (NO_DUPLICATION, CONSISTENCY):
-        # A cited event stands for all its groups; one with none is no delivery.
-        at: dict[int, list[DeliveryGroup]] = {}
-        for g in index.correct_deliveries:
-            at.setdefault(g.event_index, []).append(g)
-        if any(i not in at for i in report.witness):
-            return False
-        groups = [g for i in sorted(set(report.witness)) for g in at[i]]
-        if report.property == NO_DUPLICATION:
-            # Some process is a correct member of two cited groups of one instance.
-            keys = [(p, g.source, g.payload) for g in groups for p in g.correct]
-            return len(set(keys)) < len(keys)
-        # Two cited groups deliver different payloads of one source.
-        payloads: dict[int, set[bytes]] = {}
-        for g in groups:
-            payloads.setdefault(g.source, set()).add(g.payload)
-        return len(report.witness) >= 2 and any(len(p) > 1 for p in payloads.values())
-
-    check = _checkers().get(report.property)
-    if check is None:
-        return False
-    fresh = check(index)
-    return fresh.verdict == VIOLATED and set(report.witness) <= set(fresh.witness)
 
 
 def permanently_correct(schedule: FailureSchedule) -> frozenset[int]:

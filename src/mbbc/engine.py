@@ -59,9 +59,9 @@ Each round runs five sub-phases in a fixed order:
    counter thus joins the class its repair puts it in. A scheduled
    broadcast call joins its class like any other process, then takes a
    copy of the outcome whose queue gains the SEND, stamped with the
-   repaired ``rc``. A state object that two processes hold is never changed
-   in place: a possessed member, a part split off by fold and a caller each
-   work on a copy. The next round's groups are the classes, less their
+   repaired ``rc`` (``protocol.queue_broadcasts``). A state object that two
+   processes hold is never changed in place: a possessed member, a part
+   split off by fold and a caller each work on a copy. The next round's groups are the classes, less their
    callers, and one group for each caller and each possessed process. The
    send queue a state carries is immutable, so copies share it. Each class
    delivers in (source, payload) order and lists its members in process
@@ -83,7 +83,8 @@ also possessed in round r-1 and held a state of the same digest then: the
 first round of each faulty span always has its event, and a stay that
 leaves the state's digest unchanged writes nothing more. So the digest of
 any possessed (p, r) is that of p's latest STATE_CORRUPTED at or before r
-within its span, which starts at ``FailureSchedule.faulty_span_start(p, r)``.
+within its span: the rounds back from r in which p is faulty
+(``FailureSchedule.is_faulty``).
 
 A round's correct fan-outs are one P2P_SEND event per distinct list of
 senders, ``{"from": [senders], "messages": [m, …], "to": "ALL"}``: the
@@ -137,7 +138,7 @@ from operator import lt, methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .adversary import Observation, Strategy, build_strategy
-from .messages import TO_ALL, ProtocolMessage, compact_json, decode_payload, encode_payload, send_msg
+from .messages import TO_ALL, ProtocolMessage, compact_json, decode_payload, encode_payload
 from .model import FailureSchedule, OracleKind, shown
 from .protocol import (
     ProtocolState,
@@ -146,6 +147,7 @@ from .protocol import (
     init_state,
     on_cured,
     on_p2p_deliver,
+    queue_broadcasts,
     read_fold,
     receive,
     send_phase,
@@ -1028,8 +1030,7 @@ class Simulation:
                 if found is None:
                     # In place when the part is every holder of the state.
                     outcome = state if part is members else state.copy()
-                    classes[key] = [outcome, compute_phase(outcome, fold, part[0], variant, n),
-                                    part, False]
+                    classes[key] = [outcome, compute_phase(outcome, fold, variant, n), part, False]
                     if outcome is state:
                         continue
                 else:
@@ -1058,8 +1059,7 @@ class Simulation:
                 for payload in payloads:
                     emit(TraceEvent(r, KIND_BROADCAST_CALL, p, dict(encode_payload(payload))))
                 new_state = states[p] = states[p].copy()
-                new_state.to_send = new_state.to_send.union(
-                    [send_msg(p, new_state.rc - 1, payload) for payload in payloads])
+                queue_broadcasts(new_state, p, payloads)
             alone.append((new_state, [p]))
         delivering = []
         next_groups = []

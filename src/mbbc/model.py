@@ -320,9 +320,8 @@ class FailureSchedule:
 
     def cures(self, r: int) -> tuple[tuple[int, int], ...]:
         """Each process freed at the r-1/r boundary, faulty in r-1 and
-        correct in r, with the first round of the faulty span that just ended
-        (``faulty_span_start(p, r - 1)``), in process order; none outside
-        [2, horizon]."""
+        correct in r, with the first round of the maximal faulty span that
+        just ended, in process order; none outside [2, horizon]."""
         return self._cure_table[r - 1] if 1 <= r <= self.horizon else ()
 
     @cached_property
@@ -336,13 +335,6 @@ class FailureSchedule:
                 if last < self.horizon:
                     table[last].append((p, first))
         return tuple(map(tuple, table))
-
-    def faulty_span_start(self, p: int, r: int) -> int:
-        """First round of the maximal contiguous faulty span of p that covers round r."""
-        if not self.is_faulty(p, r):
-            raise ValueError(f"process {p} is not faulty in round {r}")
-        spans = self._spans[p]
-        return spans[bisect_right(spans, r, key=itemgetter(0)) - 1][0]
 
     def next_correct(self, p: int, r: int) -> int | None:
         """p's first correct round at or after r; None when there is none within the horizon."""

@@ -23,10 +23,10 @@ The compute phase works at two levels. What depends on the tallies alone is
 the fold's reading (``FoldReading``), taken once per fold and kept on it: the
 ROUND majority that more than F votes back, the READY and ABORT votes its ECHO
 quorums and relayable READY quorums call for, and the earliest birth of each
-(source, payload) with a READY quorum. What depends on the process is applied
+(source, payload) with a READY quorum. What depends on the state is applied
 per call: the counter repair, the ECHOs of SENDs born one round before the
-repaired counter, the process's own broadcast SENDs, the delivery gate and
-the ROUND vote.
+repaired counter, the delivery gate and the ROUND vote. A broadcast caller's
+own SENDs join its queue after the phase (``queue_broadcasts``).
 
 Three variants share the machine and differ only in the delivery gate and the
 effective fault bound F:
@@ -255,14 +255,8 @@ def read_fold(tallies: Tallies, n: int, F: int) -> FoldReading:
     return reading
 
 
-def compute_phase(
-    state: ProtocolState,
-    tallies: Tallies,
-    self_id: int,
-    variant: Variant,
-    n: int,
-    broadcasts: Sequence[bytes] = (),
-) -> list[tuple[int, bytes]]:
+def compute_phase(state: ProtocolState, tallies: Tallies, variant: Variant, n: int
+                  ) -> list[tuple[int, bytes]]:
     """Run one compute phase on the round's ``tallies``, which it only reads;
     returns the deliveries (source, payload) it triggers, in (source,
     payload) order. A (source, payload) with READY quorums at several births
@@ -273,25 +267,21 @@ def compute_phase(
     majority counter, its READY and ABORT votes, and its READY quorums with
     their earliest births. The phase applies the process's part in a fixed
     order: repair the round counter to the fold's majority (kept when none),
-    apply any broadcast calls scheduled for this round (stamped with the
-    repaired counter, before it increments), ECHO each SEND born the round
-    before the repaired counter, put each READY quorum through the delivery
-    gate, then clear the cure flags and increment the counter with its ROUND
-    vote. The new queue is the fold's votes with the process's own messages;
-    the old one is dropped.
+    ECHO each SEND born the round before the repaired counter, put each
+    READY quorum through the delivery gate, then clear the cure flags and
+    increment the counter with its ROUND vote. The new queue is the fold's
+    votes with the process's own messages; the old one is dropped.
 
-    ``broadcasts`` serves the adversary's faithful compute of a possessed
-    process. The engine passes none: a correct caller takes a copy of its
-    class's outcome, then adds the same SEND to its queue, stamped with the
-    repaired counter, which is the incremented ``rc`` minus one.
+    The phase reads no process id: its outcome depends only on the state,
+    the fold, the variant and n, so processes of equal state and fold may
+    share one. A process's broadcast calls of the round go to its queue
+    afterwards, through ``queue_broadcasts``.
     """
     reading = read_fold(tallies, n, variant.effective_f)
     if reading.majority is not None:
         state.rc = reading.majority
     rc = state.rc
     own = [round_msg(rc + 1)]
-    for payload in broadcasts:
-        own.append(send_msg(self_id, rc, payload))
     for source, birth, payload in tallies.sends:
         if rc == birth + 1:
             own.append(echo_msg(source, birth, payload))
@@ -304,6 +294,16 @@ def compute_phase(
     state.rc = rc + 1
     state.to_send = reading.votes.union(own)
     return deliveries
+
+
+def queue_broadcasts(state: ProtocolState, source: int, payloads: Sequence[bytes]) -> None:
+    """Queue the SEND of each payload ``source`` broadcasts this round,
+    after its compute phase: stamped with the round's repaired counter,
+    which is the incremented ``rc`` minus one. With no payload the queue
+    is left as it is."""
+    if payloads:
+        state.to_send = state.to_send.union([send_msg(source, state.rc - 1, payload)
+                                             for payload in payloads])
 
 
 def _delivery_gate(state: ProtocolState, variant: Variant, birth: int) -> bool:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from mbbc.checker import VIOLATED, PropertyReport, replay_witness
+from mbbc.checker import CONSISTENCY, NO_DUPLICATION, VALIDITY, VIOLATED, PropertyReport
 from mbbc.demos import DemoResult, adapter_choices, adapter_output
 from mbbc.engine import (
     KIND_BROADCAST_CALL,
@@ -17,12 +17,15 @@ from mbbc.engine import (
     Trace,
     TraceEvent,
     deliver_oracle_events,
+    delivered_instances,
     encode_line,
 )
 from mbbc.messages import ProtocolMessage, decode_payload
+from mbbc.model import FailureSchedule
 from mbbc.protocol import Variant, VariantTag
 from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import attack_scenario
+from monitor import monitor_verdicts
 
 # The phase of a round that writes each kind, as the engine runs them: the
 # traced kinds and the two ``mbbc-trace/6`` dropped. A trace line holds no
@@ -134,16 +137,16 @@ def assert_corruption_layout(trace: Trace) -> None:
     assert len({(p, r) for p, r, _digest in written}) == len(written)
     for p, r, digest in written:
         assert schedule.is_faulty(p, r), (p, r)
-        if schedule.faulty_span_start(p, r) < r:
+        if r > 1 and schedule.is_faulty(p, r - 1):
             assert digest != digests[p, r - 1], (p, r)
 
 
 def possessed_details(trace: Trace) -> dict[tuple[int, int], dict]:
     """Each possessed (process, round)'s STATE_CORRUPTED detail, in round
     and then process order: the detail of the process's latest
-    STATE_CORRUPTED at or before the round within its faulty span, whose
-    start the header's schedule fixes (``faulty_span_start``). The first
-    round of a span must have its own event."""
+    STATE_CORRUPTED at or before the round within its faulty span, which
+    the header's schedule fixes. The first round of a span must have its
+    own event."""
     schedule = trace.scenario().resolved_schedule()
     written = {(ev.subject, ev.round): ev.detail for ev in trace.events
                if ev.kind == KIND_STATE_CORRUPTED}
@@ -153,7 +156,7 @@ def possessed_details(trace: Trace) -> dict[tuple[int, int], dict]:
             if (p, r) in written:
                 details[p, r] = written[p, r]
             else:
-                assert schedule.faulty_span_start(p, r) < r, f"span of {p} at {r} has no digest"
+                assert r > 1 and schedule.is_faulty(p, r - 1), f"span of {p} at {r} has no digest"
                 details[p, r] = details[p, r - 1]
     return details
 
@@ -565,18 +568,149 @@ def choice_violations(result: DemoResult) -> dict[str, list[tuple[str, str]]]:
             for c in result.choices}
 
 
-def assert_violations_replay(result: DemoResult) -> None:
-    """Every violation a demo reports is re-derived from its witness on the
-    choice's output for that history."""
+def forged_trace(config: ScenarioConfig, events: list[TraceEvent]) -> Trace:
+    return Trace(fingerprint=config.fingerprint(), seed=config.seed,
+                 config=config.to_dict(), events=events)
+
+
+def fault_free_config(n=4, horizon=6) -> ScenarioConfig:
+    return ScenarioConfig.from_dict({
+        "n": n, "f": 0, "delta_s": 1, "horizon": horizon, "seed": 0,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
+        "variant": "FFA_FULL",
+        "schedule": {"trajectories": []},
+    })
+
+
+def deliver_event(process, round_, source, payload) -> TraceEvent:
+    return TraceEvent(round=round_, kind=KIND_DELIVER_CALL, subject=process,
+                      detail={"by": [process], "instances": [{"payload": payload, "source": source}]})
+
+
+def broadcast_event(source, round_, payload) -> TraceEvent:
+    return TraceEvent(round=round_, kind=KIND_BROADCAST_CALL,
+                      subject=source, detail={"payload": payload})
+
+
+def one_stay_config(n: int, horizon: int, host: int, first: int, last: int | None,
+                    variant: str = "FFA_FULL") -> ScenarioConfig:
+    """One agent, on ``host`` in rounds ``first`` to ``last`` (to the
+    horizon when None), and nothing else: no broadcast, no strategy."""
+    return ScenarioConfig.from_dict({
+        "n": n, "f": 1, "delta_s": 1, "horizon": horizon, "seed": 0,
+        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": VARIANT_SETTINGS[variant][0]},
+        "variant": variant,
+        "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+            {"host": host, "first_round": first, "last_round": last}]}]},
+    })
+
+
+# Hand-built traces, by name, as (config, events): each breaks a property no
+# engine run here breaks, breaks several at once, or sits on the edge one
+# comparison of a property turns on (delta_b 2, delta_c 1).
+HAND_BUILT = {
+    # A delivery with no broadcast and a source never faulty: INTEGRITY.
+    "unexplained_delivery": lambda: (fault_free_config(), [deliver_event(1, 4, 0, "ghost")]),
+    # Two of four processes deliver: AGREEMENT, with 2 and 3 owing.
+    "partial_delivery": lambda: (fault_free_config(), [deliver_event(0, 4, 0, "m"),
+                                                       deliver_event(1, 4, 0, "m")]),
+    # The same in round 5 of 6: the others owe it in round 6, the horizon.
+    "partial_delivery_before_horizon": lambda: (fault_free_config(), [
+        deliver_event(0, 5, 0, "m"), deliver_event(1, 5, 0, "m")]),
+    # One of three processes delivers in the last round, so the others owe it
+    # past the horizon: AGREEMENT and TOTALITY UNRESOLVED.
+    "delivery_at_horizon": lambda: (fault_free_config(n=3, horizon=5),
+                                    [deliver_event(0, 5, 0, "m")]),
+    # Two payloads of source 2: CONSISTENCY.
+    "two_payloads": lambda: (fault_free_config(), [deliver_event(0, 3, 2, "a"),
+                                                   deliver_event(1, 4, 2, "b")]),
+    # A correct process delivers (0, "a") twice and (0, "b") once, unbroadcast.
+    "correct_repeats": lambda: (one_stay_config(4, 8, 1, 1, None, "BFA_WEAK"), [
+        deliver_event(2, 3, 0, "a"), deliver_event(2, 4, 0, "a"), deliver_event(2, 5, 0, "b")]),
+    # A delivery in its broadcast's round, and one in the first faulty round
+    # of its source: each explained, INTEGRITY holds.
+    "delivery_in_broadcast_round": lambda: (fault_free_config(horizon=8), [
+        broadcast_event(0, 3, "m"), deliver_event(2, 3, 0, "m")]),
+    "delivery_as_source_falls": lambda: (one_stay_config(4, 8, 0, 4, None),
+                                         [deliver_event(2, 4, 0, "ghost")]),
+    # Process 3, freed in round 6 of 6, is i.o.-correct and never delivers: AGREEMENT.
+    "freed_in_the_last_round": lambda: (one_stay_config(4, 6, 3, 5, 5), [
+        deliver_event(p, 4, 0, "m") for p in range(3)]),
+    # NFA_WEAK: process 2, correct from round 2, misses only the due round 4.
+    "missed_due_round": lambda: (one_stay_config(3, 6, 2, 1, 1, "NFA_WEAK"), [
+        broadcast_event(0, 1, "m"), deliver_event(0, 4, 0, "m"), deliver_event(1, 4, 0, "m"),
+        *(deliver_event(p, r, 0, "m") for r in (5, 6) for p in range(3))]),
+    # FFA_FULL at n = 5f: three of five deliver, so only the per-process
+    # reading, not promised at the bound, would break VALIDITY.
+    "some_deliver_at_the_bound": lambda: (one_stay_config(5, 6, 4, 1, 1), [
+        broadcast_event(0, 1, "m"), *(deliver_event(p, 4, 0, "m") for p in range(3))]),
+}
+
+
+def hand_built(name: str) -> tuple[ScenarioConfig, Trace]:
+    config, events = HAND_BUILT[name]()
+    return config, forged_trace(config, events)
+
+
+def witness_holds(report: PropertyReport, trace: Trace, schedule: FailureSchedule) -> bool:
+    """Whether a VIOLATED report's witness cites what its property needs.
+
+    Each index names an event of the trace of the kind the property cites:
+    a BROADCAST_CALL for VALIDITY, a DELIVER_CALL for the others. For the
+    two properties a pair of deliveries breaks, the cited events show the
+    pair, each standing for all its instances and each holding a delivery
+    by a process correct in its round: for NO_DUPLICATION some process
+    delivers one instance twice among them, and for CONSISTENCY they
+    deliver two payloads of one source."""
+    events = trace.events
+    kind = KIND_BROADCAST_CALL if report.property == VALIDITY else KIND_DELIVER_CALL
+    if any(not 0 <= i < len(events) or events[i].kind != kind for i in report.witness):
+        return False
+    if report.property not in (NO_DUPLICATION, CONSISTENCY):
+        return True
+    cited = set(report.witness)
+    groups = [(i, source, payload, [p for p in by if p not in schedule.faulty_set(r)])
+              for i, r, by, source, payload in delivered_instances(events) if i in cited]
+    if {i for i, _source, _payload, correct in groups if correct} != cited:
+        return False
+    if report.property == NO_DUPLICATION:
+        deliveries = [(p, source, payload) for _i, source, payload, correct in groups for p in correct]
+        return len(set(deliveries)) < len(deliveries)
+    payloads: dict[int, set[bytes]] = {}
+    for _i, source, payload, correct in groups:
+        if correct:
+            payloads.setdefault(source, set()).add(payload)
+    return any(len(of_source) > 1 for of_source in payloads.values())
+
+
+def assert_checked_independently(reports: list[PropertyReport], trace: Trace,
+                                 schedule: FailureSchedule, delta_b: int, delta_c: int,
+                                 variant: VariantTag) -> None:
+    """Each report's verdict is the one the monitor (``monitor.Monitor``)
+    gives, and each VIOLATED report's witness holds (``witness_holds``)."""
+    verdicts = monitor_verdicts(trace, schedule, delta_b, delta_c, variant)
+    for report in reports:
+        assert report.verdict == verdicts[report.property], (report.property, verdicts)
+        if report.verdict == VIOLATED:
+            assert witness_holds(report, trace, schedule), report.property
+
+
+def assert_choice_verdicts_hold(result: DemoResult) -> None:
+    """Each adapter choice's verdicts on each history are the monitor's on
+    the choice's output for that history, and the witness of each
+    violation holds on it."""
     pairs = {name: pair for names, pair in (
         (("correct_then_faulty", "deliver_then_wipe"), (result.config_first, result.trace_first)),
         (("faulty_then_correct", "wipe_only"), (result.config_second, result.trace_second)))
         for name in names}
     keeps = adapter_choices(result.kind, result.config_first)
     for choice in result.choices:
-        for v in choice["violations"]:
-            cfg, trace = pairs[v["history"]]
-            report = PropertyReport(v["property"], VIOLATED, v["witness"], v["details"])
-            assert replay_witness(report, adapter_output(trace, keeps[choice["choice"]]),
-                                  cfg.resolved_schedule(), cfg.delta_b, cfg.delta_c,
-                                  cfg.variant), (choice["choice"], v)
+        for history, verdicts in choice["verdicts"].items():
+            cfg, trace = pairs[history]
+            witnesses = {v["property"]: v["witness"] for v in choice["violations"]
+                         if v["history"] == history}
+            reports = [PropertyReport(prop, verdict, witnesses.get(prop, []))
+                       for prop, verdict in verdicts.items()]
+            assert_checked_independently(reports, adapter_output(trace, keeps[choice["choice"]]),
+                                         cfg.resolved_schedule(), cfg.delta_b, cfg.delta_c,
+                                         cfg.variant)

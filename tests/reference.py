@@ -8,15 +8,17 @@ docstrings:
 
 1. ADVERSARY: the schedule's faulty set of the round;
 2. ORACLE: a cure notice to each process faulty in the round before and
-   correct in this one, with the start of its faulty span under FFA, none
-   under BFA, and no notice at all under NFA;
+   correct in this one, with the start of its faulty span under FFA (the
+   first of the rounds back from the round before in which it is faulty),
+   none under BFA, and no notice at all under NFA;
 3. SEND: each correct process's whole queue to every process, and each
    faulty one's dictated (receiver, message) pairs;
 4. RECEIVE: each process folds its own receipts, by (sender, message) in
    message order, into its own fresh ``Tallies``, so no two processes share
    a fold and each takes its own reading;
-5. COMPUTE: one ``compute_phase`` per correct process, its scheduled
-   broadcast calls passed in, and ``corrupt_state`` per faulty process.
+5. COMPUTE: one ``compute_phase`` per correct process, then its scheduled
+   broadcast calls queued (``queue_broadcasts``), and ``corrupt_state`` per
+   faulty process.
 
 The strategies see the same ``Observation`` the engine gives them: the live
 states, and each process's own fold.
@@ -27,7 +29,15 @@ from __future__ import annotations
 from mbbc.adversary import Observation, build_strategy
 from mbbc.messages import TO_ALL, ProtocolMessage
 from mbbc.model import OracleKind
-from mbbc.protocol import Tallies, compute_phase, init_state, on_cured, receive, send_phase
+from mbbc.protocol import (
+    Tallies,
+    compute_phase,
+    init_state,
+    on_cured,
+    queue_broadcasts,
+    receive,
+    send_phase,
+)
 from mbbc.scenario import ScenarioConfig
 
 
@@ -56,8 +66,10 @@ class Reference:
         if oracle is not OracleKind.NFA and r > 1:
             for p in range(n):
                 if sched.is_faulty(p, r - 1) and not sched.is_faulty(p, r):
-                    on_cured(states[p], sched.faulty_span_start(p, r - 1)
-                             if oracle is OracleKind.FFA else None)
+                    since = r - 1
+                    while since > 1 and sched.is_faulty(p, since - 1):
+                        since -= 1
+                    on_cured(states[p], since if oracle is OracleKind.FFA else None)
 
         obs = Observation(schedule=sched, states=states)
         sends: list[tuple[int, ProtocolMessage, int]] = []
@@ -78,7 +90,7 @@ class Reference:
             if p in faulty:
                 states[p] = self.strategy.corrupt_state(p, r, obs)
             else:
-                payloads = [b.payload for b in cfg.broadcasts if (b.source, b.round) == (p, r)]
-                delivered[p] = compute_phase(states[p], obs.tallies[p], p, self.variant, n,
-                                             broadcasts=payloads)
+                delivered[p] = compute_phase(states[p], obs.tallies[p], self.variant, n)
+                queue_broadcasts(states[p], p, [b.payload for b in cfg.broadcasts
+                                                if (b.source, b.round) == (p, r)])
         return sends, delivered

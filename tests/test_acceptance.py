@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from conftest import (
     CHOICE_PINS,
-    assert_violations_replay,
+    assert_choice_verdicts_hold,
     bfa_double_cure_scenario,
     choice_violations,
     golden_correct_source,
@@ -185,7 +185,7 @@ def test_criterion_07_impossibility_demos():
         assert result.projections_identical, kind
         assert result.holds, kind
         assert choice_violations(result) == pins, kind
-        assert_violations_replay(result)
+        assert_choice_verdicts_hold(result)
     _report(7, "both paired constructions: byte-identical projections at permanently "
                "correct processes; the checker finds a replayable violation of every "
                "adapter choice")

@@ -4,7 +4,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bfa_double_cure_scenario, golden_correct_source, split_send_scenario
+from conftest import (
+    assert_checked_independently,
+    bfa_double_cure_scenario,
+    broadcast_event,
+    deliver_event,
+    fault_free_config,
+    forged_trace,
+    golden_correct_source,
+    hand_built,
+    one_stay_config,
+    split_send_scenario,
+)
 from mbbc import checker
 from mbbc.checker import (
     AGREEMENT,
@@ -24,7 +35,6 @@ from mbbc.checker import (
     permanently_correct,
     projection,
     projection_jsonl,
-    replay_witness,
     reports_to_json,
     run_property_checks,
 )
@@ -36,7 +46,6 @@ from mbbc.engine import (
     KIND_STATE_CORRUPTED,
     TO_ALL,
     Trace,
-    TraceEvent,
     deliveries,
     encode_line,
     round_sends,
@@ -47,30 +56,11 @@ from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import attack_scenario
 
 
-def forged_trace(config: ScenarioConfig, events: list[TraceEvent]) -> Trace:
-    return Trace(fingerprint=config.fingerprint(), seed=config.seed,
-                 config=config.to_dict(), events=events)
-
-
-def fault_free_config(n=4, horizon=6) -> ScenarioConfig:
-    return ScenarioConfig.from_dict({
-        "n": n, "f": 0, "delta_s": 1, "horizon": horizon, "seed": 0,
-        "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
-        "variant": "FFA_FULL",
-        "schedule": {"trajectories": []},
-    })
-
-
 def check_one(prop: str, trace: Trace, cfg: ScenarioConfig,
               variant: VariantTag | None = None) -> PropertyReport:
     """The report of one property, with delta_b 2 and delta_c 1."""
     report, = run_property_checks(trace, cfg.resolved_schedule(), 2, 1, variant or cfg.variant, (prop,))
     return report
-
-
-def deliver_event(process, round_, source, payload) -> TraceEvent:
-    return TraceEvent(round=round_, kind=KIND_DELIVER_CALL, subject=process,
-                      detail={"by": [process], "instances": [{"payload": payload, "source": source}]})
 
 
 def drop_delivery(trace: Trace, process: int, round_: int) -> None:
@@ -84,11 +74,6 @@ def drop_delivery(trace: Trace, process: int, round_: int) -> None:
         trace.events[i] = ev._replace(subject=by[0], detail={**ev.detail, "by": by})
     else:
         del trace.events[i]
-
-
-def broadcast_event(source, round_, payload) -> TraceEvent:
-    return TraceEvent(round=round_, kind=KIND_BROADCAST_CALL,
-                      subject=source, detail={"payload": payload})
 
 
 class TestValidity:
@@ -108,7 +93,7 @@ class TestValidity:
         trace = run(cfg)
         report = check_one(VALIDITY, trace, cfg)
         assert report.verdict == VIOLATED
-        assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
     def test_broadcast_too_close_to_horizon_unresolved(self):
         cfg = fault_free_config(horizon=3)
@@ -130,7 +115,7 @@ class TestNoDuplication:
         # The twice-cured process is in three cited DELIVER_CALLs.
         assert sum(5 in trace.events[i].detail["by"] for i in report.witness) == 3
         assert {"process": 5, "source": 0, "rounds": [4, 6, 8]} in report.details["duplicates"]
-        assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
     def test_zero_deliveries_satisfied(self):
         cfg = fault_free_config()
@@ -147,22 +132,15 @@ class TestIntegrity:
         assert check_one(INTEGRITY, run(cfg), cfg).verdict == SATISFIED
 
     def test_forged_unexplained_delivery_violated(self):
-        cfg = fault_free_config()
-        trace = forged_trace(cfg, [deliver_event(1, 4, 0, "ghost")])
+        cfg, trace = hand_built("unexplained_delivery")
         report = check_one(INTEGRITY, trace, cfg)
         assert report.verdict == VIOLATED
-        assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
 
     @pytest.mark.parametrize("round_, verdict", [(4, SATISFIED), (3, VIOLATED)])
     def test_source_faulty_from_the_delivery_round_explains_it(self, round_, verdict):
-        cfg = ScenarioConfig.from_dict({
-            "n": 4, "f": 1, "delta_s": 1, "horizon": 8, "seed": 0,
-            "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "FFA"},
-            "variant": "FFA_FULL",
-            "schedule": {"trajectories": [{"agent_id": 0, "segments": [
-                {"host": 0, "first_round": 4, "last_round": None}]}]},
-        })
+        cfg = one_stay_config(4, 8, 0, 4, None)
         trace = forged_trace(cfg, [deliver_event(2, round_, 0, "ghost")])
         assert check_one(INTEGRITY, trace, cfg).verdict == verdict
 
@@ -177,13 +155,7 @@ class TestIntegrity:
 class TestFaultyTimeDeliveries:
     def test_ignored_by_every_checker(self):
         # Process 1 is possessed throughout; what it "delivers" is adversary output.
-        cfg = ScenarioConfig.from_dict({
-            "n": 4, "f": 1, "delta_s": 1, "horizon": 8, "seed": 0,
-            "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "BFA"},
-            "variant": "BFA_WEAK",
-            "schedule": {"trajectories": [{"agent_id": 0, "segments": [
-                {"host": 1, "first_round": 1, "last_round": None}]}]},
-        })
+        cfg = one_stay_config(4, 8, 1, 1, None, "BFA_WEAK")
         schedule = cfg.resolved_schedule()
         forged = [deliver_event(1, 3, 0, "a"), deliver_event(1, 4, 0, "a"),
                   deliver_event(1, 5, 0, "b")]
@@ -191,16 +163,15 @@ class TestFaultyTimeDeliveries:
                                       ALL_PROPERTIES)
         assert all(r.verdict == SATISFIED for r in reports), [r.to_dict() for r in reports]
         # The same deliveries by a correct process violate most properties.
-        honest = [deliver_event(2, e.round, 0, e.detail["instances"][0]["payload"]) for e in forged]
-        reports = run_property_checks(forged_trace(cfg, honest), schedule, 2, 1, cfg.variant,
-                                      ALL_PROPERTIES)
+        cfg, honest = hand_built("correct_repeats")
+        assert [(e.round, e.detail["instances"]) for e in honest.events] == [
+            (e.round, e.detail["instances"]) for e in forged]
+        reports = run_property_checks(honest, schedule, 2, 1, cfg.variant, ALL_PROPERTIES)
         violated = [r for r in reports if r.verdict == VIOLATED]
         assert {r.property for r in violated} == {
             "NO_DUPLICATION", "INTEGRITY", "AGREEMENT", "CONSISTENCY", "TOTALITY",
             "DELIVERY_COUNT_LAW"}
-        for report in violated:
-            assert replay_witness(report, forged_trace(cfg, honest), schedule, 2, 1,
-                                  cfg.variant), report.property
+        assert_checked_independently(reports, honest, schedule, 2, 1, cfg.variant)
 
 
 class TestAgreement:
@@ -215,27 +186,26 @@ class TestAgreement:
         assert check_one(AGREEMENT, trace, cfg).verdict == SATISFIED
 
     def test_forged_partial_delivery_violated(self):
-        cfg = fault_free_config(n=4, horizon=6)
-        trace = forged_trace(cfg, [deliver_event(0, 4, 0, "m"), deliver_event(1, 4, 0, "m")])
+        cfg, trace = hand_built("partial_delivery")
         report = check_one(AGREEMENT, trace, cfg)
         assert report.verdict == VIOLATED
         missing = {o["process"] for o in report.details["obligations"] if o["status"] == VIOLATED}
         assert missing == {2, 3}
-        assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
     def test_delivery_at_horizon_leaves_others_unresolved(self):
-        cfg = fault_free_config(n=3, horizon=5)
-        trace = forged_trace(cfg, [deliver_event(0, 5, 0, "m")])
-        assert check_one(AGREEMENT, trace, cfg).verdict == UNRESOLVED
+        cfg, trace = hand_built("delivery_at_horizon")
+        report = check_one(AGREEMENT, trace, cfg)
+        assert report.verdict == UNRESOLVED
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
 
 class TestMbrbCheckers:
     def test_consistency_violated_on_two_payloads(self):
-        cfg = fault_free_config()
-        trace = forged_trace(cfg, [deliver_event(0, 3, 2, "a"), deliver_event(1, 4, 2, "b")])
+        cfg, trace = hand_built("two_payloads")
         report = check_one(CONSISTENCY, trace, cfg)
         assert report.verdict == VIOLATED
-        assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
     def test_consistency_satisfied_on_equal_payloads(self):
         cfg = fault_free_config()
@@ -275,6 +245,8 @@ class TestDeliveryCountLaws:
         assert report.verdict == VIOLATED
         shortfall = report.details["instances"][0]["shortfalls"][0]
         assert shortfall["process"] == 5 and shortfall["required"] == 3
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1,
+                                     VariantTag.BFA_WEAK)
 
     def test_nfa_per_round_law(self):
         cfg = attack_scenario(VariantTag.NFA_WEAK, 7, 1, 1, "alternating")
@@ -287,6 +259,8 @@ class TestDeliveryCountLaws:
         report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.NFA_WEAK)
         assert report.verdict == VIOLATED
         assert report.details["instances"][0]["missing"] == [{"process": first.subject, "round": 5}]
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1,
+                                     VariantTag.NFA_WEAK)
 
     def test_a_source_correct_for_delta_b_rounds_gives_the_birth(self):
         cfg = bfa_double_cure_scenario()
@@ -341,47 +315,6 @@ class TestReportPlumbing:
         a = run_property_checks(trace, sched, 2, 1, cfg.variant)
         b = run_property_checks(trace, sched, 2, 1, cfg.variant)
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
-
-    def test_replay_rejects_satisfied_reports(self):
-        cfg = golden_correct_source()
-        trace = run(cfg)
-        report = check_one(NO_DUPLICATION, trace, cfg)
-        assert report.verdict == SATISFIED
-        assert not replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
-
-    def test_replay_rejects_an_unknown_property(self):
-        cfg = golden_correct_source()
-        report = PropertyReport("NOT_A_PROPERTY", VIOLATED, [0], {})
-        assert not replay_witness(report, run(cfg), cfg.resolved_schedule(), 2, 1, cfg.variant)
-
-    def test_replay_reads_the_deliveries_once_per_call(self, monkeypatch):
-        cfg = bfa_double_cure_scenario()
-        trace = run(cfg)
-        report = check_one(NO_DUPLICATION, trace, cfg)
-        assert len(report.witness) > 1
-        calls = []
-        original = checker.extract_deliveries
-
-        def counting(trace, schedule):
-            calls.append(1)
-            return original(trace, schedule)
-
-        monkeypatch.setattr(checker, "extract_deliveries", counting)
-        assert replay_witness(report, trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
-        assert len(calls) == 1
-
-    def test_replay_of_a_count_law_needs_every_cited_event(self):
-        """The re-run must cite each witness index; one it does not cite fails the replay."""
-        cfg = bfa_double_cure_scenario()
-        trace = run(cfg)
-        drop_delivery(trace, 5, 6)
-        sched = cfg.resolved_schedule()
-        report = check_one(DELIVERY_COUNT_LAW, trace, cfg, VariantTag.BFA_WEAK)
-        assert report.verdict == VIOLATED and report.witness
-        assert replay_witness(report, trace, sched, 2, 1, cfg.variant)
-        stray = next(i for i, e in enumerate(trace.events) if e.kind == KIND_BROADCAST_CALL)
-        padded = replace(report, witness=sorted(report.witness + [stray]))
-        assert not replay_witness(padded, trace, sched, 2, 1, cfg.variant)
 
 
 class TestFullVariantNeverViolated:
@@ -686,11 +619,10 @@ class TestTraceIndex:
 
     @pytest.mark.parametrize("cfg", index_cases())
     def test_replay_confirms_every_violation(self, cfg):
+        """The monitor gives every verdict, and every violation's witness holds."""
         trace = run(cfg)
         schedule = cfg.resolved_schedule()
         reports = run_property_checks(trace, schedule, cfg.delta_b, cfg.delta_c, cfg.variant,
                                       ALL_PROPERTIES)
-        violated = [r for r in reports if r.verdict == VIOLATED]
-        for report in violated:
-            assert replay_witness(report, trace, schedule, cfg.delta_b, cfg.delta_c,
-                                  cfg.variant), report.property
+        assert_checked_independently(reports, trace, schedule, cfg.delta_b, cfg.delta_c,
+                                     cfg.variant)

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import (
     CHOICE_PINS,
+    assert_choice_verdicts_hold,
     assert_deliver_call_layout,
-    assert_violations_replay,
     choice_violations,
     possessed_digests,
 )
@@ -125,7 +125,7 @@ def test_checker_finds_a_replayable_violation_for_every_adapter_choice(kind):
     result = run_demo(kind, {})
     assert result.holds
     assert choice_violations(result) == CHOICE_PINS[kind]
-    assert_violations_replay(result)
+    assert_choice_verdicts_hold(result)
 
 
 def test_every_verdict_comes_from_the_checker():

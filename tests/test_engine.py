@@ -49,6 +49,7 @@ from mbbc.protocol import (
     compute_phase,
     on_cured,
     on_p2p_deliver,
+    queue_broadcasts,
     receive,
     send_phase,
     state_fingerprint,
@@ -477,8 +478,9 @@ class TestSharedCompute:
                     on_cured(state, cures[p])
                 send_phase(state)
                 tallies = receive(Tallies(), receipts[p])
-                payloads = [b.payload for b in cfg.broadcasts if (b.source, b.round) == (p, r)]
-                delivered = compute_phase(state, tallies, p, variant, n, broadcasts=payloads)
+                delivered = compute_phase(state, tallies, variant, n)
+                queue_broadcasts(state, p, [b.payload for b in cfg.broadcasts
+                                            if (b.source, b.round) == (p, r)])
                 assert state == sim.states[p], (r, p)
                 assert delivered == sorted((source, payload) for _i, _r, by, source, payload
                                            in delivered_instances(events) if p in by), (r, p)
@@ -490,7 +492,7 @@ class TestSharedCompute:
         original = engine.compute_phase
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(engine, "compute_phase", counted)
@@ -712,9 +714,11 @@ class TestSharedFolds:
         sim = None
         reads: list[tuple[int, int, object]] = []
 
-        def recording_compute(state, tallies, p, *args, **kwargs):
+        def recording_compute(state, tallies, *args, **kwargs):
+            # A possessed process holds a state object of its own.
+            p = next(p for p, held in enumerate(sim.states) if held is state)
             reads.append((sim.round, p, tallies))
-            return compute(state, tallies, p, *args, **kwargs)
+            return compute(state, tallies, *args, **kwargs)
 
         compute = adversary.compute_phase
         observed = observations(monkeypatch)

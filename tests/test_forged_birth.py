@@ -39,10 +39,10 @@ def test_no_promised_property_is_violated_on_the_forged_birth_pool(n, f, monkeyp
     reached = 0
     compute_phase = engine.compute_phase
 
-    def counted(state, tallies, self_id, variant: Variant, n, broadcasts=()):
+    def counted(state, tallies, variant: Variant, n):
         nonlocal reached
         reached += several_births(tallies, variant.effective_f)
-        return compute_phase(state, tallies, self_id, variant, n, broadcasts)
+        return compute_phase(state, tallies, variant, n)
 
     # The engine's calls are its correct classes; a faithful possessed
     # compute calls the protocol's own.

@@ -114,10 +114,10 @@ class TestFaultySets:
             assert not b & c
             assert len(b) <= sched.f
 
-    def test_faulty_span_start_merges_back_to_back_stays(self):
-        # Two agents chain on host 2: rounds 1-2 and 3-4.
+    def test_a_cure_merges_back_to_back_stays(self):
+        # Two agents chain on host 2: rounds 1-2 and 3-4, one span from round 1.
         sched = schedule_from([[(2, 1, 2)], [(2, 3, 4)]], horizon=6)
-        assert sched.faulty_span_start(2, 4) == 1
+        assert sched.cures(5) == ((2, 1),)
 
 
 class TestIoCorrect:
@@ -271,8 +271,6 @@ def assert_tables_are_literal(sched):
             assert sched.next_correct(p, r) == next((c for c in correct if c >= r), None), (p, r)
         for r in range(1, h + 1):
             assert sched.is_faulty(p, r) is (p in faulty[r])
-            if p in faulty[r]:
-                assert sched.faulty_span_start(p, r) == span_start(p, r), (p, r)
             clean = True
             for last in range(r, h + 2):
                 clean = clean and last <= h and p not in faulty[last]

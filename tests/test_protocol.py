@@ -30,6 +30,7 @@ from mbbc.protocol import (
     init_state,
     on_cured,
     on_p2p_deliver,
+    queue_broadcasts,
     read_fold,
     receive,
     send_phase,
@@ -78,7 +79,7 @@ class TestInit:
 
 
 class TestBroadcast:
-    """A broadcast call is a payload handed to ``compute_phase``."""
+    """A broadcast call is a payload queued by ``queue_broadcasts`` after ``compute_phase``."""
 
     def sends(self, state: ProtocolState) -> set:
         return {m for m in state.to_send if m.kind is MessageKind.SEND}
@@ -86,17 +87,20 @@ class TestBroadcast:
     def test_enqueues_send_with_current_round(self):
         state = fresh(rc=999)
         tallies = Tallies(rc_votes={p: 4 for p in range(4)})
-        compute_phase(state, tallies, 2, FFA6, n=6, broadcasts=[b"a"])
+        compute_phase(state, tallies, FFA6, n=6)
+        queue_broadcasts(state, 2, [b"a"])
         assert self.sends(state) == {send_msg(2, 4, b"a")}  # the repaired rc
 
     def test_distinct_payloads_distinct_entries(self):
         state = fresh()
-        compute_phase(state, Tallies(), 0, FFA6, n=6, broadcasts=[b"a", b"b"])
+        compute_phase(state, Tallies(), FFA6, n=6)
+        queue_broadcasts(state, 0, [b"a", b"b"])
         assert self.sends(state) == {send_msg(0, 1, b"a"), send_msg(0, 1, b"b")}
 
     def test_same_payload_twice_is_one_entry(self):
         state = fresh()
-        compute_phase(state, Tallies(), 0, FFA6, n=6, broadcasts=[b"a", b"a"])
+        compute_phase(state, Tallies(), FFA6, n=6)
+        queue_broadcasts(state, 0, [b"a", b"a"])
         assert self.sends(state) == {send_msg(0, 1, b"a")}
 
 
@@ -289,28 +293,28 @@ class TestComputePhase:
         state = fresh(rc=3)
         tallies = Tallies()
         vote(tallies.echos, (0, 1, b"m"), [1, 2, 3, 4])
-        compute_phase(state, tallies, 5, FFA6, n=6)
+        compute_phase(state, tallies, FFA6, n=6)
         assert ready_msg(0, 1, b"m") in state.to_send
 
     def test_echo_below_quorum_queues_abort(self):
         state = fresh(rc=3)
         tallies = Tallies()
         vote(tallies.echos, (0, 1, b"m"), [1, 2])  # 2*2 = 4 <= 7, 2 > F=1
-        compute_phase(state, tallies, 5, FFA6, n=6)
+        compute_phase(state, tallies, FFA6, n=6)
         assert any(m.kind is MessageKind.ABORT for m in state.to_send)
 
     def test_single_echo_queues_nothing(self):
         state = fresh(rc=3)
         tallies = Tallies()
         vote(tallies.echos, (0, 1, b"m"), [1])  # 1 is not > F
-        compute_phase(state, tallies, 5, FFA6, n=6)
+        compute_phase(state, tallies, FFA6, n=6)
         assert all(m.kind is MessageKind.ROUND for m in state.to_send)
 
     def test_ready_quorum_delivers_at_due_round(self):
         state = fresh(rc=4)
         tallies = Tallies()
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])  # 3 > 2F = 2
-        deliveries = compute_phase(state, tallies, 5, FFA6, n=6)
+        deliveries = compute_phase(state, tallies, FFA6, n=6)
         assert deliveries == [(0, b"m")]
 
     def test_abort_majority_voids_the_ready_quorum(self):
@@ -318,7 +322,7 @@ class TestComputePhase:
         tallies = Tallies()
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3, 4, 5])
         vote(tallies.aborts, (0, 1, b"m"), [1, 2])  # 2 > F = 1
-        deliveries = compute_phase(state, tallies, 5, FFA6, n=6)
+        deliveries = compute_phase(state, tallies, FFA6, n=6)
         assert deliveries == []
 
     def test_ffa_cured_late_delivery_with_early_faulty_at(self):
@@ -326,21 +330,21 @@ class TestComputePhase:
         tallies = Tallies()
         on_cured(state, faulty_since=3)  # <= birth+3 = 4
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
-        assert compute_phase(state, tallies, 5, FFA6, n=6) == [(0, b"m")]
+        assert compute_phase(state, tallies, FFA6, n=6) == [(0, b"m")]
 
     def test_ffa_cured_late_delivery_blocked_by_late_faulty_at(self):
         state = fresh(rc=6)
         tallies = Tallies()
         on_cured(state, faulty_since=5)  # > birth+3
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
-        assert compute_phase(state, tallies, 5, FFA6, n=6) == []
+        assert compute_phase(state, tallies, FFA6, n=6) == []
 
     def test_bfa_cured_branch_needs_no_faulty_at(self):
         state = fresh(rc=6)
         tallies = Tallies()
         on_cured(state)
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
-        assert compute_phase(state, tallies, 5, BFA6, n=6) == [(0, b"m")]
+        assert compute_phase(state, tallies, BFA6, n=6) == [(0, b"m")]
 
     def test_nfa_delivers_every_round_with_quorum(self):
         variant = Variant.for_tag(VariantTag.NFA_WEAK, 1)  # F = 2
@@ -348,7 +352,7 @@ class TestComputePhase:
             state = fresh(rc=rc)
             tallies = Tallies()
             vote(tallies.readys, (0, 1, b"m"), [1, 2, 3, 4, 5])  # 5 > 2F = 4
-            assert compute_phase(state, tallies, 6, variant, n=7) == [(0, b"m")], rc
+            assert compute_phase(state, tallies, variant, n=7) == [(0, b"m")], rc
 
     def test_minimal_birth_round_wins(self):
         # Without the rule both keys would fire here: birth=2 via rc=due,
@@ -358,7 +362,7 @@ class TestComputePhase:
         on_cured(state)
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
         vote(tallies.readys, (0, 2, b"m"), [1, 2, 3])
-        deliveries = compute_phase(state, tallies, 5, BFA6, n=6)
+        deliveries = compute_phase(state, tallies, BFA6, n=6)
         assert deliveries == [(0, b"m")]
 
     def test_deliveries_in_source_payload_order_not_birth_order(self):
@@ -366,13 +370,13 @@ class TestComputePhase:
         tallies = Tallies()
         vote(tallies.readys, (0, 2, b"a"), [1, 2, 3, 4, 5])  # 5 > 2F = 4
         vote(tallies.readys, (0, 1, b"b"), [1, 2, 3, 4, 5])
-        assert compute_phase(state, tallies, 6, NFA6, n=7) == [(0, b"a"), (0, b"b")]
+        assert compute_phase(state, tallies, NFA6, n=7) == [(0, b"a"), (0, b"b")]
 
     def test_relay_persists_for_quorum_keys(self):
         state = fresh(rc=9)
         tallies = Tallies()
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
-        compute_phase(state, tallies, 5, FFA6, n=6)
+        compute_phase(state, tallies, FFA6, n=6)
         assert ready_msg(0, 1, b"m") in state.to_send  # no delivery, still relayed
 
     def test_echo_generated_only_in_birth_plus_one(self):
@@ -380,21 +384,22 @@ class TestComputePhase:
             state = fresh(rc=rc)
             tallies = Tallies()
             tallies.sends.add((0, 1, b"m"))
-            compute_phase(state, tallies, 5, FFA6, n=6)
+            compute_phase(state, tallies, FFA6, n=6)
             assert (echo_msg(0, 1, b"m") in state.to_send) is expect
 
     def test_broadcast_injection_lands_after_wipe(self):
         state = fresh(rc=2)
         tallies = Tallies()
         state.to_send = {ready_msg(0, 1, b"stale")}
-        compute_phase(state, tallies, 3, FFA6, n=6, broadcasts=[b"new"])
+        compute_phase(state, tallies, FFA6, n=6)
+        queue_broadcasts(state, 3, [b"new"])
         assert send_msg(3, 2, b"new") in state.to_send
         assert ready_msg(0, 1, b"stale") not in state.to_send
 
     def test_counter_increments_and_votes(self):
         state = fresh(rc=4)
         tallies = Tallies()
-        compute_phase(state, tallies, 5, FFA6, n=6)
+        compute_phase(state, tallies, FFA6, n=6)
         assert state.rc == 5
         assert round_msg(5) in state.to_send
 
@@ -404,7 +409,7 @@ class TestComputePhase:
         for p, v in ((0, 4), (1, 4), (2, 4), (3, 4)):
             tallies.rc_votes[p] = v
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
-        deliveries = compute_phase(state, tallies, 5, FFA6, n=6)
+        deliveries = compute_phase(state, tallies, FFA6, n=6)
         assert deliveries == [(0, b"m")]  # repaired rc = 4 = birth+3
         assert state.rc == 5
 
@@ -412,11 +417,11 @@ class TestComputePhase:
         state = fresh(rc=4)
         tallies = Tallies()
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
-        first = compute_phase(state, tallies, 5, FFA6, n=6)
+        first = compute_phase(state, tallies, FFA6, n=6)
         # Quorum appears again next round; gate must not re-fire at rc=5.
         tallies = Tallies(rc_votes={p: 5 for p in range(4)})
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
-        second = compute_phase(state, tallies, 5, FFA6, n=6)
+        second = compute_phase(state, tallies, FFA6, n=6)
         assert first == [(0, b"m")] and second == []
 
     def test_purity_same_inputs_same_outputs(self):
@@ -424,8 +429,8 @@ class TestComputePhase:
         vote(tallies.readys, (0, 1, b"m"), [1, 2, 3])
         vote(tallies.echos, (0, 2, b"x"), [1, 2, 3, 4])
         a, b = fresh(rc=4), fresh(rc=4)
-        out_a = compute_phase(a, tallies, 5, FFA6, n=6)
-        out_b = compute_phase(b, tallies, 5, FFA6, n=6)
+        out_a = compute_phase(a, tallies, FFA6, n=6)
+        out_b = compute_phase(b, tallies, FFA6, n=6)
         assert out_a == out_b and a == b
 
     def test_the_fold_reading_is_taken_once_and_kept(self):
@@ -444,7 +449,7 @@ class TestComputePhase:
         assert read_fold(tallies, 6, 1) is reading and tallies == before
         # n=7, F=2 reads the same fold apart: the quorum only aborts.
         assert read_fold(tallies, 7, 2) == (4, frozenset({abort_msg(0, 2, b"e")}), ())
-        compute_phase(fresh(rc=1), tallies, 5, FFA6, n=6)
+        compute_phase(fresh(rc=1), tallies, FFA6, n=6)
         assert tallies.readings[6, 1] is reading
 
     def test_tallies_are_only_read(self):
@@ -457,7 +462,7 @@ class TestComputePhase:
         vote(tallies.aborts, (0, 1, b"m"), [1, 2])  # 2 > F = 1
         vote(tallies.readys, (1, 1, b"k"), [1, 2, 3])
         before = copy.deepcopy(tallies)
-        deliveries = compute_phase(fresh(rc=4), tallies, 5, FFA6, n=6)
+        deliveries = compute_phase(fresh(rc=4), tallies, FFA6, n=6)
         assert deliveries == [(1, b"k")]
         assert tallies == before
 
@@ -589,7 +594,7 @@ def test_ready_and_abort_mutually_exclusive(n, f, votes):
     state = fresh(rc=3)
     tallies = Tallies()
     vote(tallies.echos, (0, 1, b"m"), list(range(votes)))
-    compute_phase(state, tallies, 0, Variant(VariantTag.FFA_FULL, f), n=n)
+    compute_phase(state, tallies, Variant(VariantTag.FFA_FULL, f), n=n)
     kinds = {m.kind for m in state.to_send}
     assert (MessageKind.READY in kinds) == ready
     assert (MessageKind.ABORT in kinds) == abort

@@ -9,9 +9,10 @@ first-message and first-instance order; a possessed process writes its
 STATE_CORRUPTED at the start of each faulty span and then only when its
 digest changes; and the trace reads back equal to itself. Its JSONL writes
 each message, instance, process list, receiver list and state digest in
-full once, and cites it by its index in that value's table after that. Over the pool, every violation
-replays from its witness, and the projection does not depend on how a trace
-groups its deliveries.
+full once, and cites it by its index in that value's table after that. Over the pool, the
+monitor (``monitor.Monitor``) gives every verdict, every violation's witness
+cites the events it needs, and the projection does not depend on how a
+trace groups its deliveries.
 """
 
 import json
@@ -23,20 +24,14 @@ import pytest
 from conftest import (
     SHAPES,
     arbitrary_config,
+    assert_checked_independently,
     assert_corruption_layout,
     assert_deliver_call_layout,
     assert_fan_out_layout,
     possessed_details,
     shape_config,
 )
-from mbbc.checker import (
-    ALL_PROPERTIES,
-    VIOLATED,
-    permanently_correct,
-    projection_jsonl,
-    replay_witness,
-    run_property_checks,
-)
+from mbbc.checker import ALL_PROPERTIES, permanently_correct, projection_jsonl, run_property_checks
 from mbbc.demos import run_demo
 from mbbc.engine import KIND_DELIVER_CALL, KIND_P2P_SEND, KIND_STATE_CORRUPTED, Trace, encode_line, run
 from mbbc.messages import decode_payload
@@ -146,7 +141,7 @@ def test_possessed_digests_are_omitted_while_they_hold():
             written = [(ev.subject, ev.round) for ev in trace.events if ev.kind == KIND_STATE_CORRUPTED]
             omitted += len(details) - len(written)
             schedule = trace.scenario().resolved_schedule()
-            later += sum(schedule.faulty_span_start(p, r) < r for p, r in written)
+            later += sum(r > 1 and schedule.is_faulty(p, r - 1) for p, r in written)
     assert omitted > 0 and later > 0
 
 
@@ -181,15 +176,14 @@ def test_equal_instances_share_one_dict():
 @pytest.mark.parametrize("seed", ARBITRARY_SEEDS)
 def test_every_violation_of_the_pool_replays_from_its_witness(seed):
     """A witness cites events; several instance groups of one DELIVER_CALL
-    share its index, and the cited events still re-derive the verdict."""
+    share its index, and the cited events still show the violation."""
     config = arbitrary_config(seed)
     trace = run(config)
     schedule = config.resolved_schedule()
-    for report in run_property_checks(trace, schedule, config.delta_b, config.delta_c,
-                                      config.variant, ALL_PROPERTIES):
-        if report.verdict == VIOLATED:
-            assert replay_witness(report, trace, schedule, config.delta_b, config.delta_c,
-                                  config.variant), report.property
+    reports = run_property_checks(trace, schedule, config.delta_b, config.delta_c,
+                                  config.variant, ALL_PROPERTIES)
+    assert_checked_independently(reports, trace, schedule, config.delta_b, config.delta_c,
+                                 config.variant)
 
 
 def one_call_per_instance(trace: Trace) -> Trace:
