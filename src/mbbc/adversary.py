@@ -5,8 +5,8 @@ send phase (``dictate_sends`` — the envelopes the possessed process emits,
 with the sender stamp forced by the engine) and once in the compute phase
 (``corrupt_state`` — the state the process is left with). Strategies are
 deterministic functions of (process, round, observation); the observation is
-an omniscient view of the engine's live state. A strategy that needs
-randomness must derive it from the scenario seed, never from global state.
+an omniscient view of the engine's live state. No strategy draws
+randomness, so the engine is deterministic: a config fixes its run.
 
 The two history-forging strategies (``EQUIVOCATE_HISTORY``, ``WIPE_AND_RUN``)
 make a possessed process *faithfully run the protocol* by replaying the real

@@ -387,6 +387,9 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
     process must deliver the instance at every correct round from birth+3 on.
     Not applicable to the full variant.
 
+    A violated instance cites its first correct-time DELIVER_CALL, which puts
+    the law in force; under BFA_WEAK also each short process's own.
+
     The birth is the round of the instance's earliest broadcast whose source
     was correct for delta_b rounds from it, as VALIDITY reads it. An instance
     with no such broadcast takes its first delivery minus DELIVERY_DELAY: a
@@ -413,7 +416,6 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
                 baseline = 1 if schedule.next_correct(p, due) == due else 0
                 required = baseline + len(cures)
                 if actual[p] < required:
-                    verdict = VIOLATED
                     witness.extend(g.event_index for g in groups if p in g.correct)
                     inst.setdefault("shortfalls", []).append(
                         {"process": p, "required": required, "actual": actual[p], "cures": cures})
@@ -424,8 +426,10 @@ def check_delivery_count_laws(index: TraceIndex) -> PropertyReport:
             missing = sorted((p, r) for r in range(max(due, 1), schedule.horizon + 1)
                              for p in correct_in[r - 1] - delivered_in.get(r, set()))
             if missing:
-                verdict = VIOLATED
                 inst["missing"] = [{"process": p, "round": r} for p, r in missing]
+        if "shortfalls" in inst or "missing" in inst:
+            verdict = VIOLATED
+            witness.append(groups[0].event_index)
         details.append(inst)
     if not index.by_instance:
         details.append({"note": "no delivered instance; law vacuous"})

@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, type=Path, help="scenario JSON file")
     p_run.add_argument("--out", "--trace", dest="out", required=True, type=Path,
                        help="output trace path (JSON lines)")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(handler=cmd_run)
 
     p_check = sub.add_parser("check", help="evaluate properties over a trace")
@@ -91,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--f-range", default="1:1", help="e.g. 1:1 (inclusive)")
     p_sweep.add_argument("--delta-s", type=int, default=1)
     p_sweep.add_argument("--strategies", default=",".join(BUNDLED_STRATEGIES))
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, type=Path, help="output CSV path")
     p_sweep.set_defaults(handler=cmd_sweep)
 
@@ -115,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     config = ScenarioConfig.from_json(args.config.read_text())
-    if args.seed is not None:
-        config = config.with_overrides(seed=args.seed)
     trace = run(config)
     args.out.write_text(trace.to_jsonl())
     deliveries = sum(len(by) for _idx, _r, by, _source, _payload in delivered_instances(trace.events))
@@ -170,7 +166,7 @@ def cmd_sweep(args) -> int:
     if repeated:
         raise ValueError(f"--strategies {args.strategies!r} names strategy {repeated[0]!r} twice")
     rows = run_sweep(VariantTag(args.variant), n_values, f_values, delta_s=args.delta_s,
-                     strategies=strategies, seed=args.seed)
+                     strategies=strategies)
     if not rows:
         raise ValueError(f"--n-range {args.n_range!r}, --f-range {args.f_range!r} and --strategies "
                          f"{args.strategies!r} leave no cell to run: a cell needs f < n, "

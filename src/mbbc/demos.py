@@ -52,7 +52,7 @@ class DemoResult:
         return {
             "kind": self.kind,
             "params": self.params,
-            "fingerprints": [self.trace_first.fingerprint, self.trace_second.fingerprint],
+            "fingerprints": [self.config_first.fingerprint(), self.config_second.fingerprint()],
             "projections_identical": self.projections_identical,
             "choices": self.choices,
             "demonstration_holds": self.holds,

@@ -74,8 +74,8 @@ an event ``(round, kind, subject, detail)``. Each kind is written in one
 phase, so an event's phase is its kind's: P2P_SEND in SEND, and
 BROADCAST_CALL, DELIVER_CALL and STATE_CORRUPTED in COMPUTE; ADVERSARY,
 ORACLE and RECEIVE write nothing. The schedule in the header's config fixes
-the agents' moves and the cures, which ``FailureSchedule.host_of`` and
-``deliver_oracle_events`` derive; the latter reads each round's cures from
+the agents' moves and the cures: its stays are the moves, and
+``deliver_oracle_events`` reads each round's cures from
 ``FailureSchedule.cures``, a table the schedule builds once.
 
 A possessed process p writes its STATE_CORRUPTED in round r unless p was
@@ -115,7 +115,8 @@ STATE_CORRUPTED detail is built once per simulation, and the events that
 carry it share it read-only. A STATE_CORRUPTED digest reads each queued
 message's JSON text (``ProtocolMessage.to_json``), which is also written
 once per simulation.
-Given a config (the seed is part of it), the trace is bit-reproducible.
+Nothing in a run draws randomness, so a config fixes its trace bit for
+bit; the trace's header is that config and the format, nothing more.
 
 The JSONL (``Trace.to_jsonl``) writes each distinct message, instance,
 process list (a fan-out's ``from``, a DELIVER_CALL's ``by``), receiver list
@@ -166,15 +167,16 @@ KIND_STATE_CORRUPTED = "STATE_CORRUPTED"
 # and cures are not traced: the header's schedule fixes them.
 KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRUPTED)
 
-# The header's ``format``: per round, one P2P_SEND per list of fan-out
-# senders, listing its messages, or per dictated (sender, message); no
-# receipts, agent moves or cures; one DELIVER_CALL per list of delivering
-# processes, listing its (source, payload) instances; a STATE_CORRUPTED, the
-# digest of a state's four fields (``protocol.state_fingerprint``), only
-# where a possessed process's digest is new to its stay; each distinct message,
-# instance, process list, receiver list and state digest written in full
-# once, and cited by its index after that.
-TRACE_FORMAT = "mbbc-trace/11"
+# The header's ``format``: a header of the config and the format alone; per
+# round, one P2P_SEND per list of fan-out senders, listing its messages, or
+# per dictated (sender, message); no receipts, agent moves or cures; one
+# DELIVER_CALL per list of delivering processes, listing its (source,
+# payload) instances; a STATE_CORRUPTED, the digest of a state's four fields
+# (``protocol.state_fingerprint``), only where a possessed process's digest
+# is new to its stay; each distinct message, instance, process list, receiver
+# list and state digest written in full once, and cited by its index after
+# that.
+TRACE_FORMAT = "mbbc-trace/12"
 # Each detail's one key set, by kind (a P2P_SEND's by its ``to``), and an
 # instance object's: the reader refuses any other key, and ``event_lines``
 # writes each of these details from its template.
@@ -338,15 +340,11 @@ def _citer(table: dict[str, int], defines: type, defined: list[int]) -> Callable
 
 @dataclass
 class Trace:
-    fingerprint: str
-    seed: int
     config: dict
     events: list[TraceEvent] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        header = {"fingerprint": self.fingerprint, "format": TRACE_FORMAT, "seed": self.seed,
-                  "config": self.config}
-        lines = [encode_line(header)]
+        lines = [encode_line({"config": self.config, "format": TRACE_FORMAT})]
         lines.extend(event_lines(self.events, tuple({} for _ in _CITED)))
         return "\n".join(lines) + "\n"
 
@@ -354,8 +352,8 @@ class Trace:
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse and validate a trace; a bad line raises a ValueError naming it.
 
-        The header holds exactly ``config``, ``fingerprint``, ``format`` and
-        ``seed``: this ``format`` and a config with int ``n`` and ``horizon``.
+        The header holds exactly ``config`` and ``format``: this ``format``
+        and a config with int ``n`` and ``horizon``.
         An event holds exactly ``detail``, ``kind``, ``round`` and
         ``subject``: a known kind, a round in [1, horizon], a subject in
         [0, n) and a dict detail of its one key set; any other key is
@@ -389,7 +387,7 @@ class Trace:
         what = "header"
         scan_chars = sys.getrecursionlimit() // 2
         try:
-            fingerprint, seed, config = _header_fields(_json_object(line, scan_chars))
+            config = _header_config(_json_object(line, scan_chars))
             n, horizon = config["n"], config["horizon"]
             what = "event"
             tables = _Tables([], [], [], [], [], [])
@@ -400,7 +398,7 @@ class Trace:
             raise ValueError(f"trace line {number}: bad {what} line: missing key {exc}") from None
         except ValueError as exc:
             raise ValueError(f"trace line {number}: bad {what} line: {exc}") from None
-        return cls(fingerprint=fingerprint, seed=seed, config=config, events=events)
+        return cls(config=config, events=events)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
@@ -445,22 +443,24 @@ def _unknown_key(data: dict, keys: frozenset[str], place: str = "") -> ValueErro
     return ValueError(f"unknown key {shown(key)}" + (f" in {place}" if place else ""))
 
 
-_HEADER_KEYS = frozenset({"config", "fingerprint", "format", "seed"})
+_HEADER_KEYS = frozenset({"config", "format"})
 _EVENT_KEYS = frozenset({"detail", "kind", "round", "subject"})
 
 
-def _header_fields(header: dict) -> tuple[str, int, dict]:
-    if not header.keys() <= _HEADER_KEYS:
-        raise _unknown_key(header, _HEADER_KEYS)
-    fingerprint, seed, config = header["fingerprint"], header["seed"], header["config"]
+def _header_config(header: dict) -> dict:
+    """The config of a header; its ``format`` is read first, so a header of
+    another format is refused for that format, whatever else it holds."""
     if header["format"] != TRACE_FORMAT:
         raise ValueError(f"format {shown(header['format'])} is not {TRACE_FORMAT!r}")
+    if not header.keys() <= _HEADER_KEYS:
+        raise _unknown_key(header, _HEADER_KEYS)
+    config = header["config"]
     if not isinstance(config, dict):
         raise ValueError("config is not a JSON object")
     for key in ("n", "horizon"):
         if type(config[key]) is not int or config[key] < 1:
             raise ValueError(f"config {key} is not a positive int")
-    return fingerprint, seed, config
+    return config
 
 
 class _Tables(NamedTuple):
@@ -903,7 +903,7 @@ class Simulation:
         self.states: list[ProtocolState] = [state] * config.n
         self._everyone = list(range(config.n))
         self._groups: list[tuple[ProtocolState, list[int]]] = [(state, self._everyone)]
-        self.trace = Trace(fingerprint=config.fingerprint(), seed=config.seed, config=config.to_dict())
+        self.trace = Trace(config=config.to_dict())
         self.round = 0
         # Each round's broadcast calls: caller -> payloads.
         self._broadcasts: dict[int, dict[int, list[bytes]]] = {}

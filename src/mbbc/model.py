@@ -21,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -224,52 +223,27 @@ class FailureSchedule:
     horizon: int
     trajectories: tuple[AgentTrajectory, ...]
 
-    def host_of(self, agent_id: int, r: int) -> int | None:
-        """Host of an agent in round r, or None when the agent is off-board
-        or r is outside [1, horizon]; an agent id outside [0, f) is a
-        ValueError, and so is one in [0, f) without a trajectory, which only
-        a schedule built without ``validate_schedule`` can lack."""
-        if not 0 <= agent_id < self.f:
-            raise ValueError(f"agent {agent_id} outside [0, {self.f})")
-        if agent_id >= len(self._host_table):
-            raise ValueError(f"agent {agent_id} has no trajectory: the schedule holds "
-                             f"{len(self._host_table)} of f={self.f}")
-        hosts = self._host_table[agent_id]
-        return hosts[r - 1] if 1 <= r <= self.horizon else None
-
-    @cached_property
-    def _host_table(self) -> tuple[tuple[int | None, ...], ...]:
-        """Each agent's host in round r at index r - 1, at the agent's index,
-        built on first use and kept outside the fields as ``_faulty_table``
-        is. Each segment fills its rounds as one slice, the last segment
-        first, so of overlapping segments the first holds the round."""
-        horizon = self.horizon
-        table = []
-        for traj in self.trajectories:
-            hosts: list[int | None] = [None] * horizon
-            for host, first, last in reversed(traj.segments):
-                # Clipped to [1, horizon] by comparisons: ``min`` and ``max``
-                # calls cost as much as the slice.
-                if last is None or last > horizon:
-                    last = horizon
-                if first < 1:
-                    first = 1
-                if first <= last:
-                    hosts[first - 1:last] = [host] * (last - first + 1)
-            table.append(tuple(hosts))
-        return tuple(table)
-
     @cached_property
     def _faulty_table(self) -> tuple[frozenset[int], ...]:
-        """B(r) at index r - 1 for every r in [1, horizon]: the round's hosts
-        in ``_host_table``, built on first use.
+        """B(r) at index r - 1 for every r in [1, horizon], built on first
+        use: each stay adds its host to the rounds it covers, clipped to
+        [1, horizon]. ``validate_schedule`` refuses overlapping stays of one
+        agent before any run reads the table.
 
         A cached property lives in the instance ``__dict__``, not in a field,
         so equality and hashing still see the five fields only.
         """
-        rounds = zip(*self._host_table) if self.trajectories else repeat((), self.horizon)
-        off_board = frozenset((None,))
-        return tuple(hosts - off_board if None in hosts else hosts for hosts in map(frozenset, rounds))
+        horizon = self.horizon
+        rounds: list[list[int]] = [[] for _ in range(horizon)]
+        for traj in self.trajectories:
+            for host, first, last in traj.segments:
+                if last is None or last > horizon:
+                    last = horizon
+                if first < 1:
+                    first = 1
+                for r in range(first - 1, last):
+                    rounds[r].append(host)
+        return tuple(map(frozenset, rounds))
 
     @cached_property
     def _correct_sets(self) -> tuple[frozenset[int], ...]:
@@ -366,7 +340,8 @@ def validate_schedule(schedule: FailureSchedule) -> tuple[ScheduleViolation, ...
     n, horizon, delta_s = schedule.n, schedule.horizon, schedule.delta_s
     for index, traj in enumerate(schedule.trajectories):
         agent = traj.agent_id
-        # ``host_of`` finds an agent's trajectory by its id.
+        # Each agent's id is its trajectory's index, so no two trajectories
+        # name one agent.
         if agent != index:
             out.append(ScheduleViolation(agent, None, "agent-id",
                                          f"trajectory {index} has agent id {agent}, not {index}"))

@@ -91,7 +91,7 @@ def attack_scenario(variant: VariantTag, n: int, f: int, delta_s: int, strategy:
 
 
 def run_sweep(variant: VariantTag, n_values: list[int], f_values: list[int], delta_s: int = 1,
-              strategies: tuple[str, ...] = BUNDLED_STRATEGIES, seed: int = 0) -> list[dict]:
+              strategies: tuple[str, ...] = BUNDLED_STRATEGIES) -> list[dict]:
     rows = []
     for n in sorted(n_values):
         for f in sorted(f_values):
@@ -102,7 +102,7 @@ def run_sweep(variant: VariantTag, n_values: list[int], f_values: list[int], del
                     logger.info("skipping alternating cell n=%d f=%d: the attack needs n >= 2f+1",
                                 n, f)
                     continue
-                cfg = attack_scenario(variant, n, f, delta_s, strategy, seed=seed)
+                cfg = attack_scenario(variant, n, f, delta_s, strategy)
                 trace = run(cfg)
                 reports = run_property_checks(
                     trace, cfg.resolved_schedule(), cfg.delta_b, cfg.delta_c, variant, MBBC_PROPERTIES)

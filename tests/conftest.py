@@ -190,11 +190,18 @@ def every_corruption_events(trace: Trace) -> list[TraceEvent]:
     return sorted(trace.events + restored, key=place)
 
 
+def scanned_host(schedule: FailureSchedule, agent: int, r: int) -> int | None:
+    """The host of ``agent`` in round r, read from its stays: the host of the
+    first segment that holds r, None when none does."""
+    return next((host for host, first, last in schedule.trajectories[agent].segments
+                 if first <= r <= (schedule.horizon if last is None else last)), None)
+
+
 def previous_layout_events(trace: Trace) -> list[TraceEvent]:
     """The trace's events as the engine wrote them before ``mbbc-trace/6``:
     ``ungrouped_events`` of ``every_corruption_events``, with each round's
     agent moves, by agent, and cure notices, by process, before its traced
-    events. The header's schedule fixes both (``host_of`` and
+    events. The header's schedule fixes both (``scanned_host`` and
     ``deliver_oracle_events``)."""
     config = trace.scenario()
     schedule = config.resolved_schedule()
@@ -204,7 +211,8 @@ def previous_layout_events(trace: Trace) -> list[TraceEvent]:
     events = []
     for r in range(1, schedule.horizon + 1):
         for traj in schedule.trajectories:
-            prev, now = schedule.host_of(traj.agent_id, r - 1), schedule.host_of(traj.agent_id, r)
+            prev, now = (scanned_host(schedule, traj.agent_id, r - 1),
+                         scanned_host(schedule, traj.agent_id, r))
             if prev != now:
                 events.append(TraceEvent(r, "AGENT_MOVE", prev if now is None else now,
                                          {"agent": traj.agent_id, "from": prev, "to": now}))
@@ -215,10 +223,10 @@ def previous_layout_events(trace: Trace) -> list[TraceEvent]:
 
 
 def previous_layout_jsonl(trace: Trace) -> str:
-    """The trace as ``mbbc-trace/5`` wrote it: its header in that format and
-    ``previous_layout_events``."""
-    header = {"fingerprint": trace.fingerprint, "format": "mbbc-trace/5", "seed": trace.seed,
-              "config": trace.config}
+    """The trace as ``mbbc-trace/5`` wrote it: its header in that format,
+    with the config's seed and fingerprint, and ``previous_layout_events``."""
+    header = {"fingerprint": trace.scenario().fingerprint(), "format": "mbbc-trace/5",
+              "seed": trace.config["seed"], "config": trace.config}
     lines = [encode_line(header), *(encode_line(ev.to_dict()) for ev in previous_layout_events(trace))]
     return "\n".join(lines) + "\n"
 
@@ -569,8 +577,7 @@ def choice_violations(result: DemoResult) -> dict[str, list[tuple[str, str]]]:
 
 
 def forged_trace(config: ScenarioConfig, events: list[TraceEvent]) -> Trace:
-    return Trace(fingerprint=config.fingerprint(), seed=config.seed,
-                 config=config.to_dict(), events=events)
+    return Trace(config=config.to_dict(), events=events)
 
 
 def fault_free_config(n=4, horizon=6) -> ScenarioConfig:
@@ -661,8 +668,11 @@ def witness_holds(report: PropertyReport, trace: Trace, schedule: FailureSchedul
     pair, each standing for all its instances and each holding a delivery
     by a process correct in its round: for NO_DUPLICATION some process
     delivers one instance twice among them, and for CONSISTENCY they
-    deliver two payloads of one source."""
+    deliver two payloads of one source. An empty witness cites nothing, so it
+    never holds."""
     events = trace.events
+    if not report.witness:
+        return False
     kind = KIND_BROADCAST_CALL if report.property == VALIDITY else KIND_DELIVER_CALL
     if any(not 0 <= i < len(events) or events[i].kind != kind for i in report.witness):
         return False

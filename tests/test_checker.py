@@ -282,6 +282,38 @@ class TestDeliveryCountLaws:
         assert report.verdict == VIOLATED
         assert report.details["instances"][0]["shortfalls"] == [
             {"process": 3, "required": 1, "actual": 0, "cures": []}]
+        # Process 3 has no DELIVER_CALL left to cite: the witness is the
+        # instance's first one, which puts the law in force.
+        assert report.witness == [next(i for i, ev in enumerate(trace.events)
+                                       if ev.kind == KIND_DELIVER_CALL)]
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
+
+    def test_an_nfa_violation_cites_the_delivery_that_puts_the_law_in_force(self):
+        """NFA_WEAK, n=6, f=1: source 0 broadcasts in round 1 and the agent
+        crashes host 4 in round 4, host 3 in round 5 and host 2 from round 7.
+        The correct processes deliver in round 4 only, so the law misses 16
+        (process, round) pairs; the report cites the round-4 DELIVER_CALL,
+        not an empty witness."""
+        cfg = ScenarioConfig.from_dict({
+            "n": 6, "f": 1, "delta_s": 1, "delta_b": 2, "delta_c": 1, "horizon": 7, "seed": 0,
+            "setting": {"timing": "SYNC", "mobility": "S-MOB+", "oracle": "NFA"},
+            "variant": "NFA_WEAK",
+            "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+                {"host": 4, "first_round": 4, "last_round": 4},
+                {"host": 3, "first_round": 5, "last_round": 5},
+                {"host": 2, "first_round": 7, "last_round": None}]}]},
+            "broadcasts": [{"source": 0, "round": 1, "payload": "x"}],
+            "strategy": {"kind": "CRASH_SILENT"},
+        })
+        trace = run(cfg)
+        calls = [i for i, ev in enumerate(trace.events) if ev.kind == KIND_DELIVER_CALL]
+        assert [(trace.events[i].round, trace.events[i].detail["by"]) for i in calls] == [
+            (4, [0, 1, 2, 3, 5])]
+        report = check_one(DELIVERY_COUNT_LAW, trace, cfg)
+        assert report.verdict == VIOLATED
+        assert len(report.details["instances"][0]["missing"]) == 16
+        assert report.witness == calls
+        assert_checked_independently([report], trace, cfg.resolved_schedule(), 2, 1, cfg.variant)
 
     def test_cures_come_from_the_schedule_not_the_trace(self):
         """Process 5 is cured in rounds 6 and 8 and re-delivers in both. A

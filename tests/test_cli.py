@@ -59,11 +59,16 @@ def test_run_twice_identical_files(tmp_path, golden_config_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_seed_override_changes_fingerprint(tmp_path, golden_config_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    cli.main(["run", "--config", str(golden_config_path), "--out", str(a), "--seed", "1"])
-    cli.main(["run", "--config", str(golden_config_path), "--out", str(b), "--seed", "2"])
-    assert a.read_text().splitlines()[0] != b.read_text().splitlines()[0]
+@pytest.mark.parametrize("command", [["run", "--config", "c.json", "--out", "t.jsonl"],
+                                     ["sweep", "--n-range", "5:7", "--out", "s.csv"]],
+                         ids=["run", "sweep"])
+def test_a_seed_option_is_refused_as_unknown(capsys, command):
+    """Nothing in a run or a sweep draws randomness, so neither takes a
+    ``--seed``: argparse refuses it (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_run_invalid_config_exits_2(tmp_path, capsys):
@@ -430,8 +435,9 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, edit, named):
     assert "Traceback" not in err
 
 
-GOOD_HEADER = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"' + TRACE_FORMAT
-               + '","seed":0}')
+GOOD_HEADER = '{"config":{"horizon":8,"n":6},"format":"' + TRACE_FORMAT + '"}'
+# A header of ``mbbc-trace/11``, which also held a seed and the config's fingerprint.
+HEADER_11 = '{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/11","seed":0}'
 DIGEST_DETAIL = '{"state_digest":"' + "0" * 64 + '"}'
 GOOD_EVENT = '{"detail":' + DIGEST_DETAIL + ',"kind":"STATE_CORRUPTED","round":1,"subject":0}'
 # An event line of the older layout, and one with a key of no layout.
@@ -485,7 +491,11 @@ def deliver_call(by: str | None, subject: int = 1, instances: str = '[{"payload"
                  '"subject":1}\n', 2, id="cured"),
     pytest.param(GOOD_HEADER + "\n" + LEFTOVER_PHASE + "\n", 2, id="leftover-phase"),
     pytest.param(GOOD_HEADER + "\n" + EXTRA_KEY + "\n", 2, id="extra-key"),
-    pytest.param(GOOD_HEADER.replace('"seed"', '"extra":5,"seed"') + "\n", 1, id="header-extra-key"),
+    pytest.param(GOOD_HEADER.replace('"format"', '"extra":5,"format"') + "\n", 1, id="header-extra-key"),
+    pytest.param(GOOD_HEADER.replace('"format"', '"seed":0,"format"') + "\n", 1, id="header-seed"),
+    pytest.param(GOOD_HEADER.replace('"format"', '"fingerprint":"x","format"') + "\n", 1,
+                 id="header-fingerprint"),
+    pytest.param(HEADER_11 + "\n" + GOOD_EVENT + "\n", 1, id="header-trace-11"),
     (GOOD_HEADER + "\n" + GOOD_EVENT.replace(DIGEST_DETAIL, '[]') + "\n", 2),
     pytest.param(GOOD_HEADER + "\n" + GOOD_EVENT + "\n" + GOOD_EVENT.replace(DIGEST_DETAIL, "{}") + "\n",
                  3, id="state-digest-missing"),
@@ -576,7 +586,7 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 @pytest.mark.parametrize("command", ["check", "replay"])
 @pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5",
                                  "mbbc-trace/6", "mbbc-trace/7", "mbbc-trace/8",
-                                 "mbbc-trace/9", "mbbc-trace/10"])
+                                 "mbbc-trace/9", "mbbc-trace/10", "mbbc-trace/11"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""
@@ -753,7 +763,7 @@ def header_only_exit(tmp_path, capsys, command, **config) -> str:
     its stderr."""
     trace = tmp_path / "trace.jsonl"
     trace.write_text(json.dumps({"config": {**golden_correct_source().to_dict(), **config},
-                                 "fingerprint": "x", "format": TRACE_FORMAT, "seed": 0}) + "\n")
+                                 "format": TRACE_FORMAT}) + "\n")
     start = time.perf_counter()
     assert cli.main([command, "--trace", str(trace)]) == 2
     assert time.perf_counter() - start < 1.0

@@ -101,10 +101,13 @@ class TestRunBasics:
         cfg = golden_correct_source()
         assert run(cfg).to_jsonl() == run(cfg).to_jsonl()
 
-    def test_seed_is_part_of_fingerprint(self):
-        a = golden_correct_source(seed=1)
-        b = golden_correct_source(seed=2)
-        assert run(a).fingerprint != run(b).fingerprint
+    def test_the_seed_is_kept_in_the_config_and_drives_nothing(self):
+        """Nothing in a run draws randomness: two seeds give the same events,
+        and their traces differ only in the config the header holds."""
+        a, b = run(golden_correct_source(seed=1)), run(golden_correct_source(seed=2))
+        assert a.events == b.events
+        assert a.config == {**b.config, "seed": 1} != b.config
+        assert a.to_jsonl().partition("\n")[2] == b.to_jsonl().partition("\n")[2]
 
     def test_synchrony_send_deliver_bijection(self):
         trace = run(golden_correct_source())
@@ -290,7 +293,7 @@ def send_event(round_, senders, message, to) -> TraceEvent:
 
 
 def hand_trace(n, events) -> Trace:
-    return Trace(fingerprint="x", seed=0, config={"n": n, "horizon": 4}, events=events)
+    return Trace(config={"n": n, "horizon": 4}, events=events)
 
 
 class TestDeliveries:
@@ -376,7 +379,7 @@ class TestDeliveries:
         assert [ev.detail["to"] for ev in trace.events
                 if ev.kind == KIND_P2P_SEND and ev.subject == 0] == [[2], [0, 1, 2]]
         assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == (
-            "a93459e46c2e321dd472737cd7f95563551e2f409c86e168556a2105203c30a8")
+            "8c4db2891e160ec9370e1a82cd9179564a368371645e5359a4b642d356c7b355")
 
     def test_sender_is_stamped_by_the_engine(self):
         """A possessed process cannot send under another process's name."""
@@ -467,7 +470,7 @@ class TestSharedCompute:
             sim.step()
             r, events = sim.round, sim.trace.events[start:]
             receipts = {p: [] for p in range(n)}
-            for d in deliveries(Trace("", 0, {"n": n}, events)):
+            for d in deliveries(Trace({"n": n}, events)):
                 receipts[d.receiver].append((d.sender, ProtocolMessage.from_dict(d.message)))
             cures = dict(deliver_oracle_events(sched, r, cfg.setting.oracle))
             for p in range(n):
@@ -951,7 +954,7 @@ class TestTraceIO:
         trace = run(golden_correct_source())
         back = Trace.from_jsonl(trace.to_jsonl())
         assert back.events == trace.events
-        assert back.fingerprint == trace.fingerprint
+        assert back.config == trace.config
         assert back.to_jsonl() == trace.to_jsonl()
 
     def test_header_embeds_config(self):

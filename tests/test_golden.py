@@ -66,45 +66,45 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "7d8b5a5d665f640e93dee64b6517f1d0443dffe920520bb705ce15b01a51f144",
+        "53a68cd6ca72d02257b6d49a83f184295c92d6b0448baf5964ecc8e12bb01ee6",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "f385e01b7baf7487e66834407af18dd8b05f444c26027c228ba951959b73f98b",
+        "4a292b358866b68fe84dfc85fe8ae457b5d021eefa97749c1140a4f1971d549c",
         "b565b1d7e2424a7619b181547bb51a6506f398ba7375d5cdec60f5d24028885e"),
     "bfa_forged_birth.json": (
-        "c0736a06b68afe37edb86dd22203791775f5cc98be5301f83c598ebfdb66fbfb",
+        "a51e196aa125851a243366fbcd97e2c31bb9236acf58d5f5a0713703d6db5caf",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "5264d8d967109532057708b162703b1ca02f7dddc2a5daf992798edfd27d8a03",
+        "9b82ca934331cf789f23cf5c074bcdab8f8bf8bbefdbd6611a57a1f20e5568ed",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "d20d577f7119414172536c13895acf6c6c6f0ca9a07a02fc6f761d1d48aeeb92",
+        "e082694ae4cd398306331a3c4ab82a4a444459596b43bc8077a9ecbdfec9018f",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "083c9ec975eb5aaa4a89aef8388da129f27edb6a1fe2388a4d792dd6d8b24f26",
+        "ad4007c13ee52cfc9db1a77f7244f3d67b10b83785b01827bd38e6b75b04ae0a",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "ffa_delivery_on_cure.json": (
-        "275706f9220bafb82a98976af3984e0332a52bb3e351421d8e014c2a1925519d",
+        "48ea9374d396e686a500e4a85f04600af59622e6fa7ae44ce42e6d43e895be0f",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "nfa_alternating_n7.json": (
-        "bce965aae84a593ce0a24ff719f3d1917cf0376b94d9afc79448d2e4a0044e08",
+        "e220325a9e2f466b14c6e643ccd36b4fdb7ccae32df596921270431085e10f6f",
         "3ac542c815ed690f1f0b18b36830465ad3c364936fb2b3752eb9c6ee74facb78"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "9d9c49832ff41e0dc1edc50f16d63a869005d12e7dfb5cb790dd80f3ac8f437e",
-        "068666c5965f51a023c9a3a2631746f45d34472e9d95b797e54203938f164ee6"),
+        "dd3d468d69c72d454cac125cdf638ae75af18d73ebad23e36b4b049c43bb75bf",
+        "61c5df858f5de5d97a6c9bcbb0bb439becb8eda10be2217ae405ea223e0d8b6d"),
     "THEOREM_3": (
-        "9d9c49832ff41e0dc1edc50f16d63a869005d12e7dfb5cb790dd80f3ac8f437e",
-        "068666c5965f51a023c9a3a2631746f45d34472e9d95b797e54203938f164ee6"),
+        "dd3d468d69c72d454cac125cdf638ae75af18d73ebad23e36b4b049c43bb75bf",
+        "61c5df858f5de5d97a6c9bcbb0bb439becb8eda10be2217ae405ea223e0d8b6d"),
     "THEOREM_4": (
-        "0b407d81c8eb1240729acd9299339b4d0f107e535b197eb01a4d1c6bb7e1b08e",
-        "f64348f8f39804431e5b9c50650f526e2adb5657153abd61bfb60bdd6bd5fad8"),
+        "ab62d538f5969613fa17bc70ca8bd68f94737024f0f10ca624c6879c7ba84b5a",
+        "db741bf2852d975151411fe6450d80140f731c951c250c936bd2dc93e60f212e"),
     "WIPE_FLIP": (
-        "0b407d81c8eb1240729acd9299339b4d0f107e535b197eb01a4d1c6bb7e1b08e",
-        "f64348f8f39804431e5b9c50650f526e2adb5657153abd61bfb60bdd6bd5fad8"),
+        "ab62d538f5969613fa17bc70ca8bd68f94737024f0f10ca624c6879c7ba84b5a",
+        "db741bf2852d975151411fe6450d80140f731c951c250c936bd2dc93e60f212e"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -247,9 +247,10 @@ def phased_line(event: dict) -> str:
 
 
 def per_envelope_jsonl(trace: Trace) -> str:
-    """The trace in the per-envelope layout: a header without ``format``, and in
-    each round its agent moves and cure notices (``previous_layout_events``),
-    then one P2P_SEND per (sender, receiver, message) ordered by (sender,
+    """The trace in the per-envelope layout: a header of the config's
+    fingerprint, its seed and the config, without ``format``, and in each
+    round its agent moves and cure notices (``previous_layout_events``), then
+    one P2P_SEND per (sender, receiver, message) ordered by (sender,
     receiver, message), then one P2P_DELIVER per receipt in the engine's
     RECEIVE order, then the COMPUTE events. Each DELIVER_CALL instance
     (``previous_layout_events`` lists them one per event, in (source,
@@ -282,7 +283,8 @@ def per_envelope_jsonl(trace: Trace) -> str:
         receipts.setdefault(d.round, []).append(encode({
             "round": d.round, "phase": "RECEIVE", "kind": "P2P_DELIVER", "subject": d.receiver,
             "detail": {"sender": d.sender, "message": d.message}}))
-    header = {"fingerprint": trace.fingerprint, "seed": trace.seed, "config": trace.config}
+    header = {"fingerprint": trace.scenario().fingerprint(), "seed": trace.config["seed"],
+              "config": trace.config}
     out = [encode(header)]
     for r in sorted(rounds):
         before, sends, after = rounds[r]

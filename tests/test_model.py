@@ -1,13 +1,14 @@
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SHAPES, shape_config
+from conftest import SHAPES, scanned_host, shape_config
 from mbbc.adversary import generate_paired_histories
 from mbbc.checker import TraceIndex, permanently_correct
-from mbbc.engine import Trace
+from mbbc.engine import Simulation, Trace
 from mbbc.model import (
     AgentTrajectory,
     FailureSchedule,
@@ -22,7 +23,7 @@ from mbbc.model import (
     validate_schedule,
 )
 from mbbc.protocol import VariantTag
-from mbbc.scenario import ScenarioConfig
+from mbbc.scenario import InvalidScenario, ScenarioConfig
 from mbbc.sweeps import BUNDLED_STRATEGIES, attack_scenario
 
 
@@ -234,24 +235,19 @@ def rebuilt(sched):
             for t in sched.trajectories))
 
 
-def assert_host_of_scans(sched):
-    """``host_of`` equals the first segment holding the round, for every
-    agent and every round from before 1 to past the horizon."""
-    for agent, traj in enumerate(sched.trajectories):
-        for r in range(-1, sched.horizon + 3):
-            scanned = next((seg.host for seg in traj.segments if seg.first_round <= r <= (
-                sched.horizon if seg.last_round is None else seg.last_round)), None)
-            assert sched.host_of(agent, r) == scanned, (agent, r)
+def agent_hosts(sched, r):
+    """The hosts the agents sit on in round r, off-board agents left out."""
+    return frozenset(scanned_host(sched, a, r) for a in range(sched.f)) - {None}
 
 
 def assert_tables_are_literal(sched):
     """Every round table of ``sched`` equals its literal recomputation,
-    round by round, from ``host_of``: the faulty and correct sets, the
-    cures with their span starts, each process's correct rounds, next
-    correct round and first faulty round, and the checker's cured rounds."""
+    round by round, from a scan of its stays (``scanned_host``): the faulty
+    and correct sets, the cures with their span starts, each process's
+    correct rounds, next correct round and first faulty round, and the
+    checker's cured rounds."""
     h, n = sched.horizon, sched.n
-    faulty = [frozenset()] + [frozenset(sched.host_of(a, r) for a in range(sched.f)) - {None}
-                              for r in range(1, h + 1)]
+    faulty = [frozenset()] + [agent_hosts(sched, r) for r in range(1, h + 1)]
 
     def span_start(p, r):
         while r > 1 and p in faulty[r - 1]:
@@ -280,7 +276,7 @@ def assert_tables_are_literal(sched):
     for r in range(2, h + 1):
         for p, _start in sched.cures(r):
             cured_rounds.setdefault(p, []).append(r)
-    index = TraceIndex(Trace("", 0, {}), sched, 2, 1, VariantTag.BFA_WEAK)
+    index = TraceIndex(Trace({}), sched, 2, 1, VariantTag.BFA_WEAK)
     assert index.cured_rounds == cured_rounds
 
 
@@ -308,8 +304,7 @@ class TestScheduleTable:
     @given(valid_schedules())
     def test_faulty_set_is_the_set_of_agent_hosts(self, sched):
         for r in range(1, sched.horizon + 1):
-            hosts = {sched.host_of(a, r) for a in range(sched.f)} - {None}
-            assert sched.faulty_set(r) == hosts, r
+            assert sched.faulty_set(r) == agent_hosts(sched, r), r
 
     @settings(max_examples=200, deadline=None)
     @given(valid_schedules())
@@ -366,13 +361,6 @@ class TestScheduleTable:
         assert sched == other and hash(sched) == hash(other)
         assert len({sched, other}) == 1
 
-    @pytest.mark.parametrize("name", NAMED_SCHEDULES)
-    def test_host_of_equals_the_segment_scan(self, name):
-        """The table ``host_of`` reads answers as a scan of the segments
-        does, off-board and outside the horizon included, on the bundled
-        configs and on roundrobin and walk shapes."""
-        assert_host_of_scans(named_schedule(name))
-
     @settings(max_examples=200, deadline=None)
     @given(valid_schedules())
     def test_an_accepted_schedule_keeps_within_f_agents(self, sched):
@@ -385,36 +373,38 @@ class TestScheduleTable:
     def test_a_named_schedule_keeps_within_f_agents(self, name):
         assert_within_budget(named_schedule(name))
 
-    @settings(max_examples=200, deadline=None)
-    @given(valid_schedules())
-    def test_host_of_equals_the_segment_scan_on_random_schedules(self, sched):
-        assert_host_of_scans(sched)
+    @pytest.mark.parametrize("name", NAMED_SCHEDULES)
+    def test_faulty_sets_are_the_stays_clipped_to_the_horizon(self, name):
+        """B(r) over all rounds holds exactly the (round, host) pairs of the
+        stays, each stay clipped to [1, horizon] and an open one run to the
+        horizon, on the bundled configs and on the shapes; no round outside
+        [1, horizon] has a set."""
+        sched = named_schedule(name)
+        h = sched.horizon
+        stayed = {(r, host) for traj in sched.trajectories for host, first, last in traj.segments
+                  for r in range(max(first, 1), min(h if last is None else last, h) + 1)}
+        tabled = {(r, p) for r in range(1, h + 1) for p in sched.faulty_set(r)}
+        assert tabled == stayed
+        for r in (-1, 0, h + 1, h + 2):
+            with pytest.raises(RoundOutOfHorizon):
+                sched.faulty_set(r)
 
-    def test_host_of_overlapping_segments_is_the_first_as_in_a_scan(self):
-        sched = schedule_from([[(1, 1, 3), (2, 2, 5)], [(4, 3, None), (0, 1, 4)]], n=6, horizon=6)
-        assert validate_schedule(sched) != ()
-        assert_host_of_scans(sched)
-        assert [sched.host_of(0, r) for r in range(1, 7)] == [1, 1, 1, 2, 2, None]
-
-    @pytest.mark.parametrize("agent", [-1, -2, 2, 3])
-    def test_host_of_an_agent_outside_0_to_f_is_a_value_error(self, agent):
-        """No negative index reaches another agent's host, and no id past
-        the last agent raises IndexError, in a round inside the horizon or not."""
-        sched = schedule_from([[(1, 1, 3)], [(4, 2, None)]], n=6, horizon=6)
-        for r in (0, 1, 4, 7):
-            with pytest.raises(ValueError, match=rf"agent {agent} outside \[0, 2\)"):
-                sched.host_of(agent, r)
-
-    @pytest.mark.parametrize("r", [0, 1, 4, 7])
-    def test_host_of_an_agent_without_a_trajectory_is_a_value_error(self, r):
-        """A schedule built directly with fewer trajectories than f (which
-        ``validate_schedule`` rejects) answers an id in [len(trajectories), f)
-        with a ValueError naming the agent, not an IndexError."""
-        sched = schedule_from([[(1, 1, 3)]], n=6, f=2, horizon=6)
-        assert validate_schedule(sched) != ()
-        assert sched.host_of(0, 1) == 1
-        with pytest.raises(ValueError, match=r"agent 1 has no trajectory"):
-            sched.host_of(1, r)
+    def test_overlapping_segments_are_refused_before_a_table_is_built(self):
+        """Stays of one agent that overlap would each add their host to the
+        shared rounds; ``validate_schedule`` refuses them as
+        ``segment-order`` without building a table, and a run validates its
+        schedule before it reads one."""
+        config = ScenarioConfig.from_dict({
+            **json.loads((Path(__file__).resolve().parents[1] / "configs" / "correct_source.json")
+                         .read_text()),
+            "schedule": {"trajectories": [{"agent_id": 0, "segments": [
+                {"host": 1, "first_round": 1, "last_round": 3},
+                {"host": 2, "first_round": 2, "last_round": None}]}]}})
+        sched = config.resolved_schedule()
+        assert [v.rule for v in validate_schedule(sched)] == ["segment-order"]
+        with pytest.raises(InvalidScenario, match="segment-order"):
+            Simulation(config)
+        assert "_faulty_table" not in vars(sched)
 
     def test_table_is_not_a_field(self):
         from dataclasses import fields

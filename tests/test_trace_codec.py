@@ -32,8 +32,7 @@ from mbbc.scenario import ScenarioConfig
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 DEMOS = ["THEOREM_3", "THEOREM_4", "SOURCE_FLIP", "WIPE_FLIP"]
 
-HEADER = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"' + engine.TRACE_FORMAT
-          + '","seed":0}')
+HEADER = '{"config":{"horizon":8,"n":6},"format":"' + engine.TRACE_FORMAT + '"}'
 # A valid line of a kind whose detail's one key, ``state_digest``, is 64
 # lowercase hex digits, as a sha256 is written.
 DIGEST = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -336,8 +335,7 @@ class TestWriter:
                    (KIND_P2P_SEND, {"message": message, "to": [1], "note": 1}),
                    (KIND_DELIVER_CALL, {"by": [0], "instances": [instance], "note": 1}),
                    (KIND_DELIVER_CALL, {"by": [0], "instances": [instance], "note": 2})]
-        trace = Trace("x", 0, {"horizon": 8, "n": 6},
-                      [TraceEvent(1, kind, 0, detail) for kind, detail in details])
+        trace = Trace({"horizon": 8, "n": 6}, [TraceEvent(1, kind, 0, detail) for kind, detail in details])
         text = trace.to_jsonl()
         assert text.splitlines()[1:] == per_line_events(trace) == cited(per_line_events(trace))
         assert parse(text) == "trace line 2: bad event line: unknown key 'note' in a send to 'ALL'"
@@ -833,10 +831,23 @@ class TestReader:
         assert parse(text) == ("trace line 3: bad event line: "
                                "subject 4 is not the first of its by list, 1")
 
-    def test_a_header_key_outside_the_four_is_named(self):
-        header = HEADER.replace('"seed"', '"phase":"ORACLE","seed"')
+    @pytest.mark.parametrize("key, value", [("phase", '"ORACLE"'), ("seed", "0"),
+                                            ("fingerprint", '"x"')])
+    def test_a_header_key_outside_the_two_is_named(self, key, value):
+        """A header holds its config and format alone: a leftover ``phase``,
+        or the ``seed`` and ``fingerprint`` that ``mbbc-trace/11`` wrote
+        beside the config, is refused, named."""
+        header = HEADER.replace('"format"', f'"{key}":{value},"format"')
         assert parse(f"{header}\n{CORRUPTED}\n") == (
-            "trace line 1: bad header line: unknown key 'phase'")
+            f"trace line 1: bad header line: unknown key '{key}'")
+
+    def test_a_trace_11_header_is_refused_for_its_format(self):
+        """The format is read first, so a four-key ``mbbc-trace/11`` header
+        is refused for its format, not for its keys."""
+        header = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/11",'
+                  '"seed":0}')
+        assert parse(f"{header}\n{CORRUPTED}\n") == (
+            "trace line 1: bad header line: format 'mbbc-trace/11' is not 'mbbc-trace/12'")
 
     def test_bundled_traces_read_back_and_cover_every_kind(self):
         kinds = set()
