@@ -60,7 +60,12 @@ class Observation:
 
 class Strategy:
     """The BENIGN strategy, and the default the others override: total
-    silence, state untouched."""
+    silence, state untouched.
+
+    A strategy holds no state of its run: every attribute is set in
+    ``__init__``, and no call changes one. So a simulation's future is
+    fixed by its config, its round, its states and last round's
+    STATE_CORRUPTED details."""
 
     def dictate_sends(self, p: int, r: int, obs: Observation
                       ) -> list[tuple[int | str, ProtocolMessage]]:

@@ -13,6 +13,7 @@ Set ``MBBC_LOG_LEVEL`` to error, info or debug to control logging.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -209,7 +210,7 @@ def cmd_replay(args) -> int:
     stored_text = stored.to_jsonl()
     fresh_text = fresh.to_jsonl()
     if stored_text == fresh_text:
-        print(f"replay identical: {fresh.sha256()}")
+        print(f"replay identical: {hashlib.sha256(fresh_text.encode('utf-8')).hexdigest()}")
         return EXIT_OK
     print("replay diverged from the stored trace", file=sys.stderr)
     stored_lines, fresh_lines = stored_text.splitlines(), fresh_text.splitlines()

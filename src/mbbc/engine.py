@@ -9,18 +9,16 @@ Each round runs five sub-phases in a fixed order:
 3. SEND     — correct processes run the protocol send phase (which
    performs the cure wipe) and send each message to every process; faulty
    processes emit exactly what the strategy dictates, with the sender stamp
-   forced (links are authenticated). The engine keeps, between rounds, the
-   groups the last COMPUTE left: each is one ``ProtocolState`` object and
-   the processes that hold it, in process order. The send phase runs once
-   per group, and the group's members are the senders of its queue: a
-   message one group holds takes that group's members, and only a message
-   several groups hold merges and sorts theirs, once per set of groups.
-   Before any strategy call, each possessed member is taken out of its
-   group, and one that shares its state object gets a copy of its own, as
-   a strategy may change it. A strategy dictates (receiver, message) pairs,
-   where a ``TO_ALL`` receiver stands for every process. Messages are
-   ordered by ``sort_key``, which the simulation keeps per message beside
-   its dict and JSON text.
+   forced (links are authenticated). Each round SEND finds its groups in
+   ``Simulation.states``, the one record of each process's state: a group
+   is one ``ProtocolState`` object and the correct processes that hold it,
+   in process order. The send phase runs once per group, and the group's
+   members are the senders of its queue: a message one group holds takes
+   that group's members, and only a message several groups hold merges and
+   sorts theirs, once per set of groups. A strategy dictates (receiver,
+   message) pairs, where a ``TO_ALL`` receiver stands for every process.
+   Messages are ordered by ``sort_key``, which the simulation keeps per
+   message beside its dict and JSON text.
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Each distinct message
    the correct processes send to all is folded once, with all its senders,
@@ -59,15 +57,15 @@ Each round runs five sub-phases in a fixed order:
    counter thus joins the class its repair puts it in. A scheduled
    broadcast call joins its class like any other process, then takes a
    copy of the outcome whose queue gains the SEND, stamped with the
-   repaired ``rc`` (``protocol.queue_broadcasts``). A state object that two
-   processes hold is never changed in place: a possessed member, a part
-   split off by fold and a caller each work on a copy. The next round's groups are the classes, less their
-   callers, and one group for each caller and each possessed process. The
-   send queue a state carries is immutable, so copies share it. Each class
-   delivers in (source, payload) order and lists its members in process
-   order, so ``deliver_calls`` builds the round's DELIVER_CALLs per set of
-   delivering classes, and only an instance several classes deliver merges
-   and sorts their members.
+   repaired ``rc`` (``protocol.queue_broadcasts``). No state object that
+   two processes hold is changed in place: a possessed process, a freed
+   process and a broadcast caller each get a copy of their state before
+   anything changes it, and a group's state changes in place only for the
+   whole group. The send queue a state carries is immutable, so copies
+   share it. Each class delivers in (source, payload) order and lists its
+   members in process order, so ``deliver_calls`` builds the round's
+   DELIVER_CALLs per set of delivering classes, and only an instance
+   several classes deliver merges and sorts their members.
 
 Every externally visible action is appended to a totally ordered trace as
 an event ``(round, kind, subject, detail)``. Each kind is written in one
@@ -797,27 +795,6 @@ def _dictated(sender: int, sends: Sequence[tuple[int | str, ProtocolMessage]],
     return entries, reaches_all
 
 
-def _possessed_taken_out(groups: list[tuple[ProtocolState, list[int]]], faulty: frozenset[int],
-                         states: list[ProtocolState]) -> list[tuple[ProtocolState, list[int]]]:
-    """The groups of the round's correct processes: ``groups`` with every
-    possessed member taken out. A possessed member that shares its state
-    object gets a copy of its own in ``states``, as a strategy may change
-    it; of a group whose members are all possessed, the first keeps the
-    object."""
-    correct_groups = []
-    for state, members in groups:
-        if faulty.isdisjoint(members):
-            correct_groups.append((state, members))
-            continue
-        correct = [p for p in members if p not in faulty]
-        possessed = [p for p in members if p in faulty]
-        for p in possessed if correct else possessed[1:]:
-            states[p] = state.copy()
-        if correct:
-            correct_groups.append((state, correct))
-    return correct_groups
-
-
 def _by_fold(members: list[int], tallies: Sequence[Tallies]) -> list[tuple[list[int], Tallies]]:
     """A group's members split by the fold each reads, each part in process
     order with its fold; ``members`` itself when all read one fold."""
@@ -897,12 +874,10 @@ class Simulation:
         self.schedule = config.resolved_schedule()
         self.strategy: Strategy = build_strategy(config)
         self.variant = config.variant_spec()
-        # Each process's state, and the groups of processes that share one
-        # object (see the module docstring): at the start, all of them.
-        state = init_state()
-        self.states: list[ProtocolState] = [state] * config.n
+        # Each process's state, the one record of it: processes may share an
+        # object (see the module docstring), and at the start all of them do.
+        self.states: list[ProtocolState] = [init_state()] * config.n
         self._everyone = list(range(config.n))
-        self._groups: list[tuple[ProtocolState, list[int]]] = [(state, self._everyone)]
         self.trace = Trace(config=config.to_dict())
         self.round = 0
         # Each round's broadcast calls: caller -> payloads.
@@ -939,14 +914,28 @@ class Simulation:
 
         # ORACLE: cure notifications reach freed processes before they send.
         # The agents' moves (ADVERSARY) are the schedule's; neither is traced.
-        # A freed process was possessed last round, so it holds its own state.
+        # Each freed process is cured on a copy of its state, which other
+        # processes may hold.
         for p, since in deliver_oracle_events(schedule, r, self.config.setting.oracle):
-            on_cured(states[p], since)
+            state = states[p] = states[p].copy()
+            on_cured(state, since)
 
-        # SEND: one send phase per group of correct processes, its members
-        # the senders of its queue; one dictated entry per possessed (sender,
-        # message) that is dictated.
-        groups = _possessed_taken_out(self._groups, faulty, states) if faulty else self._groups
+        # SEND: one send phase per group of correct processes that hold one
+        # state object, its members, in process order, the senders of its
+        # queue; one dictated entry per possessed (sender, message) that is
+        # dictated. Each possessed process gets a copy of its state, as a
+        # strategy may change it.
+        by_state: dict[int, tuple[ProtocolState, list[int]]] = {}
+        for p, state in enumerate(states):
+            if p in faulty:
+                states[p] = state.copy()
+                continue
+            group = by_state.get(id(state))
+            if group is None:
+                by_state[id(state)] = (state, [p])
+            else:
+                group[1].append(p)
+        groups = by_state.values()
         obs = Observation(schedule=schedule, states=states)
         sort_key, message_dicts = self._sort_keys.__getitem__, self._message_dicts
         # A message one group holds has that group's members as senders; one
@@ -987,8 +976,8 @@ class Simulation:
             if group is None:
                 group = fan_out_messages[id(senders)] = (senders, [])
             group[1].append(message_dicts[msg])
-        # A group keeps its list of members for later rounds, so each
-        # fan-out's ``from`` is a copy of its own.
+        # COMPUTE extends a class's list of members in place, and that list
+        # may be a group's, so each fan-out's ``from`` is a copy of its own.
         for senders, messages in fan_out_messages.values():
             emit(TraceEvent(r, KIND_P2P_SEND, senders[0],
                             {"from": senders[:], "messages": messages, "to": TO_ALL}))
@@ -1015,9 +1004,7 @@ class Simulation:
         # without a call. The reading's majority is the repaired counter of
         # the key.
         F = variant.effective_f
-        # Each class: its outcome, its deliveries, its members in process
-        # order, and whether those are a list of its own, merged from
-        # several groups (sorted once the round's groups are in).
+        # Each class: its outcome, its deliveries and its members.
         classes: dict[tuple, list] = {}
         last_fold = majority = None
         for state, members in groups:
@@ -1030,15 +1017,12 @@ class Simulation:
                 if found is None:
                     # In place when the part is every holder of the state.
                     outcome = state if part is members else state.copy()
-                    classes[key] = [outcome, compute_phase(outcome, fold, variant, n), part, False]
+                    classes[key] = [outcome, compute_phase(outcome, fold, variant, n), part]
                     if outcome is state:
                         continue
                 else:
                     outcome = found[0]
-                    if found[3]:
-                        found[2] += part
-                    else:
-                        found[2], found[3] = found[2] + part, True
+                    found[2] += part
                 for p in part:
                     states[p] = outcome
         # The possessed processes' states and the correct broadcast callers'
@@ -1047,33 +1031,24 @@ class Simulation:
         broadcasts = self._broadcasts.get(r)
         callers = broadcasts.keys() - faulty if broadcasts else ()
         last_corrupted, corrupted = self._corrupted, {}
-        alone: list[tuple[ProtocolState, list[int]]] = []
         for p in sorted(faulty.union(callers)) if callers else sorted(faulty):
             if p in faulty:
-                new_state = states[p] = strategy.corrupt_state(p, r, obs)
-                detail = corrupted[p] = self._corrupted_detail(new_state)
+                state = states[p] = strategy.corrupt_state(p, r, obs)
+                detail = corrupted[p] = self._corrupted_detail(state)
                 if detail != last_corrupted.get(p):
                     emit(TraceEvent(r, KIND_STATE_CORRUPTED, p, detail))
             else:
                 payloads = broadcasts[p]
                 for payload in payloads:
                     emit(TraceEvent(r, KIND_BROADCAST_CALL, p, dict(encode_payload(payload))))
-                new_state = states[p] = states[p].copy()
-                queue_broadcasts(new_state, p, payloads)
-            alone.append((new_state, [p]))
+                state = states[p] = states[p].copy()
+                queue_broadcasts(state, p, payloads)
+        # A class that several groups entered lists their members in turn.
         delivering = []
-        next_groups = []
-        for outcome, delivered, members, merged in classes.values():
-            if merged:
-                members.sort()
+        for _outcome, delivered, members in classes.values():
             if delivered:
+                members.sort()
                 delivering.append((delivered, members))
-            if callers and not callers.isdisjoint(members):
-                members = [p for p in members if p not in callers]
-                if not members:
-                    continue
-            next_groups.append((outcome, members))
-        self._groups = next_groups + alone if alone else next_groups
         if delivering:
             self.trace.events += deliver_calls(r, delivering, self._instances)
         self._corrupted = corrupted

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -927,6 +928,32 @@ def test_replay_roundtrip_and_divergence(tmp_path, golden_config_path, capsys):
     lines[1] = lines[1].replace('"round":1', '"round":2', 1)
     trace.write_text("\n".join(lines) + "\n")
     assert cli.main(["replay", "--trace", str(trace)]) == 1
+
+
+def test_replay_encodes_each_trace_once_and_prints_the_stored_digest(tmp_path, golden_config_path,
+                                                                     capsys, monkeypatch):
+    """One identical replay encodes the stored trace, then the fresh one,
+    and prints the sha256 of the stored trace's text."""
+    trace = tmp_path / "trace.jsonl"
+    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    capsys.readouterr()
+    encoded, fresh = [], []
+    to_jsonl = Trace.to_jsonl
+
+    def counted(self):
+        encoded.append(self)
+        return to_jsonl(self)
+
+    def kept(config):
+        fresh.append(run(config))
+        return fresh[0]
+
+    monkeypatch.setattr(Trace, "to_jsonl", counted)
+    monkeypatch.setattr(cli, "run", kept)
+    assert cli.main(["replay", "--trace", str(trace)]) == 0
+    assert len(encoded) == 2 and encoded[0] is not fresh[0] and encoded[1] is fresh[0]
+    digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+    assert capsys.readouterr().out == f"replay identical: {digest}\n"
 
 
 @pytest.mark.parametrize("edit", ["truncated", "extended"])

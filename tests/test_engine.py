@@ -9,9 +9,11 @@ import pytest
 from conftest import (
     KIND_PHASE,
     SHAPES,
+    arbitrary_config,
     assert_deliver_call_layout,
     crash_silent,
     fanout_shaped,
+    forged_birth_config,
     golden_correct_source,
     previous_layout_jsonl,
     random_walk_schedule,
@@ -44,6 +46,7 @@ from mbbc.engine import (
 from mbbc.messages import ProtocolMessage, send_msg
 from mbbc.model import AgentTrajectory, FailureSchedule, OracleKind, Segment
 from mbbc.protocol import (
+    ProtocolState,
     Tallies,
     VariantTag,
     compute_phase,
@@ -783,9 +786,9 @@ def spied_strategies(monkeypatch) -> Counter:
 
 class TestSharedStates:
     """Between rounds the processes of each class hold one state object.
-    SEND runs once per group of holders; a holder the agent takes, or one
-    that calls broadcast, gets a copy of its own, and no shared object is
-    changed in place."""
+    SEND runs once per group of holders; a holder the agent takes, one the
+    oracle cures, or one that calls broadcast, gets a copy of its own, and
+    no shared object is changed in place."""
 
     @pytest.mark.parametrize("config", [
         *[pytest.param(lambda path=path: ScenarioConfig.from_json(path.read_text()), id=path.stem)
@@ -852,6 +855,63 @@ class TestSharedStates:
         assert caller.to_send - others[0].to_send == {send_msg(1, 2, b"m")}
         sim.step()
         assert all(state is sim.states[0] for state in sim.states)
+
+
+# The configs a simulation is forked on: the bundled ones, the shapes, both
+# demos' two histories, and seeded ARBITRARY and forged-birth scripts. They
+# run all seven strategy kinds.
+FORK_POOL = [
+    *[pytest.param(lambda path=path: ScenarioConfig.from_json(path.read_text()), id=path.stem)
+      for path in BUNDLED],
+    *[pytest.param(lambda name=name: shape_config(name), id=name) for name in SHAPES],
+    *[pytest.param(lambda kind=kind, side=side: paired_history(kind, side), id=f"{kind}-{side}")
+      for kind in ("SOURCE_FLIP", "WIPE_FLIP") for side in (0, 1)],
+    *[pytest.param(lambda seed=seed: arbitrary_config(seed), id=f"arbitrary-{seed}")
+      for seed in range(60)],
+    *[pytest.param(lambda seed=seed: forged_birth_config(seed, 6, 1), id=f"forged_birth-{seed}")
+      for seed in range(20)],
+]
+
+
+def forked(sim: Simulation) -> Simulation:
+    """A fresh simulation of ``sim``'s config given only its round, last
+    round's STATE_CORRUPTED details, its events so far and its states. The
+    states are new objects, one per distinct value, so processes whose
+    states are equal share one, last round's possessed processes included."""
+    fork = Simulation(sim.config)
+    fork.round, fork._corrupted = sim.round, dict(sim._corrupted)
+    fork.trace.events = list(sim.trace.events)
+    shared: dict[tuple, ProtocolState] = {}
+    fork.states = [shared.setdefault(fields, ProtocolState(*fields)) for fields in
+                   ((s.to_send, s.cured, s.cured_faulty_since, s.rc) for s in sim.states)]
+    return fork
+
+
+class TestFork:
+    """A simulation's future is fixed by its config, its round, its states
+    and last round's STATE_CORRUPTED details: however the states share
+    their objects, a fork runs on to the trace of the uncut run."""
+
+    @pytest.mark.parametrize("config", FORK_POOL)
+    def test_a_fork_after_every_round_runs_on_to_the_same_trace(self, config):
+        cfg = config()
+        expected = run(cfg).to_jsonl()
+        sim = Simulation(cfg)
+        while sim.round < cfg.horizon:
+            assert forked(sim).run().to_jsonl() == expected, sim.round
+            sim.step()
+        assert sim.trace.to_jsonl() == expected
+
+    @pytest.mark.parametrize("config", FORK_POOL)
+    def test_a_strategy_keeps_no_state_of_its_run(self, config):
+        sim = Simulation(config())
+        before = copy.deepcopy(vars(sim.strategy))
+        sim.run()
+        assert vars(sim.strategy) == before
+
+    def test_the_pool_runs_every_strategy_kind(self):
+        kinds = {param.values[0]().strategy.get("kind", "BENIGN") for param in FORK_POOL}
+        assert kinds == set(adversary._STRATEGY_KEYS)
 
 
 def send_order_texts(case: str) -> list[str]:
