@@ -71,10 +71,10 @@ class Strategy:
                       ) -> list[tuple[int | str, ProtocolMessage]]:
         """The (receiver, message) pairs possessed process p sends in round
         r, a receiver repeated to send it a message twice. A ``TO_ALL``
-        receiver stands for every process, p included, in one entry: a
-        sender each of whose messages reaches every process is folded once
-        into the round's common tallies, and only the others' receipts make
-        an inbox. The trace lists the receivers in full either way."""
+        receiver stands for every process, p included, in one entry. A
+        sender each of whose messages reaches every process exactly once
+        joins the round's fan-outs, as a correct one; every other sender's
+        messages are dictated sends, listing their receivers."""
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:

@@ -511,8 +511,8 @@ def _kept_sends(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, lis
     """Each round's sends to the kept processes, one P2P_SEND per (message
     text, kept receivers) listing its senders (``projection``), read from
     ``engine.send_groups``. Each message object is encoded once; the memo
-    holds it, so no id is reused. Groups with equal kept receivers share one
-    list, which ``event_lines`` then encodes once."""
+    holds it, so no id is reused. Equal lists, of kept receivers or of
+    senders, are one shared list, which ``event_lines`` then encodes once."""
     everyone = sorted(keep)
     texts: dict[int, tuple[object, str]] = {}
     shared: dict[tuple[int, ...], list[int]] = {}
@@ -536,6 +536,7 @@ def _kept_sends(events: list[TraceEvent], keep: frozenset[int]) -> dict[int, lis
         for key in sorted(groups):
             message, kept, senders = groups[key]
             senders.sort()
+            senders = shared.setdefault(tuple(senders), senders)
             sends.append(TraceEvent(r, KIND_P2P_SEND, senders[0],
                                     {"from": senders, "message": message, "to": kept}))
     return out

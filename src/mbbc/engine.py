@@ -13,25 +13,24 @@ Each round runs five sub-phases in a fixed order:
    ``Simulation.states``, the one record of each process's state: a group
    is one ``ProtocolState`` object and the correct processes that hold it,
    in process order. The send phase runs once per group, and the group's
-   members are the senders of its queue: a message one group holds takes
-   that group's members, and only a message several groups hold merges and
-   sorts theirs, once per set of groups. A strategy dictates (receiver,
-   message) pairs, where a ``TO_ALL`` receiver stands for every process.
-   Messages are ordered by ``sort_key``, which the simulation keeps per
-   message beside its dict and JSON text.
+   members are the senders of its queue. A strategy dictates (receiver,
+   message) pairs, a ``TO_ALL`` receiver standing for every process. A
+   possessed sender each of whose messages reaches every process exactly
+   once is a group of one; every other one is partial. A message one group
+   holds takes that group's members as senders, and only a message several
+   groups hold merges and sorts theirs, once per set of groups. Messages
+   are ordered by ``sort_key``, kept per message beside its dict and JSON.
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Each distinct message
-   the correct processes send to all is folded once, with all its senders,
-   into the round's common tallies. So is each message of a possessed
-   sender each of whose dictated messages reaches every process, once per
-   (sender, message), as ``TO_ALL`` entries do. A process's inbox is its
-   receipts from the other possessed senders, the partial ones, as (sender,
-   message) pairs; only their receivers hold one. ``receive_phase`` folds
-   each distinct inbox once into a copy of the common tallies, and every
-   process that holds it reads that one fold, read-only, possessed
-   processes included. A process with no such receipt reads the common
-   tallies themselves, as every process does in a round without partial
-   senders. Tallies are round-local and never part of a process's state.
+   sent to all is folded once, with all its senders, correct or possessed,
+   into the round's common tallies, in message order. A process's inbox is
+   its receipts from the partial senders, as (sender, message) pairs; only
+   their receivers hold one. ``receive_phase`` folds each distinct inbox
+   once into a copy of the common tallies, and every process that holds
+   it, possessed or not, reads that one fold, read-only. A process with no
+   such receipt reads the common tallies themselves, as every process does
+   in a round without partial senders. Tallies are round-local, never
+   part of a process's state.
    RECEIVE is the only place a fold is built: the strategies see every
    process's fold in the observation, and the history-forging ones run a
    possessed process's compute phase on that process's fold.
@@ -84,24 +83,26 @@ any possessed (p, r) is that of p's latest STATE_CORRUPTED at or before r
 within its span: the rounds back from r in which p is faulty
 (``FailureSchedule.is_faulty``).
 
-A round's correct fan-outs are one P2P_SEND event per distinct list of
-senders, ``{"from": [senders], "messages": [m, …], "to": "ALL"}``: the
-senders strictly increasing, the subject ``from[0]``, and ``messages`` every
-message, in message order, that exactly those senders sent to all. The
-fan-outs are ordered by their first message, so each (sender, message) pair
-stands in one of them. A dictated send is one event per (sender, message),
-``{"message": …, "to": [receivers]}``, the receivers sorted with duplicates
-kept: a faulty sender's ROUND votes replace each other, so its messages keep
-their order. The fan-outs come first, then the dictated sends in (sender,
-message) order. Receipts are not traced; links are synchronous and reliable,
-so ``deliveries`` derives them from the SEND events, which ``send_groups``
-reads per (event, message) and ``round_sends`` expands to one (sender,
-message, to) send per sender in (sender, message) order; a process's tallies
-are a fold of its receipts, by (sender, message). A round's deliveries are
-one DELIVER_CALL per distinct list of delivering processes, ``{"by":
-[processes], "instances": [{"payload…": …, "source": s}, …]}``: the
-processes strictly increasing, the subject ``by[0]``, and the instances
-strictly increasing in (source, payload) order. They come after the round's
+A round's fan-outs are one P2P_SEND event per distinct list of senders,
+correct or possessed, ``{"from": [senders], "messages": [m, …], "to":
+"ALL"}``: the senders strictly increasing, the subject ``from[0]``, and
+``messages`` every message, in message order, that exactly those senders
+sent to all. The fan-outs are ordered by their first message, so each
+(sender, message) pair stands in one of them. A partial sender's send is
+one event per (sender, message), ``{"message": …, "to": [receivers]}``, the
+receivers sorted with duplicates kept. A partial sender's message to every
+process is dictated too: its ROUND votes replace each other in message
+order, which a fold of some of its messages apart from the others would
+not keep. The fan-outs come first, then the dictated sends in (sender,
+message) order. Receipts are not traced; links are synchronous and
+reliable, so ``deliveries`` derives them from the SEND events, which
+``send_groups`` reads per (event, message) and ``round_sends`` expands to
+one (sender, message, to) send per sender in (sender, message) order; a
+process's tallies are a fold of its receipts, by (sender, message). A
+round's deliveries are one DELIVER_CALL per distinct list of delivering
+processes, ``{"by": [processes], "instances": [{"payload…": …, "source":
+s}, …]}``: the processes strictly increasing, the subject ``by[0]``, and the
+instances strictly increasing in (source, payload) order. They come after the round's
 STATE_CORRUPTED and BROADCAST_CALL events, ordered by their first instance.
 ``compute_phase`` delivers in (source, payload) order, so each event's
 instances are, in order, a subsequence of the deliveries of every process it
@@ -166,15 +167,16 @@ KIND_STATE_CORRUPTED = "STATE_CORRUPTED"
 KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRUPTED)
 
 # The header's ``format``: a header of the config and the format alone; per
-# round, one P2P_SEND per list of fan-out senders, listing its messages, or
-# per dictated (sender, message); no receipts, agent moves or cures; one
+# round, one P2P_SEND per list of fan-out senders, correct or possessed,
+# listing its messages, and one per partial sender's (sender, message),
+# listing its receivers; no receipts, agent moves or cures; one
 # DELIVER_CALL per list of delivering processes, listing its (source,
 # payload) instances; a STATE_CORRUPTED, the digest of a state's four fields
 # (``protocol.state_fingerprint``), only where a possessed process's digest
 # is new to its stay; each distinct message, instance, process list, receiver
 # list and state digest written in full once, and cited by its index after
 # that.
-TRACE_FORMAT = "mbbc-trace/12"
+TRACE_FORMAT = "mbbc-trace/13"
 # Each detail's one key set, by kind (a P2P_SEND's by its ``to``), and an
 # instance object's: the reader refuses any other key, and ``event_lines``
 # writes each of these details from its template.
@@ -230,8 +232,9 @@ def event_lines(events: Iterable[TraceEvent],
 
     The outer layout is written from a template, and each detail object and
     each message and instance object is encoded once per call, by identity,
-    as is each value a template places when there are no tables (a
-    projection's groups share their lists of receivers): the memos hold
+    as is a dictated send's ``from`` and each value a template places when
+    there are no tables (a projection's groups share their lists of senders
+    and of receivers): the memos hold
     every object they have encoded, so no id is reused while they live. A
     detail's line is kept for a later event that shares the detail only
     when it defines nothing. A detail must therefore stay unchanged while
@@ -271,7 +274,7 @@ def event_lines(events: Iterable[TraceEvent],
             before = len(defined)
             if (kind == KIND_P2P_SEND and "message" in detail and "to" in detail
                     and len(detail) == 2 + ("from" in detail) and detail["to"] != TO_ALL):
-                senders = f'"from":{encode_line(detail["from"])},' if "from" in detail else ""
+                senders = f'"from":{encode(detail["from"])},' if "from" in detail else ""
                 body = (f'{{{senders}"message":{cite_message(detail["message"])},'
                         f'"to":{cite_receivers(detail["to"])}}}')
             elif (kind == KIND_P2P_SEND and len(detail) == 3 and "from" in detail
@@ -773,10 +776,10 @@ def _dictated(sender: int, sends: Sequence[tuple[int | str, ProtocolMessage]],
               sort_key: Callable[[ProtocolMessage], tuple], everyone: list[int]
               ) -> tuple[list[tuple[int, ProtocolMessage, list[int]]], bool]:
     """A possessed sender's dictated (receiver, message) pairs as outbox
-    entries, and whether each entry reaches every process. One entry per
-    distinct message, in message order (``sort_key``), its receivers sorted
-    with duplicates kept, a list of the entry's own; a ``TO_ALL`` receiver
-    stands for each process of ``everyone``."""
+    entries, and whether each entry reaches every process exactly once. One
+    entry per distinct message, in message order (``sort_key``), its
+    receivers sorted with duplicates kept, a list of the entry's own; a
+    ``TO_ALL`` receiver stands for each process of ``everyone``."""
     receivers: dict[ProtocolMessage, list] = {}
     for receiver, msg in sends:
         receivers.setdefault(msg, []).append(receiver)
@@ -790,7 +793,7 @@ def _dictated(sender: int, sends: Sequence[tuple[int | str, ProtocolMessage]],
             if TO_ALL in to:
                 to = [q for q in to if q != TO_ALL] + everyone * to.count(TO_ALL)
             to.sort()
-            reaches_all = reaches_all and set(to) == set(everyone)
+            reaches_all = reaches_all and to == everyone
         entries.append((sender, msg, to))
     return entries, reaches_all
 
@@ -922,9 +925,9 @@ class Simulation:
 
         # SEND: one send phase per group of correct processes that hold one
         # state object, its members, in process order, the senders of its
-        # queue; one dictated entry per possessed (sender, message) that is
-        # dictated. Each possessed process gets a copy of its state, as a
-        # strategy may change it.
+        # queue; a possessed process sends what the strategy dictates. Each
+        # possessed process gets a copy of its state, as a strategy may
+        # change it.
         by_state: dict[int, tuple[ProtocolState, list[int]]] = {}
         for p, state in enumerate(states):
             if p in faulty:
@@ -936,37 +939,35 @@ class Simulation:
             else:
                 group[1].append(p)
         groups = by_state.values()
+        sending = [(senders, send_phase(state)) for state, senders in groups]
         obs = Observation(schedule=schedule, states=states)
         sort_key, message_dicts = self._sort_keys.__getitem__, self._message_dicts
+        # A possessed sender each of whose messages reaches every process
+        # exactly once sends as a group of one; every other one's entries
+        # are partial, in (sender, message) order, and reach the inboxes.
+        partial: list[tuple[int, ProtocolMessage, list[int]]] = []
+        for p in sorted(faulty):
+            sends = strategy.dictate_sends(p, r, obs)
+            if sends:
+                entries, reaches_all = _dictated(p, sends, sort_key, self._everyone)
+                if reaches_all:
+                    sending.append(([p], [msg for _p, msg, _to in entries]))
+                else:
+                    partial += entries
         # A message one group holds has that group's members as senders; one
         # several hold, the union of theirs, sorted, built once per set of
         # groups: each group joins each list held before its walk began once
         # (those lists all lived at that point, so no two share an id).
         fan_outs: dict[ProtocolMessage, list[int]] = {}
-        for state, senders in groups:
+        for senders, messages in sending:
             unions: dict[int, list[int]] = {}
-            for msg in send_phase(state):
+            for msg in messages:
                 held = fan_outs.setdefault(msg, senders)
                 if held is not senders:
                     union = unions.get(id(held))
                     if union is None:
                         union = unions[id(held)] = sorted(held + senders)
                     fan_outs[msg] = union
-        # The dictated entries in (sender, message) order; those of a sender
-        # that sends each of its messages to every process fold into the
-        # common tallies, and only the others reach an inbox.
-        dictated: list[tuple[int, ProtocolMessage, list[int]]] = []
-        to_all: list[tuple[int, ProtocolMessage, list[int]]] = []
-        partial: list[tuple[int, ProtocolMessage, list[int]]] = []
-        for p in sorted(faulty):
-            sends = strategy.dictate_sends(p, r, obs)
-            if sends:
-                entries, reaches_all = _dictated(p, sends, sort_key, self._everyone)
-                dictated += entries
-                if reaches_all:
-                    to_all += entries
-                else:
-                    partial += entries
         ordered = sorted(fan_outs, key=sort_key)
         # Each distinct list of senders is one list object: one fan-out each.
         fan_out_messages: dict[int, tuple[list[int], list[dict]]] = {}
@@ -981,20 +982,16 @@ class Simulation:
         for senders, messages in fan_out_messages.values():
             emit(TraceEvent(r, KIND_P2P_SEND, senders[0],
                             {"from": senders[:], "messages": messages, "to": TO_ALL}))
-        for sender, msg, to in dictated:
+        for sender, msg, to in partial:
             emit(TraceEvent(r, KIND_P2P_SEND, sender, {"message": message_dicts[msg], "to": to}))
 
         # RECEIVE: synchronous reliable delivery of everything sent this round.
-        # The fan-outs come from correct senders and the to-all and partial
-        # entries from two sets of possessed senders, so no two of the three
-        # share a sender, and each sender's messages fold in message order,
-        # as its receipts do: the common fold plus a receiver's partial
-        # receipts is its whole inbox.
+        # No fan-out sender has a partial entry, and each sender's messages
+        # fold in message order, as its receipts do: the common fold plus a
+        # receiver's partial receipts is its whole inbox.
         common = Tallies()
         for msg in ordered:
             on_p2p_deliver(common, fan_outs[msg], msg)
-        for sender, msg, _to in to_all:
-            on_p2p_deliver(common, (sender,), msg)
         obs.tallies = tallies = (receive_phase(common, _inboxes(partial, n)) if partial
                                  else [common] * n)
 

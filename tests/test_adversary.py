@@ -47,10 +47,13 @@ class TestAlternatingSets:
         kinds = {m.kind for _, m in sends}
         assert receivers == {TO_ALL}
         assert MessageKind.READY in kinds and MessageKind.ECHO in kinds
-        # The engine sends each of them to every process, itself included.
-        dictated = [ev.detail["to"] for ev in run(cfg).events
-                    if ev.kind == "P2P_SEND" and (ev.round, ev.subject) == (2, 4)]
-        assert dictated == [list(range(6))] * len(sends)
+        # The engine sends each of them to every process, itself included,
+        # and writes the sender into the round's fan-outs, as a correct one.
+        trace = run(cfg)
+        received = [d.receiver for d in deliveries(trace) if (d.round, d.sender) == (2, 4)]
+        assert sorted(received) == sorted(list(range(6)) * len(sends))
+        sent = [to for sender, _msg, to in round_sends(trace.events)[2] if sender == 4]
+        assert sent == [TO_ALL] * len(sends)
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(InvalidScenario):

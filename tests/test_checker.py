@@ -490,13 +490,13 @@ class TestProjection:
 
     def test_changed_message_from_a_faulty_sender_shows_in_the_projection(self):
         """Two histories differing only in one message a faulty sender sends to
-        a permanently correct process are told apart."""
-        result = run_demo("SOURCE_FLIP", {})
-        trace, config = result.trace_second, result.config_second
+        a permanently correct process are told apart: here the SEND a split
+        sender dictates to a list of targets."""
+        config = split_send_scenario([1, 2, 3])
+        trace = run(config)
         sched = config.resolved_schedule()
         keep = permanently_correct(sched)
         before = projection_jsonl(trace, sched)
-        assert before == projection_jsonl(result.trace_first, result.config_first.resolved_schedule())
         index, event = next((i, e) for i, e in enumerate(trace.events)
                             if e.kind == KIND_P2P_SEND and isinstance(e.detail["to"], list)
                             and sched.is_faulty(e.subject, e.round)
@@ -514,9 +514,15 @@ class TestProjection:
         that reaches only the source itself, taking a sender out of a fan-out
         and giving it a dictated send of each of its messages to every
         process, or swapping two DELIVER_CALLs of one round whose kept
-        members are disjoint, is invisible."""
-        result = run_demo("SOURCE_FLIP", {})
-        trace, config = result.trace_second, result.config_second
+        members are disjoint, is invisible. The SOURCE_FLIP source sends
+        every message to every process, in the fan-outs, so the two edits of
+        a dictated send edit a split source's SEND to itself and two others."""
+        if edit in ("non_kept_receiver", "send_to_itself"):
+            config = split_send_scenario([0, 2, 3])
+            trace = run(config)
+        else:
+            result = run_demo("SOURCE_FLIP", {})
+            trace, config = result.trace_second, result.config_second
         sched = config.resolved_schedule()
         keep = permanently_correct(sched)
         source = config.broadcasts[0].source

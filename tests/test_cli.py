@@ -587,7 +587,8 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 @pytest.mark.parametrize("command", ["check", "replay"])
 @pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5",
                                  "mbbc-trace/6", "mbbc-trace/7", "mbbc-trace/8",
-                                 "mbbc-trace/9", "mbbc-trace/10", "mbbc-trace/11"])
+                                 "mbbc-trace/9", "mbbc-trace/10", "mbbc-trace/11",
+                                 "mbbc-trace/12"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""
@@ -608,12 +609,15 @@ def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, ca
 def test_a_bad_list_or_digest_citation_exits_2_naming_its_line(tmp_path, capsys, command, key,
                                                                table, citation, reason):
     """A trace's first citation of a ``key`` list or digest, made to cite
-    past its table or made a bool, is refused on its line."""
+    past its table or made a bool, is refused on its line. A split source
+    dictates its SEND and its ECHO to one list of targets, so the second
+    cites the first's ``to``."""
     if key == "state_digest":
         config = tmp_path / "crash.json"
         config.write_text(json.dumps(roundrobin_crash(7, 1, 12, (1,), "NFA_WEAK", "NFA").to_dict()))
     else:
-        config = Path(__file__).resolve().parents[1] / "configs" / "nfa_alternating_n7.json"
+        name = "faulty_source_all_deliver.json" if key == "to" else "nfa_alternating_n7.json"
+        config = Path(__file__).resolve().parents[1] / "configs" / name
     trace = tmp_path / "trace.jsonl"
     assert cli.main(["run", "--config", str(config), "--out", str(trace)]) == 0
     lines = trace.read_text().splitlines()

@@ -339,16 +339,25 @@ class TestDeliveries:
         pytest.param(lambda: split_send_scenario([1, 2, 3]), id="split_send"),
         pytest.param(lambda: arbitrary_walk(11), id="arbitrary_walk"),
         pytest.param(planted_round_votes, id="planted_round_votes"),
+        pytest.param(lambda: scripted_sends(
+            [[q, {"kind": "ROUND", "round_value": 9}] for q in range(3)]
+            + [[q, {"kind": "ROUND", "round_value": 7}] for q in (1, 2)]), id="partial_round_votes"),
     ])
     def test_engine_receive_equals_a_fold_of_the_derived_deliveries(self, config, monkeypatch):
         """RECEIVE gives each process, correct or possessed, tallies equal to
         a fresh fold of the receipts ``deliveries`` derives for it from the
         trace, in order; a possessed process's dictated receipts count only
-        when the strategy reads its fold."""
+        when the strategy reads its fold. No sender both fans out and
+        dictates in a round: a possessed sender that sends ROUND 9 to every
+        process and ROUND 7 to two of them stays wholly dictated, so those
+        two fold 7, then 9, and vote 9, as the third does."""
         cfg = config()
         trace, received, folded = receive_and_fold(cfg, monkeypatch)
         assert set(received) == {(r, p) for r in range(1, cfg.horizon + 1) for p in range(cfg.n)}
         assert received == folded
+        for r, sends in round_sends(trace.events).items():
+            fan_out = {sender for sender, _message, to in sends if to == TO_ALL}
+            assert not fan_out & {sender for sender, _message, to in sends if to != TO_ALL}, r
 
     def test_a_freed_process_votes_its_later_planted_round_message(self, monkeypatch):
         """NFA_WEAK has no cure wipe: process 2, freed in round 3, sends both
@@ -382,7 +391,7 @@ class TestDeliveries:
         assert [ev.detail["to"] for ev in trace.events
                 if ev.kind == KIND_P2P_SEND and ev.subject == 0] == [[2], [0, 1, 2]]
         assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == (
-            "8c4db2891e160ec9370e1a82cd9179564a368371645e5359a4b642d356c7b355")
+            "d963f3984ff7ab8c1053e6dd3a43f5b04a423779853c6ea2f09b7951953904aa")
 
     def test_sender_is_stamped_by_the_engine(self):
         """A possessed process cannot send under another process's name."""
@@ -669,14 +678,15 @@ def shared_inbox_script(seed: int) -> ScenarioConfig:
 # seed -> sha256 of the trace of ``shared_inbox_script(seed)`` in the
 # ``mbbc-trace/5`` layout (``previous_layout_jsonl``), derived with every
 # process that received a dictated message running its own COMPUTE, each
-# state digest over the four fields.
+# state digest over the four fields, and each possessed sender whose every
+# message reaches every process exactly once written as a fan-out sender.
 SHARED_INBOX_PINS = {
-    0: "2c55db6e7817d6efdd417fc1e2a2efb89ec6d94bd5e5bf5133d548d0890bcb68",  # FFA_FULL
-    1: "0febc6b7a4a213c7eb2912c81eb84b06d2ebbcce3334dcf4b3effa82a31f419d",  # BFA_WEAK
-    2: "a5aaa4c9ac94be6958e2411efd4e32b1319538640fe4f7b551b88b91e89a6521",  # NFA_WEAK
-    3: "e7e1b4f60666d739491a5ddd2d4a11d81360f3b55242ffc98e938dfab00fecc3",  # FFA_FULL
-    4: "5a06dea6ece4518aeda0400026a42d7299a65bc3f90b52d81b388b450e88b68b",  # BFA_WEAK
-    5: "5c4f48f19bb8c24c9bdf35606a2b6d876594f39ff4eac41a34513fd5e4f24a89",  # NFA_WEAK
+    0: "5fd740b64e85a73b3423358f633fdbe0b94f5ff83b6447c7a6d83102fc3c38df",  # FFA_FULL
+    1: "c95d73e07901945f8be7562e30a3377e16fb103b7becc6149241e52e6ee8fd0a",  # BFA_WEAK
+    2: "3fdd69e75500da6be6e761c2b0d7908ec71954a74e46321aa98845f80d591775",  # NFA_WEAK
+    3: "1cecdfc27684e48fad4dc7ef75adea9d5a736ba7128147148191e9af236d31fe",  # FFA_FULL
+    4: "7519872a86b6c57ab0a3c18ad621b306d5c66e4e30756900871b752de3b0beb3",  # BFA_WEAK
+    5: "1edd13906ee2f972891df76960cc4791b677f695734e51255a6ee4f6b980f05f",  # NFA_WEAK
 }
 
 

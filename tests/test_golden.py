@@ -66,45 +66,45 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "53a68cd6ca72d02257b6d49a83f184295c92d6b0448baf5964ecc8e12bb01ee6",
+        "f89c97f039c5cba5b092ed3fceb50c48aafb410f1ed2f7ba5ce610adea4f9c09",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "4a292b358866b68fe84dfc85fe8ae457b5d021eefa97749c1140a4f1971d549c",
+        "72f68bdb400005b609166adc6e65a44d0476c792e4a08bbab60c1254c5fdb931",
         "b565b1d7e2424a7619b181547bb51a6506f398ba7375d5cdec60f5d24028885e"),
     "bfa_forged_birth.json": (
-        "a51e196aa125851a243366fbcd97e2c31bb9236acf58d5f5a0713703d6db5caf",
+        "697027fd5b72783fa25390c8b1119d1ad6b9360afcd055a9c7db0759f37c1ed4",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "9b82ca934331cf789f23cf5c074bcdab8f8bf8bbefdbd6611a57a1f20e5568ed",
+        "b03caad363e3acdacedf1c91a27ff9f634bb1dc378ef9c9f70ebe045d8f029d3",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "e082694ae4cd398306331a3c4ab82a4a444459596b43bc8077a9ecbdfec9018f",
+        "7481ab886146b4de08d6b5a79e10bfee39f5b1cc70ba133b57ff4a956f1ba240",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "ad4007c13ee52cfc9db1a77f7244f3d67b10b83785b01827bd38e6b75b04ae0a",
+        "a0e346572d93bee3f8a4458a2510db353cbc1fd1a6ea977faff845caf1a2b57b",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "ffa_delivery_on_cure.json": (
-        "48ea9374d396e686a500e4a85f04600af59622e6fa7ae44ce42e6d43e895be0f",
+        "2d986c9243a6e6a91de1445eb8c1bf1cc5cddb3c197bacd8ee00f749d9a32aed",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "nfa_alternating_n7.json": (
-        "e220325a9e2f466b14c6e643ccd36b4fdb7ccae32df596921270431085e10f6f",
-        "3ac542c815ed690f1f0b18b36830465ad3c364936fb2b3752eb9c6ee74facb78"),
+        "09d49301af6eeb4bbd7c62b41e64f9af6213a8102502fb23498073dfb409ecb4",
+        "68fb5f6c60c370efddce2ac700fac27aecf88f1a716ce3e5b6d0660144b5a177"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "dd3d468d69c72d454cac125cdf638ae75af18d73ebad23e36b4b049c43bb75bf",
-        "61c5df858f5de5d97a6c9bcbb0bb439becb8eda10be2217ae405ea223e0d8b6d"),
+        "521fe31fc0908a5b6ac6c5f0f68750475dcd09978d91fcf30b8d62ce6b2e3e73",
+        "21746c3d19c4b3bd249a6120aa191136bd51405d9624b2c39acd01fefeed6289"),
     "THEOREM_3": (
-        "dd3d468d69c72d454cac125cdf638ae75af18d73ebad23e36b4b049c43bb75bf",
-        "61c5df858f5de5d97a6c9bcbb0bb439becb8eda10be2217ae405ea223e0d8b6d"),
+        "521fe31fc0908a5b6ac6c5f0f68750475dcd09978d91fcf30b8d62ce6b2e3e73",
+        "21746c3d19c4b3bd249a6120aa191136bd51405d9624b2c39acd01fefeed6289"),
     "THEOREM_4": (
-        "ab62d538f5969613fa17bc70ca8bd68f94737024f0f10ca624c6879c7ba84b5a",
-        "db741bf2852d975151411fe6450d80140f731c951c250c936bd2dc93e60f212e"),
+        "ea78797c1f97f03634a591002a7093887f705cf3206c5cebda10dc988fa525c7",
+        "2de8f4bdeb3044dc60e4b07750766cb2a5973cf7955514a4dcaf9a425a32814b"),
     "WIPE_FLIP": (
-        "ab62d538f5969613fa17bc70ca8bd68f94737024f0f10ca624c6879c7ba84b5a",
-        "db741bf2852d975151411fe6450d80140f731c951c250c936bd2dc93e60f212e"),
+        "ea78797c1f97f03634a591002a7093887f705cf3206c5cebda10dc988fa525c7",
+        "2de8f4bdeb3044dc60e4b07750766cb2a5973cf7955514a4dcaf9a425a32814b"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -201,7 +201,7 @@ REPORT_PINS = {
     "bfa_weak_roundrobin": "3fd2e38c4799b0cb0020c279c8fdead558f66b0f81d3072e9a7ddee90ba953c6",
     "bfa_weak_walk": "521581903eac44db0cc3acc43eaac695aae9c1af94f81d0341ca319f159c0d2b",
     "ffa_full_walk": "be2841d61d092e6812e487a38a9b8cf8c2088ff8979d9e922cffbbd28b81b572",
-    "nfa_weak_alternating_f2": "edd0ded40ebed16279e68f583b5764460d27b6bf582a1d8acd141ed583c72463",
+    "nfa_weak_alternating_f2": "63ca17d12c38979556350056f9c594da26a6dc7c5f4bc36fb0a6db2f2bee5838",
     "nfa_weak_roundrobin": "50cb60bbf4623710fd04305d7bdd03c768488c0b454db9647f309d88c0738e2e",
     "nfa_weak_walk": "15839396373304b343313acae565fa96b4b97372cc69d2f92e077a1d6736ff32",
 }

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import roundrobin_crash, split_send_scenario
+from conftest import arbitrary_config, roundrobin_crash, split_send_scenario
 from mbbc import cli, engine
 from mbbc.checker import permanently_correct, projection, projection_jsonl
 from mbbc.demos import run_demo
@@ -847,7 +847,7 @@ class TestReader:
         header = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/11",'
                   '"seed":0}')
         assert parse(f"{header}\n{CORRUPTED}\n") == (
-            "trace line 1: bad header line: format 'mbbc-trace/11' is not 'mbbc-trace/12'")
+            "trace line 1: bad header line: format 'mbbc-trace/11' is not 'mbbc-trace/13'")
 
     def test_bundled_traces_read_back_and_cover_every_kind(self):
         kinds = set()
@@ -879,11 +879,10 @@ class TestReader:
                     if ev.kind == KIND_STATE_CORRUPTED}) == 1
 
     def test_cited_lists_read_to_the_table_list(self):
-        """``nfa_alternating_n7`` cites a ``from``, a ``by`` and a ``to``:
-        each reads to the list its definition holds, shared read-only, and
-        the trace writes back byte for byte."""
-        path = next(path for path in CONFIGS if path.stem == "nfa_alternating_n7")
-        trace = run(ScenarioConfig.from_json(path.read_text()))
+        """The ARBITRARY script of seed 0 cites a ``from``, a ``by`` and a
+        ``to``: each reads to the list its definition holds, shared
+        read-only, and the trace writes back byte for byte."""
+        trace = run(arbitrary_config(0))
         text = trace.to_jsonl()
         details = [json.loads(line)["detail"] for line in text.splitlines()[1:]]
         parsed = Trace.from_jsonl(text)

@@ -1,10 +1,12 @@
-"""The ``mbbc-trace/10`` layout on every trace the engine writes here: the
+"""The ``mbbc-trace/13`` layout on every trace the engine writes here: the
 bundled configs, both histories of every demo kind, the longer shapes
 (``conftest.shape_config``) and a seeded pool of ARBITRARY scripts over the
 three variants (``conftest.arbitrary_config``).
 
-Per round, each (sender, message) fan-out stands in one P2P_SEND and each
-(process, instance) delivery in at most one DELIVER_CALL; the events are in
+Per round, each (sender, message) fan-out stands in one P2P_SEND, a
+possessed sender's too when each of its messages reaches every process
+exactly once, and each (process, instance) delivery in at most one
+DELIVER_CALL; the events are in
 first-message and first-instance order; a possessed process writes its
 STATE_CORRUPTED at the start of each faulty span and then only when its
 digest changes; and the trace reads back equal to itself. Its JSONL writes
@@ -143,6 +145,31 @@ def test_possessed_digests_are_omitted_while_they_hold():
             schedule = trace.scenario().resolved_schedule()
             later += sum(r > 1 and schedule.is_faulty(p, r - 1) for p, r in written)
     assert omitted > 0 and later > 0
+
+
+def test_a_possessed_sender_to_every_process_fans_out():
+    """A possessed sender each of whose messages reaches every process
+    exactly once stands in the fan-outs, as a correct one does: no sender's
+    dictated P2P_SENDs of a round all list every process exactly once. The
+    rule is per sender, not per send: a partial sender's message to every
+    process stays dictated, listing every process. The cases reach both
+    sides: possessed fan-out senders, and such dictated sends."""
+    fanned = listed = 0
+    for case in CASES:
+        for trace in case_traces(case):
+            everyone = list(range(trace.config["n"]))
+            schedule = trace.scenario().resolved_schedule()
+            dictated: dict[tuple[int, int], list[bool]] = {}
+            for ev in trace.events:
+                if ev.kind != KIND_P2P_SEND:
+                    continue
+                if ev.detail["to"] == "ALL":
+                    fanned += sum(schedule.is_faulty(p, ev.round) for p in ev.detail["from"])
+                else:
+                    dictated.setdefault((ev.round, ev.subject), []).append(ev.detail["to"] == everyone)
+            assert not any(all(full) for full in dictated.values()), case
+            listed += sum(map(sum, dictated.values()))
+    assert fanned and listed, (fanned, listed)
 
 
 def test_the_pool_groups_several_messages_and_instances_per_event():
