@@ -64,8 +64,7 @@ class Strategy:
 
     A strategy holds no state of its run: every attribute is set in
     ``__init__``, and no call changes one. So a simulation's future is
-    fixed by its config, its round, its states and last round's
-    STATE_CORRUPTED details."""
+    fixed by its config, its round and its states."""
 
     def dictate_sends(self, p: int, r: int, obs: Observation
                       ) -> list[tuple[int | str, ProtocolMessage]]:
@@ -78,6 +77,8 @@ class Strategy:
         return []
 
     def corrupt_state(self, p: int, r: int, obs: Observation) -> ProtocolState:
+        """p's state after round r; traced only at its faulty span's end,
+        as the state the cure finds."""
         return obs.states[p]
 
 

@@ -19,7 +19,7 @@ Each round runs five sub-phases in a fixed order:
    once is a group of one; every other one is partial. A message one group
    holds takes that group's members as senders, and only a message several
    groups hold merges and sorts theirs, once per set of groups. Messages
-   are ordered by ``sort_key``, kept per message beside its dict and JSON.
+   are ordered by ``sort_key``, kept per message beside its dict.
 4. RECEIVE  — every message sent in the round is delivered in the round:
    no loss, duplication or reordering across rounds. Each distinct message
    sent to all is folded once, with all its senders, correct or possessed,
@@ -75,13 +75,13 @@ the agents' moves and the cures: its stays are the moves, and
 ``deliver_oracle_events`` reads each round's cures from
 ``FailureSchedule.cures``, a table the schedule builds once.
 
-A possessed process p writes its STATE_CORRUPTED in round r unless p was
-also possessed in round r-1 and held a state of the same digest then: the
-first round of each faulty span always has its event, and a stay that
-leaves the state's digest unchanged writes nothing more. So the digest of
-any possessed (p, r) is that of p's latest STATE_CORRUPTED at or before r
-within its span: the rounds back from r in which p is faulty
-(``FailureSchedule.is_faulty``).
+A possessed process writes one STATE_CORRUPTED per faulty span (a maximal
+run of rounds in which it is faulty), in the span's last round within the
+horizon: the digest of the state it holds after that round, the state its
+cure finds. That state is how a stay reaches the protocol once the agent
+leaves; all else a possessed process does is its traced sends. The trace
+holds no digest of a span's earlier rounds: a reader that needs one steps a
+``Simulation`` and reads its ``states``.
 
 A round's fan-outs are one P2P_SEND event per distinct list of senders,
 correct or possessed, ``{"from": [senders], "messages": [m, …], "to":
@@ -111,9 +111,7 @@ delivers their instances interleaved. ``delivered_instances`` expands each
 event into one (event, instance) delivery group per instance, for every
 reader of the DELIVER_CALLs. Each distinct message dict, instance dict and
 STATE_CORRUPTED detail is built once per simulation, and the events that
-carry it share it read-only. A STATE_CORRUPTED digest reads each queued
-message's JSON text (``ProtocolMessage.to_json``), which is also written
-once per simulation.
+carry it share it read-only.
 Nothing in a run draws randomness, so a config fixes its trace bit for
 bit; the trace's header is that config and the format, nothing more.
 
@@ -171,12 +169,12 @@ KINDS = (KIND_P2P_SEND, KIND_BROADCAST_CALL, KIND_DELIVER_CALL, KIND_STATE_CORRU
 # listing its messages, and one per partial sender's (sender, message),
 # listing its receivers; no receipts, agent moves or cures; one
 # DELIVER_CALL per list of delivering processes, listing its (source,
-# payload) instances; a STATE_CORRUPTED, the digest of a state's four fields
-# (``protocol.state_fingerprint``), only where a possessed process's digest
-# is new to its stay; each distinct message, instance, process list, receiver
-# list and state digest written in full once, and cited by its index after
-# that.
-TRACE_FORMAT = "mbbc-trace/13"
+# payload) instances; one STATE_CORRUPTED per faulty span, in its last round
+# within the horizon, the digest of a state's four fields
+# (``protocol.state_fingerprint``) that the cure finds; each distinct message,
+# instance, process list, receiver list and state digest written in full
+# once, and cited by its index after that.
+TRACE_FORMAT = "mbbc-trace/14"
 # Each detail's one key set, by kind (a P2P_SEND's by its ``to``), and an
 # instance object's: the reader refuses any other key, and ``event_lines``
 # writes each of these details from its template.
@@ -885,17 +883,14 @@ class Simulation:
         self.round = 0
         # Each round's broadcast calls: caller -> payloads.
         self._broadcasts: dict[int, dict[int, list[bytes]]] = {}
-        # Each distinct message's ``sort_key()``, ``to_dict()`` and JSON
-        # text, and each (source, payload)'s instance dict, built once and
-        # shared read-only. Messages are type-exact (``ProtocolMessage``
-        # takes no bool for an int), so equal keys encode to equal JSON.
+        # Each distinct message's ``sort_key()`` and ``to_dict()``, and each
+        # (source, payload)'s instance dict, built once and shared
+        # read-only. Messages are type-exact (``ProtocolMessage`` takes no
+        # bool for an int), so equal keys encode to equal JSON.
         self._sort_keys = Memo(methodcaller("sort_key"))
         self._message_dicts = Memo(methodcaller("to_dict"))
-        self._message_texts = Memo(methodcaller("to_json"))
         self._instances = Memo(instance_detail)
         self._digests: dict[tuple, dict] = {}
-        # Last round's possessed processes, each to its STATE_CORRUPTED detail.
-        self._corrupted: dict[int, dict] = {}
         for b in config.broadcasts:
             self._broadcasts.setdefault(b.round, {}).setdefault(b.source, []).append(b.payload)
 
@@ -1022,18 +1017,18 @@ class Simulation:
                     found[2] += part
                 for p in part:
                     states[p] = outcome
-        # The possessed processes' states and the correct broadcast callers'
-        # SENDs, in process order. A caller's SEND, stamped with the repaired
-        # counter, goes to a copy of its class's outcome, its own.
+        # The possessed processes' states, each digested where its faulty
+        # span ends, and the correct broadcast callers' SENDs, in process
+        # order. A caller's SEND, stamped with the repaired counter, goes to
+        # a copy of its class's outcome, its own.
         broadcasts = self._broadcasts.get(r)
         callers = broadcasts.keys() - faulty if broadcasts else ()
-        last_corrupted, corrupted = self._corrupted, {}
+        ending = faulty if r == self.config.horizon else faulty - schedule.faulty_set(r + 1)
         for p in sorted(faulty.union(callers)) if callers else sorted(faulty):
             if p in faulty:
                 state = states[p] = strategy.corrupt_state(p, r, obs)
-                detail = corrupted[p] = self._corrupted_detail(state)
-                if detail != last_corrupted.get(p):
-                    emit(TraceEvent(r, KIND_STATE_CORRUPTED, p, detail))
+                if p in ending:
+                    emit(TraceEvent(r, KIND_STATE_CORRUPTED, p, self._corrupted_detail(state)))
             else:
                 payloads = broadcasts[p]
                 for payload in payloads:
@@ -1048,17 +1043,15 @@ class Simulation:
                 delivering.append((delivered, members))
         if delivering:
             self.trace.events += deliver_calls(r, delivering, self._instances)
-        self._corrupted = corrupted
 
     def _corrupted_detail(self, state: ProtocolState) -> dict:
         """A STATE_CORRUPTED detail, digested and built once per distinct state
-        and shared read-only. The digest reads each queued message's JSON
-        text and sort key from the simulation's memos."""
+        and shared read-only."""
         key = (state.to_send, state.rc, state.cured, state.cured_faulty_since)
         out = self._digests.get(key)
         if out is None:
             out = self._digests[key] = {"state_digest": state_fingerprint(
-                state, self._message_texts.__getitem__, self._sort_keys.__getitem__)}
+                state, sort_key=self._sort_keys.__getitem__)}
         return out
 
 

@@ -393,4 +393,10 @@ def is_io_correct(schedule: FailureSchedule, p: int, delta_c: int) -> bool:
 
 
 def io_correct_processes(schedule: FailureSchedule, delta_c: int) -> tuple[int, ...]:
-    return tuple(p for p in range(schedule.n) if is_io_correct(schedule, p, delta_c))
+    """Those ``is_io_correct`` holds for: correct in each of the last delta_c rounds."""
+    if delta_c < 1:
+        raise ValueError("delta_c must be >= 1")
+    if delta_c > schedule.horizon:
+        return ()
+    last = map(schedule.correct_set, range(schedule.horizon - delta_c + 1, schedule.horizon + 1))
+    return tuple(sorted(frozenset.intersection(*last)))

@@ -14,6 +14,7 @@ from mbbc.engine import (
     KIND_DELIVER_CALL,
     KIND_P2P_SEND,
     KIND_STATE_CORRUPTED,
+    Simulation,
     Trace,
     TraceEvent,
     deliver_oracle_events,
@@ -22,7 +23,7 @@ from mbbc.engine import (
 )
 from mbbc.messages import ProtocolMessage, decode_payload
 from mbbc.model import FailureSchedule
-from mbbc.protocol import Variant, VariantTag
+from mbbc.protocol import Variant, VariantTag, state_fingerprint
 from mbbc.scenario import ScenarioConfig
 from mbbc.sweeps import attack_scenario
 from monitor import monitor_verdicts
@@ -124,40 +125,45 @@ def assert_deliver_call_layout(events: list[TraceEvent]) -> None:
         assert len(pairs) == len(set(pairs)), r
 
 
-def assert_corruption_layout(trace: Trace) -> None:
-    """The trace's STATE_CORRUPTED events in the ``mbbc-trace/8`` layout: at
-    most one per (process, round), each of a process possessed in its
-    round; the first round of every faulty span has one, which the header's
-    schedule fixes (``possessed_digests``); and each later one in a span
-    changes the digest of the round before."""
-    schedule = trace.scenario().resolved_schedule()
-    digests = possessed_digests(trace)
-    written = [(ev.subject, ev.round, ev.detail["state_digest"]) for ev in trace.events
+def written_digests(trace: Trace) -> dict[tuple[int, int], str]:
+    """Each STATE_CORRUPTED's (process, round) to its digest, after checking
+    that no (process, round) has two."""
+    written = [((ev.subject, ev.round), ev.detail["state_digest"]) for ev in trace.events
                if ev.kind == KIND_STATE_CORRUPTED]
-    assert len({(p, r) for p, r, _digest in written}) == len(written)
-    for p, r, digest in written:
-        assert schedule.is_faulty(p, r), (p, r)
-        if r > 1 and schedule.is_faulty(p, r - 1):
-            assert digest != digests[p, r - 1], (p, r)
+    assert len(dict(written)) == len(written)
+    return dict(written)
+
+
+def span_ends(schedule: FailureSchedule, digests: dict[tuple[int, int], str]
+              ) -> dict[tuple[int, int], str]:
+    """The entries of ``digests``, keyed by possessed (process, round), whose
+    round is the last of the process's maximal faulty span within the
+    horizon: the horizon, or a round after which the process is correct."""
+    return {(p, r): digest for (p, r), digest in digests.items()
+            if r == schedule.horizon or not schedule.is_faulty(p, r + 1)}
+
+
+def assert_one_digest_per_span(trace: Trace) -> None:
+    """The trace's STATE_CORRUPTED events in the ``mbbc-trace/14`` layout:
+    exactly one per maximal faulty span, in the span's last round within the
+    horizon, and none in any other round; its digest is that of the state
+    the process holds after that round, the state its cure finds, read by
+    stepping a ``Simulation`` (``possessed_digests``)."""
+    schedule = trace.scenario().resolved_schedule()
+    assert written_digests(trace) == span_ends(schedule, possessed_digests(trace))
 
 
 def possessed_details(trace: Trace) -> dict[tuple[int, int], dict]:
     """Each possessed (process, round)'s STATE_CORRUPTED detail, in round
-    and then process order: the detail of the process's latest
-    STATE_CORRUPTED at or before the round within its faulty span, which
-    the header's schedule fixes. The first round of a span must have its
-    own event."""
-    schedule = trace.scenario().resolved_schedule()
-    written = {(ev.subject, ev.round): ev.detail for ev in trace.events
-               if ev.kind == KIND_STATE_CORRUPTED}
+    and then process order: the digest of the state the process holds after
+    the round, read by stepping a ``Simulation`` of the trace's config. The
+    trace itself holds only each faulty span's last one."""
+    sim = Simulation(trace.scenario())
     details: dict[tuple[int, int], dict] = {}
-    for r in range(1, schedule.horizon + 1):
-        for p in sorted(schedule.faulty_set(r)):
-            if (p, r) in written:
-                details[p, r] = written[p, r]
-            else:
-                assert r > 1 and schedule.is_faulty(p, r - 1), f"span of {p} at {r} has no digest"
-                details[p, r] = details[p, r - 1]
+    while sim.round < sim.config.horizon:
+        sim.step()
+        for p in sorted(sim.schedule.faulty_set(sim.round)):
+            details[p, sim.round] = {"state_digest": state_fingerprint(sim.states[p])}
     return details
 
 
@@ -175,19 +181,18 @@ _ROUND_PLACE = {KIND_P2P_SEND: 0, KIND_STATE_CORRUPTED: 1, KIND_BROADCAST_CALL: 
 
 def every_corruption_events(trace: Trace) -> list[TraceEvent]:
     """The trace's events as the engine wrote them before ``mbbc-trace/8``:
-    one STATE_CORRUPTED per possessed process per round. Each one the trace
-    omits is put back with the detail ``possessed_details`` recovers, among
-    its round's STATE_CORRUPTED and BROADCAST_CALL events, which stand in
-    subject order; every other event keeps its place."""
-    written = {(ev.subject, ev.round) for ev in trace.events if ev.kind == KIND_STATE_CORRUPTED}
-    restored = [TraceEvent(r, KIND_STATE_CORRUPTED, p, detail)
-                for (p, r), detail in possessed_details(trace).items() if (p, r) not in written]
+    one STATE_CORRUPTED per possessed process per round, each with the
+    detail ``possessed_details`` steps to, among its round's BROADCAST_CALL
+    events, in subject order; every other event keeps its place."""
+    kept = [ev for ev in trace.events if ev.kind != KIND_STATE_CORRUPTED]
+    corrupted = [TraceEvent(r, KIND_STATE_CORRUPTED, p, detail)
+                 for (p, r), detail in possessed_details(trace).items()]
 
     def place(ev: TraceEvent) -> tuple[int, int, int]:
         spot = _ROUND_PLACE[ev.kind]
         return ev.round, spot, ev.subject if spot == 1 else 0
 
-    return sorted(trace.events + restored, key=place)
+    return sorted(kept + corrupted, key=place)
 
 
 def scanned_host(schedule: FailureSchedule, agent: int, r: int) -> int | None:

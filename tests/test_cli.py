@@ -588,7 +588,7 @@ def test_an_event_key_of_no_layout_exits_2_naming_it(tmp_path, golden_config_pat
 @pytest.mark.parametrize("old", ["mbbc-trace/2", "mbbc-trace/3", "mbbc-trace/4", "mbbc-trace/5",
                                  "mbbc-trace/6", "mbbc-trace/7", "mbbc-trace/8",
                                  "mbbc-trace/9", "mbbc-trace/10", "mbbc-trace/11",
-                                 "mbbc-trace/12"])
+                                 "mbbc-trace/12", "mbbc-trace/13"])
 def test_header_only_trace_of_an_older_format_exits_2_naming_line_1(tmp_path, capsys, command, old):
     """There is no reader for older layouts: an older header is refused at
     line 1 before any event is read."""
@@ -961,15 +961,16 @@ def test_replay_encodes_each_trace_once_and_prints_the_stored_digest(tmp_path, g
 
 
 @pytest.mark.parametrize("edit", ["truncated", "extended"])
-def test_replay_of_a_prefix_trace_names_the_first_line_past_it(tmp_path, golden_config_path,
-                                                               capsys, edit):
+def test_replay_of_a_prefix_trace_names_the_first_line_past_it(tmp_path, capsys, edit):
     """A stored trace that is a line-for-line prefix of the fresh one, or
     extends it, diverges at the first line past the shorter side. The line
     past it is printed resolved, every cited value in full, as
-    ``event_lines`` writes it without citation tables: the repeated last
-    line of the extended trace re-encodes with citations."""
+    ``event_lines`` writes it without citation tables: the last line, a
+    DELIVER_CALL that cites its ``by`` and its instance, re-encodes with
+    citations in the extended trace."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "nfa_alternating_n7.json"
     trace = tmp_path / "trace.jsonl"
-    cli.main(["run", "--config", str(golden_config_path), "--out", str(trace)])
+    cli.main(["run", "--config", str(config), "--out", str(trace)])
     text = trace.read_text()
     lines = text.splitlines()
     last = len(lines) - 1

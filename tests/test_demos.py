@@ -7,7 +7,7 @@ from conftest import (
     assert_choice_verdicts_hold,
     assert_deliver_call_layout,
     choice_violations,
-    possessed_digests,
+    written_digests,
 )
 from mbbc import cli
 from mbbc.checker import NO_DUPLICATION, SATISFIED, VIOLATED, run_property_checks
@@ -97,14 +97,15 @@ class TestWipeFlipDemo:
             assert report.verdict == SATISFIED, report.property
 
     def test_target_state_digest_identical_at_cure(self):
-        # Both histories wipe the target to init in the same round: the
-        # target's digests in that round coincide, which is the
+        # Both histories wipe the target to init in the same round, the
+        # last of its faulty span: the digests its STATE_CORRUPTED lines
+        # give for the state its cure finds coincide, which is the
         # local-indistinguishability core.
         result = run_demo("THEOREM_4", {})
         wipe_round = result.config_first.strategy["wipe_round"]
         target = result.config_first.strategy["target"]
-        a = possessed_digests(result.trace_first)[target, wipe_round]
-        b = possessed_digests(result.trace_second)[target, wipe_round]
+        a = written_digests(result.trace_first)[target, wipe_round]
+        b = written_digests(result.trace_second)[target, wipe_round]
         assert a == b
 
     def test_deliveries_differ_only_at_the_flip_target(self):

@@ -380,8 +380,9 @@ class TestDeliveries:
         2 folds 3, then 5, and votes 5, as every other process does. Only a
         sender each of whose sends reaches every process folds into the
         common tallies: were the ROUND 5 folded there, process 2 would fold
-        its ROUND 3 after it and keep 3. The pinned trace is the one the
-        per-process engine gave, each state digest over the four fields."""
+        its ROUND 3 after it and keep 3. The pinned trace holds the sends
+        the per-process engine gave, and the digest over the four fields of
+        the state process 0 holds at the horizon, the end of its stay."""
         five, three = {"kind": "ROUND", "round_value": 5}, {"kind": "ROUND", "round_value": 3}
         cfg = scripted_sends([[q, five] for q in range(3)] + [[2, three]])
         trace, received, folded = receive_and_fold(cfg, monkeypatch)
@@ -391,7 +392,7 @@ class TestDeliveries:
         assert [ev.detail["to"] for ev in trace.events
                 if ev.kind == KIND_P2P_SEND and ev.subject == 0] == [[2], [0, 1, 2]]
         assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == (
-            "d963f3984ff7ab8c1053e6dd3a43f5b04a423779853c6ea2f09b7951953904aa")
+            "a070fa7b595ed2db005f701beaaea14c14d31a41ab9edbfb9db1e330c3dd64b3")
 
     def test_sender_is_stamped_by_the_engine(self):
         """A possessed process cannot send under another process's name."""
@@ -884,12 +885,12 @@ FORK_POOL = [
 
 
 def forked(sim: Simulation) -> Simulation:
-    """A fresh simulation of ``sim``'s config given only its round, last
-    round's STATE_CORRUPTED details, its events so far and its states. The
-    states are new objects, one per distinct value, so processes whose
-    states are equal share one, last round's possessed processes included."""
+    """A fresh simulation of ``sim``'s config given only its round, its
+    events so far and its states. The states are new objects, one per
+    distinct value, so processes whose states are equal share one, last
+    round's possessed processes included."""
     fork = Simulation(sim.config)
-    fork.round, fork._corrupted = sim.round, dict(sim._corrupted)
+    fork.round = sim.round
     fork.trace.events = list(sim.trace.events)
     shared: dict[tuple, ProtocolState] = {}
     fork.states = [shared.setdefault(fields, ProtocolState(*fields)) for fields in
@@ -898,9 +899,10 @@ def forked(sim: Simulation) -> Simulation:
 
 
 class TestFork:
-    """A simulation's future is fixed by its config, its round, its states
-    and last round's STATE_CORRUPTED details: however the states share
-    their objects, a fork runs on to the trace of the uncut run."""
+    """A simulation's future is fixed by its config, its round and its
+    states: a fork is the round, the prefix of events and the states, and
+    however the states share their objects, it runs on to the trace of the
+    uncut run."""
 
     @pytest.mark.parametrize("config", FORK_POOL)
     def test_a_fork_after_every_round_runs_on_to_the_same_trace(self, config):

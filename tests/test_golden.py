@@ -21,8 +21,9 @@ its instances. These three renders put back the phase each line held before
 per-envelope one also puts back each round's AGENT_MOVE and CURED lines,
 which traces held before ``mbbc-trace/6``, from the header's schedule,
 expands each grouped fan-out and DELIVER_CALL of ``mbbc-trace/7`` into one
-event per message and per instance, and puts back each STATE_CORRUPTED that
-``mbbc-trace/8`` omits while a possessed process's digest holds
+event per message and per instance, and writes one STATE_CORRUPTED per
+possessed process per round, as traces did before ``mbbc-trace/8``, its
+digest read by stepping a ``Simulation`` of the header's config
 (``conftest.previous_layout_events``). Each render reads the parsed
 trace, whose citations of ``mbbc-trace/10`` are resolved, so none depends
 on which value a line writes in full.
@@ -66,45 +67,45 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # config file -> (sha256 of the `mbbc run` trace, sha256 of its MBBC_PROPERTIES report)
 TRACE_PINS = {
     "alternating_below_bound_n5.json": (
-        "f89c97f039c5cba5b092ed3fceb50c48aafb410f1ed2f7ba5ce610adea4f9c09",
+        "7ba68c6430c086e75ad79b9543828d6424c2f7394e2574ffeeef42b3d82ae524",
         "e603344b06023e53107a40e2530d5f0b3f1527f8ce9937142b5103d392f5db75"),
     "bfa_double_cure.json": (
-        "72f68bdb400005b609166adc6e65a44d0476c792e4a08bbab60c1254c5fdb931",
+        "e9910a45f6ad0e7c56f5c281d8edbc30981d2a582ae505314c233111a889ff71",
         "b565b1d7e2424a7619b181547bb51a6506f398ba7375d5cdec60f5d24028885e"),
     "bfa_forged_birth.json": (
-        "697027fd5b72783fa25390c8b1119d1ad6b9360afcd055a9c7db0759f37c1ed4",
+        "9febc06db1cda29f95b5a8fa36e479c37f6ebf0fe4e3806c27c4048b62cbc046",
         "65c184fda9bfb54bb94dc1116421732dc3dc1db5654f0c24e9259231ebcd5cd9"),
     "correct_source.json": (
-        "b03caad363e3acdacedf1c91a27ff9f634bb1dc378ef9c9f70ebe045d8f029d3",
+        "69b104b60c314e92689d014a85d4feddf163bf8468510cab9acac1a0a4ed5a55",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "faulty_source_all_deliver.json": (
-        "7481ab886146b4de08d6b5a79e10bfee39f5b1cc70ba133b57ff4a956f1ba240",
+        "8da4a15d7fe326a198a3943e910b5038e3cba6c7bbd9ddaea9bf75cdf8ed787c",
         "c7b87f2c205e4a621edaaac842c72fdcfa621cb302679eb09989fe15c192e49b"),
     "faulty_source_none_deliver.json": (
-        "a0e346572d93bee3f8a4458a2510db353cbc1fd1a6ea977faff845caf1a2b57b",
+        "efc7d552c9fc2daa3bb7719c9984ae18b9ca4a91c37607b6255ab40fa246f4be",
         "705fdd46e505e921c31ab97f6710aacf3d404dd3136228e25f5300c32264159a"),
     "ffa_delivery_on_cure.json": (
-        "2d986c9243a6e6a91de1445eb8c1bf1cc5cddb3c197bacd8ee00f749d9a32aed",
+        "9e4a4df7a2a79c782a95f64a69c58557475b30b613db027b6a64e4f328b47e38",
         "daca53e6f1498886ad6fd60f99090573446fce34e2072e151e3fa92a61f0a57d"),
     "nfa_alternating_n7.json": (
-        "09d49301af6eeb4bbd7c62b41e64f9af6213a8102502fb23498073dfb409ecb4",
+        "48dc90a077da0b27f666609f12a71cbcd82af147a334acc86856262be3ff4c4d",
         "68fb5f6c60c370efddce2ac700fac27aecf88f1a716ce3e5b6d0660144b5a177"),
 }
 
 # demo kind -> (sha256 of the -a.jsonl trace, sha256 of the -b.jsonl trace)
 DEMO_PINS = {
     "SOURCE_FLIP": (
-        "521fe31fc0908a5b6ac6c5f0f68750475dcd09978d91fcf30b8d62ce6b2e3e73",
-        "21746c3d19c4b3bd249a6120aa191136bd51405d9624b2c39acd01fefeed6289"),
+        "8f798c6cdc6275faf8ada3d3072b8ad757f794fcf38c9ac8f56c0b8f99e9c183",
+        "62827a5aed9a55501faff146d103396865397f4ab8f3561dee4be6e116fe417c"),
     "THEOREM_3": (
-        "521fe31fc0908a5b6ac6c5f0f68750475dcd09978d91fcf30b8d62ce6b2e3e73",
-        "21746c3d19c4b3bd249a6120aa191136bd51405d9624b2c39acd01fefeed6289"),
+        "8f798c6cdc6275faf8ada3d3072b8ad757f794fcf38c9ac8f56c0b8f99e9c183",
+        "62827a5aed9a55501faff146d103396865397f4ab8f3561dee4be6e116fe417c"),
     "THEOREM_4": (
-        "ea78797c1f97f03634a591002a7093887f705cf3206c5cebda10dc988fa525c7",
-        "2de8f4bdeb3044dc60e4b07750766cb2a5973cf7955514a4dcaf9a425a32814b"),
+        "59350161bd583a2b8b718cbdad2cf09316f6bcaa6379a6b28417c5801df7981e",
+        "035ad4f87e0086e9847f2e684e22b6bf6b20ea78c081535abf81a6671abcae5a"),
     "WIPE_FLIP": (
-        "ea78797c1f97f03634a591002a7093887f705cf3206c5cebda10dc988fa525c7",
-        "2de8f4bdeb3044dc60e4b07750766cb2a5973cf7955514a4dcaf9a425a32814b"),
+        "59350161bd583a2b8b718cbdad2cf09316f6bcaa6379a6b28417c5801df7981e",
+        "035ad4f87e0086e9847f2e684e22b6bf6b20ea78c081535abf81a6671abcae5a"),
 }
 
 # config file -> sha256 of its `mbbc run` trace rendered by `per_envelope_jsonl`:
@@ -199,11 +200,11 @@ SWEEP_PINS = {
 # shape -> sha256 of its ALL_PROPERTIES report; the shapes are built by `conftest.shape_config`
 REPORT_PINS = {
     "bfa_weak_roundrobin": "3fd2e38c4799b0cb0020c279c8fdead558f66b0f81d3072e9a7ddee90ba953c6",
-    "bfa_weak_walk": "521581903eac44db0cc3acc43eaac695aae9c1af94f81d0341ca319f159c0d2b",
-    "ffa_full_walk": "be2841d61d092e6812e487a38a9b8cf8c2088ff8979d9e922cffbbd28b81b572",
+    "bfa_weak_walk": "9a279ce6978b1d1b798b67c66aee4c3d81621d1fd4f18e6aa00f59c1800ff682",
+    "ffa_full_walk": "abdbd289ccd4c58f17ef4e6b5d31c322c8d4b0efe2e13fde6d90740bc8127352",
     "nfa_weak_alternating_f2": "63ca17d12c38979556350056f9c594da26a6dc7c5f4bc36fb0a6db2f2bee5838",
     "nfa_weak_roundrobin": "50cb60bbf4623710fd04305d7bdd03c768488c0b454db9647f309d88c0738e2e",
-    "nfa_weak_walk": "15839396373304b343313acae565fa96b4b97372cc69d2f92e077a1d6736ff32",
+    "nfa_weak_walk": "52b9d6f0f1c1e0e55d51406133867a0f9d1ee4057d5c142b8062557c6272e941",
 }
 
 

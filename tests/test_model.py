@@ -1,11 +1,12 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SHAPES, scanned_host, shape_config
+from conftest import SHAPES, arbitrary_config, random_scenario, scanned_host, shape_config
 from mbbc.adversary import generate_paired_histories
 from mbbc.checker import TraceIndex, permanently_correct
 from mbbc.engine import Simulation, Trace
@@ -159,6 +160,22 @@ class TestIoCorrect:
     def test_delta_c_longer_than_horizon_is_no(self):
         sched = schedule_from([], horizon=3)
         assert is_io_correct(sched, 0, 4) is False
+
+    def test_the_io_correct_processes_are_those_is_io_correct_holds_for(self):
+        """For every delta_c from 1 to one past the horizon, on the schedules
+        of this class, ``NAMED_SCHEDULES``, and 200 ``random_scenario`` and
+        200 ``arbitrary_config`` schedules."""
+        named = [schedule_from(segments, horizon=6) for segments in (
+            [ROAMING_PATH], [[(2, 3, None)]], [[(0, 1, 1), (1, 3, 3), (0, 5, 5)]], [])]
+        named += map(named_schedule, NAMED_SCHEDULES)
+        rng = random.Random(0)
+        configs = [*map(arbitrary_config, range(200)), *(random_scenario(rng) for _ in range(200))]
+        for sched in named + [config.resolved_schedule() for config in configs]:
+            for delta_c in range(1, sched.horizon + 2):
+                assert io_correct_processes(sched, delta_c) == tuple(
+                    p for p in range(sched.n) if is_io_correct(sched, p, delta_c)), delta_c
+        with pytest.raises(ValueError, match="delta_c must be >= 1"):
+            io_correct_processes(named[0], 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,9 +7,9 @@ trace's grouping stays out of the reference:
 - the sends as (sender, message, receiver), duplicates kept, the trace's
   P2P_SENDs expanded with ``engine.round_sends``;
 - each correct process's deliveries, from ``engine.delivered_instances``;
-- each possessed process's state digest as the trace gives it, its latest
-  STATE_CORRUPTED within its faulty span (``conftest.possessed_digests``),
-  against ``state_fingerprint`` of the reference's state after the round.
+- the trace's STATE_CORRUPTED lines, one per faulty span in its last
+  round within the horizon (``conftest.span_ends``), against
+  ``state_fingerprint`` of the reference's state after that round.
 
 It runs on the bundled configs, both histories of both demo kinds, the
 longer scenarios of ``conftest`` (``fanout_shaped`` at n=32 and f=6,
@@ -41,10 +41,8 @@ Each of these mutations of the engine, made on a copy, fails this file:
   pool scripts);
 - the common fold's reading used for a dictated inbox, ``protocol.receive``
   handing its copy the common fold's ``readings`` (the same inputs);
-- a STATE_CORRUPTED omitted at the start of a faulty span (most groups),
-  or omitted when the digest equals the one the process held before its
-  last cure (11 of the 26 tests); one written in every possessed round
-  passes here and fails ``test_trace_layout.py``;
+- a STATE_CORRUPTED written in the first round of each faulty span rather
+  than its last, or in every possessed round (every group);
 - the compute class key without ``cured_faulty_since`` (only the crash
   sample: it needs two processes cured in one round and one class, their
   faulty spans starting on either side of the due round, which a random
@@ -77,11 +75,12 @@ from conftest import (
     SHAPES,
     arbitrary_config,
     fanout_shaped,
-    possessed_digests,
     random_walk_schedule,
     shape_config,
+    span_ends,
     split_send_scenario,
     weak_redelivery_shaped,
+    written_digests,
 )
 from mbbc import engine
 from mbbc.adversary import generate_paired_histories
@@ -141,7 +140,7 @@ def assert_matches_reference(cfg: ScenarioConfig) -> None:
                 == [state_fingerprint(s) for s in ref.states]), r
         possessed.update(((p, r), state_fingerprint(ref.states[p]))
                          for p in ref.schedule.faulty_set(r))
-    assert possessed_digests(sim.trace) == possessed
+    assert written_digests(sim.trace) == span_ends(ref.schedule, possessed)
 
 
 @pytest.mark.parametrize("path", BUNDLED, ids=[path.stem for path in BUNDLED])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import arbitrary_config, roundrobin_crash, split_send_scenario
+from conftest import arbitrary_config, bfa_double_cure_scenario, roundrobin_crash, split_send_scenario
 from mbbc import cli, engine
 from mbbc.checker import permanently_correct, projection, projection_jsonl
 from mbbc.demos import run_demo
@@ -847,7 +847,7 @@ class TestReader:
         header = ('{"config":{"horizon":8,"n":6},"fingerprint":"x","format":"mbbc-trace/11",'
                   '"seed":0}')
         assert parse(f"{header}\n{CORRUPTED}\n") == (
-            "trace line 1: bad header line: format 'mbbc-trace/11' is not 'mbbc-trace/13'")
+            "trace line 1: bad header line: format 'mbbc-trace/11' is not 'mbbc-trace/14'")
 
     def test_bundled_traces_read_back_and_cover_every_kind(self):
         kinds = set()
@@ -936,7 +936,7 @@ class TestRefusal:
     @pytest.mark.parametrize("name", sorted(REFUSED_DETAILS))
     def test_refused_detail_names_its_line(self, name, tmp_path, capsys):
         kind, edit = REFUSED_DETAILS[name]
-        trace = run(split_send_scenario([1, 2, 3]))
+        trace = run(bfa_double_cure_scenario())
         index = first_event(trace, kind, grouped=True)
         lines = trace.to_jsonl().splitlines()
         event = trace.events[index]
@@ -952,7 +952,7 @@ class TestRefusal:
         assert f"trace line {index + 2}: bad event line: " in err and "Traceback" not in err, err
 
     def test_the_unedited_trace_is_read(self):
-        trace = run(split_send_scenario([1, 2, 3]))
+        trace = run(bfa_double_cure_scenario())
         assert Trace.from_jsonl(trace.to_jsonl()) == trace
         for kind in (KIND_P2P_SEND, KIND_DELIVER_CALL):
             assert first_event(trace, kind, grouped=True) > 0

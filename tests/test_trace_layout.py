@@ -1,17 +1,18 @@
-"""The ``mbbc-trace/13`` layout on every trace the engine writes here: the
+"""The ``mbbc-trace/14`` layout on every trace the engine writes here: the
 bundled configs, both histories of every demo kind, the longer shapes
 (``conftest.shape_config``) and a seeded pool of ARBITRARY scripts over the
-three variants (``conftest.arbitrary_config``).
+three variants (``conftest.arbitrary_config``), with the forged-birth
+scripts of ``conftest.forged_birth_config`` for the STATE_CORRUPTED rule.
 
 Per round, each (sender, message) fan-out stands in one P2P_SEND, a
 possessed sender's too when each of its messages reaches every process
 exactly once, and each (process, instance) delivery in at most one
-DELIVER_CALL; the events are in
-first-message and first-instance order; a possessed process writes its
-STATE_CORRUPTED at the start of each faulty span and then only when its
-digest changes; and the trace reads back equal to itself. Its JSONL writes
-each message, instance, process list, receiver list and state digest in
-full once, and cites it by its index in that value's table after that. Over the pool, the
+DELIVER_CALL; the events are in first-message and first-instance order; a
+possessed process writes one STATE_CORRUPTED per faulty span, in its last
+round within the horizon, the digest of the state its cure finds; and the
+trace reads back equal to itself. Its JSONL writes each message, instance,
+process list, receiver list and state digest in full once, and cites it by
+its index in that value's table after that. Over the pool, the
 monitor (``monitor.Monitor``) gives every verdict, every violation's witness
 cites the events it needs, and the projection does not depend on how a
 trace groups its deliveries.
@@ -27,11 +28,12 @@ from conftest import (
     SHAPES,
     arbitrary_config,
     assert_checked_independently,
-    assert_corruption_layout,
     assert_deliver_call_layout,
     assert_fan_out_layout,
-    possessed_details,
+    assert_one_digest_per_span,
+    forged_birth_config,
     shape_config,
+    written_digests,
 )
 from mbbc.checker import ALL_PROPERTIES, permanently_correct, projection_jsonl, run_property_checks
 from mbbc.demos import run_demo
@@ -50,6 +52,8 @@ def case_traces(case: str) -> list[Trace]:
         return [result.trace_first, result.trace_second]
     if case.startswith("arbitrary-"):
         return [run(arbitrary_config(int(case.split("-")[1])))]
+    if case.startswith("forged_birth-"):
+        return [run(forged_birth_config(int(case.split("-")[1]), 6, 1))]
     if case in SHAPES:
         return [run(shape_config(case))]
     return [run(ScenarioConfig.from_json(next(p for p in CONFIGS if p.name == case).read_text()))]
@@ -57,6 +61,7 @@ def case_traces(case: str) -> list[Trace]:
 
 CASES = ([p.name for p in CONFIGS] + DEMOS + list(SHAPES)
          + [f"arbitrary-{seed}" for seed in ARBITRARY_SEEDS])
+SPAN_CASES = CASES + [f"forged_birth-{seed}" for seed in range(60)]
 CITATION_CASES = ([p.name for p in CONFIGS] + DEMOS + list(SHAPES)
                   + [f"arbitrary-{seed}" for seed in range(200)])
 
@@ -111,8 +116,13 @@ def test_grouped_layout_and_round_trip(case):
     for trace in case_traces(case):
         assert_fan_out_layout(trace.events)
         assert_deliver_call_layout(trace.events)
-        assert_corruption_layout(trace)
         assert Trace.from_jsonl(trace.to_jsonl()) == trace
+
+
+@pytest.mark.parametrize("case", SPAN_CASES)
+def test_one_state_corrupted_per_faulty_span(case):
+    for trace in case_traces(case):
+        assert_one_digest_per_span(trace)
 
 
 @pytest.mark.parametrize("case", CITATION_CASES)
@@ -132,19 +142,20 @@ def test_the_cases_cite_every_table():
     assert all(cited.values()), cited
 
 
-def test_possessed_digests_are_omitted_while_they_hold():
-    """The cases reach both sides of the omission rule: a stay that keeps
-    its digest writes fewer STATE_CORRUPTED events than it has rounds, and
-    one that changes it writes a later event."""
-    omitted = later = 0
-    for case in CASES:
+def test_the_cases_reach_every_kind_of_span_end():
+    """The cases reach each side of the rule: spans of several rounds,
+    whose earlier rounds write nothing, spans a cure ends and spans the
+    horizon cuts, and processes with several spans."""
+    longer = cured = cut = again = 0
+    for case in SPAN_CASES:
         for trace in case_traces(case):
-            details = possessed_details(trace)
-            written = [(ev.subject, ev.round) for ev in trace.events if ev.kind == KIND_STATE_CORRUPTED]
-            omitted += len(details) - len(written)
             schedule = trace.scenario().resolved_schedule()
-            later += sum(r > 1 and schedule.is_faulty(p, r - 1) for p, r in written)
-    assert omitted > 0 and later > 0
+            written = written_digests(trace)
+            longer += sum(r > 1 and schedule.is_faulty(p, r - 1) for p, r in written)
+            cured += sum(r < schedule.horizon for _p, r in written)
+            cut += sum(r == schedule.horizon for _p, r in written)
+            again += len(written) > len({p for p, _r in written})
+    assert longer and cured and cut and again, (longer, cured, cut, again)
 
 
 def test_a_possessed_sender_to_every_process_fans_out():
